@@ -320,31 +320,3 @@ func TestCacheLastWaiterCancelsComputation(t *testing.T) {
 		t.Fatal("abandoned computation was never cancelled at the backend")
 	}
 }
-
-// TestExecuteContextPlanReuse: a plan from Federation().PlanQuery can be
-// executed repeatedly through the service with per-execution contexts.
-func TestExecuteContextPlanReuse(t *testing.T) {
-	s := New(Config{Name: "jc-plan"})
-	defer s.Close()
-	_, spec := mkMart(t, "mart_plan", sqlengine.DialectMySQL, "events", 6)
-	addMart(t, s, "mart_plan", spec, "gridsql-mysql")
-
-	plan, err := s.Federation().PlanQuery("SELECT event_id FROM events WHERE run = ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, run := range []int64{101, 102} {
-		qr, err := s.ExecuteContext(context.Background(), plan, sqlengine.NewInt(run))
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		if qr.Route != RouteUnity {
-			t.Fatalf("route = %s", qr.Route)
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.ExecuteContext(ctx, plan, sqlengine.NewInt(101)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("dead-ctx execute err = %v, want canceled", err)
-	}
-}

@@ -14,17 +14,19 @@
 // client stops consuming backend resources promptly. The XML-RPC method
 // layer (RegisterMethods) derives that context from the HTTP request.
 //
-// Results can be delivered materialized (QueryContext) or as an
-// incremental row stream (QueryStreamContext), and remote consumers page
-// streams through a server-side cursor registry (OpenCursor/FetchCursor/
-// CloseCursor, the system.cursor.* methods) whose idle cursors a TTL
-// janitor reaps. When a streamed query routes to another JClarens
-// instance, the service opens a cursor *there* and relays it page by page
-// (relay.go): memory per federated scan is bounded by the fetch size on
-// every hop, the remote cursor is closed when the local stream closes,
-// and the transfer rides the negotiated binary row framing
-// (system.cursor.fetchb) when the peer advertises it — falling back to
-// plain XML-RPC otherwise. Row payloads themselves travel through the
+// Each query is routed once (route.go: resolve) and executed on one path
+// (open) that yields a row stream; QueryStreamContext hands the stream to
+// its consumer, QueryContext drains it into a materialized result, and
+// Explain renders the same routing decision without executing it. Remote
+// consumers page streams through a server-side cursor registry
+// (OpenCursor/FetchCursor/CloseCursor, the system.cursor.* methods) whose
+// idle cursors a TTL janitor reaps. When a streamed query routes to
+// another JClarens instance, the service opens a cursor *there* and
+// relays it page by page (relay.go): memory per federated scan is bounded
+// by the fetch size on every hop, the remote cursor is closed when the
+// local stream closes, and the transfer rides the negotiated binary row
+// framing (system.cursor.fetchb) when the peer advertises it — falling
+// back to plain XML-RPC otherwise. Row payloads themselves travel through the
 // zero-boxing wire codec (wirecodec.go) in either of two encodings; the
 // full wire surface is specified in docs/WIRE.md.
 package dataaccess

@@ -1,18 +1,15 @@
 package dataaccess
 
 // system.explain: describe the routing decision for a query without
-// executing it. Explain runs the same resolution the query path would —
-// parse and plan through the federation, RAL-extraction, RLS lookups for
-// unknown tables — and stops exactly where execution would begin, so the
-// description it returns is the decision the next execution will take
-// (modulo replica selection, which is load-dependent by design).
+// executing it. Explain calls the resolver the query path calls (route.go)
+// and renders the value it returns, so the description is the decision
+// the next execution will take (modulo replica selection, which is
+// load-dependent by design).
 
 import (
 	"context"
-	"errors"
 
 	"gridrdb/internal/sqlengine"
-	"gridrdb/internal/unity"
 )
 
 // Explain resolves sqlText's routing without executing it, returning the
@@ -21,10 +18,12 @@ import (
 // member databases or peers, the relay tier that would apply, and the
 // budgets in force.
 func (s *Service) Explain(ctx context.Context, sqlText string, params ...sqlengine.Value) (map[string]interface{}, error) {
-	m, err := s.explainResolve(ctx, sqlText, params)
+	cached := s.cache != nil && s.cache.Peek(cacheKey(sqlText, params))
+	d, err := s.resolve(ctx, sqlText, params)
 	if err != nil {
 		return nil, err
 	}
+	m := s.explainMap(classNames[d.class], d, cached)
 	if s.admit != nil {
 		// The gate's answer for a query arriving right now: "admit",
 		// "queue", or "would-shed". Explain itself is never gated, so a
@@ -34,65 +33,32 @@ func (s *Service) Explain(ctx context.Context, sqlText string, params ...sqlengi
 	return m, nil
 }
 
-func (s *Service) explainResolve(ctx context.Context, sqlText string, params []sqlengine.Value) (map[string]interface{}, error) {
-	cached := s.cache != nil && s.cache.Peek(cacheKey(sqlText, params))
-	plan, err := s.fed.PlanQuery(sqlText)
-	var unknown *unity.ErrUnknownTable
-	switch {
-	case err == nil:
-		class := classUnityDecomp
-		if plan.Pushdown {
-			class = classUnityPush
-		}
-		m := s.explainMap(classNames[class], plan, nil, cached)
-		// Mirror queryLocal's POOL-RAL check: a simple single-source
-		// query on a supported vendor routes around unity entirely.
-		if !s.cfg.DisableRAL && len(params) == 0 {
-			if parts, ok, rerr := s.fed.ExtractRALParts(sqlText); rerr == nil && ok {
-				s.mu.Lock()
-				_, supported := s.ralConns[parts.Source]
-				s.mu.Unlock()
-				if supported {
-					m["route"] = classNames[classRAL]
-					m["ral_source"] = parts.Source
-				}
-			}
-		}
-		return m, nil
-	case errors.As(err, &unknown):
-		rp, rerr := s.resolveRemoteTables(ctx, sqlText)
-		if rerr != nil {
-			return nil, rerr
-		}
-		class := classMixed
-		if rp.singleURL != "" && len(params) == 0 {
-			class = classRemote
-		}
-		return s.explainMap(classNames[class], nil, rp, cached), nil
-	default:
-		return nil, err
-	}
-}
-
-// explainMap assembles the routing description from an already-resolved
-// plan (local) or remote plan. It is shared by Explain and the slow-query
-// capture, which stores the pointers at routing time and describes them
-// only if the query turns out slow.
-func (s *Service) explainMap(class string, plan *unity.Plan, rp *remotePlan, cached bool) map[string]interface{} {
+// explainMap renders a routing decision (nil for an answer served from
+// the cache, which made none). It is shared by Explain and the slow-query
+// capture, which keeps the decision at routing time and describes it only
+// if the query turns out slow.
+func (s *Service) explainMap(class string, d *decision, cached bool) map[string]interface{} {
 	m := map[string]interface{}{
 		"route":         class,
 		"cached":        cached,
 		"cache_enabled": s.cache != nil,
 		"budgets":       s.budgetMap(),
 	}
-	var deps []qcacheDep
+	if d == nil {
+		m["deps"] = []interface{}{}
+		return m
+	}
+	rp := d.rp
 	switch {
-	case plan != nil:
-		pe := plan.Explain()
+	case d.plan != nil:
+		pe := d.plan.Explain()
 		m["tables"] = strList(pe.Tables)
 		m["pushdown"] = pe.Pushdown
 		if pe.Pushdown {
 			m["source"] = pe.Source
+		}
+		if d.ral != nil {
+			m["ral_source"] = d.ral.Source
 		}
 		// The streaming-operator decision: "pushdown", a pipelined operator
 		// label, or "scratch" with the analyzer's rejection reason.
@@ -109,56 +75,41 @@ func (s *Service) explainMap(class string, plan *unity.Plan, rp *remotePlan, cac
 			}
 		}
 		m["subqueries"] = subs
-		for _, p := range plan.Dependencies() {
-			deps = append(deps, qcacheDep{p[0], p[1]})
-		}
-	case rp != nil:
+	case d.class == classRemote:
 		m["tables"] = strList(rp.tables)
-		if rp.singleURL != "" {
-			m["forward_url"] = rp.singleURL
-			m["relay"] = s.relayTier(rp.singleURL)
+		m["forward_url"] = rp.singleURL
+		m["relay"] = s.relayTier(rp.singleURL)
+	default:
+		m["tables"] = strList(rp.tables)
+		remote := make(map[string]interface{}, len(rp.remoteHost))
+		relay := make(map[string]interface{}, len(rp.remoteHost))
+		for table, url := range rp.remoteHost {
+			remote[table] = url
+			relay[url] = s.relayTier(url)
+		}
+		m["remote_tables"] = remote
+		m["relay"] = relay
+		local := make([]string, 0, len(rp.local))
+		for t := range rp.local {
+			local = append(local, t)
+		}
+		m["local_tables"] = strList(local)
+		// Pipelined integration over the per-table streams, or the scratch
+		// engine with the analyzer's rejection reason.
+		if d.mixed != nil {
+			m["operator"] = "pipelined mixed"
 		} else {
-			remote := make(map[string]interface{}, len(rp.remoteHost))
-			relay := make(map[string]interface{}, len(rp.remoteHost))
-			for table, url := range rp.remoteHost {
-				remote[table] = url
-				relay[url] = s.relayTier(url)
-			}
-			m["remote_tables"] = remote
-			m["relay"] = relay
-			local := make([]string, 0, len(rp.local))
-			for t := range rp.local {
-				local = append(local, t)
-			}
-			m["local_tables"] = strList(local)
-			// Mirror streamMixed's operator decision: pipelined integration
-			// over the per-table streams, or the scratch engine with the
-			// analyzer's rejection reason.
-			sp, reason := unity.PlanIntegrateStream(rp.sel)
-			switch {
-			case s.fed.DisableStreamOps:
-				m["operator"] = "scratch"
-				m["stream_fallback"] = "stream operators disabled"
-			case sp == nil:
-				m["operator"] = "scratch"
-				m["stream_fallback"] = reason
-			default:
-				m["operator"] = "pipelined mixed"
-			}
-		}
-		for _, d := range rp.deps {
-			deps = append(deps, qcacheDep{d.Source, d.Table})
+			m["operator"] = "scratch"
+			m["stream_fallback"] = d.mixedFallback
 		}
 	}
-	depList := make([]interface{}, len(deps))
-	for i, d := range deps {
-		depList[i] = []interface{}{d.source, d.table}
+	deps := make([]interface{}, len(d.deps))
+	for i, dep := range d.deps {
+		deps[i] = []interface{}{dep.Source, dep.Table}
 	}
-	m["deps"] = depList
+	m["deps"] = deps
 	return m
 }
-
-type qcacheDep struct{ source, table string }
 
 // budgetMap reports the timeouts and sizes that would govern execution.
 func (s *Service) budgetMap() map[string]interface{} {

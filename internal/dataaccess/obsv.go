@@ -97,8 +97,8 @@ type serviceObsv struct {
 	quotaCursors   *obsv.Counter
 	quotaBytes     *obsv.Counter
 
-	// Streaming-operator counters: how decomposed/mixed streamed queries
-	// were served, and the spill telemetry of the buffering operators.
+	// Streaming-operator counters: how decomposed/mixed queries were
+	// served, and the spill telemetry of the buffering operators.
 	streamPipelined *obsv.Counter
 	streamScratch   *obsv.Counter
 	spilledQueries  *obsv.Counter
@@ -213,9 +213,9 @@ func newServiceObsv(cfg Config, s *Service) *serviceObsv {
 	})
 
 	o.streamPipelined = r.Counter("gridrdb_stream_pipelined_total",
-		"Streamed decomposed/mixed queries served by the pipelined operators.")
+		"Decomposed/mixed queries (materialized or streamed) served by the pipelined operators.")
 	o.streamScratch = r.Counter("gridrdb_stream_scratch_total",
-		"Streamed decomposed/mixed queries that fell back to scratch-engine materialization.")
+		"Decomposed/mixed queries (materialized or streamed) that fell back to scratch-engine integration.")
 	o.spilledQueries = r.Counter("gridrdb_spilled_queries_total",
 		"Pipelined queries whose buffering operators spilled to disk.")
 	o.spillPartitions = r.Counter("gridrdb_spill_partitions_total",
@@ -291,13 +291,12 @@ type qtrack struct {
 	admOutcome atomic.Int32
 	admWaitNs  atomic.Int64
 
-	// plan / rp capture the routing outcome for lazy explain assembly;
-	// only a query slow enough for the ring pays to describe itself.
-	plan atomic.Pointer[unity.Plan]
-	rp   atomic.Pointer[remotePlan]
-	// sx captures how a streamed execution ran (operator label, spill
-	// telemetry); its Stats are only read at finish, when the stream has
-	// drained or been closed and the operator counters are final.
+	// dec captures the routing decision for lazy explain assembly; only a
+	// query slow enough for the ring pays to describe itself.
+	dec atomic.Pointer[decision]
+	// sx captures how a decomposed or mixed execution ran (operator label,
+	// spill telemetry); its Stats are only read at finish, when the stream
+	// has drained or been closed and the operator counters are final.
 	sx atomic.Pointer[unity.StreamExec]
 
 	done atomic.Bool
@@ -351,15 +350,10 @@ func (t *qtrack) setClass(c int32) {
 	}
 }
 
-func (t *qtrack) notePlan(p *unity.Plan) {
+func (t *qtrack) noteDecision(d *decision) {
 	if t != nil {
-		t.plan.Store(p)
-	}
-}
-
-func (t *qtrack) noteRemote(rp *remotePlan) {
-	if t != nil {
-		t.rp.Store(rp)
+		t.dec.Store(d)
+		t.class.Store(d.class)
 	}
 }
 
@@ -452,7 +446,7 @@ func (t *qtrack) finish(err error) {
 		slog.Duration("elapsed", dur),
 		slog.Int64("rows", rows))
 	if o.slow != nil && dur >= o.slowThreshold {
-		em := t.svc.explainMap(classNames[c], t.plan.Load(), t.rp.Load(), c == classCache)
+		em := t.svc.explainMap(classNames[c], t.dec.Load(), c == classCache)
 		// The admission outcome makes overload incidents debuggable from
 		// the slow ring: "queued 1400ms" on a slow query says the time
 		// went to the gate, not the backend.

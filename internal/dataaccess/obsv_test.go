@@ -190,6 +190,44 @@ func TestSlowRingBoundsAndEviction(t *testing.T) {
 	}
 }
 
+// TestSlowEntryPhasesSumToDuration: for a materialized query and for a
+// drained stream alike, the captured phases account for the captured
+// duration — parse, route, backend (open plus, materialized, the drain)
+// and the consumer-paced stream phase leave no gap beyond bookkeeping.
+func TestSlowEntryPhasesSumToDuration(t *testing.T) {
+	s := New(Config{Name: "obs-phases", SlowQueryThreshold: time.Nanosecond})
+	defer s.Close()
+	_, ref, spec := registerSlowSource(40 * time.Millisecond)
+	if err := s.AddDatabase(ref, spec, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT a FROM slow_t"
+	check := func(entry string, streamed bool) {
+		t.Helper()
+		e := s.SlowQueries()[0]
+		sum := e.PhaseParse + e.PhaseRoute + e.PhaseBackend + e.PhaseStream
+		if e.PhaseBackend < 40*time.Millisecond {
+			t.Errorf("%s: backend phase = %v, want the source's 40ms in it", entry, e.PhaseBackend)
+		}
+		if (e.PhaseStream > 0) != streamed {
+			t.Errorf("%s: stream phase = %v, want set only for streams", entry, e.PhaseStream)
+		}
+		if gap := e.Duration - sum; gap < 0 || gap > 5*time.Millisecond {
+			t.Errorf("%s: phases sum to %v of a %v query (gap %v)", entry, sum, e.Duration, gap)
+		}
+	}
+	if _, err := s.Query(sql); err != nil {
+		t.Fatal(err)
+	}
+	check("query", false)
+	sr, err := s.QueryStream(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainStream(t, sr)
+	check("stream", true)
+}
+
 // TestExplainMatchesExecutedRoute checks that the route system.explain
 // predicts is the one execution takes, by reading the per-route query
 // counter before and after actually running each query.

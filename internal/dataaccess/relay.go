@@ -22,7 +22,6 @@ import (
 
 	"gridrdb/internal/clarens"
 	"gridrdb/internal/sqlengine"
-	"gridrdb/internal/unity"
 )
 
 // errRelayUnsupported reports a peer without the system.cursor.* methods
@@ -113,27 +112,35 @@ func (s *Service) openRelay(ctx context.Context, serverURL, sqlText string) (*re
 	}, nil
 }
 
-// tableStreamFromRemote returns the stream for one table fetch of a mixed
-// (multi-server) query. The stream is *lazy*: the relay cursor is opened
-// on the peer only when integration starts consuming this table, not when
-// the query is planned — a query whose earlier tables take minutes to
-// load must not leave later tables' remote cursors idling toward the
-// peer's TTL reaper before their first fetch. Peers that predate the
-// cursor protocol fall back to a materialized forward.
-func (s *Service) tableStreamFromRemote(ctx context.Context, serverURL, fetchSQL string) sqlengine.RowIter {
-	return &lazyIter{open: func() (sqlengine.RowIter, error) {
-		it, err := s.openRelay(ctx, serverURL, fetchSQL)
+// remoteRows answers sqlText from a peer as a row stream: a cursor relay,
+// or — when the caller wants the whole result at once, or the peer
+// predates the cursor protocol — a single materialized forward.
+func (s *Service) remoteRows(ctx context.Context, serverURL, sqlText string, wholeResult bool) (sqlengine.RowIter, error) {
+	if !wholeResult {
+		it, err := s.openRelay(ctx, serverURL, sqlText)
 		if err == nil {
 			return it, nil
 		}
 		if !errors.Is(err, errRelayUnsupported) {
 			return nil, err
 		}
-		rs, err := s.forward(ctx, serverURL, fetchSQL)
-		if err != nil {
-			return nil, err
-		}
-		return sqlengine.SliceIter(rs), nil
+	}
+	rs, err := s.forward(ctx, serverURL, sqlText)
+	if err != nil {
+		return nil, err
+	}
+	return sqlengine.SliceIter(rs), nil
+}
+
+// tableStreamFromRemote returns the stream for one table fetch of a mixed
+// (multi-server) query. The stream is *lazy*: the relay cursor is opened
+// on the peer only when integration starts consuming this table, not when
+// the query is planned — a query whose earlier tables take minutes to
+// load must not leave later tables' remote cursors idling toward the
+// peer's TTL reaper before their first fetch.
+func (s *Service) tableStreamFromRemote(ctx context.Context, serverURL, fetchSQL string) sqlengine.RowIter {
+	return &lazyIter{open: func() (sqlengine.RowIter, error) {
+		return s.remoteRows(ctx, serverURL, fetchSQL, false)
 	}}
 }
 
@@ -288,112 +295,4 @@ func (it *relayIter) Close() error {
 	it.closed = true
 	it.closeRemote()
 	return nil
-}
-
-// streamWithRemote is the streaming counterpart of queryWithRemote: a
-// query whose tables all live on one remote server becomes a pure cursor
-// relay (no hop materializes anything), and a mixed query integrates its
-// inputs incrementally — remote tables relayed page by page into unity's
-// integration engine — then streams the integrated result from memory.
-func (s *Service) streamWithRemote(ctx context.Context, key, sqlText string, params []sqlengine.Value, epoch int64) (*StreamResult, error) {
-	t := trackFrom(ctx)
-	tr := t.now()
-	rp, err := s.resolveRemoteTables(ctx, sqlText)
-	t.addRoute(tr)
-	if err != nil {
-		return nil, err
-	}
-	t.noteRemote(rp)
-	if rp.singleURL != "" && len(params) == 0 {
-		t.setClass(classRemote)
-		s.obs.log(ctx, slog.LevelDebug, "route: relay", slog.String("peer", rp.singleURL))
-		it, err := s.openRelay(ctx, rp.singleURL, sqlText)
-		switch {
-		case err == nil:
-			s.stats.Forwarded.Add(1)
-			return s.wrapStream(it, RouteRemote, 2, key, rp.deps, epoch), nil
-		case errors.Is(err, errRelayUnsupported):
-			// Peer predates the cursor protocol: whole-query materialized
-			// forward, streamed from memory (the pre-relay behaviour).
-			tb := t.now()
-			rs, ferr := s.forward(ctx, rp.singleURL, sqlText)
-			t.addBackend(tb)
-			if ferr != nil {
-				return nil, ferr
-			}
-			s.stats.Forwarded.Add(1)
-			qr := &QueryResult{ResultSet: rs, Route: RouteRemote, Servers: 2}
-			s.streamCacheFill(key, qr, rp.deps, epoch)
-			return &StreamResult{cols: qr.Columns, Route: RouteRemote, Servers: 2, iter: sqlengine.SliceIter(qr.ResultSet)}, nil
-		default:
-			return nil, err
-		}
-	}
-	if sr, ok, err := s.streamMixed(ctx, key, rp, params, epoch); ok || err != nil {
-		return sr, err
-	}
-	qr, deps, err := s.queryWithRemoteResolved(ctx, rp, sqlText, params)
-	if err != nil {
-		return nil, err
-	}
-	s.streamCacheFill(key, qr, deps, epoch)
-	return &StreamResult{cols: qr.Columns, Route: qr.Route, Servers: qr.Servers, iter: sqlengine.SliceIter(qr.ResultSet)}, nil
-}
-
-// streamMixed serves a mixed local/remote query through the pipelined
-// operators when the integration statement qualifies: each table's stream
-// — local federation cursor or lazy remote relay — feeds the join/union
-// pipeline directly, so neither the scratch engine nor this server ever
-// materializes the inputs, and remote cursors open only when the operator
-// actually consumes their side. ok=false (with nil error) means the shape
-// needs the scratch engine and the caller should run the materialized
-// integration instead.
-func (s *Service) streamMixed(ctx context.Context, key string, rp *remotePlan, params []sqlengine.Value, epoch int64) (*StreamResult, bool, error) {
-	t := trackFrom(ctx)
-	t.setClass(classMixed)
-	if s.fed.DisableStreamOps {
-		s.obs.streamScratch.Inc()
-		t.noteStreamExec(&unity.StreamExec{Operator: "scratch", Fallback: "stream operators disabled"})
-		return nil, false, nil
-	}
-	sp, reason := unity.PlanIntegrateStream(rp.sel)
-	if sp == nil {
-		s.obs.streamScratch.Inc()
-		s.obs.log(ctx, slog.LevelDebug, "route: mixed (scratch)", slog.String("fallback", reason))
-		t.noteStreamExec(&unity.StreamExec{Operator: "scratch", Fallback: reason})
-		return nil, false, nil
-	}
-	s.obs.log(ctx, slog.LevelDebug, "route: mixed (pipelined)",
-		slog.Int("tables", len(rp.tables)), slog.Int("remote_tables", len(rp.remoteHost)))
-	loads := make([]unity.StreamLoad, 0, len(rp.tables))
-	closeLoads := func() {
-		for _, ld := range loads {
-			ld.Iter.Close()
-		}
-	}
-	serversTouched := map[string]bool{}
-	for _, tbl := range rp.tables {
-		fetch := unity.RemoteFetchSQL(rp.sel, tbl)
-		var it sqlengine.RowIter
-		if rp.local[tbl] {
-			var err error
-			it, _, err = s.fed.QueryStreamContext(ctx, fetch)
-			if err != nil {
-				closeLoads()
-				return nil, false, err
-			}
-		} else {
-			it = s.tableStreamFromRemote(ctx, rp.remoteHost[tbl], fetch)
-			serversTouched[rp.remoteHost[tbl]] = true
-		}
-		loads = append(loads, unity.StreamLoad{Logical: tbl, Iter: it})
-	}
-	out, stats, err := unity.IntegrateStream(ctx, sp, loads, params, s.cfg.ScratchMaxBytes)
-	if err != nil {
-		return nil, false, err // IntegrateStream closed the loads
-	}
-	s.stats.Mixed.Add(1)
-	s.obs.streamPipelined.Inc()
-	t.noteStreamExec(&unity.StreamExec{Operator: "pipelined mixed", Stats: stats})
-	return s.wrapStream(out, RouteMixed, 1+len(serversTouched), key, rp.deps, epoch), true, nil
 }

@@ -76,11 +76,13 @@ type Config struct {
 	// MaxFetchSize). It bounds this server's buffering per federated
 	// stream: a relayed scan holds at most one chunk of this many rows.
 	RelayFetchSize int
-	// SourceBudget bounds each per-source remote operation — a
-	// materialized forward, a relay cursor open, every relay fetch and the
-	// relay close — and each decomposed sub-query of the local
-	// scatter-gather, independently of the caller's request deadline, so
-	// one stuck source cannot consume the whole request budget. 0 applies
+	// SourceBudget bounds each per-source operation that runs to completion
+	// on its own — a whole-query forward, a relay cursor open, every relay
+	// fetch and the relay close, and each table load of the scratch-engine
+	// fallback — independently of the caller's request deadline, so one
+	// stuck source cannot consume the whole request budget. The cursors
+	// feeding the pipelined operators are paced by the consumer and bounded
+	// by the request deadline only (see unity.ExecuteStreamOp). 0 applies
 	// no per-source bound.
 	SourceBudget time.Duration
 	// ScratchMaxBytes is the byte budget of each buffering streaming
@@ -91,10 +93,11 @@ type Config struct {
 	// estimated over the budget prefers a merge join with ORDER BY pushed
 	// to the sources.
 	ScratchMaxBytes int64
-	// DisableStreamOps forces decomposed and mixed plans onto the legacy
-	// materialize-into-scratch integration path even when the streaming
-	// operators could serve them. Escape hatch, and the baseline the join
-	// benchmark compares against; production servers leave it off.
+	// DisableStreamOps makes every decomposed and mixed plan integrate on
+	// the scratch engine — the fallback the streaming operators otherwise
+	// leave to shapes they cannot serve — for materialized and streamed
+	// queries alike. Escape hatch, and the baseline the join benchmark
+	// compares against; production servers leave it off.
 	DisableStreamOps bool
 	// Logger receives the query path's structured records (route
 	// decisions, completions, relays, slow queries), each carrying the
@@ -384,16 +387,43 @@ func (s *Service) Query(sqlText string, params ...sqlengine.Value) (*QueryResult
 // enabled the context governs only this caller's wait — a coalesced
 // computation shared with other callers keeps running until its last
 // waiter departs (see qcache.Do).
+//
+// The materialized answer is the drained stream: the same resolve and
+// open QueryStreamContext uses, pulled to the end here.
 func (s *Service) QueryContext(ctx context.Context, sqlText string, params ...sqlengine.Value) (*QueryResult, error) {
 	s.stats.Queries.Add(1)
 	ctx, t := s.beginTrack(ctx, sqlText)
+	// The admission slot is held from before planning until the drain
+	// ends; a shed request does no planning or backend work.
+	run := func(ctx context.Context) (*QueryResult, []qcache.Dep, error) {
+		tk, err := s.acquireSlot(ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer tk.release()
+		d, err := s.resolve(ctx, sqlText, params)
+		if err != nil {
+			return nil, nil, err
+		}
+		sr, err := s.open(ctx, d, sqlText, params, true)
+		if err != nil {
+			return nil, nil, err
+		}
+		tb := t.now()
+		rs, err := sqlengine.Drain(sr)
+		t.addBackend(tb)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &QueryResult{ResultSet: rs, Route: sr.Route, Servers: sr.Servers}, d.deps, nil
+	}
 	var (
 		qr     *QueryResult
 		served bool
 		err    error
 	)
 	if s.cache == nil {
-		qr, _, err = s.queryAdmitted(ctx, sqlText, params)
+		qr, _, err = run(ctx)
 	} else {
 		// The track rides into the computation through the context values
 		// qcache.Do preserves on its detached goroutine; a served answer
@@ -401,9 +431,7 @@ func (s *Service) QueryContext(ctx context.Context, sqlText string, params ...sq
 		// its class is the cache. Admission happens inside the computation
 		// for the same reason: hits and coalesced waiters never consume an
 		// in-flight slot — only the query that actually runs does.
-		qr, served, err = s.cache.Do(ctx, cacheKey(sqlText, params), func(ctx context.Context) (*QueryResult, []qcache.Dep, error) {
-			return s.queryAdmitted(ctx, sqlText, params)
-		})
+		qr, served, err = s.cache.Do(ctx, cacheKey(sqlText, params), run)
 	}
 	if served {
 		t.setClass(classCache)
@@ -413,40 +441,6 @@ func (s *Service) QueryContext(ctx context.Context, sqlText string, params ...sq
 	}
 	t.finish(err)
 	return qr, err
-}
-
-// ExecuteContext runs a previously produced federation plan (obtained
-// from Federation().PlanQuery) under ctx, bypassing the cache and the
-// RAL/remote routing (plan execution is a purely local Unity operation).
-// Callers that plan once and execute many times — e.g. parameterized
-// analysis sweeps over the same shape — get the same cancellation
-// semantics as QueryContext.
-func (s *Service) ExecuteContext(ctx context.Context, plan *unity.Plan, params ...sqlengine.Value) (*QueryResult, error) {
-	s.stats.Queries.Add(1)
-	ctx, t := s.beginTrack(ctx, "(prepared plan)")
-	t.notePlan(plan)
-	if plan.Pushdown {
-		t.setClass(classUnityPush)
-	} else {
-		t.setClass(classUnityDecomp)
-	}
-	tk, aerr := s.acquireSlot(ctx)
-	if aerr != nil {
-		t.finish(aerr)
-		return nil, aerr
-	}
-	tb := t.now()
-	rs, err := s.fed.ExecuteContext(ctx, plan, params...)
-	tk.release()
-	t.addBackend(tb)
-	if err != nil {
-		t.finish(err)
-		return nil, err
-	}
-	s.stats.Unity.Add(1)
-	t.noteRows(int64(len(rs.Rows)))
-	t.finish(nil)
-	return &QueryResult{ResultSet: rs, Route: RouteUnity, Servers: 1}, nil
 }
 
 // acquireSlot admits the context's caller through the in-flight gate,
@@ -462,94 +456,6 @@ func (s *Service) acquireSlot(ctx context.Context) (*ticket, error) {
 	}
 	trackFrom(ctx).noteAdmission(tk.outcome, tk.waited)
 	return tk, nil
-}
-
-// queryAdmitted runs the routing core under an admission slot, held for
-// the duration of the (materializing) execution. A shed request returns
-// before any planning or backend work.
-func (s *Service) queryAdmitted(ctx context.Context, sqlText string, params []sqlengine.Value) (*QueryResult, []qcache.Dep, error) {
-	tk, err := s.acquireSlot(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer tk.release()
-	return s.queryRouted(ctx, sqlText, params)
-}
-
-// queryRouted is the uncached routing core; alongside the result it
-// returns the (source, table) set it read from — the cache-invalidation
-// fingerprint of the answer.
-func (s *Service) queryRouted(ctx context.Context, sqlText string, params []sqlengine.Value) (*QueryResult, []qcache.Dep, error) {
-	t := trackFrom(ctx)
-	// Fast path: every table is registered locally.
-	tp := t.now()
-	plan, err := s.fed.PlanQuery(sqlText)
-	t.addParse(tp)
-	var unknown *unity.ErrUnknownTable
-	switch {
-	case err == nil:
-		t.notePlan(plan)
-		return s.queryLocal(ctx, sqlText, plan, params)
-	case errors.As(err, &unknown):
-		return s.queryWithRemote(ctx, sqlText, params)
-	default:
-		return nil, nil, err
-	}
-}
-
-// planDeps converts a unity plan's dependency list to cache deps.
-func planDeps(plan *unity.Plan) []qcache.Dep {
-	pairs := plan.Dependencies()
-	deps := make([]qcache.Dep, len(pairs))
-	for i, p := range pairs {
-		deps[i] = qcache.Dep{Source: p[0], Table: p[1]}
-	}
-	return deps
-}
-
-// queryLocal routes a fully-local query to POOL-RAL or Unity (§4.5: "the
-// data access layer decides which of the two modules to forward the query
-// to by finding out which databases are to be queried").
-func (s *Service) queryLocal(ctx context.Context, sqlText string, plan *unity.Plan, params []sqlengine.Value) (*QueryResult, []qcache.Dep, error) {
-	t := trackFrom(ctx)
-	if !s.cfg.DisableRAL && len(params) == 0 {
-		if parts, ok, err := s.fed.ExtractRALParts(sqlText); err == nil && ok {
-			s.mu.Lock()
-			conn, supported := s.ralConns[parts.Source]
-			s.mu.Unlock()
-			if supported {
-				t.setClass(classRAL)
-				s.obs.log(ctx, slog.LevelDebug, "route: pool-ral", slog.String("source", parts.Source))
-				tb := t.now()
-				rs, err := s.ral.QueryValuesContext(ctx, conn, parts.Fields, parts.Tables, parts.Where)
-				t.addBackend(tb)
-				if err != nil {
-					return nil, nil, err
-				}
-				s.stats.RAL.Add(1)
-				deps := make([]qcache.Dep, len(plan.Tables))
-				for i, t := range plan.Tables {
-					deps[i] = qcache.Dep{Source: parts.Source, Table: t}
-				}
-				return &QueryResult{ResultSet: rs, Route: RoutePOOLRAL, Servers: 1}, deps, nil
-			}
-		}
-	}
-	if plan.Pushdown {
-		t.setClass(classUnityPush)
-	} else {
-		t.setClass(classUnityDecomp)
-	}
-	s.obs.log(ctx, slog.LevelDebug, "route: unity",
-		slog.Bool("pushdown", plan.Pushdown), slog.Int("tables", len(plan.Tables)))
-	tb := t.now()
-	rs, err := s.fed.ExecuteContext(ctx, plan, params...)
-	t.addBackend(tb)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.stats.Unity.Add(1)
-	return &QueryResult{ResultSet: rs, Route: RouteUnity, Servers: 1}, planDeps(plan), nil
 }
 
 // remoteDepPrefix marks cache dependencies on tables served by another
@@ -624,83 +530,6 @@ func (s *Service) resolveRemoteTables(ctx context.Context, sqlText string) (*rem
 		}
 	}
 	return rp, nil
-}
-
-// queryWithRemote handles queries touching tables this instance does not
-// host: RLS lookup, then either whole-query forwarding (all tables on one
-// remote server) or per-table fetch + local integration.
-func (s *Service) queryWithRemote(ctx context.Context, sqlText string, params []sqlengine.Value) (*QueryResult, []qcache.Dep, error) {
-	t := trackFrom(ctx)
-	tr := t.now()
-	rp, err := s.resolveRemoteTables(ctx, sqlText)
-	t.addRoute(tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	t.noteRemote(rp)
-	return s.queryWithRemoteResolved(ctx, rp, sqlText, params)
-}
-
-// queryWithRemoteResolved executes a resolved remote plan materialized.
-// The whole-forward shape transfers the result in one response; the mixed
-// shape streams each table — remote ones through a cursor relay when the
-// peer supports it — into unity's integration engine, so partial results
-// are never held twice on this server.
-func (s *Service) queryWithRemoteResolved(ctx context.Context, rp *remotePlan, sqlText string, params []sqlengine.Value) (*QueryResult, []qcache.Dep, error) {
-	t := trackFrom(ctx)
-	// All tables on one remote server: forward the whole query there.
-	if rp.singleURL != "" && len(params) == 0 {
-		t.setClass(classRemote)
-		s.obs.log(ctx, slog.LevelDebug, "route: forward", slog.String("peer", rp.singleURL))
-		tb := t.now()
-		rs, err := s.forward(ctx, rp.singleURL, sqlText)
-		t.addBackend(tb)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.stats.Forwarded.Add(1)
-		return &QueryResult{ResultSet: rs, Route: RouteRemote, Servers: 2}, rp.deps, nil
-	}
-	t.setClass(classMixed)
-	s.obs.log(ctx, slog.LevelDebug, "route: mixed",
-		slog.Int("tables", len(rp.tables)), slog.Int("remote_tables", len(rp.remoteHost)))
-
-	// Mixed: stream each table (local federation or remote relay) into
-	// the integration engine and run the original query over it.
-	loads := make([]unity.StreamLoad, 0, len(rp.tables))
-	closeLoads := func() {
-		for _, ld := range loads {
-			ld.Iter.Close()
-		}
-	}
-	serversTouched := map[string]bool{}
-	for _, t := range rp.tables {
-		fetch := unity.RemoteFetchSQL(rp.sel, t)
-		var it sqlengine.RowIter
-		if rp.local[t] {
-			var err error
-			it, _, err = s.fed.QueryStreamContext(ctx, fetch)
-			if err != nil {
-				closeLoads()
-				return nil, nil, err
-			}
-		} else {
-			// Lazy: the peer-side cursor opens when this table's load is
-			// consumed, not now — earlier tables may take longer to
-			// integrate than the peer's idle-cursor TTL.
-			it = s.tableStreamFromRemote(ctx, rp.remoteHost[t], fetch)
-			serversTouched[rp.remoteHost[t]] = true
-		}
-		loads = append(loads, unity.StreamLoad{Logical: t, Iter: it})
-	}
-	tb := t.now()
-	rs, err := unity.IntegrateIters(ctx, rp.sel, loads, params)
-	t.addBackend(tb)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.stats.Mixed.Add(1)
-	return &QueryResult{ResultSet: rs, Route: RouteMixed, Servers: 1 + len(serversTouched)}, rp.deps, nil
 }
 
 func without(ss []string, drop string) []string {

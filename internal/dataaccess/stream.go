@@ -2,13 +2,10 @@ package dataaccess
 
 import (
 	"context"
-	"errors"
 	"io"
-	"log/slog"
 
 	"gridrdb/internal/qcache"
 	"gridrdb/internal/sqlengine"
-	"gridrdb/internal/unity"
 )
 
 // StreamResult is a routed query answer delivered incrementally: rows are
@@ -58,20 +55,21 @@ func (s *Service) QueryStream(sqlText string, params ...sqlengine.Value) (*Strea
 	return s.QueryStreamContext(context.Background(), sqlText, params...)
 }
 
-// QueryStreamContext is the streaming counterpart of QueryContext: parse,
-// route, and return an incremental row stream instead of a materialized
-// result set. Single-source scans — the POOL-RAL route and Unity pushdown
-// plans, the shape of the paper's large Fig-6 scans — stream straight off
-// the backend with bounded buffering. A query whose tables all live on
-// one remote server streams through a cursor-to-cursor relay: a cursor is
-// opened on the peer and pulled page by page, so no server on the path
-// materializes the scan (peers without cursor support fall back to a
-// materialized forward). Decomposed and mixed multi-server queries must
-// integrate partial results first; their *inputs* stream incrementally
-// into the integration engine (remote ones relayed), and the integrated
-// result then streams from memory. Cancelling ctx (or closing the stream)
-// stops the producing backend query mid-scan — across servers, closing a
-// relayed stream closes the remote cursor.
+// QueryStreamContext answers a query as an incremental row stream: the
+// same resolve and open as QueryContext, with the stream handed to the
+// caller instead of drained. Single-source scans — the POOL-RAL route and
+// Unity pushdown plans, the shape of the paper's large Fig-6 scans —
+// stream straight off the backend with bounded buffering. A query whose
+// tables all live on one remote server streams through a cursor-to-cursor
+// relay: a cursor is opened on the peer and pulled page by page, so no
+// server on the path materializes the scan (peers without cursor support
+// fall back to a materialized forward). Decomposed and mixed queries run
+// on the pipelined operators, their inputs — member-database cursors and
+// remote relays — flowing through the join as the consumer pulls; shapes
+// the operators cannot serve integrate on the scratch engine first and
+// stream from memory. Cancelling ctx (or closing the stream) stops the
+// producing backend query mid-scan — across servers, closing a relayed
+// stream closes the remote cursor.
 //
 // Cache interplay: a resident entry is served (from memory) without
 // touching a backend. A cache miss fills the cache only while the
@@ -115,122 +113,44 @@ func (s *Service) QueryStreamContext(ctx context.Context, sqlText string, params
 		t.finish(aerr)
 		return nil, aerr
 	}
-	tp := t.now()
-	plan, err := s.fed.PlanQuery(sqlText)
-	t.addParse(tp)
-	var unknown *unity.ErrUnknownTable
+	d, err := s.resolve(ctx, sqlText, params)
 	var sr *StreamResult
-	switch {
-	case err == nil:
-		t.notePlan(plan)
-		sr, err = s.streamLocal(ctx, key, sqlText, plan, params, epoch)
-	case errors.As(err, &unknown):
-		sr, err = s.streamWithRemote(ctx, key, sqlText, params, epoch)
-	default:
-		tk.release()
-		t.finish(err)
-		return nil, err
+	if err == nil {
+		sr, err = s.open(ctx, d, sqlText, params, false)
 	}
 	if err != nil {
 		tk.release()
 		t.finish(err)
 		return nil, err
 	}
+	s.teeIntoCache(sr, key, d.deps, epoch)
 	return s.trackStream(s.gateStream(sr, tk, callerFrom(ctx)), t), nil
 }
 
-// streamLocal routes a fully-local streaming query, mirroring queryLocal's
-// routing decision: POOL-RAL for simple single-source queries on
-// supported vendors, Unity otherwise.
-func (s *Service) streamLocal(ctx context.Context, key, sqlText string, plan *unity.Plan, params []sqlengine.Value, epoch int64) (*StreamResult, error) {
-	t := trackFrom(ctx)
-	if !s.cfg.DisableRAL && len(params) == 0 {
-		if parts, ok, err := s.fed.ExtractRALParts(sqlText); err == nil && ok {
-			s.mu.Lock()
-			conn, supported := s.ralConns[parts.Source]
-			s.mu.Unlock()
-			if supported {
-				t.setClass(classRAL)
-				s.obs.log(ctx, slog.LevelDebug, "route: pool-ral (stream)", slog.String("source", parts.Source))
-				tb := t.now()
-				it, err := s.ral.QueryStreamContext(ctx, conn, parts.Fields, parts.Tables, parts.Where)
-				t.addBackend(tb)
-				if err != nil {
-					return nil, err
-				}
-				s.stats.RAL.Add(1)
-				deps := make([]qcache.Dep, len(plan.Tables))
-				for i, t := range plan.Tables {
-					deps[i] = qcache.Dep{Source: parts.Source, Table: t}
-				}
-				return s.wrapStream(it, RoutePOOLRAL, 1, key, deps, epoch), nil
-			}
-		}
-	}
-	if plan.Pushdown {
-		t.setClass(classUnityPush)
-	} else {
-		t.setClass(classUnityDecomp)
-	}
-	s.obs.log(ctx, slog.LevelDebug, "route: unity (stream)",
-		slog.Bool("pushdown", plan.Pushdown), slog.Int("tables", len(plan.Tables)))
-	tb := t.now()
-	it, ex, err := s.fed.ExecuteStreamOp(ctx, plan, params...)
-	t.addBackend(tb)
-	if err != nil {
-		return nil, err
-	}
-	if !plan.Pushdown {
-		if ex.Operator == "scratch" {
-			s.obs.streamScratch.Inc()
-		} else {
-			s.obs.streamPipelined.Inc()
-		}
-		s.obs.log(ctx, slog.LevelDebug, "stream: operator",
-			slog.String("operator", ex.Operator), slog.String("fallback", ex.Fallback))
-	}
-	t.noteStreamExec(ex)
-	s.stats.Unity.Add(1)
-	return s.wrapStream(it, RouteUnity, 1, key, planDeps(plan), epoch), nil
-}
-
-// wrapStream builds the StreamResult for an incremental producer (local
-// backend or cursor relay), inserting the cache-fill tee when the cache
-// can possibly admit the result. epoch is the invalidation epoch
-// snapshotted before the producer started.
-func (s *Service) wrapStream(it sqlengine.RowIter, route Route, servers int, key string, deps []qcache.Dep, epoch int64) *StreamResult {
-	sr := &StreamResult{cols: it.Columns(), Route: route, Servers: servers, iter: it}
+// teeIntoCache inserts the cache-fill tee over a freshly opened stream
+// when the cache can possibly admit the result. epoch is the invalidation
+// epoch snapshotted before the producer started.
+func (s *Service) teeIntoCache(sr *StreamResult, key string, deps []qcache.Dep, epoch int64) {
 	if s.cache == nil {
-		return sr
+		return
 	}
 	limit := s.cache.MaxEntryBytes()
 	if limit <= 0 {
 		// No byte budget configured: a streamed result may be arbitrarily
 		// large, and buffering it for the cache would defeat streaming.
-		return sr
+		return
 	}
 	sr.iter = &cacheFillIter{
-		inner:   it,
+		inner:   sr.iter,
 		svc:     s,
 		key:     key,
 		deps:    deps,
-		route:   route,
-		servers: servers,
+		route:   sr.Route,
+		servers: sr.Servers,
 		epoch:   epoch,
 		limit:   limit,
-		acc:     &sqlengine.ResultSet{Columns: it.Columns()},
+		acc:     &sqlengine.ResultSet{Columns: sr.cols},
 	}
-	return sr
-}
-
-// streamCacheFill inserts an already-materialized streaming answer into
-// the cache under the same pre-execution epoch discipline as the
-// incremental tee.
-func (s *Service) streamCacheFill(key string, qr *QueryResult, deps []qcache.Dep, epoch int64) {
-	if s.cache == nil {
-		return
-	}
-	s.cache.PutChecked(key, qr, deps, epoch)
 }
 
 // cacheFillIter tees a live stream into a bounded buffer: if the stream

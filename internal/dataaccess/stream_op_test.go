@@ -9,9 +9,13 @@ package dataaccess
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -108,7 +112,7 @@ func TestStreamDecomposedUsesPipelinedOperators(t *testing.T) {
 
 // TestStreamSpillMetricsAndCleanup: a 1-byte ScratchMaxBytes forces the
 // buffering operators to disk; the spill shows up in the metric family
-// and the slow-query capture, the rows still match the materialized
+// and the slow-query capture, the rows still match the scratch-engine
 // reference, and no spill directory survives the drained stream.
 func TestStreamSpillMetricsAndCleanup(t *testing.T) {
 	tmp := t.TempDir()
@@ -123,7 +127,7 @@ func TestStreamSpillMetricsAndCleanup(t *testing.T) {
 	// The UNION keeps the planner off the merge join (multi-branch), so
 	// the 1-byte budget forces a Grace spill of the hash build.
 	q := "SELECT e.event_id FROM events e JOIN runsinfo r ON e.run = r.run UNION ALL SELECT event_id FROM events"
-	qr, err := s.Query(q)
+	want, err := s.Federation().QueryContext(context.Background(), q) // scratch engine, never spills
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +136,8 @@ func TestStreamSpillMetricsAndCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := drainStream(t, sr)
-	if len(got.Rows) != len(qr.Rows) {
-		t.Fatalf("streamed %d rows, materialized %d", len(got.Rows), len(qr.Rows))
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("streamed %d rows, scratch reference %d", len(got.Rows), len(want.Rows))
 	}
 
 	if n := counterValue(t, s, "gridrdb_spilled_queries_total"); n != 1 {
@@ -160,6 +164,25 @@ func TestStreamSpillMetricsAndCleanup(t *testing.T) {
 	}
 	if left := spillLeftovers(t, tmp); len(left) != 0 {
 		t.Fatalf("spill directories left behind: %v", left)
+	}
+
+	// The materialized entry drains the same pipeline: it spills too, says
+	// so in its own slow-query capture, and cleans up after the drain.
+	qr, err := s.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(qr.Rows) != len(want.Rows) {
+		t.Fatalf("materialized %d rows, scratch reference %d", len(qr.Rows), len(want.Rows))
+	}
+	if n := counterValue(t, s, "gridrdb_spilled_queries_total"); n != 2 {
+		t.Fatalf("spilled queries = %d after the materialized run, want 2", n)
+	}
+	if _, ok := s.SlowQueries()[0].Explain["spill"].(map[string]interface{}); !ok {
+		t.Fatalf("materialized slow entry has no spill block: %v", s.SlowQueries()[0].Explain)
+	}
+	if left := spillLeftovers(t, tmp); len(left) != 0 {
+		t.Fatalf("spill directories left behind by the materialized run: %v", left)
 	}
 }
 
@@ -340,5 +363,284 @@ func TestStreamSpillDirHonorsTempDir(t *testing.T) {
 	t.Setenv("TMPDIR", tmp)
 	if got := os.TempDir(); got != tmp {
 		t.Skipf("os.TempDir() = %q ignores TMPDIR on this platform", got)
+	}
+}
+
+// ---- one decision, one path: materialized == drained stream ----
+
+// sortedRowKeys encodes each row under the binary row codec and sorts the
+// encodings: equal slices mean equal row multisets.
+func sortedRowKeys(rows []sqlengine.Row) []string {
+	keys := make([]string, len(rows))
+	for i, r := range rows {
+		keys[i] = string(EncodeRowsBinary([]sqlengine.Row{r}))
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// routeCounts snapshots the per-module routing counters and the
+// pipelined/scratch operator counters.
+func routeCounts(t *testing.T, s *Service) [6]int64 {
+	st := s.Stats()
+	return [6]int64{st.RAL.Load(), st.Unity.Load(), st.Forwarded.Load(), st.Mixed.Load(),
+		counterValue(t, s, "gridrdb_stream_pipelined_total"), counterValue(t, s, "gridrdb_stream_scratch_total")}
+}
+
+// TestQueryIsTheDrainedStream runs one query per resolver outcome through
+// both entry points, with the cache off and on: the materialized answer
+// must be the drained stream — same rows (and the scratch-engine
+// reference's, where the query is local), same route and server count,
+// same routing- and operator-counter movement — and what system.explain
+// predicts must be what the slow-query ring captured for each execution.
+// The one sanctioned difference: a single-remote query is one forward
+// for the materialized caller and a cursor relay for the streaming one.
+func TestQueryIsTheDrainedStream(t *testing.T) {
+	cases := []struct {
+		name    string
+		sql     string
+		params  []sqlengine.Value
+		route   Route
+		servers int
+		class   string
+		// operator is the executed operator ("" where the route has none);
+		// fallback the scratch reason.
+		operator, fallback string
+		ordered            bool // ORDER BY is total: rows compare in order
+		local              bool // Federation.ExecuteContext can answer it
+	}{
+		{name: "pool-ral", sql: "SELECT event_id, e_tot FROM eq_events WHERE run = 101",
+			route: RoutePOOLRAL, servers: 1, class: "pool-ral", operator: "pushdown", local: true},
+		{name: "pushdown", sql: "SELECT event_id, run FROM eq_runs WHERE run = 100 ORDER BY event_id",
+			route: RouteUnity, servers: 1, class: "unity-pushdown", operator: "pushdown", ordered: true, local: true},
+		{name: "pushdown with params", sql: "SELECT event_id FROM eq_events WHERE run = ? ORDER BY event_id",
+			params: []sqlengine.Value{sqlengine.NewInt(101)},
+			route:  RouteUnity, servers: 1, class: "unity-pushdown", operator: "pushdown", ordered: true, local: true},
+		{name: "pipelined hash join", sql: "SELECT e.event_id, r.e_tot FROM eq_events e JOIN eq_runs r ON e.run = r.run",
+			route: RouteUnity, servers: 1, class: "unity-decomposed", operator: "pipelined hash-join(build=right)", local: true},
+		{name: "pipelined hash join ordered with params",
+			sql:    "SELECT e.event_id AS eid, r.event_id AS rid FROM eq_events e JOIN eq_runs r ON e.run = r.run WHERE e.event_id < ? ORDER BY eid, rid",
+			params: []sqlengine.Value{sqlengine.NewInt(9)},
+			route:  RouteUnity, servers: 1, class: "unity-decomposed", operator: "pipelined hash-join(build=right)", ordered: true, local: true},
+		{name: "scratch fallback", sql: "SELECT r.run, COUNT(*) FROM eq_events e JOIN eq_runs r ON e.run = r.run GROUP BY r.run",
+			route: RouteUnity, servers: 1, class: "unity-decomposed", operator: "scratch", fallback: "aggregation", local: true},
+		{name: "single remote: forward vs relay", sql: "SELECT event_id, e_tot FROM eq_remote WHERE run = 101",
+			route: RouteRemote, servers: 2, class: "remote"},
+		{name: "pipelined mixed", sql: "SELECT e.event_id, x.e_tot FROM eq_events e JOIN eq_remote x ON e.event_id = x.event_id WHERE x.run = 100",
+			route: RouteMixed, servers: 2, class: "mixed", operator: "pipelined mixed"},
+		{name: "pipelined mixed with params", sql: "SELECT x.event_id FROM eq_remote x WHERE x.run = ? ORDER BY x.event_id",
+			params: []sqlengine.Value{sqlengine.NewInt(100)},
+			route:  RouteMixed, servers: 2, class: "mixed", operator: "pipelined mixed", ordered: true},
+		{name: "scratch mixed", sql: "SELECT x.run, COUNT(*) FROM eq_events e JOIN eq_remote x ON e.run = x.run GROUP BY x.run",
+			route: RouteMixed, servers: 2, class: "mixed", operator: "scratch", fallback: "aggregation"},
+	}
+	for _, cached := range []bool{false, true} {
+		tag := "nocache"
+		cfg := Config{Name: "eq-fwd", SlowQueryThreshold: time.Nanosecond}
+		if cached {
+			tag = "cache"
+			cfg.CacheSize, cfg.CacheMaxBytes = 64, 1<<20
+		}
+		t.Run(tag, func(t *testing.T) {
+			p := newRelayPair(t, Config{Name: "eq-host"}, cfg, "mart_eq_remote_"+tag, "eq_remote", 24)
+			defer p.close()
+			s := p.fwd
+			_, evSpec := mkMart(t, "mart_eq_events_"+tag, sqlengine.DialectMySQL, "eq_events", 16)
+			_, runSpec := mkMart(t, "mart_eq_runs_"+tag, sqlengine.DialectMSSQL, "eq_runs", 10)
+			addMart(t, s, "mart_eq_events_"+tag, evSpec, "gridsql-mysql")
+			addMart(t, s, "mart_eq_runs_"+tag, runSpec, "gridsql-mssql")
+			ctx := context.Background()
+
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					em, err := s.Explain(ctx, tc.sql, tc.params...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if em["route"] != tc.class {
+						t.Fatalf("explain route = %v, want %s", em["route"], tc.class)
+					}
+					// What the slow ring captured for the execution that just
+					// ran must be what explain predicted.
+					checkCaptured := func(entry string) {
+						t.Helper()
+						e := s.SlowQueries()[0]
+						if e.SQL != tc.sql || e.Route != tc.class {
+							t.Fatalf("%s: captured %q on route %q, want this query on %s", entry, e.SQL, e.Route, tc.class)
+						}
+						op, _ := e.Explain["operator"].(string)
+						fb, _ := e.Explain["stream_fallback"].(string)
+						if op != tc.operator || fb != tc.fallback {
+							t.Errorf("%s: executed operator/fallback = %q/%q, want %q/%q", entry, op, fb, tc.operator, tc.fallback)
+						}
+						xop, _ := em["operator"].(string)
+						xfb, _ := em["stream_fallback"].(string)
+						if op != xop || fb != xfb {
+							t.Errorf("%s: executed %q/%q but explain predicted %q/%q", entry, op, fb, xop, xfb)
+						}
+					}
+
+					s.CacheFlush()
+					before, relaysBefore := routeCounts(t, s), s.CursorStats().RelayOpens
+					qr, err := s.QueryContext(ctx, tc.sql, tc.params...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					queryDelta, relaysQuery := routeCounts(t, s), s.CursorStats().RelayOpens
+					checkCaptured("query")
+
+					s.CacheFlush()
+					sr, err := s.QueryStreamContext(ctx, tc.sql, tc.params...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					streamRoute, streamServers := sr.Route, sr.Servers
+					got := drainStream(t, sr)
+					streamDelta := routeCounts(t, s)
+					checkCaptured("stream")
+
+					for i := range before {
+						streamDelta[i] -= queryDelta[i]
+						queryDelta[i] -= before[i]
+					}
+					if queryDelta != streamDelta {
+						t.Errorf("routing/operator counters moved %v for the query, %v for the stream", queryDelta, streamDelta)
+					}
+					if tc.route == RouteRemote {
+						if q, st := relaysQuery-relaysBefore, s.CursorStats().RelayOpens-relaysQuery; q != 0 || st != 1 {
+							t.Errorf("relay cursors opened: %d by the query, %d by the stream; want 0 (forward) and 1 (relay)", q, st)
+						}
+					}
+					if qr.Route != tc.route || qr.Servers != tc.servers {
+						t.Errorf("query route/servers = %s/%d, want %s/%d", qr.Route, qr.Servers, tc.route, tc.servers)
+					}
+					if streamRoute != qr.Route || streamServers != qr.Servers {
+						t.Errorf("stream route/servers = %s/%d, query %s/%d", streamRoute, streamServers, qr.Route, qr.Servers)
+					}
+
+					same := func(what string, rows []sqlengine.Row) {
+						t.Helper()
+						if len(rows) == 0 || len(rows) != len(qr.Rows) {
+							t.Fatalf("%s has %d rows, query %d (want equal, non-empty)", what, len(rows), len(qr.Rows))
+						}
+						a, b := sortedRowKeys(rows), sortedRowKeys(qr.Rows)
+						if tc.ordered {
+							a, b = []string{string(EncodeRowsBinary(rows))}, []string{string(EncodeRowsBinary(qr.Rows))}
+						}
+						if !reflect.DeepEqual(a, b) {
+							t.Errorf("%s rows differ from the query's (ordered=%v)", what, tc.ordered)
+						}
+					}
+					same("drained stream", got.Rows)
+					if tc.local {
+						plan, err := s.Federation().PlanQuery(tc.sql)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ref, err := s.Federation().ExecuteContext(ctx, plan, tc.params...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						same("scratch reference", ref.Rows)
+					}
+					if cached {
+						// The stream's tee filled the cache; a repeat is served
+						// from it with the executed route still attached.
+						hit, err := s.QueryContext(ctx, tc.sql, tc.params...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if e := s.SlowQueries()[0]; e.Route != "cache" {
+							t.Errorf("repeat ran on route %q, want a cache hit", e.Route)
+						}
+						if hit.Route != qr.Route || hit.Servers != qr.Servers {
+							t.Errorf("cached route/servers = %s/%d, executed %s/%d", hit.Route, hit.Servers, qr.Route, qr.Servers)
+						}
+						same("cached answer", hit.Rows)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestQueryCancelMidDrain: a materialized query whose caller gives up
+// while the drain is blocked on a stalled source returns the cancellation,
+// closes every source cursor (on the peer too, where the stall is behind
+// a forward or a relay), frees its admission slot, leaves no spill
+// directory and strands no goroutine. The stalled source serves five rows
+// and then blocks until its query's context ends.
+func TestQueryCancelMidDrain(t *testing.T) {
+	cases := []struct {
+		name      string
+		sql       string
+		stallPeer bool // the stalled source lives on the other server
+		class     string
+		operator  string
+		spills    bool
+	}{
+		{name: "pushdown", sql: "SELECT a FROM paged_t", class: "unity-pushdown", operator: "pushdown"},
+		{name: "pipelined join, spilling", sql: "SELECT p.a, e.e_tot FROM paged_t p JOIN cmd_events e ON p.a = e.event_id",
+			class: "unity-decomposed", operator: "pipelined hash-join(build=right)", spills: true},
+		{name: "forward", sql: "SELECT a FROM paged_t", stallPeer: true, class: "remote"},
+		{name: "pipelined mixed over a relay", stallPeer: true, class: "mixed", operator: "pipelined mixed",
+			sql: "SELECT e.event_id, p.a FROM cmd_events e JOIN paged_t p ON e.event_id = p.a"},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
+			checkLeaks := leaktest.Check(t)
+			gate := Config{MaxInFlight: 2, ScratchMaxBytes: 1}
+			hostCfg, fwdCfg := gate, gate
+			hostCfg.Name, fwdCfg.Name = "cmd-host", "cmd-fwd"
+			mart := fmt.Sprintf("mart_cmd_%d", i)
+			p := newRelayPair(t, hostCfg, fwdCfg, mart+"_unused", "cmd_unused", 1)
+			defer p.close()
+			_, evSpec := mkMart(t, mart, sqlengine.DialectMySQL, "cmd_events", 30)
+			addMart(t, p.fwd, mart, evSpec, "gridsql-mysql")
+			d, ref, spec := registerPagedSource(100, 5)
+			stalled := p.fwd
+			if tc.stallPeer {
+				stalled = p.host
+			}
+			if err := stalled.AddDatabase(ref, spec, "", ""); err != nil {
+				t.Fatal(err)
+			}
+
+			em, err := p.fwd.Explain(context.Background(), tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if op, _ := em["operator"].(string); em["route"] != tc.class || op != tc.operator {
+				t.Fatalf("route/operator = %v/%q, want %s/%q", em["route"], op, tc.class, tc.operator)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go func() {
+				<-d.blocked
+				cancel()
+			}()
+			if _, err := p.fwd.QueryContext(ctx, tc.sql); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			waitFor(t, 5*time.Second, func() bool { return d.rowsClosed.Load() == 1 })
+			waitFor(t, 5*time.Second, func() bool {
+				return p.fwd.LoadStats().InFlight == 0 && p.host.LoadStats().InFlight == 0 &&
+					p.host.CursorCount() == 0
+			})
+			if spilled := counterValue(t, p.fwd, "gridrdb_spilled_queries_total") == 1; spilled != tc.spills {
+				t.Errorf("query spilled = %v, want %v", spilled, tc.spills)
+			}
+			if left := spillLeftovers(t, tmp); len(left) != 0 {
+				t.Errorf("spill directories left behind: %v", left)
+			}
+			p.close()
+			if tr, ok := http.DefaultTransport.(*http.Transport); ok {
+				tr.CloseIdleConnections()
+			}
+			checkLeaks()
+		})
 	}
 }

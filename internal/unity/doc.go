@@ -15,16 +15,17 @@
 // each sub-query to the least-loaded replica, with network-proximity
 // costs (SetSourceCost) breaking the tie first.
 //
-// Execution comes in two shapes. ExecuteContext materializes: pushdown
-// plans run whole on one member database, while decomposed plans
-// scatter-gather their per-table sub-queries over a bounded worker pool
-// (MaxParallel, optionally bounded per sub-query by SourceBudget) and
-// integrate on a scratch engine — each partial result streams into its
-// scratch table in small batches rather than materializing twice.
-// ExecuteStreamContext returns an incremental sqlengine.RowIter instead:
-// pushdown plans stream straight off the backend cursor, so a scan larger
-// than memory can be paged by the consumer. IntegrateIters exposes the
-// decomposed-plan integration step over caller-supplied row streams; the
-// data access layer feeds it cursor relays from remote Clarens servers so
+// Execution comes in two shapes. ExecuteStreamOp returns an incremental
+// sqlengine.RowIter: pushdown plans stream straight off the backend
+// cursor, so a scan larger than memory can be paged by the consumer, and
+// decomposed plans the streaming operators can serve run pipelined over
+// member cursors opened through the scatter-gather (a bounded worker
+// pool, MaxParallel). ExecuteContext materializes: decomposed plans
+// scatter-gather their per-table sub-queries (optionally bounded per
+// sub-query by SourceBudget) into a scratch engine and integrate there —
+// the fallback for the remaining shapes and the reference the operators
+// are tested against. IntegrateStream and IntegrateIters expose the two
+// integration steps over caller-supplied row streams; the data access
+// layer feeds them cursor relays from remote Clarens servers so
 // federated joins consume remote streams incrementally too.
 package unity

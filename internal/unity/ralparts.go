@@ -57,27 +57,30 @@ type RALParts struct {
 	Where  string
 }
 
-// ExtractRALParts decides whether a planned query fits the POOL-RAL
-// interface (single database, plain column projection, optional WHERE; no
-// joins across databases, aggregates, grouping, ordering, limits or
-// parameters) and if so returns the pieces for RAL.Query. The bool result
-// reports fitness; unknown-table errors from planning propagate.
+// ExtractRALParts plans sqlText and derives its POOL-RAL call shape (see
+// RALPartsFor). The bool result reports fitness; unknown-table errors
+// from planning propagate. Callers that already hold the plan use
+// RALPartsFor directly and skip the second parse.
 func (f *Federation) ExtractRALParts(sqlText string) (*RALParts, bool, error) {
-	sel, err := parseFederated(sqlText)
+	plan, err := f.PlanQuery(sqlText)
 	if err != nil {
 		return nil, false, err
 	}
-	plan, err := f.plan(sel)
-	if err != nil {
-		return nil, false, err
-	}
-	if !plan.Pushdown {
-		return nil, false, nil
-	}
-	if sel.Distinct || len(sel.GroupBy) > 0 || sel.Having != nil ||
+	parts, ok := f.RALPartsFor(plan)
+	return parts, ok, nil
+}
+
+// RALPartsFor decides whether a planned query fits the POOL-RAL interface
+// (single database, plain column projection, optional WHERE; no joins
+// across databases, aggregates, grouping, ordering, limits or parameters)
+// and if so returns the pieces for RAL.Query, derived from the statement
+// and source the plan retained.
+func (f *Federation) RALPartsFor(plan *Plan) (*RALParts, bool) {
+	sel := plan.sel
+	if !plan.Pushdown || sel.Distinct || len(sel.GroupBy) > 0 || sel.Having != nil ||
 		len(sel.OrderBy) > 0 || sel.Limit >= 0 || sel.Offset > 0 ||
 		sel.Union != nil || len(sel.Joins) > 0 || len(sel.From) != 1 {
-		return nil, false, nil
+		return nil, false
 	}
 	src := plan.pushSource
 	d := f.dialectOf(src)
@@ -92,18 +95,18 @@ func (f *Federation) ExtractRALParts(sqlText string) (*RALParts, bool, error) {
 		case it.Star && it.StarTable == "":
 			parts.Fields = append(parts.Fields, "*")
 		case it.Star:
-			return nil, false, nil
+			return nil, false
 		default:
 			cr, ok := it.Expr.(*sqlengine.ColumnRef)
 			if !ok || it.Alias != "" {
-				return nil, false, nil
+				return nil, false
 			}
 			parts.Fields = append(parts.Fields, m.physColumn(cr.Table, cr.Column))
 		}
 	}
 	if sel.Where != nil {
 		if hasParam(sel.Where) {
-			return nil, false, nil
+			return nil, false
 		}
 		r := &renderer{d: d, m: m}
 		// The RAL call names the table without an alias, so qualified
@@ -111,11 +114,11 @@ func (f *Federation) ExtractRALParts(sqlText string) (*RALParts, bool, error) {
 		// query addresses exactly one table).
 		where, err := r.expr(stripQualifiers(sel.Where))
 		if err != nil {
-			return nil, false, nil
+			return nil, false
 		}
 		parts.Where = where
 	}
-	return parts, true, nil
+	return parts, true
 }
 
 // stripQualifiers returns a copy of e with every column reference made

@@ -288,34 +288,38 @@ func (f *Federation) ExecuteStreamOp(ctx context.Context, plan *Plan, params ...
 // executeStreamPlan opens one live source cursor per branch input (a
 // table referenced by two branches runs its sub-query once per branch —
 // each cursor is single-consumer) and composes the operator pipeline
-// over them.
+// over them. The cursors are opened through scatter, like the scratch
+// path's loads: a member database does its work before its first
+// response, so opening one after another would cost the sum of the
+// sources where the scatter costs the max.
 func (f *Federation) executeStreamPlan(ctx context.Context, plan *Plan, params []sqlengine.Value) (sqlengine.RowIter, *StreamExec, error) {
 	f.queries.Add(1)
-	var inputs []sqlengine.StreamInput
-	closeInputs := func() {
-		for _, in := range inputs {
-			in.Iter.Close()
-		}
-	}
+	var srcs []sqlengine.StreamSource
 	for _, br := range plan.stream.Branches {
-		for _, src := range br.Inputs {
-			ld := plan.loadFor(src.Table)
-			if ld == nil {
-				closeInputs()
-				return nil, nil, fmt.Errorf("unity: stream plan references unplanned table %q", src.Table)
-			}
-			f.logSubquery(ctx, ld.source, ld.logical)
-			it, err := f.runOnSourceStreamCtx(ctx, ld.source, ld.sql, nil)
-			if err != nil {
-				closeInputs()
-				return nil, nil, err
-			}
-			inputs = append(inputs, sqlengine.StreamInput{
-				Source:  src,
-				Columns: specLogicalCols(ld.spec),
-				Iter:    it,
-			})
+		srcs = append(srcs, br.Inputs...)
+	}
+	inputs := make([]sqlengine.StreamInput, len(srcs))
+	err := f.scatter(ctx, len(srcs), func(_ context.Context, i int) error {
+		ld := plan.loadFor(srcs[i].Table)
+		if ld == nil {
+			return fmt.Errorf("unity: stream plan references unplanned table %q", srcs[i].Table)
 		}
+		f.logSubquery(ctx, ld.source, ld.logical)
+		// The cursor outlives the scatter: it runs under the caller's ctx.
+		it, err := f.runOnSourceStreamCtx(ctx, ld.source, ld.sql, nil)
+		if err != nil {
+			return err
+		}
+		inputs[i] = sqlengine.StreamInput{Source: srcs[i], Columns: specLogicalCols(ld.spec), Iter: it}
+		return nil
+	})
+	if err != nil {
+		for _, in := range inputs {
+			if in.Iter != nil {
+				in.Iter.Close()
+			}
+		}
+		return nil, nil, err
 	}
 	f.subqueries.Add(int64(len(inputs)))
 	stats := &sqlengine.StreamStats{}

@@ -853,11 +853,64 @@ func (f *Federation) maxParallel(n int) int {
 	return w
 }
 
-// ExecuteContext runs a previously produced plan. Decomposed plans
-// scatter their per-table sub-queries over a bounded worker pool and
-// gather the partial results, so latency is the max over sources rather
-// than the sum; the first sub-query error cancels the context handed to
-// the remaining ones.
+// scatter runs fn(ctx, i) for every i in [0, n): over the bounded worker
+// pool when Parallel is set, so latency is the max over sources rather
+// than the sum, and one after another otherwise. The first error cancels
+// the context handed to the calls still running or pending and is
+// returned; that context also ends when scatter returns, so anything
+// meant to outlive it must be opened under the caller's own context.
+func (f *Federation) scatter(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	if !f.Parallel || n < 2 {
+		for i := 0; i < n; i++ {
+			if err := fn(ctx, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	jobs := make(chan int)
+	for w := 0; w < f.maxParallel(n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				if ctx.Err() != nil {
+					continue // a sibling failed; drain without executing
+				}
+				if err := fn(ctx, i); err != nil {
+					errOnce.Do(func() {
+						firstErr = err
+						cancel()
+					})
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+	if firstErr == nil {
+		// The caller's context was cancelled before any worker ran its job
+		// (the drain path records no error of its own).
+		return ctx.Err()
+	}
+	return firstErr
+}
+
+// ExecuteContext runs a previously produced plan materialized. Decomposed
+// plans scatter their per-table sub-queries (see scatter) into the scratch
+// integration engine and run the original query over it. It is the
+// fallback for shapes the streaming operators reject and the reference
+// they are tested against.
 func (f *Federation) ExecuteContext(ctx context.Context, plan *Plan, params ...sqlengine.Value) (*sqlengine.ResultSet, error) {
 	f.queries.Add(1)
 	if plan.Pushdown {
@@ -867,14 +920,13 @@ func (f *Federation) ExecuteContext(ctx context.Context, plan *Plan, params ...s
 		return f.runOnSourceCtx(ctx, plan.pushSource, plan.Subs[0].SQL, params)
 	}
 
-	// Decomposed: stream every table load into the scratch integration
-	// engine (possibly in parallel), then run the original query locally.
 	// A partial result is never materialized outside its scratch table —
 	// each sub-query's rows flow from the member database into the
 	// integration engine in integrateBatch-row batches, so the peak memory
 	// beyond the (unavoidable) scratch tables is one batch per worker.
 	scratch := sqlengine.NewEngine("unity-scratch", sqlengine.DialectANSI)
-	loadOne := func(ctx context.Context, ld tableLoad) error {
+	err := f.scatter(ctx, len(plan.loads), func(ctx context.Context, i int) error {
+		ld := plan.loads[i]
 		f.logSubquery(ctx, ld.source, ld.logical)
 		if f.SourceBudget > 0 {
 			var cancel context.CancelFunc
@@ -887,52 +939,9 @@ func (f *Federation) ExecuteContext(ctx context.Context, plan *Plan, params ...s
 		}
 		defer it.Close()
 		return loadTableFromIter(ctx, scratch, ld.logical, specColumnDefs(ld.spec), it)
-	}
-	if f.Parallel && len(plan.loads) > 1 {
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		var (
-			wg       sync.WaitGroup
-			errOnce  sync.Once
-			firstErr error
-		)
-		jobs := make(chan int)
-		for w := 0; w < f.maxParallel(len(plan.loads)); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					if ctx.Err() != nil {
-						continue // a sibling failed; drain without executing
-					}
-					if err := loadOne(ctx, plan.loads[i]); err != nil {
-						errOnce.Do(func() {
-							firstErr = err
-							cancel()
-						})
-					}
-				}
-			}()
-		}
-		for i := range plan.loads {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		if firstErr == nil && ctx.Err() != nil {
-			// The caller's context was cancelled before any worker ran its
-			// job (the drain path records no error of its own).
-			firstErr = ctx.Err()
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	} else {
-		for _, ld := range plan.loads {
-			if err := loadOne(ctx, ld); err != nil {
-				return nil, err
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	f.subqueries.Add(int64(len(plan.loads)))
 
