@@ -31,36 +31,9 @@ func benchResultSet() *sqlengine.ResultSet {
 	return rs
 }
 
-// BenchmarkXMLRPCResultCodec measures the legacy boxed path: EncodeResult
-// interface boxing, tree parse, re-boxing decode. It is the baseline the
-// zero-boxing benchmarks below are read against.
-func BenchmarkXMLRPCResultCodec(b *testing.B) {
-	rs := benchResultSet()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		payload, err := clarens.MarshalResponse(dataaccess.EncodeResult(rs))
-		if err != nil {
-			b.Fatal(err)
-		}
-		v, err := clarens.UnmarshalResponseTree(payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		back, err := dataaccess.DecodeResult(v)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(back.Rows) != 1000 {
-			b.Fatal("row loss")
-		}
-		b.SetBytes(int64(len(payload)))
-	}
-}
-
 // BenchmarkWireCodecXML measures the zero-boxing XML path: cell-direct
 // encoding into a reused buffer and streaming token decode straight into
-// engine rows (same document bytes as the boxed baseline).
+// engine rows.
 func BenchmarkWireCodecXML(b *testing.B) {
 	rs := benchResultSet()
 	var buf bytes.Buffer

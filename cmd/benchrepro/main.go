@@ -1,19 +1,21 @@
 // Command benchrepro regenerates every table and figure of the paper's
 // evaluation section (§5) and prints them in the paper's format, alongside
-// the published values for shape comparison.
+// the published values for shape comparison. How fast the system is today
+// is bench/'s question (bash bench/run.sh), not this command's.
 //
 // Usage:
 //
-//	benchrepro [-exp fig4|fig5|cache|stream|wire|relay|join|obsv|load|table1|fig6|all] [-scale small|paper] [-repeats N]
+//	benchrepro [-exp fig4|fig5|table1|fig6|wan|all] [-scale small|paper] [-repeats N]
 //
 // The "paper" scale uses the simulated 100 Mbps LAN profile and the
 // paper's testbed dimensions (6 databases, ~80k rows, ~1700 tables,
 // per-query database connections); "small" runs in milliseconds with no
-// simulated latency and is meant for CI.
+// simulated latency and is meant for CI. "all" is the §5 set; "wan" (the
+// §6 future-work sweep, which sleeps real WAN latencies) runs only when
+// named.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -24,24 +26,15 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig4, fig5, cache, stream, wire, relay, join, obsv, load, table1, fig6, all")
+	exp := flag.String("exp", "all", "experiment to run: fig4, fig5, table1, fig6, wan, all (= the four of §5)")
 	scale := flag.String("scale", "small", "testbed scale: small (CI) or paper (simulated LAN, full size)")
 	repeats := flag.Int("repeats", 3, "measurement repeats per point")
-	cacheOut := flag.String("cache-out", "BENCH_cache.json", "path of the cache datapoint file (\"\" disables)")
-	streamOut := flag.String("stream-out", "BENCH_stream.json", "path of the streaming datapoint file (\"\" disables)")
-	streamRows := flag.Int("stream-rows", 0, "row count of the streaming experiment's scan table (0 = scale default)")
-	wireOut := flag.String("wire-out", "BENCH_wire.json", "path of the wire-codec datapoint file (\"\" disables)")
-	wireRows := flag.Int("wire-rows", 0, "row count of the wire-codec experiment's result set (0 = scale default)")
-	relayOut := flag.String("relay-out", "BENCH_relay.json", "path of the cursor-relay datapoint file (\"\" disables)")
-	relayRows := flag.Int("relay-rows", 0, "base row count of the relay experiment's remote table (0 = scale default; the sweep also measures 10x this)")
-	joinOut := flag.String("join-out", "BENCH_join.json", "path of the pipelined-join datapoint file (\"\" disables)")
-	joinRows := flag.Int("join-rows", 0, "base fact-table row count of the join experiment (0 = scale default; the sweep also measures 10x this)")
-	obsvOut := flag.String("obsv-out", "BENCH_obsv.json", "path of the observability-overhead datapoint file (\"\" disables)")
-	obsvIters := flag.Int("obsv-iters", 0, "queries per repeat of the observability experiment (0 = scale default)")
-	loadOut := flag.String("load-out", "BENCH_load.json", "path of the admission-control datapoint file (\"\" disables)")
-	loadPhaseMs := flag.Int("load-phase-ms", 0, "wall-clock budget of each load phase in ms (0 = scale default)")
-	loadProfile := flag.String("load-profile", "local", "netsim link profile of the load experiment: local, lan100, wan")
 	flag.Parse()
+	switch *exp {
+	case "fig4", "fig5", "table1", "fig6", "wan", "all":
+	default:
+		log.Fatalf("unknown -exp %q (want fig4, fig5, table1, fig6, wan or all)", *exp)
+	}
 
 	profile := netsim.Local
 	opts := experiments.SmallDeploy()
@@ -51,81 +44,40 @@ func main() {
 	}
 
 	run := func(name string, f func() error) {
-		switch *exp {
-		case "all", name:
+		if *exp == name || (*exp == "all" && name != "wan") {
 			if err := f(); err != nil {
 				log.Fatalf("%s: %v", name, err)
 			}
 		}
 	}
 
-	run("fig4", func() error { return runFig4(profile) })
-	run("fig5", func() error { return runFig5(profile) })
-	run("cache", func() error { return runCache(opts, *repeats, *cacheOut) })
-	run("stream", func() error {
-		rows := *streamRows
-		if rows == 0 {
-			rows = 5000
-			if *scale == "paper" {
-				rows = 100000
-			}
+	run("fig4", func() error {
+		fmt.Println("== Figure 4: Performance of data extraction and loading by streaming ==")
+		fmt.Println("   (sources -> staging file -> data warehouse)")
+		rows, err := experiments.RunFig4(experiments.Fig4Sizes, profile)
+		if err != nil {
+			return err
 		}
-		return runStream(rows, *repeats, *streamOut)
+		printStage(rows)
+		fmt.Println("paper shape: both series grow ~linearly with size; loading lies above extraction")
+		fmt.Println("paper x-axis: 0.397 ... 207.866 kB; loading reached ~15 s at 207 kB on the 2005 testbed")
+		fmt.Println()
+		return nil
 	})
-	run("wire", func() error {
-		rows := *wireRows
-		if rows == 0 {
-			rows = 2000
-			if *scale == "paper" {
-				rows = 20000
-			}
+	run("fig5", func() error {
+		fmt.Println("== Figure 5: Views extracted from the warehouse and materialized into data marts ==")
+		rows, err := experiments.RunFig5(experiments.Fig5Sizes, profile)
+		if err != nil {
+			return err
 		}
-		return runWire(rows, *repeats, *wireOut)
-	})
-	run("relay", func() error {
-		rows := *relayRows
-		if rows == 0 {
-			rows = 2000
-			if *scale == "paper" {
-				rows = 20000
-			}
-		}
-		return runRelay(rows, *repeats, *relayOut)
-	})
-	run("join", func() error {
-		rows := *joinRows
-		if rows == 0 {
-			rows = 2000
-			if *scale == "paper" {
-				rows = 20000
-			}
-		}
-		return runJoin(rows, *repeats, *joinOut)
-	})
-	run("obsv", func() error {
-		iters := *obsvIters
-		if iters == 0 {
-			iters = 1000
-			if *scale == "paper" {
-				iters = 5000
-			}
-		}
-		return runObsv(iters, *repeats, *obsvOut)
-	})
-	run("load", func() error {
-		phaseMs := *loadPhaseMs
-		if phaseMs == 0 {
-			phaseMs = 1000
-			if *scale == "paper" {
-				phaseMs = 4000
-			}
-		}
-		return runLoad(*loadProfile, phaseMs, *repeats, *loadOut)
+		printStage(rows)
+		fmt.Println("paper shape: ~linear in size; loading above extraction; x-axis up to ~70 kB (~80 s loading)")
+		fmt.Println()
+		return nil
 	})
 
 	var dep *experiments.Deployment
-	needDeploy := *exp == "all" || *exp == "table1" || *exp == "fig6"
-	if needDeploy {
+	if *exp == "all" || *exp == "table1" || *exp == "fig6" {
 		fmt.Fprintf(os.Stderr, "building stage-3 deployment (scale=%s)...\n", *scale)
 		var err error
 		dep, err = experiments.Deploy(opts)
@@ -136,351 +88,22 @@ func main() {
 	}
 	run("table1", func() error { return runTable1(dep, *repeats) })
 	run("fig6", func() error { return runFig6(dep, *repeats) })
-	if *exp == "wan" {
-		if err := runWAN(*repeats); err != nil {
-			log.Fatalf("wan: %v", err)
-		}
-	}
+	run("wan", func() error { return runWAN(*repeats) })
 }
 
-// runWAN is the §6 future-work extension: the Table-1 query shapes
-// re-measured across LAN and WAN link profiles.
-func runWAN(repeats int) error {
-	fmt.Println("== Extension: LAN vs WAN query distribution (paper §6 future work) ==")
-	rows, err := experiments.RunWAN([]*netsim.Profile{netsim.Local, netsim.LAN100, netsim.WAN}, 2000, repeats)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%10s %14s %16s\n", "profile", "distributed", "response (ms)")
-	for _, r := range rows {
-		dist := "No"
-		if r.Distributed {
-			dist = "Yes"
-		}
-		fmt.Printf("%10s %14s %16.1f\n", r.Profile, dist, r.ResponseMS)
-	}
-	fmt.Println("expected shape: WAN >> LAN >> local; the distributed penalty grows with link cost")
-	fmt.Println()
-	return nil
-}
-
-// runCache measures the cold-versus-warm federated query on a
-// cache-enabled deployment (the qcache subsystem's headline number) and
-// writes the datapoint to outPath so the perf trajectory is tracked from
-// PR to PR.
-func runCache(opts experiments.DeployOptions, repeats int, outPath string) error {
-	fmt.Println("== Extension: query-result cache, cold vs warm federated query ==")
-	row, err := experiments.RunCache(opts, repeats)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%12s %14s %10s %8s\n", "cold (ns)", "warm (ns)", "speedup", "hits")
-	fmt.Printf("%12d %14d %9.1fx %8d\n", row.ColdNsOp, row.WarmNsOp, row.Speedup, row.Hits)
-	fmt.Println("expected shape: warm >= 10x faster than cold (cache hit skips the scatter-gather)")
-	fmt.Println()
-	if outPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(map[string]interface{}{
-		"benchmark": "federated_query_cache",
-		"query":     experiments.CacheQuery,
-		"repeats":   repeats,
-		"result":    row,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	return nil
-}
-
-// runStream measures a large unfiltered scan through the materializing
-// query path versus the streaming cursor path (time-to-first-row and
-// allocation footprint) and writes the datapoint to outPath.
-func runStream(rows, repeats int, outPath string) error {
-	fmt.Println("== Extension: result streaming, materialized vs cursor scan ==")
-	row, err := experiments.RunStream(rows, repeats)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%10s %16s %16s %16s\n", "path", "total (ns)", "first row (ns)", "alloc (bytes)")
-	fmt.Printf("%10s %16d %16d %16d\n", "full", row.MaterializedNsOp, row.MaterializedFirstRowNs, row.MaterializedAllocBytes)
-	fmt.Printf("%10s %16d %16d %16d\n", "stream", row.StreamNsOp, row.StreamFirstRowNs, row.StreamAllocBytes)
-	fmt.Printf("first-row speedup: %.1fx over %d rows\n", row.FirstRowSpeedup, row.Rows)
-	fmt.Println("expected shape: streamed first row arrives before the materialized result completes;")
-	fmt.Println("streamed allocation stays flat in the consumer while materialization grows with row count")
-	fmt.Println()
-	if outPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(map[string]interface{}{
-		"benchmark": "streamed_scan",
-		"query":     experiments.StreamQuery,
-		"repeats":   repeats,
-		"result":    row,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	return nil
-}
-
-// runWire measures the row marshal/unmarshal round trip through the boxed
-// reference codec, the zero-boxing XML path and the negotiated binary
-// framing — all in the same run — plus an end-to-end call per framing, and
-// writes the datapoint to outPath.
-func runWire(rows, repeats int, outPath string) error {
-	fmt.Println("== Extension: wire row codec, boxed vs zero-boxing vs binary framing ==")
-	row, err := experiments.RunWire(rows, repeats)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%8s %14s %14s %14s %14s\n", "path", "ns/op", "allocs/op", "B/op", "rows/sec")
-	fmt.Printf("%8s %14d %14d %14d %14.0f\n", "boxed", row.BoxedNsOp, row.BoxedAllocsOp, row.BoxedBytesOp, row.BoxedRowsPerSec)
-	fmt.Printf("%8s %14d %14d %14d %14.0f\n", "xml", row.XMLNsOp, row.XMLAllocsOp, row.XMLBytesOp, row.XMLRowsPerSec)
-	fmt.Printf("%8s %14d %14d %14d %14.0f\n", "binary", row.BinNsOp, row.BinAllocsOp, row.BinBytesOp, row.BinRowsPerSec)
-	fmt.Printf("alloc reduction vs boxed: xml %.1fx, binary %.1fx; doc bytes: xml %d, binary %d\n",
-		row.XMLAllocReduction, row.BinAllocReduction, row.XMLDocBytes, row.BinDocBytes)
-	fmt.Printf("end-to-end call: xml %d ns/op (%d allocs), binary %d ns/op (%d allocs)\n",
-		row.CallXMLNsOp, row.CallXMLAllocsOp, row.CallBinNsOp, row.CallBinAllocsOp)
-	fmt.Println("expected shape: binary (the negotiated server-to-server framing) >=2x fewer allocs/op;")
-	fmt.Println("xml improves but stays tokenizer-bound (~13 allocs per element is the encoding/xml floor)")
-	fmt.Println()
-	if outPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(map[string]interface{}{
-		"benchmark": "wire_row_codec",
-		"rows":      row.Rows,
-		"repeats":   repeats,
-		"result":    row,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	return nil
-}
-
-// runRelay measures a federated scan of a remote table through the
-// materialized whole-result forward versus the cursor-to-cursor relay, at
-// the base row count and at 10x, and writes both datapoints to outPath.
-// The relay's claim is that the forwarder's peak live heap stays roughly
-// flat as the remote table grows; the materialized forward's grows with
-// it. A differential check asserts both paths return byte-identical rows.
-func runRelay(rows, repeats int, outPath string) error {
-	fmt.Println("== Extension: federated streaming, materialized forward vs cursor relay ==")
-	points := make([]experiments.RelayRow, 0, 2)
-	for _, n := range []int{rows, 10 * rows} {
-		row, err := experiments.RunRelay(n, repeats)
-		if err != nil {
-			return err
-		}
-		points = append(points, row)
-	}
-	fmt.Printf("%10s %16s %20s %16s %20s %10s\n", "rows", "forward (ns)", "fwd peak (bytes)", "relay (ns)", "relay peak (bytes)", "identical")
-	for _, r := range points {
-		fmt.Printf("%10d %16d %20d %16d %20d %10v\n", r.Rows, r.ForwardNsOp, r.ForwardPeakBytes, r.RelayNsOp, r.RelayPeakBytes, r.Identical)
-	}
-	if points[0].RelayPeakBytes > 0 {
-		fmt.Printf("relay peak growth over 10x rows: %.2fx (forward: %.2fx)\n",
-			float64(points[1].RelayPeakBytes)/float64(points[0].RelayPeakBytes),
-			float64(points[1].ForwardPeakBytes)/float64(max(points[0].ForwardPeakBytes, 1)))
-	}
-	fmt.Println("expected shape: the forwarder's peak heap grows ~10x with the materialized forward")
-	fmt.Println("and stays roughly flat with the relay (bounded by the relay fetch size)")
-	fmt.Println()
-	if outPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(map[string]interface{}{
-		"benchmark": "cursor_relay",
-		"query":     experiments.RelayQuery,
-		"repeats":   repeats,
-		"result":    points,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	return nil
-}
-
-// runJoin measures a decomposed two-source federated join through the
-// legacy materialize-into-scratch integration versus the pipelined
-// streaming operators, at the base fact-table row count and at 10x, and
-// writes both datapoints to outPath. The operators' claim is that
-// time-to-first-row and the integrator's peak live heap stay roughly flat
-// as the fact table grows (bounded by the hash build side), where the
-// scratch path grows with it. A differential check asserts both paths
-// return byte-identical row sets.
-func runJoin(rows, repeats int, outPath string) error {
-	fmt.Println("== Extension: federated join, scratch integration vs pipelined operators ==")
-	points := make([]experiments.JoinRow, 0, 2)
-	for _, n := range []int{rows, 10 * rows} {
-		row, err := experiments.RunJoin(n, repeats)
-		if err != nil {
-			return err
-		}
-		points = append(points, row)
-	}
-	fmt.Printf("operator: %s\n", points[0].Operator)
-	fmt.Printf("%10s %18s %20s %18s %20s %10s\n", "rows", "scratch ttfr (ns)", "scratch peak (bytes)", "piped ttfr (ns)", "piped peak (bytes)", "identical")
-	for _, r := range points {
-		fmt.Printf("%10d %18d %20d %18d %20d %10v\n", r.Rows, r.ScratchTTFRNs, r.ScratchPeakBytes, r.PipelinedTTFRNs, r.PipelinedPeakBytes, r.Identical)
-	}
-	if points[0].PipelinedTTFRNs > 0 {
-		fmt.Printf("pipelined ttfr growth over 10x rows: %.2fx (scratch: %.2fx)\n",
-			float64(points[1].PipelinedTTFRNs)/float64(points[0].PipelinedTTFRNs),
-			float64(points[1].ScratchTTFRNs)/float64(max(points[0].ScratchTTFRNs, 1)))
-	}
-	fmt.Println("expected shape: pipelined time-to-first-row and peak heap stay roughly flat as the")
-	fmt.Println("fact table grows; the scratch path's grow with it (it materializes before emitting)")
-	fmt.Println()
-	if outPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(map[string]interface{}{
-		"benchmark": "pipelined_join",
-		"query":     experiments.JoinQuery,
-		"repeats":   repeats,
-		"result":    points,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	return nil
-}
-
-// runObsv measures the same routed query with observability tracking off
-// (Config.DisableObsv) and fully armed (discard logger, per-route
-// histograms, slow capture on every query), and writes the datapoint to
-// outPath. The subsystem's acceptance bar is overhead under 5%.
-func runObsv(iters, repeats int, outPath string) error {
-	fmt.Println("== Extension: observability overhead, instrumented vs no-op query path ==")
-	row, err := experiments.RunObsv(0, iters, repeats)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%16s %18s %12s %14s\n", "baseline (ns)", "instrumented (ns)", "overhead", "slow captured")
-	fmt.Printf("%16d %18d %11.2f%% %14d\n", row.BaselineNsOp, row.InstrumentedNsOp, row.OverheadPct, row.SlowCaptured)
-	fmt.Println("expected shape: overhead stays under 5% (atomic counters + one clock read per phase)")
-	fmt.Println()
-	if outPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(map[string]interface{}{
-		"benchmark": "observability_overhead",
-		"query":     experiments.ObsvQuery,
-		"repeats":   repeats,
-		"result":    row,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	return nil
-}
-
-// runLoad measures goodput and tail latency of the admission-controlled
-// server under a closed-loop mixed workload at capacity and at 2x
-// capacity, and writes the graceful-degradation datapoint to outPath.
-func runLoad(profileName string, phaseMs, repeats int, outPath string) error {
-	fmt.Println("== Extension: admission control, goodput under 2x overload ==")
-	row, err := experiments.RunLoad(profileName, phaseMs, repeats)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("gate: %d in flight, queue %d, deadline %.0fms, profile %s\n",
-		row.MaxInFlight, row.QueueCap, row.AdmissionTimeoutMs, row.Profile)
-	fmt.Printf("%10s %10s %14s %10s %10s %10s %10s\n",
-		"phase", "sessions", "goodput (q/s)", "shed", "p50 (ms)", "p99 (ms)", "p999 (ms)")
-	for _, p := range []struct {
-		name string
-		ph   experiments.LoadPhase
-	}{{"capacity", row.Capacity}, {"overload", row.Overload}} {
-		fmt.Printf("%10s %10d %14.0f %10d %10.2f %10.2f %10.2f\n",
-			p.name, p.ph.Sessions, p.ph.GoodputOpsSec, p.ph.Shed, p.ph.P50Ms, p.ph.P99Ms, p.ph.P999Ms)
-	}
-	fmt.Printf("goodput ratio (overload/capacity): %.2f; shed fault distinct: %v; queued grants: %d\n",
-		row.GoodputRatio, row.ShedFaultOK, row.AdmittedQueued)
-	fmt.Printf("leaked goroutines: %d; cursors left open: %d\n", row.LeakedGoroutines, row.OpenCursorsAfter)
-	fmt.Println("expected shape: at 2x offered load the admitted queries keep >= 0.8x capacity goodput,")
-	fmt.Println("the excess is shed with FaultOverloaded (not queued unboundedly), and nothing leaks")
-	fmt.Println()
-	if outPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(map[string]interface{}{
-		"benchmark": "admission_load",
-		"queries": []string{
-			experiments.LoadCachedQuery,
-			experiments.LoadStreamQuery,
-			experiments.LoadFederatedQuery,
-		},
-		"repeats": repeats,
-		"result":  row,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	return nil
-}
-
-func runFig4(profile *netsim.Profile) error {
-	fmt.Println("== Figure 4: Performance of data extraction and loading by streaming ==")
-	fmt.Println("   (sources -> staging file -> data warehouse)")
-	rows, err := experiments.RunFig4(experiments.Fig4Sizes, profile)
-	if err != nil {
-		return err
-	}
+// printStage prints the rows of Figure 4 or 5.
+func printStage(rows []experiments.StageRow) {
 	fmt.Printf("%12s %8s %18s %16s\n", "size (kB)", "rows", "extraction (s)", "loading (s)")
 	for _, r := range rows {
 		fmt.Printf("%12.3f %8d %18.4f %16.4f\n", r.SizeKB, r.Rows, r.ExtractSec, r.LoadSec)
 	}
-	fmt.Println("paper shape: both series grow ~linearly with size; loading lies above extraction")
-	fmt.Println("paper x-axis: 0.397 ... 207.866 kB; loading reached ~15 s at 207 kB on the 2005 testbed")
-	fmt.Println()
-	return nil
 }
 
-func runFig5(profile *netsim.Profile) error {
-	fmt.Println("== Figure 5: Views extracted from the warehouse and materialized into data marts ==")
-	rows, err := experiments.RunFig5(experiments.Fig5Sizes, profile)
-	if err != nil {
-		return err
+func yesNo(b bool) string {
+	if b {
+		return "Yes"
 	}
-	fmt.Printf("%12s %8s %18s %16s\n", "size (kB)", "rows", "extraction (s)", "loading (s)")
-	for _, r := range rows {
-		fmt.Printf("%12.3f %8d %18.4f %16.4f\n", r.SizeKB, r.Rows, r.ExtractSec, r.LoadSec)
-	}
-	fmt.Println("paper shape: ~linear in size; loading above extraction; x-axis up to ~70 kB (~80 s loading)")
-	fmt.Println()
-	return nil
+	return "No"
 }
 
 func runTable1(d *experiments.Deployment, repeats int) error {
@@ -492,11 +115,7 @@ func runTable1(d *experiments.Deployment, repeats int) error {
 	paper := []float64{38, 487.5, 594}
 	fmt.Printf("%10s %14s %16s %10s %14s\n", "#servers", "distributed", "response (ms)", "#tables", "paper (ms)")
 	for i, r := range rows {
-		dist := "No"
-		if r.Distributed {
-			dist = "Yes"
-		}
-		fmt.Printf("%10d %14s %16.1f %10d %14.1f\n", r.Servers, dist, r.ResponseMS, r.Tables, paper[i])
+		fmt.Printf("%10d %14s %16.1f %10d %14.1f\n", r.Servers, yesNo(r.Distributed), r.ResponseMS, r.Tables, paper[i])
 	}
 	if rows[0].ResponseMS > 0 {
 		fmt.Printf("distributed/local ratio: %.1fx (paper: %.1fx; >10x expected)\n",
@@ -521,6 +140,23 @@ func runFig6(d *experiments.Deployment, repeats int) error {
 		fmt.Printf("growth %d->%d rows: %.2fx (paper: ~300->700 ms, 2.3x; linear with large intercept)\n",
 			first.RowsRequested, last.RowsRequested, last.ResponseMS/first.ResponseMS)
 	}
+	fmt.Println()
+	return nil
+}
+
+// runWAN is the §6 future-work extension: the Table-1 query shapes
+// re-measured across LAN and WAN link profiles.
+func runWAN(repeats int) error {
+	fmt.Println("== Extension: LAN vs WAN query distribution (paper §6 future work) ==")
+	rows, err := experiments.RunWAN([]*netsim.Profile{netsim.Local, netsim.LAN100, netsim.WAN}, 2000, repeats)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%10s %14s %16s\n", "profile", "distributed", "response (ms)")
+	for _, r := range rows {
+		fmt.Printf("%10s %14s %16.1f\n", r.Profile, yesNo(r.Distributed), r.ResponseMS)
+	}
+	fmt.Println("expected shape: WAN >> LAN >> local; the distributed penalty grows with link cost")
 	fmt.Println()
 	return nil
 }

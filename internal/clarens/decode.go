@@ -2,20 +2,17 @@ package clarens
 
 // Streaming XML-RPC decoder: the read half of the zero-boxing wire path.
 //
-// The original codec unmarshalled every document into a generic xNode tree
-// and then walked the tree boxing each cell — two full passes and several
-// allocations per value. The Decoder here walks xml.Decoder tokens once,
-// producing either the generic interface{} family (Value) or, through the
-// Scalar/DecodeArray/DecodeStruct primitives, letting row-aware callers
-// (dataaccess) build sqlengine rows directly with no intermediate tree and
-// no interface boxing per cell.
+// The Decoder walks xml.Decoder tokens once, producing either the generic
+// interface{} family (Value) or, through the Scalar/DecodeArray/
+// DecodeStruct primitives, letting row-aware callers (dataaccess) build
+// sqlengine rows directly with no intermediate tree and no interface
+// boxing per cell.
 //
-// The legacy tree codec is retained (UnmarshalCallTree /
-// UnmarshalResponseTree) as the reference implementation: fuzz tests run
-// the two differentially, and benchrepro measures the streamed path against
-// it. The streaming walker deliberately mirrors the tree's tolerances —
-// first matching child wins, unknown siblings are skipped, chardata around
-// container children is ignored — so the two accept the same documents.
+// Its reference is the generic-tree decoder in tree_test.go: the fuzz
+// targets run the two differentially. The walker deliberately mirrors the
+// tree's tolerances — first matching child wins, unknown siblings are
+// skipped, chardata around container children is ignored — so the two
+// accept the same documents.
 
 import (
 	"bytes"

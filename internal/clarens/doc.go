@@ -19,9 +19,7 @@
 // past a size threshold, and documents are decoded by a single xml.Decoder
 // token walk instead of an intermediate generic tree —
 // Client.CallDecodeContext hands the positioned Decoder to the caller so
-// row payloads land directly in engine values. xmlrpc.go keeps the fault
-// model and the legacy tree codec (UnmarshalCallTree /
-// UnmarshalResponseTree), retained as the reference implementation for
-// differential fuzzing and for the benchrepro wire experiment's
-// before/after comparison.
+// row payloads land directly in engine values. xmlrpc.go holds the fault
+// model; the generic-tree decoder the streaming one is fuzzed against
+// lives in tree_test.go.
 package clarens

@@ -43,7 +43,7 @@ func FuzzUnmarshalCall(f *testing.F) {
 	f.Add([]byte("<methodCall><params/></methodCall>"))
 	f.Add([]byte("<methodCall><methodName>m</methodName><params><param><value><i8>zz</i8></value></param></params></methodCall>"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tm, ta, terr := UnmarshalCallTree(data)
+		tm, ta, terr := unmarshalCallTree(data)
 		sm, sa, serr := UnmarshalCall(data)
 		if (terr == nil) != (serr == nil) {
 			t.Fatalf("decoders disagree on validity:\n tree: %v\n stream: %v\n input: %q", terr, serr, data)
@@ -79,7 +79,7 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte("<methodResponse><params><param><value><i8>zz</i8></value></param></params><fault><value><struct><member><name>faultCode</name><value><i8>9</i8></value></member></struct></value></fault></methodResponse>"))
 	f.Add([]byte("<methodResponse><fault><value>plain</value></fault></methodResponse>"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tv, terr := UnmarshalResponseTree(data)
+		tv, terr := unmarshalResponseTree(data)
 		sv, serr := UnmarshalResponse(data)
 		if (terr == nil) != (serr == nil) {
 			t.Fatalf("decoders disagree on validity:\n tree: %v\n stream: %v\n input: %q", terr, serr, data)
@@ -120,7 +120,7 @@ func FuzzEncodeDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tm, ta, terr := UnmarshalCallTree(data)
+		tm, ta, terr := unmarshalCallTree(data)
 		sm, sa, serr := UnmarshalCall(data)
 		if terr != nil || serr != nil {
 			// Strings with XML-invalid runes become U+FFFD on encode and

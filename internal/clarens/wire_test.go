@@ -202,7 +202,7 @@ func TestFaultAfterMalformedParams(t *testing.T) {
 		`</struct></value></fault></methodResponse>`)
 	for name, decode := range map[string]func([]byte) (interface{}, error){
 		"stream": UnmarshalResponse,
-		"tree":   UnmarshalResponseTree,
+		"tree":   unmarshalResponseTree,
 	} {
 		_, err := decode(doc)
 		var f *Fault

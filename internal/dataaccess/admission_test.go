@@ -11,8 +11,11 @@ package dataaccess
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
+	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -513,5 +516,102 @@ func TestSlowQueryRecordsAdmissionOutcome(t *testing.T) {
 	}
 	if got := entries[0].Explain["admission"]; got != "immediate" {
 		t.Errorf("slow entry admission = %v, want immediate", got)
+	}
+}
+
+// TestOverloadShedsCleanly drives a gated server at twice its capacity
+// with the whole traffic mix — cached point queries, drained streams,
+// paged cursors, relays to a peer — and holds the degradation contract:
+// the excess is refused, every refusal is the retryable FaultOverloaded
+// and nothing else, and when the storm ends no slot, cursor or goroutine
+// is left behind on either server.
+func TestOverloadShedsCleanly(t *testing.T) {
+	defer leaktest.Check(t)()
+	if tr, ok := http.DefaultTransport.(*http.Transport); ok {
+		defer tr.CloseIdleConnections()
+	}
+	p := newRelayPair(t, Config{Name: "ov-host"}, Config{
+		Name: "ov-fwd", CacheSize: 64, RelayFetchSize: 64,
+		MaxInFlight: 4, AdmissionQueue: 2, AdmissionTimeout: 250 * time.Millisecond,
+	}, "mart_ov_remote", "ov_remote", 400)
+	defer p.close()
+	_, spec := mkMart(t, "mart_ov_local", sqlengine.DialectMySQL, "ov_local", 400)
+	addMart(t, p.fwd, "mart_ov_local", spec, "gridsql-mysql")
+
+	ctx := context.Background()
+	drain := func(sql string) error {
+		sr, err := p.fwd.QueryStreamContext(ctx, sql)
+		if err != nil {
+			return err
+		}
+		return sr.ForEach(func(sqlengine.Row) error { return nil })
+	}
+	// One closed-loop client: op i of worker w. Distinct literals keep the
+	// gated ops out of the cache; the cached op repeats one text.
+	op := func(w, i int) error {
+		switch (w + i) % 4 {
+		case 0:
+			_, err := p.fwd.QueryContext(ctx, "SELECT run, e_tot FROM ov_local WHERE run = 101")
+			return err
+		case 1:
+			return drain(fmt.Sprintf("SELECT event_id, run, e_tot FROM ov_local WHERE event_id > %d", w*1000+i%100))
+		case 2:
+			info, err := p.fwd.OpenCursor(ctx, fmt.Sprintf("SELECT event_id FROM ov_local WHERE event_id > %d", w*1000+i%100))
+			if err != nil {
+				return err
+			}
+			defer p.fwd.CloseCursor(info.ID)
+			for done := false; !done; {
+				if _, done, err = p.fwd.FetchCursor(info.ID, 100); err != nil {
+					return err
+				}
+			}
+			return nil
+		default:
+			return drain(fmt.Sprintf("SELECT event_id, e_tot FROM ov_remote WHERE event_id > %d", w*1000+i%100))
+		}
+	}
+
+	var shed, completed atomic.Int64
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// ~300 ms of load, extended (bounded) until the gate has shed.
+			for i := 0; time.Since(start) < 300*time.Millisecond ||
+				(shed.Load() == 0 && time.Since(start) < 5*time.Second); i++ {
+				switch err := op(w, i); {
+				case err == nil:
+					completed.Add(1)
+				case clarens.IsOverloaded(err):
+					shed.Add(1)
+				default:
+					t.Errorf("worker %d op %d: refused with something other than FaultOverloaded: %v", w, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if shed.Load() == 0 || completed.Load() == 0 {
+		t.Fatalf("8 clients on 4 slots + 2 queued: shed=%d completed=%d, want both > 0", shed.Load(), completed.Load())
+	}
+	// Clients may see more refusals than the gate issued: callers coalesced
+	// onto a shed cache fill share its fault.
+	if ls := p.fwd.LoadStats(); ls.Shed == 0 || ls.Shed > shed.Load() {
+		t.Errorf("gate counted %d sheds, clients saw %d", ls.Shed, shed.Load())
+	}
+	// The peer's cursors close asynchronously behind the relays' last rows.
+	left := func() [4]int {
+		return [4]int{p.fwd.LoadStats().InFlight, p.fwd.CursorCount(), p.host.LoadStats().InFlight, p.host.CursorCount()}
+	}
+	for deadline := time.Now().Add(5 * time.Second); left() != [4]int{} && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if l := left(); l != [4]int{} {
+		t.Fatalf("left behind: fwd in-flight %d, fwd cursors %d, host in-flight %d, host cursors %d; want none", l[0], l[1], l[2], l[3])
 	}
 }

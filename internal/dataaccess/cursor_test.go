@@ -173,47 +173,102 @@ func TestCursorLifecycle(t *testing.T) {
 	}
 }
 
-// TestCursorBoundedPull is the acceptance criterion for server memory: a
-// cursor over a 10k-row scan buffers at most fetch-size rows — the
-// backend is pulled row by row per chunk, never materialized.
+// TestCursorBoundedPull is the acceptance criterion for server memory and
+// time to first row: whatever stands between the consumer and a large
+// scan — a local cursor, a cursor relay to the server that hosts it, a
+// pipelined join probing it — pulls the source as the consumer reads and
+// never materializes it. The counting source makes that exact: once the
+// consumer holds its first rows the source has served a bounded number,
+// the same at 2 000 rows as at 20 000, where the materializing reference
+// of the same query (the whole-result forward, the scratch integrator)
+// serves every row before it answers.
 func TestCursorBoundedPull(t *testing.T) {
-	s := New(Config{Name: "jc-bounded"})
-	defer s.Close()
-	d, ref, spec := registerPagedSource(10000, -1)
-	if err := s.AddDatabase(ref, spec, "", ""); err != nil {
-		t.Fatal(err)
+	const relayFetch = 64
+	forward := func(p *relayPair, sql string) error {
+		_, err := p.fwd.QueryContext(context.Background(), sql)
+		return err
 	}
-
-	info, err := s.OpenCursor(context.Background(), "SELECT a FROM paged_t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.CloseCursor(info.ID)
-
-	const fetchSize = 50
-	for i := 0; i < 3; i++ {
-		rows, done, err := s.FetchCursor(info.ID, fetchSize)
+	scratch := func(p *relayPair, sql string) error {
+		plan, err := p.fwd.fed.PlanQuery(sql)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if len(rows) > fetchSize {
-			t.Fatalf("chunk %d holds %d rows, exceeding the fetch size %d", i, len(rows), fetchSize)
-		}
-		if done {
-			t.Fatalf("done after %d of 10000 rows", (i+1)*fetchSize)
-		}
+		_, err = p.fwd.fed.ExecuteContext(context.Background(), plan)
+		return err
 	}
-	// The backend must have served only what was fetched (plus at most a
-	// single look-ahead row), not the whole table.
-	if served := d.served.Load(); served > 3*fetchSize+1 {
-		t.Fatalf("backend served %d rows for %d fetched: scan was materialized", served, 3*fetchSize)
+	cases := []struct {
+		name      string
+		sql       string
+		remote    bool // the scan lives on the peer: fwd relays host's cursor
+		fetches   int
+		fetchSize int
+		// bound is the most the source may have served once the fetches
+		// returned: what the consumer holds plus one look-ahead row. The
+		// relay holds one relay page instead; the join's first output row
+		// is its second probe row (bp_dim's ids start at 1, paged_t's at 0).
+		bound     int64
+		reference func(p *relayPair, sql string) error
+	}{
+		{name: "local cursor", sql: "SELECT a FROM paged_t", fetches: 3, fetchSize: 50, bound: 3*50 + 1},
+		{name: "relay", sql: "SELECT a FROM paged_t", remote: true, fetches: 1, fetchSize: 10,
+			bound: relayFetch + 1, reference: forward},
+		{name: "join probe side", sql: "SELECT p.a, e.e_tot FROM paged_t p JOIN bp_dim e ON p.a = e.event_id",
+			fetches: 1, fetchSize: 1, bound: 2 + 1, reference: scratch},
 	}
+	for i, tc := range cases {
+		for _, n := range []int{2000, 20000} {
+			t.Run(fmt.Sprintf("%s/%d", tc.name, n), func(t *testing.T) {
+				p := newRelayPair(t, Config{Name: "bp-host"}, Config{Name: "bp-fwd", RelayFetchSize: relayFetch}, "", "", 0)
+				defer p.close()
+				mart := fmt.Sprintf("mart_bp_%d_%d", i, n)
+				_, dimSpec := mkMart(t, mart, sqlengine.DialectMySQL, "bp_dim", 30)
+				addMart(t, p.fwd, mart, dimSpec, "gridsql-mysql")
+				d, ref, spec := registerPagedSource(n, -1)
+				owner := p.fwd
+				if tc.remote {
+					owner = p.host
+				}
+				if err := owner.AddDatabase(ref, spec, "", ""); err != nil {
+					t.Fatal(err)
+				}
 
-	if !s.CloseCursor(info.ID) {
-		t.Fatal("close failed")
+				info, err := p.fwd.OpenCursor(context.Background(), tc.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.fwd.CloseCursor(info.ID)
+				for f := 0; f < tc.fetches; f++ {
+					rows, done, err := p.fwd.FetchCursor(info.ID, tc.fetchSize)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(rows) != tc.fetchSize || done {
+						t.Fatalf("chunk %d: %d rows done=%v, want %d rows not done", f, len(rows), done, tc.fetchSize)
+					}
+				}
+				if served := d.served.Load(); served > tc.bound {
+					t.Fatalf("source served %d of %d rows for %d fetched, want <= %d: the scan ran ahead of its consumer",
+						served, n, tc.fetches*tc.fetchSize, tc.bound)
+				}
+				if !p.fwd.CloseCursor(info.ID) {
+					t.Fatal("close failed")
+				}
+				// Closing releases the backend cursor, across the relay too.
+				waitFor(t, 2*time.Second, func() bool { return d.rowsClosed.Load() == 1 })
+
+				if tc.reference == nil {
+					return
+				}
+				before := d.served.Load()
+				if err := tc.reference(p, tc.sql); err != nil {
+					t.Fatal(err)
+				}
+				if got := d.served.Load() - before; got != int64(n) {
+					t.Fatalf("materializing reference served %d rows, want all %d", got, n)
+				}
+			})
+		}
 	}
-	// Closing releases the backend cursor.
-	waitFor(t, 2*time.Second, func() bool { return d.rowsClosed.Load() == 1 })
 }
 
 // TestCursorTTLReap proves abandoned cursors are collected: an idle cursor

@@ -52,8 +52,7 @@ const defaultSlowLogSize = 64
 // slow-query ring.
 type serviceObsv struct {
 	// enabled gates the per-query hot path (tracks, histograms, phase
-	// timing, slow capture); Config.DisableObsv turns it off for the
-	// no-op baseline the obsv benchmark compares against.
+	// timing, slow capture); Config.DisableObsv turns it off.
 	enabled bool
 	reg     *obsv.Registry
 	logger  *slog.Logger

@@ -12,12 +12,14 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"gridrdb/internal/clarens"
+	"gridrdb/internal/leaktest"
 	"gridrdb/internal/sqlengine"
 )
 
@@ -455,4 +457,51 @@ func TestObsvRaceHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestObsvOverheadBudget holds the instrumentation's cost bar: the routed
+// query path fully armed (query ids, per-route histograms, phase timings,
+// a discard logger, the slow ring at a realistic threshold) costs under 5%
+// more than the same path under DisableObsv. The two services take turns
+// query by query, so host noise and GC cycles fall on both alike, and the
+// medians are compared, so the queries they do hit are outliers on either
+// side; three attempts must all miss before the budget is declared blown.
+func TestObsvOverheadBudget(t *testing.T) {
+	if leaktest.RaceEnabled || testing.Short() {
+		t.Skip("timing comparison: meaningless under -race, slow under -short")
+	}
+	const q = "SELECT event_id, run FROM obs_ev WHERE run = 101 AND event_id <= 60"
+	base := admService(t, "mart_obs_budget0", "obs_ev", 200, Config{DisableObsv: true})
+	defer base.Close()
+	armed := admService(t, "mart_obs_budget1", "obs_ev", 200, Config{
+		Logger: slog.New(slog.DiscardHandler), SlowQueryThreshold: time.Millisecond,
+	})
+	defer armed.Close()
+
+	const pairs = 4000
+	sides := [2]*Service{base, armed}
+	var lat [2][]time.Duration
+	var pct float64
+	for attempt := 0; attempt < 3; attempt++ {
+		for i := 0; i < 2*pairs+200; i++ {
+			start := time.Now()
+			if _, err := sides[i%2].Query(q); err != nil {
+				t.Fatal(err)
+			}
+			if i >= 200 { // the first hundred pairs warm connections and caches
+				lat[i%2] = append(lat[i%2], time.Since(start))
+			}
+		}
+		var med [2]time.Duration
+		for side := range lat {
+			slices.Sort(lat[side])
+			med[side], lat[side] = lat[side][pairs/2], lat[side][:0]
+		}
+		pct = 100 * float64(med[1]-med[0]) / float64(med[0])
+		t.Logf("attempt %d: median DisableObsv %v, armed %v, overhead %.2f%%", attempt+1, med[0], med[1], pct)
+		if pct < 5 {
+			return
+		}
+	}
+	t.Fatalf("observability overhead %.2f%% on every attempt, budget is < 5%%", pct)
 }

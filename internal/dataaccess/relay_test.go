@@ -58,8 +58,10 @@ func (p *relayPair) close() {
 	})
 }
 
-// newRelayPair builds the testbed; mart/table name the engine and its one
-// table (engine registration is global, so names must be test-unique).
+// newRelayPair builds the testbed; mart/table name the host's engine and
+// its one table (engine registration is global, so names must be
+// test-unique). With mart "" the host starts empty and the test adds its
+// own sources.
 func newRelayPair(t *testing.T, hostCfg, fwdCfg Config, mart, table string, rows int) *relayPair {
 	t.Helper()
 	catalog := rls.NewServer(0)
@@ -81,8 +83,10 @@ func newRelayPair(t *testing.T, hostCfg, fwdCfg Config, mart, table string, rows
 	}
 	host, hostSrv := mk(hostCfg)
 	fwd, fwdSrv := mk(fwdCfg)
-	_, spec := mkMart(t, mart, sqlengine.DialectMySQL, table, rows)
-	addMart(t, host, mart, spec, "gridsql-mysql")
+	if mart != "" {
+		_, spec := mkMart(t, mart, sqlengine.DialectMySQL, table, rows)
+		addMart(t, host, mart, spec, "gridsql-mysql")
+	}
 	return &relayPair{catalog: catalog, host: host, hostSrv: hostSrv, fwd: fwd, fwdSrv: fwdSrv}
 }
 
@@ -202,7 +206,7 @@ func TestRelayPeerWithoutCursorProtocol(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return EncodeResult(qr.ResultSet), nil
+		return boxedResult(qr.ResultSet), nil
 	})
 	legacyURL, err := legacySrv.Start("127.0.0.1:0")
 	if err != nil {

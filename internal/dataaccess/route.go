@@ -57,8 +57,8 @@ func (s *Service) resolve(ctx context.Context, sqlText string, params []sqlengin
 		d.class, d.plan, d.deps = classUnityDecomp, plan, planDeps(plan)
 		if plan.Pushdown {
 			d.class = classUnityPush
-			// Only POOL-supported sources have a handle (none at all under
-			// Config.DisableRAL), and the RAL call shape has no parameters.
+			// Only POOL-supported sources have a handle, and the RAL call
+			// shape has no parameters.
 			s.mu.Lock()
 			conn, supported := s.ralConns[plan.Subs[0].Source]
 			s.mu.Unlock()
@@ -74,12 +74,9 @@ func (s *Service) resolve(ctx context.Context, sqlText string, params []sqlengin
 			return nil, err
 		}
 		d.class, d.rp, d.deps = classMixed, rp, rp.deps
-		switch {
-		case rp.singleURL != "" && len(params) == 0:
+		if rp.singleURL != "" && len(params) == 0 {
 			d.class = classRemote
-		case s.fed.DisableStreamOps:
-			d.mixedFallback = "stream operators disabled"
-		default:
+		} else {
 			d.mixed, d.mixedFallback = unity.PlanIntegrateStream(rp.sel)
 		}
 	default:

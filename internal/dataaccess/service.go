@@ -34,9 +34,6 @@ type Config struct {
 	// Profile/Clock charge simulated network costs on remote forwards.
 	Profile *netsim.Profile
 	Clock   *netsim.Clock
-	// DisableRAL forces every query through the Unity path (used by the
-	// routing ablation).
-	DisableRAL bool
 	// CacheSize enables the query-result cache when > 0: up to this many
 	// federated SELECT results are kept and served without re-executing
 	// their sub-queries. Entries are invalidated when the schema-change
@@ -93,12 +90,6 @@ type Config struct {
 	// estimated over the budget prefers a merge join with ORDER BY pushed
 	// to the sources.
 	ScratchMaxBytes int64
-	// DisableStreamOps makes every decomposed and mixed plan integrate on
-	// the scratch engine — the fallback the streaming operators otherwise
-	// leave to shapes they cannot serve — for materialized and streamed
-	// queries alike. Escape hatch, and the baseline the join benchmark
-	// compares against; production servers leave it off.
-	DisableStreamOps bool
 	// Logger receives the query path's structured records (route
 	// decisions, completions, relays, slow queries), each carrying the
 	// query id; nil discards them.
@@ -111,9 +102,9 @@ type Config struct {
 	SlowQueryLogSize int
 	// DisableObsv turns off the per-query instrumentation (ids, phase
 	// timings, latency histograms, logging, slow capture). The metric
-	// registry itself stays up, serving lifetime counters. This is the
-	// no-op baseline the obsv benchmark compares against; production
-	// servers leave it off.
+	// registry itself stays up, serving lifetime counters. It is the
+	// reference side of TestObsvOverheadBudget, which holds the
+	// instrumentation under 5% of the routed query path.
 	DisableObsv bool
 	// MaxInFlight enables the admission gate when > 0: at most this many
 	// queries execute (or stream) concurrently; arrivals past the cap
@@ -216,7 +207,6 @@ func New(cfg Config) *Service {
 	s.cursors = newCursorRegistry(cfg.CursorTTL, s.obs)
 	s.fed.SourceBudget = cfg.SourceBudget
 	s.fed.ScratchMaxBytes = cfg.ScratchMaxBytes
-	s.fed.DisableStreamOps = cfg.DisableStreamOps
 	s.fed.Logger = s.obs.logger
 	if cfg.CacheSize > 0 {
 		shards := cfg.CacheShards
@@ -290,7 +280,7 @@ func (s *Service) AddDatabase(ref xspec.SourceRef, spec *xspec.LowerSpec, user, 
 		return err
 	}
 	vendor := unity.VendorFromDriver(ref.Driver)
-	if poolral.Supported(vendor) && !s.cfg.DisableRAL {
+	if poolral.Supported(vendor) {
 		conn := vendor + ":" + ref.URL
 		if err := s.ral.InitHandler(conn, user, password); err != nil {
 			s.fed.RemoveSource(ref.Name)
@@ -752,48 +742,11 @@ func (s *Service) MartInvalidator(source string) func(table string) {
 	return func(table string) { s.InvalidateTable(source, strings.ToLower(table)) }
 }
 
-// ---- XML-RPC result codec (shared with the Clarens method layer) ----
-
-// EncodeRows converts rows to the XML-RPC value family. It is the boxed
-// reference codec: the serving wire path encodes rows cell-direct via
-// wireRows/binaryRows (see wirecodec.go), and this form remains for
-// in-process payload assembly, generic clients and as the benchmark
-// baseline the zero-boxing path is measured against.
-func EncodeRows(rows []sqlengine.Row) []interface{} {
-	out := make([]interface{}, len(rows))
-	for i, row := range rows {
-		r := make([]interface{}, len(row))
-		for j, v := range row {
-			switch v.Kind {
-			case sqlengine.KindNull:
-				r[j] = nil
-			case sqlengine.KindInt:
-				r[j] = v.Int
-			case sqlengine.KindFloat:
-				r[j] = v.Float
-			case sqlengine.KindString:
-				r[j] = v.Str
-			case sqlengine.KindBool:
-				r[j] = v.Bool
-			case sqlengine.KindTime:
-				r[j] = v.Time
-			case sqlengine.KindBytes:
-				r[j] = v.Bytes
-			}
-		}
-		out[i] = r
-	}
-	return out
-}
-
-// EncodeResult converts a result set to the XML-RPC value family.
-func EncodeResult(rs *sqlengine.ResultSet) map[string]interface{} {
-	cols := make([]interface{}, len(rs.Columns))
-	for i, c := range rs.Columns {
-		cols[i] = c
-	}
-	return map[string]interface{}{"columns": cols, "rows": EncodeRows(rs.Rows)}
-}
+// ---- boxed result decoders ----
+//
+// Generic XML-RPC clients (gridql, the examples) receive a response as the
+// boxed interface{} value family; these turn it back into engine rows. The
+// server's own wire path never boxes: see wirecodec.go.
 
 // DecodeRows converts an XML-RPC rows payload back to engine rows. A
 // payload that is not a list of lists, or a cell of an unknown type, is a
@@ -878,11 +831,6 @@ type Chunk struct {
 	Rows []sqlengine.Row
 	// Done reports stream exhaustion; a Done chunk may still carry rows.
 	Done bool
-}
-
-// EncodeChunk frames one cursor fetch response.
-func EncodeChunk(rows []sqlengine.Row, done bool) map[string]interface{} {
-	return map[string]interface{}{"rows": EncodeRows(rows), "done": done}
 }
 
 // DecodeChunk decodes one cursor fetch response.

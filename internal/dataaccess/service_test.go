@@ -106,20 +106,6 @@ func TestRoutingRALvsUnity(t *testing.T) {
 	}
 }
 
-func TestDisableRALAblation(t *testing.T) {
-	s := New(Config{Name: "jc1", DisableRAL: true})
-	defer s.Close()
-	_, mySpec := mkMart(t, "mart_my2", sqlengine.DialectMySQL, "events", 5)
-	addMart(t, s, "mart_my2", mySpec, "gridsql-mysql")
-	qr, err := s.Query("SELECT event_id FROM events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qr.Route != RouteUnity {
-		t.Errorf("route with RAL disabled = %s", qr.Route)
-	}
-}
-
 // twoServerDeployment starts an RLS plus two Clarens-fronted services:
 // jc1 hosts "events", jc2 hosts "runsinfo" and "calib".
 func twoServerDeployment(t *testing.T) (*Service, *Service) {
@@ -360,7 +346,7 @@ func TestEncodeDecodeResult(t *testing.T) {
 			{sqlengine.Null(), sqlengine.NewBool(true), sqlengine.NewBytes([]byte{9})},
 		},
 	}
-	back, err := DecodeResult(EncodeResult(rs))
+	back, err := DecodeResult(boxedResult(rs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -595,7 +595,7 @@ func TestQueryCancelMidDrain(t *testing.T) {
 			hostCfg, fwdCfg := gate, gate
 			hostCfg.Name, fwdCfg.Name = "cmd-host", "cmd-fwd"
 			mart := fmt.Sprintf("mart_cmd_%d", i)
-			p := newRelayPair(t, hostCfg, fwdCfg, mart+"_unused", "cmd_unused", 1)
+			p := newRelayPair(t, hostCfg, fwdCfg, "", "", 0)
 			defer p.close()
 			_, evSpec := mkMart(t, mart, sqlengine.DialectMySQL, "cmd_events", 30)
 			addMart(t, p.fwd, mart, evSpec, "gridsql-mysql")

@@ -79,7 +79,9 @@ func (t *Tracker) Stop() {
 	t.wg.Wait()
 }
 
-// Stats reports (checks performed, schema updates applied).
+// Stats reports (checks completed, schema updates applied). A check counts
+// once its pass over every source has finished, so a caller that observes
+// checks >= 1 knows the baseline fingerprints are recorded.
 func (t *Tracker) Stats() (checks, updates int64) {
 	return t.checks.Load(), t.updates.Load()
 }
@@ -87,7 +89,7 @@ func (t *Tracker) Stats() (checks, updates int64) {
 // CheckNow regenerates the XSpec of every source and hot-reloads any whose
 // fingerprint changed. It returns the names of updated sources.
 func (t *Tracker) CheckNow() ([]string, error) {
-	t.checks.Add(1)
+	defer t.checks.Add(1)
 	var updated []string
 	var firstErr error
 	for _, name := range t.svc.fed.Sources() {

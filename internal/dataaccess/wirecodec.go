@@ -2,7 +2,7 @@ package dataaccess
 
 // The zero-boxing wire codec for row payloads.
 //
-// Three representations coexist, fastest first:
+// Two encodings serve rows, fastest first:
 //
 //   - Binary row framing (RowCodecVersion): a compact length-prefixed
 //     binary encoding of []sqlengine.Row carried inside a single XML-RPC
@@ -15,16 +15,14 @@ package dataaccess
 //   - Direct XML encoding: wireRows implements clarens.ValueMarshaler, so
 //     the standard {columns, rows} response is rendered cell-by-cell
 //     straight into the output buffer with no []interface{} boxing. On the
-//     wire it is byte-compatible with what the boxed EncodeResult path
-//     produced (struct members now in sorted order).
-//   - The boxed interface{} family (EncodeRows/EncodeResult/DecodeRows/...)
-//     retained for in-process use, generic clients and as the benchmark
-//     baseline.
+//     wire it is byte-identical to the same payload boxed into the
+//     interface{} family (TestWireResultMatchesBoxed), so generic clients
+//     decode it with DecodeResult/DecodeChunk.
 //
 // Invariants: every sqlengine.Value kind round-trips through the binary
 // codec exactly (including sub-second time precision, which XML-RPC's
-// dateTime cannot carry); the XML row path round-trips with the same
-// fidelity as the boxed codec it replaces.
+// dateTime cannot carry); the XML row path round-trips with the fidelity
+// XML-RPC's scalar types allow.
 
 import (
 	"encoding/binary"
@@ -102,7 +100,7 @@ func (rows binaryRows) MarshalXMLRPC(e *clarens.Encoder) error {
 
 // WireResult is the fast {columns, rows} payload the dataaccess.query
 // method returns: rows encode cell-direct, and on the wire the document is
-// byte-compatible with EncodeResult's boxed output.
+// what a generic client's boxed {columns, rows} struct would render.
 func WireResult(rs *sqlengine.ResultSet) map[string]interface{} {
 	return map[string]interface{}{"columns": rs.Columns, "rows": wireRows(rs.Rows)}
 }

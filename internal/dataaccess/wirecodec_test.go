@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gridrdb/internal/clarens"
+	"gridrdb/internal/leaktest"
 	"gridrdb/internal/rls"
 	"gridrdb/internal/sqlengine"
 )
@@ -172,8 +173,8 @@ func TestBinaryRowsMalformed(t *testing.T) {
 }
 
 // TestWireResultMatchesBoxed: the zero-boxing XML payload renders byte-
-// identically to the boxed EncodeResult path (struct members sorted on
-// both), so third-party decoders cannot tell them apart.
+// identically to the boxed form a generic client library renders (struct
+// members sorted on both), so third-party decoders cannot tell them apart.
 func TestWireResultMatchesBoxed(t *testing.T) {
 	rs := &sqlengine.ResultSet{
 		Columns: []string{"a", "b", "c"},
@@ -187,7 +188,7 @@ func TestWireResultMatchesBoxed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxed, err := clarens.MarshalResponse(EncodeResult(rs))
+	boxed, err := clarens.MarshalResponse(boxedResult(rs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +218,43 @@ func TestWireResultMatchesBoxed(t *testing.T) {
 	}
 	if !reflect.DeepEqual(viaBoxed.Rows, viaStream.Rows) {
 		t.Fatalf("rows:\n boxed:  %#v\n stream: %#v", viaBoxed.Rows, viaStream.Rows)
+	}
+}
+
+// TestWireCodecAllocs holds what the zero-boxing codecs are for: a result
+// set's encode + decode round trip allocates less cell-direct than boxed,
+// and the binary frame at least 2x less (it measures ~60x).
+func TestWireCodecAllocs(t *testing.T) {
+	if leaktest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rs := &sqlengine.ResultSet{Columns: []string{"event_id", "run", "e_tot"}}
+	for i := 0; i < 200; i++ {
+		rs.Rows = append(rs.Rows, sqlengine.Row{sqlengine.NewInt(int64(i)), sqlengine.NewInt(int64(100 + i%5)), sqlengine.NewFloat(float64(i) / 7)})
+	}
+	boxed := testing.AllocsPerRun(5, func() {
+		doc, _ := clarens.MarshalResponse(boxedResult(rs))
+		v, _ := clarens.UnmarshalResponse(doc)
+		if back, err := DecodeResult(v); err != nil || len(back.Rows) != len(rs.Rows) {
+			t.Fatalf("boxed round trip: %v", err)
+		}
+	})
+	direct := testing.AllocsPerRun(5, func() {
+		doc, _ := clarens.MarshalResponse(WireResult(rs))
+		res, err := clarens.DecodeResponse(bytes.NewReader(doc), func(d *clarens.Decoder) (interface{}, error) {
+			return DecodeResultFrom(d)
+		})
+		if err != nil || len(res.(*sqlengine.ResultSet).Rows) != len(rs.Rows) {
+			t.Fatalf("direct round trip: %v", err)
+		}
+	})
+	binary := testing.AllocsPerRun(5, func() {
+		if back, err := DecodeRowsBinary(EncodeRowsBinary(rs.Rows)); err != nil || len(back) != len(rs.Rows) {
+			t.Fatalf("binary round trip: %v", err)
+		}
+	})
+	if direct >= boxed || 2*binary > boxed {
+		t.Fatalf("allocs per round trip: boxed %.0f, direct XML %.0f, binary %.0f; want direct < boxed and binary <= boxed/2", boxed, direct, binary)
 	}
 }
 

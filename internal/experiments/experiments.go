@@ -15,7 +15,7 @@ import (
 	"gridrdb/internal/netsim"
 	"gridrdb/internal/ntuple"
 	"gridrdb/internal/rls"
-	"gridrdb/internal/sqldriver"
+	_ "gridrdb/internal/sqldriver" // registers the gridsql-* database/sql drivers the deployment's DSNs name
 	"gridrdb/internal/sqlengine"
 	"gridrdb/internal/warehouse"
 	"gridrdb/internal/wire"
@@ -159,8 +159,6 @@ type DeployOptions struct {
 	SessionPooling bool
 	// CacheSize enables the per-server query-result cache (entries).
 	CacheSize int
-	// CacheTTL bounds cached-entry lifetime (0 = no expiry).
-	CacheTTL time.Duration
 }
 
 // SmallDeploy returns options sized for unit tests and quick benchmarks.
@@ -213,7 +211,7 @@ func Deploy(opt DeployOptions) (*Deployment, error) {
 		rc.Profile = opt.Profile
 		svc := dataaccess.New(dataaccess.Config{
 			Name: name, RLS: rc, Profile: opt.Profile,
-			CacheSize: opt.CacheSize, CacheTTL: opt.CacheTTL,
+			CacheSize: opt.CacheSize,
 		})
 		front := clarens.NewServer(true)
 		svc.RegisterMethods(front)
@@ -414,8 +412,3 @@ func RunFig6(d *Deployment, rowCounts []int, repeats int) ([]Fig6Row, error) {
 	}
 	return out, nil
 }
-
-// Cleanup unregisters any local engines registered by experiments (the
-// stage-3 deployment uses wire servers, so only Figures 4/5 engines are
-// affected, and those are never registered). Kept for symmetry.
-func Cleanup() { _ = sqldriver.UnregisterEngine }

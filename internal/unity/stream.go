@@ -239,7 +239,7 @@ type StreamExec struct {
 	// "scratch" for the materialize-and-integrate fallback.
 	Operator string
 	// Fallback names why the scratch path ran ("" otherwise): the
-	// analyzer's rejection reason, or "stream operators disabled".
+	// analyzer's rejection reason.
 	Fallback string
 	// Stats is the operator telemetry sink (nil on pushdown/scratch).
 	Stats *sqlengine.StreamStats
@@ -252,8 +252,8 @@ type StreamExec struct {
 // sub-query is opened as a live cursor and rows flow through the
 // join/filter/project pipeline as the sources produce them — nothing is
 // materialized, and buffering operators spill to disk past
-// ScratchMaxBytes. Remaining shapes (or DisableStreamOps) execute
-// materialized on the scratch engine and stream from memory.
+// ScratchMaxBytes. The shapes planStream rejected execute materialized
+// on the scratch engine and stream from memory.
 //
 // Like the pushdown stream — and unlike scratch loads — the pipelined
 // path is not bounded by SourceBudget: its cursors are paced by the
@@ -271,18 +271,14 @@ func (f *Federation) ExecuteStreamOp(ctx context.Context, plan *Plan, params ...
 		}
 		return it, &StreamExec{Operator: "pushdown"}, nil
 	}
-	if plan.stream != nil && !f.DisableStreamOps {
-		return f.executeStreamPlan(ctx, plan, params)
-	}
-	fallback := plan.streamReason
 	if plan.stream != nil {
-		fallback = "stream operators disabled"
+		return f.executeStreamPlan(ctx, plan, params)
 	}
 	rs, err := f.ExecuteContext(ctx, plan, params...)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sqlengine.SliceIter(rs), &StreamExec{Operator: "scratch", Fallback: fallback}, nil
+	return sqlengine.SliceIter(rs), &StreamExec{Operator: "scratch", Fallback: plan.streamReason}, nil
 }
 
 // executeStreamPlan opens one live source cursor per branch input (a

@@ -163,15 +163,6 @@ func TestStreamOpFallbackReasons(t *testing.T) {
 	}
 }
 
-func TestStreamOpDisabled(t *testing.T) {
-	f := buildFederation(t)
-	f.DisableStreamOps = true
-	ex := execBoth(t, f, "SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run")
-	if ex.Operator != "scratch" || ex.Fallback != "stream operators disabled" {
-		t.Fatalf("executed = %q/%q, want scratch/disabled", ex.Operator, ex.Fallback)
-	}
-}
-
 func TestStreamOpPushdownUnaffected(t *testing.T) {
 	f := buildFederation(t)
 	plan, err := f.PlanQuery("SELECT event_id FROM events WHERE run = 100")

@@ -81,12 +81,6 @@ type Federation struct {
 	// streaming operators exist to avoid.
 	ScratchMaxBytes int64
 
-	// DisableStreamOps forces decomposed plans onto the materialize-into-
-	// scratch path even when the streaming operators could serve them.
-	// It exists for A/B measurement (benchrepro's join experiment) and as
-	// an operational escape hatch.
-	DisableStreamOps bool
-
 	// Logger receives structured records for sub-query dispatch (one per
 	// decomposed table load, carrying the query id from the context); nil
 	// disables them.
