@@ -3,10 +3,12 @@
 // per query whether to route through the POOL-RAL module (databases whose
 // vendor POOL supports) or the Unity/JDBC module (everything else), and —
 // when a requested table is not registered locally — consults the Replica
-// Location Service and forwards sub-queries to the remote JClarens
-// instance that hosts it, integrating all partial results into one
-// consistent answer. It also hosts the runtime features of §4.9 (schema-
-// change tracking) and §4.10 (plug-in databases).
+// Location Service and hands the federation the remote JClarens instance
+// that hosts it as one more location of the query's plan: the whole query
+// goes there when every table does, otherwise that table's sub-query is
+// one load of the decomposed plan beside the member databases'. It also
+// hosts the runtime features of §4.9 (schema-change tracking) and §4.10
+// (plug-in databases).
 //
 // Every query path is context-aware end-to-end: QueryContext threads its
 // context through the POOL-RAL statement, each Unity sub-query, RLS

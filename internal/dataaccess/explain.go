@@ -8,6 +8,7 @@ package dataaccess
 
 import (
 	"context"
+	"strings"
 
 	"gridrdb/internal/sqlengine"
 )
@@ -48,11 +49,13 @@ func (s *Service) explainMap(class string, d *decision, cached bool) map[string]
 		m["deps"] = []interface{}{}
 		return m
 	}
-	rp := d.rp
-	switch {
-	case d.plan != nil:
-		pe := d.plan.Explain()
-		m["tables"] = strList(pe.Tables)
+	pe := d.plan.Explain()
+	m["tables"] = strList(pe.Tables)
+	if d.class == classRemote {
+		// The peer gets the query text whole: it plans it, not this server.
+		m["forward_url"] = d.peers[0]
+		m["relay"] = s.relayTier(d.peers[0])
+	} else {
 		m["pushdown"] = pe.Pushdown
 		if pe.Pushdown {
 			m["source"] = pe.Source
@@ -75,32 +78,22 @@ func (s *Service) explainMap(class string, d *decision, cached bool) map[string]
 			}
 		}
 		m["subqueries"] = subs
-	case d.class == classRemote:
-		m["tables"] = strList(rp.tables)
-		m["forward_url"] = rp.singleURL
-		m["relay"] = s.relayTier(rp.singleURL)
-	default:
-		m["tables"] = strList(rp.tables)
-		remote := make(map[string]interface{}, len(rp.remoteHost))
-		relay := make(map[string]interface{}, len(rp.remoteHost))
-		for table, url := range rp.remoteHost {
-			remote[table] = url
-			relay[url] = s.relayTier(url)
-		}
-		m["remote_tables"] = remote
-		m["relay"] = relay
-		local := make([]string, 0, len(rp.local))
-		for t := range rp.local {
-			local = append(local, t)
-		}
-		m["local_tables"] = strList(local)
-		// Pipelined integration over the per-table streams, or the scratch
-		// engine with the analyzer's rejection reason.
-		if d.mixed != nil {
-			m["operator"] = "pipelined mixed"
-		} else {
-			m["operator"] = "scratch"
-			m["stream_fallback"] = d.mixedFallback
+		if d.class == classMixed {
+			// Which of those loads cross to another server, and how each
+			// peer's pages would be framed.
+			remote, local := map[string]interface{}{}, []interface{}{}
+			for _, sub := range pe.Subs {
+				if url, atPeer := strings.CutPrefix(sub.Source, remoteDepPrefix); atPeer {
+					remote[sub.Table] = url
+				} else {
+					local = append(local, sub.Table)
+				}
+			}
+			relay := make(map[string]interface{}, len(d.peers))
+			for _, url := range d.peers {
+				relay[url] = s.relayTier(url)
+			}
+			m["remote_tables"], m["local_tables"], m["relay"] = remote, local, relay
 		}
 	}
 	deps := make([]interface{}, len(d.deps))

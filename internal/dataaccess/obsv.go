@@ -26,7 +26,7 @@ import (
 
 // Route classes for the latency histograms and per-route counters: the
 // cache hit, the two local modules (with unity split by plan shape), the
-// whole-query forward/relay, and the mixed integration.
+// whole-query forward/relay, and the decomposed plan with loads at peers.
 const (
 	classCache = iota
 	classRAL

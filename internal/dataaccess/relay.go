@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"strings"
 	"time"
 
 	"gridrdb/internal/clarens"
@@ -132,16 +133,18 @@ func (s *Service) remoteRows(ctx context.Context, serverURL, sqlText string, who
 	return sqlengine.SliceIter(rs), nil
 }
 
-// tableStreamFromRemote returns the stream for one table fetch of a mixed
-// (multi-server) query. The stream is *lazy*: the relay cursor is opened
-// on the peer only when integration starts consuming this table, not when
-// the query is planned — a query whose earlier tables take minutes to
-// load must not leave later tables' remote cursors idling toward the
-// peer's TTL reaper before their first fetch.
-func (s *Service) tableStreamFromRemote(ctx context.Context, serverURL, fetchSQL string) sqlengine.RowIter {
+// tableStreamFromRemote is the federation's peer opener: the stream of
+// one table load planned at a peer location (see peerLocations). The
+// stream is *lazy*: the relay cursor is opened on the peer only when the
+// integration starts consuming this table, not when its loads are opened
+// — a query whose other tables take minutes to produce their first row
+// must not leave this one's remote cursor idling toward the peer's TTL
+// reaper before its first fetch.
+func (s *Service) tableStreamFromRemote(ctx context.Context, location, fetchSQL string) (sqlengine.RowIter, error) {
+	serverURL := strings.TrimPrefix(location, remoteDepPrefix)
 	return &lazyIter{open: func() (sqlengine.RowIter, error) {
 		return s.remoteRows(ctx, serverURL, fetchSQL, false)
-	}}
+	}}, nil
 }
 
 // lazyIter defers producing its inner iterator until first use, so a

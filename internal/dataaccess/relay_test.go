@@ -40,6 +40,7 @@ func addEngineMart(t *testing.T, s *Service, e *sqlengine.Engine) {
 // hosts nothing and reaches the tables through the RLS.
 type relayPair struct {
 	catalog *rls.Server
+	rlsURL  string
 	host    *Service
 	hostSrv *clarens.Server
 	fwd     *Service
@@ -58,6 +59,22 @@ func (p *relayPair) close() {
 	})
 }
 
+// server starts one more data access server publishing to the pair's RLS;
+// the caller closes it.
+func (p *relayPair) server(t *testing.T, cfg Config) (*Service, *clarens.Server) {
+	t.Helper()
+	cfg.RLS = rls.NewClient(p.rlsURL)
+	svc := New(cfg)
+	srv := clarens.NewServer(true)
+	svc.RegisterMethods(srv)
+	url, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.SetURL(url)
+	return svc, srv
+}
+
 // newRelayPair builds the testbed; mart/table name the host's engine and
 // its one table (engine registration is global, so names must be
 // test-unique). With mart "" the host starts empty and the test adds its
@@ -69,25 +86,14 @@ func newRelayPair(t *testing.T, hostCfg, fwdCfg Config, mart, table string, rows
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(cfg Config) (*Service, *clarens.Server) {
-		cfg.RLS = rls.NewClient(rlsURL)
-		svc := New(cfg)
-		srv := clarens.NewServer(true)
-		svc.RegisterMethods(srv)
-		url, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc.SetURL(url)
-		return svc, srv
-	}
-	host, hostSrv := mk(hostCfg)
-	fwd, fwdSrv := mk(fwdCfg)
+	p := &relayPair{catalog: catalog, rlsURL: rlsURL}
+	p.host, p.hostSrv = p.server(t, hostCfg)
+	p.fwd, p.fwdSrv = p.server(t, fwdCfg)
 	if mart != "" {
 		_, spec := mkMart(t, mart, sqlengine.DialectMySQL, table, rows)
-		addMart(t, host, mart, spec, "gridsql-mysql")
+		addMart(t, p.host, mart, spec, "gridsql-mysql")
 	}
-	return &relayPair{catalog: catalog, host: host, hostSrv: hostSrv, fwd: fwd, fwdSrv: fwdSrv}
+	return p
 }
 
 // drainStream collects a stream fully, closing it.

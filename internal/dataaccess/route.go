@@ -6,11 +6,18 @@ package dataaccess
 // open executes it as a row stream: QueryStreamContext hands that stream
 // to its consumer, QueryContext drains it, and Explain renders the
 // decision without opening anything — so the three cannot disagree.
+// Where a table lives does not change the path: a table on another server
+// is a peer location of the federation's one plan (unity.PlanQueryAt),
+// its rows arrive through the federation's peer opener, and "mixed" is
+// only the label a plan with such loads carries to the client.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
+	"slices"
+	"strings"
 
 	"gridrdb/internal/qcache"
 	"gridrdb/internal/sqlengine"
@@ -18,72 +25,104 @@ import (
 )
 
 // decision names how one query will be answered and carries what open
-// needs to answer it.
+// needs to answer it; everything in it is read off the plan.
 type decision struct {
 	// class is the route class: classRAL, classUnityPush or
-	// classUnityDecomp for a fully local query (plan set), classRemote or
-	// classMixed for one touching tables hosted elsewhere (rp set).
+	// classUnityDecomp for a plan over member databases only, classMixed
+	// for one with loads at peers, and classRemote for one whose every
+	// load sits at the same peer and that takes no parameters — open
+	// sends that peer the query text whole.
 	class int32
 	plan  *unity.Plan
-	rp    *remotePlan
+	// peers lists the distinct peer servers behind the plan's loads.
+	peers []string
 	// ralConn and ral are the POOL-RAL handle and call shape of a classRAL
 	// query.
 	ralConn string
 	ral     *unity.RALParts
-	// mixed is the pipelined integration plan of a classMixed query; when
-	// nil the scratch engine integrates it and mixedFallback says why.
-	mixed         *sqlengine.StreamPlan
-	mixedFallback string
 	// deps is the (source, table) set the answer reads from — its
 	// cache-invalidation fingerprint.
 	deps []qcache.Dep
 }
 
-// resolve routes one query without executing it: POOL-RAL for a simple
-// single-source query on a supported vendor, Unity (pushdown or
-// decomposed) for the other fully local ones, and for tables this
-// instance does not host an RLS lookup followed by either the whole query
-// going to the one server that has them all, or a per-table integration.
+// resolve routes one query without executing it. The federation plans it;
+// tables no member database hosts are looked up in the RLS (§4.8) and the
+// query is planned again with the servers that host them as locations.
+// The plan then decides: POOL-RAL for a simple single-source query on a
+// supported vendor, Unity (pushdown or decomposed, peers included) for
+// the rest, and the whole query text to the peer when every table lives
+// on that one server.
 func (s *Service) resolve(ctx context.Context, sqlText string, params []sqlengine.Value) (*decision, error) {
 	t := trackFrom(ctx)
 	tp := t.now()
 	plan, err := s.fed.PlanQuery(sqlText)
 	t.addParse(tp)
 	defer t.addRoute(t.now())
-	d := &decision{}
 	var unknown *unity.ErrUnknownTable
+	if errors.As(err, &unknown) {
+		var locs map[string]string
+		if locs, err = s.peerLocations(ctx, unknown.Tables); err == nil {
+			plan, err = s.fed.PlanQueryAt(sqlText, locs)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	d := &decision{class: classUnityDecomp, plan: plan, deps: planDeps(plan)}
+	hosted := 0 // sub-queries on this server's member databases
+	for _, sub := range plan.Subs {
+		url, atPeer := strings.CutPrefix(sub.Source, remoteDepPrefix)
+		if !atPeer {
+			hosted++
+		} else if !slices.Contains(d.peers, url) {
+			d.peers = append(d.peers, url)
+		}
+	}
 	switch {
-	case err == nil:
-		d.class, d.plan, d.deps = classUnityDecomp, plan, planDeps(plan)
-		if plan.Pushdown {
-			d.class = classUnityPush
-			// Only POOL-supported sources have a handle, and the RAL call
-			// shape has no parameters.
-			s.mu.Lock()
-			conn, supported := s.ralConns[plan.Subs[0].Source]
-			s.mu.Unlock()
-			if supported && len(params) == 0 {
-				if parts, ok := s.fed.RALPartsFor(plan); ok {
-					d.class, d.ralConn, d.ral = classRAL, conn, parts
-				}
+	case plan.Pushdown:
+		d.class = classUnityPush
+		// Only POOL-supported sources have a handle, and the RAL call
+		// shape has no parameters.
+		s.mu.Lock()
+		conn, supported := s.ralConns[plan.Subs[0].Source]
+		s.mu.Unlock()
+		if supported && len(params) == 0 {
+			if parts, ok := s.fed.RALPartsFor(plan); ok {
+				d.class, d.ralConn, d.ral = classRAL, conn, parts
 			}
 		}
-	case errors.As(err, &unknown):
-		rp, err := s.resolveRemoteTables(ctx, sqlText)
-		if err != nil {
-			return nil, err
-		}
-		d.class, d.rp, d.deps = classMixed, rp, rp.deps
-		if rp.singleURL != "" && len(params) == 0 {
-			d.class = classRemote
-		} else {
-			d.mixed, d.mixedFallback = unity.PlanIntegrateStream(rp.sel)
-		}
-	default:
-		return nil, err
+	case hosted == 0 && len(d.peers) == 1 && len(params) == 0:
+		d.class = classRemote
+	case len(d.peers) > 0:
+		d.class = classMixed
 	}
 	t.noteDecision(d)
 	return d, nil
+}
+
+// peerLocations asks the RLS which server hosts each table this instance
+// does not, and returns the location to plan each at: remoteDepPrefix plus
+// the chosen server's URL — the source name its sub-query, its cache
+// dependency and the federation's peer opener all see.
+func (s *Service) peerLocations(ctx context.Context, tables []string) (map[string]string, error) {
+	if s.cfg.RLS == nil {
+		return nil, fmt.Errorf("dataaccess: query references unregistered tables and no RLS is configured")
+	}
+	locs := make(map[string]string, len(tables))
+	for _, t := range tables {
+		s.stats.RLSLookups.Add(1)
+		servers, err := s.cfg.RLS.LookupContext(ctx, t)
+		if err != nil {
+			return nil, err
+		}
+		// Never forward to ourselves (stale RLS entries).
+		servers = slices.DeleteFunc(servers, func(u string) bool { return u == s.cfg.URL })
+		if len(servers) == 0 {
+			return nil, fmt.Errorf("dataaccess: table %q is not registered locally and the RLS knows no server for it", t)
+		}
+		locs[t] = remoteDepPrefix + servers[0]
+	}
+	return locs, nil
 }
 
 // planDeps converts a unity plan's dependency list to cache deps.
@@ -125,43 +164,23 @@ func (s *Service) open(ctx context.Context, d *decision, sqlText string, params 
 		if wholeResult {
 			msg = "route: forward"
 		}
-		s.obs.log(ctx, slog.LevelDebug, msg, slog.String("peer", d.rp.singleURL))
-		it, err := s.remoteRows(ctx, d.rp.singleURL, sqlText, wholeResult)
+		s.obs.log(ctx, slog.LevelDebug, msg, slog.String("peer", d.peers[0]))
+		it, err := s.remoteRows(ctx, d.peers[0], sqlText, wholeResult)
 		if err != nil {
 			return nil, err
 		}
 		s.stats.Forwarded.Add(1)
 		return rawStream(it, RouteRemote, 2), nil
 
-	case classMixed:
-		s.obs.log(ctx, slog.LevelDebug, "route: mixed",
-			slog.Int("tables", len(d.rp.tables)), slog.Int("remote_tables", len(d.rp.remoteHost)))
-		loads, servers, err := s.mixedLoads(ctx, d.rp)
-		if err != nil {
-			return nil, err
+	default: // classUnityPush, classUnityDecomp, classMixed
+		// A peer is one more location of the one plan: "mixed" is what a
+		// plan with peer loads is called to the client, not another path.
+		route, routed, msg := RouteUnity, &s.stats.Unity, "route: unity"
+		if d.class == classMixed {
+			route, routed, msg = RouteMixed, &s.stats.Mixed, "route: mixed"
 		}
-		// Either integration owns the loads from here and closes them.
-		var it sqlengine.RowIter
-		ex := &unity.StreamExec{Operator: "scratch", Fallback: d.mixedFallback}
-		if d.mixed != nil {
-			ex.Operator = "pipelined mixed"
-			it, ex.Stats, err = unity.IntegrateStream(ctx, d.mixed, loads, params, s.cfg.ScratchMaxBytes)
-		} else {
-			var rs *sqlengine.ResultSet
-			if rs, err = unity.IntegrateIters(ctx, d.rp.sel, loads, params); err == nil {
-				it = sqlengine.SliceIter(rs)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.noteOperator(ctx, ex)
-		s.stats.Mixed.Add(1)
-		return rawStream(it, RouteMixed, servers), nil
-
-	default: // classUnityPush, classUnityDecomp
-		s.obs.log(ctx, slog.LevelDebug, "route: unity",
-			slog.Bool("pushdown", d.plan.Pushdown), slog.Int("tables", len(d.plan.Tables)))
+		s.obs.log(ctx, slog.LevelDebug, msg, slog.Bool("pushdown", d.plan.Pushdown),
+			slog.Int("tables", len(d.plan.Tables)), slog.Int("peers", len(d.peers)))
 		it, ex, err := s.fed.ExecuteStreamOp(ctx, d.plan, params...)
 		if err != nil {
 			return nil, err
@@ -169,40 +188,13 @@ func (s *Service) open(ctx context.Context, d *decision, sqlText string, params 
 		if !d.plan.Pushdown {
 			s.noteOperator(ctx, ex)
 		}
-		s.stats.Unity.Add(1)
-		return rawStream(it, RouteUnity, 1), nil
+		routed.Add(1)
+		return rawStream(it, route, 1+len(d.peers)), nil
 	}
 }
 
 func rawStream(it sqlengine.RowIter, route Route, servers int) *StreamResult {
 	return &StreamResult{cols: it.Columns(), Route: route, Servers: servers, iter: it}
-}
-
-// mixedLoads opens one stream per table of a mixed query — a federation
-// cursor for the tables hosted here, a lazy relay for the others, so a
-// peer's cursor opens only when the integration reaches its table — and
-// counts the servers involved.
-func (s *Service) mixedLoads(ctx context.Context, rp *remotePlan) ([]unity.StreamLoad, int, error) {
-	loads := make([]unity.StreamLoad, 0, len(rp.tables))
-	peers := map[string]bool{}
-	for _, tbl := range rp.tables {
-		fetch := unity.RemoteFetchSQL(rp.sel, tbl)
-		var it sqlengine.RowIter
-		if rp.local[tbl] {
-			var err error
-			if it, _, err = s.fed.QueryStreamContext(ctx, fetch); err != nil {
-				for _, ld := range loads {
-					ld.Iter.Close()
-				}
-				return nil, 0, err
-			}
-		} else {
-			it = s.tableStreamFromRemote(ctx, rp.remoteHost[tbl], fetch)
-			peers[rp.remoteHost[tbl]] = true
-		}
-		loads = append(loads, unity.StreamLoad{Logical: tbl, Iter: it})
-	}
-	return loads, 1 + len(peers), nil
 }
 
 // noteOperator records how a decomposed or mixed query actually ran —

@@ -208,6 +208,7 @@ func New(cfg Config) *Service {
 	s.fed.SourceBudget = cfg.SourceBudget
 	s.fed.ScratchMaxBytes = cfg.ScratchMaxBytes
 	s.fed.Logger = s.obs.logger
+	s.fed.OpenPeer = s.tableStreamFromRemote
 	if cfg.CacheSize > 0 {
 		shards := cfg.CacheShards
 		if shards == 0 && cfg.CacheMaxBytes > 0 {
@@ -448,89 +449,13 @@ func (s *Service) acquireSlot(ctx context.Context) (*ticket, error) {
 	return tk, nil
 }
 
-// remoteDepPrefix marks cache dependencies on tables served by another
-// JClarens instance. The local schema tracker cannot observe remote
-// schema changes, so entries carrying these deps rely on CacheTTL (or an
-// explicit flush) for freshness.
+// remoteDepPrefix marks a source name as another JClarens instance:
+// prefixed to the server's URL it is the location a table served there is
+// planned at (peerLocations), and so the source of that table's sub-query
+// and of its cache dependency. The local schema tracker cannot observe
+// remote schema changes, so entries carrying these deps rely on CacheTTL
+// (or an explicit flush) for freshness.
 const remoteDepPrefix = "remote:"
-
-// remotePlan is the table-resolution outcome for a query touching tables
-// this instance does not host: which referenced tables are local, which
-// remote server hosts each remote table, and the cache-dependency
-// fingerprint of the answer.
-type remotePlan struct {
-	tables     []string
-	sel        *sqlengine.SelectStmt
-	local      map[string]bool
-	remoteHost map[string]string // table -> chosen server URL
-	deps       []qcache.Dep
-	// singleURL is set when no table is local and every remote table
-	// lives on one server — the whole query can be forwarded (or relayed)
-	// there untouched.
-	singleURL string
-}
-
-// resolveRemoteTables splits a query's tables into local and remote,
-// choosing a hosting server for each remote table through the RLS.
-func (s *Service) resolveRemoteTables(ctx context.Context, sqlText string) (*remotePlan, error) {
-	if s.cfg.RLS == nil {
-		return nil, fmt.Errorf("dataaccess: query references unregistered tables and no RLS is configured")
-	}
-	tables, sel, err := unity.TablesInQuery(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	rp := &remotePlan{tables: tables, sel: sel, local: map[string]bool{}, remoteHost: map[string]string{}}
-	for _, t := range tables {
-		if s.fed.HasTable(t) {
-			rp.local[t] = true
-			// The federation picks a replica at execution time, so depend
-			// on every local source hosting the table.
-			for _, loc := range s.fed.Dictionary().Lookup(t) {
-				rp.deps = append(rp.deps, qcache.Dep{Source: loc.Database, Table: t})
-			}
-			continue
-		}
-		s.stats.RLSLookups.Add(1)
-		servers, err := s.cfg.RLS.LookupContext(ctx, t)
-		if err != nil {
-			return nil, err
-		}
-		// Never forward to ourselves (stale RLS entries).
-		servers = without(servers, s.cfg.URL)
-		if len(servers) == 0 {
-			return nil, fmt.Errorf("dataaccess: table %q is not registered locally and the RLS knows no server for it", t)
-		}
-		rp.remoteHost[t] = servers[0]
-		rp.deps = append(rp.deps, qcache.Dep{Source: remoteDepPrefix + servers[0], Table: t})
-	}
-	if len(rp.local) == 0 {
-		single := ""
-		same := true
-		for _, url := range rp.remoteHost {
-			if single == "" {
-				single = url
-			} else if single != url {
-				same = false
-				break
-			}
-		}
-		if same {
-			rp.singleURL = single
-		}
-	}
-	return rp, nil
-}
-
-func without(ss []string, drop string) []string {
-	out := ss[:0:0]
-	for _, s := range ss {
-		if s != drop {
-			out = append(out, s)
-		}
-	}
-	return out
-}
 
 // remotePeer is one remembered remote JClarens instance plus the outcome
 // of the row-codec capability handshake against it.

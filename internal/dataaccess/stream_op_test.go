@@ -291,7 +291,7 @@ func TestStreamMixedPipelined(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(EncodeRowsBinary(got.Rows)) != string(EncodeRowsBinary(qr.Rows)) {
-		t.Fatal("pipelined mixed rows differ from the materialized integration")
+		t.Fatal("pipelined rows differ from the materialized integration")
 	}
 
 	// system.explain reports the mixed operator decision without executing.
@@ -299,8 +299,10 @@ func TestStreamMixedPipelined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op, _ := em["operator"].(string); op != "pipelined mixed" {
-		t.Fatalf("explain operator = %q, want pipelined mixed", op)
+	// sm_events has a spec row count and the peer's table none: the known
+	// side is the build, the relay the probe.
+	if op, _ := em["operator"].(string); op != "pipelined hash-join(build=left)" {
+		t.Fatalf("explain operator = %q, want pipelined hash-join(build=left)", op)
 	}
 }
 
@@ -426,11 +428,11 @@ func TestQueryIsTheDrainedStream(t *testing.T) {
 			route: RouteUnity, servers: 1, class: "unity-decomposed", operator: "scratch", fallback: "aggregation", local: true},
 		{name: "single remote: forward vs relay", sql: "SELECT event_id, e_tot FROM eq_remote WHERE run = 101",
 			route: RouteRemote, servers: 2, class: "remote"},
-		{name: "pipelined mixed", sql: "SELECT e.event_id, x.e_tot FROM eq_events e JOIN eq_remote x ON e.event_id = x.event_id WHERE x.run = 100",
-			route: RouteMixed, servers: 2, class: "mixed", operator: "pipelined mixed"},
-		{name: "pipelined mixed with params", sql: "SELECT x.event_id FROM eq_remote x WHERE x.run = ? ORDER BY x.event_id",
+		{name: "mixed hash join", sql: "SELECT e.event_id, x.e_tot FROM eq_events e JOIN eq_remote x ON e.event_id = x.event_id WHERE x.run = 100",
+			route: RouteMixed, servers: 2, class: "mixed", operator: "pipelined hash-join(build=left)"},
+		{name: "mixed scan with params", sql: "SELECT x.event_id FROM eq_remote x WHERE x.run = ? ORDER BY x.event_id",
 			params: []sqlengine.Value{sqlengine.NewInt(100)},
-			route:  RouteMixed, servers: 2, class: "mixed", operator: "pipelined mixed", ordered: true},
+			route:  RouteMixed, servers: 2, class: "mixed", operator: "pipelined scan", ordered: true},
 		{name: "scratch mixed", sql: "SELECT x.run, COUNT(*) FROM eq_events e JOIN eq_remote x ON e.run = x.run GROUP BY x.run",
 			route: RouteMixed, servers: 2, class: "mixed", operator: "scratch", fallback: "aggregation"},
 	}
@@ -583,8 +585,10 @@ func TestQueryCancelMidDrain(t *testing.T) {
 		{name: "pipelined join, spilling", sql: "SELECT p.a, e.e_tot FROM paged_t p JOIN cmd_events e ON p.a = e.event_id",
 			class: "unity-decomposed", operator: "pipelined hash-join(build=right)", spills: true},
 		{name: "forward", sql: "SELECT a FROM paged_t", stallPeer: true, class: "remote"},
-		{name: "pipelined mixed over a relay", stallPeer: true, class: "mixed", operator: "pipelined mixed",
-			sql: "SELECT e.event_id, p.a FROM cmd_events e JOIN paged_t p ON e.event_id = p.a"},
+		// The build is the side with a row count — cmd_events, spilled under
+		// the 1-byte budget — and the stalled relay is the probe.
+		{name: "mixed join over a relay", stallPeer: true, class: "mixed", operator: "pipelined hash-join(build=left)",
+			sql: "SELECT e.event_id, p.a FROM cmd_events e JOIN paged_t p ON e.event_id = p.a", spills: true},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

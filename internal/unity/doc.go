@@ -24,8 +24,15 @@
 // scatter-gather their per-table sub-queries (optionally bounded per
 // sub-query by SourceBudget) into a scratch engine and integrate there —
 // the fallback for the remaining shapes and the reference the operators
-// are tested against. IntegrateStream and IntegrateIters expose the two
-// integration steps over caller-supplied row streams; the data access
-// layer feeds them cursor relays from remote Clarens servers so
-// federated joins consume remote streams incrementally too.
+// are tested against.
+//
+// A table need not live on a member database. PlanQueryAt takes, beside
+// the query, the locations of the tables the dictionary does not know
+// (the data access layer passes the peer Clarens server the RLS named for
+// each): such a table is one more load of the same decomposed plan — a
+// spec-less one, so SELECT * with only alias-qualified conjuncts pushed,
+// no row count, column kinds inferred on the scratch path — and both
+// executors open it through the one hook OpenPeer, which the data access
+// layer sets to its cursor relay. Nothing else about planning or
+// execution depends on where a table is.
 package unity

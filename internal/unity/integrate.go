@@ -25,47 +25,6 @@ const integrateBatch = 256
 // iterator path exists to avoid.
 const inferPrefixRows = 4 * integrateBatch
 
-// StreamLoad pairs one logical table with the incremental row stream that
-// feeds it during integration. The stream may come from a local member
-// database or — in the data access layer's federated path — from a cursor
-// relay pulling pages off a remote Clarens server.
-type StreamLoad struct {
-	// Logical is the table name the integration statement references.
-	Logical string
-	// Iter produces the table's rows; IntegrateIters closes it.
-	Iter sqlengine.RowIter
-}
-
-// IntegrateIters runs the final integration step of a decomposed plan over
-// incremental inputs: each load streams into a scratch table in bounded
-// batches and the original statement then executes locally over the loaded
-// tables. Column kinds are inferred from each stream's bounded prefix —
-// rows are buffered until every column has produced a non-null sample or
-// the prefix cap is hit, so a typed column that starts with a run of
-// NULLs is still created under its real kind; a column with no sample in
-// the prefix defaults to string.
-// All iterators are closed before return, on success and error alike; the
-// first failing load aborts the rest.
-func IntegrateIters(ctx context.Context, sel *sqlengine.SelectStmt, loads []StreamLoad, params []sqlengine.Value) (*sqlengine.ResultSet, error) {
-	defer func() {
-		for _, ld := range loads {
-			ld.Iter.Close()
-		}
-	}()
-	scratch := sqlengine.NewEngine("unity-scratch", sqlengine.DialectANSI)
-	for _, ld := range loads {
-		if err := loadTableFromIter(ctx, scratch, ld.Logical, nil, ld.Iter); err != nil {
-			return nil, err
-		}
-	}
-	sess := scratch.NewSession()
-	rs, _, err := sess.RunStmt(sel, params)
-	if err != nil {
-		return nil, fmt.Errorf("unity: integration: %w", err)
-	}
-	return rs, nil
-}
-
 // specColumnDefs derives scratch column definitions from a table spec; an
 // empty spec returns nil, selecting first-batch inference in
 // loadTableFromIter.

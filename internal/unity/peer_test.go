@@ -1,0 +1,256 @@
+package unity
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"gridrdb/internal/sqlengine"
+)
+
+// Tests for peer locations: a table no member database hosts is one more
+// load of the one decomposed plan, opened through Federation.OpenPeer.
+
+// peerStub stands in for the data access layer's relay: it answers each
+// peer load from an in-memory ANSI engine and records what it was asked.
+type peerStub struct {
+	eng *sqlengine.Engine
+
+	mu     sync.Mutex
+	opens  []string // "peer sql" per OpenPeer call
+	closed int
+}
+
+func (p *peerStub) open(_ context.Context, peer, sqlText string) (sqlengine.RowIter, error) {
+	rs, err := p.eng.Query(sqlText)
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	p.opens = append(p.opens, peer+" "+sqlText)
+	p.mu.Unlock()
+	return &closeCountIter{RowIter: sqlengine.SliceIter(rs), p: p}, nil
+}
+
+type closeCountIter struct {
+	sqlengine.RowIter
+	p *peerStub
+}
+
+func (it *closeCountIter) Close() error {
+	it.p.mu.Lock()
+	it.p.closed++
+	it.p.mu.Unlock()
+	return it.RowIter.Close()
+}
+
+const runsPeer = "peer://tier1"
+
+// runsOnPeer is buildFederation with runs moved off the federation: the
+// MS-SQL member is unplugged and the same rows are served by a peer.
+func runsOnPeer(t *testing.T) (*Federation, *peerStub, map[string]string) {
+	t.Helper()
+	f := buildFederation(t)
+	if err := f.RemoveSource("tier2ms"); err != nil {
+		t.Fatal(err)
+	}
+	p := &peerStub{eng: sqlengine.NewEngine("peer", sqlengine.DialectANSI)}
+	if err := p.eng.ExecScript(`CREATE TABLE runs (run BIGINT PRIMARY KEY, detector VARCHAR(16));
+		INSERT INTO runs VALUES (100,'CMS'),(101,'ATLAS')`); err != nil {
+		t.Fatal(err)
+	}
+	f.OpenPeer = p.open
+	return f, p, map[string]string{"runs": runsPeer}
+}
+
+// singleEngine holds buildFederation's events and runs in one engine: the
+// reference a federated answer must equal wherever the tables live.
+func singleEngine(t *testing.T) *sqlengine.Engine {
+	t.Helper()
+	e := sqlengine.NewEngine("reference", sqlengine.DialectANSI)
+	if err := e.ExecScript(`CREATE TABLE events (event_id BIGINT PRIMARY KEY, run BIGINT NOT NULL, e_tot DOUBLE);
+		INSERT INTO events VALUES (1,100,5.5),(2,100,7.0),(3,101,2.5),(4,102,9.0);
+		CREATE TABLE runs (run BIGINT PRIMARY KEY, detector VARCHAR(16));
+		INSERT INTO runs VALUES (100,'CMS'),(101,'ATLAS')`); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestPeerLoadSubQuery: a peer table's sub-query is SELECT * in ANSI over
+// logical names with only the alias-qualified conjuncts pushed — a bare
+// column cannot be attributed without a spec, another table's conjunct is
+// not its own — the local side of the same plan keeps its pruned columns
+// and bare-column pushdown, and a peer table referenced twice loads
+// unfiltered.
+func TestPeerLoadSubQuery(t *testing.T) {
+	f, _, peers := runsOnPeer(t)
+	plan, err := f.PlanQueryAt(`SELECT e.event_id FROM events e JOIN runs r ON e.run = r.run
+		WHERE e_tot > 5 AND r.detector = 'CMS' AND detector <> 'LHCb'`, peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Pushdown || len(plan.Subs) != 2 {
+		t.Fatalf("plan = %+v, want two decomposed loads", plan)
+	}
+	ev, runs := plan.Subs[0], plan.Subs[1]
+	if ev.Source != "tier2my" || !strings.Contains(ev.SQL, "`e_tot` > 5") || strings.Contains(ev.SQL, "*") {
+		t.Errorf("local load = %+v, want pruned columns and the bare e_tot conjunct on tier2my", ev)
+	}
+	if runs.Source != runsPeer || runs.Table != "runs" {
+		t.Errorf("peer load = %+v, want runs at %s", runs, runsPeer)
+	}
+	if want := `SELECT * FROM "runs" "r" WHERE ("r"."detector" = 'CMS')`; runs.SQL != want {
+		t.Errorf("peer sub-query = %s\nwant %s", runs.SQL, want)
+	}
+	if dep := plan.Dependencies(); !reflect.DeepEqual(dep, [][2]string{{"tier2my", "events"}, {runsPeer, "runs"}}) {
+		t.Errorf("dependencies = %v", dep)
+	}
+
+	twice, err := f.PlanQueryAt("SELECT a.run FROM runs a JOIN runs b ON a.run = b.run WHERE a.detector = 'CMS'", peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(twice.Subs) != 1 || twice.Subs[0].SQL != `SELECT * FROM "runs"` {
+		t.Errorf("doubly-referenced peer table: subs = %+v, want one unfiltered load", twice.Subs)
+	}
+
+	// A table in the dictionary is planned from the dictionary.
+	local, err := f.PlanQueryAt("SELECT event_id FROM events", map[string]string{"events": runsPeer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !local.Pushdown || local.Subs[0].Source != "tier2my" {
+		t.Errorf("hosted table planned at %+v, want the tier2my pushdown", local.Subs)
+	}
+}
+
+// TestPeerLoadExecution: the one planner's executors open a peer load
+// through OpenPeer — once per branch input on the pipelined path, so a
+// peer table in two UNION branches or a self-join stays pipelined, and
+// once per table on the scratch path — close every stream they opened,
+// count one federation query, and answer what one engine would.
+func TestPeerLoadExecution(t *testing.T) {
+	ref := singleEngine(t)
+	for _, tc := range []struct {
+		name, sql string
+		operator  string
+		opens     int
+	}{
+		{"join", "SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run WHERE r.detector = 'CMS'",
+			"pipelined hash-join(build=left)", 1},
+		{"two branches", "SELECT r.run FROM runs r WHERE r.detector = 'CMS' UNION ALL SELECT r.run FROM runs r",
+			"pipelined union(scan, scan)", 2},
+		{"self-join", "SELECT a.run, b.detector FROM runs a JOIN runs b ON a.run = b.run",
+			"pipelined hash-join(build=right)", 2},
+		{"aggregate", "SELECT r.detector, COUNT(*) FROM events e JOIN runs r ON e.run = r.run GROUP BY r.detector",
+			"scratch", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, p, peers := runsOnPeer(t)
+			plan, err := f.PlanQueryAt(tc.sql, peers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it, ex, err := f.ExecuteStreamOp(context.Background(), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.Operator != tc.operator || plan.Explain().Operator != tc.operator {
+				t.Errorf("operator = %q (explain %q), want %q", ex.Operator, plan.Explain().Operator, tc.operator)
+			}
+			got, err := sqlengine.Drain(it)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Query(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := rowStrings(got.Rows), rowStrings(want.Rows); !reflect.DeepEqual(g, w) {
+				t.Errorf("rows %q, one engine answers %q", g, w)
+			}
+			if len(p.opens) != tc.opens || p.closed != tc.opens {
+				t.Errorf("peer loads opened %d (closed %d), want %d: %q", len(p.opens), p.closed, tc.opens, p.opens)
+			}
+			if q, _, push := f.Stats(); q != 1 || push != 0 {
+				t.Errorf("federation counted %d queries, %d pushdowns; want 1, 0", q, push)
+			}
+		})
+	}
+
+	// Without an opener the plan still forms; executing it says why it
+	// cannot run.
+	f, _, peers := runsOnPeer(t)
+	f.OpenPeer = nil
+	plan, err := f.PlanQueryAt("SELECT r.run FROM runs r", peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.ExecuteStreamOp(context.Background(), plan); err == nil || !strings.Contains(err.Error(), "no peer opener") {
+		t.Errorf("err = %v, want the missing-opener error", err)
+	}
+}
+
+// TestOuterJoinWhereStaysAboveTheJoin: a WHERE conjunct over the
+// null-supplying side of an outer join must not be pushed into that
+// side's load — the anti-join idiom would match every row. Checked
+// against one engine holding both tables (the pipelined and the scratch
+// path share the loads, so they cannot check each other), with runs on a
+// member database and on a peer.
+func TestOuterJoinWhereStaysAboveTheJoin(t *testing.T) {
+	ref := singleEngine(t)
+	local := buildFederation(t)
+	remote, _, peers := runsOnPeer(t)
+	for _, tc := range []struct{ name, sql, operator string }{
+		{"anti-join, pipelined", "SELECT e.event_id FROM events e LEFT JOIN runs r ON e.run = r.run WHERE r.detector IS NULL ORDER BY e.event_id",
+			"pipelined hash-join(build=right)"},
+		{"anti-join, scratch", "SELECT e.event_id, COUNT(*) FROM events e LEFT JOIN runs r ON e.run = r.run WHERE r.detector IS NULL GROUP BY e.event_id ORDER BY e.event_id",
+			"scratch"},
+		{"coalesce", "SELECT e.event_id FROM events e LEFT JOIN runs r ON e.run = r.run WHERE COALESCE(r.detector, 'none') = 'none' ORDER BY e.event_id",
+			"pipelined hash-join(build=right)"},
+		{"right join", "SELECT e.event_id FROM runs r RIGHT JOIN events e ON e.run = r.run WHERE r.detector IS NULL AND e.e_tot > 1 ORDER BY e.event_id",
+			"scratch"},
+		// The preserved side still filters at its source.
+		{"preserved side", "SELECT e.event_id, r.detector FROM events e LEFT JOIN runs r ON e.run = r.run WHERE e.e_tot > 5 ORDER BY e.event_id",
+			"pipelined hash-join(build=right)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := ref.Query(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for where, f := range map[string]*Federation{"member database": local, "peer": remote} {
+				plan, err := f.PlanQueryAt(tc.sql, peers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, sub := range plan.Subs {
+					if sub.Table == "runs" && strings.Contains(strings.ToUpper(sub.SQL), "WHERE") {
+						t.Errorf("runs on a %s: WHERE pushed below the outer join: %s", where, sub.SQL)
+					}
+					if sub.Table == "events" && strings.Contains(tc.sql, "e.e_tot >") && !strings.Contains(sub.SQL, "`e_tot` >") {
+						t.Errorf("runs on a %s: preserved side lost its pushdown: %s", where, sub.SQL)
+					}
+				}
+				it, ex, err := f.ExecuteStreamOp(context.Background(), plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ex.Operator != tc.operator {
+					t.Errorf("runs on a %s: operator = %q, want %q", where, ex.Operator, tc.operator)
+				}
+				got, err := sqlengine.Drain(it)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := fmt.Sprint(got.Rows), fmt.Sprint(want.Rows); g != w {
+					t.Errorf("runs on a %s: rows %s, one engine answers %s", where, g, w)
+				}
+			}
+		})
+	}
+}

@@ -1,17 +1,17 @@
 package unity
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"gridrdb/internal/sqlengine"
-	"gridrdb/internal/xspec"
 )
 
 // QuerySource runs raw SQL on one member database (used by the schema
 // tracker to introspect live sources and by diagnostics).
 func (f *Federation) QuerySource(name, sqlText string) (*sqlengine.ResultSet, error) {
-	return f.runOnSource(name, sqlText, nil)
+	return f.runOnSourceCtx(context.Background(), name, sqlText, nil)
 }
 
 // SourceDialectName returns the vendor dialect of a source.
@@ -214,72 +214,4 @@ func hasParam(e sqlengine.Expr) bool {
 // ("mysql").
 func VendorFromDriver(driver string) string {
 	return strings.TrimPrefix(driver, "gridsql-")
-}
-
-// RemoteFetchSQL builds the per-table fetch query used when integrating a
-// query that spans Clarens servers: "SELECT * FROM <table> [alias]" plus
-// any WHERE conjuncts that reference only this table through its alias
-// (alias-qualified references are attributable without a schema; bare
-// columns are left for residual evaluation). The SQL is rendered in the
-// ANSI dialect over logical names — the remote data access service maps
-// names and dialects itself.
-func RemoteFetchSQL(sel *sqlengine.SelectStmt, logical string) string {
-	var uses []tableUse
-	collectTables(sel, &uses)
-	var use *tableUse
-	refs := 0
-	for i := range uses {
-		if uses[i].ref.Name == logical {
-			refs++
-			use = &uses[i]
-		}
-	}
-	out := &sqlengine.SelectStmt{Limit: -1, Items: []sqlengine.SelectItem{{Star: true}}}
-	tr := sqlengine.TableRef{Name: logical}
-	if refs == 1 && use != nil {
-		tr.Alias = use.ref.Alias
-		if use.where != nil {
-			qualifier := use.ref.Alias
-			if qualifier == "" {
-				qualifier = logical
-			}
-			// Empty column map: only alias-qualified conjuncts qualify.
-			loc := xspec.TableLocation{ColByLogical: map[string]string{}}
-			for _, c := range pushableConjuncts(use.where, qualifier, loc) {
-				if out.Where == nil {
-					out.Where = c
-				} else {
-					out.Where = &sqlengine.BinaryExpr{Op: "AND", L: out.Where, R: c}
-				}
-			}
-		}
-	}
-	out.From = []sqlengine.TableRef{tr}
-	sqlText, err := RenderSelect(sqlengine.DialectANSI, out, &nameMapper{})
-	if err != nil {
-		return "SELECT * FROM " + logical
-	}
-	return sqlText
-}
-
-// TablesInQuery parses a federated SELECT and returns the distinct logical
-// tables it references (in first-appearance order) together with the
-// parsed statement, without consulting any dictionary. The data access
-// layer uses it to split local from remote tables before RLS lookup.
-func TablesInQuery(sqlText string) ([]string, *sqlengine.SelectStmt, error) {
-	sel, err := parseFederated(sqlText)
-	if err != nil {
-		return nil, nil, err
-	}
-	var uses []tableUse
-	collectTables(sel, &uses)
-	seen := map[string]bool{}
-	var out []string
-	for _, u := range uses {
-		if !seen[u.ref.Name] {
-			seen[u.ref.Name] = true
-			out = append(out, u.ref.Name)
-		}
-	}
-	return out, sel, nil
 }

@@ -67,50 +67,6 @@ func TestExtractRALPartsRejections(t *testing.T) {
 	}
 }
 
-func TestRemoteFetchSQLPushesAliasConjuncts(t *testing.T) {
-	_, sel, err := TablesInQuery("SELECT e.event_id FROM events e JOIN runs r ON e.run = r.run WHERE e.e_tot > 5 AND r.detector = 'CMS' AND event_id < 10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := RemoteFetchSQL(sel, "events")
-	// e.e_tot > 5 is alias-attributable -> pushed; r.detector belongs to
-	// the other table; bare event_id is not attributable without a spec.
-	if !strings.Contains(got, "e_tot") || !strings.Contains(got, "5") {
-		t.Errorf("conjunct not pushed: %q", got)
-	}
-	if strings.Contains(got, "detector") || strings.Contains(got, "event_id\" <") {
-		t.Errorf("foreign/unattributable conjunct pushed: %q", got)
-	}
-	// Table referenced twice: no pushdown at all.
-	_, sel2, err := TablesInQuery("SELECT a.event_id FROM events a JOIN events b ON a.event_id = b.event_id WHERE a.e_tot > 5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2 := RemoteFetchSQL(sel2, "events")
-	if strings.Contains(got2, "5") {
-		t.Errorf("pushdown applied to doubly-referenced table: %q", got2)
-	}
-}
-
-func TestTablesInQueryCollectsSubqueries(t *testing.T) {
-	tables, sel, err := TablesInQuery(`SELECT a.x FROM ta a WHERE a.k IN (SELECT k FROM tb) AND EXISTS (SELECT 1 FROM tc WHERE tc.k = 1)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel == nil {
-		t.Fatal("nil stmt")
-	}
-	want := map[string]bool{"ta": true, "tb": true, "tc": true}
-	if len(tables) != 3 {
-		t.Fatalf("tables = %v", tables)
-	}
-	for _, tn := range tables {
-		if !want[tn] {
-			t.Errorf("unexpected table %q", tn)
-		}
-	}
-}
-
 func TestVendorFromDriver(t *testing.T) {
 	if VendorFromDriver("gridsql-oracle") != "oracle" || VendorFromDriver("custom") != "custom" {
 		t.Error("vendor mapping")

@@ -137,21 +137,37 @@ func TestStreamPlanOpensInputsScattered(t *testing.T) {
 }
 
 // TestStreamPlanOpenFailureClosesSiblings: when one source fails to open,
-// the cursor its sibling opened meanwhile is closed, not stranded.
+// the cursor its sibling opened meanwhile is closed, not stranded — a
+// member database's cursor and a peer's stream alike.
 func TestStreamPlanOpenFailureClosesSiblings(t *testing.T) {
 	f, left, _ := sleepFederation(t, 20*time.Millisecond, true)
+	peer := &peerStub{eng: sqlengine.NewEngine("peer", sqlengine.DialectANSI)}
+	if err := peer.eng.ExecScript("CREATE TABLE pl (k BIGINT, v BIGINT); INSERT INTO pl VALUES (1, 10)"); err != nil {
+		t.Fatal(err)
+	}
+	f.OpenPeer = peer.open
 	plan, err := f.PlanQuery(sleepJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerPlan, err := f.PlanQueryAt("SELECT l.k, r.v FROM pl l JOIN sr r ON l.k = r.k", map[string]string{"pl": "peer://pl"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, parallel := range []bool{true, false} {
 		f.Parallel = parallel
-		before := left.closed.Load()
+		before, peerBefore := left.closed.Load(), peer.closed
 		if _, _, err := f.ExecuteStreamOp(context.Background(), plan); err == nil {
 			t.Fatalf("parallel=%v: open succeeded with a failing source", parallel)
 		}
 		if got := left.closed.Load() - before; got != 1 {
 			t.Errorf("parallel=%v: healthy source's cursor closed %d times, want 1", parallel, got)
+		}
+		if _, _, err := f.ExecuteStreamOp(context.Background(), peerPlan); err == nil {
+			t.Fatalf("parallel=%v: open succeeded with a failing source beside a peer", parallel)
+		}
+		if got := peer.closed - peerBefore; got != 1 {
+			t.Errorf("parallel=%v: peer stream closed %d times, want 1", parallel, got)
 		}
 	}
 }

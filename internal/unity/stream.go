@@ -302,7 +302,7 @@ func (f *Federation) executeStreamPlan(ctx context.Context, plan *Plan, params [
 		}
 		f.logSubquery(ctx, ld.source, ld.logical)
 		// The cursor outlives the scatter: it runs under the caller's ctx.
-		it, err := f.runOnSourceStreamCtx(ctx, ld.source, ld.sql, nil)
+		it, err := f.openLoad(ctx, ld)
 		if err != nil {
 			return err
 		}
@@ -327,75 +327,4 @@ func (f *Federation) executeStreamPlan(ctx context.Context, plan *Plan, params [
 		return nil, nil, err // StreamSelect closed the inputs
 	}
 	return out, &StreamExec{Operator: plan.streamOp, Stats: stats}, nil
-}
-
-// ---- streaming integration over caller-supplied inputs ----
-
-// PlanIntegrateStream analyzes the integration statement of a decomposed
-// plan whose inputs the caller already holds as live iterators (the data
-// access layer's mixed local/remote path). It returns the operator plan,
-// or ("", reason) when the shape needs the scratch engine. Beyond the
-// analyzer's own rules it requires each logical table to be referenced
-// exactly once, because the caller has a single single-consumer iterator
-// per table. Column layouts are unknown here (no specs), so star selects
-// and unqualified join keys are rejected by the analyzer.
-func PlanIntegrateStream(sel *sqlengine.SelectStmt) (*sqlengine.StreamPlan, string) {
-	sp, reason := sqlengine.AnalyzeStreamSelect(sel, nil)
-	if sp == nil {
-		return nil, reason
-	}
-	count := map[string]int{}
-	for _, br := range sp.Branches {
-		for _, in := range br.Inputs {
-			count[in.Table]++
-			if count[in.Table] > 1 {
-				return nil, fmt.Sprintf("table %q referenced more than once", in.Table)
-			}
-		}
-	}
-	return sp, ""
-}
-
-// IntegrateStream is the pipelined counterpart of IntegrateIters: it
-// wires the caller's per-table iterators into the operator pipeline of a
-// plan produced by PlanIntegrateStream and returns the live result
-// stream plus its telemetry sink (populated as the stream drains).
-// Ownership of every load iterator transfers here: each is closed when
-// the returned iterator is closed, or before an error return.
-func IntegrateStream(ctx context.Context, sp *sqlengine.StreamPlan, loads []StreamLoad, params []sqlengine.Value, budget int64) (sqlengine.RowIter, *sqlengine.StreamStats, error) {
-	byName := make(map[string]StreamLoad, len(loads))
-	for _, ld := range loads {
-		byName[strings.ToLower(ld.Logical)] = ld
-	}
-	used := make(map[string]bool, len(loads))
-	var inputs []sqlengine.StreamInput
-	for _, br := range sp.Branches {
-		for _, src := range br.Inputs {
-			ld, ok := byName[src.Table]
-			if !ok {
-				for _, l := range loads {
-					l.Iter.Close()
-				}
-				return nil, nil, fmt.Errorf("unity: stream integration has no input for table %q", src.Table)
-			}
-			used[src.Table] = true
-			inputs = append(inputs, sqlengine.StreamInput{Source: src, Iter: ld.Iter})
-		}
-	}
-	// Loads the plan never references (shouldn't happen, but the caller
-	// handed us their lifecycle) are released immediately.
-	for name, ld := range byName {
-		if !used[name] {
-			ld.Iter.Close()
-		}
-	}
-	stats := &sqlengine.StreamStats{}
-	out, err := sqlengine.StreamSelect(ctx, sp, inputs, params, sqlengine.StreamOptions{
-		BudgetBytes: budget,
-		Stats:       stats,
-	})
-	if err != nil {
-		return nil, nil, err // StreamSelect closed the inputs
-	}
-	return out, stats, nil
 }

@@ -180,102 +180,3 @@ func TestStreamOpPushdownUnaffected(t *testing.T) {
 		t.Fatalf("executed operator = %q", ex.Operator)
 	}
 }
-
-// TestIntegrateItersInferencePrefixCap guards the bounded-inference fix:
-// a column whose first non-NULL sample arrives beyond inferPrefixRows
-// must NOT keep buffering the stream — the column is typed string at the
-// cap, so the late values come back as strings.
-func TestIntegrateItersInferencePrefixCap(t *testing.T) {
-	total := inferPrefixRows + 300
-	rows := make([]sqlengine.Row, 0, total)
-	for i := 0; i < total; i++ {
-		a := sqlengine.Null()
-		if i >= inferPrefixRows+100 {
-			a = sqlengine.NewInt(int64(i))
-		}
-		rows = append(rows, sqlengine.Row{a, sqlengine.NewInt(int64(i))})
-	}
-	rs := &sqlengine.ResultSet{Columns: []string{"a", "id"}, Rows: rows}
-	st, err := sqlengine.NewParser(sqlengine.DialectANSI).ParseStatement(
-		"SELECT a FROM t WHERE a IS NOT NULL")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := IntegrateIters(context.Background(), st.(*sqlengine.SelectStmt),
-		[]StreamLoad{{Logical: "t", Iter: sqlengine.SliceIter(rs)}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Rows) != 200 {
-		t.Fatalf("got %d non-null rows, want 200", len(out.Rows))
-	}
-	// String kind proves inference stopped at the cap instead of
-	// buffering on until the first sample at inferPrefixRows+100.
-	if k := out.Rows[0][0].Kind; k != sqlengine.KindString {
-		t.Fatalf("late-sampled column kind = %v, want string (prefix cap not applied?)", k)
-	}
-}
-
-func TestPlanIntegrateStreamJoin(t *testing.T) {
-	mk := func(n int) *sqlengine.ResultSet {
-		rs := &sqlengine.ResultSet{Columns: []string{"k", "v"}}
-		for i := 0; i < n; i++ {
-			rs.Rows = append(rs.Rows, sqlengine.Row{
-				sqlengine.NewInt(int64(i % 5)), sqlengine.NewString(fmt.Sprintf("v%d", i)),
-			})
-		}
-		return rs
-	}
-	st, err := sqlengine.NewParser(sqlengine.DialectANSI).ParseStatement(
-		"SELECT a.v, b.v FROM ta a JOIN tb b ON a.k = b.k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := st.(*sqlengine.SelectStmt)
-	sp, reason := PlanIntegrateStream(sel)
-	if sp == nil {
-		t.Fatalf("not streamable: %s", reason)
-	}
-	want, err := IntegrateIters(context.Background(), sel, []StreamLoad{
-		{Logical: "ta", Iter: sqlengine.SliceIter(mk(7))},
-		{Logical: "tb", Iter: sqlengine.SliceIter(mk(4))},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, stats, err := IntegrateStream(context.Background(), sp, []StreamLoad{
-		{Logical: "ta", Iter: sqlengine.SliceIter(mk(7))},
-		{Logical: "tb", Iter: sqlengine.SliceIter(mk(4))},
-	}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sqlengine.Drain(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, ws := rowStrings(got.Rows), rowStrings(want.Rows)
-	if len(gs) != len(ws) {
-		t.Fatalf("stream %d rows, scratch %d", len(gs), len(ws))
-	}
-	for i := range gs {
-		if gs[i] != ws[i] {
-			t.Fatalf("row mismatch at %d", i)
-		}
-	}
-	if stats.BuildRows == 0 {
-		t.Fatal("hash build saw no rows")
-	}
-}
-
-func TestPlanIntegrateStreamRejectsDuplicateTable(t *testing.T) {
-	st, err := sqlengine.NewParser(sqlengine.DialectANSI).ParseStatement(
-		"SELECT a.k FROM ta a JOIN ta b ON a.k = b.k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, reason := PlanIntegrateStream(st.(*sqlengine.SelectStmt))
-	if sp != nil || !strings.Contains(reason, "referenced more than once") {
-		t.Fatalf("self-join accepted (reason=%q)", reason)
-	}
-}

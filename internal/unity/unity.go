@@ -17,13 +17,14 @@ import (
 	"gridrdb/internal/xspec"
 )
 
-// ErrUnknownTable is returned (wrapped) when a logical table is not in the
-// federation's dictionary; the data access layer uses it to trigger an RLS
-// lookup.
-type ErrUnknownTable struct{ Table string }
+// ErrUnknownTable is returned when a query references logical tables that
+// are neither in the federation's dictionary nor among the peer locations
+// the plan was given; it names every such table (in first-appearance
+// order), and the data access layer uses it to trigger the RLS lookups.
+type ErrUnknownTable struct{ Tables []string }
 
 func (e *ErrUnknownTable) Error() string {
-	return fmt.Sprintf("unity: unknown table %q in federation", e.Table)
+	return fmt.Sprintf("unity: unknown table %s in federation", strings.Join(e.Tables, ", "))
 }
 
 // Source is one member database of the federation.
@@ -85,6 +86,14 @@ type Federation struct {
 	// decomposed table load, carrying the query id from the context); nil
 	// disables them.
 	Logger *slog.Logger
+
+	// OpenPeer opens the row stream of one table load whose location is a
+	// peer rather than a member database (see PlanQueryAt): peer is the
+	// location the plan was given for the table, sqlText the load's
+	// sub-query in the ANSI dialect over logical names. The stream is
+	// paced by its consumer; bounding a stuck peer is the opener's job, so
+	// SourceBudget does not apply to these loads.
+	OpenPeer func(ctx context.Context, peer, sqlText string) (sqlengine.RowIter, error)
 
 	rr atomic.Int64 // round-robin tiebreaker
 
@@ -259,10 +268,13 @@ type Plan struct {
 
 type tableLoad struct {
 	logical string
-	source  string
-	sql     string
-	spec    xspec.TableSpec
-	loc     xspec.TableLocation
+	// source is the member database the load runs on — or, when peer is
+	// set, the peer location it is opened from through OpenPeer.
+	source string
+	peer   bool
+	sql    string
+	spec   xspec.TableSpec
+	loc    xspec.TableLocation
 	// use is the single query reference feeding predicate pushdown (nil
 	// when the table is referenced more than once); planStream needs it
 	// to re-render the sub-query with ORDER BY for merge joins.
@@ -288,12 +300,27 @@ type tableUse struct {
 
 // collectTables walks a SELECT (including joins, IN/EXISTS subqueries and
 // UNION branches) gathering every table reference with its scope's WHERE.
+// The null-supplying side of an outer join — the right table of a LEFT
+// JOIN, everything left of a RIGHT JOIN — gets no WHERE: filtering it
+// before the join turns the rows it drops into unmatched (NULL-padded)
+// ones, which the WHERE then sees as a different value (the anti-join
+// idiom "r.x IS NULL" would match every row).
 func collectTables(sel *sqlengine.SelectStmt, out *[]tableUse) {
+	scope := len(*out)
 	for _, tr := range sel.From {
 		*out = append(*out, tableUse{ref: tr, where: sel.Where})
 	}
 	for _, jc := range sel.Joins {
-		*out = append(*out, tableUse{ref: jc.Table, where: sel.Where})
+		use := tableUse{ref: jc.Table, where: sel.Where}
+		switch jc.Kind {
+		case sqlengine.JoinLeft:
+			use.where = nil
+		case sqlengine.JoinRight:
+			for i := scope; i < len(*out); i++ {
+				(*out)[i].where = nil
+			}
+		}
+		*out = append(*out, use)
 	}
 	var walkExpr func(e sqlengine.Expr)
 	walkExpr = func(e sqlengine.Expr) {
@@ -349,11 +376,24 @@ func collectTables(sel *sqlengine.SelectStmt, out *[]tableUse) {
 
 // PlanQuery parses and plans a federated query without executing it.
 func (f *Federation) PlanQuery(sqlText string) (*Plan, error) {
+	return f.PlanQueryAt(sqlText, nil)
+}
+
+// PlanQueryAt is PlanQuery for a query that may also reference tables no
+// member database hosts: peers maps each such logical table to the
+// location that serves it (the data access layer passes the peer server
+// the RLS named). A peer table is one more load of the decomposed plan —
+// rendered SELECT * in the ANSI dialect over logical names, with the
+// alias-qualified WHERE conjuncts pushed (it has no spec to attribute
+// bare columns with), and opened through OpenPeer — so the query is never
+// a whole-query pushdown. A table in the dictionary is planned from the
+// dictionary, whatever peers says.
+func (f *Federation) PlanQueryAt(sqlText string, peers map[string]string) (*Plan, error) {
 	sel, err := parseFederated(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	return f.plan(sel)
+	return f.plan(sel, peers)
 }
 
 func parseFederated(sqlText string) (*sqlengine.SelectStmt, error) {
@@ -368,7 +408,7 @@ func parseFederated(sqlText string) (*sqlengine.SelectStmt, error) {
 	return sel, nil
 }
 
-func (f *Federation) plan(sel *sqlengine.SelectStmt) (*Plan, error) {
+func (f *Federation) plan(sel *sqlengine.SelectStmt, peers map[string]string) (*Plan, error) {
 	f.mu.RLock()
 	dict := f.dict
 	f.mu.RUnlock()
@@ -381,17 +421,19 @@ func (f *Federation) plan(sel *sqlengine.SelectStmt) (*Plan, error) {
 
 	plan := &Plan{sel: sel}
 	seen := map[string]bool{}
+	var unknown []string
 	var common map[string]bool // databases hosting every table so far
 	for _, u := range uses {
 		logical := u.ref.Name
 		locs := dict.Lookup(logical)
-		if len(locs) == 0 {
-			return nil, &ErrUnknownTable{Table: logical}
-		}
 		if !seen[logical] {
 			seen[logical] = true
 			plan.Tables = append(plan.Tables, logical)
+			if _, ok := peers[logical]; len(locs) == 0 && !ok {
+				unknown = append(unknown, logical)
+			}
 		}
+		// A peer table has no hosting database, which rules the pushdown out.
 		hosts := map[string]bool{}
 		for _, l := range locs {
 			hosts[l.Database] = true
@@ -405,6 +447,10 @@ func (f *Federation) plan(sel *sqlengine.SelectStmt) (*Plan, error) {
 				}
 			}
 		}
+	}
+
+	if len(unknown) > 0 {
+		return nil, &ErrUnknownTable{Tables: unknown}
 	}
 
 	if len(common) > 0 {
@@ -429,15 +475,24 @@ func (f *Federation) plan(sel *sqlengine.SelectStmt) (*Plan, error) {
 		refCount[u.ref.Name]++
 	}
 	for _, logical := range plan.Tables {
+		var src string
+		var loc xspec.TableLocation
 		locs := dict.Lookup(logical)
-		dbs := make([]string, len(locs))
-		byDB := map[string]xspec.TableLocation{}
-		for i, l := range locs {
-			dbs[i] = l.Database
-			byDB[l.Database] = l
+		peer := len(locs) == 0
+		if peer {
+			// No spec: the sub-query below is SELECT * and the operators
+			// learn the column layout at run time.
+			src, loc = peers[logical], xspec.TableLocation{Spec: xspec.TableSpec{Logical: logical}}
+		} else {
+			dbs := make([]string, len(locs))
+			byDB := map[string]xspec.TableLocation{}
+			for i, l := range locs {
+				dbs[i] = l.Database
+				byDB[l.Database] = l
+			}
+			src = f.pickSource(dbs)
+			loc = byDB[src]
 		}
-		src := f.pickSource(dbs)
-		loc := byDB[src]
 		// Find the (single) use for predicate pushdown; tables referenced
 		// more than once load unfiltered.
 		var use *tableUse
@@ -453,7 +508,7 @@ func (f *Federation) plan(sel *sqlengine.SelectStmt) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan.loads = append(plan.loads, tableLoad{logical: logical, source: src, sql: subSQL, spec: loc.Spec, loc: loc, use: use})
+		plan.loads = append(plan.loads, tableLoad{logical: logical, source: src, peer: peer, sql: subSQL, spec: loc.Spec, loc: loc, use: use})
 		plan.Subs = append(plan.Subs, SubQuery{Source: src, Table: logical, SQL: subSQL})
 	}
 	f.planStream(plan)
@@ -827,11 +882,6 @@ func (f *Federation) QueryContext(ctx context.Context, sqlText string, params ..
 	return f.ExecuteContext(ctx, plan, params...)
 }
 
-// Execute runs a previously produced plan.
-func (f *Federation) Execute(plan *Plan, params ...sqlengine.Value) (*sqlengine.ResultSet, error) {
-	return f.ExecuteContext(context.Background(), plan, params...)
-}
-
 // maxParallel resolves the worker-pool width for n pending sub-queries.
 func (f *Federation) maxParallel(n int) int {
 	w := f.MaxParallel
@@ -920,14 +970,14 @@ func (f *Federation) ExecuteContext(ctx context.Context, plan *Plan, params ...s
 	// beyond the (unavoidable) scratch tables is one batch per worker.
 	scratch := sqlengine.NewEngine("unity-scratch", sqlengine.DialectANSI)
 	err := f.scatter(ctx, len(plan.loads), func(ctx context.Context, i int) error {
-		ld := plan.loads[i]
+		ld := &plan.loads[i]
 		f.logSubquery(ctx, ld.source, ld.logical)
-		if f.SourceBudget > 0 {
+		if f.SourceBudget > 0 && !ld.peer {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, f.SourceBudget)
 			defer cancel()
 		}
-		it, err := f.runOnSourceStreamCtx(ctx, ld.source, ld.sql, nil)
+		it, err := f.openLoad(ctx, ld)
 		if err != nil {
 			return err
 		}
@@ -947,23 +997,16 @@ func (f *Federation) ExecuteContext(ctx context.Context, plan *Plan, params ...s
 	return rs, nil
 }
 
-// ExecuteStreamContext runs a previously produced plan as an incremental
-// row stream: ExecuteStreamOp without the execution report. See there for
-// the path taxonomy (pushdown / pipelined operators / scratch fallback).
-func (f *Federation) ExecuteStreamContext(ctx context.Context, plan *Plan, params ...sqlengine.Value) (sqlengine.RowIter, error) {
-	it, _, err := f.ExecuteStreamOp(ctx, plan, params...)
-	return it, err
-}
-
 // QueryStreamContext plans a federated query and executes it as a stream
-// (see ExecuteStreamContext). The plan is returned alongside the iterator
-// so callers can inspect routing and record cache dependencies.
+// (see ExecuteStreamOp for the path taxonomy: pushdown / pipelined
+// operators / scratch fallback). The plan is returned alongside the
+// iterator so callers can inspect routing and record cache dependencies.
 func (f *Federation) QueryStreamContext(ctx context.Context, sqlText string, params ...sqlengine.Value) (sqlengine.RowIter, *Plan, error) {
 	plan, err := f.PlanQuery(sqlText)
 	if err != nil {
 		return nil, nil, err
 	}
-	it, err := f.ExecuteStreamContext(ctx, plan, params...)
+	it, _, err := f.ExecuteStreamOp(ctx, plan, params...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -987,14 +1030,10 @@ func kindFromName(name string) sqlengine.Kind {
 	}
 }
 
-// runOnSource executes SQL on one member database through database/sql.
-func (f *Federation) runOnSource(source, sqlText string, params []sqlengine.Value) (*sqlengine.ResultSet, error) {
-	return f.runOnSourceCtx(context.Background(), source, sqlText, params)
-}
-
-// runOnSourceCtx is runOnSource under a cancellable context. It drains the
-// incremental producer, so callers that need the whole result pay the
-// materialization; streaming callers use runOnSourceStreamCtx directly.
+// runOnSourceCtx executes SQL on one member database through database/sql
+// and drains the incremental producer, so callers that need the whole
+// result pay the materialization; streaming callers use
+// runOnSourceStreamCtx directly.
 func (f *Federation) runOnSourceCtx(ctx context.Context, source, sqlText string, params []sqlengine.Value) (*sqlengine.ResultSet, error) {
 	it, err := f.runOnSourceStreamCtx(ctx, source, sqlText, params)
 	if err != nil {
@@ -1031,6 +1070,19 @@ func (f *Federation) runOnSourceStreamCtx(ctx context.Context, source, sqlText s
 		return nil, fmt.Errorf("unity: source %q: %w", source, err)
 	}
 	return it, nil
+}
+
+// openLoad opens the row stream of one decomposed table load: a cursor on
+// its member database, or — for a peer location — whatever OpenPeer
+// returns.
+func (f *Federation) openLoad(ctx context.Context, ld *tableLoad) (sqlengine.RowIter, error) {
+	if !ld.peer {
+		return f.runOnSourceStreamCtx(ctx, ld.source, ld.sql, nil)
+	}
+	if f.OpenPeer == nil {
+		return nil, fmt.Errorf("unity: table %q is at peer %q and the federation has no peer opener", ld.logical, ld.source)
+	}
+	return f.OpenPeer(ctx, ld.source, ld.sql)
 }
 
 // sqlRowsIter streams a *sql.Rows as engine rows.

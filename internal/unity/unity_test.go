@@ -1,7 +1,9 @@
 package unity
 
 import (
+	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -74,7 +76,7 @@ func TestSingleTablePushdown(t *testing.T) {
 	if !strings.Contains(plan.Subs[0].SQL, "`events`") {
 		t.Errorf("pushed SQL not in mysql dialect: %s", plan.Subs[0].SQL)
 	}
-	rs, err := f.Execute(plan)
+	rs, err := f.ExecuteContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestCrossDatabaseJoin(t *testing.T) {
 	if len(plan.Subs) != 2 {
 		t.Fatalf("subs = %d, want 2", len(plan.Subs))
 	}
-	rs, err := f.Execute(plan)
+	rs, err := f.ExecuteContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestPredicatePushdownInSubQueries(t *testing.T) {
 	if !strings.Contains(runSQL, "[runs]") {
 		t.Errorf("runs sub-query not in mssql dialect: %s", runSQL)
 	}
-	rs, err := f.Execute(plan)
+	rs, err := f.ExecuteContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestReplicatedTableLoadDistribution(t *testing.T) {
 			t.Fatal(err)
 		}
 		hit[plan.Subs[0].Source] = true
-		if _, err := f.Execute(plan); err != nil {
+		if _, err := f.ExecuteContext(context.Background(), plan); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,11 +182,17 @@ func TestReplicatedTableLoadDistribution(t *testing.T) {
 	}
 }
 
+// TestUnknownTableError: the error names every table the federation does
+// not know — joins, IN/EXISTS subqueries, each once, in first-appearance
+// order — and none it does, so the data access layer can look them all up
+// without parsing the query itself.
 func TestUnknownTableError(t *testing.T) {
 	f := buildFederation(t)
-	_, err := f.PlanQuery("SELECT * FROM nosuch_table")
+	_, err := f.PlanQuery(`SELECT a.x FROM nosuch_a a JOIN events e ON a.k = e.run
+		WHERE a.k IN (SELECT k FROM nosuch_b) AND EXISTS (SELECT 1 FROM nosuch_c WHERE nosuch_c.k = 1)
+		AND a.k NOT IN (SELECT k FROM nosuch_a)`)
 	var ut *ErrUnknownTable
-	if !errors.As(err, &ut) || ut.Table != "nosuch_table" {
+	if !errors.As(err, &ut) || !reflect.DeepEqual(ut.Tables, []string{"nosuch_a", "nosuch_b", "nosuch_c"}) {
 		t.Fatalf("err = %v", err)
 	}
 }
