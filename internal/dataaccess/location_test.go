@@ -118,8 +118,16 @@ func TestLocationDoesNotMatter(t *testing.T) {
 			operator: "pipelined union(scan, scan)", relays: 1},
 		{name: "two local tables and a peer", sql: "SELECT e.event_id, c.c FROM lt_events e JOIN lt_calib c ON e.run = c.run UNION ALL SELECT r.run, r.lumi FROM lt_runs r",
 			operator: "pipelined union(hash-join(build=left), scan)", relays: 1},
-		{name: "group by", sql: "SELECT r.site, COUNT(*) FROM lt_events e JOIN lt_runs r ON e.run = r.run GROUP BY r.site",
-			operator: "scratch", fallback: "aggregation", relays: 1},
+		{name: "group by", sql: "SELECT r.site, COUNT(*), SUM(e.e_tot) FROM lt_events e JOIN lt_runs r ON e.run = r.run GROUP BY r.site",
+			operator: "pipelined hash-join(build=left)", relays: 1},
+		{name: "three tables", sql: join + " JOIN lt_calib c ON c.run = e.run WHERE c.c < 1",
+			operator: "pipelined hash-join(build=left) + hash-join(build=right)", relays: 1},
+		{name: "right join", sql: "SELECT e.event_id, r.site FROM lt_runs r RIGHT JOIN lt_events e ON e.run = r.run",
+			operator: "pipelined hash-join(build=left)", relays: 1},
+		{name: "comma join", sql: "SELECT e.event_id, r.site FROM lt_events e, lt_runs r WHERE e.run = r.run AND r.lumi > 1",
+			operator: "pipelined hash-join(build=left)", relays: 1},
+		{name: "subquery", sql: join + " WHERE e.run IN (SELECT c.run FROM lt_calib c WHERE c.c < 1)",
+			operator: "scratch", fallback: "subquery", relays: 1},
 		{name: "star", sql: "SELECT * FROM lt_events e JOIN lt_runs r ON e.run = r.run",
 			operator: "pipelined hash-join(build=left)", movedFallback: "star select over tables with unknown columns", relays: 1},
 	}

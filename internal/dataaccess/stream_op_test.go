@@ -79,10 +79,10 @@ func TestStreamDecomposedUsesPipelinedOperators(t *testing.T) {
 		t.Fatalf("slow-entry operator = %q", op)
 	}
 
-	// Aggregation is not streamable: scratch fallback, with the reason in
+	// A subquery is not streamable: scratch fallback, with the reason in
 	// both the counter and the capture.
-	agg := "SELECT r.e_tot, COUNT(*) FROM events e JOIN runsinfo r ON e.run = r.run GROUP BY r.e_tot"
-	sr, err = s.QueryStream(agg)
+	sub := "SELECT e.event_id, r.e_tot FROM events e JOIN runsinfo r ON e.run = r.run WHERE e.run IN (SELECT run FROM runsinfo)"
+	sr, err = s.QueryStream(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +93,8 @@ func TestStreamDecomposedUsesPipelinedOperators(t *testing.T) {
 	slow = s.SlowQueries()
 	op, _ = slow[0].Explain["operator"].(string)
 	fb, _ := slow[0].Explain["stream_fallback"].(string)
-	if op != "scratch" || fb != "aggregation" {
-		t.Fatalf("slow-entry operator/fallback = %q/%q, want scratch/aggregation", op, fb)
+	if op != "scratch" || fb != "subquery" {
+		t.Fatalf("slow-entry operator/fallback = %q/%q, want scratch/subquery", op, fb)
 	}
 
 	// system.explain reports the same decision without executing.
@@ -307,7 +307,7 @@ func TestStreamMixedPipelined(t *testing.T) {
 }
 
 // TestStreamMixedScratchFallback: a mixed shape the analyzer rejects
-// (aggregation) still answers through the materialized integration, and
+// (a subquery) still answers through the materialized integration, and
 // the fallback is counted.
 func TestStreamMixedScratchFallback(t *testing.T) {
 	catalog := rls.NewServer(0)
@@ -337,7 +337,7 @@ func TestStreamMixedScratchFallback(t *testing.T) {
 	_, rSpec := mkMart(t, "mart_sfall_runs", sqlengine.DialectMySQL, "sf_runs", 6)
 	addMart(t, jc2, "mart_sfall_runs", rSpec, "gridsql-mysql")
 
-	q := "SELECT COUNT(*) FROM sf_events e JOIN sf_runs r ON e.run = r.run"
+	q := "SELECT e.event_id, r.e_tot FROM sf_events e JOIN sf_runs r ON e.run = r.run WHERE e.run IN (SELECT run FROM sf_events)"
 	sr, err := jc1.QueryStreamContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -346,8 +346,8 @@ func TestStreamMixedScratchFallback(t *testing.T) {
 		t.Fatalf("route = %s, want mixed", sr.Route)
 	}
 	got := drainStream(t, sr)
-	if len(got.Rows) != 1 {
-		t.Fatalf("aggregate returned %d rows", len(got.Rows))
+	if len(got.Rows) != 36 { // 6 events x 3 runs rows for each of runs 100 and 101
+		t.Fatalf("join returned %d rows, want 36", len(got.Rows))
 	}
 	if n := counterValue(t, jc1, "gridrdb_stream_scratch_total"); n != 1 {
 		t.Fatalf("scratch counter = %d, want 1", n)
@@ -424,8 +424,10 @@ func TestQueryIsTheDrainedStream(t *testing.T) {
 			sql:    "SELECT e.event_id AS eid, r.event_id AS rid FROM eq_events e JOIN eq_runs r ON e.run = r.run WHERE e.event_id < ? ORDER BY eid, rid",
 			params: []sqlengine.Value{sqlengine.NewInt(9)},
 			route:  RouteUnity, servers: 1, class: "unity-decomposed", operator: "pipelined hash-join(build=right)", ordered: true, local: true},
-		{name: "scratch fallback", sql: "SELECT r.run, COUNT(*) FROM eq_events e JOIN eq_runs r ON e.run = r.run GROUP BY r.run",
-			route: RouteUnity, servers: 1, class: "unity-decomposed", operator: "scratch", fallback: "aggregation", local: true},
+		{name: "pipelined aggregate", sql: "SELECT r.run, COUNT(*) FROM eq_events e JOIN eq_runs r ON e.run = r.run GROUP BY r.run",
+			route: RouteUnity, servers: 1, class: "unity-decomposed", operator: "pipelined hash-join(build=right)", local: true},
+		{name: "scratch fallback", sql: "SELECT r.run, e.event_id FROM eq_events e JOIN eq_runs r ON e.run = r.run WHERE e.run IN (SELECT run FROM eq_runs)",
+			route: RouteUnity, servers: 1, class: "unity-decomposed", operator: "scratch", fallback: "subquery", local: true},
 		{name: "single remote: forward vs relay", sql: "SELECT event_id, e_tot FROM eq_remote WHERE run = 101",
 			route: RouteRemote, servers: 2, class: "remote"},
 		{name: "mixed hash join", sql: "SELECT e.event_id, x.e_tot FROM eq_events e JOIN eq_remote x ON e.event_id = x.event_id WHERE x.run = 100",
@@ -433,8 +435,10 @@ func TestQueryIsTheDrainedStream(t *testing.T) {
 		{name: "mixed scan with params", sql: "SELECT x.event_id FROM eq_remote x WHERE x.run = ? ORDER BY x.event_id",
 			params: []sqlengine.Value{sqlengine.NewInt(100)},
 			route:  RouteMixed, servers: 2, class: "mixed", operator: "pipelined scan", ordered: true},
-		{name: "scratch mixed", sql: "SELECT x.run, COUNT(*) FROM eq_events e JOIN eq_remote x ON e.run = x.run GROUP BY x.run",
-			route: RouteMixed, servers: 2, class: "mixed", operator: "scratch", fallback: "aggregation"},
+		{name: "mixed aggregate", sql: "SELECT x.run, COUNT(*) FROM eq_events e JOIN eq_remote x ON e.run = x.run GROUP BY x.run",
+			route: RouteMixed, servers: 2, class: "mixed", operator: "pipelined hash-join(build=left)"},
+		{name: "scratch mixed", sql: "SELECT x.run, e.event_id FROM eq_events e JOIN eq_remote x ON e.run = x.run WHERE x.run IN (SELECT run FROM eq_events)",
+			route: RouteMixed, servers: 2, class: "mixed", operator: "scratch", fallback: "subquery"},
 	}
 	for _, cached := range []bool{false, true} {
 		tag := "nocache"

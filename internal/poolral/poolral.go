@@ -15,10 +15,8 @@ import (
 	"context"
 	"database/sql"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
-	"time"
 
 	"gridrdb/internal/sqlengine"
 )
@@ -216,62 +214,7 @@ func (r *RAL) QueryStreamContext(ctx context.Context, connString string, fields,
 		conn.Close()
 		return nil, fmt.Errorf("poolral: %s: %w", connString, err)
 	}
-	cols, err := rows.Columns()
-	if err != nil {
-		rows.Close()
-		conn.Close()
-		return nil, fmt.Errorf("poolral: %s: %w", connString, err)
-	}
-	return &ralRowsIter{conn: connString, rows: rows, release: conn, cols: cols}, nil
-}
-
-// ralRowsIter streams a RAL query's rows off its dedicated connection.
-type ralRowsIter struct {
-	conn    string
-	rows    *sql.Rows
-	release *sql.Conn
-	cols    []string
-	closed  bool
-}
-
-func (it *ralRowsIter) Columns() []string { return it.cols }
-
-func (it *ralRowsIter) Next() (sqlengine.Row, error) {
-	if !it.rows.Next() {
-		if err := it.rows.Err(); err != nil {
-			return nil, fmt.Errorf("poolral: %s: %w", it.conn, err)
-		}
-		return nil, io.EOF
-	}
-	raw := make([]interface{}, len(it.cols))
-	ptrs := make([]interface{}, len(it.cols))
-	for i := range raw {
-		ptrs[i] = &raw[i]
-	}
-	if err := it.rows.Scan(ptrs...); err != nil {
-		return nil, fmt.Errorf("poolral: %s: %w", it.conn, err)
-	}
-	row := make(sqlengine.Row, len(it.cols))
-	for i, x := range raw {
-		v, err := goToValue(x)
-		if err != nil {
-			return nil, fmt.Errorf("poolral: %s: %w", it.conn, err)
-		}
-		row[i] = v
-	}
-	return row, nil
-}
-
-func (it *ralRowsIter) Close() error {
-	if it.closed {
-		return nil
-	}
-	it.closed = true
-	err := it.rows.Close()
-	if cerr := it.release.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return sqlengine.SQLRows(rows, "poolral: "+connString, conn.Close)
 }
 
 // Query is method 2 of the JNI wrapper: it returns the result as a 2-D
@@ -294,26 +237,6 @@ func (r *RAL) Query(connString string, fields, tables []string, where string) ([
 		}
 	}
 	return out, nil
-}
-
-func goToValue(x interface{}) (sqlengine.Value, error) {
-	switch v := x.(type) {
-	case nil:
-		return sqlengine.Null(), nil
-	case int64:
-		return sqlengine.NewInt(v), nil
-	case float64:
-		return sqlengine.NewFloat(v), nil
-	case string:
-		return sqlengine.NewString(v), nil
-	case bool:
-		return sqlengine.NewBool(v), nil
-	case []byte:
-		return sqlengine.NewBytes(v), nil
-	case time.Time:
-		return sqlengine.NewTime(v), nil
-	}
-	return sqlengine.Null(), fmt.Errorf("poolral: unsupported scan type %T", x)
 }
 
 // Close tears down all handles.

@@ -25,7 +25,6 @@ import (
 	"net/url"
 	"strings"
 	"sync"
-	"time"
 
 	"gridrdb/internal/netsim"
 	"gridrdb/internal/sqlengine"
@@ -367,29 +366,7 @@ func valueToDriver(v sqlengine.Value) driver.Value {
 
 // ToValue converts a Go value (as used with database/sql args) into an
 // engine Value.
-func ToValue(x interface{}) (sqlengine.Value, error) {
-	switch v := x.(type) {
-	case nil:
-		return sqlengine.Null(), nil
-	case int64:
-		return sqlengine.NewInt(v), nil
-	case int:
-		return sqlengine.NewInt(int64(v)), nil
-	case float64:
-		return sqlengine.NewFloat(v), nil
-	case string:
-		return sqlengine.NewString(v), nil
-	case bool:
-		return sqlengine.NewBool(v), nil
-	case time.Time:
-		return sqlengine.NewTime(v), nil
-	case []byte:
-		return sqlengine.NewBytes(v), nil
-	case sqlengine.Value:
-		return v, nil
-	}
-	return sqlengine.Null(), fmt.Errorf("sqldriver: unsupported parameter type %T", x)
-}
+func ToValue(x interface{}) (sqlengine.Value, error) { return sqlengine.ValueOf(x) }
 
 func driverToValues(args []driver.Value) ([]sqlengine.Value, error) {
 	out := make([]sqlengine.Value, len(args))

@@ -7,6 +7,18 @@
 // access service) treat each Engine instance as an independent database
 // server.
 //
+// Every SELECT runs on one executor, the streaming operator pipeline
+// (operators.go): table inputs, left-deep hash or nested-loop joins
+// (INNER, LEFT, RIGHT, CROSS, comma), filter, project or GROUP BY
+// aggregate, DISTINCT, ORDER BY, OFFSET/LIMIT and UNION chains. The
+// engine composes it over its own tables and drains it into a ResultSet;
+// the federation composes the same pipeline over live member cursors and
+// peer relays. AnalyzeStreamSelect turns a statement into that pipeline
+// for a caller without a database, and rejects only what such a caller
+// cannot run: IN/EXISTS subqueries, and — over an input whose columns
+// are unknown until read — a star or a join without an attributable
+// equi-key.
+//
 // Results flow through two shapes. A ResultSet is a fully materialized
 // answer: column names plus a slice of rows of dynamically-typed Values.
 // A RowIter is the incremental counterpart — rows are produced one at a

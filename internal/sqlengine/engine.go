@@ -394,10 +394,10 @@ func (s *Session) execUpdate(x *UpdateStmt, params []Value) (int64, error) {
 	for i, c := range t.Columns {
 		schema[i] = colBinding{qualifier: x.Table, name: c.Name}
 	}
-	ex := &executor{db: db}
+	run := (&executor{db: db}).execSelect
 	var updated int64
 	for ri, row := range t.Rows {
-		ec := &evalContext{schema: schema, row: row, params: params, exec: ex, rownum: updated + 1}
+		ec := &evalContext{schema: schema, row: row, params: params, exec: run, rownum: updated + 1}
 		if x.Where != nil {
 			v, err := evalExpr(x.Where, ec)
 			if err != nil {
@@ -456,13 +456,13 @@ func (s *Session) execDelete(x *DeleteStmt, params []Value) (int64, error) {
 	for i, c := range t.Columns {
 		schema[i] = colBinding{qualifier: x.Table, name: c.Name}
 	}
-	ex := &executor{db: db}
+	run := (&executor{db: db}).execSelect
 	kept := t.Rows[:0:0]
 	var deleted int64
 	for _, row := range t.Rows {
 		keep := true
 		if x.Where != nil {
-			ec := &evalContext{schema: schema, row: row, params: params, exec: ex}
+			ec := &evalContext{schema: schema, row: row, params: params, exec: run}
 			v, err := evalExpr(x.Where, ec)
 			if err != nil {
 				return deleted, err

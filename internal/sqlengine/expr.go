@@ -39,6 +39,9 @@ func (s rowSchema) lookup(qualifier, name string) (int, error) {
 	return found, nil
 }
 
+// selectFunc runs the SELECT of an IN or EXISTS subquery.
+type selectFunc func(sel *SelectStmt, params []Value, outer *evalContext) (*ResultSet, error)
+
 // evalContext carries everything an expression needs at evaluation time.
 type evalContext struct {
 	schema rowSchema
@@ -48,7 +51,7 @@ type evalContext struct {
 	// row (1-based); 0 means unavailable.
 	rownum int64
 	// exec lets EXISTS / IN-subquery re-enter the executor.
-	exec *executor
+	exec selectFunc
 	// outer allows correlated lookups one level up (best effort).
 	outer *evalContext
 }
@@ -154,7 +157,7 @@ func evalExpr(e Expr, ec *evalContext) (Value, error) {
 		if ec.exec == nil {
 			return Null(), fmt.Errorf("sqlengine: EXISTS not supported in this context")
 		}
-		rs, err := ec.exec.execSelect(x.Sub, ec.params, ec)
+		rs, err := ec.exec(x.Sub, ec.params, ec)
 		if err != nil {
 			return Null(), err
 		}
@@ -263,7 +266,7 @@ func evalIn(x *InExpr, ec *evalContext) (Value, error) {
 		if ec.exec == nil {
 			return Null(), fmt.Errorf("sqlengine: IN (SELECT ...) not supported in this context")
 		}
-		rs, err := ec.exec.execSelect(x.Sub, ec.params, ec)
+		rs, err := ec.exec(x.Sub, ec.params, ec)
 		if err != nil {
 			return Null(), err
 		}
@@ -364,8 +367,9 @@ func likeMatch(pattern, s string) bool {
 	return pi == len(p)
 }
 
-// evalFunc evaluates scalar functions. Aggregates are resolved by the
-// executor before projection and never reach here.
+// evalFunc evaluates scalar functions. Aggregates are folded into
+// literals by the aggregate operator before evaluation and never reach
+// here.
 func evalFunc(x *FuncCall, ec *evalContext) (Value, error) {
 	if isAggregate(x.Name) {
 		return Null(), fmt.Errorf("sqlengine: aggregate %s not allowed here", x.Name)

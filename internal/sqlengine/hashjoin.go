@@ -8,32 +8,30 @@ import (
 	"time"
 )
 
-// hashJoinIter is the pipelined equi-hash-join operator. It drains the
-// build side into an in-memory table during schema() (so the expensive
-// phase runs before the first row is requested), then probes one row at
-// a time: time-to-first-row is build-side cost plus one probe row, and
+// hashJoinIter is the pipelined hash-join operator. It drains the build
+// side into an in-memory table during schema() (so the expensive phase
+// runs before the first row is requested), then probes one row at a
+// time: time-to-first-row is build-side cost plus one probe row, and
 // memory is bounded by the build side — or, past the byte budget, by a
 // Grace-style partitioned spill: build and probe rows are hash-
 // partitioned to temp files and each partition pair is joined in memory
-// in turn. The full ON condition is re-evaluated on every key match and
-// LEFT joins null-pad unmatched probe rows, exactly like the executor's
-// residual pass, so pipelined output is row-identical to the scratch
-// reference (the probe side is always the left input for LEFT joins).
+// in turn. The residual is re-evaluated on every key match, and outer
+// joins null-pad unmatched probe rows: LEFT joins probe the left input,
+// RIGHT joins the right one. A step without equi-keys hashes every row to
+// the one empty key, which makes it a nested loop over the build side.
 type hashJoinIter struct {
-	ctx    context.Context
-	j      *StreamJoin
-	left   *srcIter
-	right  *srcIter
-	params []Value
-	opts   StreamOptions
-	stats  *StreamStats
+	ctx         context.Context
+	j           *StreamJoin
+	left, right relIter
+	env         *evalEnv
+	opts        StreamOptions
+	stats       *StreamStats
 
 	sch       rowSchema // combined: left columns then right columns
-	leftW     int
-	buildIdx  []int // key ordinals in the build input
-	probeIdx  []int // key ordinals in the probe input
+	buildIdx  []int     // key ordinals in the build input
+	probeIdx  []int     // key ordinals in the probe input
 	buildLeft bool
-	leftOuter bool
+	outer     bool // LEFT or RIGHT: unmatched probe rows are emitted padded
 
 	prepared bool
 	err      error
@@ -60,26 +58,26 @@ type hashJoinIter struct {
 // degrades to the scratch path's footprint for that partition).
 const hashJoinFanout = 8
 
-func newHashJoinIter(ctx context.Context, j *StreamJoin, left, right *srcIter, params []Value, opts StreamOptions) *hashJoinIter {
+func newHashJoinIter(ctx context.Context, j *StreamJoin, left, right relIter, env *evalEnv, opts StreamOptions) *hashJoinIter {
 	stats := opts.Stats
 	if stats == nil {
 		stats = &StreamStats{}
 	}
 	return &hashJoinIter{
-		ctx: ctx, j: j, left: left, right: right, params: params, opts: opts, stats: stats,
-		buildLeft: j.BuildLeft && j.Kind == JoinInner,
-		leftOuter: j.Kind == JoinLeft,
+		ctx: ctx, j: j, left: left, right: right, env: env, opts: opts, stats: stats,
+		buildLeft: j.Kind == JoinRight || j.BuildLeft && j.inner(),
+		outer:     j.Kind == JoinLeft || j.Kind == JoinRight,
 	}
 }
 
-func (h *hashJoinIter) build() *srcIter {
+func (h *hashJoinIter) build() relIter {
 	if h.buildLeft {
 		return h.left
 	}
 	return h.right
 }
 
-func (h *hashJoinIter) probe() *srcIter {
+func (h *hashJoinIter) probe() relIter {
 	if h.buildLeft {
 		return h.right
 	}
@@ -99,11 +97,15 @@ func (h *hashJoinIter) combined(probeRow, buildRow Row) Row {
 	return out
 }
 
-// padProbe null-pads the non-probe side for LEFT-join unmatched rows
-// (probe is always left when leftOuter).
+// padProbe null-pads the build side of an outer join's unmatched probe
+// row.
 func (h *hashJoinIter) padProbe(probeRow Row) Row {
 	out := make(Row, len(h.sch))
-	copy(out, probeRow)
+	if h.buildLeft {
+		copy(out[len(out)-len(probeRow):], probeRow)
+	} else {
+		copy(out, probeRow)
+	}
 	return out
 }
 
@@ -130,12 +132,11 @@ func (h *hashJoinIter) doPrepare() error {
 	if err != nil {
 		return err
 	}
-	buildKeys, probeKeys := h.j.RightKeys, h.j.LeftKeys
+	buildQ, buildKeys, probeQ, probeKeys := h.j.rq, h.j.RightKeys, h.j.lq, h.j.LeftKeys
 	if h.buildLeft {
-		buildKeys, probeKeys = h.j.LeftKeys, h.j.RightKeys
+		buildQ, buildKeys, probeQ, probeKeys = probeQ, probeKeys, buildQ, buildKeys
 	}
-	bq := h.build().q
-	bIdx, err := resolveKeys(bsch, bq, buildKeys)
+	bIdx, err := resolveKeys(bsch, buildQ, buildKeys)
 	if err != nil {
 		return err
 	}
@@ -145,7 +146,7 @@ func (h *hashJoinIter) doPrepare() error {
 	h.ht = make(map[string][]Row)
 	var bytes int64
 	for {
-		if err := h.ctxErr(); err != nil {
+		if err := ctxErr(h.ctx); err != nil {
 			return err
 		}
 		row, err := h.build().next()
@@ -182,7 +183,7 @@ func (h *hashJoinIter) doPrepare() error {
 	if err != nil {
 		return err
 	}
-	pIdx, err := resolveKeys(psch, h.probe().q, probeKeys)
+	pIdx, err := resolveKeys(psch, probeQ, probeKeys)
 	if err != nil {
 		return err
 	}
@@ -190,7 +191,6 @@ func (h *hashJoinIter) doPrepare() error {
 
 	lsch, _ := h.left.schema()
 	rsch, _ := h.right.schema()
-	h.leftW = len(lsch)
 	h.sch = make(rowSchema, 0, len(lsch)+len(rsch))
 	h.sch = append(h.sch, lsch...)
 	h.sch = append(h.sch, rsch...)
@@ -271,15 +271,6 @@ func (h *hashJoinIter) spillRow(parts []*spillWriter, kv []Value, row Row) error
 	return err
 }
 
-func (h *hashJoinIter) ctxErr() error {
-	select {
-	case <-h.ctx.Done():
-		return h.ctx.Err()
-	default:
-		return nil
-	}
-}
-
 func (h *hashJoinIter) next() (Row, error) {
 	if err := h.prepare(); err != nil {
 		return nil, err
@@ -329,7 +320,7 @@ func (h *hashJoinIter) matchRow(prow Row, ht map[string][]Row) (Row, error) {
 	if ok {
 		for _, brow := range ht[indexKey(kv)] {
 			crow := h.combined(prow, brow)
-			keep, err := evalResidual(h.j.On, h.sch, crow, h.params)
+			keep, err := evalResidual(h.j.On, h.sch, crow, h.env)
 			if err != nil {
 				return nil, err
 			}
@@ -339,7 +330,7 @@ func (h *hashJoinIter) matchRow(prow Row, ht map[string][]Row) (Row, error) {
 			}
 		}
 	}
-	if h.leftOuter && !matched {
+	if h.outer && !matched {
 		return h.padProbe(prow), nil
 	}
 	return nil, nil
@@ -349,7 +340,7 @@ func (h *hashJoinIter) matchRow(prow Row, ht map[string][]Row) (Row, error) {
 // NULL-key LEFT rows immediately), then join partition pairs in turn.
 func (h *hashJoinIter) nextSpill() (Row, error) {
 	if !h.probeDone {
-		if err := h.ctxErr(); err != nil {
+		if err := ctxErr(h.ctx); err != nil {
 			return nil, err
 		}
 		prow, err := h.probe().next()
@@ -371,7 +362,7 @@ func (h *hashJoinIter) nextSpill() (Row, error) {
 		}
 		kv, ok := keyVals(prow, h.probeIdx)
 		if !ok {
-			if h.leftOuter {
+			if h.outer {
 				return h.padProbe(prow), nil
 			}
 			return nil, nil
@@ -409,7 +400,7 @@ func (h *hashJoinIter) nextSpill() (Row, error) {
 // loadPartition reads one build partition into memory and opens the
 // matching probe partition for streaming.
 func (h *hashJoinIter) loadPartition(p int) error {
-	if err := h.ctxErr(); err != nil {
+	if err := ctxErr(h.ctx); err != nil {
 		return err
 	}
 	start := time.Now()

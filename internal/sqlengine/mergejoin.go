@@ -14,14 +14,13 @@ import (
 // sub-query). Memory is bounded by the largest single-key group on the
 // right side; no build phase, so time-to-first-row is the first matching
 // key pair. Rows with NULL keys are skipped on both sides (NULL join
-// keys never match). The full ON condition is re-evaluated on every key
-// match, like the executor's residual pass.
+// keys never match). The residual is re-evaluated on every key match,
+// like the hash join's.
 type mergeJoinIter struct {
-	ctx    context.Context
-	j      *StreamJoin
-	left   *srcIter
-	right  *srcIter
-	params []Value
+	ctx         context.Context
+	j           *StreamJoin
+	left, right relIter
+	env         *evalEnv
 
 	sch   rowSchema
 	lIdx  []int
@@ -64,11 +63,11 @@ func (m *mergeJoinIter) bind() error {
 		if err != nil {
 			return err
 		}
-		m.lIdx, err = resolveKeys(lsch, m.left.q, m.j.LeftKeys)
+		m.lIdx, err = resolveKeys(lsch, m.j.lq, m.j.LeftKeys)
 		if err != nil {
 			return err
 		}
-		m.rIdx, err = resolveKeys(rsch, m.right.q, m.j.RightKeys)
+		m.rIdx, err = resolveKeys(rsch, m.j.rq, m.j.RightKeys)
 		if err != nil {
 			return err
 		}
@@ -129,10 +128,8 @@ func (m *mergeJoinIter) next() (Row, error) {
 
 func (m *mergeJoinIter) advance() (Row, error) {
 	for {
-		select {
-		case <-m.ctx.Done():
-			return nil, m.ctx.Err()
-		default:
+		if err := ctxErr(m.ctx); err != nil {
+			return nil, err
 		}
 		// Emit from the current group for the current left row.
 		if m.lrow != nil && m.group != nil && compareKeys(m.lkey, m.groupKey) == 0 {
@@ -141,7 +138,7 @@ func (m *mergeJoinIter) advance() (Row, error) {
 				crow = append(crow, m.lrow...)
 				crow = append(crow, m.group[m.gi]...)
 				m.gi++
-				keep, err := evalResidual(m.j.On, m.sch, crow, m.params)
+				keep, err := evalResidual(m.j.On, m.sch, crow, m.env)
 				if err != nil {
 					return nil, err
 				}
@@ -213,16 +210,19 @@ func (m *mergeJoinIter) close() error {
 
 // ---- external sort ----
 
-// sortIter implements ORDER BY over a streaming pipeline with the
-// executor's exact semantics for the streamable subset (keys resolved to
-// output ordinals, stable for equal keys). Under the byte budget it is
-// an in-memory stable sort; past it, sorted runs spill to temp files and
-// a k-way merge streams them back, with the original arrival index as
-// the final tiebreaker to keep the merge stable.
+// sortIter implements ORDER BY: a stable sort on keys that index the
+// projected row. Under the byte budget it is an in-memory stable sort;
+// past it, sorted runs spill to temp files and a k-way merge streams them
+// back, with the original arrival index as the final tiebreaker to keep
+// the merge stable. width, when set, trims the hidden key columns past it
+// off every row it emits; fail, when set, is returned once a first row
+// arrives.
 type sortIter struct {
 	ctx   context.Context
 	in    RowIter
 	keys  []sortKey
+	width int
+	fail  error
 	opts  StreamOptions
 	stats *StreamStats
 
@@ -241,12 +241,12 @@ type sortIter struct {
 	bufSize int64
 }
 
-func newSortIter(ctx context.Context, in RowIter, keys []sortKey, opts StreamOptions) *sortIter {
+func newSortIter(ctx context.Context, in RowIter, keys []sortKey, width int, fail error, opts StreamOptions) *sortIter {
 	stats := opts.Stats
 	if stats == nil {
 		stats = &StreamStats{}
 	}
-	return &sortIter{ctx: ctx, in: in, keys: keys, opts: opts, stats: stats}
+	return &sortIter{ctx: ctx, in: in, keys: keys, width: width, fail: fail, opts: opts, stats: stats}
 }
 
 func (s *sortIter) Columns() []string { return s.in.Columns() }
@@ -277,10 +277,8 @@ func (s *sortIter) prepare() error {
 func (s *sortIter) doPrepare() error {
 	budget := s.opts.budget()
 	for {
-		select {
-		case <-s.ctx.Done():
-			return s.ctx.Err()
-		default:
+		if err := ctxErr(s.ctx); err != nil {
+			return err
 		}
 		row, err := s.in.Next()
 		if err == io.EOF {
@@ -288,6 +286,9 @@ func (s *sortIter) doPrepare() error {
 		}
 		if err != nil {
 			return err
+		}
+		if s.fail != nil {
+			return s.fail
 		}
 		s.rows = append(s.rows, row)
 		s.bufSeq = append(s.bufSeq, s.seq)
@@ -402,7 +403,7 @@ func (s *sortIter) Next() (Row, error) {
 		}
 		row := s.rows[s.pos]
 		s.pos++
-		return row, nil
+		return s.trim(row), nil
 	}
 	if len(s.merge.items) == 0 {
 		return nil, io.EOF
@@ -419,7 +420,14 @@ func (s *sortIter) Next() (Row, error) {
 	} else {
 		heap.Fix(s.merge, 0)
 	}
-	return row, nil
+	return s.trim(row), nil
+}
+
+func (s *sortIter) trim(row Row) Row {
+	if s.width == 0 {
+		return row
+	}
+	return append(Row(nil), row[:s.width]...)
 }
 
 func (s *sortIter) Close() error {

@@ -2,26 +2,33 @@ package sqlengine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"unsafe"
 )
 
-// This file is the streaming operator layer: composable RowIter
-// implementations of the relational shapes the federation's decomposed
-// plans actually produce (scan → filter → project, two-table equi-joins,
-// UNION chains, ORDER BY / LIMIT), so integration can emit rows as the
-// sources produce them instead of materializing everything into a
-// scratch database first. The operators reuse the engine's expression
-// evaluator and key encoding so a pipelined plan is row-identical to the
-// scratch-engine reference; shapes the analyzer rejects fall back to the
-// scratch path unchanged.
+// This file is sqlengine's one SELECT executor: composable RowIter
+// operators — table inputs, left-deep joins, filter, project or
+// aggregate, DISTINCT, ORDER BY, OFFSET/LIMIT, UNION chains. The engine
+// runs every SELECT on it over its own tables (exec.go), and the
+// federation runs its decomposed plans on it over live member cursors and
+// peer relays, so integrated rows are emitted as the sources produce them
+// instead of after everything was materialized into a scratch database.
+//
+// AnalyzeStreamSelect rejects only what a caller without a database
+// cannot run: IN/EXISTS subqueries (they re-enter an executor) and, over
+// an input whose columns are unknown until it is read (a spec-less peer
+// load), a star in the select list or a join step without an equi-key it
+// can attribute — that join would be a nested loop over a stream of
+// unknown size.
 //
 // Operators that must buffer — a hash-join build side, an ORDER BY —
 // are governed by a byte budget (StreamOptions.BudgetBytes): past it the
 // hash join switches to a Grace-style partitioned spill and the sort
 // writes sorted runs, both to temp files that are removed on Close on
-// every exit path (success, error, cancellation).
+// every exit path (success, error, cancellation). An aggregate holds its
+// groups in memory.
 
 // StreamSource identifies one table input of a streaming branch.
 type StreamSource struct {
@@ -29,44 +36,67 @@ type StreamSource struct {
 	Qualifier string // alias if present, else table name (normalized)
 }
 
-// StreamJoin describes the equi-join of a two-input branch. LeftKeys and
-// RightKeys are parallel column-name vectors on the respective inputs;
-// On is the full ON condition, re-checked on every key match exactly as
-// the scratch executor's residual pass does.
+// StreamJoin is one step of a branch's left-deep join: it joins the
+// relation built so far with the branch's next input. LeftKeys and
+// RightKeys are parallel column-name vectors of the equi-key, found in the
+// ON condition (a comma join's in the WHERE); without keys the step is a
+// nested loop. On is the residual re-checked on every key match: the full
+// ON condition, nil for a comma join (the filter applies its WHERE) and
+// for CROSS JOIN.
 type StreamJoin struct {
-	Kind      JoinKind // JoinInner or JoinLeft
+	Kind      JoinKind // JoinInner, JoinLeft, JoinRight, or JoinCross (comma or CROSS JOIN)
 	On        Expr
 	LeftKeys  []string
 	RightKeys []string
+	// lq and rq name the input each key column resolved to.
+	lq, rq []string
 
 	// Strategy, chosen by the caller's planner. Merge runs a merge join
 	// and requires both inputs ordered ascending by their key vectors
 	// (inner joins only). Otherwise a hash join runs, building the right
 	// input unless BuildLeft is set (inner joins only: a LEFT join must
-	// build the right side so unmatched probe rows can be emitted).
+	// build the right side so unmatched probe rows can be emitted). A
+	// RIGHT join always builds the left side.
 	Merge     bool
 	BuildLeft bool
 }
 
+// inner reports whether the step emits matched rows only (INNER, comma
+// and CROSS joins), so either side may be built or both merged.
+func (j *StreamJoin) inner() bool { return j.Kind == JoinInner || j.Kind == JoinCross }
+
 // StreamBranch is one UNION branch of a streaming plan.
 type StreamBranch struct {
-	Sel    *SelectStmt
-	Inputs []StreamSource // one (scan) or two (join)
-	Join   *StreamJoin    // nil for single-input branches
+	Sel *SelectStmt
+	// Inputs are the branch's tables in the order they are joined: FROM's
+	// first table, each JOIN's table, then the comma-joined rest of FROM.
+	// Empty for a SELECT without FROM, which reads one empty row.
+	Inputs []StreamSource
+	// Joins[i] joins Inputs[:i+1] with Inputs[i+1].
+	Joins []*StreamJoin
 
 	// UnionAll records the link flag from this branch's statement to the
 	// rest of the chain (meaningless for the last branch).
 	UnionAll bool
 
 	// OutCols are the branch's output column names, resolved at analysis
-	// time; orderKeys are the ORDER BY keys resolved to output ordinals.
-	OutCols   []string
-	orderKeys []sortKey
+	// time. exprs compute them (stars expanded), followed by the ORDER BY
+	// expressions that are not output columns: hidden columns, sorted on
+	// and then trimmed. orderKeys index that row; orderErr, when set, fails
+	// the sort at its first row (ORDER BY over no rows never fails).
+	OutCols    []string
+	exprs      []Expr
+	orderKeys  []sortKey
+	orderErr   error
+	aggregated bool
+	// err is a statement error found at analysis (an unresolvable t.*),
+	// returned when the plan is composed.
+	err error
 }
 
 // StreamPlan is the analyzed streaming form of a SELECT: the UNION chain
-// flattened into branches, each reduced to scan-or-join plus the
-// statement it came from.
+// flattened into branches, each reduced to its inputs and join steps
+// plus the statement it came from.
 type StreamPlan struct {
 	Sel      *SelectStmt
 	Branches []*StreamBranch
@@ -76,103 +106,137 @@ type StreamPlan struct {
 // matching engine UNION semantics).
 func (p *StreamPlan) Columns() []string { return p.Branches[0].OutCols }
 
-// sortKey is one resolved ORDER BY key: an output column ordinal.
+// sortKey is one resolved ORDER BY key: an ordinal into the projected row.
 type sortKey struct {
 	idx  int
 	desc bool
 }
 
-// AnalyzeStreamSelect decides whether sel is served by the streaming
-// operators and returns the plan, or ("", reason) naming the first
-// unsupported construct so explain output and fallback decisions can
-// report why the scratch engine ran instead. tableCols, when non-nil,
-// maps a logical table name to its column names (from the federation's
-// schema specs); it is needed to expand `*` items and to attribute
-// unqualified join-key references, and may be nil when callers only know
-// columns at runtime (then those shapes are rejected).
+// AnalyzeStreamSelect returns the plan the operators run sel with, or
+// ("", reason) naming the construct they cannot serve without a database,
+// so explain output and fallback decisions can report why the scratch
+// engine ran instead. tableCols, when non-nil, maps a logical table name
+// to its column names; nil (or a nil answer) means an input's columns are
+// known only once it is read.
 func AnalyzeStreamSelect(sel *SelectStmt, tableCols func(table string) []string) (*StreamPlan, string) {
+	return analyzeSelect(sel, tableCols, false)
+}
+
+// analyzeSelect is AnalyzeStreamSelect for a caller that says whether its
+// expressions may run subqueries (the engine's re-enter its executor).
+func analyzeSelect(sel *SelectStmt, tableCols func(string) []string, subqueries bool) (*StreamPlan, string) {
 	plan := &StreamPlan{Sel: sel}
-	width := -1
 	for s := sel; s != nil; s = s.Union {
-		br, reason := analyzeBranch(s, tableCols)
+		br, reason := analyzeBranch(s, tableCols, subqueries)
 		if br == nil {
 			return nil, reason
 		}
-		if width >= 0 && len(br.OutCols) != width {
-			// The engine raises the same mismatch at runtime; let the
-			// scratch path own the error so messages stay identical.
-			return nil, "union column count mismatch"
-		}
-		width = len(br.OutCols)
 		plan.Branches = append(plan.Branches, br)
 	}
 	return plan, ""
 }
 
-func analyzeBranch(sel *SelectStmt, tableCols func(table string) []string) (*StreamBranch, string) {
-	switch {
-	case len(sel.From) == 0:
-		return nil, "no FROM clause"
-	case len(sel.From) > 1:
-		return nil, "comma join"
-	case len(sel.Joins) > 1:
-		return nil, "more than two tables"
-	case len(sel.GroupBy) > 0 || sel.Having != nil:
-		return nil, "aggregation"
+// branchTables lists a SELECT's FROM references in join order.
+func branchTables(sel *SelectStmt) []TableRef {
+	if len(sel.From) == 0 {
+		return nil
 	}
-	for _, it := range sel.Items {
-		if it.Expr != nil && containsAggregate(it.Expr) {
-			return nil, "aggregation"
-		}
-		if it.Expr != nil && exprHasSubquery(it.Expr) {
-			return nil, "subquery"
-		}
+	refs := make([]TableRef, 0, len(sel.From)+len(sel.Joins))
+	refs = append(refs, sel.From[0])
+	for _, jc := range sel.Joins {
+		refs = append(refs, jc.Table)
 	}
-	if sel.Where != nil && exprHasSubquery(sel.Where) {
+	return append(refs, sel.From[1:]...)
+}
+
+func analyzeBranch(sel *SelectStmt, tableCols func(string) []string, subqueries bool) (*StreamBranch, string) {
+	if !subqueries && selectHasSubquery(sel) {
 		return nil, "subquery"
 	}
-	for _, oi := range sel.OrderBy {
-		if exprHasSubquery(oi.Expr) {
-			return nil, "subquery"
-		}
-	}
-
 	br := &StreamBranch{Sel: sel, UnionAll: sel.UnionAll}
-	br.Inputs = append(br.Inputs, sourceOf(sel.From[0]))
-	if len(sel.Joins) == 1 {
-		jc := sel.Joins[0]
-		if jc.Kind != JoinInner && jc.Kind != JoinLeft {
-			return nil, "unsupported join kind"
+	var (
+		left  []sideInput // the inputs joined so far
+		sch   rowSchema   // their columns, while all are known
+		known = true
+	)
+	for i, tr := range branchTables(sel) {
+		src := sourceOf(tr)
+		var cols []string
+		if tableCols != nil {
+			cols = tableCols(src.Table)
 		}
-		if jc.On == nil {
-			return nil, "join without ON"
+		known = known && cols != nil
+		in := sideInput{q: src.Qualifier, cols: cols}
+		if i > 0 {
+			j := joinStep(sel, i, left, in)
+			if len(j.LeftKeys) == 0 && !known {
+				return nil, "join without equi-keys"
+			}
+			br.Joins = append(br.Joins, j)
 		}
-		if exprHasSubquery(jc.On) {
-			return nil, "subquery"
+		br.Inputs = append(br.Inputs, src)
+		left = append(left, in)
+		for _, c := range cols {
+			sch = append(sch, colBinding{qualifier: src.Qualifier, name: c})
 		}
-		right := sourceOf(jc.Table)
-		lk, rk := equiKeysByName(jc.On, br.Inputs[0], right, tableCols)
-		if len(lk) == 0 {
-			return nil, "join without equi-keys"
-		}
-		br.Inputs = append(br.Inputs, right)
-		br.Join = &StreamJoin{Kind: jc.Kind, On: jc.On, LeftKeys: lk, RightKeys: rk}
 	}
 
-	cols, reason := branchOutputCols(sel, br.Inputs, tableCols)
-	if cols == nil {
-		return nil, reason
+	if !known {
+		for _, it := range sel.Items {
+			if it.Star {
+				return nil, "star select over tables with unknown columns"
+			}
+		}
+	}
+	cols, exprs, err := expandItems(sel.Items, sch)
+	if err != nil {
+		br.err = err
+		return br, ""
 	}
 	br.OutCols = cols
-
+	br.aggregated = len(sel.GroupBy) > 0 || sel.Having != nil
+	for _, it := range sel.Items {
+		br.aggregated = br.aggregated || it.Expr != nil && containsAggregate(it.Expr)
+	}
 	for _, oi := range sel.OrderBy {
-		idx := outputOrdinal(oi.Expr, cols)
-		if idx < 0 {
-			return nil, "ORDER BY is not an output column"
+		idx, err := outputOrdinal(oi.Expr, cols)
+		switch {
+		case err == nil && idx < 0 && sel.Distinct:
+			err = errors.New("sqlengine: ORDER BY expression must reference an output column in this query")
+		case err == nil && idx < 0:
+			idx = len(exprs)
+			exprs = append(exprs, oi.Expr)
+		}
+		if err != nil {
+			if br.orderErr == nil {
+				br.orderErr = err
+			}
+			continue
 		}
 		br.orderKeys = append(br.orderKeys, sortKey{idx: idx, desc: oi.Desc})
 	}
+	br.exprs = exprs
 	return br, ""
+}
+
+// joinStep analyzes the join of input i (in) onto the inputs before it.
+func joinStep(sel *SelectStmt, i int, left []sideInput, in sideInput) *StreamJoin {
+	// A comma join hashes on the WHERE's equi-pairs and leaves the WHERE
+	// itself to the filter.
+	j, cond := &StreamJoin{Kind: JoinCross}, sel.Where
+	if i <= len(sel.Joins) {
+		jc := sel.Joins[i-1]
+		j, cond = &StreamJoin{Kind: jc.Kind, On: jc.On}, jc.On
+	}
+	right := []sideInput{in}
+	if j.Kind == JoinRight {
+		// Pairs are found as for the mirrored LEFT join, the way the
+		// engine has always run a RIGHT join.
+		j.RightKeys, j.rq, j.LeftKeys, j.lq = equiKeys(cond, right, left)
+	} else {
+		j.LeftKeys, j.lq, j.RightKeys, j.rq = equiKeys(cond, left, right)
+	}
+	return j
 }
 
 func sourceOf(tr TableRef) StreamSource {
@@ -183,36 +247,41 @@ func sourceOf(tr TableRef) StreamSource {
 	return StreamSource{Table: normalizeName(tr.Name), Qualifier: normalizeName(q)}
 }
 
-// equiKeysByName extracts the top-level conjunctive `col = col`
-// predicates of cond that connect left and right, attributed by
-// qualifier (or, for unqualified references, by unambiguous membership
-// in exactly one side's column set). Predicates it cannot attribute stay
-// in the residual, mirroring findEquiPairs' schema-lookup behaviour.
-func equiKeysByName(cond Expr, left, right StreamSource, tableCols func(string) []string) (lk, rk []string) {
-	side := func(ref *ColumnRef) int { // 0 left, 1 right, -1 unknown
-		q := normalizeName(ref.Table)
-		switch q {
-		case "":
-			if tableCols == nil {
-				return -1
-			}
-			name := normalizeName(ref.Column)
-			inLeft := hasCol(tableCols(left.Table), name)
-			inRight := hasCol(tableCols(right.Table), name)
-			switch {
-			case inLeft && !inRight:
-				return 0
-			case inRight && !inLeft:
-				return 1
-			}
-			return -1
-		case left.Qualifier:
-			return 0
-		case right.Qualifier:
-			return 1
+// sideInput is one input of a join side at analysis time; cols is nil
+// when its columns are unknown until it is read.
+type sideInput struct {
+	q    string
+	cols []string
+}
+
+// resolveOn returns the qualifier of the one column of side that ref
+// names, by rowSchema.lookup's rules. An input of unknown columns answers
+// for references qualified with its name, and for no unqualified one.
+func resolveOn(side []sideInput, ref *ColumnRef) (string, bool) {
+	q, n := "", 0
+	for _, in := range side {
+		if ref.Table != "" && ref.Table != in.q {
+			continue
 		}
-		return -1
+		if in.cols == nil {
+			if ref.Table != "" {
+				q, n = in.q, n+1
+			}
+			continue
+		}
+		for _, c := range in.cols {
+			if c == ref.Column {
+				q, n = in.q, n+1
+			}
+		}
 	}
+	return q, n == 1
+}
+
+// equiKeys extracts the top-level conjunctive `col = col` predicates of
+// cond whose columns resolve one on each side (left-right, else
+// right-left), as column names with the qualifiers they resolved to.
+func equiKeys(cond Expr, left, right []sideInput) (lk, lq, rk, rq []string) {
 	var walk func(e Expr)
 	walk = func(e Expr) {
 		be, ok := e.(*BinaryExpr)
@@ -224,105 +293,76 @@ func equiKeysByName(cond Expr, left, right StreamSource, tableCols func(string) 
 			walk(be.L)
 			walk(be.R)
 		case "=":
-			lref, lok := be.L.(*ColumnRef)
-			rref, rok := be.R.(*ColumnRef)
-			if !lok || !rok {
+			a, aok := be.L.(*ColumnRef)
+			b, bok := be.R.(*ColumnRef)
+			if !aok || !bok {
 				return
 			}
-			ls, rs := side(lref), side(rref)
-			switch {
-			case ls == 0 && rs == 1:
-				lk = append(lk, normalizeName(lref.Column))
-				rk = append(rk, normalizeName(rref.Column))
-			case ls == 1 && rs == 0:
-				lk = append(lk, normalizeName(rref.Column))
-				rk = append(rk, normalizeName(lref.Column))
+			for _, p := range [2][2]*ColumnRef{{a, b}, {b, a}} {
+				l, lok := resolveOn(left, p[0])
+				r, rok := resolveOn(right, p[1])
+				if lok && rok {
+					lk, lq = append(lk, p[0].Column), append(lq, l)
+					rk, rq = append(rk, p[1].Column), append(rq, r)
+					return
+				}
 			}
 		}
 	}
 	walk(cond)
-	return lk, rk
+	return lk, lq, rk, rq
 }
 
-func hasCol(cols []string, name string) bool {
-	for _, c := range cols {
-		if normalizeName(c) == name {
+// outputOrdinal resolves an ORDER BY key to an output column the way the
+// engine always has: an integer ordinal (an error when out of range), or
+// a column reference whose name exactly one output column carries.
+// Anything else is -1: an expression over the source row.
+func outputOrdinal(e Expr, outCols []string) (int, error) {
+	if lit, ok := e.(*Literal); ok && lit.Val.Kind == KindInt {
+		n := int(lit.Val.Int)
+		if n >= 1 && n <= len(outCols) {
+			return n - 1, nil
+		}
+		return 0, errors.New("sqlengine: ORDER BY ordinal out of range")
+	}
+	found := -1
+	if cr, ok := e.(*ColumnRef); ok {
+		for i, c := range outCols {
+			if c == cr.Column {
+				if found >= 0 {
+					return -1, nil
+				}
+				found = i
+			}
+		}
+	}
+	return found, nil
+}
+
+// selectHasSubquery reports whether any expression of sel's own clauses
+// holds an IN (SELECT ...) or EXISTS.
+func selectHasSubquery(sel *SelectStmt) bool {
+	exprs := []Expr{sel.Where, sel.Having}
+	for _, it := range sel.Items {
+		exprs = append(exprs, it.Expr)
+	}
+	for _, jc := range sel.Joins {
+		exprs = append(exprs, jc.On)
+	}
+	exprs = append(exprs, sel.GroupBy...)
+	for _, oi := range sel.OrderBy {
+		exprs = append(exprs, oi.Expr)
+	}
+	for _, e := range exprs {
+		if exprHasSubquery(e) {
 			return true
 		}
 	}
 	return false
 }
 
-// branchOutputCols resolves the branch's output column names at analysis
-// time. Star items need the input tables' column lists; without them the
-// branch is rejected (callers fall back to the scratch engine, which
-// resolves stars at runtime).
-func branchOutputCols(sel *SelectStmt, inputs []StreamSource, tableCols func(string) []string) ([]string, string) {
-	var schema rowSchema
-	haveSchema := true
-	for _, in := range inputs {
-		var cols []string
-		if tableCols != nil {
-			cols = tableCols(in.Table)
-		}
-		if cols == nil {
-			haveSchema = false
-			break
-		}
-		for _, c := range cols {
-			schema = append(schema, colBinding{qualifier: in.Qualifier, name: normalizeName(c)})
-		}
-	}
-	if haveSchema {
-		cols, _, err := expandItems(sel.Items, schema)
-		if err != nil {
-			return nil, "unresolvable select list"
-		}
-		return cols, ""
-	}
-	var cols []string
-	for _, it := range sel.Items {
-		if it.Star {
-			return nil, "star select over tables with unknown columns"
-		}
-		name := it.Alias
-		if name == "" {
-			name = exprName(it.Expr)
-		}
-		cols = append(cols, name)
-	}
-	return cols, ""
-}
-
-// outputOrdinal replicates the executor's ORDER BY key resolution for
-// the streamable subset: an integer ordinal or a reference matching
-// exactly one output column. Anything else returns -1.
-func outputOrdinal(e Expr, outCols []string) int {
-	if lit, ok := e.(*Literal); ok && lit.Val.Kind == KindInt {
-		n := int(lit.Val.Int)
-		if n >= 1 && n <= len(outCols) {
-			return n - 1
-		}
-		return -1
-	}
-	if cr, ok := e.(*ColumnRef); ok {
-		found := -1
-		for i, c := range outCols {
-			if c == cr.Column {
-				if found >= 0 {
-					return -1
-				}
-				found = i
-			}
-		}
-		return found
-	}
-	return -1
-}
-
 // exprHasSubquery reports whether e contains an IN (SELECT ...) or
-// EXISTS: those re-enter the executor, which streaming evaluation does
-// not carry.
+// EXISTS: those re-enter an executor.
 func exprHasSubquery(e Expr) bool {
 	switch x := e.(type) {
 	case nil, *Literal, *ColumnRef, *Param:
@@ -421,42 +461,50 @@ func (o StreamOptions) budget() int64 {
 	return o.BudgetBytes
 }
 
+// evalEnv is what an operator's expressions see besides the row: the
+// statement's parameters and, in the engine, the executor IN/EXISTS
+// subqueries re-enter and the enclosing row of a correlated subquery.
+type evalEnv struct {
+	params []Value
+	exec   selectFunc
+	outer  *evalContext
+}
+
+func (e *evalEnv) bind(sch rowSchema, row Row) *evalContext {
+	return &evalContext{schema: sch, row: row, params: e.params, exec: e.exec, outer: e.outer}
+}
+
 // StreamSelect composes the streaming pipeline for an analyzed plan over
 // live inputs (flattened across branches, matching plan.Branches[i].Inputs
 // order). It takes ownership of every input iterator: they are closed
 // when the returned iterator is closed, or before returning an error.
 func StreamSelect(ctx context.Context, plan *StreamPlan, inputs []StreamInput, params []Value, opts StreamOptions) (RowIter, error) {
-	closeAll := func() {
-		for _, in := range inputs {
-			in.Iter.Close()
-		}
-	}
+	return streamSelect(ctx, plan, inputs, &evalEnv{params: params}, opts)
+}
+
+func streamSelect(ctx context.Context, plan *StreamPlan, inputs []StreamInput, env *evalEnv, opts StreamOptions) (RowIter, error) {
 	want := 0
 	for _, br := range plan.Branches {
 		want += len(br.Inputs)
 	}
-	if want != len(inputs) {
-		closeAll()
-		return nil, fmt.Errorf("sqlengine: stream plan wants %d inputs, got %d", want, len(inputs))
+	err := plan.check()
+	if err == nil && want != len(inputs) {
+		err = fmt.Errorf("sqlengine: stream plan wants %d inputs, got %d", want, len(inputs))
+	}
+	if err != nil {
+		for _, in := range inputs {
+			in.Iter.Close()
+		}
+		return nil, err
 	}
 
 	next := inputs
 	// Fold the UNION chain right-to-left so dedupe wrapping matches the
-	// executor's recursion: dedupe(b1 + dedupe(b2 + ...)).
-	var branchIters []RowIter
-	for _, br := range plan.Branches {
-		bi, err := composeBranch(ctx, br, next[:len(br.Inputs)], params, opts)
+	// engine's recursion: dedupe(b1 + dedupe(b2 + ...)).
+	branchIters := make([]RowIter, len(plan.Branches))
+	for i, br := range plan.Branches {
+		branchIters[i] = composeBranch(ctx, br, next[:len(br.Inputs)], env, opts)
 		next = next[len(br.Inputs):]
-		if err != nil {
-			for _, it := range branchIters {
-				it.Close()
-			}
-			for _, in := range next {
-				in.Iter.Close()
-			}
-			return nil, err
-		}
-		branchIters = append(branchIters, bi)
 	}
 	out := branchIters[len(branchIters)-1]
 	for i := len(branchIters) - 2; i >= 0; i-- {
@@ -468,37 +516,66 @@ func StreamSelect(ctx context.Context, plan *StreamPlan, inputs []StreamInput, p
 	return out, nil
 }
 
+// check returns the statement errors the engine reports before reading a
+// row: an unresolvable select list, then a UNION branch whose width
+// differs from the rest of its chain (the innermost pair first, as the
+// engine's recursion met them).
+func (p *StreamPlan) check() error {
+	for _, br := range p.Branches {
+		if br.err != nil {
+			return br.err
+		}
+	}
+	for i := len(p.Branches) - 2; i >= 0; i-- {
+		if a, b := len(p.Branches[i].OutCols), len(p.Branches[i+1].OutCols); a != b {
+			return fmt.Errorf("sqlengine: UNION column count mismatch: %d vs %d", a, b)
+		}
+	}
+	return nil
+}
+
 // composeBranch builds one branch's pipeline:
-// scan|join → filter → project → distinct → sort → offset/limit,
-// mirroring the executor's phase order exactly.
-func composeBranch(ctx context.Context, br *StreamBranch, ins []StreamInput, params []Value, opts StreamOptions) (RowIter, error) {
+// inputs → joins → filter → project|aggregate → distinct → sort →
+// offset/limit.
+func composeBranch(ctx context.Context, br *StreamBranch, ins []StreamInput, env *evalEnv, opts StreamOptions) RowIter {
 	sel := br.Sel
 	var rel relIter
-	left := &srcIter{in: ins[0].Iter, q: ins[0].Source.Qualifier, cols: ins[0].Columns}
-	if br.Join == nil {
-		rel = left
+	if len(ins) == 0 {
+		rel = &srcIter{in: SliceIter(&ResultSet{Rows: []Row{{}}}), cols: []string{}}
 	} else {
-		right := &srcIter{in: ins[1].Iter, q: ins[1].Source.Qualifier, cols: ins[1].Columns}
-		if br.Join.Merge {
-			rel = &mergeJoinIter{ctx: ctx, j: br.Join, left: left, right: right, params: params}
+		rel = &srcIter{in: ins[0].Iter, q: ins[0].Source.Qualifier, cols: ins[0].Columns}
+	}
+	for i, j := range br.Joins {
+		right := &srcIter{in: ins[i+1].Iter, q: ins[i+1].Source.Qualifier, cols: ins[i+1].Columns}
+		if j.Merge {
+			rel = &mergeJoinIter{ctx: ctx, j: j, left: rel, right: right, env: env}
 		} else {
-			rel = newHashJoinIter(ctx, br.Join, left, right, params, opts)
+			rel = newHashJoinIter(ctx, j, rel, right, env, opts)
 		}
 	}
 	if sel.Where != nil {
-		rel = &filterIter{in: rel, cond: sel.Where, params: params}
+		rel = &filterIter{in: rel, cond: sel.Where, env: env}
 	}
-	var out RowIter = &projectIter{in: rel, items: sel.Items, cols: br.OutCols, params: params}
+	var out RowIter
+	if br.aggregated {
+		out = &aggIter{ctx: ctx, in: rel, sel: sel, cols: br.OutCols, exprs: br.exprs, env: env}
+	} else {
+		out = &projectIter{in: rel, cols: br.OutCols, exprs: br.exprs, env: env}
+	}
 	if sel.Distinct {
 		out = &distinctIter{in: out}
 	}
-	if len(br.orderKeys) > 0 {
-		out = newSortIter(ctx, out, br.orderKeys, opts)
+	if len(sel.OrderBy) > 0 {
+		width := 0
+		if len(br.exprs) > len(br.OutCols) {
+			width = len(br.OutCols)
+		}
+		out = newSortIter(ctx, out, br.orderKeys, width, br.orderErr, opts)
 	}
 	if sel.Offset > 0 || sel.Limit >= 0 {
 		out = &offsetLimitIter{in: out, offset: sel.Offset, limit: sel.Limit}
 	}
-	return out, nil
+	return out
 }
 
 // ---- relation iterators (rows + qualified schema) ----
@@ -515,11 +592,12 @@ type relIter interface {
 
 // srcIter adapts one table input. The schema binds the input's columns
 // under the table's qualifier; when Columns were not statically known,
-// binding reads them from the iterator (opening lazy producers). A lazy
-// producer that reports no columns until its first row (a relay cursor
-// that failed to open, say) is probed with one Next so its real error —
-// not a misleading "unknown column" from an empty schema — aborts the
-// bind; a successfully probed row is replayed by the first next().
+// binding reads them from the iterator (opening lazy producers) and
+// normalizes them. A lazy producer that reports no columns until its
+// first row (a relay cursor that failed to open, say) is probed with one
+// Next so its real error — not a misleading "unknown column" from an
+// empty schema — aborts the bind; a successfully probed row is replayed
+// by the first next().
 type srcIter struct {
 	in      RowIter
 	q       string
@@ -532,8 +610,8 @@ type srcIter struct {
 
 func (s *srcIter) schema() (rowSchema, error) {
 	if !s.bound {
-		cols := s.cols
-		if cols == nil {
+		cols, read := s.cols, s.cols == nil
+		if read {
 			cols = s.in.Columns()
 			if len(cols) == 0 {
 				row, err := s.in.Next()
@@ -548,7 +626,10 @@ func (s *srcIter) schema() (rowSchema, error) {
 		}
 		s.sch = make(rowSchema, len(cols))
 		for i, c := range cols {
-			s.sch[i] = colBinding{qualifier: s.q, name: normalizeName(c)}
+			if read {
+				c = normalizeName(c)
+			}
+			s.sch[i] = colBinding{qualifier: s.q, name: c}
 		}
 		s.bound = true
 	}
@@ -566,30 +647,19 @@ func (s *srcIter) next() (Row, error) {
 
 func (s *srcIter) close() error { return s.in.Close() }
 
-// filterIter applies a WHERE condition with the executor's ROWNUM
+// filterIter applies a WHERE condition with the engine's ROWNUM
 // semantics: the pseudo-column numbers candidate rows as they pass.
 type filterIter struct {
-	in     relIter
-	cond   Expr
-	params []Value
-	sch    rowSchema
-	bound  bool
-	kept   int64
+	in   relIter
+	cond Expr
+	env  *evalEnv
+	kept int64
 }
 
-func (f *filterIter) schema() (rowSchema, error) {
-	if !f.bound {
-		sch, err := f.in.schema()
-		if err != nil {
-			return nil, err
-		}
-		f.sch, f.bound = sch, true
-	}
-	return f.sch, nil
-}
+func (f *filterIter) schema() (rowSchema, error) { return f.in.schema() }
 
 func (f *filterIter) next() (Row, error) {
-	sch, err := f.schema()
+	sch, err := f.in.schema()
 	if err != nil {
 		return nil, err
 	}
@@ -598,7 +668,8 @@ func (f *filterIter) next() (Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		ec := &evalContext{schema: sch, row: row, params: f.params, rownum: f.kept + 1}
+		ec := f.env.bind(sch, row)
+		ec.rownum = f.kept + 1
 		v, err := evalExpr(f.cond, ec)
 		if err != nil {
 			return nil, err
@@ -612,48 +683,27 @@ func (f *filterIter) next() (Row, error) {
 
 func (f *filterIter) close() error { return f.in.close() }
 
-// projectIter evaluates the SELECT list, converting the qualified
-// relation into the branch's output rows.
+// projectIter evaluates the SELECT list (and any hidden ORDER BY keys
+// after it), turning the qualified relation into output rows.
 type projectIter struct {
-	in     relIter
-	items  []SelectItem
-	cols   []string
-	params []Value
-	exprs  []Expr
-	sch    rowSchema
-	bound  bool
+	in    relIter
+	cols  []string
+	exprs []Expr
+	env   *evalEnv
 }
 
 func (p *projectIter) Columns() []string { return p.cols }
 
-func (p *projectIter) bind() error {
-	if p.bound {
-		return nil
-	}
+func (p *projectIter) Next() (Row, error) {
 	sch, err := p.in.schema()
 	if err != nil {
-		return err
-	}
-	cols, exprs, err := expandItems(p.items, sch)
-	if err != nil {
-		return err
-	}
-	if len(cols) != len(p.cols) {
-		return fmt.Errorf("sqlengine: stream projection resolved %d columns, planned %d", len(cols), len(p.cols))
-	}
-	p.sch, p.exprs, p.bound = sch, exprs, true
-	return nil
-}
-
-func (p *projectIter) Next() (Row, error) {
-	if err := p.bind(); err != nil {
 		return nil, err
 	}
 	row, err := p.in.next()
 	if err != nil {
 		return nil, err
 	}
-	ec := &evalContext{schema: p.sch, row: row, params: p.params}
+	ec := p.env.bind(sch, row)
 	out := make(Row, len(p.exprs))
 	for i, e := range p.exprs {
 		v, err := evalExpr(e, ec)
@@ -668,8 +718,7 @@ func (p *projectIter) Next() (Row, error) {
 func (p *projectIter) Close() error { return p.in.close() }
 
 // distinctIter streams rows, dropping those whose encoded key was seen.
-// Memory is bounded by the number of distinct output rows, matching the
-// executor's dedupeRows.
+// Memory is bounded by the number of distinct output rows.
 type distinctIter struct {
 	in   RowIter
 	seen map[string]bool
@@ -759,7 +808,7 @@ func (u *unionIter) Close() error {
 	return err
 }
 
-// ---- helpers shared by the join/sort operators ----
+// ---- helpers shared by the join/sort/aggregate operators ----
 
 const (
 	valueMemBytes    = int64(unsafe.Sizeof(Value{}))
@@ -776,13 +825,24 @@ func rowMemBytes(row Row) int64 {
 	return n
 }
 
-func resolveKeys(sch rowSchema, qualifier string, keys []string) ([]int, error) {
+// ctxErr reports ctx's error without blocking; buffering operators poll
+// it once per row.
+func ctxErr(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
+	}
+}
+
+func resolveKeys(sch rowSchema, quals, keys []string) ([]int, error) {
 	idx := make([]int, len(keys))
 	for i, k := range keys {
-		j, err := sch.lookup(qualifier, k)
+		j, err := sch.lookup(quals[i], k)
 		if err != nil {
-			// Unqualified fallback: relay inputs may expose columns under
-			// a different qualifier spelling.
+			// Unqualified fallback: a relay input's columns are only
+			// known once it is read.
 			if j2, err2 := sch.lookup("", k); err2 == nil {
 				idx[i] = j2
 				continue
@@ -814,14 +874,12 @@ func compareKeys(a, b []Value) int {
 	return 0
 }
 
-// evalResidual re-checks the full ON condition over a combined row, the
-// same way the executor's residual closure does.
-func evalResidual(cond Expr, sch rowSchema, row Row, params []Value) (bool, error) {
+// evalResidual re-checks a join's residual condition over a combined row.
+func evalResidual(cond Expr, sch rowSchema, row Row, env *evalEnv) (bool, error) {
 	if cond == nil {
 		return true, nil
 	}
-	ec := &evalContext{schema: sch, row: row, params: params}
-	v, err := evalExpr(cond, ec)
+	v, err := evalExpr(cond, env.bind(sch, row))
 	if err != nil {
 		return false, err
 	}

@@ -29,9 +29,9 @@ func (st streamTable) createSQL() string {
 	return "CREATE TABLE " + st.name + " (" + strings.Join(defs, ", ") + ")"
 }
 
-// runStreamDiff executes sql against a scratch engine loaded with the
-// tables (the reference semantics) and against the streaming operators
-// over plain slice iterators, then asserts the results are
+// runStreamDiff executes sql on the oracle (refexec_test.go) over an
+// engine loaded with the tables and on the streaming operators over
+// plain slice iterators, then asserts the results are
 // row-identical. When orderSensitive, row order must match exactly;
 // otherwise both sides are compared as sorted multisets (shapes like
 // spilled joins legitimately permute output order). mutate lets tests
@@ -49,7 +49,7 @@ func runStreamDiff(t *testing.T, tables []streamTable, sql string, params []Valu
 		}
 		byName[tb.name] = tb
 	}
-	want, err := eng.Query(sql, params...)
+	want, err := refQuery(eng, sql, params...)
 	if err != nil {
 		t.Fatalf("reference query: %v", err)
 	}
@@ -221,7 +221,7 @@ func TestStreamHashJoinBuildLeft(t *testing.T) {
 	// Building the left side probes in right-input order, so compare as
 	// multisets.
 	runStreamDiff(t, tables, q, nil, StreamOptions{}, false, func(p *StreamPlan) {
-		p.Branches[0].Join.BuildLeft = true
+		p.Branches[0].Joins[0].BuildLeft = true
 	})
 }
 
@@ -265,7 +265,7 @@ func TestStreamMergeJoinDifferential(t *testing.T) {
 		q := "SELECT f.event_id, d.tag FROM fact f JOIN dim d ON f.run = d.run AND f.e_tot > d.w"
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			runStreamDiff(t, tables, q, nil, StreamOptions{}, false, func(p *StreamPlan) {
-				p.Branches[0].Join.Merge = true
+				p.Branches[0].Joins[0].Merge = true
 			})
 		})
 	}
@@ -311,6 +311,35 @@ func TestStreamSortSpill(t *testing.T) {
 	}
 }
 
+// TestStreamEngineShapesSpill: the shapes the engine runs unbudgeted —
+// RIGHT, nested-loop, comma and multi-step joins, aggregates, hidden sort
+// keys — still match the oracle when a federation's budget spills them.
+func TestStreamEngineShapesSpill(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	tables := genTables(rng, 300, 40)
+	tmp := t.TempDir()
+	for _, q := range []string{
+		"SELECT f.event_id, d.tag FROM fact f RIGHT JOIN dim d ON f.run = d.run",
+		"SELECT f.event_id, d.tag FROM fact f JOIN dim d ON f.e_tot < d.w",
+		"SELECT f.event_id, d.w FROM fact f, dim d WHERE f.run = d.run AND d.w > 5",
+		"SELECT f.event_id, d.tag, g.event_id FROM fact f JOIN dim d ON f.run = d.run LEFT JOIN fact g ON g.run = d.run AND g.e_tot > f.e_tot",
+		// Spilled partitions reorder rows: a float SUM could differ in its
+		// last digit, so only order-free aggregates here.
+		"SELECT d.tag, COUNT(*), MAX(f.e_tot) FROM fact f JOIN dim d ON f.run = d.run GROUP BY d.tag",
+		"SELECT event_id FROM fact ORDER BY e_tot, event_id DESC",
+	} {
+		t.Run(q, func(t *testing.T) {
+			stats := runStreamDiff(t, tables, q, nil, StreamOptions{BudgetBytes: 512, TempDir: tmp}, false, nil)
+			if !stats.Spilled {
+				t.Fatalf("expected spill, got stats %+v", stats)
+			}
+			if ents, _ := os.ReadDir(tmp); len(ents) != 0 {
+				t.Fatalf("spill files left behind: %v", ents)
+			}
+		})
+	}
+}
+
 func TestStreamSortStabilityAcrossRuns(t *testing.T) {
 	// All-equal keys: output must preserve arrival order even when the
 	// sort spills into several runs (the merge ties break on arrival
@@ -331,16 +360,21 @@ func TestStreamSortStabilityAcrossRuns(t *testing.T) {
 
 func TestAnalyzeStreamSelectRejections(t *testing.T) {
 	eng := NewEngine("ref", DialectANSI)
+	// Every input's columns are unknown (nil tableCols): what remains
+	// rejected is a subquery, and what needs the columns — a star, or a
+	// join with no equi-key the analyzer can attribute.
 	cases := []struct {
 		sql    string
 		reason string
 	}{
-		{"SELECT COUNT(*) FROM fact", "aggregation"},
-		{"SELECT run FROM fact GROUP BY run", "aggregation"},
-		{"SELECT event_id FROM fact, dim", "comma join"},
 		{"SELECT event_id FROM fact WHERE run IN (SELECT run FROM dim)", "subquery"},
+		{"SELECT f.event_id FROM fact f JOIN dim d ON f.run = d.run WHERE EXISTS (SELECT 1 FROM dim)", "subquery"},
+		{"SELECT run, COUNT(*) FROM fact GROUP BY run HAVING COUNT(*) IN (SELECT run FROM dim)", "subquery"},
+		{"SELECT * FROM fact", "star select over tables with unknown columns"},
+		{"SELECT event_id FROM fact, dim", "join without equi-keys"},
 		{"SELECT event_id FROM fact f JOIN dim d ON f.e_tot > d.w", "join without equi-keys"},
-		{"SELECT event_id, e_tot FROM fact ORDER BY e_tot + 1", "ORDER BY is not an output column"},
+		{"SELECT event_id FROM fact f JOIN dim d ON run = d.run", "join without equi-keys"},
+		{"SELECT f.event_id FROM fact f JOIN dim d ON f.run = d.run CROSS JOIN dim e", "join without equi-keys"},
 	}
 	for _, c := range cases {
 		st, err := eng.ParseSQL(c.sql)
@@ -353,6 +387,24 @@ func TestAnalyzeStreamSelectRejections(t *testing.T) {
 		}
 		if reason != c.reason {
 			t.Fatalf("%q: reason %q, want %q", c.sql, reason, c.reason)
+		}
+	}
+	// The shapes the analyzer used to reject all run, columns unknown.
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM fact",
+		"SELECT run FROM fact GROUP BY run",
+		"SELECT f.event_id FROM fact f, dim d WHERE f.run = d.run",
+		"SELECT f.event_id, d.tag FROM fact f RIGHT JOIN dim d ON f.run = d.run",
+		"SELECT f.event_id FROM fact f JOIN dim d ON f.run = d.run JOIN fact g ON g.event_id = f.event_id",
+		"SELECT event_id, e_tot FROM fact ORDER BY e_tot + 1",
+		"SELECT event_id FROM fact UNION SELECT run, tag FROM dim",
+	} {
+		st, err := eng.ParseSQL(sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", sql, err)
+		}
+		if plan, reason := AnalyzeStreamSelect(st.(*SelectStmt), nil); plan == nil {
+			t.Errorf("%q: rejected (%s)", sql, reason)
 		}
 	}
 }

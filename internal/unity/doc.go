@@ -18,13 +18,14 @@
 // Execution comes in two shapes. ExecuteStreamOp returns an incremental
 // sqlengine.RowIter: pushdown plans stream straight off the backend
 // cursor, so a scan larger than memory can be paged by the consumer, and
-// decomposed plans the streaming operators can serve run pipelined over
-// member cursors opened through the scatter-gather (a bounded worker
-// pool, MaxParallel). ExecuteContext materializes: decomposed plans
-// scatter-gather their per-table sub-queries (optionally bounded per
-// sub-query by SourceBudget) into a scratch engine and integrate there —
-// the fallback for the remaining shapes and the reference the operators
-// are tested against.
+// decomposed plans run pipelined — on sqlengine's operators, the executor
+// the member engines run too — over member cursors opened through the
+// scatter-gather (a bounded worker pool, MaxParallel). ExecuteContext
+// materializes: decomposed plans scatter-gather their per-table
+// sub-queries (optionally bounded per sub-query by SourceBudget) into a
+// scratch engine and integrate there — the fallback for the shapes the
+// pipeline cannot run without a database of its own (subqueries; a star
+// or an unqualified join key over a peer table of unknown columns).
 //
 // A table need not live on a member database. PlanQueryAt takes, beside
 // the query, the locations of the tables the dictionary does not know

@@ -74,7 +74,9 @@ func singleEngine(t *testing.T) *sqlengine.Engine {
 	if err := e.ExecScript(`CREATE TABLE events (event_id BIGINT PRIMARY KEY, run BIGINT NOT NULL, e_tot DOUBLE);
 		INSERT INTO events VALUES (1,100,5.5),(2,100,7.0),(3,101,2.5),(4,102,9.0);
 		CREATE TABLE runs (run BIGINT PRIMARY KEY, detector VARCHAR(16));
-		INSERT INTO runs VALUES (100,'CMS'),(101,'ATLAS')`); err != nil {
+		INSERT INTO runs VALUES (100,'CMS'),(101,'ATLAS');
+		CREATE TABLE lookup (k BIGINT, v VARCHAR(8));
+		INSERT INTO lookup VALUES (1,'a'),(2,'b')`); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -147,6 +149,8 @@ func TestPeerLoadExecution(t *testing.T) {
 		{"self-join", "SELECT a.run, b.detector FROM runs a JOIN runs b ON a.run = b.run",
 			"pipelined hash-join(build=right)", 2},
 		{"aggregate", "SELECT r.detector, COUNT(*) FROM events e JOIN runs r ON e.run = r.run GROUP BY r.detector",
+			"pipelined hash-join(build=left)", 1},
+		{"subquery", "SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run WHERE e.run IN (SELECT run FROM events)",
 			"scratch", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -208,12 +212,14 @@ func TestOuterJoinWhereStaysAboveTheJoin(t *testing.T) {
 	for _, tc := range []struct{ name, sql, operator string }{
 		{"anti-join, pipelined", "SELECT e.event_id FROM events e LEFT JOIN runs r ON e.run = r.run WHERE r.detector IS NULL ORDER BY e.event_id",
 			"pipelined hash-join(build=right)"},
-		{"anti-join, scratch", "SELECT e.event_id, COUNT(*) FROM events e LEFT JOIN runs r ON e.run = r.run WHERE r.detector IS NULL GROUP BY e.event_id ORDER BY e.event_id",
+		{"anti-join, scratch", "SELECT e.event_id FROM events e LEFT JOIN runs r ON e.run = r.run WHERE r.detector IS NULL AND e.run IN (SELECT run FROM events) ORDER BY e.event_id",
 			"scratch"},
+		{"anti-join, aggregated", "SELECT e.event_id, COUNT(*) FROM events e LEFT JOIN runs r ON e.run = r.run WHERE r.detector IS NULL GROUP BY e.event_id ORDER BY e.event_id",
+			"pipelined hash-join(build=right)"},
 		{"coalesce", "SELECT e.event_id FROM events e LEFT JOIN runs r ON e.run = r.run WHERE COALESCE(r.detector, 'none') = 'none' ORDER BY e.event_id",
 			"pipelined hash-join(build=right)"},
 		{"right join", "SELECT e.event_id FROM runs r RIGHT JOIN events e ON e.run = r.run WHERE r.detector IS NULL AND e.e_tot > 1 ORDER BY e.event_id",
-			"scratch"},
+			"pipelined hash-join(build=left)"},
 		// The preserved side still filters at its source.
 		{"preserved side", "SELECT e.event_id, r.detector FROM events e LEFT JOIN runs r ON e.run = r.run WHERE e.e_tot > 5 ORDER BY e.event_id",
 			"pipelined hash-join(build=right)"},

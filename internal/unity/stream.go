@@ -9,12 +9,15 @@ import (
 	"gridrdb/internal/xspec"
 )
 
-// This file is the federation side of the streaming operator layer
-// (internal/sqlengine/operators.go): planStream decides at plan time
-// whether a decomposed query can run pipelined — rows flowing from the
-// member databases through join/filter/project operators straight to the
-// consumer — and ExecuteStreamOp executes that decision, falling back to
-// the materialize-into-scratch path for shapes the analyzer rejects.
+// This file is the federation side of sqlengine's operator pipeline
+// (internal/sqlengine/operators.go), the executor every member database
+// also runs: planStream decides at plan time how a decomposed query runs
+// pipelined — rows flowing from the member databases and peers through
+// join/filter/project/aggregate operators straight to the consumer — and
+// ExecuteStreamOp executes that decision. Scratch integration serves only
+// what the pipeline cannot run without a database of its own: subqueries,
+// and stars or unattributable join keys over a peer table whose columns
+// are unknown.
 //
 // The payoff is the paper's integration bottleneck: a decomposed join
 // previously loaded every partial result into scratch tables before the
@@ -54,11 +57,8 @@ func (f *Federation) streamBudget() int64 {
 }
 
 // planStream analyzes a decomposed plan for the streaming operators and,
-// when it qualifies, picks the join strategy for each branch: hash join
-// with the smaller side (by spec row-count stats) as the build, or a
-// merge join — pushing ORDER BY on the join keys into both sub-queries —
-// when even the smaller side is estimated to blow the byte budget.
-// Rejections record the analyzer's reason for explain output.
+// when it qualifies, picks each join step's strategy. Rejections record
+// the analyzer's reason for explain output.
 func (f *Federation) planStream(plan *Plan) {
 	colsOf := func(table string) []string {
 		ld := plan.loadFor(table)
@@ -74,7 +74,14 @@ func (f *Federation) planStream(plan *Plan) {
 	}
 	ops := make([]string, len(sp.Branches))
 	for i, br := range sp.Branches {
-		ops[i] = f.planBranchJoin(plan, sp, br)
+		ops[i] = "scan"
+		if len(br.Joins) > 0 {
+			steps := make([]string, len(br.Joins))
+			for j := range br.Joins {
+				steps[j] = f.planJoin(plan, sp, br, j)
+			}
+			ops[i] = strings.Join(steps, " + ")
+		}
 	}
 	plan.stream = sp
 	if len(ops) == 1 {
@@ -84,28 +91,36 @@ func (f *Federation) planStream(plan *Plan) {
 	}
 }
 
-// planBranchJoin sets one branch's join strategy and returns its label.
-func (f *Federation) planBranchJoin(plan *Plan, sp *sqlengine.StreamPlan, br *sqlengine.StreamBranch) string {
-	if br.Join == nil {
-		return "scan"
-	}
-	if br.Join.Kind != sqlengine.JoinInner {
+// planJoin sets the strategy of a branch's join step i and returns its
+// label. Only the first step joins two member loads whose row counts the
+// specs know: it builds the smaller side, or merges — pushing ORDER BY on
+// the join keys into both sub-queries — when even the smaller side is
+// estimated to blow the byte budget. A later step builds its new right
+// table.
+func (f *Federation) planJoin(plan *Plan, sp *sqlengine.StreamPlan, br *sqlengine.StreamBranch, i int) string {
+	j := br.Joins[i]
+	switch {
+	case len(j.LeftKeys) == 0:
+		return "nested-loop"
+	case j.Kind == sqlengine.JoinRight:
+		return "hash-join(build=left)"
+	case j.Kind == sqlengine.JoinLeft || i > 0:
 		// LEFT joins must build the right side so unmatched probe rows
-		// stream out; merge joins are inner-only.
+		// stream out.
 		return "hash-join(build=right)"
 	}
 	lt, rt := br.Inputs[0].Table, br.Inputs[1].Table
 	lrows, rrows := plan.specRows(lt), plan.specRows(rt)
 	if f.mergeJoinPreferred(plan, sp, br, lrows, rrows) {
 		if f.renderOrderedLoads(plan, br) == nil {
-			br.Join.Merge = true
+			j.Merge = true
 			return "merge-join"
 		}
 		// A dialect that cannot express the ordered sub-query falls back
 		// to the hash strategies below.
 	}
 	if lrows > 0 && (rrows <= 0 || lrows < rrows) {
-		br.Join.BuildLeft = true
+		j.BuildLeft = true
 		return "hash-join(build=left)"
 	}
 	return "hash-join(build=right)"
@@ -134,15 +149,15 @@ func (p *Plan) estTableBytes(logical string) int64 {
 }
 
 // mergeJoinPreferred decides whether to order both inputs at the sources
-// and merge instead of hash-building: only for a single-branch inner
-// join of two distinct tables whose smaller side is still estimated over
-// the byte budget (so a hash build would spill anyway), and only when
+// and merge instead of hash-building: only for the one inner join of a
+// single-branch plan, of two distinct tables whose smaller side is still
+// estimated over the byte budget (so a hash build would spill anyway), and only when
 // every join key is a numeric or timestamp column on both sides — the
 // merge relies on both sources agreeing on the sort order, which string
 // collations do not guarantee across heterogeneous databases.
 func (f *Federation) mergeJoinPreferred(plan *Plan, sp *sqlengine.StreamPlan, br *sqlengine.StreamBranch, lrows, rrows int) bool {
 	budget := f.streamBudget()
-	if budget <= 0 || len(sp.Branches) != 1 {
+	if budget <= 0 || len(sp.Branches) != 1 || len(br.Joins) != 1 {
 		return false
 	}
 	lt, rt := br.Inputs[0].Table, br.Inputs[1].Table
@@ -161,8 +176,8 @@ func (f *Federation) mergeJoinPreferred(plan *Plan, sp *sqlengine.StreamPlan, br
 	if smaller <= budget {
 		return false
 	}
-	return keysOrderable(plan.loadFor(lt), br.Join.LeftKeys) &&
-		keysOrderable(plan.loadFor(rt), br.Join.RightKeys)
+	return keysOrderable(plan.loadFor(lt), br.Joins[0].LeftKeys) &&
+		keysOrderable(plan.loadFor(rt), br.Joins[0].RightKeys)
 }
 
 // keysOrderable reports whether every key column has a spec kind whose
@@ -209,9 +224,9 @@ func (f *Federation) renderOrderedLoads(plan *Plan, br *sqlengine.StreamBranch) 
 		var keys []string
 		switch {
 		case strings.EqualFold(ld.logical, br.Inputs[0].Table):
-			keys = br.Join.LeftKeys
+			keys = br.Joins[0].LeftKeys
 		case strings.EqualFold(ld.logical, br.Inputs[1].Table):
-			keys = br.Join.RightKeys
+			keys = br.Joins[0].RightKeys
 		default:
 			continue
 		}

@@ -3,6 +3,7 @@ package unity
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -146,21 +147,134 @@ func TestStreamOpParamsReachPipeline(t *testing.T) {
 
 func TestStreamOpFallbackReasons(t *testing.T) {
 	f := buildFederation(t)
-	// Aggregation is not streamable: the scratch engine must serve it,
-	// and explain must say why.
-	q := "SELECT r.detector, COUNT(*) FROM events e JOIN runs r ON e.run = r.run GROUP BY r.detector"
+	// A subquery re-enters an executor, which the federation does not
+	// have: the scratch engine must serve it, and explain must say why.
+	q := "SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run WHERE e.run IN (SELECT run FROM runs)"
 	plan, err := f.PlanQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pe := plan.Explain()
-	if pe.Operator != "scratch" || pe.StreamFallback != "aggregation" {
-		t.Fatalf("explain = %q/%q, want scratch/aggregation", pe.Operator, pe.StreamFallback)
+	if pe.Operator != "scratch" || pe.StreamFallback != "subquery" {
+		t.Fatalf("explain = %q/%q, want scratch/subquery", pe.Operator, pe.StreamFallback)
 	}
 	ex := execBoth(t, f, q)
-	if ex.Operator != "scratch" || ex.Fallback != "aggregation" {
-		t.Fatalf("executed = %q/%q, want scratch/aggregation", ex.Operator, ex.Fallback)
+	if ex.Operator != "scratch" || ex.Fallback != "subquery" {
+		t.Fatalf("executed = %q/%q, want scratch/subquery", ex.Operator, ex.Fallback)
 	}
+}
+
+// TestStreamOpEngineShapes: the shapes the operators took over from the
+// materializing executor run pipelined over two member databases and
+// answer what one engine holding every table answers.
+func TestStreamOpEngineShapes(t *testing.T) {
+	ref := singleEngine(t)
+	for _, tc := range []struct {
+		name, sql, operator string
+		ordered             bool
+	}{
+		{"group by over a join", "SELECT r.detector, COUNT(*), SUM(e.e_tot) FROM events e JOIN runs r ON e.run = r.run GROUP BY r.detector HAVING COUNT(*) > 0",
+			"pipelined hash-join(build=right)", false},
+		{"aggregate without group by", "SELECT COUNT(*), MAX(e.e_tot) FROM events e JOIN runs r ON e.run = r.run",
+			"pipelined hash-join(build=right)", false},
+		{"three tables", "SELECT e.event_id, r.detector, l.v FROM events e JOIN runs r ON e.run = r.run JOIN lookup l ON l.k = e.event_id",
+			"pipelined hash-join(build=right) + hash-join(build=right)", false},
+		{"right join", "SELECT e.event_id, r.detector FROM runs r RIGHT JOIN events e ON e.run = r.run",
+			"pipelined hash-join(build=left)", false},
+		{"comma join", "SELECT e.event_id, r.detector FROM events e, runs r WHERE e.run = r.run AND r.detector = 'CMS'",
+			"pipelined hash-join(build=right)", false},
+		{"non-equi join", "SELECT e.event_id, r.run FROM events e JOIN runs r ON e.run < r.run",
+			"pipelined nested-loop", false},
+		{"cross join", "SELECT e.event_id, r.detector FROM events e CROSS JOIN runs r",
+			"pipelined nested-loop", false},
+		{"order by a non-output expression", "SELECT e.event_id FROM events e JOIN runs r ON e.run = r.run ORDER BY r.detector DESC, e.e_tot",
+			"pipelined hash-join(build=right)", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := buildFederation(t)
+			plan, err := f.PlanQuery(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it, ex, err := f.ExecuteStreamOp(context.Background(), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.Operator != tc.operator || plan.Explain().Operator != tc.operator {
+				t.Errorf("operator = %q (explain %q), want %q", ex.Operator, plan.Explain().Operator, tc.operator)
+			}
+			got, err := sqlengine.Drain(it)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Query(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, w := rowStrings(got.Rows), rowStrings(want.Rows)
+			if tc.ordered {
+				g, w = []string{fmt.Sprint(got.Rows)}, []string{fmt.Sprint(want.Rows)}
+			}
+			if len(w) == 0 || !reflect.DeepEqual(g, w) || !reflect.DeepEqual(got.Columns, want.Columns) {
+				t.Errorf("%v %q, one engine answers %v %q", got.Columns, g, want.Columns, w)
+			}
+		})
+	}
+}
+
+// TestAggregateInExpressionsFederated: an aggregate nested in a function,
+// CASE, IS NULL or BETWEEN, or used as an ORDER BY key, evaluates per
+// group whether the statement is pushed down to a member database or
+// runs pipelined over a join of two.
+func TestAggregateInExpressionsFederated(t *testing.T) {
+	f := federate(t,
+		member{"aggmy", sqlengine.DialectMySQL,
+			"CREATE TABLE `t` (`id` BIGINT PRIMARY KEY, `g` BIGINT, `v` DOUBLE);" +
+				"INSERT INTO `t` VALUES (1,1,1.5),(2,1,NULL),(3,2,4.0)"},
+		member{"aggms", sqlengine.DialectMSSQL,
+			"CREATE TABLE [u] ([id] BIGINT PRIMARY KEY);" +
+				"INSERT INTO [u] VALUES (1),(2),(3)"})
+	for _, tc := range aggExprCases {
+		for _, shape := range []struct{ from, operator string }{
+			{"FROM t", "pushdown"},
+			{"FROM t JOIN u ON t.id = u.id", "pipelined hash-join(build=right)"},
+		} {
+			sql := strings.Replace(tc.sql, "FROM t", shape.from, 1)
+			t.Run(sql, func(t *testing.T) {
+				plan, err := f.PlanQuery(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				it, ex, err := f.ExecuteStreamOp(context.Background(), plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ex.Operator != shape.operator {
+					t.Errorf("operator = %q, want %q", ex.Operator, shape.operator)
+				}
+				got, err := sqlengine.Drain(it)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g := fmt.Sprint(got.Rows); g != tc.want {
+					t.Errorf("rows %s, want %s", g, tc.want)
+				}
+			})
+		}
+	}
+}
+
+// aggExprCases are the statements over t(id, g, v) = (1,1,1.5) (2,1,NULL)
+// (3,2,4.0) whose aggregates the engine once refused outside + - * / and
+// unary minus, with their answers. Every one orders its groups, so the
+// answer is one string.
+var aggExprCases = []struct{ sql, want string }{
+	{"SELECT g, COALESCE(SUM(v), 0) FROM t GROUP BY g ORDER BY g", "[[1 1.5] [2 4]]"},
+	{"SELECT g, ROUND(AVG(v), 1) FROM t GROUP BY g ORDER BY g", "[[1 1.5] [2 4]]"},
+	{"SELECT g, CASE WHEN COUNT(*) > 1 THEN 'many' ELSE 'one' END FROM t GROUP BY g ORDER BY g", "[[1 many] [2 one]]"},
+	{"SELECT g, SUM(v) IS NULL FROM t GROUP BY g ORDER BY g", "[[1 FALSE] [2 FALSE]]"},
+	{"SELECT g FROM t GROUP BY g HAVING COUNT(*) BETWEEN 2 AND 5", "[[1]]"},
+	{"SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY COUNT(*) DESC", "[[1 2] [2 1]]"},
 }
 
 func TestStreamOpPushdownUnaffected(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"database/sql"
 	"fmt"
-	"io"
 	"log/slog"
 	"runtime"
 	"strings"
@@ -1065,11 +1064,10 @@ func (f *Federation) runOnSourceStreamCtx(ctx context.Context, source, sqlText s
 		s.inflight.Add(-1)
 		return nil, fmt.Errorf("unity: source %q: %w", source, err)
 	}
-	it, err := scanRows(rows, source, func() { s.inflight.Add(-1) })
-	if err != nil {
-		return nil, fmt.Errorf("unity: source %q: %w", source, err)
-	}
-	return it, nil
+	return sqlengine.SQLRows(rows, fmt.Sprintf("unity: source %q", source), func() error {
+		s.inflight.Add(-1)
+		return nil
+	})
 }
 
 // openLoad opens the row stream of one decomposed table load: a cursor on
@@ -1083,88 +1081,4 @@ func (f *Federation) openLoad(ctx context.Context, ld *tableLoad) (sqlengine.Row
 		return nil, fmt.Errorf("unity: table %q is at peer %q and the federation has no peer opener", ld.logical, ld.source)
 	}
 	return f.OpenPeer(ctx, ld.source, ld.sql)
-}
-
-// sqlRowsIter streams a *sql.Rows as engine rows.
-type sqlRowsIter struct {
-	rows    *sql.Rows
-	cols    []string
-	source  string
-	onClose func()
-	closed  bool
-}
-
-// scanRows wraps a live *sql.Rows in a RowIter. onClose runs exactly once
-// when the iterator is closed (directly or via an error path here). On
-// error the rows are closed and onClose has already run.
-func scanRows(rows *sql.Rows, source string, onClose func()) (sqlengine.RowIter, error) {
-	cols, err := rows.Columns()
-	if err != nil {
-		rows.Close()
-		if onClose != nil {
-			onClose()
-		}
-		return nil, err
-	}
-	return &sqlRowsIter{rows: rows, cols: cols, source: source, onClose: onClose}, nil
-}
-
-func (it *sqlRowsIter) Columns() []string { return it.cols }
-
-func (it *sqlRowsIter) Next() (sqlengine.Row, error) {
-	if !it.rows.Next() {
-		if err := it.rows.Err(); err != nil {
-			return nil, fmt.Errorf("unity: source %q: %w", it.source, err)
-		}
-		return nil, io.EOF
-	}
-	raw := make([]interface{}, len(it.cols))
-	ptrs := make([]interface{}, len(it.cols))
-	for i := range raw {
-		ptrs[i] = &raw[i]
-	}
-	if err := it.rows.Scan(ptrs...); err != nil {
-		return nil, fmt.Errorf("unity: source %q: %w", it.source, err)
-	}
-	row := make(sqlengine.Row, len(it.cols))
-	for i, x := range raw {
-		v, err := ifaceToValue(x)
-		if err != nil {
-			return nil, fmt.Errorf("unity: source %q: %w", it.source, err)
-		}
-		row[i] = v
-	}
-	return row, nil
-}
-
-func (it *sqlRowsIter) Close() error {
-	if it.closed {
-		return nil
-	}
-	it.closed = true
-	err := it.rows.Close()
-	if it.onClose != nil {
-		it.onClose()
-	}
-	return err
-}
-
-func ifaceToValue(x interface{}) (sqlengine.Value, error) {
-	switch v := x.(type) {
-	case nil:
-		return sqlengine.Null(), nil
-	case int64:
-		return sqlengine.NewInt(v), nil
-	case float64:
-		return sqlengine.NewFloat(v), nil
-	case string:
-		return sqlengine.NewString(v), nil
-	case bool:
-		return sqlengine.NewBool(v), nil
-	case []byte:
-		return sqlengine.NewBytes(v), nil
-	case time.Time:
-		return sqlengine.NewTime(v), nil
-	}
-	return sqlengine.Null(), fmt.Errorf("unity: unsupported scan type %T", x)
 }

@@ -17,42 +17,49 @@ import (
 // a replicated lookup table on both.
 func buildFederation(t *testing.T) *Federation {
 	t.Helper()
-	my := sqlengine.NewEngine("tier2my", sqlengine.DialectMySQL)
-	if err := my.ExecScript(
-		"CREATE TABLE `events` (`event_id` BIGINT PRIMARY KEY, `run` BIGINT NOT NULL, `e_tot` DOUBLE);" +
-			"INSERT INTO `events` VALUES (1,100,5.5),(2,100,7.0),(3,101,2.5),(4,102,9.0);" +
-			"CREATE TABLE `lookup` (`k` BIGINT, `v` VARCHAR(8));" +
-			"INSERT INTO `lookup` VALUES (1,'a'),(2,'b')"); err != nil {
-		t.Fatal(err)
-	}
-	ms := sqlengine.NewEngine("tier2ms", sqlengine.DialectMSSQL)
-	if err := ms.ExecScript(
-		"CREATE TABLE [runs] ([run] BIGINT PRIMARY KEY, [detector] NVARCHAR(16));" +
-			"INSERT INTO [runs] VALUES (100,'CMS'),(101,'ATLAS');" +
-			"CREATE TABLE [lookup] ([k] BIGINT, [v] NVARCHAR(8));" +
-			"INSERT INTO [lookup] VALUES (1,'a'),(2,'b')"); err != nil {
-		t.Fatal(err)
-	}
-	sqldriver.RegisterEngine(my)
-	sqldriver.RegisterEngine(ms)
-	t.Cleanup(func() {
-		sqldriver.UnregisterEngine("tier2my")
-		sqldriver.UnregisterEngine("tier2ms")
-	})
+	return federate(t,
+		member{"tier2my", sqlengine.DialectMySQL,
+			"CREATE TABLE `events` (`event_id` BIGINT PRIMARY KEY, `run` BIGINT NOT NULL, `e_tot` DOUBLE);" +
+				"INSERT INTO `events` VALUES (1,100,5.5),(2,100,7.0),(3,101,2.5),(4,102,9.0);" +
+				"CREATE TABLE `lookup` (`k` BIGINT, `v` VARCHAR(8));" +
+				"INSERT INTO `lookup` VALUES (1,'a'),(2,'b')"},
+		member{"tier2ms", sqlengine.DialectMSSQL,
+			"CREATE TABLE [runs] ([run] BIGINT PRIMARY KEY, [detector] NVARCHAR(16));" +
+				"INSERT INTO [runs] VALUES (100,'CMS'),(101,'ATLAS');" +
+				"CREATE TABLE [lookup] ([k] BIGINT, [v] NVARCHAR(8));" +
+				"INSERT INTO [lookup] VALUES (1,'a'),(2,'b')"})
+}
 
-	mySpec, err := xspec.Generate("tier2my", "mysql", my)
-	if err != nil {
-		t.Fatal(err)
+// member is one database of a test federation: its name (also its
+// local:// DSN), dialect and seed script.
+type member struct {
+	name    string
+	dialect *sqlengine.Dialect
+	script  string
+}
+
+// federate registers one engine per member and federates them.
+func federate(t *testing.T, members ...member) *Federation {
+	t.Helper()
+	upper := &xspec.UpperSpec{Name: "fed"}
+	lowers := map[string]*xspec.LowerSpec{}
+	for _, m := range members {
+		e := sqlengine.NewEngine(m.name, m.dialect)
+		if err := e.ExecScript(m.script); err != nil {
+			t.Fatal(err)
+		}
+		sqldriver.RegisterEngine(e)
+		name := m.name
+		t.Cleanup(func() { sqldriver.UnregisterEngine(name) })
+		spec, err := xspec.Generate(m.name, m.dialect.Name, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lowers[m.name] = spec
+		upper.Sources = append(upper.Sources, xspec.SourceRef{Name: m.name, URL: "local://" + m.name,
+			Driver: m.dialect.DriverName, XSpec: m.name + ".xspec"})
 	}
-	msSpec, err := xspec.Generate("tier2ms", "mssql", ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	upper := &xspec.UpperSpec{Name: "fed", Sources: []xspec.SourceRef{
-		{Name: "tier2my", URL: "local://tier2my", Driver: "gridsql-mysql", XSpec: "tier2my.xspec"},
-		{Name: "tier2ms", URL: "local://tier2ms", Driver: "gridsql-mssql", XSpec: "tier2ms.xspec"},
-	}}
-	f, err := Open(upper, map[string]*xspec.LowerSpec{"tier2my": mySpec, "tier2ms": msSpec})
+	f, err := Open(upper, lowers)
 	if err != nil {
 		t.Fatal(err)
 	}
