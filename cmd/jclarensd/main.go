@@ -49,10 +49,10 @@
 // when a streamed query routes to another JClarens instance, this server
 // relays the peer's cursor page by page (gridql -stream then chains the
 // bound all the way to the client) and each page carries at most this
-// many rows. -source-budget bounds every per-source operation of a
-// federated query (a forward, a relay page, a scatter-gather sub-query)
-// so one stuck source fails fast instead of consuming the whole
-// -request-timeout allowance.
+// many rows. -source-budget bounds every peer operation of a federated
+// query (a forward, a table-column lookup, a relay page) so one stuck
+// peer fails fast instead of consuming the whole -request-timeout
+// allowance.
 //
 // -scratch-bytes bounds each buffering streaming operator of a decomposed
 // federated query: a hash-join build or external sort that outgrows the
@@ -114,7 +114,7 @@ func main() {
 	cursorTTL := flag.Duration("cursor-ttl", 0, "idle TTL of server-side streaming cursors (0 = default 2m, negative disables reaping)")
 	noBinRows := flag.Bool("no-binrows", false, "disable the negotiated binary row framing for server-to-server transfers (plain XML-RPC is always accepted)")
 	relayFetch := flag.Int("relay-fetch-size", 0, "rows per cursor-relay fetch from remote peers (0 = default 256; peers clamp to their own maximum)")
-	sourceBudget := flag.Duration("source-budget", 0, "deadline for each per-source operation of a federated query: forwards, relay page fetches, scatter-gather sub-queries (0 = none)")
+	sourceBudget := flag.Duration("source-budget", 0, "deadline for each peer operation of a federated query: forwards, table-column lookups, relay page fetches (0 = none)")
 	scratchBytes := flag.Int64("scratch-bytes", 0, "byte budget of each buffering streaming operator (hash-join build, external sort) before it spills to disk (0 = default 64 MiB, negative disables spilling)")
 	reqTimeout := flag.Duration("request-timeout", 0, "per-request deadline for method calls (0 = none); queries cut off by it fail with the cancelled fault code")
 	maxInflight := flag.Int("max-inflight", 0, "admission gate: maximum concurrently executing or streaming queries (0 disables admission control)")

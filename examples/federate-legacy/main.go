@@ -89,7 +89,7 @@ func main() {
 	}
 
 	// One logical query now reaches either site's copy.
-	rs, err := fed.Query(`SELECT e.evt_id, e.e_raw, r.detector
+	rs, err := fed.QueryContext(context.Background(), `SELECT e.evt_id, e.e_raw, r.detector
 	                      FROM events_t01 e JOIN run_meta r ON e.run_no = r.run_no
 	                      WHERE r.detector = 'CMS' ORDER BY e.evt_id`)
 	if err != nil {

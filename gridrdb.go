@@ -166,11 +166,10 @@ type ServerConfig struct {
 	// default, 256; the peer clamps to its own maximum). It bounds this
 	// server's buffering per federated stream.
 	RelayFetchSize int
-	// SourceBudget bounds each per-source operation of a federated query —
-	// a remote forward, every relay page fetch, and each decomposed
-	// sub-query of the local scatter-gather — independently of
-	// RequestTimeout, so one stuck source cannot consume a whole request's
-	// allowance. 0 applies no per-source bound.
+	// SourceBudget bounds each peer operation of a federated query — a
+	// remote forward, a table-column lookup, every relay page fetch —
+	// independently of RequestTimeout, so one stuck peer cannot consume a
+	// whole request's allowance. 0 applies no per-source bound.
 	SourceBudget time.Duration
 	// ScratchMaxBytes bounds each buffering streaming operator of a
 	// decomposed federated query (hash-join build, external sort): past

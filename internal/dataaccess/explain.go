@@ -63,12 +63,9 @@ func (s *Service) explainMap(class string, d *decision, cached bool) map[string]
 		if d.ral != nil {
 			m["ral_source"] = d.ral.Source
 		}
-		// The streaming-operator decision: "pushdown", a pipelined operator
-		// label, or "scratch" with the analyzer's rejection reason.
+		// The streaming-operator decision: "pushdown" or a pipelined
+		// operator label.
 		m["operator"] = pe.Operator
-		if pe.StreamFallback != "" {
-			m["stream_fallback"] = pe.StreamFallback
-		}
 		subs := make([]interface{}, len(pe.Subs))
 		for i, sub := range pe.Subs {
 			subs[i] = map[string]interface{}{

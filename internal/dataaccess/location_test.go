@@ -8,6 +8,7 @@ package dataaccess
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"reflect"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"gridrdb/internal/clarens"
 	"gridrdb/internal/leaktest"
 	"gridrdb/internal/sqlengine"
 )
@@ -84,15 +86,15 @@ func TestLocationDoesNotMatter(t *testing.T) {
 		name   string
 		sql    string
 		params []sqlengine.Value
-		// operator and fallback are what both layouts must explain and run;
-		// movedFallback is the documented exception — a peer table has no
-		// spec, so a shape that needs its column list integrates on scratch.
-		operator, fallback, movedFallback string
-		ordered                           bool
+		// operator is what both layouts must explain and run.
+		operator string
+		ordered  bool
 		// relays is how many peer cursors the moved layout opens: one per
-		// branch input at a peer on the pipelined path, one per peer table
-		// on the scratch path.
+		// branch input and per subquery table at a peer.
 		relays int64
+		// schemaLookups is how many peers the moved layout asks for a
+		// table's columns: only a shape that needs them asks.
+		schemaLookups int64
 	}{
 		{name: "inner join", sql: join, operator: "pipelined hash-join(build=left)", relays: 1},
 		{name: "left join", sql: "SELECT e.event_id, r.site FROM lt_events e LEFT JOIN lt_runs r ON e.run = r.run",
@@ -127,14 +129,16 @@ func TestLocationDoesNotMatter(t *testing.T) {
 		{name: "comma join", sql: "SELECT e.event_id, r.site FROM lt_events e, lt_runs r WHERE e.run = r.run AND r.lumi > 1",
 			operator: "pipelined hash-join(build=left)", relays: 1},
 		{name: "subquery", sql: join + " WHERE e.run IN (SELECT c.run FROM lt_calib c WHERE c.c < 1)",
-			operator: "scratch", fallback: "subquery", relays: 1},
+			operator: "pipelined hash-join(build=left)", relays: 1},
+		{name: "subquery over a peer table", sql: "SELECT e.event_id FROM lt_events e WHERE EXISTS (SELECT 1 FROM lt_tags g WHERE g.run = e.run AND g.tag = 'good')",
+			operator: "pipelined scan", relays: 1},
 		{name: "star", sql: "SELECT * FROM lt_events e JOIN lt_runs r ON e.run = r.run",
-			operator: "pipelined hash-join(build=left)", movedFallback: "star select over tables with unknown columns", relays: 1},
+			operator: "pipelined hash-join(build=left)", relays: 1, schemaLookups: 1},
 	}
 
 	// run answers one case on one layout and checks everything the layout
 	// predicts: route label, server count, dependencies, operator.
-	run := func(t *testing.T, s *Service, at map[string]string, sql string, params []sqlengine.Value, operator, fallback string) *sqlengine.ResultSet {
+	run := func(t *testing.T, s *Service, at map[string]string, sql string, params []sqlengine.Value, operator string) *sqlengine.ResultSet {
 		t.Helper()
 		ctx := context.Background()
 		em, err := s.Explain(ctx, sql, params...)
@@ -178,10 +182,8 @@ func TestLocationDoesNotMatter(t *testing.T) {
 				t.Errorf("remote_tables %v + local_tables %v over relay %v do not cover tables %v", remote, hosted, relay, em["tables"])
 			}
 		}
-		op, _ := em["operator"].(string)
-		fb, _ := em["stream_fallback"].(string)
-		if em["route"] != wantClass || op != operator || fb != fallback {
-			t.Errorf("explain route/operator/fallback = %v/%q/%q, want %s/%q/%q", em["route"], op, fb, wantClass, operator, fallback)
+		if op, _ := em["operator"].(string); em["route"] != wantClass || op != operator {
+			t.Errorf("explain route/operator = %v/%q, want %s/%q", em["route"], op, wantClass, operator)
 		}
 
 		sr, err := s.QueryStreamContext(ctx, sql, params...)
@@ -205,15 +207,11 @@ func TestLocationDoesNotMatter(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			checkLeaks := leaktest.Check(t)
-			allLocal := run(t, local, localAt, tc.sql, tc.params, tc.operator, tc.fallback)
+			allLocal := run(t, local, localAt, tc.sql, tc.params, tc.operator)
 
-			movedOp, movedFb := tc.operator, tc.fallback
-			if tc.movedFallback != "" {
-				movedOp, movedFb = "scratch", tc.movedFallback
-			}
 			q0, _, push0 := p.fwd.Federation().Stats()
-			relays0 := p.fwd.CursorStats().RelayOpens
-			moved := run(t, p.fwd, movedAt, tc.sql, tc.params, movedOp, movedFb)
+			relays0, lookups0 := p.fwd.CursorStats().RelayOpens, p.fwd.Stats().SchemaLookups.Load()
+			moved := run(t, p.fwd, movedAt, tc.sql, tc.params, tc.operator)
 
 			one, err := ref.Query(tc.sql, tc.params...)
 			if err != nil {
@@ -240,6 +238,10 @@ func TestLocationDoesNotMatter(t *testing.T) {
 			if n := p.fwd.CursorStats().RelayOpens - relays0; n != tc.relays {
 				t.Errorf("relay cursors opened = %d, want %d", n, tc.relays)
 			}
+			// Explain and the stream each resolve the query once.
+			if n := p.fwd.Stats().SchemaLookups.Load() - lookups0; n != 2*tc.schemaLookups {
+				t.Errorf("schema lookups = %d over explain and stream, want %d", n, 2*tc.schemaLookups)
+			}
 
 			// The drained stream released every peer cursor, and nothing it
 			// started is still running.
@@ -249,5 +251,25 @@ func TestLocationDoesNotMatter(t *testing.T) {
 			}
 			checkLeaks()
 		})
+	}
+}
+
+// TestPeerCannotDescribeTable: a mixed star needs the peer table's
+// columns; a peer that cannot describe the table fails the query with an
+// error naming the table and the peer.
+func TestPeerCannotDescribeTable(t *testing.T) {
+	p := newRelayPair(t, Config{Name: "pd-host"}, Config{Name: "pd-fwd"}, "mart_pd_remote", "pd_remote", 4)
+	defer p.close()
+	_, evSpec := mkMart(t, "mart_pd_events", sqlengine.DialectMySQL, "pd_events", 4)
+	addMart(t, p.fwd, "mart_pd_events", evSpec, "gridsql-mysql")
+	p.hostSrv.Register("dataaccess.schema", func(context.Context, *clarens.CallContext, []interface{}) (interface{}, error) {
+		return nil, errors.New("no dictionary today")
+	})
+	_, err := p.fwd.QueryContext(context.Background(), "SELECT * FROM pd_events e JOIN pd_remote r ON e.event_id = r.event_id")
+	if err == nil || !strings.Contains(err.Error(), `"pd_remote"`) || !strings.Contains(err.Error(), p.host.cfg.URL) {
+		t.Fatalf("err = %v, want one naming pd_remote and %s", err, p.host.cfg.URL)
+	}
+	if n := p.fwd.Stats().SchemaLookups.Load(); n != 1 {
+		t.Errorf("schema lookups = %d, want 1", n)
 	}
 }

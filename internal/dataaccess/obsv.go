@@ -96,10 +96,9 @@ type serviceObsv struct {
 	quotaCursors   *obsv.Counter
 	quotaBytes     *obsv.Counter
 
-	// Streaming-operator counters: how decomposed/mixed queries were
-	// served, and the spill telemetry of the buffering operators.
+	// Streaming-operator counters: decomposed/mixed queries served, and the
+	// spill telemetry of the buffering operators.
 	streamPipelined *obsv.Counter
-	streamScratch   *obsv.Counter
 	spilledQueries  *obsv.Counter
 	spillPartitions *obsv.Counter
 	spillRuns       *obsv.Counter
@@ -213,8 +212,6 @@ func newServiceObsv(cfg Config, s *Service) *serviceObsv {
 
 	o.streamPipelined = r.Counter("gridrdb_stream_pipelined_total",
 		"Decomposed/mixed queries (materialized or streamed) served by the pipelined operators.")
-	o.streamScratch = r.Counter("gridrdb_stream_scratch_total",
-		"Decomposed/mixed queries (materialized or streamed) that fell back to scratch-engine integration.")
 	o.spilledQueries = r.Counter("gridrdb_spilled_queries_total",
 		"Pipelined queries whose buffering operators spilled to disk.")
 	o.spillPartitions = r.Counter("gridrdb_spill_partitions_total",
@@ -243,6 +240,7 @@ func newServiceObsv(cfg Config, s *Service) *serviceObsv {
 	r.GaugeFunc("gridrdb_cache_bytes", "Estimated resident query-cache bytes.", func() int64 { return s.CacheStats().Bytes })
 
 	r.CounterFunc("gridrdb_rls_lookups_total", "RLS table lookups issued.", func() int64 { return s.stats.RLSLookups.Load() })
+	r.CounterFunc("gridrdb_schema_lookups_total", "Peer table-column lookups issued for mixed plans.", func() int64 { return s.stats.SchemaLookups.Load() })
 	r.CounterFunc("gridrdb_bin_forwards_total", "Remote forwards that used the binary row framing.", func() int64 { return s.stats.BinForwards.Load() })
 
 	r.CounterFunc("gridrdb_unity_queries_total", "Federation queries executed.", func() int64 { q, _, _ := s.fed.Stats(); return q })
@@ -453,13 +451,9 @@ func (t *qtrack) finish(err error) {
 			em["admission"] = adm
 		}
 		if sx != nil {
-			// The executed operator trumps the plan-time label (they only
-			// differ when execution downgraded), and a spilled query carries
-			// its runtime spill numbers.
+			// The executed operator, and a spilled query's runtime spill
+			// numbers.
 			em["operator"] = sx.Operator
-			if sx.Fallback != "" {
-				em["stream_fallback"] = sx.Fallback
-			}
 			if st := sx.Stats; st != nil && st.Spilled {
 				em["spill"] = map[string]interface{}{
 					"partitions": st.SpillPartitions,

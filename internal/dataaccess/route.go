@@ -60,14 +60,43 @@ func (s *Service) resolve(ctx context.Context, sqlText string, params []sqlengin
 	defer t.addRoute(t.now())
 	var unknown *unity.ErrUnknownTable
 	if errors.As(err, &unknown) {
-		var locs map[string]string
-		if locs, err = s.peerLocations(ctx, unknown.Tables); err == nil {
-			plan, err = s.fed.PlanQueryAt(sqlText, locs)
-		}
+		plan, err = s.planAtPeers(ctx, sqlText, unknown.Tables, params)
 	}
 	if err != nil {
 		return nil, err
 	}
+	d := s.decide(plan, params)
+	t.noteDecision(d)
+	return d, nil
+}
+
+// planAtPeers plans a query at the peers the RLS names for the tables no
+// member database hosts. The peer is asked for a table's columns
+// (dataaccess.schema) only when the plan is a mixed one whose operators
+// need them — a star, or a join key only the columns attribute — and the
+// query is planned once more with them: the relay stays lazy, and a query
+// forwarded whole never asks.
+func (s *Service) planAtPeers(ctx context.Context, sqlText string, tables []string, params []sqlengine.Value) (*unity.Plan, error) {
+	peers, err := s.peerLocations(ctx, tables)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := s.fed.PlanQueryAt(sqlText, peers)
+	if err != nil || len(plan.NeedColumns) == 0 || s.decide(plan, params).class != classMixed {
+		return plan, err
+	}
+	for _, table := range plan.NeedColumns {
+		p := peers[table]
+		if p.Columns, err = s.peerColumns(ctx, strings.TrimPrefix(p.Location, remoteDepPrefix), table); err != nil {
+			return nil, err
+		}
+		peers[table] = p
+	}
+	return s.fed.PlanQueryAt(sqlText, peers)
+}
+
+// decide reads the routing decision off a plan.
+func (s *Service) decide(plan *unity.Plan, params []sqlengine.Value) *decision {
 	d := &decision{class: classUnityDecomp, plan: plan, deps: planDeps(plan)}
 	hosted := 0 // sub-queries on this server's member databases
 	for _, sub := range plan.Subs {
@@ -96,19 +125,18 @@ func (s *Service) resolve(ctx context.Context, sqlText string, params []sqlengin
 	case len(d.peers) > 0:
 		d.class = classMixed
 	}
-	t.noteDecision(d)
-	return d, nil
+	return d
 }
 
 // peerLocations asks the RLS which server hosts each table this instance
 // does not, and returns the location to plan each at: remoteDepPrefix plus
 // the chosen server's URL — the source name its sub-query, its cache
 // dependency and the federation's peer opener all see.
-func (s *Service) peerLocations(ctx context.Context, tables []string) (map[string]string, error) {
+func (s *Service) peerLocations(ctx context.Context, tables []string) (map[string]unity.PeerTable, error) {
 	if s.cfg.RLS == nil {
 		return nil, fmt.Errorf("dataaccess: query references unregistered tables and no RLS is configured")
 	}
-	locs := make(map[string]string, len(tables))
+	locs := make(map[string]unity.PeerTable, len(tables))
 	for _, t := range tables {
 		s.stats.RLSLookups.Add(1)
 		servers, err := s.cfg.RLS.LookupContext(ctx, t)
@@ -120,9 +148,37 @@ func (s *Service) peerLocations(ctx context.Context, tables []string) (map[strin
 		if len(servers) == 0 {
 			return nil, fmt.Errorf("dataaccess: table %q is not registered locally and the RLS knows no server for it", t)
 		}
-		locs[t] = remoteDepPrefix + servers[0]
+		locs[t] = unity.PeerTable{Location: remoteDepPrefix + servers[0]}
 	}
 	return locs, nil
+}
+
+// peerColumns asks a peer for the logical column names of a table it
+// hosts (a column without a logical name goes by its physical one). A
+// peer that cannot describe the table fails the query.
+func (s *Service) peerColumns(ctx context.Context, serverURL, table string) ([]string, error) {
+	s.stats.SchemaLookups.Add(1)
+	ctx, cancel := s.sourceCall(ctx)
+	defer cancel()
+	res, err := s.remotePeer(serverURL).c.CallContext(ctx, "dataaccess.schema", table)
+	if err != nil {
+		return nil, fmt.Errorf("dataaccess: columns of table %q at %s: %w", table, serverURL, err)
+	}
+	m, _ := res.(map[string]interface{})
+	raw, _ := m["columns"].([]interface{})
+	var cols []string
+	for _, c := range raw {
+		col, _ := c.(map[string]interface{})
+		name, _ := col["name"].(string)
+		if name == "" {
+			name, _ = col["physical"].(string)
+		}
+		cols = append(cols, strings.ToLower(name))
+	}
+	if len(cols) == 0 || slices.Contains(cols, "") {
+		return nil, fmt.Errorf("dataaccess: columns of table %q at %s: the peer describes no named columns", table, serverURL)
+	}
+	return cols, nil
 }
 
 // planDeps converts a unity plan's dependency list to cache deps.
@@ -197,16 +253,10 @@ func rawStream(it sqlengine.RowIter, route Route, servers int) *StreamResult {
 	return &StreamResult{cols: it.Columns(), Route: route, Servers: servers, iter: it}
 }
 
-// noteOperator records how a decomposed or mixed query actually ran —
-// pipelined operators or the scratch engine, and why — on the counters,
-// the debug log and the query's track.
+// noteOperator records which pipelined operator a decomposed or mixed
+// query ran on the counter, the debug log and the query's track.
 func (s *Service) noteOperator(ctx context.Context, ex *unity.StreamExec) {
-	if ex.Operator == "scratch" {
-		s.obs.streamScratch.Inc()
-	} else {
-		s.obs.streamPipelined.Inc()
-	}
-	s.obs.log(ctx, slog.LevelDebug, "stream: operator",
-		slog.String("operator", ex.Operator), slog.String("fallback", ex.Fallback))
+	s.obs.streamPipelined.Inc()
+	s.obs.log(ctx, slog.LevelDebug, "stream: operator", slog.String("operator", ex.Operator))
 	trackFrom(ctx).noteStreamExec(ex)
 }

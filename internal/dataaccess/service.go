@@ -74,13 +74,13 @@ type Config struct {
 	// stream: a relayed scan holds at most one chunk of this many rows.
 	RelayFetchSize int
 	// SourceBudget bounds each per-source operation that runs to completion
-	// on its own — a whole-query forward, a relay cursor open, every relay
-	// fetch and the relay close, and each table load of the scratch-engine
-	// fallback — independently of the caller's request deadline, so one
-	// stuck source cannot consume the whole request budget. The cursors
-	// feeding the pipelined operators are paced by the consumer and bounded
-	// by the request deadline only (see unity.ExecuteStreamOp). 0 applies
-	// no per-source bound.
+	// on its own — a whole-query forward, a peer's table-column lookup, a
+	// relay cursor open, every relay fetch and the relay close —
+	// independently of the caller's request deadline, so one stuck peer
+	// cannot consume the whole request budget. The cursors feeding the
+	// pipelined operators are paced by the consumer and bounded by the
+	// request deadline only (see unity.ExecuteStreamOp). 0 applies no
+	// per-source bound.
 	SourceBudget time.Duration
 	// ScratchMaxBytes is the byte budget of each buffering streaming
 	// operator (hash-join build, external sort): past it the operator
@@ -159,6 +159,9 @@ type Stats struct {
 	Forwarded  atomic.Int64
 	Mixed      atomic.Int64
 	RLSLookups atomic.Int64
+	// SchemaLookups counts the table-column lookups (dataaccess.schema)
+	// the mixed route asked peers for.
+	SchemaLookups atomic.Int64
 	// BinForwards counts remote forwards that used the negotiated binary
 	// row framing (the rest fell back to plain XML-RPC).
 	BinForwards atomic.Int64
@@ -205,7 +208,6 @@ func New(cfg Config) *Service {
 	s.admit = newAdmitter(cfg, s.obs)
 	s.sessions = newSessionTable(cfg, s.obs)
 	s.cursors = newCursorRegistry(cfg.CursorTTL, s.obs)
-	s.fed.SourceBudget = cfg.SourceBudget
 	s.fed.ScratchMaxBytes = cfg.ScratchMaxBytes
 	s.fed.Logger = s.obs.logger
 	s.fed.OpenPeer = s.tableStreamFromRemote

@@ -18,6 +18,20 @@ import (
 func mkMart(t *testing.T, name string, d *sqlengine.Dialect, table string, rows int) (*sqlengine.Engine, *xspec.LowerSpec) {
 	t.Helper()
 	e := sqlengine.NewEngine(name, d)
+	martTable(t, e, table, rows)
+	sqldriver.RegisterEngine(e)
+	t.Cleanup(func() { sqldriver.UnregisterEngine(name) })
+	spec, err := xspec.Generate(name, d.Name, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, spec
+}
+
+// martTable creates mkMart's table on e: rows (i, 100 + i%2, i + 0.5).
+func martTable(t *testing.T, e *sqlengine.Engine, table string, rows int) {
+	t.Helper()
+	d := e.Dialect()
 	q := d.QuoteIdent
 	ddl := fmt.Sprintf("CREATE TABLE %s (%s BIGINT PRIMARY KEY, %s BIGINT, %s DOUBLE)",
 		q(table), q("event_id"), q("run"), q("e_tot"))
@@ -34,13 +48,17 @@ func mkMart(t *testing.T, name string, d *sqlengine.Dialect, table string, rows 
 			t.Fatal(err)
 		}
 	}
-	sqldriver.RegisterEngine(e)
-	t.Cleanup(func() { sqldriver.UnregisterEngine(name) })
-	spec, err := xspec.Generate(name, d.Name, e)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// oneEngine holds mkMart's tables of the given sizes in one engine: the
+// reference a federated answer must equal, wherever the tables live.
+func oneEngine(t *testing.T, rows map[string]int) *sqlengine.Engine {
+	t.Helper()
+	ref := sqlengine.NewEngine("reference", sqlengine.DialectANSI)
+	for table, n := range rows {
+		martTable(t, ref, table, n)
 	}
-	return e, spec
+	return ref
 }
 
 func addMart(t *testing.T, s *Service, name string, spec *xspec.LowerSpec, driver string) {

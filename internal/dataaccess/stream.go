@@ -65,9 +65,9 @@ func (s *Service) QueryStream(sqlText string, params ...sqlengine.Value) (*Strea
 // server on the path materializes the scan (peers without cursor support
 // fall back to a materialized forward). Decomposed and mixed queries run
 // on the pipelined operators, their inputs — member-database cursors and
-// remote relays — flowing through the join as the consumer pulls; shapes
-// the operators cannot serve integrate on the scratch engine first and
-// stream from memory. Cancelling ctx (or closing the stream) stops the
+// remote relays — flowing through the join as the consumer pulls; the
+// tables a subquery reads are drained into memory when it first runs.
+// Cancelling ctx (or closing the stream) stops the
 // producing backend query mid-scan — across servers, closing a relayed
 // stream closes the remote cursor.
 //

@@ -51,8 +51,8 @@ func spillLeftovers(t *testing.T, dir string) []string {
 }
 
 // TestStreamDecomposedUsesPipelinedOperators: the streamed cross-mart
-// join runs pipelined (counter + slow-query explain say so) and an
-// unstreamable shape falls back to scratch with its reason recorded.
+// join runs pipelined (counter + slow-query explain say so), and so does
+// the same join with a subquery.
 func TestStreamDecomposedUsesPipelinedOperators(t *testing.T) {
 	s := New(Config{Name: "jc-streamop", SlowQueryThreshold: time.Nanosecond})
 	defer s.Close()
@@ -79,22 +79,17 @@ func TestStreamDecomposedUsesPipelinedOperators(t *testing.T) {
 		t.Fatalf("slow-entry operator = %q", op)
 	}
 
-	// A subquery is not streamable: scratch fallback, with the reason in
-	// both the counter and the capture.
 	sub := "SELECT e.event_id, r.e_tot FROM events e JOIN runsinfo r ON e.run = r.run WHERE e.run IN (SELECT run FROM runsinfo)"
 	sr, err = s.QueryStream(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
 	drainStream(t, sr)
-	if n := counterValue(t, s, "gridrdb_stream_scratch_total"); n != 1 {
-		t.Fatalf("scratch counter = %d, want 1", n)
+	if n := counterValue(t, s, "gridrdb_stream_pipelined_total"); n != 2 {
+		t.Fatalf("pipelined counter = %d, want 2", n)
 	}
-	slow = s.SlowQueries()
-	op, _ = slow[0].Explain["operator"].(string)
-	fb, _ := slow[0].Explain["stream_fallback"].(string)
-	if op != "scratch" || fb != "subquery" {
-		t.Fatalf("slow-entry operator/fallback = %q/%q, want scratch/subquery", op, fb)
+	if op, _ = s.SlowQueries()[0].Explain["operator"].(string); op != "pipelined hash-join(build=right)" {
+		t.Fatalf("subquery slow-entry operator = %q", op)
 	}
 
 	// system.explain reports the same decision without executing.
@@ -112,8 +107,8 @@ func TestStreamDecomposedUsesPipelinedOperators(t *testing.T) {
 
 // TestStreamSpillMetricsAndCleanup: a 1-byte ScratchMaxBytes forces the
 // buffering operators to disk; the spill shows up in the metric family
-// and the slow-query capture, the rows still match the scratch-engine
-// reference, and no spill directory survives the drained stream.
+// and the slow-query capture, the rows still match one engine holding
+// both tables, and no spill directory survives the drained stream.
 func TestStreamSpillMetricsAndCleanup(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
@@ -127,7 +122,7 @@ func TestStreamSpillMetricsAndCleanup(t *testing.T) {
 	// The UNION keeps the planner off the merge join (multi-branch), so
 	// the 1-byte budget forces a Grace spill of the hash build.
 	q := "SELECT e.event_id FROM events e JOIN runsinfo r ON e.run = r.run UNION ALL SELECT event_id FROM events"
-	want, err := s.Federation().QueryContext(context.Background(), q) // scratch engine, never spills
+	want, err := oneEngine(t, map[string]int{"events": 40, "runsinfo": 30}).Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +131,8 @@ func TestStreamSpillMetricsAndCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := drainStream(t, sr)
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("streamed %d rows, scratch reference %d", len(got.Rows), len(want.Rows))
+	if !reflect.DeepEqual(sortedRowKeys(got.Rows), sortedRowKeys(want.Rows)) {
+		t.Fatalf("streamed %d rows, one engine %d, or different ones", len(got.Rows), len(want.Rows))
 	}
 
 	if n := counterValue(t, s, "gridrdb_spilled_queries_total"); n != 1 {
@@ -172,8 +167,8 @@ func TestStreamSpillMetricsAndCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(qr.Rows) != len(want.Rows) {
-		t.Fatalf("materialized %d rows, scratch reference %d", len(qr.Rows), len(want.Rows))
+	if !reflect.DeepEqual(sortedRowKeys(qr.Rows), sortedRowKeys(want.Rows)) {
+		t.Fatalf("materialized %d rows, one engine %d, or different ones", len(qr.Rows), len(want.Rows))
 	}
 	if n := counterValue(t, s, "gridrdb_spilled_queries_total"); n != 2 {
 		t.Fatalf("spilled queries = %d after the materialized run, want 2", n)
@@ -306,10 +301,11 @@ func TestStreamMixedPipelined(t *testing.T) {
 	}
 }
 
-// TestStreamMixedScratchFallback: a mixed shape the analyzer rejects
-// (a subquery) still answers through the materialized integration, and
-// the fallback is counted.
-func TestStreamMixedScratchFallback(t *testing.T) {
+// TestStreamMixedSubquery: a mixed join with a subquery runs on the
+// operator pipeline — the peer's table relayed into the join, the local
+// table the subquery reads drained — and answers what one engine holding
+// both tables answers.
+func TestStreamMixedSubquery(t *testing.T) {
 	catalog := rls.NewServer(0)
 	rlsURL, err := catalog.Start("127.0.0.1:0")
 	if err != nil {
@@ -346,14 +342,19 @@ func TestStreamMixedScratchFallback(t *testing.T) {
 		t.Fatalf("route = %s, want mixed", sr.Route)
 	}
 	got := drainStream(t, sr)
-	if len(got.Rows) != 36 { // 6 events x 3 runs rows for each of runs 100 and 101
-		t.Fatalf("join returned %d rows, want 36", len(got.Rows))
+	want, err := oneEngine(t, map[string]int{"sf_events": 12, "sf_runs": 6}).Query(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := counterValue(t, jc1, "gridrdb_stream_scratch_total"); n != 1 {
-		t.Fatalf("scratch counter = %d, want 1", n)
+	// 6 events x 3 runs rows for each of runs 100 and 101.
+	if len(got.Rows) != 36 || !reflect.DeepEqual(sortedRowKeys(got.Rows), sortedRowKeys(want.Rows)) {
+		t.Fatalf("join returned %d rows, one engine %d, or different ones", len(got.Rows), len(want.Rows))
 	}
-	if n := counterValue(t, jc1, "gridrdb_stream_pipelined_total"); n != 0 {
-		t.Fatalf("pipelined counter = %d, want 0", n)
+	if n := counterValue(t, jc1, "gridrdb_stream_pipelined_total"); n != 1 {
+		t.Fatalf("pipelined counter = %d, want 1", n)
+	}
+	if st := jc1.CursorStats(); st.RelayOpens != 1 {
+		t.Fatalf("relay opens = %d, want 1", st.RelayOpens)
 	}
 }
 
@@ -382,17 +383,17 @@ func sortedRowKeys(rows []sqlengine.Row) []string {
 }
 
 // routeCounts snapshots the per-module routing counters and the
-// pipelined/scratch operator counters.
-func routeCounts(t *testing.T, s *Service) [6]int64 {
+// pipelined operator counter.
+func routeCounts(t *testing.T, s *Service) [5]int64 {
 	st := s.Stats()
-	return [6]int64{st.RAL.Load(), st.Unity.Load(), st.Forwarded.Load(), st.Mixed.Load(),
-		counterValue(t, s, "gridrdb_stream_pipelined_total"), counterValue(t, s, "gridrdb_stream_scratch_total")}
+	return [5]int64{st.RAL.Load(), st.Unity.Load(), st.Forwarded.Load(), st.Mixed.Load(),
+		counterValue(t, s, "gridrdb_stream_pipelined_total")}
 }
 
 // TestQueryIsTheDrainedStream runs one query per resolver outcome through
 // both entry points, with the cache off and on: the materialized answer
-// must be the drained stream — same rows (and the scratch-engine
-// reference's, where the query is local), same route and server count,
+// must be the drained stream — same rows (and one engine's holding every
+// table), same route and server count,
 // same routing- and operator-counter movement — and what system.explain
 // predicts must be what the slow-query ring captured for each execution.
 // The one sanctioned difference: a single-remote query is one forward
@@ -405,29 +406,29 @@ func TestQueryIsTheDrainedStream(t *testing.T) {
 		route   Route
 		servers int
 		class   string
-		// operator is the executed operator ("" where the route has none);
-		// fallback the scratch reason.
-		operator, fallback string
-		ordered            bool // ORDER BY is total: rows compare in order
-		local              bool // Federation.ExecuteContext can answer it
+		// operator is the executed operator ("" where the route has none).
+		operator string
+		ordered  bool // ORDER BY is total: rows compare in order
 	}{
 		{name: "pool-ral", sql: "SELECT event_id, e_tot FROM eq_events WHERE run = 101",
-			route: RoutePOOLRAL, servers: 1, class: "pool-ral", operator: "pushdown", local: true},
+			route: RoutePOOLRAL, servers: 1, class: "pool-ral", operator: "pushdown"},
 		{name: "pushdown", sql: "SELECT event_id, run FROM eq_runs WHERE run = 100 ORDER BY event_id",
-			route: RouteUnity, servers: 1, class: "unity-pushdown", operator: "pushdown", ordered: true, local: true},
+			route: RouteUnity, servers: 1, class: "unity-pushdown", operator: "pushdown", ordered: true},
 		{name: "pushdown with params", sql: "SELECT event_id FROM eq_events WHERE run = ? ORDER BY event_id",
 			params: []sqlengine.Value{sqlengine.NewInt(101)},
-			route:  RouteUnity, servers: 1, class: "unity-pushdown", operator: "pushdown", ordered: true, local: true},
+			route:  RouteUnity, servers: 1, class: "unity-pushdown", operator: "pushdown", ordered: true},
 		{name: "pipelined hash join", sql: "SELECT e.event_id, r.e_tot FROM eq_events e JOIN eq_runs r ON e.run = r.run",
-			route: RouteUnity, servers: 1, class: "unity-decomposed", operator: "pipelined hash-join(build=right)", local: true},
+			route: RouteUnity, servers: 1, class: "unity-decomposed", operator: "pipelined hash-join(build=right)"},
 		{name: "pipelined hash join ordered with params",
 			sql:    "SELECT e.event_id AS eid, r.event_id AS rid FROM eq_events e JOIN eq_runs r ON e.run = r.run WHERE e.event_id < ? ORDER BY eid, rid",
 			params: []sqlengine.Value{sqlengine.NewInt(9)},
-			route:  RouteUnity, servers: 1, class: "unity-decomposed", operator: "pipelined hash-join(build=right)", ordered: true, local: true},
+			route:  RouteUnity, servers: 1, class: "unity-decomposed", operator: "pipelined hash-join(build=right)", ordered: true},
 		{name: "pipelined aggregate", sql: "SELECT r.run, COUNT(*) FROM eq_events e JOIN eq_runs r ON e.run = r.run GROUP BY r.run",
-			route: RouteUnity, servers: 1, class: "unity-decomposed", operator: "pipelined hash-join(build=right)", local: true},
+			route: RouteUnity, servers: 1, class: "unity-decomposed", operator: "pipelined hash-join(build=right)"},
+		// "scratch fallback" and "scratch mixed" are the subquery shapes,
+		// named for the scratch integration that once served them.
 		{name: "scratch fallback", sql: "SELECT r.run, e.event_id FROM eq_events e JOIN eq_runs r ON e.run = r.run WHERE e.run IN (SELECT run FROM eq_runs)",
-			route: RouteUnity, servers: 1, class: "unity-decomposed", operator: "scratch", fallback: "subquery", local: true},
+			route: RouteUnity, servers: 1, class: "unity-decomposed", operator: "pipelined hash-join(build=right)"},
 		{name: "single remote: forward vs relay", sql: "SELECT event_id, e_tot FROM eq_remote WHERE run = 101",
 			route: RouteRemote, servers: 2, class: "remote"},
 		{name: "mixed hash join", sql: "SELECT e.event_id, x.e_tot FROM eq_events e JOIN eq_remote x ON e.event_id = x.event_id WHERE x.run = 100",
@@ -438,8 +439,9 @@ func TestQueryIsTheDrainedStream(t *testing.T) {
 		{name: "mixed aggregate", sql: "SELECT x.run, COUNT(*) FROM eq_events e JOIN eq_remote x ON e.run = x.run GROUP BY x.run",
 			route: RouteMixed, servers: 2, class: "mixed", operator: "pipelined hash-join(build=left)"},
 		{name: "scratch mixed", sql: "SELECT x.run, e.event_id FROM eq_events e JOIN eq_remote x ON e.run = x.run WHERE x.run IN (SELECT run FROM eq_events)",
-			route: RouteMixed, servers: 2, class: "mixed", operator: "scratch", fallback: "subquery"},
+			route: RouteMixed, servers: 2, class: "mixed", operator: "pipelined hash-join(build=left)"},
 	}
+	ref := oneEngine(t, map[string]int{"eq_events": 16, "eq_runs": 10, "eq_remote": 24})
 	for _, cached := range []bool{false, true} {
 		tag := "nocache"
 		cfg := Config{Name: "eq-fwd", SlowQueryThreshold: time.Nanosecond}
@@ -475,14 +477,11 @@ func TestQueryIsTheDrainedStream(t *testing.T) {
 							t.Fatalf("%s: captured %q on route %q, want this query on %s", entry, e.SQL, e.Route, tc.class)
 						}
 						op, _ := e.Explain["operator"].(string)
-						fb, _ := e.Explain["stream_fallback"].(string)
-						if op != tc.operator || fb != tc.fallback {
-							t.Errorf("%s: executed operator/fallback = %q/%q, want %q/%q", entry, op, fb, tc.operator, tc.fallback)
+						if op != tc.operator {
+							t.Errorf("%s: executed operator = %q, want %q", entry, op, tc.operator)
 						}
-						xop, _ := em["operator"].(string)
-						xfb, _ := em["stream_fallback"].(string)
-						if op != xop || fb != xfb {
-							t.Errorf("%s: executed %q/%q but explain predicted %q/%q", entry, op, fb, xop, xfb)
+						if xop, _ := em["operator"].(string); op != xop {
+							t.Errorf("%s: executed %q but explain predicted %q", entry, op, xop)
 						}
 					}
 
@@ -538,17 +537,11 @@ func TestQueryIsTheDrainedStream(t *testing.T) {
 						}
 					}
 					same("drained stream", got.Rows)
-					if tc.local {
-						plan, err := s.Federation().PlanQuery(tc.sql)
-						if err != nil {
-							t.Fatal(err)
-						}
-						ref, err := s.Federation().ExecuteContext(ctx, plan, tc.params...)
-						if err != nil {
-							t.Fatal(err)
-						}
-						same("scratch reference", ref.Rows)
+					one, err := ref.Query(tc.sql, tc.params...)
+					if err != nil {
+						t.Fatal(err)
 					}
+					same("one engine's answer", one.Rows)
 					if cached {
 						// The stream's tee filled the cache; a repeat is served
 						// from it with the executed route still attached.

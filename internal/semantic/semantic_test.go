@@ -1,6 +1,7 @@
 package semantic
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -145,7 +146,7 @@ func TestUnifyEndToEnd(t *testing.T) {
 	// Both replicas answer the same logical query (load-balanced).
 	hit := map[int64]bool{}
 	for i := 0; i < 12 && len(hit) < 2; i++ {
-		rs, err := f.Query("SELECT evt_id FROM events_t01")
+		rs, err := f.QueryContext(context.Background(), "SELECT evt_id FROM events_t01")
 		if err != nil {
 			t.Fatal(err)
 		}

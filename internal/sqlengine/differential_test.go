@@ -26,32 +26,31 @@ import (
 // CASE, IS NULL, BETWEEN or IN; a non-output ORDER BY key of an
 // aggregated statement): TestAggregateInExpressions holds those.
 
-const diffSchema = `
-CREATE TABLE a (id INTEGER, k INTEGER, x DOUBLE, s VARCHAR(8));
-INSERT INTO a VALUES (1, 1, 1.5, 'p'), (2, 1, NULL, 'q'), (3, 2, 2.5, NULL), (4, NULL, 3.5, 'p'), (5, 3, 0.5, 'r'), (6, 2, 2.5, 'q');
-CREATE TABLE b (k DOUBLE, y INTEGER, s VARCHAR(8));
-INSERT INTO b VALUES (1.0, 1, 'p'), (2.0, 2, 'q'), (2.0, 3, NULL), (2.5, 1, 'r'), (NULL, 2, 'p'), (3, 4, 'q');
-CREATE TABLE c (k INTEGER, z VARCHAR(8));
-INSERT INTO c VALUES (1, 'u'), (2, 'w'), (2, 'w'), (NULL, 'u'), (4, 'x');
-CREATE VIEW v AS SELECT k, y FROM b WHERE y > 1`
-
-// diffTables lists the fixture's relations: numeric columns, then string
-// columns.
+// diffTables lists the fixture's relations — numeric columns, then string
+// columns — with the script creating each; the view comes last.
 var diffTables = []struct {
-	name     string
-	num, str []string
+	name, script string
+	num, str     []string
 }{
-	{"a", []string{"id", "k", "x"}, []string{"s"}},
-	{"b", []string{"k", "y"}, []string{"s"}},
-	{"c", []string{"k"}, []string{"z"}},
-	{"v", []string{"k", "y"}, nil},
+	{"a", `CREATE TABLE a (id INTEGER, k INTEGER, x DOUBLE, s VARCHAR(8));
+INSERT INTO a VALUES (1, 1, 1.5, 'p'), (2, 1, NULL, 'q'), (3, 2, 2.5, NULL), (4, NULL, 3.5, 'p'), (5, 3, 0.5, 'r'), (6, 2, 2.5, 'q')`,
+		[]string{"id", "k", "x"}, []string{"s"}},
+	{"b", `CREATE TABLE b (k DOUBLE, y INTEGER, s VARCHAR(8));
+INSERT INTO b VALUES (1.0, 1, 'p'), (2.0, 2, 'q'), (2.0, 3, NULL), (2.5, 1, 'r'), (NULL, 2, 'p'), (3, 4, 'q')`,
+		[]string{"k", "y"}, []string{"s"}},
+	{"c", `CREATE TABLE c (k INTEGER, z VARCHAR(8));
+INSERT INTO c VALUES (1, 'u'), (2, 'w'), (2, 'w'), (NULL, 'u'), (4, 'x')`,
+		[]string{"k"}, []string{"z"}},
+	{"v", `CREATE VIEW v AS SELECT k, y FROM b WHERE y > 1`, []string{"k", "y"}, nil},
 }
 
 func diffFixture(tb testing.TB) *Engine {
 	tb.Helper()
 	e := NewEngine("diff", DialectANSI)
-	if err := e.ExecScript(diffSchema); err != nil {
-		tb.Fatal(err)
+	for _, t := range diffTables {
+		if err := e.ExecScript(t.script); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	return e
 }
@@ -63,6 +62,12 @@ type selectGen struct {
 	refs []diffRef
 	// strict rules out invalid column references (the branch has a LIMIT).
 	strict bool
+	// federated writes for a federation of the tables (federated_test.go):
+	// no view, which a federation has none of; no invalid column
+	// reference, which a member database meets in a pushed conjunct before
+	// a single row is joined; no ROWNUM, which numbers rows in the order
+	// they happen to arrive.
+	federated bool
 }
 
 type diffRef struct {
@@ -116,6 +121,9 @@ func (g *selectGen) pred() string {
 	case 8:
 		return fmt.Sprintf("%s %s %s", g.col(true), g.pick("<", ">="), g.col(true))
 	}
+	if g.federated {
+		return g.col(false) + " IS NOT NULL"
+	}
 	return "ROWNUM <= " + g.pick("2", "4")
 }
 
@@ -141,7 +149,11 @@ func (g *selectGen) from() (string, []string) {
 	var sb strings.Builder
 	var comma, where []string
 	for i := 0; i < n; i++ {
-		t := diffTables[g.r.Intn(len(diffTables))]
+		n := len(diffTables)
+		if g.federated {
+			n-- // no view
+		}
+		t := diffTables[g.r.Intn(n)]
 		ref := diffRef{alias: fmt.Sprintf("t%d", i+1), num: t.num, str: t.str}
 		tr := t.name + " " + ref.alias
 		switch {
@@ -227,7 +239,7 @@ func (g *selectGen) agg() string {
 // with its width.
 func (g *selectGen) branch(width int) (string, int) {
 	limit := g.chance(30)
-	g.strict = limit
+	g.strict = limit || g.federated
 	from, where := g.from()
 	for i := g.r.Intn(3); i > 0; i-- {
 		where = append(where, g.pred())
@@ -313,8 +325,8 @@ func (g *selectGen) branch(width int) (string, int) {
 
 // genSelect writes the statement for one seed: a branch, or a UNION
 // [ALL] of two (their widths equal but for the odd mismatch).
-func genSelect(seed int64) string {
-	g := &selectGen{r: rand.New(rand.NewSource(seed))}
+func genSelect(seed int64, federated bool) string {
+	g := &selectGen{r: rand.New(rand.NewSource(seed)), federated: federated}
 	if !g.chance(20) {
 		sql, _ := g.branch(0)
 		return sql
@@ -338,7 +350,7 @@ func genSelect(seed int64) string {
 
 // checkSelect runs one seed's statement on both executors.
 func checkSelect(t *testing.T, e *Engine, seed int64) {
-	sql := genSelect(seed)
+	sql := genSelect(seed, false)
 	got, gerr := e.Query(sql)
 	want, werr := refQuery(e, sql)
 	fail := func(format string, args ...interface{}) {

@@ -14,10 +14,12 @@
 // engine composes it over its own tables and drains it into a ResultSet;
 // the federation composes the same pipeline over live member cursors and
 // peer relays. AnalyzeStreamSelect turns a statement into that pipeline
-// for a caller without a database, and rejects only what such a caller
-// cannot run: IN/EXISTS subqueries, and — over an input whose columns
-// are unknown until read — a star or a join without an attributable
-// equi-key.
+// for a caller without a database. Such a caller also supplies the
+// tables its IN/EXISTS subqueries read, and the pipeline runs them
+// through the engine's executor over those inputs. The analysis rejects
+// only what needs columns the caller does not know: over an input whose
+// columns are unknown until read, a star or a join without an
+// attributable equi-key.
 //
 // Results flow through two shapes. A ResultSet is a fully materialized
 // answer: column names plus a slice of rows of dynamically-typed Values.

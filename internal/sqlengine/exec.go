@@ -12,10 +12,12 @@ type ResultSet struct {
 	Rows    []Row
 }
 
-// executor runs SELECT statements against a database. The caller must hold
-// at least a read lock on the database for the executor's lifetime.
+// executor runs SELECT statements against a database — the caller must
+// hold at least a read lock on it for the executor's lifetime — or, for a
+// StreamSelect's subqueries, against the tables the caller supplied.
 type executor struct {
-	db *Database
+	db   *Database
+	subs *subqueryInputs // set instead of db
 	// depth guards against runaway view recursion.
 	depth int
 }
@@ -26,7 +28,7 @@ const maxViewDepth = 16
 // non-nil, provides the enclosing row context for correlated subqueries.
 //
 // It runs on the operator pipeline the federation uses (operators.go),
-// over this database's tables: the same analysis, with every input's
+// over the tables open resolves: the same analysis, with every input's
 // columns known, so no shape is rejected. Joins build their right input
 // (the left one of a RIGHT JOIN) and nothing spills, which keeps the row
 // order and memory of the materializing executor this replaced
@@ -47,7 +49,7 @@ func (ex *executor) execSelect(sel *SelectStmt, params []Value, outer *evalConte
 			inputs = append(inputs, in)
 		}
 	}
-	plan, reason := analyzeSelect(sel, func(table string) []string { return cols[table] }, true)
+	plan, reason := analyzeSelect(sel, func(table string) []string { return cols[table] })
 	if plan == nil {
 		return nil, fmt.Errorf("sqlengine: cannot run SELECT: %s", reason)
 	}
@@ -59,13 +61,21 @@ func (ex *executor) execSelect(sel *SelectStmt, params []Value, outer *evalConte
 	return Drain(it)
 }
 
-// open resolves one FROM reference to its input. A table is scanned in
-// place — its rows are shared, not copied: the database lock is held for
-// the duration of the query and SELECT never mutates rows in place — and
-// this is the one place a SELECT reads a table. A view is its own SELECT,
-// run to completion.
+// open resolves one FROM reference to its input; it is the one place a
+// SELECT reads a table. A database table is scanned in place — its rows
+// are shared, not copied: the database lock is held for the duration of
+// the query and SELECT never mutates rows in place. A view is its own
+// SELECT, run to completion. A subquery table of a StreamSelect is the
+// caller's input, drained once and shared by every later open.
 func (ex *executor) open(tr TableRef, params []Value, outer *evalContext) (StreamInput, error) {
 	src := sourceOf(tr)
+	if ex.subs != nil {
+		rs, err := ex.subs.table(src.Table)
+		if err != nil {
+			return StreamInput{}, err
+		}
+		return StreamInput{Source: src, Columns: rs.Columns, Iter: SliceIter(rs)}, nil
+	}
 	if t, ok := ex.db.tables[tr.Name]; ok {
 		cols := make([]string, len(t.Columns))
 		for i, c := range t.Columns {

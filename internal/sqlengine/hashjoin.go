@@ -55,7 +55,7 @@ type hashJoinIter struct {
 // hashJoinFanout is the Grace partition count. One recursion level only:
 // a partition that still exceeds the budget is joined in memory anyway
 // (the budget bounds the common case; pathological single-key skew
-// degrades to the scratch path's footprint for that partition).
+// degrades to holding that partition whole).
 const hashJoinFanout = 8
 
 func newHashJoinIter(ctx context.Context, j *StreamJoin, left, right relIter, env *evalEnv, opts StreamOptions) *hashJoinIter {

@@ -12,23 +12,27 @@ import (
 // operators — table inputs, left-deep joins, filter, project or
 // aggregate, DISTINCT, ORDER BY, OFFSET/LIMIT, UNION chains. The engine
 // runs every SELECT on it over its own tables (exec.go), and the
-// federation runs its decomposed plans on it over live member cursors and
-// peer relays, so integrated rows are emitted as the sources produce them
-// instead of after everything was materialized into a scratch database.
+// federation runs every decomposed plan on it over live member cursors
+// and peer relays, so integrated rows are emitted as the sources produce
+// them.
 //
-// AnalyzeStreamSelect rejects only what a caller without a database
-// cannot run: IN/EXISTS subqueries (they re-enter an executor) and, over
-// an input whose columns are unknown until it is read (a spec-less peer
-// load), a star in the select list or a join step without an equi-key it
-// can attribute — that join would be a nested loop over a stream of
-// unknown size.
+// An IN/EXISTS subquery runs through the same executor (exec.go) as in
+// the engine. A caller without a database supplies one input per table
+// the subqueries read (StreamPlan.Subqueries); the pipeline drains each
+// the first time a subquery opens it and reads it from memory after.
+// AnalyzeStreamSelect rejects only what needs columns the caller does not
+// know: over an input whose columns are unknown until it is read (a peer
+// table the caller has no column list for), a star in the select list or
+// a join step without an equi-key it can attribute — that join would be a
+// nested loop over a stream of unknown size.
 //
 // Operators that must buffer — a hash-join build side, an ORDER BY —
 // are governed by a byte budget (StreamOptions.BudgetBytes): past it the
 // hash join switches to a Grace-style partitioned spill and the sort
 // writes sorted runs, both to temp files that are removed on Close on
 // every exit path (success, error, cancellation). An aggregate holds its
-// groups in memory.
+// groups in memory, and a subquery's tables are held in memory for the
+// life of the query once it has read them.
 
 // StreamSource identifies one table input of a streaming branch.
 type StreamSource struct {
@@ -100,6 +104,10 @@ type StreamBranch struct {
 type StreamPlan struct {
 	Sel      *SelectStmt
 	Branches []*StreamBranch
+	// Subqueries are the tables the statement's IN/EXISTS subqueries read,
+	// at any nesting depth, once each by name in first-appearance order.
+	// StreamSelect takes one input per entry after the branch inputs.
+	Subqueries []StreamSource
 }
 
 // Columns returns the plan's output column names (the first branch's,
@@ -113,21 +121,22 @@ type sortKey struct {
 }
 
 // AnalyzeStreamSelect returns the plan the operators run sel with, or
-// ("", reason) naming the construct they cannot serve without a database,
-// so explain output and fallback decisions can report why the scratch
-// engine ran instead. tableCols, when non-nil, maps a logical table name
-// to its column names; nil (or a nil answer) means an input's columns are
-// known only once it is read.
+// (nil, reason) naming the construct that needs columns tableCols did not
+// know. tableCols, when non-nil, maps a logical table name to its column
+// names; nil (or a nil answer) means an input's columns are known only
+// once it is read. The plan lists the tables sel's subqueries read.
 func AnalyzeStreamSelect(sel *SelectStmt, tableCols func(table string) []string) (*StreamPlan, string) {
-	return analyzeSelect(sel, tableCols, false)
+	plan, reason := analyzeSelect(sel, tableCols)
+	if plan != nil {
+		plan.Subqueries = subqueryTables(sel)
+	}
+	return plan, reason
 }
 
-// analyzeSelect is AnalyzeStreamSelect for a caller that says whether its
-// expressions may run subqueries (the engine's re-enter its executor).
-func analyzeSelect(sel *SelectStmt, tableCols func(string) []string, subqueries bool) (*StreamPlan, string) {
+func analyzeSelect(sel *SelectStmt, tableCols func(string) []string) (*StreamPlan, string) {
 	plan := &StreamPlan{Sel: sel}
 	for s := sel; s != nil; s = s.Union {
-		br, reason := analyzeBranch(s, tableCols, subqueries)
+		br, reason := analyzeBranch(s, tableCols)
 		if br == nil {
 			return nil, reason
 		}
@@ -149,10 +158,7 @@ func branchTables(sel *SelectStmt) []TableRef {
 	return append(refs, sel.From[1:]...)
 }
 
-func analyzeBranch(sel *SelectStmt, tableCols func(string) []string, subqueries bool) (*StreamBranch, string) {
-	if !subqueries && selectHasSubquery(sel) {
-		return nil, "subquery"
-	}
+func analyzeBranch(sel *SelectStmt, tableCols func(string) []string) (*StreamBranch, string) {
 	br := &StreamBranch{Sel: sel, UnionAll: sel.UnionAll}
 	var (
 		left  []sideInput // the inputs joined so far
@@ -339,79 +345,83 @@ func outputOrdinal(e Expr, outCols []string) (int, error) {
 	return found, nil
 }
 
-// selectHasSubquery reports whether any expression of sel's own clauses
-// holds an IN (SELECT ...) or EXISTS.
-func selectHasSubquery(sel *SelectStmt) bool {
-	exprs := []Expr{sel.Where, sel.Having}
+// Subqueries returns the IN/EXISTS sub-SELECTs of sel's own clauses —
+// not those nested inside them, nor those of its UNION branches — in
+// clause order: WHERE, HAVING, the select list, ON conditions, GROUP BY,
+// ORDER BY.
+func Subqueries(sel *SelectStmt) []*SelectStmt {
+	subs := exprSubqueries(sel.Having, exprSubqueries(sel.Where, nil))
 	for _, it := range sel.Items {
-		exprs = append(exprs, it.Expr)
+		subs = exprSubqueries(it.Expr, subs)
 	}
 	for _, jc := range sel.Joins {
-		exprs = append(exprs, jc.On)
+		subs = exprSubqueries(jc.On, subs)
 	}
-	exprs = append(exprs, sel.GroupBy...)
+	for _, g := range sel.GroupBy {
+		subs = exprSubqueries(g, subs)
+	}
 	for _, oi := range sel.OrderBy {
-		exprs = append(exprs, oi.Expr)
+		subs = exprSubqueries(oi.Expr, subs)
 	}
-	for _, e := range exprs {
-		if exprHasSubquery(e) {
-			return true
-		}
-	}
-	return false
+	return subs
 }
 
-// exprHasSubquery reports whether e contains an IN (SELECT ...) or
-// EXISTS: those re-enter an executor.
-func exprHasSubquery(e Expr) bool {
+// exprSubqueries appends the IN (SELECT ...) and EXISTS statements of e.
+func exprSubqueries(e Expr, out []*SelectStmt) []*SelectStmt {
 	switch x := e.(type) {
-	case nil, *Literal, *ColumnRef, *Param:
-		return false
 	case *UnaryExpr:
-		return exprHasSubquery(x.X)
+		return exprSubqueries(x.X, out)
 	case *BinaryExpr:
-		return exprHasSubquery(x.L) || exprHasSubquery(x.R)
+		return exprSubqueries(x.R, exprSubqueries(x.L, out))
 	case *IsNullExpr:
-		return exprHasSubquery(x.X)
+		return exprSubqueries(x.X, out)
 	case *InExpr:
-		if x.Sub != nil {
-			return true
-		}
-		if exprHasSubquery(x.X) {
-			return true
-		}
+		out = exprSubqueries(x.X, out)
 		for _, le := range x.List {
-			if exprHasSubquery(le) {
-				return true
-			}
+			out = exprSubqueries(le, out)
 		}
-		return false
+		if x.Sub != nil {
+			out = append(out, x.Sub)
+		}
 	case *BetweenExpr:
-		return exprHasSubquery(x.X) || exprHasSubquery(x.Lo) || exprHasSubquery(x.Hi)
+		return exprSubqueries(x.Hi, exprSubqueries(x.Lo, exprSubqueries(x.X, out)))
 	case *ExistsExpr:
-		return true
+		return append(out, x.Sub)
 	case *FuncCall:
 		for _, a := range x.Args {
-			if exprHasSubquery(a) {
-				return true
-			}
+			out = exprSubqueries(a, out)
 		}
-		return false
 	case *CaseExpr:
-		if x.Operand != nil && exprHasSubquery(x.Operand) {
-			return true
-		}
+		out = exprSubqueries(x.Operand, out)
 		for _, w := range x.Whens {
-			if exprHasSubquery(w.When) || exprHasSubquery(w.Then) {
-				return true
+			out = exprSubqueries(w.Then, exprSubqueries(w.When, out))
+		}
+		return exprSubqueries(x.Else, out)
+	}
+	return out
+}
+
+// subqueryTables lists the tables sel's subqueries read, at any depth,
+// once each by name in first-appearance order.
+func subqueryTables(sel *SelectStmt) []StreamSource {
+	var out []StreamSource
+	seen := map[string]bool{}
+	var walk func(s *SelectStmt, inSub bool)
+	walk = func(s *SelectStmt, inSub bool) {
+		for ; s != nil; s = s.Union {
+			for _, tr := range branchTables(s) {
+				if name := normalizeName(tr.Name); inSub && !seen[name] {
+					seen[name] = true
+					out = append(out, StreamSource{Table: name, Qualifier: name})
+				}
+			}
+			for _, sub := range Subqueries(s) {
+				walk(sub, true)
 			}
 		}
-		if x.Else != nil {
-			return exprHasSubquery(x.Else)
-		}
-		return false
 	}
-	return true // unknown node: be conservative
+	walk(sel, false)
+	return out
 }
 
 // ---- Composition ----
@@ -462,8 +472,8 @@ func (o StreamOptions) budget() int64 {
 }
 
 // evalEnv is what an operator's expressions see besides the row: the
-// statement's parameters and, in the engine, the executor IN/EXISTS
-// subqueries re-enter and the enclosing row of a correlated subquery.
+// statement's parameters, the executor IN/EXISTS subqueries re-enter and
+// the enclosing row of a correlated subquery.
 type evalEnv struct {
 	params []Value
 	exec   selectFunc
@@ -475,15 +485,16 @@ func (e *evalEnv) bind(sch rowSchema, row Row) *evalContext {
 }
 
 // StreamSelect composes the streaming pipeline for an analyzed plan over
-// live inputs (flattened across branches, matching plan.Branches[i].Inputs
-// order). It takes ownership of every input iterator: they are closed
-// when the returned iterator is closed, or before returning an error.
+// live inputs: the branch inputs (flattened across branches, matching
+// plan.Branches[i].Inputs order), then one per plan.Subqueries entry. It
+// takes ownership of every input iterator: they are closed when the
+// returned iterator is closed, or before returning an error.
 func StreamSelect(ctx context.Context, plan *StreamPlan, inputs []StreamInput, params []Value, opts StreamOptions) (RowIter, error) {
 	return streamSelect(ctx, plan, inputs, &evalEnv{params: params}, opts)
 }
 
 func streamSelect(ctx context.Context, plan *StreamPlan, inputs []StreamInput, env *evalEnv, opts StreamOptions) (RowIter, error) {
-	want := 0
+	want := len(plan.Subqueries)
 	for _, br := range plan.Branches {
 		want += len(br.Inputs)
 	}
@@ -496,6 +507,12 @@ func streamSelect(ctx context.Context, plan *StreamPlan, inputs []StreamInput, e
 			in.Iter.Close()
 		}
 		return nil, err
+	}
+	var subs *subqueryInputs
+	if n := len(inputs) - len(plan.Subqueries); n < len(inputs) {
+		subs = &subqueryInputs{inputs: inputs[n:], rows: map[string]*ResultSet{}}
+		env = &evalEnv{params: env.params, exec: (&executor{subs: subs}).execSelect}
+		inputs = inputs[:n]
 	}
 
 	next := inputs
@@ -513,7 +530,66 @@ func streamSelect(ctx context.Context, plan *StreamPlan, inputs []StreamInput, e
 			out = &distinctIter{in: out}
 		}
 	}
+	if subs != nil {
+		out = &subqueryIter{RowIter: out, subs: subs}
+	}
 	return out, nil
+}
+
+// subqueryInputs serves the tables a StreamSelect's subqueries read from
+// the caller's inputs: an input is drained into memory (which closes it)
+// the first time a subquery opens its table, and read from memory after.
+type subqueryInputs struct {
+	inputs []StreamInput // an input's Iter is nil once drained
+	rows   map[string]*ResultSet
+}
+
+func (s *subqueryInputs) table(name string) (*ResultSet, error) {
+	if rs, ok := s.rows[name]; ok {
+		return rs, nil
+	}
+	for i := range s.inputs {
+		in := &s.inputs[i]
+		if in.Source.Table != name || in.Iter == nil {
+			continue
+		}
+		rs, err := Drain(in.Iter)
+		in.Iter = nil
+		if err != nil {
+			return nil, err
+		}
+		cols := in.Columns
+		if cols == nil {
+			cols = make([]string, len(rs.Columns))
+			for j, c := range rs.Columns {
+				cols[j] = normalizeName(c)
+			}
+		}
+		rs.Columns = cols
+		s.rows[name] = rs
+		return rs, nil
+	}
+	return nil, fmt.Errorf("sqlengine: subquery reads table %q, which has no input", name)
+}
+
+// subqueryIter closes the subquery inputs no subquery drained when the
+// pipeline closes.
+type subqueryIter struct {
+	RowIter
+	subs *subqueryInputs
+}
+
+func (it *subqueryIter) Close() error {
+	err := it.RowIter.Close()
+	for i := range it.subs.inputs {
+		if in := &it.subs.inputs[i]; in.Iter != nil {
+			if cerr := in.Iter.Close(); err == nil {
+				err = cerr
+			}
+			in.Iter = nil
+		}
+	}
+	return err
 }
 
 // check returns the statement errors the engine reports before reading a

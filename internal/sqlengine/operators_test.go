@@ -75,19 +75,21 @@ func runStreamDiff(t *testing.T, tables []streamTable, sql string, params []Valu
 	if mutate != nil {
 		mutate(plan)
 	}
-	var inputs []StreamInput
+	var srcs []StreamSource
 	for _, br := range plan.Branches {
-		for _, src := range br.Inputs {
-			tb, ok := byName[src.Table]
-			if !ok {
-				t.Fatalf("no such table %q", src.Table)
-			}
-			inputs = append(inputs, StreamInput{
-				Source:  src,
-				Columns: tb.cols,
-				Iter:    SliceIter(&ResultSet{Columns: tb.cols, Rows: tb.rows}),
-			})
+		srcs = append(srcs, br.Inputs...)
+	}
+	var inputs []StreamInput
+	for _, src := range append(srcs, plan.Subqueries...) {
+		tb, ok := byName[src.Table]
+		if !ok {
+			t.Fatalf("no such table %q", src.Table)
 		}
+		inputs = append(inputs, StreamInput{
+			Source:  src,
+			Columns: tb.cols,
+			Iter:    SliceIter(&ResultSet{Columns: tb.cols, Rows: tb.rows}),
+		})
 	}
 	stats := &StreamStats{}
 	opts.Stats = stats
@@ -361,15 +363,12 @@ func TestStreamSortStabilityAcrossRuns(t *testing.T) {
 func TestAnalyzeStreamSelectRejections(t *testing.T) {
 	eng := NewEngine("ref", DialectANSI)
 	// Every input's columns are unknown (nil tableCols): what remains
-	// rejected is a subquery, and what needs the columns — a star, or a
-	// join with no equi-key the analyzer can attribute.
+	// rejected is what needs the columns — a star, or a join with no
+	// equi-key the analyzer can attribute.
 	cases := []struct {
 		sql    string
 		reason string
 	}{
-		{"SELECT event_id FROM fact WHERE run IN (SELECT run FROM dim)", "subquery"},
-		{"SELECT f.event_id FROM fact f JOIN dim d ON f.run = d.run WHERE EXISTS (SELECT 1 FROM dim)", "subquery"},
-		{"SELECT run, COUNT(*) FROM fact GROUP BY run HAVING COUNT(*) IN (SELECT run FROM dim)", "subquery"},
 		{"SELECT * FROM fact", "star select over tables with unknown columns"},
 		{"SELECT event_id FROM fact, dim", "join without equi-keys"},
 		{"SELECT event_id FROM fact f JOIN dim d ON f.e_tot > d.w", "join without equi-keys"},
@@ -389,24 +388,99 @@ func TestAnalyzeStreamSelectRejections(t *testing.T) {
 			t.Fatalf("%q: reason %q, want %q", c.sql, reason, c.reason)
 		}
 	}
-	// The shapes the analyzer used to reject all run, columns unknown.
-	for _, sql := range []string{
-		"SELECT COUNT(*) FROM fact",
-		"SELECT run FROM fact GROUP BY run",
-		"SELECT f.event_id FROM fact f, dim d WHERE f.run = d.run",
-		"SELECT f.event_id, d.tag FROM fact f RIGHT JOIN dim d ON f.run = d.run",
-		"SELECT f.event_id FROM fact f JOIN dim d ON f.run = d.run JOIN fact g ON g.event_id = f.event_id",
-		"SELECT event_id, e_tot FROM fact ORDER BY e_tot + 1",
-		"SELECT event_id FROM fact UNION SELECT run, tag FROM dim",
+	// The shapes the analyzer used to reject all run, columns unknown; a
+	// subquery's tables are listed as inputs, each once, in the order the
+	// statement names them at any depth.
+	for _, c := range []struct {
+		sql  string
+		subs string
+	}{
+		{"SELECT COUNT(*) FROM fact", ""},
+		{"SELECT run FROM fact GROUP BY run", ""},
+		{"SELECT f.event_id FROM fact f, dim d WHERE f.run = d.run", ""},
+		{"SELECT f.event_id, d.tag FROM fact f RIGHT JOIN dim d ON f.run = d.run", ""},
+		{"SELECT f.event_id FROM fact f JOIN dim d ON f.run = d.run JOIN fact g ON g.event_id = f.event_id", ""},
+		{"SELECT event_id, e_tot FROM fact ORDER BY e_tot + 1", ""},
+		{"SELECT event_id FROM fact UNION SELECT run, tag FROM dim", ""},
+		{"SELECT event_id FROM fact WHERE run IN (SELECT run FROM dim)", "dim"},
+		{"SELECT f.event_id FROM fact f JOIN dim d ON f.run = d.run WHERE EXISTS (SELECT 1 FROM dim)", "dim"},
+		{"SELECT run, COUNT(*) FROM fact GROUP BY run HAVING COUNT(*) IN (SELECT run FROM dim)", "dim"},
+		{`SELECT event_id FROM fact WHERE run IN (SELECT d.run FROM dim d JOIN tags t ON d.tag = t.tag
+			WHERE EXISTS (SELECT 1 FROM fact g WHERE g.run = d.run)) AND run NOT IN (SELECT run FROM dim)
+			UNION SELECT run FROM dim WHERE CASE WHEN EXISTS (SELECT 1 FROM calib) THEN 1 ELSE 0 END = 1`, "dim tags fact calib"},
 	} {
-		st, err := eng.ParseSQL(sql)
+		st, err := eng.ParseSQL(c.sql)
 		if err != nil {
-			t.Fatalf("parse %q: %v", sql, err)
+			t.Fatalf("parse %q: %v", c.sql, err)
 		}
-		if plan, reason := AnalyzeStreamSelect(st.(*SelectStmt), nil); plan == nil {
-			t.Errorf("%q: rejected (%s)", sql, reason)
+		plan, reason := AnalyzeStreamSelect(st.(*SelectStmt), nil)
+		if plan == nil {
+			t.Errorf("%q: rejected (%s)", c.sql, reason)
+			continue
+		}
+		var subs []string
+		for _, src := range plan.Subqueries {
+			subs = append(subs, src.Table)
+		}
+		if got := strings.Join(subs, " "); got != c.subs {
+			t.Errorf("%q: subquery tables %q, want %q", c.sql, got, c.subs)
 		}
 	}
+}
+
+// TestStreamSubqueryDifferential: IN/EXISTS subqueries — correlated,
+// nested, over a table the main query also reads, in the select list —
+// run on the pipeline over the caller's inputs and answer what the
+// oracle answers.
+func TestStreamSubqueryDifferential(t *testing.T) {
+	tables := genTables(rand.New(rand.NewSource(7)), 80, 20)
+	for _, sql := range []string{
+		"SELECT event_id FROM fact WHERE run IN (SELECT run FROM dim WHERE tag = 'tag-1')",
+		"SELECT event_id FROM fact WHERE run NOT IN (SELECT run FROM dim)",
+		"SELECT f.event_id, d.tag FROM fact f JOIN dim d ON f.run = d.run WHERE EXISTS (SELECT 1 FROM fact g WHERE g.run = d.run AND g.e_tot > f.e_tot)",
+		"SELECT event_id FROM fact f WHERE NOT EXISTS (SELECT 1 FROM dim d WHERE d.run = f.run AND d.run IN (SELECT run FROM fact WHERE e_tot < 20))",
+		"SELECT run, COUNT(*) FROM fact GROUP BY run HAVING COUNT(*) > 1 AND run IN (SELECT run FROM dim)",
+		"SELECT event_id, CASE WHEN EXISTS (SELECT 1 FROM dim d WHERE d.run = fact.run) THEN 'y' ELSE 'n' END FROM fact",
+		"SELECT run FROM dim UNION SELECT run FROM fact WHERE run IN (SELECT run FROM dim WHERE w > 5)",
+	} {
+		runStreamDiff(t, tables, sql, nil, StreamOptions{}, false, nil)
+	}
+	// Inputs no subquery read — here the WHERE rejects every row before
+	// its subquery runs — are still closed with the pipeline.
+	plan, _ := AnalyzeStreamSelect(mustParseSelect(t, "SELECT a.id FROM a WHERE a.id < 0 AND a.k IN (SELECT k FROM b)"),
+		func(string) []string { return []string{"id", "k"} })
+	closed := 0
+	mk := func(src StreamSource) StreamInput {
+		rs := &ResultSet{Columns: []string{"id", "k"}, Rows: []Row{{NewInt(1), NewInt(1)}}}
+		return StreamInput{Source: src, Iter: &closeCounter{RowIter: SliceIter(rs), n: &closed}}
+	}
+	it, err := StreamSelect(context.Background(), plan, []StreamInput{mk(plan.Branches[0].Inputs[0]), mk(plan.Subqueries[0])}, nil, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs, err := Drain(it); err != nil || len(rs.Rows) != 0 || closed != 2 {
+		t.Fatalf("rows %v, err %v, %d of 2 inputs closed", rs, err, closed)
+	}
+}
+
+func mustParseSelect(t *testing.T, sql string) *SelectStmt {
+	t.Helper()
+	st, err := NewParser(DialectANSI).ParseStatement(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.(*SelectStmt)
+}
+
+// closeCounter counts Close calls on the iterator it wraps.
+type closeCounter struct {
+	RowIter
+	n *int
+}
+
+func (c *closeCounter) Close() error {
+	*c.n++
+	return c.RowIter.Close()
 }
 
 // ---- cancellation / cleanup ----

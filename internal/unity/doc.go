@@ -15,25 +15,22 @@
 // each sub-query to the least-loaded replica, with network-proximity
 // costs (SetSourceCost) breaking the tie first.
 //
-// Execution comes in two shapes. ExecuteStreamOp returns an incremental
+// Execution has one path. ExecuteStreamOp returns an incremental
 // sqlengine.RowIter: pushdown plans stream straight off the backend
 // cursor, so a scan larger than memory can be paged by the consumer, and
 // decomposed plans run pipelined — on sqlengine's operators, the executor
 // the member engines run too — over member cursors opened through the
-// scatter-gather (a bounded worker pool, MaxParallel). ExecuteContext
-// materializes: decomposed plans scatter-gather their per-table
-// sub-queries (optionally bounded per sub-query by SourceBudget) into a
-// scratch engine and integrate there — the fallback for the shapes the
-// pipeline cannot run without a database of its own (subqueries; a star
-// or an unqualified join key over a peer table of unknown columns).
+// scatter-gather (a bounded worker pool, MaxParallel). The tables an
+// IN/EXISTS subquery reads are loads of the same plan, and the pipeline
+// runs the subquery over them. ExecuteContext is the drained stream.
 //
 // A table need not live on a member database. PlanQueryAt takes, beside
 // the query, the locations of the tables the dictionary does not know
 // (the data access layer passes the peer Clarens server the RLS named for
-// each): such a table is one more load of the same decomposed plan — a
-// spec-less one, so SELECT * with only alias-qualified conjuncts pushed,
-// no row count, column kinds inferred on the scratch path — and both
-// executors open it through the one hook OpenPeer, which the data access
-// layer sets to its cursor relay. Nothing else about planning or
-// execution depends on where a table is.
+// each) and, when the caller has them, their columns: such a table is one
+// more load of the same decomposed plan — without a row count, and
+// without columns SELECT * with only alias-qualified conjuncts pushed —
+// opened through the one hook OpenPeer, which the data access layer sets
+// to its cursor relay. Nothing else about planning or execution depends
+// on where a table is.
 package unity

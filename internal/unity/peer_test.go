@@ -51,7 +51,7 @@ const runsPeer = "peer://tier1"
 
 // runsOnPeer is buildFederation with runs moved off the federation: the
 // MS-SQL member is unplugged and the same rows are served by a peer.
-func runsOnPeer(t *testing.T) (*Federation, *peerStub, map[string]string) {
+func runsOnPeer(t *testing.T) (*Federation, *peerStub, map[string]PeerTable) {
 	t.Helper()
 	f := buildFederation(t)
 	if err := f.RemoveSource("tier2ms"); err != nil {
@@ -63,7 +63,7 @@ func runsOnPeer(t *testing.T) (*Federation, *peerStub, map[string]string) {
 		t.Fatal(err)
 	}
 	f.OpenPeer = p.open
-	return f, p, map[string]string{"runs": runsPeer}
+	return f, p, map[string]PeerTable{"runs": {Location: runsPeer}}
 }
 
 // singleEngine holds buildFederation's events and runs in one engine: the
@@ -121,7 +121,7 @@ func TestPeerLoadSubQuery(t *testing.T) {
 	}
 
 	// A table in the dictionary is planned from the dictionary.
-	local, err := f.PlanQueryAt("SELECT event_id FROM events", map[string]string{"events": runsPeer})
+	local, err := f.PlanQueryAt("SELECT event_id FROM events", map[string]PeerTable{"events": {Location: runsPeer}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,31 +130,38 @@ func TestPeerLoadSubQuery(t *testing.T) {
 	}
 }
 
-// TestPeerLoadExecution: the one planner's executors open a peer load
-// through OpenPeer — once per branch input on the pipelined path, so a
-// peer table in two UNION branches or a self-join stays pipelined, and
-// once per table on the scratch path — close every stream they opened,
-// count one federation query, and answer what one engine would.
+// TestPeerLoadExecution: the executor opens a peer load through OpenPeer
+// once per branch input — so a peer table in two UNION branches or a
+// self-join stays pipelined — and once more when a subquery reads it,
+// closes every stream it opened, counts one federation query, and answers
+// what one engine would. A star over the peer table runs once the plan is
+// given the table's columns, whose sub-query then lists them.
 func TestPeerLoadExecution(t *testing.T) {
 	ref := singleEngine(t)
 	for _, tc := range []struct {
 		name, sql string
 		operator  string
 		opens     int
+		cols      []string // the peer table's columns, given to the plan
 	}{
 		{"join", "SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run WHERE r.detector = 'CMS'",
-			"pipelined hash-join(build=left)", 1},
+			"pipelined hash-join(build=left)", 1, nil},
 		{"two branches", "SELECT r.run FROM runs r WHERE r.detector = 'CMS' UNION ALL SELECT r.run FROM runs r",
-			"pipelined union(scan, scan)", 2},
+			"pipelined union(scan, scan)", 2, nil},
 		{"self-join", "SELECT a.run, b.detector FROM runs a JOIN runs b ON a.run = b.run",
-			"pipelined hash-join(build=right)", 2},
+			"pipelined hash-join(build=right)", 2, nil},
 		{"aggregate", "SELECT r.detector, COUNT(*) FROM events e JOIN runs r ON e.run = r.run GROUP BY r.detector",
-			"pipelined hash-join(build=left)", 1},
+			"pipelined hash-join(build=left)", 1, nil},
 		{"subquery", "SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run WHERE e.run IN (SELECT run FROM events)",
-			"scratch", 1},
+			"pipelined hash-join(build=left)", 1, nil},
+		{"subquery over the peer table", "SELECT e.event_id FROM events e WHERE e.run IN (SELECT run FROM runs WHERE detector = 'CMS')",
+			"pipelined scan", 1, nil},
+		{"star", "SELECT * FROM events e JOIN runs r ON e.run = r.run",
+			"pipelined hash-join(build=left)", 1, []string{"run", "detector"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f, p, peers := runsOnPeer(t)
+			peers["runs"] = PeerTable{Location: runsPeer, Columns: tc.cols}
 			plan, err := f.PlanQueryAt(tc.sql, peers)
 			if err != nil {
 				t.Fatal(err)
@@ -183,12 +190,28 @@ func TestPeerLoadExecution(t *testing.T) {
 			if q, _, push := f.Stats(); q != 1 || push != 0 {
 				t.Errorf("federation counted %d queries, %d pushdowns; want 1, 0", q, push)
 			}
+			if tc.cols != nil && (strings.Contains(p.opens[0], "*") || !strings.Contains(p.opens[0], `"detector"`)) {
+				t.Errorf("peer sub-query %q, want the given columns listed", p.opens[0])
+			}
 		})
+	}
+
+	// A star needs the peer table's columns: without them the plan names
+	// the table, and executing it fails saying which table at which peer.
+	f, _, peers := runsOnPeer(t)
+	star, err := f.PlanQueryAt("SELECT * FROM events e JOIN runs r ON e.run = r.run", peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(star.NeedColumns, []string{"runs"}) || star.Explain().Operator != "" {
+		t.Errorf("need columns %v, operator %q; want [runs] and none", star.NeedColumns, star.Explain().Operator)
+	}
+	if _, _, err := f.ExecuteStreamOp(context.Background(), star); err == nil || !strings.Contains(err.Error(), "runs at "+runsPeer) {
+		t.Errorf("err = %v, want one naming runs at %s", err, runsPeer)
 	}
 
 	// Without an opener the plan still forms; executing it says why it
 	// cannot run.
-	f, _, peers := runsOnPeer(t)
 	f.OpenPeer = nil
 	plan, err := f.PlanQueryAt("SELECT r.run FROM runs r", peers)
 	if err != nil {
@@ -202,9 +225,9 @@ func TestPeerLoadExecution(t *testing.T) {
 // TestOuterJoinWhereStaysAboveTheJoin: a WHERE conjunct over the
 // null-supplying side of an outer join must not be pushed into that
 // side's load — the anti-join idiom would match every row. Checked
-// against one engine holding both tables (the pipelined and the scratch
-// path share the loads, so they cannot check each other), with runs on a
-// member database and on a peer.
+// against one engine holding both tables (a check against another path
+// over the same loads would share their bug), with runs on a member
+// database and on a peer.
 func TestOuterJoinWhereStaysAboveTheJoin(t *testing.T) {
 	ref := singleEngine(t)
 	local := buildFederation(t)
@@ -212,8 +235,10 @@ func TestOuterJoinWhereStaysAboveTheJoin(t *testing.T) {
 	for _, tc := range []struct{ name, sql, operator string }{
 		{"anti-join, pipelined", "SELECT e.event_id FROM events e LEFT JOIN runs r ON e.run = r.run WHERE r.detector IS NULL ORDER BY e.event_id",
 			"pipelined hash-join(build=right)"},
+		// The subquery shape, named for the scratch integration that once
+		// served it.
 		{"anti-join, scratch", "SELECT e.event_id FROM events e LEFT JOIN runs r ON e.run = r.run WHERE r.detector IS NULL AND e.run IN (SELECT run FROM events) ORDER BY e.event_id",
-			"scratch"},
+			"pipelined hash-join(build=right)"},
 		{"anti-join, aggregated", "SELECT e.event_id, COUNT(*) FROM events e LEFT JOIN runs r ON e.run = r.run WHERE r.detector IS NULL GROUP BY e.event_id ORDER BY e.event_id",
 			"pipelined hash-join(build=right)"},
 		{"coalesce", "SELECT e.event_id FROM events e LEFT JOIN runs r ON e.run = r.run WHERE COALESCE(r.detector, 'none') = 'none' ORDER BY e.event_id",
@@ -258,5 +283,64 @@ func TestOuterJoinWhereStaysAboveTheJoin(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLateTypedPeerColumn: a column NULL for its first 1 100 rows and
+// numeric after orders and aggregates as numbers in a statement with a
+// subquery, with its table on a peer and on a member database alike, as
+// one engine holding the table answers. Integrating on a scratch engine
+// typed such a peer column from its first non-NULL values within a
+// bounded prefix — as a string here — and answered (2001,10) (2002,100)
+// (2000,9) and 9.
+func TestLateTypedPeerColumn(t *testing.T) {
+	var script strings.Builder
+	script.WriteString("CREATE TABLE pt (id BIGINT PRIMARY KEY, x BIGINT);\nINSERT INTO pt VALUES ")
+	for id := 0; id < 1100; id++ {
+		fmt.Fprintf(&script, "(%d, NULL), ", id)
+	}
+	script.WriteString("(2000, 9), (2001, 10), (2002, 100)")
+	ref := sqlengine.NewEngine("pt-reference", sqlengine.DialectANSI)
+	if err := ref.ExecScript(script.String()); err != nil {
+		t.Fatal(err)
+	}
+	remote, p, peers := runsOnPeer(t)
+	if err := p.eng.ExecScript(script.String()); err != nil {
+		t.Fatal(err)
+	}
+	peers["pt"] = PeerTable{Location: runsPeer}
+	local := federate(t, member{"ptmy", sqlengine.DialectMySQL, script.String()})
+
+	for _, sql := range []string{
+		"SELECT p.id, p.x FROM pt p WHERE p.x IS NOT NULL AND p.id IN (SELECT id FROM pt) ORDER BY p.x",
+		"SELECT MAX(p.x) FROM pt p WHERE p.id IN (SELECT id FROM pt)",
+	} {
+		want, err := ref.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, layout := range []struct {
+			where, operator string
+			f               *Federation
+		}{{"peer", "pipelined scan", remote}, {"member database", "pushdown", local}} {
+			plan, err := layout.f.PlanQueryAt(sql, peers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it, ex, err := layout.f.ExecuteStreamOp(context.Background(), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sqlengine.Drain(it)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.Operator != layout.operator {
+				t.Errorf("pt on a %s: operator %q, want %q", layout.where, ex.Operator, layout.operator)
+			}
+			if g, w := fmt.Sprint(got.Rows), fmt.Sprint(want.Rows); g != w {
+				t.Errorf("pt on a %s: %s answers %s, one engine %s", layout.where, sql, g, w)
+			}
+		}
 	}
 }

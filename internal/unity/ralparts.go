@@ -11,7 +11,17 @@ import (
 // QuerySource runs raw SQL on one member database (used by the schema
 // tracker to introspect live sources and by diagnostics).
 func (f *Federation) QuerySource(name, sqlText string) (*sqlengine.ResultSet, error) {
-	return f.runOnSourceCtx(context.Background(), name, sqlText, nil)
+	return f.runOnSourceCtx(context.Background(), name, sqlText)
+}
+
+// runOnSourceCtx is QuerySource under a caller's context: the drained
+// runOnSourceStreamCtx cursor.
+func (f *Federation) runOnSourceCtx(ctx context.Context, source, sqlText string) (*sqlengine.ResultSet, error) {
+	it, err := f.runOnSourceStreamCtx(ctx, source, sqlText, nil)
+	if err != nil {
+		return nil, err
+	}
+	return sqlengine.Drain(it)
 }
 
 // SourceDialectName returns the vendor dialect of a source.

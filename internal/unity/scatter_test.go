@@ -150,7 +150,7 @@ func TestStreamPlanOpenFailureClosesSiblings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peerPlan, err := f.PlanQueryAt("SELECT l.k, r.v FROM pl l JOIN sr r ON l.k = r.k", map[string]string{"pl": "peer://pl"})
+	peerPlan, err := f.PlanQueryAt("SELECT l.k, r.v FROM pl l JOIN sr r ON l.k = r.k", map[string]PeerTable{"pl": {Location: "peer://pl"}})
 	if err != nil {
 		t.Fatal(err)
 	}

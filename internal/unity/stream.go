@@ -11,26 +11,26 @@ import (
 
 // This file is the federation side of sqlengine's operator pipeline
 // (internal/sqlengine/operators.go), the executor every member database
-// also runs: planStream decides at plan time how a decomposed query runs
-// pipelined — rows flowing from the member databases and peers through
-// join/filter/project/aggregate operators straight to the consumer — and
-// ExecuteStreamOp executes that decision. Scratch integration serves only
-// what the pipeline cannot run without a database of its own: subqueries,
-// and stars or unattributable join keys over a peer table whose columns
-// are unknown.
+// also runs and the federation's only one: planStream decides at plan
+// time how a decomposed query runs — rows flowing from the member
+// databases and peers through join/filter/project/aggregate operators
+// straight to the consumer — and ExecuteStreamOp executes that decision.
+// The tables IN/EXISTS subqueries read are loads like any other, opened
+// beside the branch inputs; the pipeline drains each the first time a
+// subquery reads it.
 //
-// The payoff is the paper's integration bottleneck: a decomposed join
-// previously loaded every partial result into scratch tables before the
-// first row could be returned, so time-to-first-row and peak memory both
-// grew with the total row count. Pipelined, time-to-first-row is the
-// build side plus one probe row, and memory is bounded by the build side
-// — or by ScratchMaxBytes once the build spills.
+// The payoff is the paper's integration bottleneck: integrating by first
+// loading every partial result into one database makes time-to-first-row
+// and peak memory grow with the total row count. Pipelined,
+// time-to-first-row is the build side plus one probe row, and memory is
+// bounded by the build side — or by ScratchMaxBytes once the build
+// spills — plus the tables subqueries read.
 
 // specLogicalCols lists a table spec's logical column names in spec
 // order — the column layout of the sub-query tableSubQuery renders (it
-// SELECTs exactly these columns). Nil when the spec carries no columns
-// (then the sub-query is SELECT * and the layout is only known at
-// runtime).
+// SELECTs exactly these columns). Nil when the spec carries no columns (a
+// peer table planned without them: the sub-query is SELECT * and the
+// layout is only known at run time).
 func specLogicalCols(spec xspec.TableSpec) []string {
 	if len(spec.Columns) == 0 {
 		return nil
@@ -56,9 +56,10 @@ func (f *Federation) streamBudget() int64 {
 	return f.ScratchMaxBytes
 }
 
-// planStream analyzes a decomposed plan for the streaming operators and,
-// when it qualifies, picks each join step's strategy. Rejections record
-// the analyzer's reason for explain output.
+// planStream analyzes a decomposed plan for the streaming operators and
+// picks each join step's strategy. The analysis fails only for a shape
+// that needs columns a load has none of: those loads' tables become the
+// plan's NeedColumns.
 func (f *Federation) planStream(plan *Plan) {
 	colsOf := func(table string) []string {
 		ld := plan.loadFor(table)
@@ -67,9 +68,13 @@ func (f *Federation) planStream(plan *Plan) {
 		}
 		return specLogicalCols(ld.spec)
 	}
-	sp, reason := sqlengine.AnalyzeStreamSelect(plan.sel, colsOf)
+	sp, _ := sqlengine.AnalyzeStreamSelect(plan.sel, colsOf)
 	if sp == nil {
-		plan.streamReason = reason
+		for _, ld := range plan.loads {
+			if len(ld.spec.Columns) == 0 {
+				plan.NeedColumns = append(plan.NeedColumns, ld.logical)
+			}
+		}
 		return
 	}
 	ops := make([]string, len(sp.Branches))
@@ -246,32 +251,25 @@ func (f *Federation) renderOrderedLoads(plan *Plan, br *sqlengine.StreamBranch) 
 // ---- execution ----
 
 // StreamExec reports how a streaming execution ran: which operator
-// pipeline served it (or why the scratch fallback did) and, for
-// pipelined plans, the operator telemetry — valid once the stream has
-// been drained or closed.
+// pipeline served it and, for pipelined plans, the operator telemetry —
+// valid once the stream has been drained or closed.
 type StreamExec struct {
-	// Operator is "pushdown", the plan's pipelined operator label, or
-	// "scratch" for the materialize-and-integrate fallback.
+	// Operator is "pushdown" or the plan's pipelined operator label.
 	Operator string
-	// Fallback names why the scratch path ran ("" otherwise): the
-	// analyzer's rejection reason.
-	Fallback string
-	// Stats is the operator telemetry sink (nil on pushdown/scratch).
+	// Stats is the operator telemetry sink (nil on pushdown).
 	Stats *sqlengine.StreamStats
 }
 
 // ExecuteStreamOp runs a previously produced plan as an incremental row
 // stream and reports which execution path served it. Pushdown plans
-// stream straight off the chosen member database. Decomposed plans that
-// planStream accepted run on the pipelined operators: each per-table
-// sub-query is opened as a live cursor and rows flow through the
-// join/filter/project pipeline as the sources produce them — nothing is
-// materialized, and buffering operators spill to disk past
-// ScratchMaxBytes. The shapes planStream rejected execute materialized
-// on the scratch engine and stream from memory.
+// stream straight off the chosen member database. Decomposed plans run on
+// the pipelined operators: each per-table sub-query is opened as a live
+// cursor and rows flow through the join/filter/project pipeline as the
+// sources produce them, and buffering operators spill to disk past
+// ScratchMaxBytes. A plan whose NeedColumns is not empty fails here,
+// naming the tables and where they are.
 //
-// Like the pushdown stream — and unlike scratch loads — the pipelined
-// path is not bounded by SourceBudget: its cursors are paced by the
+// No path is bounded by a per-source budget: the cursors are paced by the
 // consumer, which may legitimately hold them open longer than any one
 // source should be allowed to stall a scatter-gather.
 func (f *Federation) ExecuteStreamOp(ctx context.Context, plan *Plan, params ...sqlengine.Value) (sqlengine.RowIter, *StreamExec, error) {
@@ -286,21 +284,21 @@ func (f *Federation) ExecuteStreamOp(ctx context.Context, plan *Plan, params ...
 		}
 		return it, &StreamExec{Operator: "pushdown"}, nil
 	}
-	if plan.stream != nil {
-		return f.executeStreamPlan(ctx, plan, params)
+	if plan.stream == nil {
+		at := make([]string, len(plan.NeedColumns))
+		for i, table := range plan.NeedColumns {
+			at[i] = fmt.Sprintf("%s at %s", table, plan.loadFor(table).source)
+		}
+		return nil, nil, fmt.Errorf("unity: this query needs the columns of %s, which its plan was not given", strings.Join(at, ", "))
 	}
-	rs, err := f.ExecuteContext(ctx, plan, params...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sqlengine.SliceIter(rs), &StreamExec{Operator: "scratch", Fallback: plan.streamReason}, nil
+	return f.executeStreamPlan(ctx, plan, params)
 }
 
 // executeStreamPlan opens one live source cursor per branch input (a
 // table referenced by two branches runs its sub-query once per branch —
-// each cursor is single-consumer) and composes the operator pipeline
-// over them. The cursors are opened through scatter, like the scratch
-// path's loads: a member database does its work before its first
+// each cursor is single-consumer) and one per table the subqueries read,
+// and composes the operator pipeline over them. The cursors are opened
+// through scatter: a member database does its work before its first
 // response, so opening one after another would cost the sum of the
 // sources where the scatter costs the max.
 func (f *Federation) executeStreamPlan(ctx context.Context, plan *Plan, params []sqlengine.Value) (sqlengine.RowIter, *StreamExec, error) {
@@ -309,6 +307,7 @@ func (f *Federation) executeStreamPlan(ctx context.Context, plan *Plan, params [
 	for _, br := range plan.stream.Branches {
 		srcs = append(srcs, br.Inputs...)
 	}
+	srcs = append(srcs, plan.stream.Subqueries...)
 	inputs := make([]sqlengine.StreamInput, len(srcs))
 	err := f.scatter(ctx, len(srcs), func(_ context.Context, i int) error {
 		ld := plan.loadFor(srcs[i].Table)

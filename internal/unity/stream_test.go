@@ -25,8 +25,8 @@ func rowStrings(rows []sqlengine.Row) []string {
 	return out
 }
 
-// execBoth runs one query through the scratch reference (ExecuteContext)
-// and the streaming path (ExecuteStreamOp), asserts identical result
+// execBoth runs one query on buildFederation's federation (ExecuteStreamOp)
+// and on one engine holding the same tables, asserts identical result
 // multisets, and returns the stream's execution report.
 func execBoth(t *testing.T, f *Federation, q string, params ...sqlengine.Value) *StreamExec {
 	t.Helper()
@@ -34,7 +34,7 @@ func execBoth(t *testing.T, f *Federation, q string, params ...sqlengine.Value) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := f.ExecuteContext(context.Background(), plan, params...)
+	want, err := singleEngine(t).Query(q, params...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +50,8 @@ func execBoth(t *testing.T, f *Federation, q string, params ...sqlengine.Value) 
 		t.Fatalf("columns = %v, want %v", got.Columns, want.Columns)
 	}
 	gs, ws := rowStrings(got.Rows), rowStrings(want.Rows)
-	if len(gs) != len(ws) {
-		t.Fatalf("stream returned %d rows, scratch %d", len(gs), len(ws))
-	}
-	for i := range gs {
-		if gs[i] != ws[i] {
-			t.Fatalf("row multiset mismatch at %d:\n stream %q\n scratch %q", i, gs[i], ws[i])
-		}
+	if len(gs) == 0 || !reflect.DeepEqual(gs, ws) {
+		t.Fatalf("stream returned %q, one engine %q", gs, ws)
 	}
 	return ex
 }
@@ -145,22 +140,34 @@ func TestStreamOpParamsReachPipeline(t *testing.T) {
 	}
 }
 
-func TestStreamOpFallbackReasons(t *testing.T) {
-	f := buildFederation(t)
-	// A subquery re-enters an executor, which the federation does not
-	// have: the scratch engine must serve it, and explain must say why.
-	q := "SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run WHERE e.run IN (SELECT run FROM runs)"
-	plan, err := f.PlanQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe := plan.Explain()
-	if pe.Operator != "scratch" || pe.StreamFallback != "subquery" {
-		t.Fatalf("explain = %q/%q, want scratch/subquery", pe.Operator, pe.StreamFallback)
-	}
-	ex := execBoth(t, f, q)
-	if ex.Operator != "scratch" || ex.Fallback != "subquery" {
-		t.Fatalf("executed = %q/%q, want scratch/subquery", ex.Operator, ex.Fallback)
+// TestStreamOpSubquery: a subquery's tables are loads of the plan, opened
+// beside the join's inputs, and the pipeline runs the subquery over them —
+// correlated or not, at any depth — with the join's operator label.
+func TestStreamOpSubquery(t *testing.T) {
+	for _, tc := range []struct {
+		sql string
+		// loads is how many sub-queries run: the join's two inputs and one
+		// per table the subqueries read, even a table the join reads too.
+		loads int64
+	}{
+		{"SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run WHERE e.run IN (SELECT run FROM runs)", 3},
+		{"SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run WHERE EXISTS (SELECT 1 FROM lookup l WHERE l.k = e.event_id)", 3},
+		{"SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run WHERE e.run NOT IN (SELECT run FROM runs WHERE run IN (SELECT k + 100 FROM lookup))", 4},
+	} {
+		f := buildFederation(t)
+		plan, err := f.PlanQuery(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op := plan.Explain().Operator; op != "pipelined hash-join(build=right)" {
+			t.Errorf("%s: explain = %q", tc.sql, op)
+		}
+		if ex := execBoth(t, f, tc.sql); ex.Operator != "pipelined hash-join(build=right)" {
+			t.Errorf("%s: executed = %q", tc.sql, ex.Operator)
+		}
+		if _, loads, _ := f.Stats(); loads != tc.loads {
+			t.Errorf("%s: %d sub-queries ran, want %d", tc.sql, loads, tc.loads)
+		}
 	}
 }
 

@@ -61,24 +61,11 @@ type Federation struct {
 	// query from opening one goroutine-plus-connection per mart at once.
 	MaxParallel int
 
-	// SourceBudget bounds each decomposed sub-query's execution — from
-	// dispatch until its partial result has fully streamed into the
-	// integration engine — independently of the caller's overall deadline,
-	// so one stuck member database cannot consume the whole request
-	// budget. 0 (the default) applies no per-source bound. Pushdown plans
-	// are not bounded by it: their stream is paced by the consumer, which
-	// may legitimately page a cursor for longer than any one source should
-	// be allowed to stall a scatter-gather. Pipelined streaming plans are
-	// consumer-paced the same way and are likewise unbounded.
-	SourceBudget time.Duration
-
 	// ScratchMaxBytes caps the in-memory footprint of buffering streaming
 	// operators (a pipelined hash-join's build side, an ORDER BY buffer):
 	// past it the operator spills to temp files instead of growing the
 	// heap. 0 selects the sqlengine default (64 MiB); negative disables
-	// spilling (unbounded buffering). The scratch-engine fallback path is
-	// not bounded by it — that is exactly the materialized footprint the
-	// streaming operators exist to avoid.
+	// spilling (unbounded buffering).
 	ScratchMaxBytes int64
 
 	// Logger receives structured records for sub-query dispatch (one per
@@ -90,8 +77,7 @@ type Federation struct {
 	// peer rather than a member database (see PlanQueryAt): peer is the
 	// location the plan was given for the table, sqlText the load's
 	// sub-query in the ANSI dialect over logical names. The stream is
-	// paced by its consumer; bounding a stuck peer is the opener's job, so
-	// SourceBudget does not apply to these loads.
+	// paced by its consumer; bounding a stuck peer is the opener's job.
 	OpenPeer func(ctx context.Context, peer, sqlText string) (sqlengine.RowIter, error)
 
 	rr atomic.Int64 // round-robin tiebreaker
@@ -249,20 +235,24 @@ type Plan struct {
 	Tables []string
 	// Subs are the sub-queries to run.
 	Subs []SubQuery
-	sel  *sqlengine.SelectStmt
+	// NeedColumns lists the decomposed plan's tables whose columns the
+	// operators need — for a star, or for a join key only the columns
+	// attribute — and the plan was not given (a peer table planned without
+	// PeerTable.Columns). A plan with any cannot execute; plan the query
+	// again with their columns.
+	NeedColumns []string
+	sel         *sqlengine.SelectStmt
 	// loads maps logical table -> (source, SQL, spec) for the decomposed
 	// path.
 	loads []tableLoad
 	// pushSource is the chosen source for pushdown plans.
 	pushSource string
 
-	// stream is the analyzed operator pipeline when the decomposed plan
-	// can run pipelined (see planStream); streamOp labels it for explain
-	// output. When nil, streamReason names the construct that forced the
-	// scratch-engine fallback.
-	stream       *sqlengine.StreamPlan
-	streamOp     string
-	streamReason string
+	// stream is the decomposed plan's operator pipeline (see planStream),
+	// nil while NeedColumns is not empty; streamOp labels it for explain
+	// output.
+	stream   *sqlengine.StreamPlan
+	streamOp string
 }
 
 type tableLoad struct {
@@ -303,7 +293,8 @@ type tableUse struct {
 // JOIN, everything left of a RIGHT JOIN — gets no WHERE: filtering it
 // before the join turns the rows it drops into unmatched (NULL-padded)
 // ones, which the WHERE then sees as a different value (the anti-join
-// idiom "r.x IS NULL" would match every row).
+// idiom "r.x IS NULL" would match every row). A subquery's tables follow
+// its scope's, in the order sqlengine.Subqueries lists the subqueries.
 func collectTables(sel *sqlengine.SelectStmt, out *[]tableUse) {
 	scope := len(*out)
 	for _, tr := range sel.From {
@@ -321,52 +312,8 @@ func collectTables(sel *sqlengine.SelectStmt, out *[]tableUse) {
 		}
 		*out = append(*out, use)
 	}
-	var walkExpr func(e sqlengine.Expr)
-	walkExpr = func(e sqlengine.Expr) {
-		switch x := e.(type) {
-		case *sqlengine.BinaryExpr:
-			walkExpr(x.L)
-			walkExpr(x.R)
-		case *sqlengine.UnaryExpr:
-			walkExpr(x.X)
-		case *sqlengine.IsNullExpr:
-			walkExpr(x.X)
-		case *sqlengine.BetweenExpr:
-			walkExpr(x.X)
-			walkExpr(x.Lo)
-			walkExpr(x.Hi)
-		case *sqlengine.InExpr:
-			walkExpr(x.X)
-			for _, le := range x.List {
-				walkExpr(le)
-			}
-			if x.Sub != nil {
-				collectTables(x.Sub, out)
-			}
-		case *sqlengine.ExistsExpr:
-			collectTables(x.Sub, out)
-		case *sqlengine.FuncCall:
-			for _, a := range x.Args {
-				walkExpr(a)
-			}
-		case *sqlengine.CaseExpr:
-			if x.Operand != nil {
-				walkExpr(x.Operand)
-			}
-			for _, w := range x.Whens {
-				walkExpr(w.When)
-				walkExpr(w.Then)
-			}
-			if x.Else != nil {
-				walkExpr(x.Else)
-			}
-		}
-	}
-	if sel.Where != nil {
-		walkExpr(sel.Where)
-	}
-	if sel.Having != nil {
-		walkExpr(sel.Having)
+	for _, sub := range sqlengine.Subqueries(sel) {
+		collectTables(sub, out)
 	}
 	if sel.Union != nil {
 		collectTables(sel.Union, out)
@@ -378,16 +325,25 @@ func (f *Federation) PlanQuery(sqlText string) (*Plan, error) {
 	return f.PlanQueryAt(sqlText, nil)
 }
 
+// PeerTable locates a table no member database hosts: the peer that
+// serves it and, when the caller knows them, its logical column names.
+type PeerTable struct {
+	Location string
+	Columns  []string
+}
+
 // PlanQueryAt is PlanQuery for a query that may also reference tables no
-// member database hosts: peers maps each such logical table to the
-// location that serves it (the data access layer passes the peer server
-// the RLS named). A peer table is one more load of the decomposed plan —
-// rendered SELECT * in the ANSI dialect over logical names, with the
-// alias-qualified WHERE conjuncts pushed (it has no spec to attribute
-// bare columns with), and opened through OpenPeer — so the query is never
-// a whole-query pushdown. A table in the dictionary is planned from the
-// dictionary, whatever peers says.
-func (f *Federation) PlanQueryAt(sqlText string, peers map[string]string) (*Plan, error) {
+// member database hosts: peers maps each such logical table to where it
+// is (the data access layer passes the peer server the RLS named). A peer
+// table is one more load of the decomposed plan, in the ANSI dialect over
+// logical names, opened through OpenPeer — so the query is never a
+// whole-query pushdown. With Columns it is planned like a member table
+// whose spec has no row count: its sub-query selects those columns and
+// takes every WHERE conjunct they attribute. Without them it is SELECT *
+// with only the alias-qualified conjuncts pushed, and a shape that needs
+// its columns leaves the table in Plan.NeedColumns. A table in the
+// dictionary is planned from the dictionary, whatever peers says.
+func (f *Federation) PlanQueryAt(sqlText string, peers map[string]PeerTable) (*Plan, error) {
 	sel, err := parseFederated(sqlText)
 	if err != nil {
 		return nil, err
@@ -407,7 +363,7 @@ func parseFederated(sqlText string) (*sqlengine.SelectStmt, error) {
 	return sel, nil
 }
 
-func (f *Federation) plan(sel *sqlengine.SelectStmt, peers map[string]string) (*Plan, error) {
+func (f *Federation) plan(sel *sqlengine.SelectStmt, peers map[string]PeerTable) (*Plan, error) {
 	f.mu.RLock()
 	dict := f.dict
 	f.mu.RUnlock()
@@ -479,9 +435,7 @@ func (f *Federation) plan(sel *sqlengine.SelectStmt, peers map[string]string) (*
 		locs := dict.Lookup(logical)
 		peer := len(locs) == 0
 		if peer {
-			// No spec: the sub-query below is SELECT * and the operators
-			// learn the column layout at run time.
-			src, loc = peers[logical], xspec.TableLocation{Spec: xspec.TableSpec{Logical: logical}}
+			src, loc = peers[logical].Location, peerLocation(logical, peers[logical].Columns)
 		} else {
 			dbs := make([]string, len(locs))
 			byDB := map[string]xspec.TableLocation{}
@@ -512,6 +466,18 @@ func (f *Federation) plan(sel *sqlengine.SelectStmt, peers map[string]string) (*
 	}
 	f.planStream(plan)
 	return plan, nil
+}
+
+// peerLocation is a peer table's stand-in for a dictionary entry: a spec
+// of its logical name and the columns the caller gave (none: the
+// sub-query is SELECT * and the operators learn the layout at run time).
+func peerLocation(logical string, cols []string) xspec.TableLocation {
+	loc := xspec.TableLocation{Spec: xspec.TableSpec{Logical: logical}, ColByLogical: map[string]string{}}
+	for _, c := range cols {
+		loc.Spec.Columns = append(loc.Spec.Columns, xspec.ColumnSpec{Name: c, Logical: c})
+		loc.ColByLogical[strings.ToLower(c)] = c
+	}
+	return loc
 }
 
 func keys(m map[string]bool) []string {
@@ -825,32 +791,26 @@ type PlanExplain struct {
 	Tables []string
 	// Subs are the sub-queries that would run, with their chosen sources.
 	Subs []SubQuery
-	// Operator names the execution shape on the streaming path:
-	// "pushdown", a pipelined operator label ("pipelined hash-join
-	// (build=right)", "pipelined merge-join", ...), or "scratch" for the
-	// materialize-and-integrate fallback. StreamFallback carries the
-	// analyzer's reason when "scratch" was forced by the query's shape.
-	Operator       string
-	StreamFallback string
+	// Operator names the execution shape: "pushdown" or a pipelined
+	// operator label ("pipelined hash-join(build=right)", "pipelined
+	// merge-join", ...); "" for a plan that cannot run until it is given
+	// the columns its NeedColumns lists.
+	Operator string
 }
 
 // Explain describes the plan without executing it.
 func (p *Plan) Explain() PlanExplain {
-	op := "scratch"
-	switch {
-	case p.Pushdown:
+	op := p.streamOp
+	if p.Pushdown {
 		op = "pushdown"
-	case p.stream != nil:
-		op = p.streamOp
 	}
 	return PlanExplain{
-		Pushdown:       p.Pushdown,
-		Distributed:    p.Distributed,
-		Source:         p.pushSource,
-		Tables:         p.Tables,
-		Subs:           p.Subs,
-		Operator:       op,
-		StreamFallback: p.streamReason,
+		Pushdown:    p.Pushdown,
+		Distributed: p.Distributed,
+		Source:      p.pushSource,
+		Tables:      p.Tables,
+		Subs:        p.Subs,
+		Operator:    op,
 	}
 }
 
@@ -867,12 +827,8 @@ func (f *Federation) logSubquery(ctx context.Context, source, table string) {
 		slog.String("table", table))
 }
 
-// Query plans and executes a federated query, returning the merged result.
-func (f *Federation) Query(sqlText string, params ...sqlengine.Value) (*sqlengine.ResultSet, error) {
-	return f.QueryContext(context.Background(), sqlText, params...)
-}
-
-// QueryContext is Query with cancellation.
+// QueryContext plans and executes a federated query, returning the merged
+// result.
 func (f *Federation) QueryContext(ctx context.Context, sqlText string, params ...sqlengine.Value) (*sqlengine.ResultSet, error) {
 	plan, err := f.PlanQuery(sqlText)
 	if err != nil {
@@ -949,57 +905,20 @@ func (f *Federation) scatter(ctx context.Context, n int, fn func(ctx context.Con
 	return firstErr
 }
 
-// ExecuteContext runs a previously produced plan materialized. Decomposed
-// plans scatter their per-table sub-queries (see scatter) into the scratch
-// integration engine and run the original query over it. It is the
-// fallback for shapes the streaming operators reject and the reference
-// they are tested against.
+// ExecuteContext runs a previously produced plan materialized: the
+// drained ExecuteStreamOp stream.
 func (f *Federation) ExecuteContext(ctx context.Context, plan *Plan, params ...sqlengine.Value) (*sqlengine.ResultSet, error) {
-	f.queries.Add(1)
-	if plan.Pushdown {
-		f.pushdowns.Add(1)
-		f.subqueries.Add(1)
-		f.logSubquery(ctx, plan.pushSource, "")
-		return f.runOnSourceCtx(ctx, plan.pushSource, plan.Subs[0].SQL, params)
-	}
-
-	// A partial result is never materialized outside its scratch table —
-	// each sub-query's rows flow from the member database into the
-	// integration engine in integrateBatch-row batches, so the peak memory
-	// beyond the (unavoidable) scratch tables is one batch per worker.
-	scratch := sqlengine.NewEngine("unity-scratch", sqlengine.DialectANSI)
-	err := f.scatter(ctx, len(plan.loads), func(ctx context.Context, i int) error {
-		ld := &plan.loads[i]
-		f.logSubquery(ctx, ld.source, ld.logical)
-		if f.SourceBudget > 0 && !ld.peer {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, f.SourceBudget)
-			defer cancel()
-		}
-		it, err := f.openLoad(ctx, ld)
-		if err != nil {
-			return err
-		}
-		defer it.Close()
-		return loadTableFromIter(ctx, scratch, ld.logical, specColumnDefs(ld.spec), it)
-	})
+	it, _, err := f.ExecuteStreamOp(ctx, plan, params...)
 	if err != nil {
 		return nil, err
 	}
-	f.subqueries.Add(int64(len(plan.loads)))
-
-	sess := scratch.NewSession()
-	rs, _, err := sess.RunStmt(plan.sel, params)
-	if err != nil {
-		return nil, fmt.Errorf("unity: integration: %w", err)
-	}
-	return rs, nil
+	return sqlengine.Drain(it)
 }
 
 // QueryStreamContext plans a federated query and executes it as a stream
-// (see ExecuteStreamOp for the path taxonomy: pushdown / pipelined
-// operators / scratch fallback). The plan is returned alongside the
-// iterator so callers can inspect routing and record cache dependencies.
+// (see ExecuteStreamOp: pushdown or pipelined operators). The plan is
+// returned alongside the iterator so callers can inspect routing and
+// record cache dependencies.
 func (f *Federation) QueryStreamContext(ctx context.Context, sqlText string, params ...sqlengine.Value) (sqlengine.RowIter, *Plan, error) {
 	plan, err := f.PlanQuery(sqlText)
 	if err != nil {
@@ -1027,18 +946,6 @@ func kindFromName(name string) sqlengine.Kind {
 	default:
 		return sqlengine.KindString
 	}
-}
-
-// runOnSourceCtx executes SQL on one member database through database/sql
-// and drains the incremental producer, so callers that need the whole
-// result pay the materialization; streaming callers use
-// runOnSourceStreamCtx directly.
-func (f *Federation) runOnSourceCtx(ctx context.Context, source, sqlText string, params []sqlengine.Value) (*sqlengine.ResultSet, error) {
-	it, err := f.runOnSourceStreamCtx(ctx, source, sqlText, params)
-	if err != nil {
-		return nil, err
-	}
-	return sqlengine.Drain(it)
 }
 
 // runOnSourceStreamCtx executes SQL on one member database and returns an

@@ -150,7 +150,7 @@ func TestPredicatePushdownInSubQueries(t *testing.T) {
 
 func TestAggregateAcrossDatabases(t *testing.T) {
 	f := buildFederation(t)
-	rs, err := f.Query(`SELECT r.detector, COUNT(*) AS n, AVG(e.e_tot) AS avg_e FROM events e JOIN runs r ON e.run = r.run GROUP BY r.detector ORDER BY r.detector`)
+	rs, err := f.QueryContext(context.Background(), `SELECT r.detector, COUNT(*) AS n, AVG(e.e_tot) AS avg_e FROM events e JOIN runs r ON e.run = r.run GROUP BY r.detector ORDER BY r.detector`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestUnknownTableError(t *testing.T) {
 func TestParamsReachExecution(t *testing.T) {
 	f := buildFederation(t)
 	// Single-table pushdown with params.
-	rs, err := f.Query("SELECT event_id FROM events WHERE run = ?", sqlengine.NewInt(100))
+	rs, err := f.QueryContext(context.Background(), "SELECT event_id FROM events WHERE run = ?", sqlengine.NewInt(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestParamsReachExecution(t *testing.T) {
 		t.Fatalf("pushdown with params: %v", rs.Rows)
 	}
 	// Distributed with params: the param predicate stays residual.
-	rs, err = f.Query("SELECT e.event_id FROM events e JOIN runs r ON e.run = r.run WHERE r.detector = ?", sqlengine.NewString("ATLAS"))
+	rs, err = f.QueryContext(context.Background(), "SELECT e.event_id FROM events e JOIN runs r ON e.run = r.run WHERE r.detector = ?", sqlengine.NewString("ATLAS"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestParamsReachExecution(t *testing.T) {
 
 func TestInSubqueryAcrossDatabases(t *testing.T) {
 	f := buildFederation(t)
-	rs, err := f.Query("SELECT event_id FROM events WHERE run IN (SELECT run FROM runs WHERE detector = 'CMS') ORDER BY event_id")
+	rs, err := f.QueryContext(context.Background(), "SELECT event_id FROM events WHERE run IN (SELECT run FROM runs WHERE detector = 'CMS') ORDER BY event_id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestAddRemoveSourceAtRuntime(t *testing.T) {
 	if err := f.AddSource(xspec.SourceRef{Name: "laptop", URL: "local://laptop", Driver: "gridsql-sqlite"}, spec); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := f.Query("SELECT c FROM calib WHERE run = 100")
+	rs, err := f.QueryContext(context.Background(), "SELECT c FROM calib WHERE run = 100")
 	if err != nil || len(rs.Rows) != 1 {
 		t.Fatalf("plugged-in table: %v %v", rs, err)
 	}
@@ -272,12 +272,12 @@ func TestAddRemoveSourceAtRuntime(t *testing.T) {
 func TestSequentialModeMatchesParallel(t *testing.T) {
 	f := buildFederation(t)
 	q := `SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run ORDER BY e.event_id`
-	par, err := f.Query(q)
+	par, err := f.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Parallel = false
-	seq, err := f.Query(q)
+	seq, err := f.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +295,10 @@ func TestSequentialModeMatchesParallel(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	f := buildFederation(t)
-	if _, err := f.Query("SELECT event_id FROM events WHERE run = 100"); err != nil {
+	if _, err := f.QueryContext(context.Background(), "SELECT event_id FROM events WHERE run = 100"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Query("SELECT e.event_id FROM events e JOIN runs r ON e.run = r.run"); err != nil {
+	if _, err := f.QueryContext(context.Background(), "SELECT e.event_id FROM events e JOIN runs r ON e.run = r.run"); err != nil {
 		t.Fatal(err)
 	}
 	q, sub, push := f.Stats()
@@ -309,7 +309,7 @@ func TestStatsCounters(t *testing.T) {
 
 func TestNonSelectRejected(t *testing.T) {
 	f := buildFederation(t)
-	if _, err := f.Query("DELETE FROM events"); err == nil {
+	if _, err := f.QueryContext(context.Background(), "DELETE FROM events"); err == nil {
 		t.Fatal("DELETE accepted by federation")
 	}
 }
@@ -338,7 +338,7 @@ func TestLogicalNameMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	rs, err := f.Query("SELECT event_id, energy FROM events WHERE energy > 1")
+	rs, err := f.QueryContext(context.Background(), "SELECT event_id, energy FROM events WHERE energy > 1")
 	if err != nil {
 		t.Fatal(err)
 	}
