@@ -2,8 +2,9 @@ package sqlengine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 )
 
@@ -30,6 +31,11 @@ type Table struct {
 	Indexes map[string]*Index
 	// PrimaryKey column names (may be empty).
 	PrimaryKey []string
+	// pkOrdered records that the table has a one-column INTEGER or VARCHAR
+	// primary key whose values are all non-NULL, of the column's kind, and
+	// non-decreasing by Compare in row order, so a key range is a
+	// sub-slice of Rows (see rangeRows).
+	pkOrdered bool
 }
 
 // Index is a hash index from key tuple to row positions.
@@ -58,6 +64,9 @@ type Database struct {
 	// schemaVersion increments on any DDL change; the XSpec tracker uses it
 	// cheaply to detect drift.
 	schemaVersion uint64
+	// pathHook, when set (by tests, under mu), observes the access path
+	// each SELECT takes to read a table.
+	pathHook func(table, path string)
 }
 
 // NewDatabase creates an empty database with the given name.
@@ -139,23 +148,64 @@ func (t *Table) rebuildColIndex() {
 	}
 }
 
+// indexKey encodes a key tuple for the hash structures (indexes, hash
+// joins, GROUP BY, DISTINCT). Numerics are keyed by their float value, so
+// 1 and 1.0 collide and −0 keys as 0, as Compare has them equal; any other
+// value by its kind and text.
 func indexKey(vals []Value) string {
-	parts := make([]string, len(vals))
+	buf := make([]byte, 0, 16*len(vals))
 	for i, v := range vals {
-		// Normalize numerics so 1 and 1.0 collide, matching Compare.
-		if f, ok := v.AsFloat(); ok && v.Kind != KindString {
-			parts[i] = fmt.Sprintf("n:%g", f)
-			continue
+		if i > 0 {
+			buf = append(buf, 0)
 		}
-		parts[i] = v.Kind.String() + ":" + v.String()
+		if v.Kind != KindString {
+			if f, ok := v.AsFloat(); ok {
+				if f == 0 {
+					f = 0 // drops the sign of −0
+				}
+				buf = strconv.AppendFloat(append(buf, "n:"...), f, 'g', -1, 64)
+				continue
+			}
+		}
+		buf = append(append(append(buf, v.Kind.String()...), ':'), v.String()...)
 	}
-	return strings.Join(parts, "\x00")
+	return string(buf)
+}
+
+// pkKey returns the column position of a primary key a range can be read
+// over — one INTEGER or VARCHAR column — or false.
+func (t *Table) pkKey() (int, bool) {
+	if len(t.PrimaryKey) != 1 {
+		return 0, false
+	}
+	ci, ok := t.colPos(t.PrimaryKey[0])
+	if !ok {
+		return 0, false
+	}
+	switch t.Columns[ci].Type.Kind {
+	case KindInt, KindString:
+		return ci, true
+	}
+	return 0, false
+}
+
+// keyFollows reports whether the primary key of the row at pos keeps the
+// rows up to it in key order (see pkOrdered), given the rows before it do.
+func (t *Table) keyFollows(ci, pos int) bool {
+	v := t.Rows[pos][ci]
+	if v.Kind != t.Columns[ci].Type.Kind {
+		return false // NULL, or stored unconverted
+	}
+	return pos == 0 || Compare(t.Rows[pos-1][ci], v) <= 0
 }
 
 // addToIndexes inserts row (already appended at position pos) into all
 // indexes; returns an error (and removes prior entries) on unique conflicts.
 func (t *Table) addToIndexes(pos int) error {
 	row := t.Rows[pos]
+	if ci, ok := t.pkKey(); ok && t.pkOrdered {
+		t.pkOrdered = t.keyFollows(ci, pos)
+	}
 	for _, idx := range t.Indexes {
 		vals := make([]Value, len(idx.Columns))
 		hasNull := false
@@ -175,38 +225,51 @@ func (t *Table) addToIndexes(pos int) error {
 	return nil
 }
 
-// rebuildIndexes recomputes all index maps (after deletes/updates).
+// rebuildIndexes recomputes all index maps and pkOrdered (after creation,
+// deletes, updates, rollbacks and loads).
 func (t *Table) rebuildIndexes() {
 	for _, idx := range t.Indexes {
 		idx.m = make(map[string][]int)
+		vals := make([]Value, len(idx.Columns))
 		for pos, row := range t.Rows {
-			vals := make([]Value, len(idx.Columns))
 			for i, c := range idx.Columns {
 				ci, _ := t.colPos(c)
 				vals[i] = row[ci]
 			}
-			idx.m[indexKey(vals)] = append(idx.m[indexKey(vals)], pos)
+			key := indexKey(vals)
+			idx.m[key] = append(idx.m[key], pos)
 		}
 	}
+	ci, ok := t.pkKey()
+	for pos := 0; ok && pos < len(t.Rows); pos++ {
+		ok = t.keyFollows(ci, pos)
+	}
+	t.pkOrdered = ok
 }
 
-// lookupIndex returns row positions matching the key values, and whether an
-// index on exactly those columns exists.
+// lookupIndex probes, among the indexes whose columns all appear in cols
+// (in any order), the one that finds the fewest rows for the key values
+// vals (parallel to cols). It returns those rows' positions, ascending,
+// and whether any index applied.
 func (t *Table) lookupIndex(cols []string, vals []Value) ([]int, bool) {
+	var best []int
+	found := false
+	var key []Value
 	for _, idx := range t.Indexes {
-		if len(idx.Columns) != len(cols) {
-			continue
-		}
-		match := true
-		for i := range cols {
-			if idx.Columns[i] != cols[i] {
-				match = false
+		key = key[:0]
+		for _, c := range idx.Columns {
+			i := slices.Index(cols, c)
+			if i < 0 {
 				break
 			}
+			key = append(key, vals[i])
 		}
-		if match {
-			return idx.m[indexKey(vals)], true
+		if len(key) < len(idx.Columns) {
+			continue
+		}
+		if pos := idx.m[indexKey(key)]; !found || len(pos) < len(best) {
+			best, found = pos, true
 		}
 	}
-	return nil, false
+	return best, found
 }

@@ -27,19 +27,24 @@ import (
 // aggregated statement): TestAggregateInExpressions holds those.
 
 // diffTables lists the fixture's relations — numeric columns, then string
-// columns — with the script creating each; the view comes last.
+// columns — with the script creating each; the view comes last. a is
+// stored in primary-key order and indexed on k (NULLs, duplicates), c on
+// z, so a one-table branch over them may seek or read a key range
+// (access.go) where the oracle scans.
 var diffTables = []struct {
 	name, script string
 	num, str     []string
 }{
-	{"a", `CREATE TABLE a (id INTEGER, k INTEGER, x DOUBLE, s VARCHAR(8));
-INSERT INTO a VALUES (1, 1, 1.5, 'p'), (2, 1, NULL, 'q'), (3, 2, 2.5, NULL), (4, NULL, 3.5, 'p'), (5, 3, 0.5, 'r'), (6, 2, 2.5, 'q')`,
+	{"a", `CREATE TABLE a (id INTEGER PRIMARY KEY, k INTEGER, x DOUBLE, s VARCHAR(8));
+INSERT INTO a VALUES (1, 1, 1.5, 'p'), (2, 1, NULL, 'q'), (3, 2, 2.5, NULL), (4, NULL, 3.5, 'p'), (5, 3, 0.5, 'r'), (6, 2, 2.5, 'q');
+CREATE INDEX a_k ON a (k)`,
 		[]string{"id", "k", "x"}, []string{"s"}},
 	{"b", `CREATE TABLE b (k DOUBLE, y INTEGER, s VARCHAR(8));
 INSERT INTO b VALUES (1.0, 1, 'p'), (2.0, 2, 'q'), (2.0, 3, NULL), (2.5, 1, 'r'), (NULL, 2, 'p'), (3, 4, 'q')`,
 		[]string{"k", "y"}, []string{"s"}},
 	{"c", `CREATE TABLE c (k INTEGER, z VARCHAR(8));
-INSERT INTO c VALUES (1, 'u'), (2, 'w'), (2, 'w'), (NULL, 'u'), (4, 'x')`,
+INSERT INTO c VALUES (1, 'u'), (2, 'w'), (2, 'w'), (NULL, 'u'), (4, 'x');
+CREATE INDEX c_z ON c (z)`,
 		[]string{"k"}, []string{"z"}},
 	{"v", `CREATE VIEW v AS SELECT k, y FROM b WHERE y > 1`, []string{"k", "y"}, nil},
 }
@@ -94,13 +99,15 @@ func (g *selectGen) col(num bool) string {
 	}
 }
 
-func (g *selectGen) lit() string { return g.pick("0", "1", "2", "2.5", "3", "NULL") }
+func (g *selectGen) lit() string { return g.pick("0", "1", "2", "2.5", "3", "'2'", "NULL") }
 
 // pred writes a WHERE predicate over the tables in scope.
 func (g *selectGen) pred() string {
-	switch g.r.Intn(10) {
+	switch g.r.Intn(11) {
 	case 0:
 		return fmt.Sprintf("%s %s %s", g.col(true), g.pick("=", "<>", "<", "<=", ">", ">="), g.lit())
+	case 9:
+		return fmt.Sprintf("%s = %s", g.col(true), g.lit()) // an index probe, over a or c
 	case 1:
 		return fmt.Sprintf("%s IS %sNULL", g.col(false), g.pick("", "NOT "))
 	case 2:
@@ -374,8 +381,20 @@ func checkSelect(t *testing.T, e *Engine, seed int64) {
 
 func TestSelectDifferential(t *testing.T) {
 	e := diffFixture(t)
+	log := recordPaths(e)
 	for seed := int64(0); seed < 2000; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { checkSelect(t, e, seed) })
+	}
+	// Without this, a seek that silently scans would pass every seed.
+	taken := map[string]int{}
+	for _, p := range log.take() {
+		taken[p]++
+	}
+	t.Logf("paths taken: %v", taken)
+	for _, p := range []string{"a:seek", "a:range", "c:seek", "a:scan"} {
+		if taken[p] == 0 {
+			t.Errorf("no statement read %s (paths taken: %v)", p, taken)
+		}
 	}
 }
 

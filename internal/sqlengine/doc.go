@@ -21,6 +21,14 @@
 // columns are unknown until read, a star or a join without an
 // attributable equi-key.
 //
+// A branch that reads one table hands its WHERE to the executor's table
+// input, which picks an access path (access.go): the rows a hash index
+// finds for equality conjuncts, a key range of a table whose one-column
+// primary key is stored in order, or every row. The WHERE filter still
+// runs over what the path returns, so every path keeps three invariants:
+// it returns a superset of the matching rows, in table order, and skips
+// no row the WHERE would have raised an error on.
+//
 // Results flow through two shapes. A ResultSet is a fully materialized
 // answer: column names plus a slice of rows of dynamically-typed Values.
 // A RowIter is the incremental counterpart — rows are produced one at a

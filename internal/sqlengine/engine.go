@@ -396,50 +396,59 @@ func (s *Session) execUpdate(x *UpdateStmt, params []Value) (int64, error) {
 	}
 	run := (&executor{db: db}).execSelect
 	var updated int64
-	for ri, row := range t.Rows {
-		ec := &evalContext{schema: schema, row: row, params: params, exec: run, rownum: updated + 1}
-		if x.Where != nil {
-			v, err := evalExpr(x.Where, ec)
-			if err != nil {
-				return updated, err
-			}
-			if b, ok := v.AsBool(); !ok || v.IsNull() || !b {
-				continue
-			}
-		}
-		newRow := row.Clone()
-		for _, set := range x.Set {
-			pos, ok := t.colPos(set.Column)
-			if !ok {
-				return updated, fmt.Errorf("sqlengine: table %q has no column %q", x.Table, set.Column)
-			}
-			v, err := evalExpr(set.Expr, ec)
-			if err != nil {
-				return updated, err
-			}
-			cv, err := t.Columns[pos].Type.Coerce(v)
-			if err != nil {
-				return updated, err
-			}
-			if t.Columns[pos].NotNull && cv.IsNull() {
-				return updated, fmt.Errorf("sqlengine: column %q is NOT NULL", set.Column)
-			}
-			newRow[pos] = cv
-		}
-		t.Rows[ri] = newRow
-		updated++
-	}
-	if updated > 0 {
-		t.rebuildIndexes()
-		// Re-validate unique indexes after bulk update.
-		for _, idx := range t.Indexes {
-			if !idx.Unique {
-				continue
-			}
-			for _, positions := range idx.m {
-				if len(positions) > 1 {
-					return updated, fmt.Errorf("sqlengine: unique constraint %q violated by UPDATE", idx.Name)
+	err := func() error {
+		for ri, row := range t.Rows {
+			ec := &evalContext{schema: schema, row: row, params: params, exec: run, rownum: updated + 1}
+			if x.Where != nil {
+				v, err := evalExpr(x.Where, ec)
+				if err != nil {
+					return err
 				}
+				if b, ok := v.AsBool(); !ok || v.IsNull() || !b {
+					continue
+				}
+			}
+			newRow := row.Clone()
+			for _, set := range x.Set {
+				pos, ok := t.colPos(set.Column)
+				if !ok {
+					return fmt.Errorf("sqlengine: table %q has no column %q", x.Table, set.Column)
+				}
+				v, err := evalExpr(set.Expr, ec)
+				if err != nil {
+					return err
+				}
+				cv, err := t.Columns[pos].Type.Coerce(v)
+				if err != nil {
+					return err
+				}
+				if t.Columns[pos].NotNull && cv.IsNull() {
+					return fmt.Errorf("sqlengine: column %q is NOT NULL", set.Column)
+				}
+				newRow[pos] = cv
+			}
+			t.Rows[ri] = newRow
+			updated++
+		}
+		return nil
+	}()
+	if updated == 0 {
+		return 0, err
+	}
+	// The rows updated before an error stay updated, so the indexes and
+	// the key order that seeks read must follow them either way.
+	t.rebuildIndexes()
+	if err != nil {
+		return updated, err
+	}
+	// Re-validate unique indexes after bulk update.
+	for _, idx := range t.Indexes {
+		if !idx.Unique {
+			continue
+		}
+		for _, positions := range idx.m {
+			if len(positions) > 1 {
+				return updated, fmt.Errorf("sqlengine: unique constraint %q violated by UPDATE", idx.Name)
 			}
 		}
 	}
@@ -530,14 +539,15 @@ func (s *Session) execCreateTable(x *CreateTableStmt) error {
 	t.PrimaryKey = pk
 	t.rebuildColIndex()
 	if len(pk) > 0 {
-		t.Indexes["pk_"+x.Table] = &Index{Name: "pk_" + x.Table, Columns: pk, Unique: true, m: map[string][]int{}}
+		t.Indexes["pk_"+x.Table] = &Index{Name: "pk_" + x.Table, Columns: pk, Unique: true}
 	}
 	for _, cd := range x.Columns {
 		if cd.Unique && !cd.PrimaryKey {
 			name := "uq_" + x.Table + "_" + cd.Name
-			t.Indexes[name] = &Index{Name: name, Columns: []string{cd.Name}, Unique: true, m: map[string][]int{}}
+			t.Indexes[name] = &Index{Name: name, Columns: []string{cd.Name}, Unique: true}
 		}
 	}
+	t.rebuildIndexes()
 	db.tables[x.Table] = t
 	db.schemaVersion++
 	return nil
@@ -557,7 +567,7 @@ func (s *Session) execCreateIndex(x *CreateIndexStmt) error {
 			return fmt.Errorf("sqlengine: table %q has no column %q", x.Table, c)
 		}
 	}
-	idx := &Index{Name: x.Index, Columns: x.Columns, Unique: x.Unique, m: map[string][]int{}}
+	idx := &Index{Name: x.Index, Columns: x.Columns, Unique: x.Unique}
 	t.Indexes[x.Index] = idx
 	t.rebuildIndexes()
 	if x.Unique {

@@ -40,8 +40,13 @@ func (ex *executor) execSelect(sel *SelectStmt, params []Value, outer *evalConte
 	cols := map[string][]string{}
 	var inputs []StreamInput
 	for s := sel; s != nil; s = s.Union {
-		for _, tr := range branchTables(s) {
-			in, err := ex.open(tr, params, outer)
+		refs := branchTables(s)
+		var where Expr
+		if len(refs) == 1 {
+			where = s.Where
+		}
+		for _, tr := range refs {
+			in, err := ex.open(tr, where, params, outer)
 			if err != nil {
 				return nil, err
 			}
@@ -62,12 +67,17 @@ func (ex *executor) execSelect(sel *SelectStmt, params []Value, outer *evalConte
 }
 
 // open resolves one FROM reference to its input; it is the one place a
-// SELECT reads a table. A database table is scanned in place — its rows
-// are shared, not copied: the database lock is held for the duration of
-// the query and SELECT never mutates rows in place. A view is its own
-// SELECT, run to completion. A subquery table of a StreamSelect is the
-// caller's input, drained once and shared by every later open.
-func (ex *executor) open(tr TableRef, params []Value, outer *evalContext) (StreamInput, error) {
+// SELECT reads a table. A database table is read in place — its rows are
+// shared, not copied: the database lock is held for the duration of the
+// query and SELECT never mutates rows in place. where, the WHERE of a
+// branch with no other input, picks the access path (access.go): the rows
+// a hash index finds, a key range of a table stored in primary-key order,
+// or every row. The filter still runs over what open returns, so a path
+// returns a superset of the matching rows, in table order, skipping no
+// row the WHERE would have raised an error on. A view is its own SELECT,
+// run to completion. A subquery table of a StreamSelect is the caller's
+// input, drained once and shared by every later open.
+func (ex *executor) open(tr TableRef, where Expr, params []Value, outer *evalContext) (StreamInput, error) {
 	src := sourceOf(tr)
 	if ex.subs != nil {
 		rs, err := ex.subs.table(src.Table)
@@ -81,7 +91,11 @@ func (ex *executor) open(tr TableRef, params []Value, outer *evalContext) (Strea
 		for i, c := range t.Columns {
 			cols[i] = c.Name
 		}
-		return StreamInput{Source: src, Columns: cols, Iter: SliceIter(&ResultSet{Columns: cols, Rows: t.Rows})}, nil
+		rows, path := t.accessRows(src.Qualifier, where, params)
+		if ex.db.pathHook != nil {
+			ex.db.pathHook(t.Name, path)
+		}
+		return StreamInput{Source: src, Columns: cols, Iter: SliceIter(&ResultSet{Columns: cols, Rows: rows})}, nil
 	}
 	if v, ok := ex.db.views[tr.Name]; ok {
 		sub := &executor{db: ex.db, depth: ex.depth + 1}

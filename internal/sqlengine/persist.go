@@ -161,7 +161,7 @@ func Load(r io.Reader) (*Engine, error) {
 		}
 		t.rebuildColIndex()
 		for _, pi := range pt.Indexes {
-			t.Indexes[pi.Name] = &Index{Name: pi.Name, Columns: pi.Columns, Unique: pi.Unique, m: map[string][]int{}}
+			t.Indexes[pi.Name] = &Index{Name: pi.Name, Columns: pi.Columns, Unique: pi.Unique}
 		}
 		for _, prow := range pt.Rows {
 			row := make(Row, len(prow))
