@@ -57,6 +57,38 @@ func BenchmarkWireCodecXML(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeChunk measures the client half of one relay_scan page:
+// decoding a 500-row cursor fetch chunk (2 <i8> + 6 <double> per row) off
+// its plain XML-RPC document into engine rows.
+func BenchmarkDecodeChunk(b *testing.B) {
+	rows := make([]sqlengine.Row, 500)
+	for i := range rows {
+		row := sqlengine.Row{sqlengine.NewInt(int64(100000 + i)), sqlengine.NewInt(102)}
+		for j := 0; j < 6; j++ {
+			row = append(row, sqlengine.NewFloat(float64(i*7+j)/3.0001+0.1))
+		}
+		rows[i] = row
+	}
+	doc, err := clarens.MarshalResponse(dataaccess.WireChunk(rows, false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := clarens.DecodeResponse(bytes.NewReader(doc), func(d *clarens.Decoder) (interface{}, error) {
+			return dataaccess.DecodeChunkFrom(d)
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c := res.(*dataaccess.Chunk); len(c.Rows) != len(rows) {
+			b.Fatal("row loss")
+		}
+	}
+}
+
 // BenchmarkWireCodecBinary measures the negotiated binary row framing
 // (the server↔server fast path).
 func BenchmarkWireCodecBinary(b *testing.B) {

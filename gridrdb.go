@@ -25,11 +25,11 @@
 //   - clarens + dataaccess: the JClarens web-service interface and the
 //     routing/integration core. Result marshalling runs on a zero-boxing
 //     wire path — rows encode cell-direct into pooled buffers and decode
-//     by a streaming token walk — and server↔server transfers (remote
-//     forwards, cursor relays) negotiate a compact binary row framing via
-//     system.capabilities, falling back to plain XML-RPC so simple
-//     third-party clients keep working (disable per server with
-//     ServerConfig.DisableBinaryRows).
+//     straight off the wire by a byte scanner — and server↔server
+//     transfers (remote forwards, cursor relays) negotiate a compact
+//     binary row framing via system.capabilities, falling back to plain
+//     XML-RPC so simple third-party clients keep working (disable per
+//     server with ServerConfig.DisableBinaryRows).
 //
 // Queries are answered materialized (Server.Query) or as incremental
 // row streams (Server.QueryStream); streamed queries that route to

@@ -2,22 +2,24 @@ package clarens
 
 // Streaming XML-RPC decoder: the read half of the zero-boxing wire path.
 //
-// The Decoder walks xml.Decoder tokens once, producing either the generic
-// interface{} family (Value) or, through the Scalar/DecodeArray/
-// DecodeStruct primitives, letting row-aware callers (dataaccess) build
-// sqlengine rows directly with no intermediate tree and no interface
-// boxing per cell.
+// The Decoder walks the document once over the byte scanner in xmlscan.go,
+// producing either the generic interface{} family (Value) or, through the
+// Scalar/DecodeArray/DecodeStruct primitives, letting row-aware callers
+// (dataaccess) build sqlengine rows directly with no intermediate tree, no
+// interface boxing per cell and no allocation per token: element names are
+// compared as bytes, numbers are parsed in place, and only <string>/<name>
+// text and base64 payloads are copied out.
 //
-// Its reference is the generic-tree decoder in tree_test.go: the fuzz
-// targets run the two differentially. The walker deliberately mirrors the
-// tree's tolerances — first matching child wins, unknown siblings are
-// skipped, chardata around container children is ignored — so the two
-// accept the same documents.
+// Its references are the generic-tree decoder in tree_test.go and the
+// encoding/xml token walker in decode_oracle_test.go: the fuzz targets run
+// them differentially. The walker deliberately mirrors the tree's
+// tolerances — first matching child wins, unknown siblings are skipped,
+// chardata around container children is ignored — so they accept the same
+// documents.
 
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
@@ -70,9 +72,23 @@ func (l *limitReader) Read(p []byte) (int, error) {
 
 // Decoder walks one XML-RPC document token by token.
 type Decoder struct {
-	x      *xml.Decoder
-	peeked xml.Token // one-token pushback for container iteration
-	tbuf   []byte    // scratch for transient scalar text
+	// Scanner state (xmlscan.go).
+	src  io.Reader
+	win  *window
+	buf  []byte // win.buf[:n]: input read and not yet discarded
+	r    int    // offset in buf of the next unscanned byte
+	off  int64  // input offset of buf[0], for error positions
+	rerr error  // why src stopped (io.EOF at the end), reported once buf drains
+	err  error  // sticky scan error
+
+	// The current token: kind plus its local name (start tags) or its
+	// character data, both valid until the next scan.
+	kind      tokKind
+	name      []byte
+	text      []byte
+	closeNext bool // the last start tag was self-closing; its end is next
+	peeked    bool // one-token pushback for container iteration
+
 	// depth counts open elements; it lets the envelope walkers resume a
 	// structurally sound position after a value-semantic decode error
 	// (see resyncTo).
@@ -81,62 +97,76 @@ type Decoder struct {
 
 // NewDecoder returns a streaming decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{x: xml.NewDecoder(r)}
+	w := windowPool.Get().(*window)
+	return &Decoder{src: r, win: w, buf: w.buf[:0]}
 }
 
-// token returns the next structural token, skipping comments, directives
-// and processing instructions (the tree parser ignored them too).
-func (d *Decoder) token() (xml.Token, error) {
-	if d.peeked != nil {
-		t := d.peeked
-		d.peeked = nil
-		d.applyDepth(t)
-		return t, nil
-	}
-	for {
-		tok, err := d.x.Token()
+// release hands the decoder's window back to the pool; the decoder is
+// unusable afterwards. Only the envelope functions call it, once the
+// document is done with: no decoded value aliases the window.
+func (d *Decoder) release() {
+	w := d.win
+	d.win, d.buf, d.name, d.text = nil, nil, nil, nil
+	putWindow(w)
+}
+
+// token returns the next structural token: a start tag, an end tag or
+// character data.
+func (d *Decoder) token() (tokKind, error) {
+	if d.peeked {
+		d.peeked = false
+	} else {
+		k, err := d.next()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		switch tok.(type) {
-		case xml.Comment, xml.Directive, xml.ProcInst:
-			continue
-		}
-		d.applyDepth(tok)
-		return tok, nil
+		d.kind = k
 	}
-}
-
-func (d *Decoder) applyDepth(tok xml.Token) {
-	switch tok.(type) {
-	case xml.StartElement:
+	switch d.kind {
+	case tokStart:
 		d.depth++
-	case xml.EndElement:
+	case tokEnd:
 		d.depth--
 	}
+	return d.kind, nil
 }
 
-// unread pushes tok back; the next token() returns it. Valid for exactly
-// one token, consumed before the underlying decoder advances (so CharData
-// aliasing the decoder's buffer stays intact).
-func (d *Decoder) unread(tok xml.Token) {
-	d.peeked = tok
-	switch tok.(type) {
-	case xml.StartElement:
+// unread pushes the current token back; the next token() returns it.
+// Valid for exactly one token, consumed before the scanner advances (so the
+// name aliasing the window stays intact).
+func (d *Decoder) unread() {
+	d.peeked = true
+	switch d.kind {
+	case tokStart:
 		d.depth--
-	case xml.EndElement:
+	case tokEnd:
 		d.depth++
 	}
 }
+
+// is reports whether the current tag's local name is s.
+func (d *Decoder) is(s string) bool { return string(d.name) == s }
 
 // skip consumes the remainder of the element whose start tag was just
 // read.
 func (d *Decoder) skip() error {
-	err := d.x.Skip()
-	if err == nil {
-		d.depth-- // Skip consumed the matching end tag
+	depth := 0
+	for {
+		k, err := d.next()
+		if err != nil {
+			return err
+		}
+		switch k {
+		case tokStart:
+			depth++
+		case tokEnd:
+			if depth == 0 {
+				d.depth-- // the matching end tag
+				return nil
+			}
+			depth--
+		}
 	}
-	return err
 }
 
 // resyncTo reads tokens until the element depth drops to target,
@@ -151,55 +181,29 @@ func (d *Decoder) resyncTo(target int) {
 	}
 }
 
-// rootStart scans the prolog for the document's root element.
-func (d *Decoder) rootStart() (xml.StartElement, error) {
+// rootStart scans the prolog for the document's root element; leading
+// character data is ignored, as xml.Unmarshal does.
+func (d *Decoder) rootStart() error {
 	for {
-		tok, err := d.token()
+		k, err := d.token()
 		if err != nil {
-			return xml.StartElement{}, err
+			return err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			return t, nil
-		case xml.CharData:
-			// Leading character data is ignored, as xml.Unmarshal does.
+		if k == tokStart {
+			return nil
 		}
 	}
 }
 
-// text accumulates the element's direct character data through its end
-// tag, skipping nested elements (whose own chardata belonged to them in
+// textString accumulates the element's direct character data through its
+// end tag, skipping nested elements (whose own chardata belonged to them in
 // the tree representation as well).
-func (d *Decoder) text() (string, error) {
-	var s string
-	var buf []byte
-	for {
-		tok, err := d.token()
-		if err != nil {
-			return "", err
-		}
-		switch t := tok.(type) {
-		case xml.CharData:
-			if s == "" && buf == nil {
-				s = string(t) // common case: a single chunk
-			} else {
-				if buf == nil {
-					buf = append(buf, s...)
-					s = ""
-				}
-				buf = append(buf, t...)
-			}
-		case xml.StartElement:
-			if err := d.skip(); err != nil {
-				return "", err
-			}
-		case xml.EndElement:
-			if buf != nil {
-				return string(buf), nil
-			}
-			return s, nil
-		}
+func (d *Decoder) textString() (string, error) {
+	b, err := d.textScratch()
+	if err != nil {
+		return "", err
 	}
+	return string(b), nil
 }
 
 // textScratch is text into the decoder's reusable scratch: the returned
@@ -207,21 +211,22 @@ func (d *Decoder) text() (string, error) {
 // free path for scalar payloads that are parsed, not retained (numbers,
 // booleans, timestamps, base64).
 func (d *Decoder) textScratch() ([]byte, error) {
-	d.tbuf = d.tbuf[:0]
+	acc := d.win.acc[:0]
 	for {
-		tok, err := d.token()
+		k, err := d.token()
 		if err != nil {
 			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-			d.tbuf = append(d.tbuf, t...)
-		case xml.StartElement:
+		switch k {
+		case tokText:
+			acc = append(acc, d.text...)
+		case tokStart:
 			if err := d.skip(); err != nil {
 				return nil, err
 			}
-		case xml.EndElement:
-			return d.tbuf, nil
+		case tokEnd:
+			d.win.acc = acc
+			return acc, nil
 		}
 	}
 }
@@ -241,18 +246,17 @@ func tempString(b []byte) string {
 // surrounding character data.
 func (d *Decoder) enterValue() error {
 	for {
-		tok, err := d.token()
+		k, err := d.token()
 		if err != nil {
 			return err
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-		case xml.StartElement:
-			if t.Name.Local != "value" {
-				return fmt.Errorf("clarens: expected <value>, got <%s>", t.Name.Local)
+		switch k {
+		case tokStart:
+			if !d.is("value") {
+				return fmt.Errorf("clarens: expected <value>, got <%s>", d.name)
 			}
 			return nil
-		case xml.EndElement:
+		case tokEnd:
 			return fmt.Errorf("clarens: expected <value>")
 		}
 	}
@@ -280,54 +284,39 @@ func (d *Decoder) SkipValue() error {
 // element determines the type and later siblings are ignored (the tree
 // codec decoded Children[0] only).
 func (d *Decoder) valueBody() (interface{}, error) {
-	var s string
-	var buf []byte
-	for {
-		tok, err := d.token()
-		if err != nil {
-			return nil, err
-		}
-		switch t := tok.(type) {
-		case xml.CharData:
-			if s == "" && buf == nil {
-				s = string(t)
-			} else {
-				if buf == nil {
-					buf = append(buf, s...)
-					s = ""
-				}
-				buf = append(buf, t...)
-			}
-		case xml.EndElement:
-			if buf != nil {
-				return string(buf), nil
-			}
-			return s, nil
-		case xml.StartElement:
-			v, err := d.typedValue(t)
-			if err != nil {
-				return nil, err
-			}
-			if err := d.finishValue(); err != nil {
-				return nil, err
-			}
-			return v, nil
-		}
+	var sc Scalar
+	if err := d.scalarBody(&sc, true); err != nil {
+		return nil, err
 	}
+	if sc.Kind != scalarContainer {
+		return sc.generic(), nil
+	}
+	var v interface{}
+	var err error
+	if d.is("array") {
+		v, err = d.arrayBody()
+	} else {
+		v, err = d.structBody()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return v, d.skipRest()
 }
 
-// finishValue discards everything up to the enclosing </value> after the
-// typed payload has been decoded.
-func (d *Decoder) finishValue() error {
+// skipRest discards everything through the end tag of the current element
+// (the enclosing </value> after a typed payload, the </param> after a
+// result decoder's value).
+func (d *Decoder) skipRest() error {
 	for {
-		tok, err := d.token()
+		k, err := d.token()
 		if err != nil {
 			return err
 		}
-		switch tok.(type) {
-		case xml.EndElement:
+		switch k {
+		case tokEnd:
 			return nil
-		case xml.StartElement:
+		case tokStart:
 			if err := d.skip(); err != nil {
 				return err
 			}
@@ -335,85 +324,67 @@ func (d *Decoder) finishValue() error {
 	}
 }
 
-// typedValue decodes one type element (<i8>, <string>, <array>, ...) whose
-// start tag was just consumed, producing the generic value family.
-func (d *Decoder) typedValue(start xml.StartElement) (interface{}, error) {
-	switch start.Name.Local {
-	case "array":
-		return d.arrayBody()
-	case "struct":
-		return d.structBody()
-	}
-	sc, err := d.typedScalar(start)
-	if err != nil {
-		return nil, err
-	}
-	return sc.generic(), nil
-}
-
-// typedScalar decodes one scalar type element directly into the Scalar
-// union — the cell path stays allocation-free apart from the payload
-// itself (no interface boxing).
-func (d *Decoder) typedScalar(start xml.StartElement) (Scalar, error) {
-	switch start.Name.Local {
+// typedScalar decodes one scalar type element whose start tag was just
+// consumed directly into the Scalar union *sc — the cell path stays
+// allocation-free apart from the payload itself (no interface boxing).
+func (d *Decoder) typedScalar(sc *Scalar) error {
+	var kind ScalarKind
+	switch tempString(d.name) {
 	case "nil":
-		return Scalar{}, d.skip()
-	case "boolean":
-		b, err := d.textScratch()
-		if err != nil {
-			return Scalar{}, err
-		}
-		return Scalar{Kind: ScalarBool, Bool: string(bytes.TrimSpace(b)) == "1"}, nil
-	case "i4", "int", "i8":
-		b, err := d.textScratch()
-		if err != nil {
-			return Scalar{}, err
-		}
-		v, perr := strconv.ParseInt(tempString(bytes.TrimSpace(b)), 10, 64)
-		if perr != nil {
-			return Scalar{}, fmt.Errorf("clarens: bad integer %q", string(b))
-		}
-		return Scalar{Kind: ScalarInt, Int: v}, nil
-	case "double":
-		b, err := d.textScratch()
-		if err != nil {
-			return Scalar{}, err
-		}
-		v, perr := strconv.ParseFloat(tempString(bytes.TrimSpace(b)), 64)
-		if perr != nil {
-			return Scalar{}, fmt.Errorf("clarens: bad double %q", string(b))
-		}
-		return Scalar{Kind: ScalarFloat, Float: v}, nil
+		*sc = Scalar{}
+		return d.skip()
 	case "string":
-		s, err := d.text()
-		if err != nil {
-			return Scalar{}, err
-		}
-		return Scalar{Kind: ScalarString, Str: s}, nil
+		s, err := d.textString()
+		*sc = Scalar{Kind: ScalarString, Str: s}
+		return err
+	case "boolean":
+		kind = ScalarBool
+	case "i4", "int", "i8":
+		kind = ScalarInt
+	case "double":
+		kind = ScalarFloat
 	case "dateTime.iso8601":
-		b, err := d.textScratch()
-		if err != nil {
-			return Scalar{}, err
-		}
-		v, perr := time.Parse("20060102T15:04:05", tempString(bytes.TrimSpace(b)))
-		if perr != nil {
-			return Scalar{}, fmt.Errorf("clarens: bad dateTime %q", string(b))
-		}
-		return Scalar{Kind: ScalarTime, Time: v.UTC()}, nil
+		kind = ScalarTime
 	case "base64":
-		b, err := d.textScratch()
-		if err != nil {
-			return Scalar{}, err
-		}
-		src := bytes.TrimSpace(b)
-		dst := make([]byte, base64.StdEncoding.DecodedLen(len(src)))
-		n, perr := base64.StdEncoding.Decode(dst, src)
-		if perr != nil {
-			return Scalar{}, fmt.Errorf("clarens: bad base64: %v", perr)
-		}
-		return Scalar{Kind: ScalarBytes, Bytes: dst[:n]}, nil
+		kind = ScalarBytes
+	default:
+		return fmt.Errorf("clarens: unknown XML-RPC type <%s>", d.name)
 	}
-	return Scalar{}, fmt.Errorf("clarens: unknown XML-RPC type <%s>", start.Name.Local)
+	b, err := d.textScratch()
+	if err != nil {
+		return err
+	}
+	t := bytes.TrimSpace(b)
+	switch kind {
+	case ScalarBool:
+		*sc = Scalar{Kind: ScalarBool, Bool: string(t) == "1"}
+	case ScalarInt:
+		v, perr := strconv.ParseInt(tempString(t), 10, 64)
+		if perr != nil {
+			return fmt.Errorf("clarens: bad integer %q", string(b))
+		}
+		*sc = Scalar{Kind: ScalarInt, Int: v}
+	case ScalarFloat:
+		v, perr := strconv.ParseFloat(tempString(t), 64)
+		if perr != nil {
+			return fmt.Errorf("clarens: bad double %q", string(b))
+		}
+		*sc = Scalar{Kind: ScalarFloat, Float: v}
+	case ScalarTime:
+		v, perr := time.Parse("20060102T15:04:05", tempString(t))
+		if perr != nil {
+			return fmt.Errorf("clarens: bad dateTime %q", string(b))
+		}
+		*sc = Scalar{Kind: ScalarTime, Time: v.UTC()}
+	case ScalarBytes:
+		dst := make([]byte, base64.StdEncoding.DecodedLen(len(t)))
+		n, perr := base64.StdEncoding.Decode(dst, t)
+		if perr != nil {
+			return fmt.Errorf("clarens: bad base64: %v", perr)
+		}
+		*sc = Scalar{Kind: ScalarBytes, Bytes: dst[:n]}
+	}
+	return nil
 }
 
 // arrayBody decodes <array> content after its start tag: the <value>
@@ -421,46 +392,60 @@ func (d *Decoder) typedScalar(start xml.StartElement) (Scalar, error) {
 // as the tree codec did).
 func (d *Decoder) arrayBody() ([]interface{}, error) {
 	out := []interface{}{}
+	err := d.dataValues(func() error {
+		v, err := d.valueBody()
+		if err != nil {
+			return err
+		}
+		out = append(out, v)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// dataValues walks <array> content after its start tag through </array>,
+// calling each with the decoder just past the start tag of every <value>
+// child of the first <data> child.
+func (d *Decoder) dataValues(each func() error) error {
 	seenData := false
 	for {
-		tok, err := d.token()
+		k, err := d.token()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-		case xml.EndElement: // </array>
-			return out, nil
-		case xml.StartElement:
-			if t.Name.Local != "data" || seenData {
+		switch k {
+		case tokEnd: // </array>
+			return nil
+		case tokStart:
+			if !d.is("data") || seenData {
 				if err := d.skip(); err != nil {
-					return nil, err
+					return err
 				}
 				continue
 			}
 			seenData = true
 		data:
 			for {
-				tok, err := d.token()
+				k, err := d.token()
 				if err != nil {
-					return nil, err
+					return err
 				}
-				switch t := tok.(type) {
-				case xml.CharData:
-				case xml.EndElement: // </data>
+				switch k {
+				case tokEnd: // </data>
 					break data
-				case xml.StartElement:
-					if t.Name.Local != "value" {
+				case tokStart:
+					if !d.is("value") {
 						if err := d.skip(); err != nil {
-							return nil, err
+							return err
 						}
 						continue
 					}
-					v, err := d.valueBody()
-					if err != nil {
-						return nil, err
+					if err := each(); err != nil {
+						return err
 					}
-					out = append(out, v)
 				}
 			}
 		}
@@ -474,16 +459,15 @@ func (d *Decoder) arrayBody() ([]interface{}, error) {
 func (d *Decoder) structBody() (map[string]interface{}, error) {
 	out := make(map[string]interface{})
 	for {
-		tok, err := d.token()
+		k, err := d.token()
 		if err != nil {
 			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-		case xml.EndElement: // </struct>
+		switch k {
+		case tokEnd: // </struct>
 			return out, nil
-		case xml.StartElement:
-			if t.Name.Local != "member" {
+		case tokStart:
+			if !d.is("member") {
 				if err := d.skip(); err != nil {
 					return nil, err
 				}
@@ -494,20 +478,19 @@ func (d *Decoder) structBody() (map[string]interface{}, error) {
 			haveName, haveVal := false, false
 		member:
 			for {
-				tok, err := d.token()
+				k, err := d.token()
 				if err != nil {
 					return nil, err
 				}
-				switch t := tok.(type) {
-				case xml.CharData:
-				case xml.EndElement: // </member>
+				switch k {
+				case tokEnd: // </member>
 					break member
-				case xml.StartElement:
+				case tokStart:
 					switch {
-					case t.Name.Local == "name" && !haveName:
-						name, err = d.text()
+					case d.is("name") && !haveName:
+						name, err = d.textString()
 						haveName = true
-					case t.Name.Local == "value" && !haveVal:
+					case d.is("value") && !haveVal:
 						val, err = d.valueBody()
 						haveVal = true
 					default:
@@ -540,6 +523,10 @@ const (
 	ScalarString
 	ScalarTime
 	ScalarBytes
+
+	// scalarContainer is scalarBody's internal marker for a <value>
+	// holding an <array> or <struct>, left positioned after its start tag.
+	scalarContainer
 )
 
 // Scalar is one decoded scalar cell: a tagged union passed by value, so
@@ -557,45 +544,45 @@ type Scalar struct {
 
 // Scalar decodes one <value> holding a scalar; arrays and structs are
 // errors. Bare text is a string.
-func (d *Decoder) Scalar() (Scalar, error) {
-	if err := d.enterValue(); err != nil {
-		return Scalar{}, err
+func (d *Decoder) Scalar() (sc Scalar, err error) {
+	if err = d.enterValue(); err == nil {
+		err = d.scalarBody(&sc, false)
 	}
-	var s string
-	var buf []byte
+	return sc, err
+}
+
+// scalarBody decodes into *sc the content after a consumed <value> start
+// tag through its end tag when it is bare text or a scalar type element.
+// An <array> or <struct> child is an error unless containers is set, when
+// it yields the scalarContainer marker with the start tag consumed.
+func (d *Decoder) scalarBody(sc *Scalar, containers bool) error {
+	acc := d.win.acc[:0]
 	for {
-		tok, err := d.token()
+		k, err := d.token()
 		if err != nil {
-			return Scalar{}, err
+			return err
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-			if s == "" && buf == nil {
-				s = string(t)
-			} else {
-				if buf == nil {
-					buf = append(buf, s...)
-					s = ""
+		switch k {
+		case tokText:
+			acc = append(acc, d.text...)
+		case tokEnd:
+			d.win.acc = acc
+			*sc = Scalar{Kind: ScalarString, Str: string(acc)}
+			return nil
+		case tokStart:
+			d.win.acc = acc
+			switch tempString(d.name) {
+			case "array", "struct":
+				if containers {
+					sc.Kind = scalarContainer
+					return nil
 				}
-				buf = append(buf, t...)
+				return fmt.Errorf("clarens: expected scalar value, got <%s>", d.name)
 			}
-		case xml.EndElement:
-			if buf != nil {
-				return Scalar{Kind: ScalarString, Str: string(buf)}, nil
+			if err := d.typedScalar(sc); err != nil {
+				return err
 			}
-			return Scalar{Kind: ScalarString, Str: s}, nil
-		case xml.StartElement:
-			if t.Name.Local == "array" || t.Name.Local == "struct" {
-				return Scalar{}, fmt.Errorf("clarens: expected scalar value, got <%s>", t.Name.Local)
-			}
-			sc, err := d.typedScalar(t)
-			if err != nil {
-				return Scalar{}, err
-			}
-			if err := d.finishValue(); err != nil {
-				return Scalar{}, err
-			}
-			return sc, nil
+			return d.skipRest()
 		}
 	}
 }
@@ -627,56 +614,19 @@ func (d *Decoder) DecodeArray(elem func(d *Decoder) error) error {
 	if err := d.enterValue(); err != nil {
 		return err
 	}
-	start, err := d.typedStart()
-	if err != nil {
+	if err := d.typedStart(); err != nil {
 		return err
 	}
-	if start.Name.Local != "array" {
-		return fmt.Errorf("clarens: expected <array>, got <%s>", start.Name.Local)
+	if !d.is("array") {
+		return fmt.Errorf("clarens: expected <array>, got <%s>", d.name)
 	}
-	seenData := false
-	for {
-		tok, err := d.token()
-		if err != nil {
-			return err
-		}
-		switch t := tok.(type) {
-		case xml.CharData:
-		case xml.EndElement: // </array>
-			return d.finishValue()
-		case xml.StartElement:
-			if t.Name.Local != "data" || seenData {
-				if err := d.skip(); err != nil {
-					return err
-				}
-				continue
-			}
-			seenData = true
-		data:
-			for {
-				tok, err := d.token()
-				if err != nil {
-					return err
-				}
-				switch t := tok.(type) {
-				case xml.CharData:
-				case xml.EndElement: // </data>
-					break data
-				case xml.StartElement:
-					if t.Name.Local != "value" {
-						if err := d.skip(); err != nil {
-							return err
-						}
-						continue
-					}
-					d.unread(t)
-					if err := elem(d); err != nil {
-						return err
-					}
-				}
-			}
-		}
+	if err := d.dataValues(func() error {
+		d.unread()
+		return elem(d)
+	}); err != nil {
+		return err
 	}
+	return d.skipRest()
 }
 
 // DecodeStruct consumes one <value><struct> element, invoking member for
@@ -688,24 +638,22 @@ func (d *Decoder) DecodeStruct(member func(name string, d *Decoder) error) error
 	if err := d.enterValue(); err != nil {
 		return err
 	}
-	start, err := d.typedStart()
-	if err != nil {
+	if err := d.typedStart(); err != nil {
 		return err
 	}
-	if start.Name.Local != "struct" {
-		return fmt.Errorf("clarens: expected <struct>, got <%s>", start.Name.Local)
+	if !d.is("struct") {
+		return fmt.Errorf("clarens: expected <struct>, got <%s>", d.name)
 	}
 	for {
-		tok, err := d.token()
+		k, err := d.token()
 		if err != nil {
 			return err
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-		case xml.EndElement: // </struct>
-			return d.finishValue()
-		case xml.StartElement:
-			if t.Name.Local != "member" {
+		switch k {
+		case tokEnd: // </struct>
+			return d.skipRest()
+		case tokStart:
+			if !d.is("member") {
 				if err := d.skip(); err != nil {
 					return err
 				}
@@ -715,24 +663,23 @@ func (d *Decoder) DecodeStruct(member func(name string, d *Decoder) error) error
 			haveName, haveVal := false, false
 		member:
 			for {
-				tok, err := d.token()
+				k, err := d.token()
 				if err != nil {
 					return err
 				}
-				switch t := tok.(type) {
-				case xml.CharData:
-				case xml.EndElement: // </member>
+				switch k {
+				case tokEnd: // </member>
 					break member
-				case xml.StartElement:
+				case tokStart:
 					switch {
-					case t.Name.Local == "name" && !haveName:
-						name, err = d.text()
+					case d.is("name") && !haveName:
+						name, err = d.textString()
 						haveName = true
-					case t.Name.Local == "value" && !haveVal:
+					case d.is("value") && !haveVal:
 						if !haveName {
 							return fmt.Errorf("clarens: struct member value before name")
 						}
-						d.unread(t)
+						d.unread()
 						err = member(name, d)
 						haveVal = true
 					default:
@@ -750,20 +697,19 @@ func (d *Decoder) DecodeStruct(member func(name string, d *Decoder) error) error
 	}
 }
 
-// typedStart returns the first child element start tag inside a consumed
-// <value> start.
-func (d *Decoder) typedStart() (xml.StartElement, error) {
+// typedStart consumes through the first child element start tag inside a
+// consumed <value> start.
+func (d *Decoder) typedStart() error {
 	for {
-		tok, err := d.token()
+		k, err := d.token()
 		if err != nil {
-			return xml.StartElement{}, err
+			return err
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-		case xml.StartElement:
-			return t, nil
-		case xml.EndElement:
-			return xml.StartElement{}, fmt.Errorf("clarens: empty value where a typed value was expected")
+		switch k {
+		case tokStart:
+			return nil
+		case tokEnd:
+			return fmt.Errorf("clarens: empty value where a typed value was expected")
 		}
 	}
 }
@@ -773,51 +719,49 @@ func (d *Decoder) typedStart() (xml.StartElement, error) {
 // unmarshalCallStream parses a methodCall document from r.
 func unmarshalCallStream(r io.Reader) (string, []interface{}, error) {
 	d := NewDecoder(r)
-	root, err := d.rootStart()
-	if err != nil {
+	defer d.release()
+	if err := d.rootStart(); err != nil {
 		return "", nil, fmt.Errorf("clarens: parse call: %w", err)
 	}
-	if root.Name.Local != "methodCall" {
-		return "", nil, fmt.Errorf("clarens: expected <methodCall>, got <%s>", root.Name.Local)
+	if !d.is("methodCall") {
+		return "", nil, fmt.Errorf("clarens: expected <methodCall>, got <%s>", d.name)
 	}
 	var method string
 	var args []interface{}
 	haveMethod, seenParams := false, false
 	for {
-		tok, err := d.token()
+		k, err := d.token()
 		if err != nil {
 			return "", nil, err
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-		case xml.EndElement: // </methodCall>
+		switch k {
+		case tokEnd: // </methodCall>
 			if !haveMethod {
 				return "", nil, fmt.Errorf("clarens: missing <methodName>")
 			}
 			return method, args, nil
-		case xml.StartElement:
+		case tokStart:
 			switch {
-			case t.Name.Local == "methodName" && !haveMethod:
-				s, err := d.text()
+			case d.is("methodName") && !haveMethod:
+				s, err := d.textString()
 				if err != nil {
 					return "", nil, err
 				}
 				method = strings.TrimSpace(s)
 				haveMethod = true
-			case t.Name.Local == "params" && !seenParams:
+			case d.is("params") && !seenParams:
 				seenParams = true
 			params:
 				for {
-					tok, err := d.token()
+					k, err := d.token()
 					if err != nil {
 						return "", nil, err
 					}
-					switch t := tok.(type) {
-					case xml.CharData:
-					case xml.EndElement: // </params>
+					switch k {
+					case tokEnd: // </params>
 						break params
-					case xml.StartElement:
-						if t.Name.Local != "param" {
+					case tokStart:
+						if !d.is("param") {
 							if err := d.skip(); err != nil {
 								return "", nil, err
 							}
@@ -853,16 +797,15 @@ func (d *Decoder) firstValueIn() (interface{}, bool, error) {
 	var v interface{}
 	have := false
 	for {
-		tok, err := d.token()
+		k, err := d.token()
 		if err != nil {
 			return nil, false, err
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-		case xml.EndElement:
+		switch k {
+		case tokEnd:
 			return v, have, nil
-		case xml.StartElement:
-			if t.Name.Local != "value" || have {
+		case tokStart:
+			if !d.is("value") || have {
 				if err := d.skip(); err != nil {
 					return nil, false, err
 				}
@@ -885,24 +828,23 @@ func (d *Decoder) firstValueIn() (interface{}, bool, error) {
 // as the tree codec resolved them.
 func decodeResponseStream(r io.Reader, result func(*Decoder) (interface{}, error)) (interface{}, error) {
 	d := NewDecoder(r)
-	root, err := d.rootStart()
-	if err != nil {
+	defer d.release()
+	if err := d.rootStart(); err != nil {
 		return nil, fmt.Errorf("clarens: parse response: %w", err)
 	}
-	if root.Name.Local != "methodResponse" {
-		return nil, fmt.Errorf("clarens: expected <methodResponse>, got <%s>", root.Name.Local)
+	if !d.is("methodResponse") {
+		return nil, fmt.Errorf("clarens: expected <methodResponse>, got <%s>", d.name)
 	}
 	var res interface{}
 	var resErr, faultErr error
 	haveRes, haveFault, seenParams := false, false, false
 	for {
-		tok, err := d.token()
+		k, err := d.token()
 		if err != nil {
 			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-		case xml.EndElement: // </methodResponse>
+		switch k {
+		case tokEnd: // </methodResponse>
 			// A fault wins over any params result; the tree codec checked
 			// for it before looking at params at all. Returning only once
 			// the root element closes keeps truncated documents parse
@@ -914,9 +856,9 @@ func decodeResponseStream(r io.Reader, result func(*Decoder) (interface{}, error
 				return res, resErr
 			}
 			return nil, nil
-		case xml.StartElement:
+		case tokStart:
 			switch {
-			case t.Name.Local == "fault" && !haveFault:
+			case d.is("fault") && !haveFault:
 				haveFault = true
 				v, ok, err := d.firstValueIn()
 				if err != nil {
@@ -927,7 +869,7 @@ func decodeResponseStream(r io.Reader, result func(*Decoder) (interface{}, error
 				} else {
 					faultErr = faultFromValue(v)
 				}
-			case t.Name.Local == "params" && !seenParams:
+			case d.is("params") && !seenParams:
 				seenParams = true
 				v, verr, found, err := d.firstParamResult(result)
 				if err != nil {
@@ -952,16 +894,15 @@ func decodeResponseStream(r io.Reader, result func(*Decoder) (interface{}, error
 // via err.
 func (d *Decoder) firstParamResult(result func(*Decoder) (interface{}, error)) (v interface{}, verr error, found bool, err error) {
 	for {
-		tok, terr := d.token()
+		k, terr := d.token()
 		if terr != nil {
 			return nil, nil, false, terr
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-		case xml.EndElement: // </params>
+		switch k {
+		case tokEnd: // </params>
 			return v, verr, found, nil
-		case xml.StartElement:
-			if t.Name.Local != "param" || found {
+		case tokStart:
+			if !d.is("param") || found {
 				if err := d.skip(); err != nil {
 					return nil, nil, false, err
 				}
@@ -985,25 +926,6 @@ func (d *Decoder) firstParamResult(result func(*Decoder) (interface{}, error)) (
 			}
 			if err := d.skipRest(); err != nil {
 				return nil, nil, false, err
-			}
-		}
-	}
-}
-
-// skipRest discards tokens through the end of the current element (used
-// after a custom decoder consumed the param's value).
-func (d *Decoder) skipRest() error {
-	for {
-		tok, err := d.token()
-		if err != nil {
-			return err
-		}
-		switch tok.(type) {
-		case xml.EndElement:
-			return nil
-		case xml.StartElement:
-			if err := d.skip(); err != nil {
-				return err
 			}
 		}
 	}

@@ -16,10 +16,13 @@
 // The wire codec is the streaming, zero-boxing pair in encode.go /
 // decode.go: responses are rendered straight into pooled buffers (payloads
 // implementing ValueMarshaler encode cell-direct) and stream to the client
-// past a size threshold, and documents are decoded by a single xml.Decoder
-// token walk instead of an intermediate generic tree —
-// Client.CallDecodeContext hands the positioned Decoder to the caller so
-// row payloads land directly in engine values. xmlrpc.go holds the fault
-// model; the generic-tree decoder the streaming one is fuzzed against
-// lives in tree_test.go.
+// past a size threshold, and documents are decoded in one walk over a byte
+// scanner specialised to XML-RPC (xmlscan.go) — tokens are sub-slices of a
+// pooled read window, so the walk allocates nothing per token — instead of
+// an intermediate generic tree. Client.CallDecodeContext hands the
+// positioned Decoder to the caller so row payloads land directly in engine
+// values. xmlrpc.go holds the fault model. The decoder's oracles live in
+// the tests: the encoding/xml generic-tree decoder (tree_test.go) and the
+// encoding/xml token walker it replaced (decode_oracle_test.go); the fuzz
+// targets hold the scanner to encoding/xml's acceptance set.
 package clarens

@@ -8,7 +8,10 @@ package clarens
 // the output (a pooled buffer or the HTTP response stream), formats numbers
 // through a fixed scratch array, and lets payload types that know their own
 // shape (row sets, cursor chunks) implement ValueMarshaler and emit
-// themselves without ever constructing []interface{} trees.
+// themselves without ever constructing []interface{} trees. Its documents
+// are what the byte-scanning Decoder (decode.go) reads back: character
+// data is escaped as encoding/xml.EscapeText does, so a "\r" survives the
+// reader's line-ending normalisation as "&#xD;".
 
 import (
 	"bufio"

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -235,5 +238,44 @@ func TestCallDecodeFault(t *testing.T) {
 	}
 	if ran {
 		t.Error("result decoder ran on a fault response")
+	}
+}
+
+// TestDecoderLargeTokens: tokens larger than the scanner's read window —
+// a long comment, attribute and string, a base64 payload — grow the window
+// instead of being cut, and a document read in small pieces decodes exactly
+// as the encoding/xml tree decoder reads it whole.
+func TestDecoderLargeTokens(t *testing.T) {
+	long := strings.Repeat("a<&>\r\né", windowSize/4)
+	blob := bytes.Repeat([]byte{0, 1, 254, 255}, windowSize/2)
+	ints := make([]interface{}, 5000)
+	for i := range ints {
+		ints[i] = int64(i)
+	}
+	doc, err := MarshalResponse(map[string]interface{}{"long": long, "blob": blob, "ints": ints})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc = bytes.Replace(doc, []byte("<methodResponse>"),
+		[]byte("<!--"+strings.Repeat("c", 2*windowSize)+"--><methodResponse a='"+strings.Repeat("v", windowSize)+"'>"), 1)
+	want, err := unmarshalResponseTree(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]io.Reader{
+		"whole":  bytes.NewReader(doc),
+		"halves": iotest.HalfReader(bytes.NewReader(doc)),
+		"bytes":  iotest.OneByteReader(bytes.NewReader(doc)),
+	} {
+		got, err := decodeResponseStream(r, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decoded value differs from the tree decoder's", name)
+		}
+	}
+	if got := want.(map[string]interface{})["long"]; got != long {
+		t.Fatalf("long string corrupted (len %d)", len(got.(string)))
 	}
 }

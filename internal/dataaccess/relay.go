@@ -219,6 +219,10 @@ func (it *relayIter) Next() (sqlengine.Row, error) {
 			it.failed = fmt.Errorf("dataaccess: relay fetch from %s: protocol error: empty chunk without done", it.url)
 			return nil, it.failed
 		}
+		if err := checkRowWidths(chunk.Rows, len(it.cols)); err != nil {
+			it.failed = fmt.Errorf("dataaccess: relay fetch from %s: %w", it.url, err)
+			return nil, it.failed
+		}
 		it.svc.obs.relayFetches.Inc()
 		it.svc.obs.relayRows.Add(int64(len(chunk.Rows)))
 		it.buf, it.pos = chunk.Rows, 0

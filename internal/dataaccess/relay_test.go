@@ -13,6 +13,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -483,4 +484,123 @@ func TestRelayMixedIntegration(t *testing.T) {
 		t.Fatalf("relay opens = %d, want 1 (runsmeta fetched via relay)", st.RelayOpens)
 	}
 	waitFor(t, 2*time.Second, func() bool { return jc2.CursorCount() == 0 })
+}
+
+// raggedPeer is a hand-built peer that serves a table whose second row is
+// one cell short, over the plain XML row codec or the binary frame; it
+// counts the binary-frame calls (queryb, fetchb) and system.cursor.close
+// calls it received.
+type raggedPeer struct {
+	url              string
+	binCalls, closed atomic.Int32
+}
+
+func newRaggedPeer(t *testing.T, binary bool) (*raggedPeer, *clarens.Server) {
+	t.Helper()
+	p := &raggedPeer{}
+	rs := &sqlengine.ResultSet{
+		Columns: []string{"event_id", "run", "e_tot"},
+		Rows: []sqlengine.Row{
+			{sqlengine.NewInt(1), sqlengine.NewInt(101), sqlengine.NewFloat(1.5)},
+			{sqlengine.NewInt(2), sqlengine.NewInt(101)},
+		},
+	}
+	codec := int64(0)
+	if binary {
+		codec = RowCodecVersion
+	}
+	srv := clarens.NewServer(true)
+	srv.Register("system.capabilities", func(context.Context, *clarens.CallContext, []interface{}) (interface{}, error) {
+		return map[string]interface{}{"rowcodec": codec}, nil
+	})
+	srv.Register("dataaccess.query", func(context.Context, *clarens.CallContext, []interface{}) (interface{}, error) {
+		return WireResult(rs), nil
+	})
+	srv.Register("system.cursor.open", func(context.Context, *clarens.CallContext, []interface{}) (interface{}, error) {
+		return map[string]interface{}{"cursor": "c1", "columns": []interface{}{"event_id", "run", "e_tot"}}, nil
+	})
+	srv.Register("system.cursor.fetch", func(context.Context, *clarens.CallContext, []interface{}) (interface{}, error) {
+		return WireChunk(rs.Rows, false), nil
+	})
+	if binary {
+		srv.Register("dataaccess.queryb", func(context.Context, *clarens.CallContext, []interface{}) (interface{}, error) {
+			p.binCalls.Add(1)
+			return wireResultBinary(rs), nil
+		})
+		srv.Register("system.cursor.fetchb", func(context.Context, *clarens.CallContext, []interface{}) (interface{}, error) {
+			p.binCalls.Add(1)
+			return wireChunkBinary(rs.Rows, false), nil
+		})
+	}
+	srv.Register("system.cursor.close", func(context.Context, *clarens.CallContext, []interface{}) (interface{}, error) {
+		p.closed.Add(1)
+		return true, nil
+	})
+	url, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.url = url
+	return p, srv
+}
+
+// TestRaggedRowsAreProtocolErrors: a peer whose rows do not have one cell
+// per column fails the forward (DecodeResultFrom) and the relay
+// (relayIter.Next) with a protocol error naming the peer, under either row
+// codec — never handing wrong-shape rows to operators that index cells by
+// position — and the failed relay still closes the peer's cursor and
+// strands nothing.
+func TestRaggedRowsAreProtocolErrors(t *testing.T) {
+	for _, binary := range []bool{false, true} {
+		name := "xml"
+		if binary {
+			name = "binary"
+		}
+		t.Run(name, func(t *testing.T) {
+			checkLeaks := leaktest.Check(t)
+			catalog := rls.NewServer(0)
+			rlsURL, err := catalog.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			peer, peerSrv := newRaggedPeer(t, binary)
+			if err := rls.NewClient(rlsURL).Publish(peer.url, []string{"events"}); err != nil {
+				t.Fatal(err)
+			}
+			fwd := New(Config{Name: "ragged-fwd-" + name, RLS: rls.NewClient(rlsURL)})
+			const q = "SELECT event_id, run, e_tot FROM events"
+			wantErr := func(err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), "protocol error: row 1 has 2 cells for 3 columns") ||
+					!strings.Contains(err.Error(), peer.url) {
+					t.Fatalf("err = %v, want a protocol error naming %s", err, peer.url)
+				}
+			}
+
+			_, err = fwd.QueryContext(context.Background(), q)
+			wantErr(err)
+
+			sr, err := fwd.QueryStreamContext(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var nerr error
+			for i := 0; i < 3 && nerr == nil; i++ {
+				_, nerr = sr.Next()
+			}
+			wantErr(nerr)
+			if err := sr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 2*time.Second, func() bool { return peer.closed.Load() == 1 })
+			if got, want := peer.binCalls.Load(), map[bool]int32{false: 0, true: 2}[binary]; got != want {
+				t.Fatalf("binary-frame calls = %d, want %d (queryb + fetchb only when negotiated)", got, want)
+			}
+
+			fwd.Close()
+			peerSrv.Close()
+			catalog.Close()
+			checkLeaks()
+		})
+	}
 }

@@ -145,11 +145,13 @@ func valueFromScalar(sc clarens.Scalar) sqlengine.Value {
 
 // DecodeRowsFrom decodes a rows payload (array of arrays of scalars)
 // straight off the streaming wire decoder into engine rows — the
-// zero-boxing counterpart of DecodeRows.
+// zero-boxing counterpart of DecodeRows. Every row is allocated once, at
+// the first row's width.
 func DecodeRowsFrom(d *clarens.Decoder) ([]sqlengine.Row, error) {
 	rows := []sqlengine.Row{}
+	width := 0
 	err := d.DecodeArray(func(d *clarens.Decoder) error {
-		row := sqlengine.Row{}
+		row := make(sqlengine.Row, 0, width)
 		if err := d.DecodeArray(func(d *clarens.Decoder) error {
 			sc, err := d.Scalar()
 			if err != nil {
@@ -159,6 +161,9 @@ func DecodeRowsFrom(d *clarens.Decoder) ([]sqlengine.Row, error) {
 			return nil
 		}); err != nil {
 			return err
+		}
+		if len(rows) == 0 {
+			width = len(row)
 		}
 		rows = append(rows, row)
 		return nil
@@ -225,7 +230,22 @@ func DecodeResultFrom(d *clarens.Decoder) (*sqlengine.ResultSet, error) {
 	if !haveRows {
 		return nil, fmt.Errorf("dataaccess: result has no \"rows\" field")
 	}
+	if err := checkRowWidths(rs.Rows, len(rs.Columns)); err != nil {
+		return nil, err
+	}
 	return rs, nil
+}
+
+// checkRowWidths rejects a ragged payload: operators index cells by column
+// position, so a peer's row with more or fewer cells than the result has
+// columns is a protocol error, not a row to pass on.
+func checkRowWidths(rows []sqlengine.Row, width int) error {
+	for i, row := range rows {
+		if len(row) != width {
+			return fmt.Errorf("dataaccess: protocol error: row %d has %d cells for %d columns", i, len(row), width)
+		}
+	}
+	return nil
 }
 
 // DecodeChunkFrom decodes a cursor fetch chunk ({rows|rowsb, done}) off

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -222,8 +223,10 @@ func TestWireResultMatchesBoxed(t *testing.T) {
 }
 
 // TestWireCodecAllocs holds what the zero-boxing codecs are for: a result
-// set's encode + decode round trip allocates less cell-direct than boxed,
-// and the binary frame at least 2x less (it measures ~60x).
+// set's encode + decode round trip allocates at least 4x less cell-direct
+// than boxed (it measures ~8x) and about one allocation per row — the row
+// itself, as the binary frame does — and the binary frame at least 2x less
+// than boxed.
 func TestWireCodecAllocs(t *testing.T) {
 	if leaktest.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -253,8 +256,97 @@ func TestWireCodecAllocs(t *testing.T) {
 			t.Fatalf("binary round trip: %v", err)
 		}
 	})
-	if direct >= boxed || 2*binary > boxed {
-		t.Fatalf("allocs per round trip: boxed %.0f, direct XML %.0f, binary %.0f; want direct < boxed and binary <= boxed/2", boxed, direct, binary)
+	if 4*direct > boxed || direct > 1.25*float64(len(rs.Rows)) || 2*binary > boxed {
+		t.Fatalf("allocs per round trip: boxed %.0f, direct XML %.0f, binary %.0f; want direct <= boxed/4, direct <= 1.25/row and binary <= boxed/2", boxed, direct, binary)
+	}
+}
+
+// relayPage builds n rows of the relay_scan page shape: two BIGINT and six
+// DOUBLE cells.
+func relayPage(n int) *sqlengine.ResultSet {
+	rs := &sqlengine.ResultSet{Columns: []string{"event_id", "run", "v0", "v1", "v2", "v3", "v4", "v5"}}
+	for i := 0; i < n; i++ {
+		row := sqlengine.Row{sqlengine.NewInt(int64(100000 + i)), sqlengine.NewInt(102)}
+		for j := 0; j < 6; j++ {
+			row = append(row, sqlengine.NewFloat(float64(i*7+j)/3.0001+0.1))
+		}
+		rs.Rows = append(rs.Rows, row)
+	}
+	return rs
+}
+
+// TestDecodeChunkAllocsPerRow bounds the client half of a relay page: the
+// 500-row numeric chunk decodes straight off the XML document at no more
+// than two allocations per row (each row is allocated once, at its final
+// width; the token walk itself allocates nothing).
+func TestDecodeChunkAllocsPerRow(t *testing.T) {
+	if leaktest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 500
+	doc, err := clarens.MarshalResponse(WireChunk(relayPage(n).Rows, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err := clarens.DecodeResponse(bytes.NewReader(doc), func(d *clarens.Decoder) (interface{}, error) {
+			return DecodeChunkFrom(d)
+		})
+		if err != nil || len(res.(*Chunk).Rows) != n {
+			t.Fatalf("decode: %v", err)
+		}
+	})
+	if allocs > 2*n {
+		t.Fatalf("decoding a %d-row page allocates %.0f times (%.2f per row), want <= 2 per row", n, allocs, allocs/n)
+	}
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the average heap
+// bytes one call of f allocates, after a warm-up call.
+func allocBytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestSmallDecodeAllocBytes holds the small decodes behind point_lookup and
+// cached_refresh — a methodCall parse and a 4-row result — to no more heap
+// bytes than the encoding/xml decoder took for them (2 440 B and 17 928 B):
+// the decoder's read window is pooled, not allocated per call.
+func TestSmallDecodeAllocBytes(t *testing.T) {
+	if leaktest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	call, err := clarens.MarshalCall("dataaccess.query", []interface{}{"SELECT * FROM ev_run100 WHERE event_id = 12345"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := WireResult(relayPage(4))
+	res["route"], res["servers"] = "unity", int64(1)
+	result, err := clarens.MarshalResponse(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	callBytes := allocBytesPerRun(1000, func() {
+		if _, _, err := clarens.UnmarshalCall(call); err != nil {
+			t.Fatal(err)
+		}
+	})
+	resultBytes := allocBytesPerRun(1000, func() {
+		if _, err := clarens.DecodeResponse(bytes.NewReader(result), func(d *clarens.Decoder) (interface{}, error) {
+			return DecodeResultFrom(d)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if callBytes > 2440 || resultBytes > 17928 {
+		t.Fatalf("heap bytes per decode: methodCall %.0f (want <= 2440), 4-row result %.0f (want <= 17928)", callBytes, resultBytes)
 	}
 }
 
