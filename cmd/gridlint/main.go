@@ -5,8 +5,8 @@
 //	go run ./cmd/gridlint ./...
 //
 // The suite has two layers: per-package analyzers, and module-wide
-// analyzers (lockorder, goroleak, wireconform) that run once over a
-// call graph of everything loaded. Each finding prints as
+// analyzers (lockorder, goroleak, wireconform, deadcode) that run once
+// over a call graph of everything loaded. Each finding prints as
 // file:line:col: analyzer: message, or as one JSON object per line
 // under -json:
 //
@@ -98,10 +98,11 @@ func main() {
 	}
 
 	suite := lint.Suite{Analyzers: lint.All(), Module: lint.AllModule()}
-	// Wireconform's "documented but never registered" direction is only
-	// sound when every package in the module was loaded — a partial
-	// pattern (e.g. ./... from a subdirectory) would blame methods whose
-	// registering package was simply not in the load.
+	// Wireconform's "documented but never registered" direction and
+	// deadcode are only sound when every package in the module was
+	// loaded — a partial pattern (e.g. ./... from a subdirectory) would
+	// blame methods whose registering package or caller was simply not
+	// in the load.
 	suite.FullModule = wd == root && len(patterns) == 1 && patterns[0] == "./..."
 	const wireSpecRel = "docs/WIRE.md"
 	if spec, err := os.ReadFile(filepath.Join(root, wireSpecRel)); err == nil {

@@ -98,7 +98,7 @@ func main() {
 	fmt.Printf("\nfederated query over the unified logical schema:\n%s", gridrdb.FormatResult(rs))
 
 	// --- Proximity-steered replica selection ---------------------------
-	prober := proximity.NewProber(fed, 0)
+	prober := proximity.NewProber(fed)
 	prober.SetMeasureFunc(func(source string) (time.Duration, error) {
 		// Pretend the Oracle site is across the WAN.
 		if source == "legacy_oracle" {

@@ -112,7 +112,7 @@ func TestGridAuthClosedServer(t *testing.T) {
 	if _, err := c.Call("dataaccess.tables"); err == nil {
 		t.Fatal("unauthenticated call accepted")
 	}
-	if err := c.Login("u", "p"); err != nil {
+	if err := c.LoginContext(context.Background(), "u", "p"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Call("dataaccess.tables"); err != nil {

@@ -199,7 +199,7 @@ func TestFullPaperPipeline(t *testing.T) {
 
 	// Proximity extension: probing steers replica selection without
 	// breaking answers.
-	prober := proximity.NewProber(jc1.Service.Federation(), 0)
+	prober := proximity.NewProber(jc1.Service.Federation())
 	prober.ProbeOnce()
 	if _, err := jc1.Query("SELECT COUNT(*) FROM it_run100"); err != nil {
 		t.Fatal(err)

@@ -66,7 +66,6 @@ type Server struct {
 	lastSweep time.Time // when the last expiry sweep ran
 	ln        net.Listener
 	srv       *http.Server
-	baseURL   string
 	now       func() time.Time // injectable clock for session-expiry tests
 	// metrics, when set, renders the /metrics endpoint body (Prometheus
 	// text exposition); nil answers 404 there.
@@ -146,9 +145,6 @@ func (s *Server) Register(name string, m Method) {
 	s.methods[name] = m
 }
 
-// BaseURL returns the server's base URL after Start.
-func (s *Server) BaseURL() string { return s.baseURL }
-
 // Start listens on addr and serves until Close; it returns the base URL.
 func (s *Server) Start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -157,9 +153,8 @@ func (s *Server) Start(addr string) (string, error) {
 	}
 	s.ln = ln
 	s.srv = &http.Server{Handler: s.Handler()}
-	s.baseURL = "http://" + ln.Addr().String()
 	go s.srv.Serve(ln)
-	return s.baseURL, nil
+	return "http://" + ln.Addr().String(), nil
 }
 
 // Close shuts the server down.
@@ -427,14 +422,6 @@ func (s *Server) checkSession(token string) (string, bool) {
 	return info.user, true
 }
 
-// SessionCount reports the number of stored (not necessarily unexpired)
-// sessions.
-func (s *Server) SessionCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.sessions)
-}
-
 func (s *Server) writeFault(w http.ResponseWriter, f *Fault) {
 	w.Header().Set("Content-Type", "text/xml")
 	w.Write(MarshalFault(f))
@@ -479,12 +466,8 @@ func (c *Client) clock() *netsim.Clock {
 	return netsim.DefaultClock
 }
 
-// Login authenticates and stores the session token for later calls.
-func (c *Client) Login(user, password string) error {
-	return c.LoginContext(context.Background(), user, password)
-}
-
-// LoginContext is Login under a caller-supplied context.
+// LoginContext authenticates and stores the session token for later
+// calls.
 func (c *Client) LoginContext(ctx context.Context, user, password string) error {
 	res, err := c.CallContext(ctx, "system.login", user, password)
 	if err != nil {

@@ -100,10 +100,10 @@ func TestAuthentication(t *testing.T) {
 		t.Fatalf("unauthenticated err = %v", err)
 	}
 	// Bad credentials rejected.
-	if err := c.Login("cms", "wrong"); err == nil {
+	if err := c.LoginContext(context.Background(), "cms", "wrong"); err == nil {
 		t.Fatal("bad login accepted")
 	}
-	if err := c.Login("cms", "secret"); err != nil {
+	if err := c.LoginContext(context.Background(), "cms", "secret"); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c.Call("test.whoami")

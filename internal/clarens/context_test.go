@@ -20,7 +20,7 @@ func TestSessionSweep(t *testing.T) {
 	// Login churn: many sessions, none ever used again.
 	const logins = 50
 	for i := 0; i < logins; i++ {
-		if err := c.Login("alice", "pw"); err != nil {
+		if err := c.LoginContext(context.Background(), "alice", "pw"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,7 +33,7 @@ func TestSessionSweep(t *testing.T) {
 	s.mu.Lock()
 	s.now = func() time.Time { return time.Now().Add(sessionTTL + time.Minute) }
 	s.mu.Unlock()
-	if err := c.Login("alice", "pw"); err != nil {
+	if err := c.LoginContext(context.Background(), "alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.SessionCount(); n != 1 {
@@ -47,7 +47,7 @@ func TestSessionSweepOnChecks(t *testing.T) {
 	s, c := startServer(t, false)
 	s.AddUser("alice", "pw")
 	for i := 0; i < 10; i++ {
-		if err := c.Login("alice", "pw"); err != nil {
+		if err := c.LoginContext(context.Background(), "alice", "pw"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,4 +154,12 @@ func TestFaultForMapping(t *testing.T) {
 	if f := FaultFor(wrapped); f.Code != FaultCancelled {
 		t.Errorf("wrapped deadline -> %d", f.Code)
 	}
+}
+
+// SessionCount reports the number of stored (not necessarily unexpired)
+// sessions.
+func (s *Server) SessionCount() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.sessions)
 }

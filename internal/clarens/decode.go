@@ -262,15 +262,6 @@ func (d *Decoder) enterValue() error {
 	}
 }
 
-// Value decodes one generic <value> element into the XML-RPC interface{}
-// family (the shape third-party payloads and the tree codec produce).
-func (d *Decoder) Value() (interface{}, error) {
-	if err := d.enterValue(); err != nil {
-		return nil, err
-	}
-	return d.valueBody()
-}
-
 // SkipValue consumes one <value> element without decoding it.
 func (d *Decoder) SkipValue() error {
 	if err := d.enterValue(); err != nil {
@@ -942,17 +933,6 @@ func faultFromValue(v interface{}) *Fault {
 		fault.Message = s
 	}
 	return fault
-}
-
-// UnmarshalCall parses a methodCall document into (method, args).
-func UnmarshalCall(data []byte) (string, []interface{}, error) {
-	return unmarshalCallStream(bytes.NewReader(data))
-}
-
-// UnmarshalResponse parses a methodResponse document, returning the result
-// value or a *Fault error.
-func UnmarshalResponse(data []byte) (interface{}, error) {
-	return decodeResponseStream(bytes.NewReader(data), nil)
 }
 
 // DecodeResponse parses a methodResponse document from r. A non-nil

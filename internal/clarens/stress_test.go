@@ -36,7 +36,7 @@ func TestLargePayloadRoundTrip(t *testing.T) {
 }
 
 func TestConcurrentCallers(t *testing.T) {
-	s, _ := startServer(t, true)
+	s, c0 := startServer(t, true)
 	s.Register("test.sq", func(_ context.Context, _ *CallContext, args []interface{}) (interface{}, error) {
 		n := args[0].(int64)
 		return n * n, nil
@@ -47,7 +47,7 @@ func TestConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			client := NewClient(s.BaseURL())
+			client := NewClient(c0.BaseURL)
 			for i := 0; i < 25; i++ {
 				res, err := client.Call("test.sq", int64(g*100+i))
 				if err != nil {
@@ -70,7 +70,7 @@ func TestConcurrentCallers(t *testing.T) {
 }
 
 func TestSessionExpiryAndConcurrentLogins(t *testing.T) {
-	s, _ := startServer(t, false)
+	s, c0 := startServer(t, false)
 	s.AddUser("a", "1")
 	s.AddUser("b", "2")
 	var wg sync.WaitGroup
@@ -79,12 +79,12 @@ func TestSessionExpiryAndConcurrentLogins(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := NewClient(s.BaseURL())
+			c := NewClient(c0.BaseURL)
 			user, pw := "a", "1"
 			if g%2 == 1 {
 				user, pw = "b", "2"
 			}
-			if err := c.Login(user, pw); err != nil {
+			if err := c.LoginContext(context.Background(), user, pw); err != nil {
 				errs <- err
 				return
 			}
@@ -99,7 +99,7 @@ func TestSessionExpiryAndConcurrentLogins(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A forged session token is rejected.
-	c := NewClient(s.BaseURL())
+	c := NewClient(c0.BaseURL)
 	c.session = strings.Repeat("f", 32)
 	if _, err := c.Call("system.echo", "x"); err == nil {
 		t.Fatal("forged session accepted")

@@ -6,10 +6,13 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"gridrdb/internal/leaktest"
 )
 
 // TestMarshalDeterministicSortedStruct pins the satellite bugfix: struct
@@ -277,5 +280,56 @@ func TestDecoderLargeTokens(t *testing.T) {
 	}
 	if got := want.(map[string]interface{})["long"]; got != long {
 		t.Fatalf("long string corrupted (len %d)", len(got.(string)))
+	}
+}
+
+// UnmarshalCall parses a methodCall document into (method, args).
+func UnmarshalCall(data []byte) (string, []interface{}, error) {
+	return unmarshalCallStream(bytes.NewReader(data))
+}
+
+// UnmarshalResponse parses a methodResponse document, returning the result
+// value or a *Fault error.
+func UnmarshalResponse(data []byte) (interface{}, error) {
+	return decodeResponseStream(bytes.NewReader(data), nil)
+}
+
+// Value decodes one generic <value> element into the XML-RPC interface{}
+// family (the shape third-party payloads and the tree codec produce).
+func (d *Decoder) Value() (interface{}, error) {
+	if err := d.enterValue(); err != nil {
+		return nil, err
+	}
+	return d.valueBody()
+}
+
+// TestMethodCallAllocBytes holds the methodCall parse behind every request
+// — a point_lookup-sized dataaccess.query — to no more heap bytes than the
+// encoding/xml decoder took for it (2 440 B): the read window is pooled,
+// not allocated per call.
+func TestMethodCallAllocBytes(t *testing.T) {
+	if leaktest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	call, err := MarshalCall("dataaccess.query", []interface{}{"SELECT * FROM ev_run100 WHERE event_id = 12345"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parse := func() {
+		if _, _, err := UnmarshalCall(call); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	parse()
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		parse()
+	}
+	runtime.ReadMemStats(&after)
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > 2440 {
+		t.Fatalf("heap bytes per methodCall parse: %.0f (want <= 2440)", got)
 	}
 }

@@ -45,17 +45,6 @@ func IsCancelled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// IsOverloaded reports whether an error is a load-shed response — a
-// FaultOverloaded fault, possibly wrapped by forwarding layers. Clients
-// use it to decide that a request is retryable after backoff.
-func IsOverloaded(err error) bool {
-	var f *Fault
-	if errors.As(err, &f) {
-		return f.Code == FaultOverloaded
-	}
-	return false
-}
-
 // Fault codes used by the server.
 const (
 	FaultParse       = 100

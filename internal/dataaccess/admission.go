@@ -87,8 +87,8 @@ func (ci CallerInfo) tenantOf() string {
 // ---- errors ----
 
 // errShed builds the load-shed fault. The code rides the error chain, so
-// the RPC edge faults with it verbatim and clarens.IsOverloaded
-// recognizes it even through "forward to <url>:" wrapping.
+// the RPC edge faults with it verbatim and errors.As finds the
+// *clarens.Fault even through "forward to <url>:" wrapping.
 func errShed(format string, args ...interface{}) error {
 	return &clarens.Fault{Code: clarens.FaultOverloaded, Message: fmt.Sprintf(format, args...)}
 }
@@ -401,7 +401,7 @@ type sessionTable struct {
 }
 
 // quotaDenials accumulates one tenant's quota-trip history. Unlike
-// session state it survives EndSession — denials are operator-facing
+// session state it survives the idle sweep — denials are operator-facing
 // evidence, not budget. Guarded by sessionTable.mu.
 type quotaDenials struct {
 	cursors int64
@@ -520,28 +520,7 @@ func (st *sessionTable) chargeBytes(ci CallerInfo, n int64) error {
 	return nil
 }
 
-// endSession forgets a session's quota state (logout / session expiry):
-// its cursor reservations and byte budget reset.
-func (st *sessionTable) endSession(session string) {
-	if st == nil || session == "" {
-		return
-	}
-	st.mu.Lock()
-	delete(st.sessions, session)
-	st.mu.Unlock()
-}
-
 // ---- service surfaces ----
-
-// EndSession resets the session's quota accounting (open-cursor
-// reservations, streamed-byte budget). Call it when a login ends; idle
-// sessions are also swept automatically after an hour.
-func (s *Service) EndSession(session string) {
-	s.sessions.endSession(session)
-}
-
-// AdmissionEnabled reports whether the in-flight gate is configured.
-func (s *Service) AdmissionEnabled() bool { return s.admit != nil }
 
 // TenantLoad is one tenant's admission and quota history.
 type TenantLoad struct {

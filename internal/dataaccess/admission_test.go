@@ -85,7 +85,7 @@ func TestAdmissionQueuedCtxExpiryIsCancelled(t *testing.T) {
 	if err == nil {
 		t.Fatal("queued waiter should fail when its context expires")
 	}
-	if clarens.IsOverloaded(err) {
+	if isOverloaded(err) {
 		t.Fatalf("caller's own deadline must not surface as overload: %v", err)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -124,7 +124,7 @@ func TestAdmissionQueueDeadlineSheds(t *testing.T) {
 	start := time.Now()
 	_, err := s.QueryContext(context.Background(), "SELECT event_id FROM adm_ev2")
 	waited := time.Since(start)
-	if !clarens.IsOverloaded(err) {
+	if !isOverloaded(err) {
 		t.Fatalf("want FaultOverloaded after queue deadline, got %v", err)
 	}
 	if waited < 50*time.Millisecond || waited > 2*time.Second {
@@ -150,14 +150,14 @@ func TestAdmissionShedDoesNoWork(t *testing.T) {
 
 	start := time.Now()
 	_, err := s.QueryContext(context.Background(), "THIS IS NOT SQL AT ALL")
-	if !clarens.IsOverloaded(err) {
+	if !isOverloaded(err) {
 		t.Fatalf("saturated gate should shed before parsing; got %v", err)
 	}
 	if waited := time.Since(start); waited > time.Second {
 		t.Errorf("queue-full shed took %v, want immediate", waited)
 	}
 
-	if _, err := s.OpenCursor(context.Background(), "SELECT event_id FROM adm_ev3"); !clarens.IsOverloaded(err) {
+	if _, err := s.OpenCursor(context.Background(), "SELECT event_id FROM adm_ev3"); !isOverloaded(err) {
 		t.Fatalf("cursor open should shed at the gate; got %v", err)
 	}
 	if n := s.CursorCount(); n != 0 {
@@ -166,7 +166,7 @@ func TestAdmissionShedDoesNoWork(t *testing.T) {
 
 	release()
 	_, err = s.QueryContext(context.Background(), "THIS IS NOT SQL AT ALL")
-	if err == nil || clarens.IsOverloaded(err) {
+	if err == nil || isOverloaded(err) {
 		t.Fatalf("unsaturated gate should reach the parser: %v", err)
 	}
 }
@@ -248,7 +248,7 @@ func TestSessionCursorQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.OpenCursor(ctx, q); !clarens.IsOverloaded(err) {
+	if _, err := s.OpenCursor(ctx, q); !isOverloaded(err) {
 		t.Fatalf("third open should trip the 2-cursor quota; got %v", err)
 	}
 
@@ -260,7 +260,7 @@ func TestSessionCursorQuota(t *testing.T) {
 
 	// Ending the session resets its budget even with cursors open (the
 	// session is gone; its replacement starts fresh).
-	s.EndSession("sess-a")
+	s.endSession("sess-a")
 	c4, err := s.OpenCursor(ctx, q)
 	if err != nil {
 		t.Fatalf("EndSession should reset the cursor budget: %v", err)
@@ -309,7 +309,7 @@ func TestSessionByteQuotaTripsMidStream(t *testing.T) {
 	}
 	rows := 0
 	err = sr.ForEach(func(sqlengine.Row) error { rows++; return nil })
-	if !clarens.IsOverloaded(err) {
+	if !isOverloaded(err) {
 		t.Fatalf("stream should trip the byte quota; got %v after %d rows", err, rows)
 	}
 	if rows == 0 {
@@ -325,19 +325,19 @@ func TestSessionByteQuotaTripsMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sr2.ForEach(func(sqlengine.Row) error { return nil }); !clarens.IsOverloaded(err) {
+	if err := sr2.ForEach(func(sqlengine.Row) error { return nil }); !isOverloaded(err) {
 		t.Fatalf("exhausted session streamed again without tripping: %v", err)
 	}
 
 	// EndSession resets the meter: rows flow again.
-	s.EndSession("sess-b")
+	s.endSession("sess-b")
 	sr3, err := s.QueryStreamContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows = 0
 	err = sr3.ForEach(func(sqlengine.Row) error { rows++; return nil })
-	if !clarens.IsOverloaded(err) || rows == 0 {
+	if !isOverloaded(err) || rows == 0 {
 		t.Fatalf("reset session should stream until the budget trips again (rows=%d err=%v)", rows, err)
 	}
 }
@@ -357,7 +357,7 @@ func TestSessionByteQuotaReleasesRelayCursor(t *testing.T) {
 	}
 	rows := 0
 	err = sr.ForEach(func(sqlengine.Row) error { rows++; return nil })
-	if !clarens.IsOverloaded(err) {
+	if !isOverloaded(err) {
 		t.Fatalf("relayed stream should trip the byte quota; got %v after %d rows", err, rows)
 	}
 
@@ -585,7 +585,7 @@ func TestOverloadShedsCleanly(t *testing.T) {
 				switch err := op(w, i); {
 				case err == nil:
 					completed.Add(1)
-				case clarens.IsOverloaded(err):
+				case isOverloaded(err):
 					shed.Add(1)
 				default:
 					t.Errorf("worker %d op %d: refused with something other than FaultOverloaded: %v", w, i, err)
@@ -614,4 +614,19 @@ func TestOverloadShedsCleanly(t *testing.T) {
 	if l := left(); l != [4]int{} {
 		t.Fatalf("left behind: fwd in-flight %d, fwd cursors %d, host in-flight %d, host cursors %d; want none", l[0], l[1], l[2], l[3])
 	}
+}
+
+// endSession forgets a session's quota state, as the idle sweep does once
+// the session has been quiet for sessionQuotaTTL.
+func (s *Service) endSession(session string) {
+	s.sessions.mu.Lock()
+	delete(s.sessions.sessions, session)
+	s.sessions.mu.Unlock()
+}
+
+// isOverloaded reports whether an error is a load-shed response — a
+// FaultOverloaded fault, possibly wrapped by forwarding layers.
+func isOverloaded(err error) bool {
+	var f *clarens.Fault
+	return errors.As(err, &f) && f.Code == clarens.FaultOverloaded
 }

@@ -275,19 +275,6 @@ func (s *Service) CursorCount() int {
 	return len(s.cursors.entries)
 }
 
-// ReapCursorsNow collects every expired cursor immediately, returning how
-// many were reaped (the janitor calls this on a timer; tests call it
-// directly).
-func (s *Service) ReapCursorsNow() int {
-	return s.cursors.reap(time.Now())
-}
-
-// CursorsReaped reports how many cursors the TTL reaper has collected
-// over the service's lifetime (an abandoned-client health signal).
-func (s *Service) CursorsReaped() int64 {
-	return s.cursors.reaped.Value()
-}
-
 // CursorStats is the operational snapshot behind system.cursorstats.
 type CursorStats struct {
 	// Open counts currently registered cursors (exhausted-but-unclosed

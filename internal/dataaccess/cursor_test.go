@@ -292,8 +292,8 @@ func TestCursorTTLReap(t *testing.T) {
 	// Abandon it: the janitor (interval TTL/2) must reap without help.
 	waitFor(t, 5*time.Second, func() bool { return s.CursorCount() == 0 })
 	waitFor(t, 2*time.Second, func() bool { return d.rowsClosed.Load() == 1 })
-	if s.CursorsReaped() != 1 {
-		t.Fatalf("reaped counter = %d, want 1", s.CursorsReaped())
+	if n := s.CursorStats().Reaped; n != 1 {
+		t.Fatalf("reaped counter = %d, want 1", n)
 	}
 	if _, _, err := s.FetchCursor(info.ID, 1); err == nil {
 		t.Fatal("fetch on a reaped cursor should error")

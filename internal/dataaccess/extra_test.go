@@ -1,6 +1,7 @@
 package dataaccess
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -64,7 +65,7 @@ func TestPublishAllRenewsRLS(t *testing.T) {
 	_, spec := mkMart(t, "pubmart", sqlengine.DialectMySQL, "pubdata", 2)
 	addMart(t, s, "pubmart", spec, "gridsql-mysql")
 
-	servers, err := rls.NewClient(url).Lookup("pubdata")
+	servers, err := rls.NewClient(url).LookupContext(context.Background(), "pubdata")
 	if err != nil || len(servers) != 1 {
 		t.Fatalf("initial publish: %v %v", servers, err)
 	}
@@ -72,13 +73,13 @@ func TestPublishAllRenewsRLS(t *testing.T) {
 	if err := s.PublishAll(); err != nil {
 		t.Fatal(err)
 	}
-	servers, err = rls.NewClient(url).Lookup("pubdata")
+	servers, err = rls.NewClient(url).LookupContext(context.Background(), "pubdata")
 	if err != nil || len(servers) != 1 {
 		t.Fatalf("after renewal: %v %v", servers, err)
 	}
 	// Close unpublishes.
 	s.Close()
-	servers, _ = rls.NewClient(url).Lookup("pubdata")
+	servers, _ = rls.NewClient(url).LookupContext(context.Background(), "pubdata")
 	if len(servers) != 0 {
 		t.Fatalf("close did not unpublish: %v", servers)
 	}

@@ -15,10 +15,6 @@ type Heartbeat struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-
-	mu       sync.Mutex
-	renewals int64
-	lastErr  error
 }
 
 // NewHeartbeat creates a renewal loop; choose interval well below the RLS
@@ -42,27 +38,12 @@ func (h *Heartbeat) Start() {
 			case <-h.stop:
 				return
 			case <-ticker.C:
-				h.RenewNow()
+				if err := h.svc.PublishAll(); err != nil {
+					h.svc.obs.logger.Warn("rls renewal failed", "err", err)
+				}
 			}
 		}
 	}()
-}
-
-// RenewNow republishes immediately and records the outcome.
-func (h *Heartbeat) RenewNow() error {
-	err := h.svc.PublishAll()
-	h.mu.Lock()
-	h.renewals++
-	h.lastErr = err
-	h.mu.Unlock()
-	return err
-}
-
-// Stats reports (renewals performed, last error).
-func (h *Heartbeat) Stats() (int64, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.renewals, h.lastErr
 }
 
 // Stop halts the loop.

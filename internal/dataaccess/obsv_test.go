@@ -222,7 +222,7 @@ func TestSlowEntryPhasesSumToDuration(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("query", false)
-	sr, err := s.QueryStream(sql)
+	sr, err := s.QueryStreamContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,8 +137,8 @@ func TestRelayStreamsRemoteScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := string(EncodeRowsBinary(qr.Rows))
-	if string(EncodeRowsBinary(got.Rows)) != want {
+	want := string(AppendRowsBinary(nil, qr.Rows))
+	if string(AppendRowsBinary(nil, got.Rows)) != want {
 		t.Fatal("relayed rows differ from the materialized forward")
 	}
 

@@ -45,18 +45,11 @@ type Config struct {
 	CacheSize int
 	// CacheMaxBytes additionally bounds the cache by estimated resident
 	// bytes (0 = entry count only): LRU eviction runs against both caps,
-	// and a single result set larger than CacheAdmitFraction of the
-	// budget is refused admission instead of evicting everything else.
+	// and a single result set larger than 1/8 of the budget is refused
+	// admission instead of evicting everything else.
 	CacheMaxBytes int64
-	// CacheAdmitFraction caps one admitted entry at this fraction of
-	// CacheMaxBytes (0 selects the default, 1/8). The effective cap never
-	// exceeds one shard's budget (CacheMaxBytes / shard count): raising
-	// the fraction past that requires also lowering CacheShards.
-	CacheAdmitFraction float64
 	// CacheTTL bounds cached-entry lifetime (0 = no expiry).
 	CacheTTL time.Duration
-	// CacheShards overrides the cache shard count (0 = default).
-	CacheShards int
 	// CursorTTL bounds how long an idle server-side cursor (opened via
 	// the system.cursor.* methods) survives between fetches before the
 	// reaper cancels its query and releases its resources. 0 selects the
@@ -133,7 +126,7 @@ type Config struct {
 	SessionMaxCursors int
 	// SessionMaxBytes caps estimated bytes streamed to one session over
 	// its lifetime (0 = unlimited); the budget resets when the session
-	// ends (EndSession, or the hour-idle sweep). A quota hit mid-stream
+	// ends (a fresh login, or the hour-idle sweep). A quota hit mid-stream
 	// fails the stream with a FaultOverloaded fault and releases its
 	// backend resources — remote relay cursors included.
 	SessionMaxBytes int64
@@ -212,21 +205,19 @@ func New(cfg Config) *Service {
 	s.fed.Logger = s.obs.logger
 	s.fed.OpenPeer = s.tableStreamFromRemote
 	if cfg.CacheSize > 0 {
-		shards := cfg.CacheShards
-		if shards == 0 && cfg.CacheMaxBytes > 0 {
+		shards := 0 // qcache's default
+		if cfg.CacheMaxBytes > 0 {
 			// The admission cap is clamped to one shard's byte budget, so
-			// with the usual 16 shards the documented default cap (1/8 of
-			// CacheMaxBytes) would silently halve. Default to 8 shards
-			// when byte-bounded so the documented cap is exact.
+			// with the usual 16 shards the documented cap (1/8 of
+			// CacheMaxBytes) would silently halve. 8 shards make it exact.
 			shards = 8
 		}
 		s.cache = qcache.New[*QueryResult](qcache.Options[*QueryResult]{
-			MaxEntries:       cfg.CacheSize,
-			MaxBytes:         cfg.CacheMaxBytes,
-			SizeOf:           func(qr *QueryResult) int64 { return ResultSetBytes(qr.ResultSet) },
-			MaxEntryFraction: cfg.CacheAdmitFraction,
-			TTL:              cfg.CacheTTL,
-			Shards:           shards,
+			MaxEntries: cfg.CacheSize,
+			MaxBytes:   cfg.CacheMaxBytes,
+			SizeOf:     func(qr *QueryResult) int64 { return ResultSetBytes(qr.ResultSet) },
+			TTL:        cfg.CacheTTL,
+			Shards:     shards,
 		})
 	}
 	return s

@@ -50,11 +50,6 @@ func (sr *StreamResult) ForEach(fn func(sqlengine.Row) error) error {
 	}
 }
 
-// QueryStream is QueryStreamContext under context.Background.
-func (s *Service) QueryStream(sqlText string, params ...sqlengine.Value) (*StreamResult, error) {
-	return s.QueryStreamContext(context.Background(), sqlText, params...)
-}
-
 // QueryStreamContext answers a query as an incremental row stream: the
 // same resolve and open as QueryContext, with the stream handed to the
 // caller instead of drained. Single-source scans — the POOL-RAL route and

@@ -62,7 +62,7 @@ func TestStreamDecomposedUsesPipelinedOperators(t *testing.T) {
 	addMart(t, s, "sop_ms", msSpec, "gridsql-mssql")
 
 	join := "SELECT e.event_id, r.e_tot FROM events e JOIN runsinfo r ON e.run = r.run"
-	sr, err := s.QueryStream(join)
+	sr, err := s.QueryStreamContext(context.Background(), join)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestStreamDecomposedUsesPipelinedOperators(t *testing.T) {
 	}
 
 	sub := "SELECT e.event_id, r.e_tot FROM events e JOIN runsinfo r ON e.run = r.run WHERE e.run IN (SELECT run FROM runsinfo)"
-	sr, err = s.QueryStream(sub)
+	sr, err = s.QueryStreamContext(context.Background(), sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestStreamSpillMetricsAndCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := s.QueryStream(q)
+	sr, err := s.QueryStreamContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestStreamMixedPipelined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(EncodeRowsBinary(got.Rows)) != string(EncodeRowsBinary(qr.Rows)) {
+	if string(AppendRowsBinary(nil, got.Rows)) != string(AppendRowsBinary(nil, qr.Rows)) {
 		t.Fatal("pipelined rows differ from the materialized integration")
 	}
 
@@ -376,7 +376,7 @@ func TestStreamSpillDirHonorsTempDir(t *testing.T) {
 func sortedRowKeys(rows []sqlengine.Row) []string {
 	keys := make([]string, len(rows))
 	for i, r := range rows {
-		keys[i] = string(EncodeRowsBinary([]sqlengine.Row{r}))
+		keys[i] = string(AppendRowsBinary(nil, []sqlengine.Row{r}))
 	}
 	sort.Strings(keys)
 	return keys
@@ -530,7 +530,7 @@ func TestQueryIsTheDrainedStream(t *testing.T) {
 						}
 						a, b := sortedRowKeys(rows), sortedRowKeys(qr.Rows)
 						if tc.ordered {
-							a, b = []string{string(EncodeRowsBinary(rows))}, []string{string(EncodeRowsBinary(qr.Rows))}
+							a, b = []string{string(AppendRowsBinary(nil, rows))}, []string{string(AppendRowsBinary(nil, qr.Rows))}
 						}
 						if !reflect.DeepEqual(a, b) {
 							t.Errorf("%s rows differ from the query's (ordered=%v)", what, tc.ordered)

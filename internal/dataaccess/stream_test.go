@@ -1,6 +1,7 @@
 package dataaccess
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func TestQueryStreamMatchesQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q.sql, err)
 		}
-		sr, err := s.QueryStream(q.sql)
+		sr, err := s.QueryStreamContext(context.Background(), q.sql)
 		if err != nil {
 			t.Fatalf("%s (stream): %v", q.sql, err)
 		}
@@ -62,7 +63,7 @@ func TestQueryStreamMatchesQuery(t *testing.T) {
 // streamed results under the admission cap are cached.
 func newByteCachedService(t *testing.T, maxBytes int64) *Service {
 	t.Helper()
-	s := New(Config{Name: "jc-stream-cache", CacheSize: 64, CacheMaxBytes: maxBytes, CacheShards: 1})
+	s := New(Config{Name: "jc-stream-cache", CacheSize: 64, CacheMaxBytes: maxBytes})
 	t.Cleanup(func() { s.Close() })
 	_, spec := mkMart(t, fmt.Sprintf("scache_%d", maxBytes), sqlengine.DialectMySQL, "events", 12)
 	addMart(t, s, fmt.Sprintf("scache_%d", maxBytes), spec, "gridsql-mysql")
@@ -76,7 +77,7 @@ func TestStreamFillsCacheUnderLimit(t *testing.T) {
 	s := newByteCachedService(t, 1<<20)
 	q := "SELECT event_id FROM events ORDER BY event_id"
 
-	sr, err := s.QueryStream(q)
+	sr, err := s.QueryStreamContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +112,12 @@ func TestStreamFillsCacheUnderLimit(t *testing.T) {
 // streams past the cache — nothing is buffered for it and nothing is
 // admitted.
 func TestStreamBypassesCacheOverLimit(t *testing.T) {
-	// 2 KiB budget, shard-clamped admission cap 256 bytes: a 12-row result
+	// 2 KiB budget, admission cap 2048/8 = 256 bytes: a 12-row result
 	// can never be admitted.
 	s := newByteCachedService(t, 2048)
 	q := "SELECT event_id FROM events ORDER BY event_id"
 
-	sr, err := s.QueryStream(q)
+	sr, err := s.QueryStreamContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestStreamServedFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	fedBefore, _, _ := s.Federation().Stats()
-	sr, err := s.QueryStream(q)
+	sr, err := s.QueryStreamContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestStreamServedFromCache(t *testing.T) {
 func TestStreamPartialConsumptionNotCached(t *testing.T) {
 	s := newByteCachedService(t, 1<<20)
 	q := "SELECT event_id FROM events ORDER BY event_id"
-	sr, err := s.QueryStream(q)
+	sr, err := s.QueryStreamContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestStreamPartialConsumptionNotCached(t *testing.T) {
 func TestStreamFillRespectsInvalidation(t *testing.T) {
 	s := newByteCachedService(t, 1<<20)
 	q := "SELECT event_id FROM events ORDER BY event_id"
-	sr, err := s.QueryStream(q)
+	sr, err := s.QueryStreamContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestServiceCursorTTLConfig(t *testing.T) {
 		t.Fatalf("TTL = %v, want 0 (disabled)", info.TTL)
 	}
 	time.Sleep(30 * time.Millisecond)
-	if n := s.ReapCursorsNow(); n != 0 {
+	if n := s.cursors.reap(time.Now()); n != 0 {
 		t.Fatalf("reaped %d cursors with reaping disabled", n)
 	}
 	if s.CursorCount() != 1 {

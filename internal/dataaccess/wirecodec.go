@@ -379,11 +379,6 @@ func AppendRowsBinary(dst []byte, rows []sqlengine.Row) []byte {
 	return dst
 }
 
-// EncodeRowsBinary returns the binary frame for rows.
-func EncodeRowsBinary(rows []sqlengine.Row) []byte {
-	return AppendRowsBinary(make([]byte, 0, 64+16*len(rows)), rows)
-}
-
 // DecodeRowsBinary decodes a binary row frame. Truncated or malformed
 // frames are protocol errors, never silent truncation.
 func DecodeRowsBinary(data []byte) ([]sqlengine.Row, error) {

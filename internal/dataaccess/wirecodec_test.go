@@ -62,7 +62,7 @@ func allKindsRows() []sqlengine.Row {
 // cannot carry.
 func TestBinaryRowsRoundTripAllKinds(t *testing.T) {
 	rows := allKindsRows()
-	frame := EncodeRowsBinary(rows)
+	frame := AppendRowsBinary(nil, rows)
 	back, err := DecodeRowsBinary(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestBinaryRowsProperty(t *testing.T) {
 		}
 		row = append(row, sqlengine.NewTime(time.Unix(secs%1<<40, int64(nsec%1e9)).UTC()))
 		rows := []sqlengine.Row{row, {}}
-		back, err := DecodeRowsBinary(EncodeRowsBinary(rows))
+		back, err := DecodeRowsBinary(AppendRowsBinary(nil, rows))
 		if err != nil {
 			return false
 		}
@@ -151,7 +151,7 @@ func TestBinaryRowsProperty(t *testing.T) {
 // TestBinaryRowsMalformed: truncations and garbage are loud protocol
 // errors, never silent short results.
 func TestBinaryRowsMalformed(t *testing.T) {
-	frame := EncodeRowsBinary(allKindsRows())
+	frame := AppendRowsBinary(nil, allKindsRows())
 	if _, err := DecodeRowsBinary(nil); err == nil {
 		t.Error("empty frame decoded")
 	}
@@ -199,7 +199,7 @@ func TestWireResultMatchesBoxed(t *testing.T) {
 
 	// And the streaming decoder reads the document back into the same
 	// result set the boxed decoder produces.
-	v, err := clarens.UnmarshalResponse(boxed)
+	v, err := clarens.DecodeResponse(bytes.NewReader(boxed), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestWireCodecAllocs(t *testing.T) {
 	}
 	boxed := testing.AllocsPerRun(5, func() {
 		doc, _ := clarens.MarshalResponse(boxedResult(rs))
-		v, _ := clarens.UnmarshalResponse(doc)
+		v, _ := clarens.DecodeResponse(bytes.NewReader(doc), nil)
 		if back, err := DecodeResult(v); err != nil || len(back.Rows) != len(rs.Rows) {
 			t.Fatalf("boxed round trip: %v", err)
 		}
@@ -252,7 +252,7 @@ func TestWireCodecAllocs(t *testing.T) {
 		}
 	})
 	binary := testing.AllocsPerRun(5, func() {
-		if back, err := DecodeRowsBinary(EncodeRowsBinary(rs.Rows)); err != nil || len(back) != len(rs.Rows) {
+		if back, err := DecodeRowsBinary(AppendRowsBinary(nil, rs.Rows)); err != nil || len(back) != len(rs.Rows) {
 			t.Fatalf("binary round trip: %v", err)
 		}
 	})
@@ -315,17 +315,14 @@ func allocBytesPerRun(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// TestSmallDecodeAllocBytes holds the small decodes behind point_lookup and
-// cached_refresh — a methodCall parse and a 4-row result — to no more heap
-// bytes than the encoding/xml decoder took for them (2 440 B and 17 928 B):
-// the decoder's read window is pooled, not allocated per call.
+// TestSmallDecodeAllocBytes holds the 4-row result decode behind
+// point_lookup and cached_refresh to no more heap bytes than the
+// encoding/xml decoder took for it (17 928 B): the decoder's read window
+// is pooled, not allocated per call. clarens's TestMethodCallAllocBytes
+// holds the methodCall parse the same way.
 func TestSmallDecodeAllocBytes(t *testing.T) {
 	if leaktest.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
-	}
-	call, err := clarens.MarshalCall("dataaccess.query", []interface{}{"SELECT * FROM ev_run100 WHERE event_id = 12345"})
-	if err != nil {
-		t.Fatal(err)
 	}
 	res := WireResult(relayPage(4))
 	res["route"], res["servers"] = "unity", int64(1)
@@ -333,11 +330,6 @@ func TestSmallDecodeAllocBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	callBytes := allocBytesPerRun(1000, func() {
-		if _, _, err := clarens.UnmarshalCall(call); err != nil {
-			t.Fatal(err)
-		}
-	})
 	resultBytes := allocBytesPerRun(1000, func() {
 		if _, err := clarens.DecodeResponse(bytes.NewReader(result), func(d *clarens.Decoder) (interface{}, error) {
 			return DecodeResultFrom(d)
@@ -345,8 +337,8 @@ func TestSmallDecodeAllocBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if callBytes > 2440 || resultBytes > 17928 {
-		t.Fatalf("heap bytes per decode: methodCall %.0f (want <= 2440), 4-row result %.0f (want <= 17928)", callBytes, resultBytes)
+	if resultBytes > 17928 {
+		t.Fatalf("heap bytes per 4-row result decode: %.0f (want <= 17928)", resultBytes)
 	}
 }
 

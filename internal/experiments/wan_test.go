@@ -27,10 +27,8 @@ func TestRunWANLocalProfile(t *testing.T) {
 }
 
 func TestRunWANOrderedCosts(t *testing.T) {
-	// A sleeping profile with tiny costs still orders above local.
-	tiny := &netsim.Profile{Name: "tiny", RTT: 2_000_000, ConnectCost: 5_000_000, Sleep: true} // 2ms/5ms
-	netsim.Register(tiny)
-	rows, err := RunWAN([]*netsim.Profile{netsim.Local, tiny}, 100, 1)
+	// A sleeping profile orders above local.
+	rows, err := RunWAN([]*netsim.Profile{netsim.Local, netsim.LAN100}, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

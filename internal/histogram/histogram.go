@@ -92,9 +92,6 @@ func (h *Hist1D) FillColumn(rs *sqlengine.ResultSet, column string) (int, error)
 // Entries returns the total number of Fill calls.
 func (h *Hist1D) Entries() int64 { return h.entries }
 
-// UnderOverflow returns samples outside the range.
-func (h *Hist1D) UnderOverflow() (int64, int64) { return h.underflow, h.overflow }
-
 // Mean returns the sample mean of all filled values.
 func (h *Hist1D) Mean() float64 {
 	if h.entries == 0 {

@@ -20,7 +20,7 @@ func TestFillAndStats(t *testing.T) {
 	if h.Entries() != 7 {
 		t.Errorf("entries = %d", h.Entries())
 	}
-	u, o := h.UnderOverflow()
+	u, o := h.underflow, h.overflow
 	if u != 1 || o != 2 {
 		t.Errorf("under/over = %d/%d", u, o)
 	}
@@ -102,7 +102,7 @@ func TestAccountingProperty(t *testing.T) {
 		for _, b := range h.Bins {
 			inRange += b
 		}
-		u, o := h.UnderOverflow()
+		u, o := h.underflow, h.overflow
 		return inRange+u+o == h.Entries()
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -66,6 +66,3 @@ func (a *Atomic) Snapshot() (cumulative []int64, count int64, sumSeconds float64
 	}
 	return cumulative, a.count.Load(), float64(a.sumNanos.Load()) / 1e9
 }
-
-// Count returns the total number of observations.
-func (a *Atomic) Count() int64 { return a.count.Load() }

@@ -22,5 +22,6 @@ func AllModule() []*ModuleAnalyzer {
 		LockOrder,
 		GoroLeak,
 		WireConform,
+		DeadCode,
 	}
 }

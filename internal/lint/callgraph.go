@@ -116,11 +116,6 @@ type Graph struct {
 	implCache  map[string][]*Node
 }
 
-// Node returns the node of a declared function, or nil.
-func (g *Graph) Node(fn *types.Func) *Node {
-	return g.byKey[funcKey(fn)]
-}
-
 // funcKey is the universe-stable identity of a declared function:
 // "pkgpath.Name" or "pkgpath.Recv.Name" for methods.
 func funcKey(fn *types.Func) string {
@@ -685,9 +680,6 @@ func (g *Graph) condense() {
 	// Tarjan emits SCCs in reverse topological order already (an SCC is
 	// completed only after everything it reaches): g.SCCs is bottom-up.
 }
-
-// SCCOf returns the node's component (valid after BuildGraph).
-func (n *Node) SCCOf() *SCC { return n.scc }
 
 // String implements fmt.Stringer for debugging.
 func (n *Node) String() string { return n.Name }

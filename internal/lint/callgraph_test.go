@@ -150,18 +150,18 @@ func TestSCCCondensation(t *testing.T) {
 	g := BuildGraph(loadCallgraphFixture(t))
 	rec1 := findNode(t, g, cgFixtureBase+"/a.Rec1")
 	rec2 := findNode(t, g, cgFixtureBase+"/a.Rec2")
-	if rec1.SCCOf() != rec2.SCCOf() {
+	if rec1.scc != rec2.scc {
 		t.Errorf("mutually recursive Rec1/Rec2 should share an SCC")
 	}
-	if members := rec1.SCCOf().Members; len(members) != 2 {
+	if members := rec1.scc.Members; len(members) != 2 {
 		t.Errorf("Rec1's SCC has members %v, want exactly {Rec1, Rec2}", nodeNames(members))
 	}
 	// Bottom-up order: a callee's SCC precedes its caller's.
 	locked := findNode(t, g, cgFixtureBase+"/a.Guard.Locked")
 	uses := findNode(t, g, cgFixtureBase+"/a.UsesGuard")
-	if locked.SCCOf().ID >= uses.SCCOf().ID {
+	if locked.scc.ID >= uses.scc.ID {
 		t.Errorf("callee SCC (Locked, id %d) should precede caller SCC (UsesGuard, id %d)",
-			locked.SCCOf().ID, uses.SCCOf().ID)
+			locked.scc.ID, uses.scc.ID)
 	}
 	for i, scc := range g.SCCs {
 		if scc.ID != i {

@@ -216,8 +216,9 @@ func (f *fixtureImporter) Import(path string) (*types.Package, error) {
 
 // RunModule analyzes a multi-package fixture tree with module-wide
 // analyzers. Layout: .go files directly in dir form the base package
-// (import path basePkgPath); each subdirectory containing .go files is
-// a further package at basePkgPath + "/" + subdir. Fixture packages may
+// (import path basePkgPath); each subdirectory containing .go files, at
+// any depth, is a further package at basePkgPath + "/" + its relative
+// path. Fixture packages may
 // import each other; they are type-checked in dependency order. A
 // WIRE.md in dir is passed to the suite as the wire spec (so
 // wireconform fixtures carry their own protocol document), and its
@@ -249,26 +250,23 @@ func RunModule(t *testing.T, ms []*lint.ModuleAnalyzer, dir, basePkgPath string)
 		wants = append(wants, parseWants(t, fn, src)...)
 	}
 
-	entries, err := os.ReadDir(dir)
+	err = filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			return err
+		}
+		rel, err := filepath.Rel(dir, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		pkgPath := basePkgPath
+		if rel != "." {
+			pkgPath += "/" + filepath.ToSlash(rel)
+		}
+		addFile(pkgPath, path)
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
-	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			if strings.HasSuffix(e.Name(), ".go") {
-				addFile(basePkgPath, filepath.Join(dir, e.Name()))
-			}
-			continue
-		}
-		sub, err := os.ReadDir(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatalf("linttest: %v", err)
-		}
-		for _, f := range sub {
-			if !f.IsDir() && strings.HasSuffix(f.Name(), ".go") {
-				addFile(basePkgPath+"/"+e.Name(), filepath.Join(dir, e.Name(), f.Name()))
-			}
-		}
 	}
 	if len(byPath) == 0 {
 		t.Fatalf("linttest: no Go files under %s", dir)

@@ -10,7 +10,6 @@
 package netsim
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -69,10 +68,9 @@ type Clock struct {
 }
 
 // Simulated returns the accumulated simulated network time.
+//
+//lint:ignore deadcode the charge total is how the clarens, rls, warehouse and wire tests assert that each layer charges its link
 func (c *Clock) Simulated() time.Duration { return time.Duration(c.simulated.Load()) }
-
-// Reset zeroes the accumulated time.
-func (c *Clock) Reset() { c.simulated.Store(0) }
 
 func (c *Clock) charge(p *Profile, d time.Duration) {
 	if d <= 0 {
@@ -109,25 +107,14 @@ func (c *Clock) Transfer(p *Profile, n int64) {
 // their own.
 var DefaultClock = &Clock{}
 
-// registry allows profiles to be looked up by name (used by CLI flags).
-var (
-	regMu    sync.RWMutex
-	registry = map[string]*Profile{"local": Local, "lan100": LAN100, "wan": WAN}
-)
+// registry allows profiles to be looked up by name (used by CLI flags and
+// DSN profile= parameters).
+var registry = map[string]*Profile{"local": Local, "lan100": LAN100, "wan": WAN}
 
 // ProfileByName returns a registered profile; unknown names return Local.
 func ProfileByName(name string) *Profile {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	if p, ok := registry[name]; ok {
 		return p
 	}
 	return Local
-}
-
-// Register adds or replaces a named profile.
-func Register(p *Profile) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[p.Name] = p
 }

@@ -31,12 +31,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig mirrors the paper's example dimensions scaled down for
-// tests; benchmarks override NVar/NEvents per experiment.
-func DefaultConfig(name string) Config {
-	return Config{Name: name, NVar: 8, NEvents: 100, Runs: 4, Seed: 42}
-}
-
 // Generator produces events for a Config.
 type Generator struct {
 	cfg Config
@@ -50,9 +44,6 @@ func NewGenerator(cfg Config) *Generator {
 	}
 	return &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
-
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
 
 // Event is one generated event: an id, its run, and NVar variable values.
 type Event struct {
@@ -94,9 +85,6 @@ func metaTable(name string) string   { return name + "_meta" }
 func varsTable(name string) string   { return name + "_vars" }
 func eventsTable(name string) string { return name + "_events" }
 func valuesTable(name string) string { return name + "_values" }
-
-// MetaTableName exposes the normalized metadata table name.
-func MetaTableName(name string) string { return metaTable(name) }
 
 // EventsTableName exposes the normalized events table name.
 func EventsTableName(name string) string { return eventsTable(name) }
@@ -219,16 +207,6 @@ func StarColumns(cfg Config) []string {
 		cols = append(cols, VarName(i))
 	}
 	return cols
-}
-
-// FactRow converts an event to a wide fact-table row.
-func FactRow(ev Event) sqlengine.Row {
-	row := make(sqlengine.Row, 0, 2+len(ev.Values))
-	row = append(row, sqlengine.NewInt(ev.ID), sqlengine.NewInt(ev.Run))
-	for _, v := range ev.Values {
-		row = append(row, sqlengine.NewFloat(v))
-	}
-	return row
 }
 
 // RunRows returns the dimension rows covering cfg.Runs runs.

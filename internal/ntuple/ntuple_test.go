@@ -79,7 +79,7 @@ func TestPopulateNormalized(t *testing.T) {
 }
 
 func TestNormalizedDDLAllDialects(t *testing.T) {
-	cfg := DefaultConfig("nt")
+	cfg := Config{Name: "nt", NVar: 8, NEvents: 100, Runs: 4, Seed: 42}
 	for _, d := range []*sqlengine.Dialect{
 		sqlengine.DialectOracle, sqlengine.DialectMySQL,
 		sqlengine.DialectMSSQL, sqlengine.DialectSQLite,
@@ -136,4 +136,14 @@ func TestEventIDsDense(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FactRow converts an event to a wide fact-table row.
+func FactRow(ev Event) sqlengine.Row {
+	row := make(sqlengine.Row, 0, 2+len(ev.Values))
+	row = append(row, sqlengine.NewInt(ev.ID), sqlengine.NewInt(ev.Run))
+	for _, v := range ev.Values {
+		row = append(row, sqlengine.NewFloat(v))
+	}
+	return row
 }

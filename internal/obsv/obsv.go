@@ -14,7 +14,6 @@ package obsv
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -172,17 +171,6 @@ func (r *Registry) Snapshot() map[string]interface{} {
 	return out
 }
 
-// SortedKeys returns the snapshot's keys in lexical order, for stable
-// text rendering by CLI clients.
-func SortedKeys(snap map[string]interface{}) []string {
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 func renderLabels(lbs []Label) string {
 	if len(lbs) == 0 {
 		return ""
@@ -233,12 +221,6 @@ type Gauge struct {
 // Add moves the gauge by delta (which may be negative).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 func (g *Gauge) family() (string, string, string) { return g.name, g.help, "gauge" }
 func (g *Gauge) labels() []Label                  { return g.lbs }
 func (g *Gauge) writeSamples(w io.Writer, labelStr string) {
@@ -255,9 +237,6 @@ type Histogram struct {
 
 // ObserveDuration records one latency sample.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.h.ObserveDuration(d) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.h.Count() }
 
 func (h *Histogram) family() (string, string, string) { return h.name, h.help, "histogram" }
 func (h *Histogram) labels() []Label                  { return h.lbs }

@@ -174,7 +174,7 @@ func TestConcurrentUpdatesRace(t *testing.T) {
 	if c.Value() != 8000 {
 		t.Errorf("counter = %d, want 8000", c.Value())
 	}
-	if h.Count() != 8000 {
-		t.Errorf("histogram count = %d, want 8000", h.Count())
+	if _, n, _ := h.h.Snapshot(); n != 8000 {
+		t.Errorf("histogram count = %d, want 8000", n)
 	}
 }

@@ -5,8 +5,9 @@
 // list of initialized handles), and one that takes a connection string, an
 // array of select fields, an array of table names and a WHERE clause and
 // returns a 2-D array with the query result. This package preserves that
-// surface, including POOL's two defining restrictions that motivated the
-// paper's Unity path: a query addresses tables within *one* database at a
+// call shape — the second method returns typed rows (QueryValuesContext)
+// or a row stream (QueryStreamContext) instead of strings — and POOL's
+// two defining restrictions that motivated the paper's Unity path: a query addresses tables within *one* database at a
 // time, and only POOL-supported vendors (Oracle, MySQL, SQLite — not
 // MS-SQL) are reachable.
 package poolral
@@ -103,17 +104,6 @@ func (r *RAL) InitHandler(connString, user, password string) error {
 	return nil
 }
 
-// Handles returns the connection strings of all initialized handles.
-func (r *RAL) Handles() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.handles))
-	for k := range r.handles {
-		out = append(out, k)
-	}
-	return out
-}
-
 func (r *RAL) handle(connString string) (*handle, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -171,15 +161,10 @@ func buildSelect(d *sqlengine.Dialect, fields, tables []string, where string) (s
 	return sb.String(), nil
 }
 
-// QueryValues is the typed form of Query: it executes the select described
-// by (fields, tables, where) on the database identified by connString and
-// returns a materialized result set.
-func (r *RAL) QueryValues(connString string, fields, tables []string, where string) (*sqlengine.ResultSet, error) {
-	return r.QueryValuesContext(context.Background(), connString, fields, tables, where)
-}
-
-// QueryValuesContext is QueryValues under a caller-supplied context. The
-// query runs on a dedicated connection checked out from the handle's pool
+// QueryValuesContext executes the select described by (fields, tables,
+// where) on the database identified by connString and returns a
+// materialized result set, under a caller-supplied context. The query
+// runs on a dedicated connection checked out from the handle's pool
 // (the paper's one-handle-per-database discipline), so cancelling ctx
 // interrupts the statement rather than just the row iteration.
 func (r *RAL) QueryValuesContext(ctx context.Context, connString string, fields, tables []string, where string) (*sqlengine.ResultSet, error) {
@@ -215,28 +200,6 @@ func (r *RAL) QueryStreamContext(ctx context.Context, connString string, fields,
 		return nil, fmt.Errorf("poolral: %s: %w", connString, err)
 	}
 	return sqlengine.SQLRows(rows, "poolral: "+connString, conn.Close)
-}
-
-// Query is method 2 of the JNI wrapper: it returns the result as a 2-D
-// string array (the paper's "2D array containing the results"), with NULL
-// rendered as the empty string.
-func (r *RAL) Query(connString string, fields, tables []string, where string) ([][]string, error) {
-	rs, err := r.QueryValues(connString, fields, tables, where)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]string, len(rs.Rows))
-	for i, row := range rs.Rows {
-		out[i] = make([]string, len(row))
-		for j, v := range row {
-			if v.IsNull() {
-				out[i][j] = ""
-			} else {
-				out[i][j] = v.String()
-			}
-		}
-	}
-	return out, nil
 }
 
 // Close tears down all handles.

@@ -39,8 +39,8 @@ func TestInitAndQuery(t *testing.T) {
 	if err := r.InitHandler(conn, "", ""); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Handles(); len(got) != 1 {
-		t.Fatalf("handles = %v", got)
+	if n := len(r.handles); n != 1 {
+		t.Fatalf("handles = %d", n)
 	}
 	rows, err := r.Query(conn, []string{"id", "e"}, []string{"ev"}, `"run" = 100`)
 	if err != nil {
@@ -67,7 +67,7 @@ func TestQueryValuesTyped(t *testing.T) {
 	if err := r.InitHandler(conn, "", ""); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := r.QueryValues(conn, []string{"id"}, []string{"ev"}, "")
+	rs, err := r.QueryValuesContext(context.Background(), conn, []string{"id"}, []string{"ev"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,4 +264,26 @@ func TestQueryStreamDeadContext(t *testing.T) {
 	if _, err := r.QueryStreamContext(ctx, conn, nil, []string{"ev"}, ""); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want canceled", err)
 	}
+}
+
+// Query renders the RAL's select as method 2 of the JNI wrapper did: a
+// 2-D string array (the paper's "2D array containing the results"), with
+// NULL rendered as the empty string.
+func (r *RAL) Query(connString string, fields, tables []string, where string) ([][]string, error) {
+	rs, err := r.QueryValuesContext(context.Background(), connString, fields, tables, where)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]string, len(rs.Rows))
+	for i, row := range rs.Rows {
+		out[i] = make([]string, len(row))
+		for j, v := range row {
+			if v.IsNull() {
+				out[i][j] = ""
+			} else {
+				out[i][j] = v.String()
+			}
+		}
+	}
+	return out, nil
 }

@@ -2,7 +2,7 @@
 // "the design of a system that could decide the closest available database
 // (in terms of network connectivity) from a set of replicated databases."
 //
-// A Prober periodically measures the round-trip time of a trivial probe
+// A Prober measures the round-trip time of a trivial probe
 // query against every member database of a Unity federation, smooths the
 // measurements with an exponentially weighted moving average, and installs
 // the result as the source's proximity cost. The federation's replica
@@ -33,37 +33,21 @@ type Prober struct {
 	ewma map[string]time.Duration
 	fail map[string]int
 
-	interval time.Duration
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-
-	// now and measure are injectable for tests.
+	// measure is injectable for tests and simulations.
 	measure func(source string) (time.Duration, error)
 }
 
-// NewProber creates a prober for a federation. interval <= 0 means probes
-// only run on explicit ProbeOnce calls.
-func NewProber(fed *unity.Federation, interval time.Duration) *Prober {
+// NewProber creates a prober for a federation; probes run on explicit
+// ProbeOnce calls.
+func NewProber(fed *unity.Federation) *Prober {
 	p := &Prober{
-		fed:      fed,
-		alpha:    DefaultAlpha,
-		ewma:     make(map[string]time.Duration),
-		fail:     make(map[string]int),
-		interval: interval,
-		stop:     make(chan struct{}),
+		fed:   fed,
+		alpha: DefaultAlpha,
+		ewma:  make(map[string]time.Duration),
+		fail:  make(map[string]int),
 	}
 	p.measure = p.measureRTT
 	return p
-}
-
-// SetAlpha overrides the EWMA smoothing factor (0 < alpha <= 1).
-func (p *Prober) SetAlpha(a float64) {
-	if a > 0 && a <= 1 {
-		p.mu.Lock()
-		p.alpha = a
-		p.mu.Unlock()
-	}
 }
 
 // measureRTT times one probe query against a source.
@@ -106,41 +90,6 @@ func (p *Prober) ProbeOnce() map[string]time.Duration {
 		}
 	}
 	return out
-}
-
-// Cost returns the current smoothed cost for a source.
-func (p *Prober) Cost(source string) (time.Duration, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	c, ok := p.ewma[source]
-	return c, ok
-}
-
-// Start launches periodic probing.
-func (p *Prober) Start() {
-	if p.interval <= 0 {
-		return
-	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		ticker := time.NewTicker(p.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-ticker.C:
-				p.ProbeOnce()
-			}
-		}
-	}()
-}
-
-// Stop halts periodic probing.
-func (p *Prober) Stop() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	p.wg.Wait()
 }
 
 // SetMeasureFunc injects a custom measurement function (tests and

@@ -48,7 +48,7 @@ func replicatedFederation(t *testing.T) *unity.Federation {
 
 func TestProximitySteersReplicaSelection(t *testing.T) {
 	f := replicatedFederation(t)
-	p := NewProber(f, 0)
+	p := NewProber(f)
 	p.SetMeasureFunc(func(source string) (time.Duration, error) {
 		if source == "px_near" {
 			return 2 * time.Millisecond, nil
@@ -86,8 +86,8 @@ func TestWithoutProbesLoadBalancingStillSpreads(t *testing.T) {
 
 func TestEWMASmoothing(t *testing.T) {
 	f := replicatedFederation(t)
-	p := NewProber(f, 0)
-	p.SetAlpha(0.5)
+	p := NewProber(f)
+	p.alpha = 0.5
 	samples := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
 	i := 0
 	p.SetMeasureFunc(func(source string) (time.Duration, error) {
@@ -95,8 +95,7 @@ func TestEWMASmoothing(t *testing.T) {
 	})
 	p.ProbeOnce() // 10ms baseline
 	i = 1
-	p.ProbeOnce() // ewma = 0.5*20 + 0.5*10 = 15ms
-	c, ok := p.Cost("px_near")
+	c, ok := p.ProbeOnce()["px_near"] // ewma = 0.5*20 + 0.5*10 = 15ms
 	if !ok || c != 15*time.Millisecond {
 		t.Fatalf("ewma = %v", c)
 	}
@@ -104,7 +103,7 @@ func TestEWMASmoothing(t *testing.T) {
 
 func TestFailurePoisonsReplica(t *testing.T) {
 	f := replicatedFederation(t)
-	p := NewProber(f, 0)
+	p := NewProber(f)
 	p.SetMeasureFunc(func(source string) (time.Duration, error) {
 		if source == "px_far" {
 			return 0, fmt.Errorf("unreachable")
@@ -113,14 +112,11 @@ func TestFailurePoisonsReplica(t *testing.T) {
 	})
 	// Three consecutive failures mark the replica as effectively
 	// unavailable.
+	var costs map[string]time.Duration
 	for i := 0; i < 3; i++ {
-		p.ProbeOnce()
+		costs = p.ProbeOnce()
 	}
-	cost, err := f.SourceCost("px_far")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost < time.Hour {
+	if cost := costs["px_far"]; cost < time.Hour {
 		t.Fatalf("failed replica cost = %v, want poisoned", cost)
 	}
 	plan, err := f.PlanQuery("SELECT v FROM caldata")
@@ -132,37 +128,9 @@ func TestFailurePoisonsReplica(t *testing.T) {
 	}
 }
 
-func TestPeriodicProbing(t *testing.T) {
-	f := replicatedFederation(t)
-	p := NewProber(f, 5*time.Millisecond)
-	calls := make(chan string, 64)
-	p.SetMeasureFunc(func(source string) (time.Duration, error) {
-		select {
-		case calls <- source:
-		default:
-		}
-		return time.Millisecond, nil
-	})
-	p.Start()
-	defer p.Stop()
-	deadline := time.After(2 * time.Second)
-	seen := 0
-	for seen < 4 {
-		select {
-		case <-calls:
-			seen++
-		case <-deadline:
-			t.Fatalf("only %d probe calls before deadline", seen)
-		}
-	}
-}
-
 func TestSetSourceCostUnknown(t *testing.T) {
 	f := replicatedFederation(t)
 	if err := f.SetSourceCost("nosuch", time.Second); err == nil {
 		t.Error("unknown source accepted")
-	}
-	if _, err := f.SourceCost("nosuch"); err == nil {
-		t.Error("unknown source cost readable")
 	}
 }

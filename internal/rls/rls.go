@@ -198,13 +198,6 @@ func (s *Server) Lookup(table string) []string {
 	return out
 }
 
-// TableCount reports how many live tables are registered.
-func (s *Server) TableCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.tables)
-}
-
 func decodeJSON(r *http.Request, v interface{}) error {
 	defer r.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
@@ -282,13 +275,9 @@ func (c *Client) post(path string, body interface{}) error {
 	return nil
 }
 
-// Lookup asks the catalog which servers host a table.
-func (c *Client) Lookup(table string) ([]string, error) {
-	return c.LookupContext(context.Background(), table)
-}
-
-// LookupContext is Lookup under a caller-supplied context, so an
-// abandoned federated query does not keep waiting on the catalog.
+// LookupContext asks the catalog which servers host a table, under a
+// caller-supplied context so an abandoned federated query does not keep
+// waiting on the catalog.
 func (c *Client) LookupContext(ctx context.Context, table string) ([]string, error) {
 	c.charge()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/lookup?table="+url.QueryEscape(table), nil)

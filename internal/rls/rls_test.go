@@ -1,6 +1,7 @@
 package rls
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ func TestPublishLookup(t *testing.T) {
 	if err := c.Publish("http://jclarens-2:8080", []string{"fact_nt"}); err != nil {
 		t.Fatal(err)
 	}
-	servers, err := c.Lookup("fact_nt")
+	servers, err := c.LookupContext(context.Background(), "fact_nt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,16 +35,16 @@ func TestPublishLookup(t *testing.T) {
 		t.Fatalf("servers = %v", servers)
 	}
 	// Lookup is case-insensitive (table names are normalized).
-	servers, err = c.Lookup("FACT_NT")
+	servers, err = c.LookupContext(context.Background(), "FACT_NT")
 	if err != nil || len(servers) != 2 {
 		t.Fatalf("case-insensitive lookup: %v %v", servers, err)
 	}
-	servers, err = c.Lookup("dim_run")
+	servers, err = c.LookupContext(context.Background(), "dim_run")
 	if err != nil || len(servers) != 1 {
 		t.Fatalf("dim_run: %v %v", servers, err)
 	}
 	// Unknown tables return no servers, not an error.
-	servers, err = c.Lookup("nosuch")
+	servers, err = c.LookupContext(context.Background(), "nosuch")
 	if err != nil || len(servers) != 0 {
 		t.Fatalf("unknown: %v %v", servers, err)
 	}
@@ -57,17 +58,17 @@ func TestUnpublish(t *testing.T) {
 	if err := c.Unpublish("http://a", []string{"t1"}); err != nil {
 		t.Fatal(err)
 	}
-	if servers, _ := c.Lookup("t1"); len(servers) != 0 {
+	if servers, _ := c.LookupContext(context.Background(), "t1"); len(servers) != 0 {
 		t.Fatalf("t1 still mapped: %v", servers)
 	}
-	if servers, _ := c.Lookup("t2"); len(servers) != 1 {
+	if servers, _ := c.LookupContext(context.Background(), "t2"); len(servers) != 1 {
 		t.Fatalf("t2 lost: %v", servers)
 	}
 	// Unpublish-all for a server.
 	if err := c.Unpublish("http://a", nil); err != nil {
 		t.Fatal(err)
 	}
-	if servers, _ := c.Lookup("t2"); len(servers) != 0 {
+	if servers, _ := c.LookupContext(context.Background(), "t2"); len(servers) != 0 {
 		t.Fatalf("t2 survived unpublish-all: %v", servers)
 	}
 }
@@ -85,18 +86,18 @@ func TestTTLExpiry(t *testing.T) {
 	if err := c.Publish("http://a", []string{"t"}); err != nil {
 		t.Fatal(err)
 	}
-	if servers, _ := c.Lookup("t"); len(servers) != 1 {
+	if servers, _ := c.LookupContext(context.Background(), "t"); len(servers) != 1 {
 		t.Fatalf("before expiry: %v", servers)
 	}
 	now = now.Add(2 * time.Minute) // past TTL
-	if servers, _ := c.Lookup("t"); len(servers) != 0 {
+	if servers, _ := c.LookupContext(context.Background(), "t"); len(servers) != 0 {
 		t.Fatalf("after expiry: %v", servers)
 	}
 	// Re-publish renews.
 	if err := c.Publish("http://a", []string{"t"}); err != nil {
 		t.Fatal(err)
 	}
-	if servers, _ := c.Lookup("t"); len(servers) != 1 {
+	if servers, _ := c.LookupContext(context.Background(), "t"); len(servers) != 1 {
 		t.Fatalf("after renewal: %v", servers)
 	}
 }
@@ -109,7 +110,7 @@ func TestBadRequests(t *testing.T) {
 	if err := c.Publish("http://a", nil); err == nil {
 		t.Error("empty tables accepted")
 	}
-	if _, err := NewClient(c.BaseURL).Lookup(""); err == nil {
+	if _, err := NewClient(c.BaseURL).LookupContext(context.Background(), ""); err == nil {
 		t.Error("empty table lookup accepted")
 	}
 }
@@ -122,7 +123,7 @@ func TestClientNetsimCharging(t *testing.T) {
 	if err := c.Publish("http://a", []string{"t"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Lookup("t"); err != nil {
+	if _, err := c.LookupContext(context.Background(), "t"); err != nil {
 		t.Fatal(err)
 	}
 	if clock.Simulated() != 2*time.Millisecond {
@@ -138,7 +139,7 @@ func TestServerSideLookupAndCount(t *testing.T) {
 	if got := s.Lookup("x"); len(got) != 1 {
 		t.Fatalf("server lookup: %v", got)
 	}
-	if s.TableCount() != 2 {
-		t.Fatalf("table count = %d", s.TableCount())
+	if n := len(s.tables); n != 2 {
+		t.Fatalf("table count = %d", n)
 	}
 }

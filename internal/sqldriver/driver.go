@@ -78,10 +78,6 @@ func init() {
 	sql.Register("gridsql-sqlite", &Driver{Dialect: sqlengine.DialectSQLite})
 }
 
-// DriverNameFor returns the vendor driver name for a dialect, mirroring the
-// upper-level XSpec's "driver" attribute.
-func DriverNameFor(d *sqlengine.Dialect) string { return d.DriverName }
-
 // backend abstracts local sessions and remote wire clients.
 type backend interface {
 	query(sql string, params []sqlengine.Value) (*sqlengine.ResultSet, error)

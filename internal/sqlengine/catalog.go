@@ -61,9 +61,6 @@ type Database struct {
 	name   string
 	tables map[string]*Table
 	views  map[string]*View
-	// schemaVersion increments on any DDL change; the XSpec tracker uses it
-	// cheaply to detect drift.
-	schemaVersion uint64
 	// pathHook, when set (by tests, under mu), observes the access path
 	// each SELECT takes to read a table.
 	pathHook func(table, path string)
@@ -81,13 +78,6 @@ func NewDatabase(name string) *Database {
 // Name returns the database name.
 func (db *Database) Name() string { return db.name }
 
-// SchemaVersion returns a counter that increments on every DDL change.
-func (db *Database) SchemaVersion() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.schemaVersion
-}
-
 // TableNames returns the sorted table names.
 func (db *Database) TableNames() []string {
 	db.mu.RLock()
@@ -98,42 +88,6 @@ func (db *Database) TableNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// ViewNames returns the sorted view names.
-func (db *Database) ViewNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.views))
-	for n := range db.views {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TableSchema returns a copy of the column definitions for a table.
-func (db *Database) TableSchema(name string) ([]Column, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[normalizeName(name)]
-	if !ok {
-		return nil, fmt.Errorf("sqlengine: %s: no such table %q", db.name, name)
-	}
-	out := make([]Column, len(t.Columns))
-	copy(out, t.Columns)
-	return out, nil
-}
-
-// RowCount returns the number of rows in a table.
-func (db *Database) RowCount(name string) (int, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[normalizeName(name)]
-	if !ok {
-		return 0, fmt.Errorf("sqlengine: %s: no such table %q", db.name, name)
-	}
-	return len(t.Rows), nil
 }
 
 func (t *Table) colPos(name string) (int, bool) {

@@ -12,9 +12,8 @@ type Engine struct {
 	db      *Database
 	dialect *Dialect
 
-	mu       sync.Mutex
-	users    map[string]string // username -> password; empty means open
-	execHook func(stmt Statement)
+	mu    sync.Mutex
+	users map[string]string // username -> password; empty means open
 }
 
 // NewEngine creates an empty database engine speaking the given dialect.
@@ -112,9 +111,6 @@ func (s *Session) Run(sql string, params ...Value) (*ResultSet, int64, error) {
 // RunStmt executes a parsed statement in this session.
 func (s *Session) RunStmt(st Statement, params []Value) (*ResultSet, int64, error) {
 	e := s.eng
-	if e.execHook != nil {
-		e.execHook(st)
-	}
 	switch x := st.(type) {
 	case *SelectStmt:
 		e.db.mu.RLock()
@@ -151,7 +147,6 @@ func (s *Session) RunStmt(st Statement, params []Value) (*ResultSet, int64, erro
 			return nil, 0, fmt.Errorf("sqlengine: %s: %q already exists as a table", e.db.name, x.View)
 		}
 		e.db.views[x.View] = &View{Name: x.View, Stmt: x.Select, Text: x.Text}
-		e.db.schemaVersion++
 		return nil, 0, nil
 	case *CreateIndexStmt:
 		e.db.mu.Lock()
@@ -284,9 +279,6 @@ func (s *Session) Rollback() error {
 	}
 	return s.execTx(&TxStmt{Kind: "ROLLBACK"})
 }
-
-// Begin opens a transaction.
-func (s *Session) Begin() error { return s.execTx(&TxStmt{Kind: "BEGIN"}) }
 
 // Commit commits the open transaction.
 func (s *Session) Commit() error { return s.execTx(&TxStmt{Kind: "COMMIT"}) }
@@ -549,7 +541,6 @@ func (s *Session) execCreateTable(x *CreateTableStmt) error {
 	}
 	t.rebuildIndexes()
 	db.tables[x.Table] = t
-	db.schemaVersion++
 	return nil
 }
 
@@ -578,7 +569,6 @@ func (s *Session) execCreateIndex(x *CreateIndexStmt) error {
 			}
 		}
 	}
-	db.schemaVersion++
 	return nil
 }
 
@@ -615,7 +605,6 @@ func (s *Session) execDrop(x *DropStmt) error {
 	default:
 		return fmt.Errorf("sqlengine: unknown DROP kind %q", x.Kind)
 	}
-	db.schemaVersion++
 	return nil
 }
 
@@ -648,7 +637,6 @@ func (s *Session) execAlterAdd(x *AlterAddColumnStmt) error {
 	for i := range t.Rows {
 		t.Rows[i] = append(t.Rows[i], fill)
 	}
-	db.schemaVersion++
 	return nil
 }
 
@@ -702,27 +690,9 @@ func (e *Engine) ViewText(name string) (string, error) {
 	return "", fmt.Errorf("sqlengine: view %q has no stored text", name)
 }
 
-// HasTable reports whether a table (or view) exists.
-func (e *Engine) HasTable(name string) bool {
-	e.db.mu.RLock()
-	defer e.db.mu.RUnlock()
-	n := normalizeName(name)
-	_, t := e.db.tables[n]
-	_, v := e.db.views[n]
-	return t || v
-}
-
 // String implements fmt.Stringer for diagnostics.
 func (e *Engine) String() string {
 	return fmt.Sprintf("Engine(%s, %s, %d tables)", e.db.Name(), e.dialect.Name, len(e.db.TableNames()))
-}
-
-// SetExecHook installs a statement observer used by tests and the load
-// balancer instrumentation; pass nil to clear.
-func (e *Engine) SetExecHook(h func(Statement)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.execHook = h
 }
 
 // ParseSQL parses a statement in this engine's dialect without executing

@@ -374,7 +374,7 @@ func TestParams(t *testing.T) {
 func TestTransactions(t *testing.T) {
 	e := newTestDB(t)
 	s := e.NewSession()
-	if err := s.Begin(); err != nil {
+	if _, _, err := s.Run(`BEGIN`); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Run(`DELETE FROM events`); err != nil {
@@ -392,7 +392,7 @@ func TestTransactions(t *testing.T) {
 		t.Fatalf("rollback did not restore rows: %v", rs.Rows[0][0])
 	}
 	// commit path
-	if err := s.Begin(); err != nil {
+	if _, _, err := s.Run(`BEGIN`); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Run(`DELETE FROM events WHERE id = 1`); err != nil {

@@ -110,10 +110,6 @@ type StreamPlan struct {
 	Subqueries []StreamSource
 }
 
-// Columns returns the plan's output column names (the first branch's,
-// matching engine UNION semantics).
-func (p *StreamPlan) Columns() []string { return p.Branches[0].OutCols }
-
 // sortKey is one resolved ORDER BY key: an ordinal into the projected row.
 type sortKey struct {
 	idx  int

@@ -83,7 +83,7 @@ func (f *Federation) ExtractRALParts(sqlText string) (*RALParts, bool, error) {
 // RALPartsFor decides whether a planned query fits the POOL-RAL interface
 // (single database, plain column projection, optional WHERE; no joins
 // across databases, aggregates, grouping, ordering, limits or parameters)
-// and if so returns the pieces for RAL.Query, derived from the statement
+// and if so returns the pieces for the RAL's select call, derived from the statement
 // and source the plan retained.
 func (f *Federation) RALPartsFor(plan *Plan) (*RALParts, bool) {
 	sel := plan.sel

@@ -40,10 +40,6 @@ type Source struct {
 	cost atomic.Int64
 }
 
-// Inflight returns the number of sub-queries currently executing on this
-// source (the load-distribution signal).
-func (s *Source) Inflight() int64 { return s.inflight.Load() }
-
 // Federation is the Unity-style federated query engine.
 type Federation struct {
 	mu      sync.RWMutex
@@ -187,11 +183,6 @@ func (f *Federation) Sources() []string {
 		out = append(out, n)
 	}
 	return out
-}
-
-// HasTable reports whether a logical table is known to the federation.
-func (f *Federation) HasTable(logical string) bool {
-	return len(f.Dictionary().Lookup(logical)) > 0
 }
 
 // Stats reports cumulative counters: total queries, sub-queries issued,
@@ -503,17 +494,6 @@ func (f *Federation) SetSourceCost(name string, cost time.Duration) error {
 	}
 	s.cost.Store(int64(cost))
 	return nil
-}
-
-// SourceCost reports the recorded proximity cost of a source.
-func (f *Federation) SourceCost(name string) (time.Duration, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	s, ok := f.sources[name]
-	if !ok {
-		return 0, fmt.Errorf("unity: no source %q", name)
-	}
-	return time.Duration(s.cost.Load()), nil
 }
 
 // pickSource implements replica selection: proximity first (lowest

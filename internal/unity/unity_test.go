@@ -261,7 +261,7 @@ func TestAddRemoveSourceAtRuntime(t *testing.T) {
 	if err := f.RemoveSource("laptop"); err != nil {
 		t.Fatal(err)
 	}
-	if f.HasTable("calib") {
+	if len(f.Dictionary().Lookup("calib")) > 0 {
 		t.Fatal("removed source still visible")
 	}
 	if err := f.RemoveSource("laptop"); err == nil {

@@ -72,14 +72,6 @@ func (s *Server) AddEngine(e *sqlengine.Engine) {
 	s.engines[e.Name()] = e
 }
 
-// Engine returns a hosted engine by name.
-func (s *Server) Engine(name string) (*sqlengine.Engine, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.engines[name]
-	return e, ok
-}
-
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
 // returns the bound address.
 func (s *Server) Listen(addr string) (string, error) {
@@ -274,12 +266,6 @@ func (c *Client) Exec(sql string, params ...sqlengine.Value) (int64, error) {
 		return 0, err
 	}
 	return resp.RowsAffected, nil
-}
-
-// Ping verifies the connection is alive.
-func (c *Client) Ping() error {
-	_, err := c.roundTrip(&Request{Op: "ping"})
-	return err
 }
 
 // Close tears down the connection.

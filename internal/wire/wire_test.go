@@ -57,7 +57,7 @@ func TestQueryExecRoundTrip(t *testing.T) {
 	if err != nil || rs.Rows[0][0].Int != 3 {
 		t.Fatalf("count after insert: %v %v", rs, err)
 	}
-	if err := c.Ping(); err != nil {
+	if _, err := c.roundTrip(&Request{Op: "ping"}); err != nil {
 		t.Fatal(err)
 	}
 }

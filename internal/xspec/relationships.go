@@ -103,9 +103,3 @@ func splitRef(ref string) (table, column string, ok bool) {
 	}
 	return ref[:i], ref[i+1:], true
 }
-
-// SQLJoinCondition renders a hint as an SQL ON condition over logical
-// names.
-func (h JoinHint) SQLJoinCondition() string {
-	return fmt.Sprintf("%s.%s = %s.%s", h.LeftTable, h.LeftColumn, h.RightTable, h.RightColumn)
-}

@@ -1,6 +1,7 @@
 package xspec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -107,4 +108,10 @@ func TestSplitRef(t *testing.T) {
 			t.Errorf("splitRef(%q) accepted", bad)
 		}
 	}
+}
+
+// SQLJoinCondition renders a hint as an SQL ON condition over logical
+// names.
+func (h JoinHint) SQLJoinCondition() string {
+	return fmt.Sprintf("%s.%s = %s.%s", h.LeftTable, h.LeftColumn, h.RightTable, h.RightColumn)
 }

@@ -159,24 +159,6 @@ func ParseLower(data []byte) (*LowerSpec, error) {
 	return &s, nil
 }
 
-// Marshal renders the upper-level spec as XML.
-func (u *UpperSpec) Marshal() ([]byte, error) {
-	out, err := xml.MarshalIndent(u, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(xml.Header), append(out, '\n')...), nil
-}
-
-// ParseUpper parses an upper-level spec document.
-func ParseUpper(data []byte) (*UpperSpec, error) {
-	var u UpperSpec
-	if err := xml.Unmarshal(data, &u); err != nil {
-		return nil, fmt.Errorf("xspec: parse upper spec: %w", err)
-	}
-	return &u, nil
-}
-
 // Fingerprint is the change-detection token from §4.9: the spec's size and
 // MD5 sum. Two fingerprints are compared size-first (cheap), then by sum.
 type Fingerprint struct {

@@ -1,6 +1,8 @@
 package xspec
 
 import (
+	"encoding/xml"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -192,4 +194,22 @@ func TestDictionary(t *testing.T) {
 	if d.Lookup("nosuch") != nil {
 		t.Error("unknown lookup should be nil")
 	}
+}
+
+// ParseUpper parses an upper-level spec document.
+func ParseUpper(data []byte) (*UpperSpec, error) {
+	var u UpperSpec
+	if err := xml.Unmarshal(data, &u); err != nil {
+		return nil, fmt.Errorf("xspec: parse upper spec: %w", err)
+	}
+	return &u, nil
+}
+
+// Marshal renders the upper-level spec as XML.
+func (u *UpperSpec) Marshal() ([]byte, error) {
+	out, err := xml.MarshalIndent(u, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(xml.Header), append(out, '\n')...), nil
 }
