@@ -76,7 +76,7 @@ func TestGridCrossServerQuery(t *testing.T) {
 	if len(qr.Rows) != 3 || qr.Servers != 2 {
 		t.Fatalf("rows=%d servers=%d", len(qr.Rows), qr.Servers)
 	}
-	if qr.Rows[2][1].Str != "ATLAS" {
+	if qr.Rows[2][1].Str() != "ATLAS" {
 		t.Fatalf("join content: %v", qr.Rows)
 	}
 }
@@ -92,7 +92,7 @@ func TestGridXMLRPCClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rows) != 2 || rs.Rows[0][0].Str != "CMS" {
+	if len(rs.Rows) != 2 || rs.Rows[0][0].Str() != "CMS" {
 		t.Fatalf("rows: %v", rs.Rows)
 	}
 }

@@ -22,13 +22,13 @@ func boxedRows(rows []sqlengine.Row) []interface{} {
 			case sqlengine.KindFloat:
 				r[j] = v.Float
 			case sqlengine.KindString:
-				r[j] = v.Str
+				r[j] = v.Str()
 			case sqlengine.KindBool:
-				r[j] = v.Bool
+				r[j] = v.Bool()
 			case sqlengine.KindTime:
-				r[j] = v.Time
+				r[j] = v.Time()
 			case sqlengine.KindBytes:
-				r[j] = v.Bytes
+				r[j] = v.Bytes()
 			}
 		}
 		out[i] = r
@@ -65,7 +65,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if len(got.Columns) != 6 || len(got.Rows) != 1 {
 		t.Fatalf("round trip shape: %v", got)
 	}
-	if got.Rows[0][0].Int != 42 || got.Rows[0][2].Str != "hello" || !got.Rows[0][5].IsNull() {
+	if got.Rows[0][0].Int != 42 || got.Rows[0][2].Str() != "hello" || !got.Rows[0][5].IsNull() {
 		t.Fatalf("round trip values: %v", got.Rows[0])
 	}
 }

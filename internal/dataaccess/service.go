@@ -604,13 +604,13 @@ func cacheKey(sqlText string, params []sqlengine.Value) string {
 		case sqlengine.KindFloat:
 			field('f', strconv.FormatFloat(p.Float, 'g', -1, 64))
 		case sqlengine.KindString:
-			field('s', p.Str)
+			field('s', p.Str())
 		case sqlengine.KindBool:
-			field('b', strconv.FormatBool(p.Bool))
+			field('b', strconv.FormatBool(p.Bool()))
 		case sqlengine.KindTime:
-			field('t', p.Time.UTC().Format(time.RFC3339Nano))
+			field('t', p.Time().Format(time.RFC3339Nano))
 		case sqlengine.KindBytes:
-			field('y', string(p.Bytes))
+			field('y', p.Str())
 		}
 	}
 	return b.String()

@@ -371,7 +371,7 @@ func TestEncodeDecodeResult(t *testing.T) {
 	if len(back.Rows) != 2 || back.Columns[2] != "c" {
 		t.Fatalf("round trip: %+v", back)
 	}
-	if !back.Rows[1][0].IsNull() || !back.Rows[1][1].Bool {
+	if !back.Rows[1][0].IsNull() || !back.Rows[1][1].Bool() {
 		t.Fatalf("values: %v", back.Rows[1])
 	}
 	if _, err := DecodeResult("garbage"); err == nil {

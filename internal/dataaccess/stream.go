@@ -201,7 +201,7 @@ func (it *cacheFillIter) Close() error { return it.inner.Close() }
 func rowBytes(row sqlengine.Row) int64 {
 	n := sliceHdrBytes + int64(len(row))*valueBytes
 	for _, v := range row {
-		n += int64(len(v.Str)) + int64(len(v.Bytes))
+		n += int64(len(v.Str()))
 	}
 	return n
 }

@@ -67,13 +67,13 @@ func encodeCell(e *clarens.Encoder, v sqlengine.Value) {
 	case sqlengine.KindFloat:
 		e.Float(v.Float)
 	case sqlengine.KindString:
-		e.String(v.Str)
+		e.String(v.Str())
 	case sqlengine.KindBool:
-		e.Bool(v.Bool)
+		e.Bool(v.Bool())
 	case sqlengine.KindTime:
-		e.Time(v.Time)
+		e.Time(v.Time())
 	case sqlengine.KindBytes:
-		e.Bytes(v.Bytes)
+		e.Bytes(v.Bytes())
 	default:
 		e.Nil()
 	}
@@ -146,12 +146,16 @@ func valueFromScalar(sc clarens.Scalar) sqlengine.Value {
 // DecodeRowsFrom decodes a rows payload (array of arrays of scalars)
 // straight off the streaming wire decoder into engine rows — the
 // zero-boxing counterpart of DecodeRows. Every row is allocated once, at
-// the first row's width.
+// the first row's width, and the row list once, at its final length.
 func DecodeRowsFrom(d *clarens.Decoder) ([]sqlengine.Row, error) {
-	rows := []sqlengine.Row{}
-	width := 0
+	buf := rowScratchPool.Get().(*rowScratch)
+	defer buf.release()
+	width := -1
 	err := d.DecodeArray(func(d *clarens.Decoder) error {
-		row := make(sqlengine.Row, 0, width)
+		row := buf.first[:0]
+		if width >= 0 {
+			row = make(sqlengine.Row, 0, width)
+		}
 		if err := d.DecodeArray(func(d *clarens.Decoder) error {
 			sc, err := d.Scalar()
 			if err != nil {
@@ -162,16 +166,40 @@ func DecodeRowsFrom(d *clarens.Decoder) ([]sqlengine.Row, error) {
 		}); err != nil {
 			return err
 		}
-		if len(rows) == 0 {
-			width = len(row)
+		if width < 0 {
+			width, buf.first = len(row), row
+			row = append(make(sqlengine.Row, 0, width), row...)
 		}
-		rows = append(rows, row)
+		buf.rows = append(buf.rows, row)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	rows := make([]sqlengine.Row, len(buf.rows))
+	copy(rows, buf.rows)
 	return rows, nil
+}
+
+// rowScratch is DecodeRowsFrom's pooled working space: the growing row
+// list, copied out at its final length, and the first row, decoded before
+// the width is known and copied out at it.
+type rowScratch struct {
+	rows  []sqlengine.Row
+	first sqlengine.Row
+}
+
+var rowScratchPool = sync.Pool{New: func() interface{} { return new(rowScratch) }}
+
+// release clears the scratch (so the pool pins no decoded value) and
+// pools it unless one huge page grew it.
+func (sc *rowScratch) release() {
+	clear(sc.rows)
+	clear(sc.first)
+	sc.rows, sc.first = sc.rows[:0], sc.first[:0]
+	if cap(sc.rows) <= 1<<14 {
+		rowScratchPool.Put(sc)
+	}
 }
 
 // DecodeResultFrom decodes a {columns, rows|rowsb} result payload off the
@@ -352,25 +380,26 @@ func AppendRowsBinary(dst []byte, rows []sqlengine.Row) []byte {
 			case sqlengine.KindFloat:
 				dst = append(dst, cellFloat)
 				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float))
-			case sqlengine.KindString:
-				dst = append(dst, cellStr)
-				dst = binary.AppendUvarint(dst, uint64(len(v.Str)))
-				dst = append(dst, v.Str...)
+			case sqlengine.KindString, sqlengine.KindBytes:
+				tag := byte(cellStr)
+				if v.Kind == sqlengine.KindBytes {
+					tag = cellBytes
+				}
+				s := v.Str()
+				dst = append(dst, tag)
+				dst = binary.AppendUvarint(dst, uint64(len(s)))
+				dst = append(dst, s...)
 			case sqlengine.KindBool:
-				if v.Bool {
+				if v.Bool() {
 					dst = append(dst, cellTrue)
 				} else {
 					dst = append(dst, cellFalse)
 				}
 			case sqlengine.KindTime:
-				t := v.Time.UTC()
+				t := v.Time()
 				dst = append(dst, cellTime)
 				dst = binary.AppendVarint(dst, t.Unix())
 				dst = binary.AppendUvarint(dst, uint64(t.Nanosecond()))
-			case sqlengine.KindBytes:
-				dst = append(dst, cellBytes)
-				dst = binary.AppendUvarint(dst, uint64(len(v.Bytes)))
-				dst = append(dst, v.Bytes...)
 			default:
 				dst = append(dst, cellNull)
 			}
@@ -489,7 +518,7 @@ func DecodeRowsBinary(data []byte) ([]sqlengine.Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, sqlengine.NewBytes(append([]byte(nil), b...)))
+				row = append(row, sqlengine.NewBytes(b))
 			default:
 				return nil, fmt.Errorf("dataaccess: unknown row frame cell kind %d", kind)
 			}

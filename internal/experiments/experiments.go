@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"gridrdb/internal/clarens"
@@ -344,9 +345,10 @@ func Table1Queries() []string {
 	}
 }
 
-// RunTable1 measures the three queries through the XML-RPC interface,
-// averaging over repeats (the paper averaged observations taken at
-// different times).
+// RunTable1 measures the three queries through the XML-RPC interface:
+// the median of repeats timed calls after one warm-up call each (the
+// paper averaged observations taken at different times; the median keeps
+// one call stalled by a busy host from reordering the rows).
 func RunTable1(d *Deployment, repeats int) ([]Table1Row, error) {
 	if repeats <= 0 {
 		repeats = 3
@@ -357,16 +359,24 @@ func RunTable1(d *Deployment, repeats int) ([]Table1Row, error) {
 		{Servers: 1, Distributed: true, Tables: 2},
 		{Servers: 2, Distributed: true, Tables: 4},
 	}
-	for qi, q := range Table1Queries() {
-		var total time.Duration
-		for r := 0; r < repeats; r++ {
+	queries := Table1Queries()
+	// The cold first call pays one-time costs (connections, plans) that
+	// are not the query's response time. The timed calls interleave the
+	// queries, so a burst of load on the host slows all three alike.
+	took := make([][]time.Duration, len(queries))
+	for r := -1; r < repeats; r++ {
+		for qi, q := range queries {
 			start := time.Now()
 			if _, err := client.Call("dataaccess.query", q); err != nil {
 				return nil, fmt.Errorf("table1 q%d: %w", qi+1, err)
 			}
-			total += time.Since(start)
+			if r >= 0 {
+				took[qi] = append(took[qi], time.Since(start))
+			}
 		}
-		rows[qi].ResponseMS = float64(total.Milliseconds()) / float64(repeats)
+	}
+	for qi := range queries {
+		rows[qi].ResponseMS = medianMS(took[qi])
 	}
 	return rows, nil
 }
@@ -380,8 +390,9 @@ type Fig6Row struct {
 // Fig6RowCounts mirrors the paper's x-axis (21 ... 2551 rows).
 var Fig6RowCounts = []int{21, 51, 301, 451, 700, 801, 901, 1701, 1751, 2251, 2451, 2551}
 
-// RunFig6 measures response time versus the number of rows requested,
-// using the distributed two-table query shape with a LIMIT sweep.
+// RunFig6 measures response time (the median of repeats calls) versus the
+// number of rows requested, using the distributed two-table query shape
+// with a LIMIT sweep.
 func RunFig6(d *Deployment, rowCounts []int, repeats int) ([]Fig6Row, error) {
 	if repeats <= 0 {
 		repeats = 3
@@ -390,7 +401,7 @@ func RunFig6(d *Deployment, rowCounts []int, repeats int) ([]Fig6Row, error) {
 	var out []Fig6Row
 	for _, n := range rowCounts {
 		q := fmt.Sprintf("SELECT event_id, run, e_tot FROM ev1 LIMIT %d", n)
-		var total time.Duration
+		var took []time.Duration
 		var got int
 		for r := 0; r < repeats; r++ {
 			start := time.Now()
@@ -398,7 +409,7 @@ func RunFig6(d *Deployment, rowCounts []int, repeats int) ([]Fig6Row, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig6 rows=%d: %w", n, err)
 			}
-			total += time.Since(start)
+			took = append(took, time.Since(start))
 			rs, err := dataaccess.DecodeResult(res)
 			if err != nil {
 				return nil, err
@@ -408,7 +419,18 @@ func RunFig6(d *Deployment, rowCounts []int, repeats int) ([]Fig6Row, error) {
 		if got == 0 {
 			return nil, fmt.Errorf("fig6 rows=%d returned nothing", n)
 		}
-		out = append(out, Fig6Row{RowsRequested: n, ResponseMS: float64(total.Milliseconds()) / float64(repeats)})
+		out = append(out, Fig6Row{RowsRequested: n, ResponseMS: medianMS(took)})
 	}
 	return out, nil
+}
+
+// medianMS is the median of the durations, in fractional milliseconds.
+func medianMS(took []time.Duration) float64 {
+	sorted := slices.Clone(took)
+	slices.Sort(sorted)
+	m := sorted[len(sorted)/2]
+	if len(sorted)%2 == 0 {
+		m = (sorted[len(sorted)/2-1] + m) / 2
+	}
+	return float64(m) / float64(time.Millisecond)
 }

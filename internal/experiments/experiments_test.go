@@ -56,7 +56,7 @@ func TestTable1AndFig6SmallDeployment(t *testing.T) {
 	}
 	defer d.Close()
 
-	rows, err := RunTable1(d, 1)
+	rows, err := RunTable1(d, 15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,13 +349,13 @@ func valueToDriver(v sqlengine.Value) driver.Value {
 	case sqlengine.KindFloat:
 		return v.Float
 	case sqlengine.KindString:
-		return v.Str
+		return v.Str()
 	case sqlengine.KindBool:
-		return v.Bool
+		return v.Bool()
 	case sqlengine.KindTime:
-		return v.Time
+		return v.Time()
 	case sqlengine.KindBytes:
-		return append([]byte(nil), v.Bytes...)
+		return v.Bytes()
 	}
 	return nil
 }

@@ -231,7 +231,7 @@ func TestToValue(t *testing.T) {
 	if v, err := ToValue(nil); err != nil || !v.IsNull() {
 		t.Errorf("nil: %v %v", v, err)
 	}
-	if v, err := ToValue("s"); err != nil || v.Str != "s" {
+	if v, err := ToValue("s"); err != nil || v.Str() != "s" {
 		t.Errorf("string: %v %v", v, err)
 	}
 	if _, err := ToValue(struct{}{}); err == nil {

@@ -22,12 +22,12 @@ func TestOracleDialect(t *testing.T) {
 	}
 	// NVL alias for COALESCE.
 	rs = mustQuery(t, e, `SELECT NVL(NULL, 'dflt') FROM "ntuple" WHERE "event_id" = 1`)
-	if rs.Rows[0][0].Str != "dflt" {
+	if rs.Rows[0][0].Str() != "dflt" {
 		t.Errorf("NVL = %v", rs.Rows[0][0])
 	}
 	// || concatenation.
 	rs = mustQuery(t, e, `SELECT "tag" || '!' FROM "ntuple" WHERE "event_id" = 1`)
-	if rs.Rows[0][0].Str != "a!" {
+	if rs.Rows[0][0].Str() != "a!" {
 		t.Errorf("concat = %v", rs.Rows[0][0])
 	}
 }
@@ -52,7 +52,7 @@ func TestMySQLDialect(t *testing.T) {
 	}
 	// CONCAT function (no infix || in MySQL 4).
 	rs = mustQuery(t, e, "SELECT CONCAT(`tag`, '!') FROM `ntuple` WHERE `event_id` = 1")
-	if rs.Rows[0][0].Str != "a!" {
+	if rs.Rows[0][0].Str() != "a!" {
 		t.Errorf("CONCAT = %v", rs.Rows[0][0])
 	}
 }
@@ -68,12 +68,12 @@ func TestMSSQLDialect(t *testing.T) {
 	}
 	// ISNULL alias.
 	rs = mustQuery(t, e, `SELECT ISNULL(NULL, 'd') FROM [ntuple] WHERE [event_id] = 1`)
-	if rs.Rows[0][0].Str != "d" {
+	if rs.Rows[0][0].Str() != "d" {
 		t.Errorf("ISNULL = %v", rs.Rows[0][0])
 	}
 	// + string concatenation.
 	rs = mustQuery(t, e, `SELECT [tag] + '!' FROM [ntuple] WHERE [event_id] = 1`)
-	if rs.Rows[0][0].Str != "a!" {
+	if rs.Rows[0][0].Str() != "a!" {
 		t.Errorf("+ concat = %v", rs.Rows[0][0])
 	}
 	// LEN alias for LENGTH.
@@ -92,7 +92,7 @@ func TestSQLiteDialect(t *testing.T) {
 		t.Fatalf("LIMIT: %v", rs.Rows)
 	}
 	rs = mustQuery(t, e, `SELECT tag || '!' FROM ntuple WHERE event_id = 2`)
-	if rs.Rows[0][0].Str != "b!" {
+	if rs.Rows[0][0].Str() != "b!" {
 		t.Errorf("concat = %v", rs.Rows[0][0])
 	}
 }

@@ -160,7 +160,7 @@ func TestGroupByHaving(t *testing.T) {
 	}
 	rs = mustQuery(t, e, `SELECT tag, COUNT(DISTINCT run) AS runs FROM events GROUP BY tag ORDER BY tag`)
 	// electron:1, muon:3, tau:1
-	if rs.Rows[1][0].Str != "muon" || rs.Rows[1][1].Int != 3 {
+	if rs.Rows[1][0].Str() != "muon" || rs.Rows[1][1].Int != 3 {
 		t.Errorf("distinct count: %v", rs.Rows)
 	}
 }
@@ -316,8 +316,8 @@ func TestCaseExpr(t *testing.T) {
 	rs := mustQuery(t, e, `SELECT id, CASE WHEN energy > 5 THEN 'hot' WHEN energy IS NULL THEN 'unknown' ELSE 'cold' END AS class FROM events ORDER BY id`)
 	want := []string{"hot", "hot", "cold", "unknown", "hot"}
 	for i, w := range want {
-		if rs.Rows[i][1].Str != w {
-			t.Errorf("row %d class = %q, want %q", i, rs.Rows[i][1].Str, w)
+		if rs.Rows[i][1].Str() != w {
+			t.Errorf("row %d class = %q, want %q", i, rs.Rows[i][1].Str(), w)
 		}
 	}
 	rs = mustQuery(t, e, `SELECT CASE tag WHEN 'muon' THEN 1 ELSE 0 END FROM events WHERE id = 1`)
@@ -419,7 +419,7 @@ func TestAlterTruncateDescribeShow(t *testing.T) {
 		t.Errorf("describe: %d columns, want 5", len(rs.Rows))
 	}
 	rs = mustQuery(t, e, `SHOW TABLES`)
-	if len(rs.Rows) != 1 || rs.Rows[0][0].Str != "events" {
+	if len(rs.Rows) != 1 || rs.Rows[0][0].Str() != "events" {
 		t.Errorf("show tables: %v", rs.Rows)
 	}
 	mustExec(t, e, `TRUNCATE TABLE events`)
@@ -467,7 +467,7 @@ func TestErrors(t *testing.T) {
 func TestSelectWithoutFrom(t *testing.T) {
 	e := NewEngine("x", DialectANSI)
 	rs := mustQuery(t, e, `SELECT 1 + 2 AS s, 'a' || 'b'`)
-	if rs.Rows[0][0].Int != 3 || rs.Rows[0][1].Str != "ab" {
+	if rs.Rows[0][0].Int != 3 || rs.Rows[0][1].Str() != "ab" {
 		t.Fatalf("got %v", rs.Rows[0])
 	}
 }

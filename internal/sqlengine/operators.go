@@ -892,7 +892,7 @@ const (
 func rowMemBytes(row Row) int64 {
 	n := sliceHdrMemBytes + int64(len(row))*valueMemBytes
 	for _, v := range row {
-		n += int64(len(v.Str)) + int64(len(v.Bytes))
+		n += int64(len(v.Str()))
 	}
 	return n
 }

@@ -114,10 +114,10 @@ func TestParseNumbers(t *testing.T) {
 
 func TestParseStringEscapes(t *testing.T) {
 	st := parse(t, `SELECT 'o''brien', ''`).(*SelectStmt)
-	if st.Items[0].Expr.(*Literal).Val.Str != "o'brien" {
+	if st.Items[0].Expr.(*Literal).Val.Str() != "o'brien" {
 		t.Errorf("escape: %v", st.Items[0].Expr)
 	}
-	if st.Items[1].Expr.(*Literal).Val.Str != "" {
+	if st.Items[1].Expr.(*Literal).Val.Str() != "" {
 		t.Errorf("empty string: %v", st.Items[1].Expr)
 	}
 }
@@ -305,7 +305,7 @@ func TestCaseSensitivityOfNames(t *testing.T) {
 	mustExec(t, e, `CREATE TABLE Events (ID INTEGER, Tag VARCHAR(8))`)
 	mustExec(t, e, `INSERT INTO EVENTS (id, TAG) VALUES (1, 'x')`)
 	rs := mustQuery(t, e, `SELECT Id, tAg FROM eVeNtS`)
-	if len(rs.Rows) != 1 || rs.Rows[0][1].Str != "x" {
+	if len(rs.Rows) != 1 || rs.Rows[0][1].Str() != "x" {
 		t.Fatalf("case-insensitive names: %v", rs.Rows)
 	}
 	// Error messages should flag long keyword soup clearly.

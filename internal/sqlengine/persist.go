@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 )
@@ -31,6 +32,10 @@ type persistValue struct {
 	Bool  bool
 	Time  time.Time
 	Bytes []byte
+	// NegZero marks a Float of -0, which gob (omitting fields equal to
+	// zero) would otherwise load as +0. Older snapshots lack the field and
+	// older readers ignore it.
+	NegZero bool
 }
 
 type persistIndex struct {
@@ -60,11 +65,44 @@ type persistDB struct {
 }
 
 func toPersistValue(v Value) persistValue {
-	return persistValue{Kind: v.Kind, Int: v.Int, Float: v.Float, Str: v.Str, Bool: v.Bool, Time: v.Time, Bytes: v.Bytes}
+	p := persistValue{Kind: v.Kind}
+	switch v.Kind {
+	case KindInt:
+		p.Int = v.Int
+	case KindFloat:
+		p.Float = v.Float
+		p.NegZero = v.Float == 0 && math.Signbit(v.Float)
+	case KindString:
+		p.Str = v.Str()
+	case KindBool:
+		p.Bool = v.Bool()
+	case KindTime:
+		p.Time = v.Time()
+	case KindBytes:
+		p.Bytes = v.Bytes()
+	}
+	return p
 }
 
 func fromPersistValue(p persistValue) Value {
-	return Value{Kind: p.Kind, Int: p.Int, Float: p.Float, Str: p.Str, Bool: p.Bool, Time: p.Time, Bytes: p.Bytes}
+	switch p.Kind {
+	case KindInt:
+		return NewInt(p.Int)
+	case KindFloat:
+		if p.NegZero {
+			return NewFloat(math.Copysign(0, -1))
+		}
+		return NewFloat(p.Float)
+	case KindString:
+		return NewString(p.Str)
+	case KindBool:
+		return NewBool(p.Bool)
+	case KindTime:
+		return NewTime(p.Time)
+	case KindBytes:
+		return NewBytes(p.Bytes)
+	}
+	return Null()
 }
 
 // Save serializes the full database (schema, rows, views, index

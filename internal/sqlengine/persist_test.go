@@ -28,7 +28,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if len(rs.Rows) != 2 {
 		t.Fatalf("rows lost: %d", len(rs.Rows))
 	}
-	if rs.Rows[0][3].Str != "n/a" {
+	if rs.Rows[0][3].Str() != "n/a" {
 		t.Errorf("default value lost: %v", rs.Rows[0][3])
 	}
 	if !rs.Rows[1][1].IsNull() {
@@ -37,7 +37,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// Default expr must still apply post-load.
 	mustExec(t, e2, `INSERT INTO ev (id, e, tag) VALUES (3, 2.5, 'c')`)
 	rs = mustQuery(t, e2, `SELECT note FROM ev WHERE id = 3`)
-	if rs.Rows[0][0].Str != "n/a" {
+	if rs.Rows[0][0].Str() != "n/a" {
 		t.Errorf("reloaded default not applied: %v", rs.Rows[0][0])
 	}
 	// View survives.

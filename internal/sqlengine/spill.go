@@ -5,10 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // Spill-file machinery for the streaming operators: when a buffering
@@ -72,40 +70,9 @@ func (sd *spillDir) newWriter(kind string) (*spillWriter, error) {
 }
 
 func (sw *spillWriter) writeRow(row Row) error {
-	b := sw.buf[:0]
-	b = binary.AppendUvarint(b, uint64(len(row)))
-	for _, v := range row {
-		b = append(b, byte(v.Kind))
-		switch v.Kind {
-		case KindNull:
-		case KindInt:
-			b = binary.AppendVarint(b, v.Int)
-		case KindFloat:
-			var fb [8]byte
-			binary.LittleEndian.PutUint64(fb[:], math.Float64bits(v.Float))
-			b = append(b, fb[:]...)
-		case KindString:
-			b = binary.AppendUvarint(b, uint64(len(v.Str)))
-			b = append(b, v.Str...)
-		case KindBool:
-			if v.Bool {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
-			}
-		case KindTime:
-			tb, err := v.Time.MarshalBinary()
-			if err != nil {
-				return fmt.Errorf("sqlengine: spilling timestamp: %w", err)
-			}
-			b = binary.AppendUvarint(b, uint64(len(tb)))
-			b = append(b, tb...)
-		case KindBytes:
-			b = binary.AppendUvarint(b, uint64(len(v.Bytes)))
-			b = append(b, v.Bytes...)
-		default:
-			return fmt.Errorf("sqlengine: cannot spill value kind %s", v.Kind)
-		}
+	b, err := appendRow(sw.buf[:0], row)
+	if err != nil {
+		return err
 	}
 	sw.buf = b[:0]
 	if _, err := sw.w.Write(b); err != nil {
@@ -128,8 +95,9 @@ func (sw *spillWriter) finish() error {
 
 // spillReader streams rows back from a finished spill file.
 type spillReader struct {
-	f *os.File
-	r *bufio.Reader
+	f       *os.File
+	r       *bufio.Reader
+	scratch []byte
 }
 
 func openSpill(path string) (*spillReader, error) {
@@ -151,70 +119,11 @@ func (sr *spillReader) readRow() (Row, error) {
 	}
 	row := make(Row, n)
 	for i := range row {
-		kb, err := sr.r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("sqlengine: truncated spill row: %w", err)
-		}
-		switch Kind(kb) {
-		case KindNull:
-			row[i] = Null()
-		case KindInt:
-			iv, err := binary.ReadVarint(sr.r)
-			if err != nil {
-				return nil, fmt.Errorf("sqlengine: truncated spill int: %w", err)
-			}
-			row[i] = NewInt(iv)
-		case KindFloat:
-			var fb [8]byte
-			if _, err := io.ReadFull(sr.r, fb[:]); err != nil {
-				return nil, fmt.Errorf("sqlengine: truncated spill float: %w", err)
-			}
-			row[i] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(fb[:])))
-		case KindString:
-			b, err := sr.readBlob()
-			if err != nil {
-				return nil, err
-			}
-			row[i] = NewString(string(b))
-		case KindBool:
-			bb, err := sr.r.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("sqlengine: truncated spill bool: %w", err)
-			}
-			row[i] = NewBool(bb != 0)
-		case KindTime:
-			b, err := sr.readBlob()
-			if err != nil {
-				return nil, err
-			}
-			var t time.Time
-			if err := t.UnmarshalBinary(b); err != nil {
-				return nil, fmt.Errorf("sqlengine: decoding spilled timestamp: %w", err)
-			}
-			row[i] = NewTime(t)
-		case KindBytes:
-			b, err := sr.readBlob()
-			if err != nil {
-				return nil, err
-			}
-			row[i] = NewBytes(append([]byte(nil), b...))
-		default:
-			return nil, fmt.Errorf("sqlengine: corrupt spill file: kind byte %d", kb)
+		if row[i], err = readCell(sr.r, &sr.scratch); err != nil {
+			return nil, err
 		}
 	}
 	return row, nil
-}
-
-func (sr *spillReader) readBlob() ([]byte, error) {
-	n, err := binary.ReadUvarint(sr.r)
-	if err != nil {
-		return nil, fmt.Errorf("sqlengine: truncated spill blob: %w", err)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(sr.r, b); err != nil {
-		return nil, fmt.Errorf("sqlengine: truncated spill blob: %w", err)
-	}
-	return b, nil
 }
 
 func (sr *spillReader) close() error {

@@ -46,6 +46,11 @@ func SQLRows(rows *sql.Rows, name string, release func() error) (RowIter, error)
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	it.cols = cols
+	it.raw = make([]interface{}, len(cols))
+	it.ptrs = make([]interface{}, len(cols))
+	for i := range it.raw {
+		it.ptrs[i] = &it.raw[i]
+	}
 	return it, nil
 }
 
@@ -55,6 +60,10 @@ type sqlRows struct {
 	cols    []string
 	release func() error
 	closed  bool
+	// raw receives each row's cells and ptrs points Scan at raw; both are
+	// reused across rows because Scan copies []byte cells into *any
+	// destinations and ValueOf copies what it keeps.
+	raw, ptrs []interface{}
 }
 
 func (it *sqlRows) Columns() []string { return it.cols }
@@ -66,16 +75,11 @@ func (it *sqlRows) Next() (Row, error) {
 		}
 		return nil, io.EOF
 	}
-	raw := make([]interface{}, len(it.cols))
-	ptrs := make([]interface{}, len(it.cols))
-	for i := range raw {
-		ptrs[i] = &raw[i]
-	}
-	if err := it.rows.Scan(ptrs...); err != nil {
+	if err := it.rows.Scan(it.ptrs...); err != nil {
 		return nil, fmt.Errorf("%s: %w", it.name, err)
 	}
 	row := make(Row, len(it.cols))
-	for i, x := range raw {
+	for i, x := range it.raw {
 		v, err := ValueOf(x)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", it.name, err)

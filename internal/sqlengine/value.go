@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates the runtime types a Value may hold.
@@ -44,17 +45,36 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Value is a single SQL scalar. It is a tagged union; only the field
-// matching Kind is meaningful. Values are small and passed by value.
+// Value is a single SQL scalar: a 32-byte tagged union, passed by value.
+//
+//	Kind uint8 | aux uint32 | Int int64 | Float float64 | p unsafe.Pointer
+//
+// Int is the payload of a KindInt value and Float that of a KindFloat
+// value; code outside the package reads them only under a Kind check.
+// Every other payload is unexported and read through an accessor:
+//   - KindBool: aux is 0 or 1 (Bool).
+//   - KindTime: Int holds the unix seconds and aux the nanoseconds of a
+//     UTC instant (Time); any time.Time round-trips to the nanosecond.
+//   - KindString, KindBytes: p points at the immutable payload bytes and
+//     aux holds their length (Str, Bytes). A payload of 4 GiB or more is
+//     copied behind a string header that p points at instead.
+//
+// The payload pointer is private, so no caller can forge a length that
+// reads past the bytes it points at, and no mutable alias of stored bytes
+// leaves the package: NewBytes copies its input and Bytes returns a copy.
+// Value is not comparable with ==; compare with Compare or Equal.
 type Value struct {
+	_     [0]func() // not comparable: == would compare payload pointers
 	Kind  Kind
+	aux   uint32
 	Int   int64
 	Float float64
-	Str   string
-	Bool  bool
-	Time  time.Time
-	Bytes []byte
+	p     unsafe.Pointer
 }
+
+// bigPayload in aux marks a string or bytes payload whose length does not
+// fit in aux; p then points at a string header.
+const bigPayload = math.MaxUint32
 
 // Null returns the SQL NULL value.
 func Null() Value { return Value{} }
@@ -65,17 +85,70 @@ func NewInt(v int64) Value { return Value{Kind: KindInt, Int: v} }
 // NewFloat wraps a float64.
 func NewFloat(v float64) Value { return Value{Kind: KindFloat, Float: v} }
 
-// NewString wraps a string.
-func NewString(v string) Value { return Value{Kind: KindString, Str: v} }
+// NewString wraps a string. The value shares the string's (immutable)
+// bytes.
+func NewString(v string) Value { return payloadValue(KindString, v) }
 
 // NewBool wraps a bool.
-func NewBool(v bool) Value { return Value{Kind: KindBool, Bool: v} }
+func NewBool(v bool) Value {
+	if v {
+		return Value{Kind: KindBool, aux: 1}
+	}
+	return Value{Kind: KindBool}
+}
 
-// NewTime wraps a timestamp.
-func NewTime(v time.Time) Value { return Value{Kind: KindTime, Time: v} }
+// NewTime wraps a timestamp as its UTC instant: the location is dropped,
+// the nanoseconds are kept.
+func NewTime(v time.Time) Value {
+	return Value{Kind: KindTime, Int: v.Unix(), aux: uint32(v.Nanosecond())}
+}
 
-// NewBytes wraps a byte slice.
-func NewBytes(v []byte) Value { return Value{Kind: KindBytes, Bytes: v} }
+// NewBytes wraps a copy of a byte slice; the caller may reuse b.
+func NewBytes(b []byte) Value { return payloadValue(KindBytes, string(b)) }
+
+func payloadValue(k Kind, s string) Value {
+	switch {
+	case len(s) == 0:
+		return Value{Kind: k}
+	case uint64(len(s)) >= bigPayload:
+		h := new(string)
+		*h = strings.Clone(s) // keeps s itself from escaping on every call
+		return Value{Kind: k, aux: bigPayload, p: unsafe.Pointer(h)}
+	}
+	return Value{Kind: k, aux: uint32(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
+
+// Str returns the payload of a KindString value, or the bytes of a
+// KindBytes value as a string, without copying; "" for other kinds.
+func (v Value) Str() string {
+	if v.Kind != KindString && v.Kind != KindBytes {
+		return ""
+	}
+	if v.aux == bigPayload {
+		return *(*string)(v.p)
+	}
+	return unsafe.String((*byte)(v.p), int(v.aux))
+}
+
+// Bytes returns a fresh copy of a KindBytes payload; nil for other kinds.
+func (v Value) Bytes() []byte {
+	if v.Kind != KindBytes {
+		return nil
+	}
+	return []byte(v.Str())
+}
+
+// Bool returns the payload of a KindBool value; false for other kinds.
+func (v Value) Bool() bool { return v.Kind == KindBool && v.aux != 0 }
+
+// Time returns the UTC instant of a KindTime value; the zero time for
+// other kinds.
+func (v Value) Time() time.Time {
+	if v.Kind != KindTime {
+		return time.Time{}
+	}
+	return time.Unix(v.Int, int64(v.aux)).UTC()
+}
 
 // IsNull reports whether the value is SQL NULL.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
@@ -90,16 +163,16 @@ func (v Value) String() string {
 	case KindFloat:
 		return strconv.FormatFloat(v.Float, 'g', -1, 64)
 	case KindString:
-		return v.Str
+		return v.Str()
 	case KindBool:
-		if v.Bool {
+		if v.Bool() {
 			return "TRUE"
 		}
 		return "FALSE"
 	case KindTime:
-		return v.Time.UTC().Format("2006-01-02 15:04:05")
+		return v.Time().Format("2006-01-02 15:04:05")
 	case KindBytes:
-		return string(v.Bytes)
+		return v.Str()
 	}
 	return "?"
 }
@@ -110,12 +183,10 @@ func (v Value) SQLLiteral() string {
 	switch v.Kind {
 	case KindNull:
 		return "NULL"
-	case KindString:
-		return "'" + strings.ReplaceAll(v.Str, "'", "''") + "'"
+	case KindString, KindBytes:
+		return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'"
 	case KindTime:
-		return "'" + v.Time.UTC().Format("2006-01-02 15:04:05") + "'"
-	case KindBytes:
-		return "'" + strings.ReplaceAll(string(v.Bytes), "'", "''") + "'"
+		return "'" + v.Time().Format("2006-01-02 15:04:05") + "'"
 	default:
 		return v.String()
 	}
@@ -129,12 +200,12 @@ func (v Value) AsFloat() (float64, bool) {
 	case KindFloat:
 		return v.Float, true
 	case KindBool:
-		if v.Bool {
+		if v.Bool() {
 			return 1, true
 		}
 		return 0, true
 	case KindString:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.Str), 64)
+		f, err := strconv.ParseFloat(strings.TrimSpace(v.Str()), 64)
 		if err != nil {
 			return 0, false
 		}
@@ -151,14 +222,14 @@ func (v Value) AsInt() (int64, bool) {
 	case KindFloat:
 		return int64(v.Float), true
 	case KindBool:
-		if v.Bool {
+		if v.Bool() {
 			return 1, true
 		}
 		return 0, true
 	case KindString:
-		i, err := strconv.ParseInt(strings.TrimSpace(v.Str), 10, 64)
+		i, err := strconv.ParseInt(strings.TrimSpace(v.Str()), 10, 64)
 		if err != nil {
-			f, ferr := strconv.ParseFloat(strings.TrimSpace(v.Str), 64)
+			f, ferr := strconv.ParseFloat(strings.TrimSpace(v.Str()), 64)
 			if ferr != nil {
 				return 0, false
 			}
@@ -173,13 +244,13 @@ func (v Value) AsInt() (int64, bool) {
 func (v Value) AsBool() (bool, bool) {
 	switch v.Kind {
 	case KindBool:
-		return v.Bool, true
+		return v.Bool(), true
 	case KindInt:
 		return v.Int != 0, true
 	case KindFloat:
 		return v.Float != 0, true
 	case KindString:
-		switch strings.ToLower(strings.TrimSpace(v.Str)) {
+		switch strings.ToLower(strings.TrimSpace(v.Str())) {
 		case "true", "t", "1", "yes":
 			return true, true
 		case "false", "f", "0", "no", "":
@@ -258,12 +329,12 @@ func isNumeric(k Kind) bool {
 func (v Value) asTime() (time.Time, bool) {
 	switch v.Kind {
 	case KindTime:
-		return v.Time, true
+		return v.Time(), true
 	case KindString:
 		for _, layout := range []string{
 			"2006-01-02 15:04:05", "2006-01-02T15:04:05Z07:00", "2006-01-02",
 		} {
-			if t, err := time.Parse(layout, strings.TrimSpace(v.Str)); err == nil {
+			if t, err := time.Parse(layout, strings.TrimSpace(v.Str())); err == nil {
 				return t, true
 			}
 		}
@@ -380,7 +451,7 @@ func (ct ColumnType) Coerce(v Value) (Value, error) {
 		if v.Kind == KindBytes {
 			return v, nil
 		}
-		return NewBytes([]byte(v.String())), nil
+		return payloadValue(KindBytes, v.String()), nil
 	case KindNull:
 		return v, nil
 	}

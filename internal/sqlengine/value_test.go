@@ -83,7 +83,7 @@ func TestSQLLiteralRoundTrip(t *testing.T) {
 			return false
 		}
 		row := rs.Rows[0]
-		return row[0].Str == s && row[1].Int == i && row[2].Float == f
+		return row[0].Str() == s && row[1].Int == i && row[2].Float == f
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -190,7 +190,7 @@ func TestCoerce(t *testing.T) {
 		t.Error("bad int coercion accepted")
 	}
 	strCol := ColumnType{Kind: KindString}
-	if v, err := strCol.Coerce(NewFloat(1.5)); err != nil || v.Str != "1.5" {
+	if v, err := strCol.Coerce(NewFloat(1.5)); err != nil || v.Str() != "1.5" {
 		t.Errorf("coerce 1.5 to string: %v %v", v, err)
 	}
 	timeCol := ColumnType{Kind: KindTime}
@@ -198,7 +198,7 @@ func TestCoerce(t *testing.T) {
 		t.Errorf("coerce timestamp: %v %v", v, err)
 	}
 	boolCol := ColumnType{Kind: KindBool}
-	if v, err := boolCol.Coerce(NewInt(1)); err != nil || !v.Bool {
+	if v, err := boolCol.Coerce(NewInt(1)); err != nil || !v.Bool() {
 		t.Errorf("coerce 1 to bool: %v %v", v, err)
 	}
 	// NULL passes through any column type.

@@ -109,7 +109,7 @@ func TestCrossDatabaseJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Events 1,2 are run 100 = CMS.
-	if len(rs.Rows) != 2 || rs.Rows[0][1].Str != "CMS" || rs.Rows[1][0].Int != 2 {
+	if len(rs.Rows) != 2 || rs.Rows[0][1].Str() != "CMS" || rs.Rows[1][0].Int != 2 {
 		t.Fatalf("join rows: %v", rs.Rows)
 	}
 }
@@ -158,10 +158,10 @@ func TestAggregateAcrossDatabases(t *testing.T) {
 		t.Fatalf("groups: %v", rs.Rows)
 	}
 	// ATLAS: event 3 only; CMS: events 1,2.
-	if rs.Rows[0][0].Str != "ATLAS" || rs.Rows[0][1].Int != 1 {
+	if rs.Rows[0][0].Str() != "ATLAS" || rs.Rows[0][1].Int != 1 {
 		t.Errorf("ATLAS row: %v", rs.Rows[0])
 	}
-	if rs.Rows[1][0].Str != "CMS" || rs.Rows[1][1].Int != 2 {
+	if rs.Rows[1][0].Str() != "CMS" || rs.Rows[1][1].Int != 2 {
 		t.Errorf("CMS row: %v", rs.Rows[1])
 	}
 	if f2, _ := rs.Rows[1][2].AsFloat(); f2 != 6.25 {

@@ -73,7 +73,7 @@ func TestStagingCodecProperty(t *testing.T) {
 		if err != nil || len(got) != 3 {
 			return false
 		}
-		return got[0].Str == s && got[1].Int == i && got[2].Float == fl
+		return got[0].Str() == s && got[1].Int == i && got[2].Float == fl
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

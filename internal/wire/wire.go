@@ -238,10 +238,8 @@ func estimateSize(rows []sqlengine.Row) int64 {
 	for _, r := range rows {
 		for _, v := range r {
 			switch v.Kind {
-			case sqlengine.KindString:
-				n += int64(len(v.Str)) + 2
-			case sqlengine.KindBytes:
-				n += int64(len(v.Bytes)) + 2
+			case sqlengine.KindString, sqlengine.KindBytes:
+				n += int64(len(v.Str())) + 2
 			default:
 				n += 9
 			}

@@ -46,7 +46,7 @@ func TestQueryExecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rows) != 2 || rs.Rows[0][0].Int != 1 || rs.Rows[1][1].Str != "y" {
+	if len(rs.Rows) != 2 || rs.Rows[0][0].Int != 1 || rs.Rows[1][1].Str() != "y" {
 		t.Fatalf("got %v", rs.Rows)
 	}
 	n, err := c.Exec("INSERT INTO t VALUES (?, ?)", sqlengine.NewInt(3), sqlengine.NewString("z"))

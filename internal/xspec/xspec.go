@@ -89,8 +89,8 @@ func Generate(name, dialect string, q Queryer) (*LowerSpec, error) {
 		return nil, fmt.Errorf("xspec: introspect %s: %w", name, err)
 	}
 	for _, row := range tbls.Rows {
-		tname := row[0].Str
-		isView := len(row) > 1 && row[1].Str == "view"
+		tname := row[0].Str()
+		isView := len(row) > 1 && row[1].Str() == "view"
 		ts := TableSpec{Name: tname, Logical: tname, View: isView}
 		if !isView {
 			cols, err := q.Query("DESCRIBE " + tname)
@@ -98,14 +98,14 @@ func Generate(name, dialect string, q Queryer) (*LowerSpec, error) {
 				return nil, fmt.Errorf("xspec: describe %s.%s: %w", name, tname, err)
 			}
 			for _, c := range cols.Rows {
-				kindName := canonicalKind(c[1].Str)
+				kindName := canonicalKind(c[1].Str())
 				ts.Columns = append(ts.Columns, ColumnSpec{
-					Name:     c[0].Str,
-					Logical:  c[0].Str,
-					Type:     c[1].Str,
+					Name:     c[0].Str(),
+					Logical:  c[0].Str(),
+					Type:     c[1].Str(),
 					Kind:     kindName,
-					Nullable: c[2].Str == "YES",
-					Key:      c[3].Str,
+					Nullable: c[2].Str() == "YES",
+					Key:      c[3].Str(),
 				})
 			}
 			if rc, err := q.Query("SELECT COUNT(*) FROM " + tname); err == nil && len(rc.Rows) == 1 {
