@@ -97,8 +97,8 @@ func BenchmarkWireCodecBinary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame = dataaccess.AppendRowsBinary(frame[:0], rs.Rows)
-		back, err := dataaccess.DecodeRowsBinary(frame)
+		frame = sqlengine.AppendRowFrame(frame[:0], rs.Rows)
+		back, err := sqlengine.DecodeRowFrame(frame)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -223,7 +223,7 @@ func TestLocationDoesNotMatter(t *testing.T) {
 			for layout, rs := range map[string]*sqlengine.ResultSet{"all local": allLocal, "tables moved": moved} {
 				a, b := sortedRowKeys(rs.Rows), sortedRowKeys(one.Rows)
 				if tc.ordered {
-					a, b = []string{string(AppendRowsBinary(nil, rs.Rows))}, []string{string(AppendRowsBinary(nil, one.Rows))}
+					a, b = []string{string(sqlengine.AppendRowFrame(nil, rs.Rows))}, []string{string(sqlengine.AppendRowFrame(nil, one.Rows))}
 				}
 				if !reflect.DeepEqual(rs.Columns, one.Columns) || !reflect.DeepEqual(a, b) {
 					t.Errorf("%s: %v %v\n one engine answers %v %v (ordered=%v)", layout, rs.Columns, rs.Rows, one.Columns, one.Rows, tc.ordered)

@@ -137,8 +137,8 @@ func TestRelayStreamsRemoteScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := string(AppendRowsBinary(nil, qr.Rows))
-	if string(AppendRowsBinary(nil, got.Rows)) != want {
+	want := string(sqlengine.AppendRowFrame(nil, qr.Rows))
+	if string(sqlengine.AppendRowFrame(nil, got.Rows)) != want {
 		t.Fatal("relayed rows differ from the materialized forward")
 	}
 

@@ -60,11 +60,12 @@ func overXML(v sqlengine.Value) sqlengine.Value {
 }
 
 // FuzzRowFrame sends generated rows over every hop a row takes between
-// servers and clients: the binary row frame (whole results and cursor
-// chunks), the XML-RPC result and chunk documents, and the gob frames of
-// the tcp:// member transport. It also feeds the fuzzed bytes to the
-// binary frame decoder as a frame, which must fail cleanly or decode to
-// rows that re-encode to a frame decoding the same.
+// servers and clients: sqlengine's row frame (whole results and cursor
+// chunks), the XML-RPC result and chunk documents, and the gob-encoded
+// wire messages of the tcp:// member transport, which carry row frames. It
+// also feeds the fuzzed bytes to sqlengine.DecodeRowFrame as a frame,
+// which must fail cleanly or decode to rows that re-encode to a frame
+// decoding the same.
 func FuzzRowFrame(f *testing.F) {
 	f.Add(uint8(0), int64(0), 0.0, "", []byte(nil), int64(0), uint32(0))
 	f.Add(uint8(1), int64(math.MinInt64), 0.0, "", []byte(nil), int64(0), uint32(0))
@@ -79,15 +80,15 @@ func FuzzRowFrame(f *testing.F) {
 	f.Add(uint8(5), int64(0), 0.0, "", []byte(nil), int64(253402300799), uint32(999999999))
 	f.Add(uint8(6), int64(0), 0.0, "", []byte{}, int64(0), uint32(0))
 	f.Add(uint8(6), int64(0), 0.0, "", []byte{0xff, 0xc3, 0x28, 0}, int64(0), uint32(0))
-	f.Add(uint8(3), int64(0), 0.0, "", AppendRowsBinary(nil, allKindsRows()), int64(0), uint32(0))
+	f.Add(uint8(3), int64(0), 0.0, "", sqlengine.AppendRowFrame(nil, allKindsRows()), int64(0), uint32(0))
 	f.Fuzz(func(t *testing.T, kind uint8, i int64, fl float64, s string, b []byte, sec int64, nsec uint32) {
 		v := genCell(kind, i, fl, s, b, sec, nsec)
 		other := genCell(kind+1, i, fl, s, b, sec, nsec)
 		rows := []sqlengine.Row{{v, other, sqlengine.Null()}, {other, v, v}}
 		rs := &sqlengine.ResultSet{Columns: []string{"a", "b", "c"}, Rows: rows}
 
-		// Binary row frame.
-		back, err := DecodeRowsBinary(AppendRowsBinary(nil, rows))
+		// Row frame.
+		back, err := sqlengine.DecodeRowFrame(sqlengine.AppendRowFrame(nil, rows))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,13 +123,15 @@ func FuzzRowFrame(f *testing.F) {
 			checkRows(t, tc.name, got.([]sqlengine.Row), tc.want)
 		}
 
-		// The gob frames of the tcp:// member transport.
+		// The tcp:// member transport: gob-encoded wire messages carrying
+		// the first row as a parameter frame and every row as a result
+		// frame.
 		var buf bytes.Buffer
 		enc := gob.NewEncoder(&buf)
-		if err := enc.Encode(wire.Request{Op: "query", Params: rows[0]}); err != nil {
+		if err := enc.Encode(wire.Request{Op: "query", Params: sqlengine.AppendRowFrame(nil, rows[:1])}); err != nil {
 			t.Fatal(err)
 		}
-		if err := enc.Encode(wire.Response{Columns: rs.Columns, Rows: rows}); err != nil {
+		if err := enc.Encode(wire.Response{Columns: rs.Columns, Rows: sqlengine.AppendRowFrame(nil, rows)}); err != nil {
 			t.Fatal(err)
 		}
 		dec := gob.NewDecoder(&buf)
@@ -140,12 +143,20 @@ func FuzzRowFrame(f *testing.F) {
 		if err := dec.Decode(&resp); err != nil {
 			t.Fatal(err)
 		}
-		checkRows(t, "gob params", []sqlengine.Row{req.Params}, rows[:1])
-		checkRows(t, "gob rows", resp.Rows, rows)
+		params, err := sqlengine.DecodeRowFrame(req.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRows(t, "wire params", params, rows[:1])
+		back, err = sqlengine.DecodeRowFrame(resp.Rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRows(t, "wire rows", back, rows)
 
 		// The fuzzed bytes as a frame.
-		if got, err := DecodeRowsBinary(b); err == nil {
-			again, err := DecodeRowsBinary(AppendRowsBinary(nil, got))
+		if got, err := sqlengine.DecodeRowFrame(b); err == nil {
+			again, err := sqlengine.DecodeRowFrame(sqlengine.AppendRowFrame(nil, got))
 			if err != nil {
 				t.Fatalf("re-encoded frame: %v", err)
 			}

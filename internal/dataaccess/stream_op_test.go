@@ -285,7 +285,7 @@ func TestStreamMixedPipelined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(AppendRowsBinary(nil, got.Rows)) != string(AppendRowsBinary(nil, qr.Rows)) {
+	if string(sqlengine.AppendRowFrame(nil, got.Rows)) != string(sqlengine.AppendRowFrame(nil, qr.Rows)) {
 		t.Fatal("pipelined rows differ from the materialized integration")
 	}
 
@@ -376,7 +376,7 @@ func TestStreamSpillDirHonorsTempDir(t *testing.T) {
 func sortedRowKeys(rows []sqlengine.Row) []string {
 	keys := make([]string, len(rows))
 	for i, r := range rows {
-		keys[i] = string(AppendRowsBinary(nil, []sqlengine.Row{r}))
+		keys[i] = string(sqlengine.AppendRowFrame(nil, []sqlengine.Row{r}))
 	}
 	sort.Strings(keys)
 	return keys
@@ -530,7 +530,7 @@ func TestQueryIsTheDrainedStream(t *testing.T) {
 						}
 						a, b := sortedRowKeys(rows), sortedRowKeys(qr.Rows)
 						if tc.ordered {
-							a, b = []string{string(AppendRowsBinary(nil, rows))}, []string{string(AppendRowsBinary(nil, qr.Rows))}
+							a, b = []string{string(sqlengine.AppendRowFrame(nil, rows))}, []string{string(sqlengine.AppendRowFrame(nil, qr.Rows))}
 						}
 						if !reflect.DeepEqual(a, b) {
 							t.Errorf("%s rows differ from the query's (ordered=%v)", what, tc.ordered)

@@ -4,14 +4,14 @@ package dataaccess
 //
 // Two encodings serve rows, fastest first:
 //
-//   - Binary row framing (RowCodecVersion): a compact length-prefixed
-//     binary encoding of []sqlengine.Row carried inside a single XML-RPC
-//     <base64> value. Used for server↔server traffic (remote forwards,
-//     cursor-fetch relays) after a per-peer capability handshake
-//     (system.capabilities advertises "rowcodec"); peers that do not
-//     advertise it — third-party clients, older servers — transparently
-//     keep the plain XML representation, preserving the paper's
-//     interoperability story.
+//   - Binary row framing (RowCodecVersion): sqlengine's row frame
+//     (AppendRowFrame/DecodeRowFrame, docs/WIRE.md §5) carried inside a
+//     single XML-RPC <base64> value. Used for server↔server traffic
+//     (remote forwards, cursor-fetch relays) after a per-peer capability
+//     handshake (system.capabilities advertises "rowcodec"); peers that
+//     do not advertise it — third-party clients, older servers —
+//     transparently keep the plain XML representation, preserving the
+//     paper's interoperability story.
 //   - Direct XML encoding: wireRows implements clarens.ValueMarshaler, so
 //     the standard {columns, rows} response is rendered cell-by-cell
 //     straight into the output buffer with no []interface{} boxing. On the
@@ -19,26 +19,23 @@ package dataaccess
 //     interface{} family (TestWireResultMatchesBoxed), so generic clients
 //     decode it with DecodeResult/DecodeChunk.
 //
-// Invariants: every sqlengine.Value kind round-trips through the binary
-// codec exactly (including sub-second time precision, which XML-RPC's
-// dateTime cannot carry); the XML row path round-trips with the fidelity
+// Invariants: every sqlengine.Value kind round-trips through the row frame
+// exactly (including sub-second time precision, which XML-RPC's dateTime
+// cannot carry); the XML row path round-trips with the fidelity
 // XML-RPC's scalar types allow.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
-	"time"
 
 	"gridrdb/internal/clarens"
 	"gridrdb/internal/sqlengine"
 )
 
-// RowCodecVersion is the binary row-framing version this server speaks,
+// RowCodecVersion is the row frame version this server speaks,
 // advertised as "rowcodec" by system.capabilities. Version 0 means
 // plain-XML only.
-const RowCodecVersion = 1
+const RowCodecVersion = sqlengine.FrameVersion
 
 // ---- direct XML row encoding (clarens.ValueMarshaler) ----
 
@@ -89,7 +86,7 @@ var binPool = sync.Pool{New: func() interface{} { return new([]byte) }}
 // MarshalXMLRPC implements clarens.ValueMarshaler.
 func (rows binaryRows) MarshalXMLRPC(e *clarens.Encoder) error {
 	p := binPool.Get().(*[]byte)
-	b := AppendRowsBinary((*p)[:0], rows)
+	b := sqlengine.AppendRowFrame((*p)[:0], rows)
 	e.Bytes(b)
 	*p = b
 	if cap(b) <= 4<<20 { // don't let one huge frame pin the pool
@@ -231,20 +228,10 @@ func DecodeResultFrom(d *clarens.Decoder) (*sqlengine.ResultSet, error) {
 			rs.Rows = rows
 			return err
 		case "rowsb":
-			sc, err := d.Scalar()
-			if err != nil {
-				return err
-			}
-			if sc.Kind != clarens.ScalarBytes {
-				return fmt.Errorf("dataaccess: \"rowsb\" is not a base64 payload")
-			}
-			rows, err := DecodeRowsBinary(sc.Bytes)
-			if err != nil {
-				return err
-			}
 			haveRows = true
+			rows, err := decodeRowsb(d)
 			rs.Rows = rows
-			return nil
+			return err
 		default:
 			return d.SkipValue()
 		}
@@ -262,6 +249,19 @@ func DecodeResultFrom(d *clarens.Decoder) (*sqlengine.ResultSet, error) {
 		return nil, err
 	}
 	return rs, nil
+}
+
+// decodeRowsb decodes a "rowsb" member: one base64 value holding a row
+// frame.
+func decodeRowsb(d *clarens.Decoder) ([]sqlengine.Row, error) {
+	sc, err := d.Scalar()
+	if err != nil {
+		return nil, err
+	}
+	if sc.Kind != clarens.ScalarBytes {
+		return nil, fmt.Errorf("dataaccess: \"rowsb\" is not a base64 payload")
+	}
+	return sqlengine.DecodeRowFrame(sc.Bytes)
 }
 
 // checkRowWidths rejects a ragged payload: operators index cells by column
@@ -289,20 +289,10 @@ func DecodeChunkFrom(d *clarens.Decoder) (*Chunk, error) {
 			c.Rows = rows
 			return err
 		case "rowsb":
-			sc, err := d.Scalar()
-			if err != nil {
-				return err
-			}
-			if sc.Kind != clarens.ScalarBytes {
-				return fmt.Errorf("dataaccess: \"rowsb\" is not a base64 payload")
-			}
-			rows, err := DecodeRowsBinary(sc.Bytes)
-			if err != nil {
-				return err
-			}
 			haveRows = true
+			rows, err := decodeRowsb(d)
 			c.Rows = rows
-			return nil
+			return err
 		case "done":
 			sc, err := d.Scalar()
 			if err != nil {
@@ -330,200 +320,12 @@ func DecodeChunkFrom(d *clarens.Decoder) (*Chunk, error) {
 	return c, nil
 }
 
-// ---- binary row framing ----
-
-// Binary frame layout (version 1), all integers varint-encoded:
-//
-//	'R' 0x01 | rowCount | rows...
-//	row  := cellCount | cells...
-//	cell := kind | payload
-//
-// Cell kinds and payloads:
-//
-//	0 null        (no payload)
-//	1 int         zigzag varint
-//	2 float       8 bytes little-endian IEEE 754
-//	3 string      uvarint length + bytes
-//	4 bool false  (no payload)
-//	5 bool true   (no payload)
-//	6 time        zigzag varint unix seconds + uvarint nanoseconds (UTC)
-//	7 bytes       uvarint length + bytes
-//
-// Unlike the XML dateTime (whole seconds), time cells round-trip at full
-// nanosecond precision.
-const (
-	binMagic   = 'R'
-	binVersion = 1
-
-	cellNull  = 0
-	cellInt   = 1
-	cellFloat = 2
-	cellStr   = 3
-	cellFalse = 4
-	cellTrue  = 5
-	cellTime  = 6
-	cellBytes = 7
-)
-
-// AppendRowsBinary appends the binary frame for rows to dst and returns
-// the extended slice.
+// AppendRowsBinary is sqlengine.AppendRowFrame. It and DecodeRowsBinary
+// remain only because bench/layers.go calls them by these names; they go
+// when the benchmark switches to the sqlengine names.
 func AppendRowsBinary(dst []byte, rows []sqlengine.Row) []byte {
-	dst = append(dst, binMagic, binVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(rows)))
-	for _, row := range rows {
-		dst = binary.AppendUvarint(dst, uint64(len(row)))
-		for _, v := range row {
-			switch v.Kind {
-			case sqlengine.KindInt:
-				dst = append(dst, cellInt)
-				dst = binary.AppendVarint(dst, v.Int)
-			case sqlengine.KindFloat:
-				dst = append(dst, cellFloat)
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float))
-			case sqlengine.KindString, sqlengine.KindBytes:
-				tag := byte(cellStr)
-				if v.Kind == sqlengine.KindBytes {
-					tag = cellBytes
-				}
-				s := v.Str()
-				dst = append(dst, tag)
-				dst = binary.AppendUvarint(dst, uint64(len(s)))
-				dst = append(dst, s...)
-			case sqlengine.KindBool:
-				if v.Bool() {
-					dst = append(dst, cellTrue)
-				} else {
-					dst = append(dst, cellFalse)
-				}
-			case sqlengine.KindTime:
-				t := v.Time()
-				dst = append(dst, cellTime)
-				dst = binary.AppendVarint(dst, t.Unix())
-				dst = binary.AppendUvarint(dst, uint64(t.Nanosecond()))
-			default:
-				dst = append(dst, cellNull)
-			}
-		}
-	}
-	return dst
+	return sqlengine.AppendRowFrame(dst, rows)
 }
 
-// DecodeRowsBinary decodes a binary row frame. Truncated or malformed
-// frames are protocol errors, never silent truncation.
-func DecodeRowsBinary(data []byte) ([]sqlengine.Row, error) {
-	if len(data) < 2 || data[0] != binMagic {
-		return nil, fmt.Errorf("dataaccess: not a binary row frame")
-	}
-	if data[1] != binVersion {
-		return nil, fmt.Errorf("dataaccess: unsupported row frame version %d", data[1])
-	}
-	p := data[2:]
-	uv := func() (uint64, error) {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, fmt.Errorf("dataaccess: truncated row frame")
-		}
-		p = p[n:]
-		return v, nil
-	}
-	sv := func() (int64, error) {
-		v, n := binary.Varint(p)
-		if n <= 0 {
-			return 0, fmt.Errorf("dataaccess: truncated row frame")
-		}
-		p = p[n:]
-		return v, nil
-	}
-	take := func(n uint64) ([]byte, error) {
-		if n > uint64(len(p)) {
-			return nil, fmt.Errorf("dataaccess: truncated row frame")
-		}
-		b := p[:n]
-		p = p[n:]
-		return b, nil
-	}
-	nrows, err := uv()
-	if err != nil {
-		return nil, err
-	}
-	if nrows > uint64(len(p)) {
-		// Each row costs at least one byte; reject absurd counts before
-		// allocating for them.
-		return nil, fmt.Errorf("dataaccess: row frame claims %d rows in %d bytes", nrows, len(p))
-	}
-	rows := make([]sqlengine.Row, 0, nrows)
-	for r := uint64(0); r < nrows; r++ {
-		ncells, err := uv()
-		if err != nil {
-			return nil, err
-		}
-		if ncells > uint64(len(p)) {
-			return nil, fmt.Errorf("dataaccess: row frame claims %d cells in %d bytes", ncells, len(p))
-		}
-		row := make(sqlengine.Row, 0, ncells)
-		for c := uint64(0); c < ncells; c++ {
-			if len(p) == 0 {
-				return nil, fmt.Errorf("dataaccess: truncated row frame")
-			}
-			kind := p[0]
-			p = p[1:]
-			switch kind {
-			case cellNull:
-				row = append(row, sqlengine.Null())
-			case cellInt:
-				v, err := sv()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, sqlengine.NewInt(v))
-			case cellFloat:
-				b, err := take(8)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, sqlengine.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b))))
-			case cellStr:
-				n, err := uv()
-				if err != nil {
-					return nil, err
-				}
-				b, err := take(n)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, sqlengine.NewString(string(b)))
-			case cellFalse:
-				row = append(row, sqlengine.NewBool(false))
-			case cellTrue:
-				row = append(row, sqlengine.NewBool(true))
-			case cellTime:
-				sec, err := sv()
-				if err != nil {
-					return nil, err
-				}
-				nsec, err := uv()
-				if err != nil {
-					return nil, err
-				}
-				if nsec >= 1e9 {
-					return nil, fmt.Errorf("dataaccess: row frame has invalid nanoseconds %d", nsec)
-				}
-				row = append(row, sqlengine.NewTime(time.Unix(sec, int64(nsec)).UTC()))
-			case cellBytes:
-				n, err := uv()
-				if err != nil {
-					return nil, err
-				}
-				b, err := take(n)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, sqlengine.NewBytes(b))
-			default:
-				return nil, fmt.Errorf("dataaccess: unknown row frame cell kind %d", kind)
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
+// DecodeRowsBinary is sqlengine.DecodeRowFrame; see AppendRowsBinary.
+func DecodeRowsBinary(data []byte) ([]sqlengine.Row, error) { return sqlengine.DecodeRowFrame(data) }

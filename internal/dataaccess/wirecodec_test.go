@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"gridrdb/internal/clarens"
@@ -22,7 +21,7 @@ import (
 
 // allKindsRows exercises every sqlengine.Value kind, including edge
 // payloads (empty string/bytes, negative and extreme numbers, sub-second
-// timestamps).
+// timestamps); FuzzRowFrame seeds its frame-decoder leg with their frame.
 func allKindsRows() []sqlengine.Row {
 	return []sqlengine.Row{
 		{
@@ -54,31 +53,6 @@ func allKindsRows() []sqlengine.Row {
 			sqlengine.Null(),
 		},
 		{}, // empty row
-	}
-}
-
-// TestBinaryRowsRoundTripAllKinds: the binary framing is lossless across
-// every value kind, including nanosecond time precision the XML dateTime
-// cannot carry.
-func TestBinaryRowsRoundTripAllKinds(t *testing.T) {
-	rows := allKindsRows()
-	frame := AppendRowsBinary(nil, rows)
-	back, err := DecodeRowsBinary(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(rows) {
-		t.Fatalf("rows = %d, want %d", len(back), len(rows))
-	}
-	for i := range rows {
-		if len(back[i]) != len(rows[i]) {
-			t.Fatalf("row %d has %d cells, want %d", i, len(back[i]), len(rows[i]))
-		}
-		for j := range rows[i] {
-			if want, got := rows[i][j], back[i][j]; !identical(want, got) {
-				t.Fatalf("row %d cell %d = %s %v, want %s %v", i, j, got.Kind, got, want.Kind, want)
-			}
-		}
 	}
 }
 
@@ -115,63 +89,6 @@ func identicalRows(a, b []sqlengine.Row) bool {
 		}
 	}
 	return true
-}
-
-// TestBinaryRowsProperty: randomized round-trip over generated cells.
-func TestBinaryRowsProperty(t *testing.T) {
-	f := func(ints []int64, floats []float64, strs []string, blobs [][]byte, secs int64, nsec uint32) bool {
-		row := sqlengine.Row{}
-		for _, v := range ints {
-			row = append(row, sqlengine.NewInt(v))
-		}
-		for _, v := range floats {
-			if v != v {
-				continue // NaN != NaN; compared separately below
-			}
-			row = append(row, sqlengine.NewFloat(v))
-		}
-		for _, v := range strs {
-			row = append(row, sqlengine.NewString(v))
-		}
-		for _, v := range blobs {
-			row = append(row, sqlengine.NewBytes(v))
-		}
-		row = append(row, sqlengine.NewTime(time.Unix(secs%1<<40, int64(nsec%1e9)).UTC()))
-		rows := []sqlengine.Row{row, {}}
-		back, err := DecodeRowsBinary(AppendRowsBinary(nil, rows))
-		if err != nil {
-			return false
-		}
-		return identicalRows(back, rows)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestBinaryRowsMalformed: truncations and garbage are loud protocol
-// errors, never silent short results.
-func TestBinaryRowsMalformed(t *testing.T) {
-	frame := AppendRowsBinary(nil, allKindsRows())
-	if _, err := DecodeRowsBinary(nil); err == nil {
-		t.Error("empty frame decoded")
-	}
-	if _, err := DecodeRowsBinary([]byte{'X', 1, 0}); err == nil {
-		t.Error("bad magic decoded")
-	}
-	if _, err := DecodeRowsBinary([]byte{'R', 99, 0}); err == nil {
-		t.Error("future version decoded")
-	}
-	for cut := 1; cut < len(frame); cut += 7 {
-		if _, err := DecodeRowsBinary(frame[:cut]); err == nil {
-			t.Fatalf("truncation at %d decoded silently", cut)
-		}
-	}
-	// A frame claiming absurd row counts must be rejected before
-	// allocation, not OOM.
-	if _, err := DecodeRowsBinary([]byte{'R', 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}); err == nil {
-		t.Error("absurd row count decoded")
-	}
 }
 
 // TestWireResultMatchesBoxed: the zero-boxing XML payload renders byte-
@@ -253,7 +170,7 @@ func TestWireCodecAllocs(t *testing.T) {
 		}
 	})
 	binary := testing.AllocsPerRun(5, func() {
-		if back, err := DecodeRowsBinary(AppendRowsBinary(nil, rs.Rows)); err != nil || len(back) != len(rs.Rows) {
+		if back, err := sqlengine.DecodeRowFrame(sqlengine.AppendRowFrame(nil, rs.Rows)); err != nil || len(back) != len(rs.Rows) {
 			t.Fatalf("binary round trip: %v", err)
 		}
 	})

@@ -83,6 +83,8 @@ type backend interface {
 	query(sql string, params []sqlengine.Value) (*sqlengine.ResultSet, error)
 	exec(sql string, params []sqlengine.Value) (int64, error)
 	close() error
+	// valid reports whether the backend can still carry a statement.
+	valid() bool
 }
 
 type localBackend struct {
@@ -106,16 +108,27 @@ func (b *localBackend) exec(sqlText string, params []sqlengine.Value) (int64, er
 }
 
 func (b *localBackend) close() error { return b.sess.Rollback() }
+func (b *localBackend) valid() bool  { return true }
 
+// remoteBackend is a wire client. Once its connection is broken it returns
+// driver.ErrBadConn before sending anything, so database/sql may retry the
+// statement on another connection.
 type remoteBackend struct{ c *wire.Client }
 
 func (b *remoteBackend) query(sqlText string, params []sqlengine.Value) (*sqlengine.ResultSet, error) {
+	if b.c.Broken() {
+		return nil, driver.ErrBadConn
+	}
 	return b.c.Query(sqlText, params...)
 }
 func (b *remoteBackend) exec(sqlText string, params []sqlengine.Value) (int64, error) {
+	if b.c.Broken() {
+		return 0, driver.ErrBadConn
+	}
 	return b.c.Exec(sqlText, params...)
 }
 func (b *remoteBackend) close() error { return b.c.Close() }
+func (b *remoteBackend) valid() bool  { return !b.c.Broken() }
 
 type fileBackend struct {
 	localBackend
@@ -198,6 +211,11 @@ var _ driver.Conn = (*conn)(nil)
 var _ driver.QueryerContext = (*conn)(nil)
 var _ driver.ExecerContext = (*conn)(nil)
 var _ driver.NamedValueChecker = (*conn)(nil)
+var _ driver.Validator = (*conn)(nil)
+
+// IsValid implements driver.Validator: database/sql drops a connection
+// whose wire link broke instead of pooling it.
+func (c *conn) IsValid() bool { return !c.closed && c.b.valid() }
 
 // CheckNamedValue lets callers pass sqlengine.Value (and the usual basic
 // Go types) directly as query parameters.

@@ -2,9 +2,13 @@ package sqldriver
 
 import (
 	"database/sql"
+	"io"
+	"net"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"gridrdb/internal/leaktest"
 	"gridrdb/internal/sqlengine"
 	"gridrdb/internal/wire"
 )
@@ -122,6 +126,114 @@ func TestTCPDSN(t *testing.T) {
 	defer bad.Close()
 	if err := bad.Ping(); err == nil {
 		t.Fatal("bad credentials accepted")
+	}
+}
+
+// cutProxy forwards TCP connections to a backend until cut severs every
+// connection it carries.
+type cutProxy struct {
+	ln    net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+	wg    sync.WaitGroup
+}
+
+func newCutProxy(t *testing.T, backend string) *cutProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &cutProxy{ln: ln}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		for {
+			client, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			server, err := net.Dial("tcp", backend)
+			if err != nil {
+				client.Close()
+				continue
+			}
+			p.mu.Lock()
+			p.conns = append(p.conns, client, server)
+			p.mu.Unlock()
+			p.wg.Add(2)
+			go p.pipe(server, client)
+			go p.pipe(client, server)
+		}
+	}()
+	return p
+}
+
+func (p *cutProxy) pipe(dst, src net.Conn) {
+	defer p.wg.Done()
+	io.Copy(dst, src)
+	dst.Close()
+	src.Close()
+}
+
+func (p *cutProxy) cut() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.conns {
+		c.Close()
+	}
+	p.conns = nil
+}
+
+func (p *cutProxy) close() {
+	p.ln.Close()
+	p.cut()
+	p.wg.Wait()
+}
+
+// TestBrokenTCPConnLeavesPool: the query that finds a pooled tcp://
+// connection's link cut fails, database/sql then drops that connection,
+// and the next query runs on a fresh one.
+func TestBrokenTCPConnLeavesPool(t *testing.T) {
+	defer leaktest.Check(t)()
+	e := sqlengine.NewEngine("cut1", sqlengine.DialectMySQL)
+	if err := e.ExecScript("CREATE TABLE t (a BIGINT); INSERT INTO t VALUES (7)"); err != nil {
+		t.Fatal(err)
+	}
+	srv := wire.NewServer(nil)
+	srv.AddEngine(e)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	proxy := newCutProxy(t, addr)
+	defer proxy.close()
+
+	db, err := sql.Open("gridsql", "tcp://"+proxy.ln.Addr().String()+"/cut1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.SetMaxOpenConns(1)
+	query := func() error {
+		var a int64
+		return db.QueryRow("SELECT a FROM t").Scan(&a)
+	}
+	if err := query(); err != nil {
+		t.Fatal(err)
+	}
+	proxy.cut()
+	if err := query(); err == nil {
+		t.Fatal("query over a cut link succeeded")
+	}
+	for i := 0; i < 3; i++ {
+		if err := query(); err != nil {
+			t.Fatalf("query %d after the cut: %v", i, err)
+		}
+	}
+	if n := db.Stats().OpenConnections; n != 1 {
+		t.Fatalf("%d open connections after reconnecting, want 1", n)
 	}
 }
 

@@ -1,11 +1,16 @@
 package sqlengine
 
-import "sync"
+import (
+	"fmt"
+	"io"
+	"sync"
+)
 
 // Exports for federated_test.go, which runs the generated differential's
 // statements on a federation of its tables (package sqlengine_test, so it
-// may import the federation), and the access-path hook the differentials
-// read to show which path ran.
+// may import the federation), for value_fuzz_test.go (package
+// sqlengine_test, so it may import the wire transport), and the
+// access-path hook the differentials read to show which path ran.
 
 // GenFederatedSelect writes the generated differential's statement for
 // one seed in its federated form (see selectGen.federated).
@@ -47,4 +52,36 @@ func (l *pathLog) take() []string {
 	out := l.paths
 	l.paths = nil
 	return out
+}
+
+// SpillRoundTrip writes row to a spill file under dir and reads it back.
+func SpillRoundTrip(dir string, row Row) (Row, error) {
+	sd, err := newSpillDir(dir, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer sd.remove()
+	sw, err := sd.newWriter("fuzz")
+	if err != nil {
+		return nil, err
+	}
+	if err := sw.writeRow(row); err != nil {
+		return nil, err
+	}
+	if err := sw.finish(); err != nil {
+		return nil, err
+	}
+	sr, err := openSpill(sw.path)
+	if err != nil {
+		return nil, err
+	}
+	defer sr.close()
+	back, err := sr.readRow()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sr.readRow(); err != io.EOF {
+		return nil, fmt.Errorf("after the only row: %v, want io.EOF", err)
+	}
+	return back, nil
 }

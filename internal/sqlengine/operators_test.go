@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // streamTable is one input table for the differential harness: the same
@@ -665,5 +668,78 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := sr.readRow(); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
+	}
+}
+
+// TestSpillTornRecords cuts a spill file of mixed-kind rows at every byte
+// offset. readRow returns the rows whose records the cut leaves whole,
+// then io.EOF if the cut falls on a record boundary and an error anywhere
+// else; it never returns a short or garbled row.
+func TestSpillTornRecords(t *testing.T) {
+	dir := t.TempDir()
+	sd, err := newSpillDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sd.remove()
+	sw, err := sd.newWriter("torn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []Row{
+		{Null(), NewInt(-42), NewFloat(math.Copysign(0, -1)), NewString("héllo"), NewBool(true), NewBytes([]byte{0, 1, 2})},
+		{},
+		// A 200-byte string makes the record's length prefix two bytes.
+		{NewTime(time.Date(2005, 6, 15, 12, 30, 45, 123456789, time.UTC)), NewString(strings.Repeat("x", 200)), NewBytes(nil), NewBool(false)},
+		{NewInt(1 << 40), NewString(""), NewBytes([]byte{}), NewFloat(-0.25)},
+	}
+	var ends []int64 // offset after each record
+	for _, r := range rows {
+		if err := sw.writeRow(r); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, sw.bytes)
+	}
+	if err := sw.finish(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(sw.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(dir, "torn.spill")
+	for cut := 0; cut <= len(whole); cut++ {
+		if err := os.WriteFile(torn, whole[:cut], 0o600); err != nil {
+			t.Fatal(err)
+		}
+		complete, boundary := 0, cut == 0
+		for _, end := range ends {
+			if end <= int64(cut) {
+				complete++
+				boundary = boundary || end == int64(cut)
+			}
+		}
+		sr, err := openSpill(torn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got int
+		for {
+			row, err := sr.readRow()
+			if err != nil {
+				if boundary != (err == io.EOF) {
+					t.Fatalf("cut at %d (record boundary %v): got %v after %d rows", cut, boundary, err, got)
+				}
+				break
+			}
+			if got == len(rows) || string(appendFrameRow(nil, row)) != string(appendFrameRow(nil, rows[got])) {
+				t.Fatalf("cut at %d: row %d read as %v", cut, got, row)
+			}
+			got++
+		}
+		sr.close()
+		if got != complete {
+			t.Fatalf("cut at %d: read %d rows, want the %d whole records", cut, got, complete)
+		}
 	}
 }

@@ -13,10 +13,11 @@ import (
 // operator (hash-join build side, sort buffer) exceeds its byte budget
 // it writes rows to temp files under a per-operator directory and reads
 // them back partition by partition (Grace hash join) or run by run
-// (external merge sort). The format is a private, single-process scratch
-// encoding — length-prefixed values, no versioning — because the files
-// never outlive the query: the owning operator removes the whole
-// directory on Close on every exit path.
+// (external merge sort). Each record is one row of the row frame
+// (frame.go) behind its byte length, uvarint(len) | frame row, so a file
+// cut short is an error and never a short row. There is no frame header or
+// version: the files never outlive the query, because the owning operator
+// removes the whole directory on Close on every exit path.
 
 // spillDir is the per-operator temp directory plus the shared telemetry
 // sink. All files of one operator live under dir so cleanup is one
@@ -70,17 +71,19 @@ func (sd *spillDir) newWriter(kind string) (*spillWriter, error) {
 }
 
 func (sw *spillWriter) writeRow(row Row) error {
-	b, err := appendRow(sw.buf[:0], row)
-	if err != nil {
-		return err
-	}
-	sw.buf = b[:0]
-	if _, err := sw.w.Write(b); err != nil {
+	sw.buf = appendFrameRow(sw.buf[:0], row)
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(len(sw.buf)))
+	if _, err := sw.w.Write(hdr[:h]); err != nil {
 		return fmt.Errorf("sqlengine: writing spill file: %w", err)
 	}
+	if _, err := sw.w.Write(sw.buf); err != nil {
+		return fmt.Errorf("sqlengine: writing spill file: %w", err)
+	}
+	n := int64(h + len(sw.buf))
 	sw.rows++
-	sw.bytes += int64(len(b))
-	sw.sd.stats.SpillBytes += int64(len(b))
+	sw.bytes += n
+	sw.sd.stats.SpillBytes += n
 	return nil
 }
 
@@ -108,7 +111,8 @@ func openSpill(path string) (*spillReader, error) {
 	return &spillReader{f: f, r: bufio.NewReaderSize(f, 1<<16)}, nil
 }
 
-// readRow returns the next row or io.EOF at end of file.
+// readRow returns the next row, or io.EOF when the file ends on a record
+// boundary. A record cut short or garbled is an error.
 func (sr *spillReader) readRow() (Row, error) {
 	n, err := binary.ReadUvarint(sr.r)
 	if err == io.EOF {
@@ -117,11 +121,22 @@ func (sr *spillReader) readRow() (Row, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sqlengine: reading spill file: %w", err)
 	}
-	row := make(Row, n)
-	for i := range row {
-		if row[i], err = readCell(sr.r, &sr.scratch); err != nil {
-			return nil, err
+	if uint64(cap(sr.scratch)) < n {
+		sr.scratch = make([]byte, n)
+	}
+	rec := sr.scratch[:n]
+	if _, err := io.ReadFull(sr.r, rec); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
+		return nil, fmt.Errorf("sqlengine: reading spill file: %w", err)
+	}
+	row, rest, err := decodeFrameRow(rec)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("sqlengine: corrupt spill record: %d bytes after the row", len(rest))
 	}
 	return row, nil
 }

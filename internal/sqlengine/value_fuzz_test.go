@@ -1,4 +1,4 @@
-package sqlengine
+package sqlengine_test
 
 import (
 	"bytes"
@@ -7,6 +7,9 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"gridrdb/internal/sqlengine"
+	"gridrdb/internal/wire"
 )
 
 // Timestamps the engine promises to keep exactly: 0001-01-01 to
@@ -18,65 +21,49 @@ var (
 
 // genValue builds a value of a generated kind from generated payloads;
 // sec is folded into the supported time range.
-func genValue(kind uint8, i int64, f float64, s string, b []byte, sec int64, nsec uint32) Value {
-	switch Kind(kind % 7) {
-	case KindInt:
-		return NewInt(i)
-	case KindFloat:
-		return NewFloat(f)
-	case KindString:
-		return NewString(s)
-	case KindBool:
-		return NewBool(i&1 == 1)
-	case KindTime:
+func genValue(kind uint8, i int64, f float64, s string, b []byte, sec int64, nsec uint32) sqlengine.Value {
+	switch sqlengine.Kind(kind % 7) {
+	case sqlengine.KindInt:
+		return sqlengine.NewInt(i)
+	case sqlengine.KindFloat:
+		return sqlengine.NewFloat(f)
+	case sqlengine.KindString:
+		return sqlengine.NewString(s)
+	case sqlengine.KindBool:
+		return sqlengine.NewBool(i&1 == 1)
+	case sqlengine.KindTime:
 		span := maxTime.Unix() - minTime.Unix() + 1
 		sec = minTime.Unix() + (sec%span+span)%span
-		return NewTime(time.Unix(sec, int64(nsec%1e9)))
-	case KindBytes:
-		return NewBytes(b)
+		return sqlengine.NewTime(time.Unix(sec, int64(nsec%1e9)))
+	case sqlengine.KindBytes:
+		return sqlengine.NewBytes(b)
 	}
-	return Null()
-}
-
-// identical reports whether two values have the same kind and payload:
-// floats by their bits, times to the nanosecond.
-func identical(a, b Value) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	switch a.Kind {
-	case KindInt:
-		return a.Int == b.Int
-	case KindFloat:
-		return math.Float64bits(a.Float) == math.Float64bits(b.Float)
-	case KindTime:
-		return a.Time().Equal(b.Time())
-	}
-	return a.Bool() == b.Bool() && a.Str() == b.Str()
+	return sqlengine.Null()
 }
 
 func addValueSeeds(f *testing.F) {
-	f.Add(uint8(KindNull), int64(0), 0.0, "", []byte(nil), int64(0), uint32(0))
-	f.Add(uint8(KindInt), int64(math.MinInt64), 0.0, "", []byte(nil), int64(0), uint32(0))
-	f.Add(uint8(KindInt), int64(math.MaxInt64), 0.0, "", []byte(nil), int64(0), uint32(0))
-	f.Add(uint8(KindFloat), int64(0), math.Copysign(0, -1), "", []byte(nil), int64(0), uint32(0))
-	f.Add(uint8(KindFloat), int64(0), math.NaN(), "", []byte(nil), int64(0), uint32(0))
-	f.Add(uint8(KindFloat), int64(0), math.Inf(1), "", []byte(nil), int64(0), uint32(0))
-	f.Add(uint8(KindFloat), int64(0), math.Inf(-1), "", []byte(nil), int64(0), uint32(0))
-	f.Add(uint8(KindString), int64(0), 0.0, "", []byte(nil), int64(0), uint32(0))
-	f.Add(uint8(KindString), int64(0), 0.0, "héllo\x00'world'", []byte(nil), int64(0), uint32(0))
-	f.Add(uint8(KindString), int64(0), 0.0, "\xff\xfe invalid utf-8", []byte(nil), int64(0), uint32(0))
-	f.Add(uint8(KindBool), int64(1), 0.0, "", []byte(nil), int64(0), uint32(0))
-	f.Add(uint8(KindBytes), int64(0), 0.0, "", []byte{}, int64(0), uint32(0))
-	f.Add(uint8(KindBytes), int64(0), 0.0, "", []byte{0xff, 0, 0xc3, 0x28}, int64(0), uint32(0))
-	f.Add(uint8(KindTime), int64(0), 0.0, "", []byte(nil), minTime.Unix(), uint32(0))
-	f.Add(uint8(KindTime), int64(0), 0.0, "", []byte(nil), maxTime.Unix(), uint32(999999999))
-	f.Add(uint8(KindTime), int64(0), 0.0, "", []byte(nil), int64(-1), uint32(1))
+	f.Add(uint8(sqlengine.KindNull), int64(0), 0.0, "", []byte(nil), int64(0), uint32(0))
+	f.Add(uint8(sqlengine.KindInt), int64(math.MinInt64), 0.0, "", []byte(nil), int64(0), uint32(0))
+	f.Add(uint8(sqlengine.KindInt), int64(math.MaxInt64), 0.0, "", []byte(nil), int64(0), uint32(0))
+	f.Add(uint8(sqlengine.KindFloat), int64(0), math.Copysign(0, -1), "", []byte(nil), int64(0), uint32(0))
+	f.Add(uint8(sqlengine.KindFloat), int64(0), math.NaN(), "", []byte(nil), int64(0), uint32(0))
+	f.Add(uint8(sqlengine.KindFloat), int64(0), math.Inf(1), "", []byte(nil), int64(0), uint32(0))
+	f.Add(uint8(sqlengine.KindFloat), int64(0), math.Inf(-1), "", []byte(nil), int64(0), uint32(0))
+	f.Add(uint8(sqlengine.KindString), int64(0), 0.0, "", []byte(nil), int64(0), uint32(0))
+	f.Add(uint8(sqlengine.KindString), int64(0), 0.0, "héllo\x00'world'", []byte(nil), int64(0), uint32(0))
+	f.Add(uint8(sqlengine.KindString), int64(0), 0.0, "\xff\xfe invalid utf-8", []byte(nil), int64(0), uint32(0))
+	f.Add(uint8(sqlengine.KindBool), int64(1), 0.0, "", []byte(nil), int64(0), uint32(0))
+	f.Add(uint8(sqlengine.KindBytes), int64(0), 0.0, "", []byte{}, int64(0), uint32(0))
+	f.Add(uint8(sqlengine.KindBytes), int64(0), 0.0, "", []byte{0xff, 0, 0xc3, 0x28}, int64(0), uint32(0))
+	f.Add(uint8(sqlengine.KindTime), int64(0), 0.0, "", []byte(nil), minTime.Unix(), uint32(0))
+	f.Add(uint8(sqlengine.KindTime), int64(0), 0.0, "", []byte(nil), maxTime.Unix(), uint32(999999999))
+	f.Add(uint8(sqlengine.KindTime), int64(0), 0.0, "", []byte(nil), int64(-1), uint32(1))
 }
 
 // FuzzValueRoundTrip checks that every generated value survives each
-// encoding the engine owns exactly: constructor to accessor, the row
-// codec (spill files and the gob transport), and a persisted snapshot.
+// encoding the engine owns exactly: constructor to accessor, the row frame
+// (a spill file, and a gob-encoded wire request and response as the tcp://
+// transport sends them), and a persisted snapshot.
 func FuzzValueRoundTrip(f *testing.F) {
 	addValueSeeds(f)
 	dir := f.TempDir()
@@ -85,31 +72,31 @@ func FuzzValueRoundTrip(f *testing.F) {
 
 		// Constructor -> accessor.
 		switch v.Kind {
-		case KindInt:
+		case sqlengine.KindInt:
 			if v.Int != i {
 				t.Fatalf("Int = %d, want %d", v.Int, i)
 			}
-		case KindFloat:
+		case sqlengine.KindFloat:
 			if math.Float64bits(v.Float) != math.Float64bits(fl) {
 				t.Fatalf("Float bits = %x, want %x", math.Float64bits(v.Float), math.Float64bits(fl))
 			}
-		case KindString:
+		case sqlengine.KindString:
 			if v.Str() != s {
 				t.Fatalf("Str = %q, want %q", v.Str(), s)
 			}
-		case KindBool:
+		case sqlengine.KindBool:
 			if v.Bool() != (i&1 == 1) {
 				t.Fatalf("Bool = %v, want %v", v.Bool(), i&1 == 1)
 			}
-		case KindTime:
+		case sqlengine.KindTime:
 			got := v.Time()
 			if got.Location() != time.UTC || got.Before(minTime) || got.After(maxTime) || got.Nanosecond() != int(nsec%1e9) {
 				t.Fatalf("Time = %v, want a UTC time in range with %d ns", got, nsec%1e9)
 			}
-			if !identical(NewTime(got.In(time.FixedZone("x", 3600))), v) {
+			if !identical(sqlengine.NewTime(got.In(time.FixedZone("x", 3600))), v) {
 				t.Fatalf("NewTime is not location-independent for %v", got)
 			}
-		case KindBytes:
+		case sqlengine.KindBytes:
 			if got := v.Bytes(); !bytes.Equal(got, b) {
 				t.Fatalf("Bytes = %x, want %x", got, b)
 			}
@@ -125,61 +112,50 @@ func FuzzValueRoundTrip(f *testing.F) {
 				b[0] = b0
 			}
 		}
-		row := Row{NewInt(7), v, Null(), v}
+		row := sqlengine.Row{sqlengine.NewInt(7), v, sqlengine.Null(), v}
 
 		// Spill file.
-		sd, err := newSpillDir(dir, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sd.remove()
-		sw, err := sd.newWriter("fuzz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.writeRow(row); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.finish(); err != nil {
-			t.Fatal(err)
-		}
-		sr, err := openSpill(sw.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sr.close()
-		back, err := sr.readRow()
+		back, err := sqlengine.SpillRoundTrip(dir, row)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkRow(t, "spill", back, row)
 
-		// Gob, as the wire transport sends rows and parameters.
+		// The tcp:// transport: a gob-encoded wire request carrying row as
+		// its parameter frame and a response carrying it as a result frame.
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(struct {
-			Params []Value
-			Rows   []Row
-		}{row, []Row{row, {}}}); err != nil {
+		enc := gob.NewEncoder(&buf)
+		if err := enc.Encode(wire.Request{Op: "query", Params: sqlengine.AppendRowFrame(nil, []sqlengine.Row{row})}); err != nil {
 			t.Fatal(err)
 		}
-		var msg struct {
-			Params []Value
-			Rows   []Row
-		}
-		if err := gob.NewDecoder(&buf).Decode(&msg); err != nil {
+		if err := enc.Encode(wire.Response{Rows: sqlengine.AppendRowFrame(nil, []sqlengine.Row{row, {}})}); err != nil {
 			t.Fatal(err)
 		}
-		if len(msg.Rows) != 2 || len(msg.Rows[1]) != 0 {
-			t.Fatalf("gob rows = %v", msg.Rows)
+		dec := gob.NewDecoder(&buf)
+		var req wire.Request
+		var resp wire.Response
+		if err := dec.Decode(&req); err != nil {
+			t.Fatal(err)
 		}
-		checkRow(t, "gob params", msg.Params, row)
-		checkRow(t, "gob rows", msg.Rows[0], row)
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		params, err := sqlengine.DecodeRowFrame(req.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRows(t, "wire params", params, []sqlengine.Row{row})
+		rows, err := sqlengine.DecodeRowFrame(resp.Rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRows(t, "wire rows", rows, []sqlengine.Row{row, {}})
 
 		// Snapshot.
-		if v.Kind == KindNull {
+		if v.Kind == sqlengine.KindNull {
 			return
 		}
-		e := NewEngine("fuzz", DialectANSI)
+		e := sqlengine.NewEngine("fuzz", sqlengine.DialectANSI)
 		if _, err := e.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, v " + v.Kind.String() + ")"); err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +166,7 @@ func FuzzValueRoundTrip(f *testing.F) {
 		if err := e.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		e2, err := Load(&buf)
+		e2, err := sqlengine.Load(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,24 +177,12 @@ func FuzzValueRoundTrip(f *testing.F) {
 		if len(rs.Rows) != 1 {
 			t.Fatalf("snapshot rows = %d", len(rs.Rows))
 		}
-		checkRow(t, "snapshot", rs.Rows[0], Row{v})
+		checkRow(t, "snapshot", rs.Rows[0], sqlengine.Row{v})
 	})
 }
 
-func checkRow(t *testing.T, via string, got, want Row) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d cells, want %d", via, len(got), len(want))
-	}
-	for j := range want {
-		if !identical(got[j], want[j]) {
-			t.Fatalf("%s: cell %d = %s %v, want %s %v", via, j, got[j].Kind, got[j], want[j].Kind, want[j])
-		}
-	}
-}
-
 func TestValueSize(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got != 32 {
+	if got := unsafe.Sizeof(sqlengine.Value{}); got != 32 {
 		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
 	}
 }

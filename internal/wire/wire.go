@@ -5,9 +5,12 @@
 // protocol so that the middleware's remote-access code paths (connect,
 // authenticate, query, stream results) are genuinely exercised.
 //
-// The protocol is a simple sequence of gob-encoded frames over one TCP
+// The protocol is a simple sequence of gob-encoded messages over one TCP
 // connection: a Hello (credentials + target database), then request/
-// response pairs. One connection maps to one engine session, so
+// response pairs. Parameters and result rows travel as sqlengine row
+// frames (docs/WIRE.md §5), the encoding peers negotiate for rows over
+// XML-RPC, and netsim charges a round trip for the SQL text and frame
+// bytes it carries. One connection maps to one engine session, so
 // transactions hold across requests.
 package wire
 
@@ -31,19 +34,23 @@ type Hello struct {
 	Password string
 }
 
-// Request is one client->server frame.
+// Request is one client->server message.
 type Request struct {
 	// Op is "query", "exec", "ping" or "close".
-	Op     string
-	SQL    string
-	Params []sqlengine.Value
+	Op  string
+	SQL string
+	// Params is the row frame of a query or exec: exactly one row, the
+	// statement's parameters.
+	Params []byte
 }
 
-// Response is one server->client frame.
+// Response is one server->client message.
 type Response struct {
-	Err          string
-	Columns      []string
-	Rows         []sqlengine.Row
+	Err     string
+	Columns []string
+	// Rows is the result's row frame, nil when the statement returned no
+	// result set.
+	Rows         []byte
 	RowsAffected int64
 }
 
@@ -52,6 +59,7 @@ type Server struct {
 	mu      sync.RWMutex
 	engines map[string]*sqlengine.Engine
 	ln      net.Listener
+	conns   map[net.Conn]struct{}
 	wg      sync.WaitGroup
 	closed  bool
 	logger  *log.Logger
@@ -62,7 +70,7 @@ func NewServer(logger *log.Logger) *Server {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	return &Server{engines: make(map[string]*sqlengine.Engine), logger: logger}
+	return &Server{engines: make(map[string]*sqlengine.Engine), conns: make(map[net.Conn]struct{}), logger: logger}
 }
 
 // AddEngine registers an engine under its database name.
@@ -94,22 +102,44 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return
 		}
+		s.mu.Lock()
+		closed := s.closed
+		if !closed {
+			s.conns[conn] = struct{}{}
+		}
+		s.mu.Unlock()
+		if closed {
+			conn.Close()
+			return
+		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			s.serveConn(conn)
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
 		}()
 	}
 }
 
-// Close stops the listener and waits for in-flight connections.
+// Close stops the listener, closes every accepted connection (idle ones
+// included: a pooled client may hold one open indefinitely) and waits for
+// their sessions to roll back.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	ln := s.ln
 	s.closed = true
+	conns := make([]net.Conn, 0, len(s.conns))
+	for conn := range s.conns {
+		conns = append(conns, conn)
+	}
 	s.mu.Unlock()
 	if ln != nil {
 		ln.Close()
+	}
+	for _, conn := range conns {
+		conn.Close()
 	}
 	s.wg.Wait()
 	return nil
@@ -154,14 +184,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			enc.Encode(&Response{})
 			return
 		case "query", "exec":
-			rs, n, err := sess.Run(req.SQL, req.Params...)
+			rs, n, err := run(sess, &req)
 			if err != nil {
 				resp.Err = err.Error()
 			} else {
 				resp.RowsAffected = n
 				if rs != nil {
 					resp.Columns = rs.Columns
-					resp.Rows = rs.Rows
+					resp.Rows = sqlengine.AppendRowFrame(nil, rs.Rows)
 				}
 			}
 		default:
@@ -173,6 +203,19 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// run decodes a query or exec request's parameters, which must be exactly
+// one frame row, and runs its statement.
+func run(sess *sqlengine.Session, req *Request) (*sqlengine.ResultSet, int64, error) {
+	params, err := sqlengine.DecodeRowFrame(req.Params)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wire: params: %w", err)
+	}
+	if len(params) != 1 {
+		return nil, 0, fmt.Errorf("wire: params frame holds %d rows, want 1", len(params))
+	}
+	return sess.Run(req.SQL, params[0]...)
+}
+
 // Client is one connection to a remote database engine. It is not safe for
 // concurrent use (like a database/sql driver connection).
 type Client struct {
@@ -181,6 +224,9 @@ type Client struct {
 	dec     *gob.Decoder
 	profile *netsim.Profile
 	clock   *netsim.Clock
+	// err is the first send or receive error; the connection carries
+	// nothing after it.
+	err error
 }
 
 // Dial connects, authenticates, and selects a database. profile/clock are
@@ -215,51 +261,56 @@ func Dial(addr string, hello Hello, profile *netsim.Profile, clock *netsim.Clock
 }
 
 // roundTrip sends a request and decodes the response, charging network
-// cost proportional to a rough response size estimate.
+// cost for the SQL text and the row frames it carries. After a send or
+// receive error the connection is broken and roundTrip returns that error
+// without sending.
 func (c *Client) roundTrip(req *Request) (*Response, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
 	if err := c.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("wire: send: %w", err)
+		c.err = fmt.Errorf("wire: send: %w", err)
+		return nil, c.err
 	}
 	var resp Response
 	if err := c.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("wire: recv: %w", err)
+		c.err = fmt.Errorf("wire: recv: %w", err)
+		return nil, c.err
 	}
-	c.clock.RoundTrip(c.profile, int64(len(req.SQL))+estimateSize(resp.Rows))
+	c.clock.RoundTrip(c.profile, int64(len(req.SQL)+len(req.Params)+len(resp.Rows)))
 	if resp.Err != "" {
 		return nil, errors.New(resp.Err)
 	}
 	return &resp, nil
 }
 
-// estimateSize approximates the wire size of a row set for bandwidth
-// charging.
-func estimateSize(rows []sqlengine.Row) int64 {
-	var n int64
-	for _, r := range rows {
-		for _, v := range r {
-			switch v.Kind {
-			case sqlengine.KindString, sqlengine.KindBytes:
-				n += int64(len(v.Str())) + 2
-			default:
-				n += 9
-			}
-		}
-	}
-	return n
+// Broken reports whether a send or receive has failed on the connection.
+// A broken client sends nothing more; every call returns that first error.
+func (c *Client) Broken() bool { return c.err != nil }
+
+// statement runs one query or exec request.
+func (c *Client) statement(op, sql string, params []sqlengine.Value) (*Response, error) {
+	return c.roundTrip(&Request{Op: op, SQL: sql, Params: sqlengine.AppendRowFrame(nil, []sqlengine.Row{params})})
 }
 
 // Query runs a SELECT-style statement remotely.
 func (c *Client) Query(sql string, params ...sqlengine.Value) (*sqlengine.ResultSet, error) {
-	resp, err := c.roundTrip(&Request{Op: "query", SQL: sql, Params: params})
+	resp, err := c.statement("query", sql, params)
 	if err != nil {
 		return nil, err
 	}
-	return &sqlengine.ResultSet{Columns: resp.Columns, Rows: resp.Rows}, nil
+	rs := &sqlengine.ResultSet{Columns: resp.Columns}
+	if resp.Rows != nil {
+		if rs.Rows, err = sqlengine.DecodeRowFrame(resp.Rows); err != nil {
+			return nil, fmt.Errorf("wire: rows: %w", err)
+		}
+	}
+	return rs, nil
 }
 
 // Exec runs a DML/DDL statement remotely and returns rows affected.
 func (c *Client) Exec(sql string, params ...sqlengine.Value) (int64, error) {
-	resp, err := c.roundTrip(&Request{Op: "exec", SQL: sql, Params: params})
+	resp, err := c.statement("exec", sql, params)
 	if err != nil {
 		return 0, err
 	}
@@ -268,7 +319,9 @@ func (c *Client) Exec(sql string, params ...sqlengine.Value) (int64, error) {
 
 // Close tears down the connection.
 func (c *Client) Close() error {
-	// Best-effort close frame; the server also handles abrupt EOF.
-	c.enc.Encode(&Request{Op: "close"})
+	// Best-effort close message; the server also handles abrupt EOF.
+	if c.err == nil {
+		c.enc.Encode(&Request{Op: "close"})
+	}
 	return c.conn.Close()
 }

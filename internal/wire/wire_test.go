@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gridrdb/internal/leaktest"
 	"gridrdb/internal/netsim"
 	"gridrdb/internal/sqlengine"
 )
@@ -181,5 +182,98 @@ func TestServerCloseStopsAccept(t *testing.T) {
 	}
 	if _, err := Dial(addr, Hello{Database: "db1"}, nil, nil); err == nil {
 		t.Fatal("dial succeeded after close")
+	}
+}
+
+// TestNetsimChargesFrameBytes: a round trip is charged for exactly the SQL
+// text, the parameter frame and the result frame it carries.
+func TestNetsimChargesFrameBytes(t *testing.T) {
+	_, addr := startServer(t, testEngine(t, "db1"))
+	clock := &netsim.Clock{}
+	profile := &netsim.Profile{Name: "ns-per-byte", BytesPerSecond: 1e9}
+	c, err := Dial(addr, Hello{Database: "db1"}, profile, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const sql = "SELECT a, b FROM t WHERE a >= ?"
+	param := sqlengine.NewInt(0)
+	rs, err := c.Query(sql, param)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(sql) + len(sqlengine.AppendRowFrame(nil, []sqlengine.Row{{param}})) + len(sqlengine.AppendRowFrame(nil, rs.Rows))
+	if got := clock.Simulated(); got < time.Duration(want-1) || got > time.Duration(want+1) {
+		t.Fatalf("charged %v for %d bytes", got, want)
+	}
+}
+
+// TestParamsAreOneFrameRow: the server takes a statement's parameters from
+// a frame holding exactly one row, and answers anything else with an error
+// on a connection that stays usable.
+func TestParamsAreOneFrameRow(t *testing.T) {
+	_, addr := startServer(t, testEngine(t, "db1"))
+	c, err := Dial(addr, Hello{Database: "db1"}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, params := range [][]byte{
+		nil,
+		{'X', 1, 0},
+		sqlengine.AppendRowFrame(nil, nil),
+		sqlengine.AppendRowFrame(nil, []sqlengine.Row{{sqlengine.NewInt(1)}, {sqlengine.NewInt(2)}}),
+	} {
+		if _, err := c.roundTrip(&Request{Op: "query", SQL: "SELECT a FROM t WHERE a = ?", Params: params}); err == nil || !strings.Contains(err.Error(), "params") {
+			t.Fatalf("params %x: got %v, want a params error", params, err)
+		}
+	}
+	rs, err := c.Query("SELECT b FROM t WHERE a = ?", sqlengine.NewInt(2))
+	if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str() != "y" {
+		t.Fatalf("query after rejected params: %v %v", rs, err)
+	}
+	if c.Broken() {
+		t.Fatal("a rejected request broke the connection")
+	}
+}
+
+// TestServerCloseCutsIdleClients: Close returns while a client holds an
+// idle connection, that client's next call fails and marks it broken, and
+// no server goroutine is left behind.
+func TestServerCloseCutsIdleClients(t *testing.T) {
+	defer leaktest.Check(t)()
+	s := NewServer(nil)
+	s.AddEngine(testEngine(t, "db1"))
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr, Hello{Database: "db1"}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Query("SELECT a FROM t"); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked with an idle client connected")
+	}
+	_, err = c.Query("SELECT a FROM t")
+	if err == nil {
+		t.Fatal("query succeeded on a connection the server closed")
+	}
+	if !c.Broken() {
+		t.Fatalf("client not broken after %v", err)
+	}
+	if _, again := c.Exec("DELETE FROM t"); again == nil || again.Error() != err.Error() {
+		t.Fatalf("broken client: got %v, want its first error %v", again, err)
 	}
 }
