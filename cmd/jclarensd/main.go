@@ -57,9 +57,7 @@
 // -scratch-bytes bounds each buffering streaming operator of a decomposed
 // federated query: a hash-join build or external sort that outgrows the
 // budget spills to disk (Grace partitioning / sorted runs) instead of
-// growing the heap, and a join whose smaller side is estimated over the
-// budget is planned as a merge join with ORDER BY pushed to the sources.
-// Spill activity is served in the gridrdb_spill_* metric family.
+// growing the heap. Spill activity is served in the gridrdb_spill_* metric family.
 //
 // -max-inflight enables admission control: at most that many queries
 // execute or stream concurrently, arrivals past the cap queue FIFO

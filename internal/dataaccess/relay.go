@@ -87,30 +87,31 @@ func (s *Service) openRelay(ctx context.Context, serverURL, sqlText string) (*re
 	if id == "" {
 		return nil, fmt.Errorf("dataaccess: relay open on %s: response carries no cursor id", serverURL)
 	}
+	it := &relayIter{svc: s, p: p, url: serverURL, ctx: ctx, id: id, fetchN: s.cfg.RelayFetchSize}
+	// A column list the relay cannot name is a protocol error, not a
+	// result with blank or no columns; the cursor just opened is released.
 	colsRaw, _ := m["columns"].([]interface{})
-	cols := make([]string, len(colsRaw))
-	for i, c := range colsRaw {
-		cols[i], _ = c.(string)
+	if len(colsRaw) == 0 {
+		it.closeRemote()
+		return nil, fmt.Errorf("dataaccess: relay open on %s: protocol error: the cursor describes no columns", serverURL)
 	}
-	fetchN := s.cfg.RelayFetchSize
-	if fetchN <= 0 {
-		fetchN = DefaultFetchSize
+	it.cols = make([]string, len(colsRaw))
+	for i, c := range colsRaw {
+		if it.cols[i], _ = c.(string); it.cols[i] == "" {
+			it.closeRemote()
+			return nil, fmt.Errorf("dataaccess: relay open on %s: protocol error: column %d is %T %v, want a name", serverURL, i, c, c)
+		}
+	}
+	if it.fetchN <= 0 {
+		it.fetchN = DefaultFetchSize
 	}
 	s.obs.relayOpens.Inc()
 	s.obs.log(ctx, slog.LevelDebug, "relay: cursor opened",
 		slog.String("peer", serverURL), slog.String("cursor", id))
-	return &relayIter{
-		svc:    s,
-		p:      p,
-		url:    serverURL,
-		ctx:    ctx,
-		id:     id,
-		cols:   cols,
-		fetchN: fetchN,
-		// The capability probe shares the open call's source budget
-		// (cctx is cancelled only when this function returns).
-		binary: s.peerSpeaksBinary(cctx, p),
-	}, nil
+	// The capability probe shares the open call's source budget (cctx is
+	// cancelled only when this function returns).
+	it.binary = s.peerSpeaksBinary(cctx, p)
+	return it, nil
 }
 
 // remoteRows answers sqlText from a peer as a row stream: a cursor relay,

@@ -487,7 +487,8 @@ func TestRelayMixedIntegration(t *testing.T) {
 }
 
 // raggedPeer is a hand-built peer that serves a table whose second row is
-// one cell short, over the plain XML row codec or the binary frame; it
+// one cell short, over the plain XML row codec or the binary frame; its
+// cursor opens describe openCols (nil: the table's three names). It
 // counts the binary-frame calls (queryb, fetchb) and system.cursor.close
 // calls it received.
 type raggedPeer struct {
@@ -495,7 +496,7 @@ type raggedPeer struct {
 	binCalls, closed atomic.Int32
 }
 
-func newRaggedPeer(t *testing.T, binary bool) (*raggedPeer, *clarens.Server) {
+func newRaggedPeer(t *testing.T, binary bool, openCols []interface{}) (*raggedPeer, *clarens.Server) {
 	t.Helper()
 	p := &raggedPeer{}
 	rs := &sqlengine.ResultSet{
@@ -509,6 +510,9 @@ func newRaggedPeer(t *testing.T, binary bool) (*raggedPeer, *clarens.Server) {
 	if binary {
 		codec = RowCodecVersion
 	}
+	if openCols == nil {
+		openCols = []interface{}{"event_id", "run", "e_tot"}
+	}
 	srv := clarens.NewServer(true)
 	srv.Register("system.capabilities", func(context.Context, *clarens.CallContext, []interface{}) (interface{}, error) {
 		return map[string]interface{}{"rowcodec": codec}, nil
@@ -517,7 +521,7 @@ func newRaggedPeer(t *testing.T, binary bool) (*raggedPeer, *clarens.Server) {
 		return WireResult(rs), nil
 	})
 	srv.Register("system.cursor.open", func(context.Context, *clarens.CallContext, []interface{}) (interface{}, error) {
-		return map[string]interface{}{"cursor": "c1", "columns": []interface{}{"event_id", "run", "e_tot"}}, nil
+		return map[string]interface{}{"cursor": "c1", "columns": openCols}, nil
 	})
 	srv.Register("system.cursor.fetch", func(context.Context, *clarens.CallContext, []interface{}) (interface{}, error) {
 		return WireChunk(rs.Rows, false), nil
@@ -549,36 +553,48 @@ func newRaggedPeer(t *testing.T, binary bool) (*raggedPeer, *clarens.Server) {
 // (relayIter.Next) with a protocol error naming the peer, under either row
 // codec — never handing wrong-shape rows to operators that index cells by
 // position — and the failed relay still closes the peer's cursor and
-// strands nothing.
+// strands nothing. A cursor open whose column list holds a non-name fails
+// the stream the same way and releases the cursor it opened.
 func TestRaggedRowsAreProtocolErrors(t *testing.T) {
+	const q = "SELECT event_id, run, e_tot FROM events"
+	// setup publishes a ragged peer in a fresh catalog and returns a
+	// forwarding server that finds it there, plus the teardown.
+	setup := func(t *testing.T, name string, binary bool, openCols []interface{}) (*raggedPeer, *Service, func()) {
+		checkLeaks := leaktest.Check(t)
+		catalog := rls.NewServer(0)
+		rlsURL, err := catalog.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, peerSrv := newRaggedPeer(t, binary, openCols)
+		if err := rls.NewClient(rlsURL).Publish(peer.url, []string{"events"}); err != nil {
+			t.Fatal(err)
+		}
+		fwd := New(Config{Name: "ragged-fwd-" + name, RLS: rls.NewClient(rlsURL)})
+		return peer, fwd, func() {
+			fwd.Close()
+			peerSrv.Close()
+			catalog.Close()
+			checkLeaks()
+		}
+	}
+	// wantErr requires a protocol error that names the peer and says what.
+	wantErr := func(t *testing.T, err error, peer *raggedPeer, what string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "protocol error: "+what) || !strings.Contains(err.Error(), peer.url) {
+			t.Fatalf("err = %v, want a protocol error %q naming %s", err, what, peer.url)
+		}
+	}
 	for _, binary := range []bool{false, true} {
 		name := "xml"
 		if binary {
 			name = "binary"
 		}
 		t.Run(name, func(t *testing.T) {
-			checkLeaks := leaktest.Check(t)
-			catalog := rls.NewServer(0)
-			rlsURL, err := catalog.Start("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			peer, peerSrv := newRaggedPeer(t, binary)
-			if err := rls.NewClient(rlsURL).Publish(peer.url, []string{"events"}); err != nil {
-				t.Fatal(err)
-			}
-			fwd := New(Config{Name: "ragged-fwd-" + name, RLS: rls.NewClient(rlsURL)})
-			const q = "SELECT event_id, run, e_tot FROM events"
-			wantErr := func(err error) {
-				t.Helper()
-				if err == nil || !strings.Contains(err.Error(), "protocol error: row 1 has 2 cells for 3 columns") ||
-					!strings.Contains(err.Error(), peer.url) {
-					t.Fatalf("err = %v, want a protocol error naming %s", err, peer.url)
-				}
-			}
-
-			_, err = fwd.QueryContext(context.Background(), q)
-			wantErr(err)
+			peer, fwd, teardown := setup(t, name, binary, nil)
+			const ragged = "row 1 has 2 cells for 3 columns"
+			_, err := fwd.QueryContext(context.Background(), q)
+			wantErr(t, err, peer, ragged)
 
 			sr, err := fwd.QueryStreamContext(context.Background(), q)
 			if err != nil {
@@ -588,7 +604,7 @@ func TestRaggedRowsAreProtocolErrors(t *testing.T) {
 			for i := 0; i < 3 && nerr == nil; i++ {
 				_, nerr = sr.Next()
 			}
-			wantErr(nerr)
+			wantErr(t, nerr, peer, ragged)
 			if err := sr.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -596,11 +612,18 @@ func TestRaggedRowsAreProtocolErrors(t *testing.T) {
 			if got, want := peer.binCalls.Load(), map[bool]int32{false: 0, true: 2}[binary]; got != want {
 				t.Fatalf("binary-frame calls = %d, want %d (queryb + fetchb only when negotiated)", got, want)
 			}
-
-			fwd.Close()
-			peerSrv.Close()
-			catalog.Close()
-			checkLeaks()
+			teardown()
 		})
 	}
+	t.Run("column-name", func(t *testing.T) {
+		peer, fwd, teardown := setup(t, "column-name", false, []interface{}{int64(7), "run", "e_tot"})
+		sr, err := fwd.QueryStreamContext(context.Background(), q)
+		if err == nil {
+			_, err = sr.Next()
+			sr.Close()
+		}
+		wantErr(t, err, peer, "column 0 is int64 7, want a name")
+		waitFor(t, 2*time.Second, func() bool { return peer.closed.Load() == 1 })
+		teardown()
+	})
 }

@@ -79,9 +79,7 @@ type Config struct {
 	// operator (hash-join build, external sort): past it the operator
 	// spills to disk instead of growing the heap. 0 selects the default
 	// (64 MiB); negative disables spilling, letting buffers grow
-	// unbounded. It also steers planning — a join whose smaller side is
-	// estimated over the budget prefers a merge join with ORDER BY pushed
-	// to the sources.
+	// unbounded.
 	ScratchMaxBytes int64
 	// Logger receives the query path's structured records (route
 	// decisions, completions, relays, slow queries), each carrying the

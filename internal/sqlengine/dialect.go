@@ -225,56 +225,6 @@ func (d *Dialect) QuoteIdent(name string) string {
 	return d.QuoteOpen + name + d.QuoteClose
 }
 
-// SelectSQL renders a simple single-table SELECT in this dialect. fields
-// must already be plain column names (or "*"); where may be empty. limit<0
-// means no limit. This is the generator used by the Unity decomposer and
-// the POOL-RAL to speak each backend's native syntax.
-func (d *Dialect) SelectSQL(fields []string, table, where string, orderBy []string, limit int64) string {
-	var sb strings.Builder
-	sb.WriteString("SELECT ")
-	if limit >= 0 && d.LimitStyle == LimitTop {
-		fmt.Fprintf(&sb, "TOP %d ", limit)
-	}
-	if len(fields) == 0 {
-		sb.WriteString("*")
-	} else {
-		for i, f := range fields {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			if f == "*" {
-				sb.WriteString("*")
-			} else {
-				sb.WriteString(d.QuoteIdent(f))
-			}
-		}
-	}
-	sb.WriteString(" FROM ")
-	sb.WriteString(d.QuoteIdent(table))
-	switch {
-	case where != "" && limit >= 0 && d.LimitStyle == LimitRownum:
-		fmt.Fprintf(&sb, " WHERE (%s) AND ROWNUM <= %d", where, limit)
-	case where != "":
-		sb.WriteString(" WHERE ")
-		sb.WriteString(where)
-	case limit >= 0 && d.LimitStyle == LimitRownum:
-		fmt.Fprintf(&sb, " WHERE ROWNUM <= %d", limit)
-	}
-	if len(orderBy) > 0 {
-		sb.WriteString(" ORDER BY ")
-		for i, o := range orderBy {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(d.QuoteIdent(o))
-		}
-	}
-	if limit >= 0 && d.LimitStyle == LimitClause {
-		fmt.Fprintf(&sb, " LIMIT %d", limit)
-	}
-	return sb.String()
-}
-
 // Concat renders a concatenation of two already-rendered expressions.
 func (d *Dialect) Concat(a, b string) string {
 	if d.ConcatOp == "" {

@@ -108,45 +108,6 @@ func TestDialectByName(t *testing.T) {
 	}
 }
 
-func TestDialectSelectSQL(t *testing.T) {
-	cases := []struct {
-		d    *Dialect
-		want string
-	}{
-		{DialectMySQL, "SELECT `a`, `b` FROM `t` WHERE a > 1 LIMIT 10"},
-		{DialectMSSQL, "SELECT TOP 10 [a], [b] FROM [t] WHERE a > 1"},
-		{DialectOracle, `SELECT "a", "b" FROM "t" WHERE (a > 1) AND ROWNUM <= 10`},
-		{DialectSQLite, `SELECT "a", "b" FROM "t" WHERE a > 1 LIMIT 10`},
-	}
-	for _, c := range cases {
-		got := c.d.SelectSQL([]string{"a", "b"}, "t", "a > 1", nil, 10)
-		if got != c.want {
-			t.Errorf("%s: got %q, want %q", c.d.Name, got, c.want)
-		}
-	}
-	// Generated SQL must round-trip through the same dialect's parser and
-	// execute.
-	for _, c := range cases {
-		e := NewEngine("x", c.d)
-		mustExec(t, e, c.d.CreateTableSQL("t", []ColumnDef{
-			{Name: "a", Type: ColumnType{Kind: KindInt}},
-			{Name: "b", Type: ColumnType{Kind: KindString, Size: 16}},
-		}, nil))
-		for i := 0; i < 20; i++ {
-			if _, err := e.Exec("INSERT INTO t VALUES (?, ?)", NewInt(int64(i)), NewString("x")); err != nil {
-				t.Fatalf("%s insert: %v", c.d.Name, err)
-			}
-		}
-		rs, err := e.Query(c.d.SelectSQL([]string{"a", "b"}, "t", "a > 1", []string{"a"}, 10))
-		if err != nil {
-			t.Fatalf("%s roundtrip: %v", c.d.Name, err)
-		}
-		if len(rs.Rows) != 10 {
-			t.Errorf("%s roundtrip: got %d rows, want 10", c.d.Name, len(rs.Rows))
-		}
-	}
-}
-
 func TestDialectTypeNames(t *testing.T) {
 	if got := DialectOracle.TypeName(ColumnType{Kind: KindString, Size: 32}); got != "VARCHAR2(32)" {
 		t.Errorf("oracle varchar = %q", got)

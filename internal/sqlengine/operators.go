@@ -55,18 +55,15 @@ type StreamJoin struct {
 	// lq and rq name the input each key column resolved to.
 	lq, rq []string
 
-	// Strategy, chosen by the caller's planner. Merge runs a merge join
-	// and requires both inputs ordered ascending by their key vectors
-	// (inner joins only). Otherwise a hash join runs, building the right
-	// input unless BuildLeft is set (inner joins only: a LEFT join must
-	// build the right side so unmatched probe rows can be emitted). A
-	// RIGHT join always builds the left side.
-	Merge     bool
+	// Build side, chosen by the caller's planner. The hash join builds
+	// the right input unless BuildLeft is set (inner joins only: a LEFT
+	// join must build the right side so unmatched probe rows can be
+	// emitted). A RIGHT join always builds the left side.
 	BuildLeft bool
 }
 
 // inner reports whether the step emits matched rows only (INNER, comma
-// and CROSS joins), so either side may be built or both merged.
+// and CROSS joins), so either side may be built.
 func (j *StreamJoin) inner() bool { return j.Kind == JoinInner || j.Kind == JoinCross }
 
 // StreamBranch is one UNION branch of a streaming plan.
@@ -619,11 +616,7 @@ func composeBranch(ctx context.Context, br *StreamBranch, ins []StreamInput, env
 	}
 	for i, j := range br.Joins {
 		right := &srcIter{in: ins[i+1].Iter, q: ins[i+1].Source.Qualifier, cols: ins[i+1].Columns}
-		if j.Merge {
-			rel = &mergeJoinIter{ctx: ctx, j: j, left: rel, right: right, env: env}
-		} else {
-			rel = newHashJoinIter(ctx, j, rel, right, env, opts)
-		}
+		rel = newHashJoinIter(ctx, j, rel, right, env, opts)
 	}
 	if sel.Where != nil {
 		rel = &filterIter{in: rel, cond: sel.Where, env: env}
@@ -935,15 +928,6 @@ func keyVals(row Row, idx []int) ([]Value, bool) {
 		}
 	}
 	return vals, true
-}
-
-func compareKeys(a, b []Value) int {
-	for i := range a {
-		if c := Compare(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	return 0
 }
 
 // evalResidual re-checks a join's residual condition over a combined row.

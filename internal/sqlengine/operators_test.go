@@ -38,7 +38,7 @@ func (st streamTable) createSQL() string {
 // row-identical. When orderSensitive, row order must match exactly;
 // otherwise both sides are compared as sorted multisets (shapes like
 // spilled joins legitimately permute output order). mutate lets tests
-// override planner strategy (merge join, build side) before execution.
+// override the planner's build side before execution.
 func runStreamDiff(t *testing.T, tables []streamTable, sql string, params []Value, opts StreamOptions, orderSensitive bool, mutate func(*StreamPlan)) *StreamStats {
 	t.Helper()
 	eng := NewEngine("ref", DialectANSI)
@@ -234,15 +234,27 @@ func TestStreamHashJoinSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tables := genTables(rng, 300, 40)
 	tmp := t.TempDir()
-	queries := []string{
-		"SELECT f.event_id, d.tag FROM fact f JOIN dim d ON f.run = d.run",
-		"SELECT f.event_id, d.tag FROM fact f LEFT JOIN dim d ON f.run = d.run",
+	buildLeft := func(p *StreamPlan) { p.Branches[0].Joins[0].BuildLeft = true }
+	cases := []struct {
+		q      string
+		mutate func(*StreamPlan)
+	}{
+		{"SELECT f.event_id, d.tag FROM fact f JOIN dim d ON f.run = d.run", nil},
+		{"SELECT f.event_id, d.tag FROM fact f LEFT JOIN dim d ON f.run = d.run", nil},
+		{"SELECT f.event_id, d.tag FROM fact f RIGHT JOIN dim d ON f.run = d.run", nil},
+		{"SELECT f.event_id, d.tag FROM fact f JOIN dim d ON f.run = d.run AND f.e_tot > d.w", nil},
+		// Select list reversed only so the subtest name differs from the
+		// first case's.
+		{"SELECT d.tag, f.event_id FROM fact f JOIN dim d ON f.run = d.run", buildLeft},
+		// No equi-key: every row hashes to the one empty key, so the whole
+		// build side lands in one partition.
+		{"SELECT f.event_id, d.tag FROM fact f JOIN dim d ON f.e_tot > d.w", nil},
 	}
-	for _, q := range queries {
-		t.Run(q, func(t *testing.T) {
+	for _, c := range cases {
+		t.Run(c.q, func(t *testing.T) {
 			// A 512-byte budget forces the Grace partitioned path; spilled
 			// partitions emit in partition order, so compare as multisets.
-			stats := runStreamDiff(t, tables, q, nil, StreamOptions{BudgetBytes: 512, TempDir: tmp}, false, nil)
+			stats := runStreamDiff(t, tables, c.q, nil, StreamOptions{BudgetBytes: 512, TempDir: tmp}, false, c.mutate)
 			if !stats.Spilled || stats.SpillPartitions == 0 || stats.SpillBytes == 0 {
 				t.Fatalf("expected spill, got stats %+v", stats)
 			}
@@ -255,34 +267,6 @@ func TestStreamHashJoinSpill(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestStreamMergeJoinDifferential(t *testing.T) {
-	for seed := int64(20); seed < 23; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		tables := genTables(rng, 200, 25)
-		// Merge join requires key-ordered inputs: pre-sort both tables by
-		// the join key the way the planner's ORDER BY pushdown would.
-		for ti := range tables {
-			rows := tables[ti].rows
-			sort.SliceStable(rows, func(i, j int) bool { return Compare(rows[i][keyIdx(tables[ti])], rows[j][keyIdx(tables[ti])]) < 0 })
-		}
-		q := "SELECT f.event_id, d.tag FROM fact f JOIN dim d ON f.run = d.run AND f.e_tot > d.w"
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runStreamDiff(t, tables, q, nil, StreamOptions{}, false, func(p *StreamPlan) {
-				p.Branches[0].Joins[0].Merge = true
-			})
-		})
-	}
-}
-
-func keyIdx(tb streamTable) int {
-	for i, c := range tb.cols {
-		if c == "run" {
-			return i
-		}
-	}
-	return 0
 }
 
 func TestStreamUnionDifferential(t *testing.T) {

@@ -8,208 +8,6 @@ import (
 	"time"
 )
 
-// mergeJoinIter is the streaming merge join for inner equi-joins whose
-// inputs both arrive ordered ascending by their key vectors (the
-// federation planner pushes ORDER BY on the join keys into each side's
-// sub-query). Memory is bounded by the largest single-key group on the
-// right side; no build phase, so time-to-first-row is the first matching
-// key pair. Rows with NULL keys are skipped on both sides (NULL join
-// keys never match). The residual is re-evaluated on every key match,
-// like the hash join's.
-type mergeJoinIter struct {
-	ctx         context.Context
-	j           *StreamJoin
-	left, right relIter
-	env         *evalEnv
-
-	sch   rowSchema
-	lIdx  []int
-	rIdx  []int
-	bound bool
-	err   error
-
-	lrow Row
-	lkey []Value
-
-	rrow  Row // lookahead row not yet grouped
-	rkey  []Value
-	rdone bool
-
-	group    []Row // buffered right rows sharing groupKey
-	groupKey []Value
-	gi       int
-
-	closed bool
-}
-
-func (m *mergeJoinIter) schema() (rowSchema, error) {
-	if err := m.bind(); err != nil {
-		return nil, err
-	}
-	return m.sch, nil
-}
-
-func (m *mergeJoinIter) bind() error {
-	if m.bound {
-		return m.err
-	}
-	m.bound = true
-	m.err = func() error {
-		lsch, err := m.left.schema()
-		if err != nil {
-			return err
-		}
-		rsch, err := m.right.schema()
-		if err != nil {
-			return err
-		}
-		m.lIdx, err = resolveKeys(lsch, m.j.lq, m.j.LeftKeys)
-		if err != nil {
-			return err
-		}
-		m.rIdx, err = resolveKeys(rsch, m.j.rq, m.j.RightKeys)
-		if err != nil {
-			return err
-		}
-		m.sch = make(rowSchema, 0, len(lsch)+len(rsch))
-		m.sch = append(m.sch, lsch...)
-		m.sch = append(m.sch, rsch...)
-		return nil
-	}()
-	return m.err
-}
-
-// advanceLeft pulls the next non-NULL-key left row.
-func (m *mergeJoinIter) advanceLeft() error {
-	for {
-		row, err := m.left.next()
-		if err != nil {
-			return err
-		}
-		if kv, ok := keyVals(row, m.lIdx); ok {
-			m.lrow, m.lkey = row, kv
-			return nil
-		}
-	}
-}
-
-// advanceRight pulls the next non-NULL-key right row into the lookahead.
-func (m *mergeJoinIter) advanceRight() error {
-	for {
-		row, err := m.right.next()
-		if err == io.EOF {
-			m.rdone = true
-			m.rrow, m.rkey = nil, nil
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if kv, ok := keyVals(row, m.rIdx); ok {
-			m.rrow, m.rkey = row, kv
-			return nil
-		}
-	}
-}
-
-func (m *mergeJoinIter) next() (Row, error) {
-	if err := m.bind(); err != nil {
-		return nil, err
-	}
-	if m.err != nil {
-		return nil, m.err
-	}
-	row, err := m.advance()
-	if err != nil && err != io.EOF {
-		m.err = err
-	}
-	return row, err
-}
-
-func (m *mergeJoinIter) advance() (Row, error) {
-	for {
-		if err := ctxErr(m.ctx); err != nil {
-			return nil, err
-		}
-		// Emit from the current group for the current left row.
-		if m.lrow != nil && m.group != nil && compareKeys(m.lkey, m.groupKey) == 0 {
-			for m.gi < len(m.group) {
-				crow := make(Row, 0, len(m.sch))
-				crow = append(crow, m.lrow...)
-				crow = append(crow, m.group[m.gi]...)
-				m.gi++
-				keep, err := evalResidual(m.j.On, m.sch, crow, m.env)
-				if err != nil {
-					return nil, err
-				}
-				if keep {
-					return crow, nil
-				}
-			}
-			m.lrow = nil // group exhausted for this left row
-			m.gi = 0
-			continue
-		}
-		if m.lrow == nil {
-			if err := m.advanceLeft(); err != nil {
-				return nil, err // io.EOF: no more left rows, join done
-			}
-			continue
-		}
-		// Left row has no usable group yet: advance the right side until
-		// its key is >= the left key.
-		if m.rrow == nil && !m.rdone && m.group == nil {
-			if err := m.advanceRight(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if m.group != nil && compareKeys(m.groupKey, m.lkey) < 0 {
-			m.group, m.groupKey = nil, nil // stale group: left moved past it
-			continue
-		}
-		for m.rrow != nil && compareKeys(m.rkey, m.lkey) < 0 {
-			if err := m.advanceRight(); err != nil {
-				return nil, err
-			}
-		}
-		if m.rrow != nil && compareKeys(m.rkey, m.lkey) == 0 {
-			// Collect the full right group for this key.
-			m.group = m.group[:0]
-			m.groupKey = m.rkey
-			for m.rrow != nil && compareKeys(m.rkey, m.groupKey) == 0 {
-				m.group = append(m.group, m.rrow)
-				if err := m.advanceRight(); err != nil {
-					return nil, err
-				}
-			}
-			m.gi = 0
-			continue
-		}
-		// No right rows with this key (rkey > lkey or right exhausted):
-		// inner join drops the left row.
-		if m.rdone && m.group == nil {
-			return nil, io.EOF // nothing on the right can ever match again
-		}
-		m.lrow = nil
-	}
-}
-
-func (m *mergeJoinIter) close() error {
-	if m.closed {
-		return nil
-	}
-	m.closed = true
-	err := m.left.close()
-	if e := m.right.close(); err == nil {
-		err = e
-	}
-	m.group = nil
-	return err
-}
-
-// ---- external sort ----
-
 // sortIter implements ORDER BY: a stable sort on keys that index the
 // projected row. Under the byte budget it is an in-memory stable sort;
 // past it, sorted runs spill to temp files and a k-way merge streams them

@@ -61,6 +61,9 @@ func (m *nameMapper) physColumn(qualifier, column string) string {
 type renderer struct {
 	d *sqlengine.Dialect
 	m *nameMapper
+	// aggregate is set once the SELECT being rendered has called an
+	// aggregate function in its own items (not a subquery's).
+	aggregate bool
 }
 
 // RenderSelect renders a SELECT AST in the target dialect with logical
@@ -72,6 +75,9 @@ func RenderSelect(d *sqlengine.Dialect, sel *sqlengine.SelectStmt, m *nameMapper
 }
 
 func (r *renderer) selectSQL(sel *sqlengine.SelectStmt) (string, error) {
+	outer := r.aggregate
+	r.aggregate = false
+	defer func() { r.aggregate = outer }()
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
 	if sel.Distinct {
@@ -138,6 +144,12 @@ func (r *renderer) selectSQL(sel *sqlengine.SelectStmt) (string, error) {
 	where := sel.Where
 	if limit >= 0 && r.d.LimitStyle == sqlengine.LimitRownum {
 		// Oracle: fold the limit into the WHERE clause as a ROWNUM bound.
+		// ROWNUM numbers the rows as WHERE passes them, before grouping,
+		// aggregates, DISTINCT and ORDER BY, so it is the LIMIT only of a
+		// statement that has none of them.
+		if r.aggregate || sel.Distinct || len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 {
+			return "", fmt.Errorf("unity: LIMIT after grouping, DISTINCT or ORDER BY is not expressible in %s", r.d.Name)
+		}
 		rownum := &sqlengine.BinaryExpr{
 			Op: "<=",
 			L:  &sqlengine.ColumnRef{Column: "rownum"},
@@ -322,6 +334,10 @@ func (r *renderer) expr(e sqlengine.Expr) (string, error) {
 		}
 		return fmt.Sprintf("(%s %sIN (%s))", v, not, strings.Join(parts, ", ")), nil
 	case *sqlengine.FuncCall:
+		switch x.Name {
+		case "COUNT", "SUM", "AVG", "MIN", "MAX":
+			r.aggregate = true
+		}
 		if x.Star {
 			return x.Name + "(*)", nil
 		}

@@ -69,13 +69,34 @@ func TestRenderLimitStyles(t *testing.T) {
 	if got := renderRoundTrip(t, sql, sqlengine.DialectMSSQL); !strings.Contains(got, "TOP 10") {
 		t.Errorf("mssql: %s", got)
 	}
-	if got := renderRoundTrip(t, sql, sqlengine.DialectOracle); !strings.Contains(got, "ROWNUM <= 10") {
+	if got := renderRoundTrip(t, "SELECT a FROM t LIMIT 10", sqlengine.DialectOracle); !strings.Contains(got, "ROWNUM <= 10") {
 		t.Errorf("oracle: %s", got)
 	}
 	// Oracle with an existing WHERE must AND the ROWNUM bound.
 	got := renderRoundTrip(t, "SELECT a FROM t WHERE a > 1 LIMIT 5", sqlengine.DialectOracle)
 	if !strings.Contains(got, "AND") || !strings.Contains(got, "ROWNUM") {
 		t.Errorf("oracle where+limit: %s", got)
+	}
+	// An aggregate in a subquery does not aggregate the statement itself.
+	if got := renderRoundTrip(t, "SELECT a FROM t WHERE EXISTS (SELECT COUNT(*) FROM s) LIMIT 5", sqlengine.DialectOracle); !strings.Contains(got, "ROWNUM <= 5") {
+		t.Errorf("oracle subquery aggregate: %s", got)
+	}
+	// ROWNUM numbers rows before ORDER BY, grouping, aggregates and
+	// DISTINCT: past any of them the bound would pick the wrong rows, so
+	// the statement does not render (and the federation decomposes it).
+	for _, q := range []string{
+		sql,
+		"SELECT c, COUNT(*) FROM t GROUP BY c LIMIT 1",
+		"SELECT COUNT(*) FROM t LIMIT 1",
+		"SELECT DISTINCT a FROM t LIMIT 2",
+	} {
+		st, err := sqlengine.NewParser(sqlengine.DialectANSI).ParseStatement(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := RenderSelect(sqlengine.DialectOracle, st.(*sqlengine.SelectStmt), &nameMapper{}); err == nil {
+			t.Errorf("oracle rendered %q as %q", q, got)
+		}
 	}
 }
 
@@ -124,6 +145,7 @@ func TestRenderExecuteEquivalence(t *testing.T) {
 		"SELECT a FROM t WHERE b IS NULL OR c IS NULL ORDER BY a",
 		"SELECT a FROM t WHERE c LIKE 'm%' ORDER BY a",
 		"SELECT CASE WHEN b > 2 THEN 'big' ELSE 'small' END AS size, a FROM t WHERE b IS NOT NULL ORDER BY a",
+		"SELECT a, c FROM t WHERE a > 1 LIMIT 2",
 	}
 	ansi := sqlengine.NewEngine("eq_ansi", sqlengine.DialectANSI)
 	if err := ansi.ExecScript(seed); err != nil {

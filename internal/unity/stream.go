@@ -46,16 +46,6 @@ func specLogicalCols(spec xspec.TableSpec) []string {
 	return cols
 }
 
-// streamBudget resolves the effective operator byte budget (mirrors
-// sqlengine.StreamOptions: 0 selects the default, negative disables
-// spilling).
-func (f *Federation) streamBudget() int64 {
-	if f.ScratchMaxBytes == 0 {
-		return 64 << 20
-	}
-	return f.ScratchMaxBytes
-}
-
 // planStream analyzes a decomposed plan for the streaming operators and
 // picks each join step's strategy. The analysis fails only for a shape
 // that needs columns a load has none of: those loads' tables become the
@@ -83,7 +73,7 @@ func (f *Federation) planStream(plan *Plan) {
 		if len(br.Joins) > 0 {
 			steps := make([]string, len(br.Joins))
 			for j := range br.Joins {
-				steps[j] = f.planJoin(plan, sp, br, j)
+				steps[j] = planJoin(plan, br, j)
 			}
 			ops[i] = strings.Join(steps, " + ")
 		}
@@ -96,13 +86,13 @@ func (f *Federation) planStream(plan *Plan) {
 	}
 }
 
-// planJoin sets the strategy of a branch's join step i and returns its
-// label. Only the first step joins two member loads whose row counts the
-// specs know: it builds the smaller side, or merges — pushing ORDER BY on
-// the join keys into both sub-queries — when even the smaller side is
-// estimated to blow the byte budget. A later step builds its new right
-// table.
-func (f *Federation) planJoin(plan *Plan, sp *sqlengine.StreamPlan, br *sqlengine.StreamBranch, i int) string {
+// planJoin picks the build side of a branch's join step i and returns
+// its label. Only the first step joins two member loads whose row counts
+// the specs know: it builds the smaller side. A later step builds its new
+// right table. A build side over the byte budget spills by Grace
+// partitioning (sqlengine's hashJoinIter), so no join needs another
+// operator.
+func planJoin(plan *Plan, br *sqlengine.StreamBranch, i int) string {
 	j := br.Joins[i]
 	switch {
 	case len(j.LeftKeys) == 0:
@@ -116,14 +106,6 @@ func (f *Federation) planJoin(plan *Plan, sp *sqlengine.StreamPlan, br *sqlengin
 	}
 	lt, rt := br.Inputs[0].Table, br.Inputs[1].Table
 	lrows, rrows := plan.specRows(lt), plan.specRows(rt)
-	if f.mergeJoinPreferred(plan, sp, br, lrows, rrows) {
-		if f.renderOrderedLoads(plan, br) == nil {
-			j.Merge = true
-			return "merge-join"
-		}
-		// A dialect that cannot express the ordered sub-query falls back
-		// to the hash strategies below.
-	}
 	if lrows > 0 && (rrows <= 0 || lrows < rrows) {
 		j.BuildLeft = true
 		return "hash-join(build=left)"
@@ -139,113 +121,6 @@ func (p *Plan) specRows(logical string) int {
 		return 0
 	}
 	return ld.spec.Rows
-}
-
-// estTableBytes is the crude in-memory size estimate backing the merge-
-// join decision: spec row count times a per-row constant plus per-column
-// Value overhead. It only needs to be right about which side of the byte
-// budget a table lands on, not about bytes.
-func (p *Plan) estTableBytes(logical string) int64 {
-	ld := p.loadFor(logical)
-	if ld == nil || ld.spec.Rows <= 0 {
-		return 0
-	}
-	return int64(ld.spec.Rows) * int64(56+32*len(ld.spec.Columns))
-}
-
-// mergeJoinPreferred decides whether to order both inputs at the sources
-// and merge instead of hash-building: only for the one inner join of a
-// single-branch plan, of two distinct tables whose smaller side is still
-// estimated over the byte budget (so a hash build would spill anyway), and only when
-// every join key is a numeric or timestamp column on both sides — the
-// merge relies on both sources agreeing on the sort order, which string
-// collations do not guarantee across heterogeneous databases.
-func (f *Federation) mergeJoinPreferred(plan *Plan, sp *sqlengine.StreamPlan, br *sqlengine.StreamBranch, lrows, rrows int) bool {
-	budget := f.streamBudget()
-	if budget <= 0 || len(sp.Branches) != 1 || len(br.Joins) != 1 {
-		return false
-	}
-	lt, rt := br.Inputs[0].Table, br.Inputs[1].Table
-	if strings.EqualFold(lt, rt) {
-		// A self-join would need two differently-ordered renders of the
-		// same load; keep the hash path.
-		return false
-	}
-	if lrows <= 0 || rrows <= 0 {
-		return false // no stats: cannot justify double ORDER BY pushdown
-	}
-	smaller := plan.estTableBytes(lt)
-	if b := plan.estTableBytes(rt); b < smaller {
-		smaller = b
-	}
-	if smaller <= budget {
-		return false
-	}
-	return keysOrderable(plan.loadFor(lt), br.Joins[0].LeftKeys) &&
-		keysOrderable(plan.loadFor(rt), br.Joins[0].RightKeys)
-}
-
-// keysOrderable reports whether every key column has a spec kind whose
-// ordering is collation-free (numeric or timestamp).
-func keysOrderable(ld *tableLoad, keys []string) bool {
-	if ld == nil {
-		return false
-	}
-	for _, k := range keys {
-		found := false
-		for _, c := range ld.spec.Columns {
-			logical := strings.ToLower(c.Logical)
-			if logical == "" {
-				logical = strings.ToLower(c.Name)
-			}
-			if logical != strings.ToLower(k) {
-				continue
-			}
-			switch kindFromName(c.Kind) {
-			case sqlengine.KindInt, sqlengine.KindFloat, sqlengine.KindTime:
-				found = true
-			}
-			break
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// renderOrderedLoads re-renders the two joined tables' sub-queries with
-// ORDER BY on their join keys, updating the plan's loads and the public
-// Subs in place. Any render error leaves the plan unchanged (the caller
-// keeps the hash strategy; loads were only rewritten on full success).
-func (f *Federation) renderOrderedLoads(plan *Plan, br *sqlengine.StreamBranch) error {
-	type rewrite struct {
-		idx int
-		sql string
-	}
-	var rewrites []rewrite
-	for i := range plan.loads {
-		ld := &plan.loads[i]
-		var keys []string
-		switch {
-		case strings.EqualFold(ld.logical, br.Inputs[0].Table):
-			keys = br.Joins[0].LeftKeys
-		case strings.EqualFold(ld.logical, br.Inputs[1].Table):
-			keys = br.Joins[0].RightKeys
-		default:
-			continue
-		}
-		sqlText, err := f.tableSubQuery(ld.source, ld.loc, ld.use, keys)
-		if err != nil {
-			return err
-		}
-		rewrites = append(rewrites, rewrite{idx: i, sql: sqlText})
-	}
-	for _, rw := range rewrites {
-		plan.loads[rw.idx].sql = rw.sql
-		plan.Subs[rw.idx].SQL = rw.sql
-	}
-	return nil
 }
 
 // ---- execution ----

@@ -102,24 +102,29 @@ func TestStreamOpLeftJoin(t *testing.T) {
 	}
 }
 
-func TestStreamOpMergeJoin(t *testing.T) {
+func TestStreamOpOverBudgetJoin(t *testing.T) {
 	f := buildFederation(t)
-	// A 1-byte budget makes both sides "too big to build": the planner
-	// pushes ORDER BY on the (numeric) join keys and merges.
+	// A 1-byte budget puts both sides over it: the join still plans the
+	// hash join, its sub-queries stay as the user wrote them (no ORDER BY
+	// pushed to the members), and the build Grace-spills.
 	f.ScratchMaxBytes = 1
-	plan, err := f.PlanQuery("SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run")
+	q := "SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run"
+	plan, err := f.PlanQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op := plan.Explain().Operator; op != "pipelined merge-join" {
-		t.Fatalf("operator = %q, want pipelined merge-join", op)
+	if op := plan.Explain().Operator; op != "pipelined hash-join(build=right)" {
+		t.Fatalf("operator = %q, want pipelined hash-join(build=right)", op)
 	}
 	for _, sub := range plan.Subs {
-		if !strings.Contains(strings.ToUpper(sub.SQL), "ORDER BY") {
-			t.Fatalf("merge-join sub-query lacks ORDER BY: %s", sub.SQL)
+		if strings.Contains(strings.ToUpper(sub.SQL), "ORDER BY") {
+			t.Fatalf("sub-query carries an ORDER BY: %s", sub.SQL)
 		}
 	}
-	execBoth(t, f, "SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run")
+	ex := execBoth(t, f, q)
+	if ex.Stats == nil || !ex.Stats.Spilled || ex.Stats.SpillPartitions == 0 {
+		t.Fatalf("over-budget join did not spill: stats %+v", ex.Stats)
+	}
 }
 
 func TestStreamOpUnionAcrossDatabases(t *testing.T) {

@@ -254,11 +254,6 @@ type tableLoad struct {
 	peer   bool
 	sql    string
 	spec   xspec.TableSpec
-	loc    xspec.TableLocation
-	// use is the single query reference feeding predicate pushdown (nil
-	// when the table is referenced more than once); planStream needs it
-	// to re-render the sub-query with ORDER BY for merge joins.
-	use *tableUse
 }
 
 // loadFor finds the decomposed load feeding a logical table (nil if the
@@ -448,11 +443,11 @@ func (f *Federation) plan(sel *sqlengine.SelectStmt, peers map[string]PeerTable)
 				}
 			}
 		}
-		subSQL, err := f.tableSubQuery(src, loc, use, nil)
+		subSQL, err := f.tableSubQuery(src, loc, use)
 		if err != nil {
 			return nil, err
 		}
-		plan.loads = append(plan.loads, tableLoad{logical: logical, source: src, peer: peer, sql: subSQL, spec: loc.Spec, loc: loc, use: use})
+		plan.loads = append(plan.loads, tableLoad{logical: logical, source: src, peer: peer, sql: subSQL, spec: loc.Spec})
 		plan.Subs = append(plan.Subs, SubQuery{Source: src, Table: logical, SQL: subSQL})
 	}
 	f.planStream(plan)
@@ -607,10 +602,8 @@ func (f *Federation) mapperFor(source string, tables []string, uses []tableUse) 
 }
 
 // tableSubQuery renders the per-table sub-query: all spec columns, plus
-// any single-table conjuncts of the scope's WHERE pushed down. orderCols,
-// when non-empty, appends ORDER BY over the named logical columns
-// (ascending) so a merge join can consume the stream key-ordered.
-func (f *Federation) tableSubQuery(source string, loc xspec.TableLocation, use *tableUse, orderCols []string) (string, error) {
+// any single-table conjuncts of the scope's WHERE pushed down.
+func (f *Federation) tableSubQuery(source string, loc xspec.TableLocation, use *tableUse) (string, error) {
 	d := f.dialectOf(source)
 	sub := &sqlengine.SelectStmt{Limit: -1}
 	alias := ""
@@ -643,11 +636,6 @@ func (f *Federation) tableSubQuery(source string, loc xspec.TableLocation, use *
 				sub.Where = &sqlengine.BinaryExpr{Op: "AND", L: sub.Where, R: c}
 			}
 		}
-	}
-	for _, oc := range orderCols {
-		sub.OrderBy = append(sub.OrderBy, sqlengine.OrderItem{
-			Expr: &sqlengine.ColumnRef{Column: strings.ToLower(oc)},
-		})
 	}
 	m := f.mapperFor(source, []string{loc.Spec.Logical}, nil)
 	if alias != "" {
@@ -773,7 +761,7 @@ type PlanExplain struct {
 	Subs []SubQuery
 	// Operator names the execution shape: "pushdown" or a pipelined
 	// operator label ("pipelined hash-join(build=right)", "pipelined
-	// merge-join", ...); "" for a plan that cannot run until it is given
+	// nested-loop", ...); "" for a plan that cannot run until it is given
 	// the columns its NeedColumns lists.
 	Operator string
 }
@@ -909,23 +897,6 @@ func (f *Federation) QueryStreamContext(ctx context.Context, sqlText string, par
 		return nil, nil, err
 	}
 	return it, plan, nil
-}
-
-func kindFromName(name string) sqlengine.Kind {
-	switch strings.ToUpper(name) {
-	case "INTEGER":
-		return sqlengine.KindInt
-	case "DOUBLE":
-		return sqlengine.KindFloat
-	case "BOOLEAN":
-		return sqlengine.KindBool
-	case "TIMESTAMP":
-		return sqlengine.KindTime
-	case "BLOB":
-		return sqlengine.KindBytes
-	default:
-		return sqlengine.KindString
-	}
 }
 
 // runOnSourceStreamCtx executes SQL on one member database and returns an

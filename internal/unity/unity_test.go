@@ -346,3 +346,18 @@ func TestLogicalNameMapping(t *testing.T) {
 		t.Fatalf("mapped rows: %v", rs.Rows)
 	}
 }
+
+// TestOracleOrderedLimit: a top-n query on an Oracle member must answer
+// with the top rows. ROWNUM cannot express a LIMIT past ORDER BY, so the
+// statement is not pushed down whole; the federation sorts and limits.
+func TestOracleOrderedLimit(t *testing.T) {
+	f := federate(t, member{"topn_ora", sqlengine.DialectOracle,
+		`CREATE TABLE t (a NUMBER); INSERT INTO t VALUES (1), (2), (3), (4), (5)`})
+	rs, err := f.QueryContext(context.Background(), "SELECT a FROM t ORDER BY a DESC LIMIT 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Rows) != 2 || rs.Rows[0][0].Int != 5 || rs.Rows[1][0].Int != 4 {
+		t.Fatalf("top 2 = %v, want [5] [4]", rs.Rows)
+	}
+}
