@@ -88,8 +88,10 @@ func (s *Service) openRelay(ctx context.Context, serverURL, sqlText string) (*re
 		return nil, fmt.Errorf("dataaccess: relay open on %s: response carries no cursor id", serverURL)
 	}
 	it := &relayIter{svc: s, p: p, url: serverURL, ctx: ctx, id: id, fetchN: s.cfg.RelayFetchSize}
-	// A column list the relay cannot name is a protocol error, not a
-	// result with blank or no columns; the cursor just opened is released.
+	// A missing column list or a name that is not a string is a protocol
+	// error, not a result with no or blank columns; the cursor just opened
+	// is released. An empty name is a name: an empty-string literal
+	// column has one.
 	colsRaw, _ := m["columns"].([]interface{})
 	if len(colsRaw) == 0 {
 		it.closeRemote()
@@ -97,10 +99,12 @@ func (s *Service) openRelay(ctx context.Context, serverURL, sqlText string) (*re
 	}
 	it.cols = make([]string, len(colsRaw))
 	for i, c := range colsRaw {
-		if it.cols[i], _ = c.(string); it.cols[i] == "" {
+		name, ok := c.(string)
+		if !ok {
 			it.closeRemote()
 			return nil, fmt.Errorf("dataaccess: relay open on %s: protocol error: column %d is %T %v, want a name", serverURL, i, c, c)
 		}
+		it.cols[i] = name
 	}
 	if it.fetchN <= 0 {
 		it.fetchN = DefaultFetchSize

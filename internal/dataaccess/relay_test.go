@@ -488,7 +488,7 @@ func TestRelayMixedIntegration(t *testing.T) {
 
 // raggedPeer is a hand-built peer that serves a table whose second row is
 // one cell short, over the plain XML row codec or the binary frame; its
-// cursor opens describe openCols (nil: the table's three names). It
+// cursor opens send openCols as "columns" (nil: the table's three names). It
 // counts the binary-frame calls (queryb, fetchb) and system.cursor.close
 // calls it received.
 type raggedPeer struct {
@@ -496,7 +496,7 @@ type raggedPeer struct {
 	binCalls, closed atomic.Int32
 }
 
-func newRaggedPeer(t *testing.T, binary bool, openCols []interface{}) (*raggedPeer, *clarens.Server) {
+func newRaggedPeer(t *testing.T, binary bool, openCols interface{}) (*raggedPeer, *clarens.Server) {
 	t.Helper()
 	p := &raggedPeer{}
 	rs := &sqlengine.ResultSet{
@@ -553,13 +553,14 @@ func newRaggedPeer(t *testing.T, binary bool, openCols []interface{}) (*raggedPe
 // (relayIter.Next) with a protocol error naming the peer, under either row
 // codec — never handing wrong-shape rows to operators that index cells by
 // position — and the failed relay still closes the peer's cursor and
-// strands nothing. A cursor open whose column list holds a non-name fails
-// the stream the same way and releases the cursor it opened.
+// strands nothing. A cursor open whose column list is missing, empty or
+// holds a non-string fails the stream the same way and releases the cursor
+// it opened; an empty name (an empty-string literal column's) is a name.
 func TestRaggedRowsAreProtocolErrors(t *testing.T) {
 	const q = "SELECT event_id, run, e_tot FROM events"
 	// setup publishes a ragged peer in a fresh catalog and returns a
 	// forwarding server that finds it there, plus the teardown.
-	setup := func(t *testing.T, name string, binary bool, openCols []interface{}) (*raggedPeer, *Service, func()) {
+	setup := func(t *testing.T, name string, binary bool, openCols interface{}) (*raggedPeer, *Service, func()) {
 		checkLeaks := leaktest.Check(t)
 		catalog := rls.NewServer(0)
 		rlsURL, err := catalog.Start("127.0.0.1:0")
@@ -615,14 +616,37 @@ func TestRaggedRowsAreProtocolErrors(t *testing.T) {
 			teardown()
 		})
 	}
-	t.Run("column-name", func(t *testing.T) {
-		peer, fwd, teardown := setup(t, "column-name", false, []interface{}{int64(7), "run", "e_tot"})
+	for _, tc := range []struct {
+		name     string
+		openCols interface{}
+		what     string
+	}{
+		{"non-string", []interface{}{int64(7), "run", "e_tot"}, "column 0 is int64 7, want a name"},
+		{"empty-list", []interface{}{}, "the cursor describes no columns"},
+		{"not-a-list", "event_id", "the cursor describes no columns"},
+	} {
+		t.Run("columns-"+tc.name, func(t *testing.T) {
+			peer, fwd, teardown := setup(t, "columns-"+tc.name, false, tc.openCols)
+			sr, err := fwd.QueryStreamContext(context.Background(), q)
+			if err == nil {
+				_, err = sr.Next()
+				sr.Close()
+			}
+			wantErr(t, err, peer, tc.what)
+			waitFor(t, 2*time.Second, func() bool { return peer.closed.Load() == 1 })
+			teardown()
+		})
+	}
+	t.Run("columns-empty-name", func(t *testing.T) {
+		peer, fwd, teardown := setup(t, "columns-empty-name", false, []interface{}{"", "run", "e_tot"})
 		sr, err := fwd.QueryStreamContext(context.Background(), q)
-		if err == nil {
-			_, err = sr.Next()
-			sr.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-		wantErr(t, err, peer, "column 0 is int64 7, want a name")
+		if got := strings.Join(sr.Columns(), ","); got != ",run,e_tot" {
+			t.Fatalf("columns = %q, want the peer's names with the empty one kept", got)
+		}
+		sr.Close()
 		waitFor(t, 2*time.Second, func() bool { return peer.closed.Load() == 1 })
 		teardown()
 	})

@@ -139,9 +139,9 @@ func evalAggExpr(e Expr, g *group, sch rowSchema, env *evalEnv) (Value, error) {
 
 // foldAggregates returns e with every aggregate call replaced by a
 // literal of its value over g, copying only the nodes above a call. It
-// descends the nodes containsAggregate does.
+// descends the nodes ContainsAggregate does.
 func foldAggregates(e Expr, g *group, sch rowSchema, env *evalEnv) (Expr, error) {
-	if !containsAggregate(e) {
+	if !ContainsAggregate(e) {
 		return e, nil
 	}
 	fold := func(xs ...Expr) ([]Expr, error) {

@@ -565,8 +565,8 @@ func isAggregate(name string) bool {
 	return false
 }
 
-// containsAggregate reports whether e contains an aggregate call.
-func containsAggregate(e Expr) bool {
+// ContainsAggregate reports whether e contains an aggregate call.
+func ContainsAggregate(e Expr) bool {
 	switch x := e.(type) {
 	case nil:
 		return false
@@ -575,38 +575,38 @@ func containsAggregate(e Expr) bool {
 			return true
 		}
 		for _, a := range x.Args {
-			if containsAggregate(a) {
+			if ContainsAggregate(a) {
 				return true
 			}
 		}
 	case *BinaryExpr:
-		return containsAggregate(x.L) || containsAggregate(x.R)
+		return ContainsAggregate(x.L) || ContainsAggregate(x.R)
 	case *UnaryExpr:
-		return containsAggregate(x.X)
+		return ContainsAggregate(x.X)
 	case *IsNullExpr:
-		return containsAggregate(x.X)
+		return ContainsAggregate(x.X)
 	case *BetweenExpr:
-		return containsAggregate(x.X) || containsAggregate(x.Lo) || containsAggregate(x.Hi)
+		return ContainsAggregate(x.X) || ContainsAggregate(x.Lo) || ContainsAggregate(x.Hi)
 	case *InExpr:
-		if containsAggregate(x.X) {
+		if ContainsAggregate(x.X) {
 			return true
 		}
 		for _, a := range x.List {
-			if containsAggregate(a) {
+			if ContainsAggregate(a) {
 				return true
 			}
 		}
 	case *CaseExpr:
-		if x.Operand != nil && containsAggregate(x.Operand) {
+		if x.Operand != nil && ContainsAggregate(x.Operand) {
 			return true
 		}
 		for _, w := range x.Whens {
-			if containsAggregate(w.When) || containsAggregate(w.Then) {
+			if ContainsAggregate(w.When) || ContainsAggregate(w.Then) {
 				return true
 			}
 		}
 		if x.Else != nil {
-			return containsAggregate(x.Else)
+			return ContainsAggregate(x.Else)
 		}
 	}
 	return false

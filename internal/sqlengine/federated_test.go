@@ -8,13 +8,15 @@ package sqlengine_test
 // subqueries included — and by one engine holding all three tables. They
 // must agree on error-or-not and on the rows as a multiset. A statement
 // with a LIMIT or OFFSET compares its row count only: without a total
-// ORDER BY it may take any of the rows. Under a UNION that drops
-// duplicates not even the count is fixed, since which rows the LIMIT took
-// decides how many of them are duplicates. A third of the statements that
+// ORDER BY it may take any of the rows. A third of the statements that
 // end unordered get a total ORDER BY (every output column) and compare
 // in order. Every statement runs on two federations over the same
 // members: one at the default scratch budget and one with a 1-byte
-// budget, where every join build and every sort spills to disk.
+// budget, where every join build and every sort spills to disk. A spilled
+// join returns tied rows in another order, so a LIMIT may take other
+// rows; under a UNION that drops duplicates that changes how many of
+// them are duplicates, and the spilling federation's count of such a
+// statement is not compared.
 
 import (
 	"context"
@@ -35,8 +37,9 @@ type federatedFixture struct {
 	feds  []*unity.Federation
 	peers map[string]unity.PeerTable
 	ref   *sqlengine.Engine
-	// spilledJoins counts the statements whose join build spilled.
-	spilledJoins int
+	// checked counts the seeds check ran; spilledJoins the statements
+	// whose join build spilled.
+	checked, spilledJoins int
 }
 
 func newFederatedFixture(tb testing.TB) *federatedFixture {
@@ -113,6 +116,7 @@ func (fx *federatedFixture) query(fed *unity.Federation, sql string) (*sqlengine
 
 // check runs one seed's statement on the federation and the reference.
 func (fx *federatedFixture) check(t *testing.T, seed int64) {
+	fx.checked++
 	sql := sqlengine.GenFederatedSelect(seed)
 	want, werr := fx.ref.Query(sql)
 	ordered := false
@@ -140,7 +144,7 @@ func (fx *federatedFixture) check(t *testing.T, seed int64) {
 		case strings.Join(got.Columns, ",") != strings.Join(want.Columns, ","):
 			fail("columns %v, one engine's %v", got.Columns, want.Columns)
 		case limited(sql):
-			if !dedupsLimited(sql) && len(got.Rows) != len(want.Rows) {
+			if !(fed.ScratchMaxBytes == 1 && dedupsLimited(sql)) && len(got.Rows) != len(want.Rows) {
 				fail("%d rows, one engine %d", len(got.Rows), len(want.Rows))
 			}
 			continue
@@ -182,11 +186,16 @@ func rowKeys(rows []sqlengine.Row) []string {
 
 func TestFederatedDifferential(t *testing.T) {
 	fx := newFederatedFixture(t)
-	for seed := int64(0); seed < 600; seed++ {
+	const seeds = 600
+	for seed := int64(0); seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { fx.check(t, seed) })
 	}
 	// The layout must keep exercising the Grace spill: a generator change
-	// that stopped producing joins would otherwise pass silently.
+	// that stopped producing joins would otherwise pass silently. A -run
+	// that picks some of the seeds (a replay) need not reach a join.
+	if fx.checked < seeds {
+		return
+	}
 	if fx.spilledJoins == 0 {
 		t.Fatal("no statement spilled a join build at the 1-byte budget")
 	}

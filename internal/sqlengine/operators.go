@@ -195,7 +195,7 @@ func analyzeBranch(sel *SelectStmt, tableCols func(string) []string) (*StreamBra
 	br.OutCols = cols
 	br.aggregated = len(sel.GroupBy) > 0 || sel.Having != nil
 	for _, it := range sel.Items {
-		br.aggregated = br.aggregated || it.Expr != nil && containsAggregate(it.Expr)
+		br.aggregated = br.aggregated || it.Expr != nil && ContainsAggregate(it.Expr)
 	}
 	for _, oi := range sel.OrderBy {
 		idx, err := outputOrdinal(oi.Expr, cols)

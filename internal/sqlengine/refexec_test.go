@@ -72,7 +72,7 @@ func (ex *refExecutor) execSelect(sel *SelectStmt, params []Value, outer *evalCo
 	aggregated := len(sel.GroupBy) > 0 || sel.Having != nil
 	if !aggregated {
 		for _, it := range sel.Items {
-			if it.Expr != nil && containsAggregate(it.Expr) {
+			if it.Expr != nil && ContainsAggregate(it.Expr) {
 				aggregated = true
 				break
 			}

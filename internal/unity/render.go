@@ -2,6 +2,7 @@ package unity
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gridrdb/internal/sqlengine"
@@ -61,9 +62,6 @@ func (m *nameMapper) physColumn(qualifier, column string) string {
 type renderer struct {
 	d *sqlengine.Dialect
 	m *nameMapper
-	// aggregate is set once the SELECT being rendered has called an
-	// aggregate function in its own items (not a subquery's).
-	aggregate bool
 }
 
 // RenderSelect renders a SELECT AST in the target dialect with logical
@@ -75,9 +73,6 @@ func RenderSelect(d *sqlengine.Dialect, sel *sqlengine.SelectStmt, m *nameMapper
 }
 
 func (r *renderer) selectSQL(sel *sqlengine.SelectStmt) (string, error) {
-	outer := r.aggregate
-	r.aggregate = false
-	defer func() { r.aggregate = outer }()
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
 	if sel.Distinct {
@@ -147,7 +142,8 @@ func (r *renderer) selectSQL(sel *sqlengine.SelectStmt) (string, error) {
 		// ROWNUM numbers the rows as WHERE passes them, before grouping,
 		// aggregates, DISTINCT and ORDER BY, so it is the LIMIT only of a
 		// statement that has none of them.
-		if r.aggregate || sel.Distinct || len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 {
+		aggregated := slices.ContainsFunc(sel.Items, func(it sqlengine.SelectItem) bool { return sqlengine.ContainsAggregate(it.Expr) })
+		if aggregated || sel.Distinct || len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 {
 			return "", fmt.Errorf("unity: LIMIT after grouping, DISTINCT or ORDER BY is not expressible in %s", r.d.Name)
 		}
 		rownum := &sqlengine.BinaryExpr{
@@ -334,10 +330,6 @@ func (r *renderer) expr(e sqlengine.Expr) (string, error) {
 		}
 		return fmt.Sprintf("(%s %sIN (%s))", v, not, strings.Join(parts, ", ")), nil
 	case *sqlengine.FuncCall:
-		switch x.Name {
-		case "COUNT", "SUM", "AVG", "MIN", "MAX":
-			r.aggregate = true
-		}
 		if x.Star {
 			return x.Name + "(*)", nil
 		}
