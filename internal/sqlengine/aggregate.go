@@ -6,11 +6,15 @@ import (
 	"io"
 )
 
-// aggIter evaluates GROUP BY, HAVING and aggregate functions: it drains
-// its input into groups, in order of first appearance (a statement
-// without GROUP BY is one group, even over no rows), then emits one row
-// per group that passes HAVING — the select list followed by any hidden
-// ORDER BY keys, each evaluated by evalAggExpr.
+// aggIter evaluates GROUP BY, HAVING and aggregate functions. It folds
+// each input row into its group as the row arrives — groups in order of
+// first appearance; a statement without GROUP BY is one group, even over
+// no rows — and a group keeps its first row, its row count and one
+// running accumulator per aggregate call, never its rows. At the first
+// Next it computes every group's output (so a LIMIT skips no group's
+// error) and then emits one row per group that passes HAVING: the select
+// list followed by any hidden ORDER BY keys, each evaluated by
+// evalAggExpr.
 type aggIter struct {
 	ctx   context.Context
 	in    relIter
@@ -19,12 +23,37 @@ type aggIter struct {
 	exprs []Expr
 	env   *evalEnv
 
+	// calls are the aggregate calls foldAggregates replaces in exprs and
+	// HAVING, each once; a group's accs[i] folds calls[i].
+	calls []*FuncCall
+	ec    *evalContext // re-pointed at each input row, then each group's first
+	key   []byte       // scratch for group and DISTINCT keys
+
 	prepared bool
 	err      error
 	rows     []Row
 }
 
-type group struct{ rows []Row }
+type group struct {
+	first Row
+	count int64
+	accs  []accumulator
+}
+
+// accumulator folds one aggregate call over a group's rows in input
+// order, so a float sum is the one a pass over the rows computes. Its
+// errors wait until the call is folded for an output row: a group HAVING
+// drops never raises them.
+type accumulator struct {
+	n      int64 // values folded: non-NULL, and unseen under DISTINCT
+	fsum   float64
+	isum   int64
+	notInt bool                // a SUM/AVG value was not an INTEGER
+	best   Value               // MIN, MAX
+	seen   map[string]struct{} // DISTINCT, keyed by indexKey
+	err    error               // the first argument-evaluation error
+	nonNum bool                // a SUM/AVG value was non-numeric
+}
 
 func (a *aggIter) Columns() []string { return a.cols }
 
@@ -54,11 +83,25 @@ func (a *aggIter) aggregate() ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	index := map[*FuncCall]int{} // calls, matched by pointer
+	register := func(fc *FuncCall) (Value, error) {
+		if _, ok := index[fc]; !ok {
+			index[fc] = len(a.calls)
+			a.calls = append(a.calls, fc)
+		}
+		return Null(), nil
+	}
+	for _, e := range append(a.exprs[:len(a.exprs):len(a.exprs)], a.sel.Having) {
+		_, _ = foldAggregates(e, register) // register never fails
+	}
+	a.ec = a.env.bind(sch)
+
 	var groups []*group
 	if len(a.sel.GroupBy) == 0 {
-		groups = []*group{{}}
+		groups = []*group{a.newGroup()}
 	}
 	byKey := make(map[string]*group)
+	keyVals := make([]Value, len(a.sel.GroupBy))
 	for {
 		if err := ctxErr(a.ctx); err != nil {
 			return nil, err
@@ -70,33 +113,36 @@ func (a *aggIter) aggregate() ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		a.ec.row = row
 		if len(a.sel.GroupBy) == 0 {
-			groups[0].rows = append(groups[0].rows, row)
+			a.fold(groups[0], row)
 			continue
 		}
-		ec := a.env.bind(sch, row)
-		keyVals := make([]Value, len(a.sel.GroupBy))
 		for i, ge := range a.sel.GroupBy {
-			v, err := evalExpr(ge, ec)
-			if err != nil {
+			if keyVals[i], err = evalExpr(ge, a.ec); err != nil {
 				return nil, err
 			}
-			keyVals[i] = v
 		}
-		k := indexKey(keyVals)
-		g, ok := byKey[k]
+		a.key = appendIndexKey(a.key[:0], keyVals...)
+		g, ok := byKey[string(a.key)]
 		if !ok {
-			g = &group{}
-			byKey[k] = g
+			g = a.newGroup()
+			byKey[string(a.key)] = g
 			groups = append(groups, g)
 		}
-		g.rows = append(g.rows, row)
+		a.fold(g, row)
 	}
 
 	var out []Row
-	for _, g := range groups {
+	var g *group
+	value := func(fc *FuncCall) (Value, error) { return g.accs[index[fc]].value(fc, g.count) }
+	for _, g = range groups {
+		a.ec.row = g.first
+		if g.count == 0 {
+			a.ec.row = make(Row, len(sch))
+		}
 		if a.sel.Having != nil {
-			v, err := evalAggExpr(a.sel.Having, g, sch, a.env)
+			v, err := evalAggExpr(a.sel.Having, value, a.ec)
 			if err != nil {
 				return nil, err
 			}
@@ -106,7 +152,7 @@ func (a *aggIter) aggregate() ([]Row, error) {
 		}
 		orow := make(Row, len(a.exprs))
 		for i, e := range a.exprs {
-			v, err := evalAggExpr(e, g, sch, a.env)
+			v, err := evalAggExpr(e, value, a.ec)
 			if err != nil {
 				return nil, err
 			}
@@ -117,37 +163,116 @@ func (a *aggIter) aggregate() ([]Row, error) {
 	return out, nil
 }
 
-// evalAggExpr evaluates an expression that may contain aggregate calls
-// over the rows of one group: every aggregate call is computed over the
-// group, then the rest of the expression is evaluated with those values
-// in place. Non-aggregate column references resolve against the group's
-// first row (they should be group-by keys; we do not verify, matching
-// MySQL's permissive behaviour).
-func evalAggExpr(e Expr, g *group, sch rowSchema, env *evalEnv) (Value, error) {
-	folded, err := foldAggregates(e, g, sch, env)
+func (a *aggIter) newGroup() *group {
+	g := &group{accs: make([]accumulator, len(a.calls))}
+	for i, fc := range a.calls {
+		if fc.Distinct {
+			g.accs[i].seen = map[string]struct{}{}
+		}
+	}
+	return g
+}
+
+// fold adds row, which a.ec points at, to g.
+func (a *aggIter) fold(g *group, row Row) {
+	if g.count == 0 {
+		g.first = row
+	}
+	g.count++
+	for i, fc := range a.calls {
+		acc := &g.accs[i]
+		if fc.Star || len(fc.Args) != 1 || acc.err != nil {
+			continue
+		}
+		v, err := evalExpr(fc.Args[0], a.ec)
+		switch {
+		case err != nil:
+			acc.err = err
+			continue
+		case v.IsNull():
+			continue
+		case fc.Distinct:
+			a.key = appendIndexKey(a.key[:0], v)
+			if _, dup := acc.seen[string(a.key)]; dup {
+				continue
+			}
+			acc.seen[string(a.key)] = struct{}{}
+		}
+		acc.n++
+		switch fc.Name {
+		case "SUM", "AVG":
+			f, ok := v.AsFloat()
+			if !ok {
+				acc.nonNum = true
+				continue
+			}
+			acc.fsum += f
+			if v.Kind == KindInt {
+				acc.isum += v.Int
+			} else {
+				acc.notInt = true
+			}
+		case "MIN", "MAX":
+			if c := Compare(v, acc.best); acc.n == 1 || fc.Name == "MIN" && c < 0 || fc.Name == "MAX" && c > 0 {
+				acc.best = v
+			}
+		}
+	}
+}
+
+// value is fc's value over a group of count rows, or its deferred error:
+// a static one, else an argument-evaluation error, else a non-numeric
+// SUM/AVG value.
+func (acc *accumulator) value(fc *FuncCall, count int64) (Value, error) {
+	switch {
+	case fc.Star && fc.Name != "COUNT":
+		return Null(), fmt.Errorf("sqlengine: %s(*) is not valid", fc.Name)
+	case fc.Star:
+		return NewInt(count), nil
+	case len(fc.Args) != 1:
+		return Null(), fmt.Errorf("sqlengine: aggregate %s expects one argument", fc.Name)
+	case acc.err != nil:
+		return Null(), acc.err
+	case fc.Name == "COUNT":
+		return NewInt(acc.n), nil
+	case acc.n == 0:
+		return Null(), nil
+	case acc.nonNum:
+		return Null(), fmt.Errorf("sqlengine: %s over non-numeric value", fc.Name)
+	case fc.Name == "AVG":
+		return NewFloat(acc.fsum / float64(acc.n)), nil
+	case fc.Name == "SUM" && acc.notInt:
+		return NewFloat(acc.fsum), nil
+	case fc.Name == "SUM":
+		return NewInt(acc.isum), nil
+	}
+	return acc.best, nil
+}
+
+// evalAggExpr evaluates an expression that may contain aggregate calls:
+// every aggregate call is replaced by its value, then the rest of the
+// expression is evaluated in ec, pointed at the group's first row
+// (non-aggregate column references should be group-by keys; we do not
+// verify, matching MySQL's permissive behaviour).
+func evalAggExpr(e Expr, value func(*FuncCall) (Value, error), ec *evalContext) (Value, error) {
+	folded, err := foldAggregates(e, value)
 	if err != nil {
 		return Null(), err
 	}
-	var first Row
-	if len(g.rows) > 0 {
-		first = g.rows[0]
-	} else {
-		first = make(Row, len(sch))
-	}
-	return evalExpr(folded, env.bind(sch, first))
+	return evalExpr(folded, ec)
 }
 
 // foldAggregates returns e with every aggregate call replaced by a
-// literal of its value over g, copying only the nodes above a call. It
-// descends the nodes ContainsAggregate does.
-func foldAggregates(e Expr, g *group, sch rowSchema, env *evalEnv) (Expr, error) {
+// literal of its value, copying only the nodes above a call. It descends
+// the nodes ContainsAggregate does.
+func foldAggregates(e Expr, value func(*FuncCall) (Value, error)) (Expr, error) {
 	if !ContainsAggregate(e) {
 		return e, nil
 	}
 	fold := func(xs ...Expr) ([]Expr, error) {
 		out := make([]Expr, len(xs))
 		for i, x := range xs {
-			f, err := foldAggregates(x, g, sch, env)
+			f, err := foldAggregates(x, value)
 			if err != nil {
 				return nil, err
 			}
@@ -158,7 +283,7 @@ func foldAggregates(e Expr, g *group, sch rowSchema, env *evalEnv) (Expr, error)
 	switch x := e.(type) {
 	case *FuncCall:
 		if isAggregate(x.Name) {
-			v, err := computeAggregate(x, g, sch, env)
+			v, err := value(x)
 			return &Literal{Val: v}, err
 		}
 		args, err := fold(x.Args...)
@@ -214,79 +339,4 @@ func foldAggregates(e Expr, g *group, sch rowSchema, env *evalEnv) (Expr, error)
 		return c, nil
 	}
 	return e, nil
-}
-
-func computeAggregate(fc *FuncCall, g *group, sch rowSchema, env *evalEnv) (Value, error) {
-	// COUNT(*)
-	if fc.Star {
-		if fc.Name != "COUNT" {
-			return Null(), fmt.Errorf("sqlengine: %s(*) is not valid", fc.Name)
-		}
-		return NewInt(int64(len(g.rows))), nil
-	}
-	if len(fc.Args) != 1 {
-		return Null(), fmt.Errorf("sqlengine: aggregate %s expects one argument", fc.Name)
-	}
-	var vals []Value
-	seen := map[string]bool{}
-	for _, row := range g.rows {
-		v, err := evalExpr(fc.Args[0], env.bind(sch, row))
-		if err != nil {
-			return Null(), err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if fc.Distinct {
-			k := indexKey([]Value{v})
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		vals = append(vals, v)
-	}
-	switch fc.Name {
-	case "COUNT":
-		return NewInt(int64(len(vals))), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		allInt := true
-		var fsum float64
-		var isum int64
-		for _, v := range vals {
-			f, ok := v.AsFloat()
-			if !ok {
-				return Null(), fmt.Errorf("sqlengine: %s over non-numeric value", fc.Name)
-			}
-			fsum += f
-			if v.Kind == KindInt {
-				isum += v.Int
-			} else {
-				allInt = false
-			}
-		}
-		if fc.Name == "AVG" {
-			return NewFloat(fsum / float64(len(vals))), nil
-		}
-		if allInt {
-			return NewInt(isum), nil
-		}
-		return NewFloat(fsum), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c := Compare(v, best)
-			if (fc.Name == "MIN" && c < 0) || (fc.Name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	}
-	return Null(), fmt.Errorf("sqlengine: unknown aggregate %s", fc.Name)
 }

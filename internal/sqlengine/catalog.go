@@ -107,7 +107,13 @@ func (t *Table) rebuildColIndex() {
 // 1 and 1.0 collide and −0 keys as 0, as Compare has them equal; any other
 // value by its kind and text.
 func indexKey(vals []Value) string {
-	buf := make([]byte, 0, 16*len(vals))
+	return string(appendIndexKey(make([]byte, 0, 16*len(vals)), vals...))
+}
+
+// appendIndexKey appends the indexKey encoding of vals to buf. A lookup
+// of m[string(appendIndexKey(buf[:0], ...))] with a reused buf does not
+// allocate.
+func appendIndexKey(buf []byte, vals ...Value) []byte {
 	for i, v := range vals {
 		if i > 0 {
 			buf = append(buf, 0)
@@ -123,7 +129,7 @@ func indexKey(vals []Value) string {
 		}
 		buf = append(append(append(buf, v.Kind.String()...), ':'), v.String()...)
 	}
-	return string(buf)
+	return buf
 }
 
 // pkKey returns the column position of a primary key a range can be read

@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -17,14 +18,21 @@ import (
 // one phase before starting the next; TestStatementErrorsMatchOracle
 // holds the messages of single errors.
 //
-// The generator writes no expression that can fail on a value (no
-// division, no arithmetic on strings): a pipeline stops pulling at a LIMIT
-// where the oracle evaluated every row. For the same reason a branch with
-// a LIMIT gets no invalid column reference in a place evaluated for some
-// rows only (a join residual, a disjunct). It writes none of the aggregate expressions the oracle
-// rejects and the executor now evaluates (an aggregate under a function,
-// CASE, IS NULL, BETWEEN or IN; a non-output ORDER BY key of an
-// aggregated statement): TestAggregateInExpressions holds those.
+// Outside aggregates the generator writes no expression that can fail on
+// a value (no division, no arithmetic on strings): a pipeline stops
+// pulling at a LIMIT where the oracle evaluated every row. For the same
+// reason a branch with a LIMIT gets no invalid column reference in a
+// place evaluated for some rows only (a join residual, a disjunct). A
+// statement no LIMIT applies to may get aggregates that fail on some
+// fixture rows only — SUM over a string column, SUM(1 / (k - 2)) over
+// a.k, MAX(SQRT(x - 1)) over a.x — in its select list or HAVING: they
+// raise only for a group that is output, so a HAVING that drops the
+// failing group keeps the statement from failing, in the engine's
+// accumulators as in the oracle's pass over the group's rows. The
+// generator writes none of the aggregate expressions the oracle rejects
+// and the executor now evaluates (an aggregate under a function, CASE, IS
+// NULL, BETWEEN or IN; a non-output ORDER BY key of an aggregated
+// statement): TestAggregateInExpressions holds those.
 
 // diffTables lists the fixture's relations — numeric columns, then string
 // columns — with the script creating each; the view comes last. a is
@@ -73,6 +81,10 @@ type selectGen struct {
 	// a single row is joined; no ROWNUM, which numbers rows in the order
 	// they happen to arrive.
 	federated bool
+	// fallible writes the aggregates that fail on some fixture rows; it
+	// is off when a LIMIT applies to the statement, as a pipeline may
+	// stop before it pulls an aggregated branch.
+	fallible bool
 }
 
 type diffRef struct {
@@ -221,9 +233,17 @@ func (g *selectGen) item() string {
 	return g.col(false)
 }
 
-// agg writes one aggregate expression.
+// agg writes one aggregate expression. Unless g.fallible, a failing form
+// is replaced by COUNT(*) after the same draws, so the rest of the
+// statement is the one the seed writes with it.
 func (g *selectGen) agg() string {
-	switch g.r.Intn(8) {
+	failing := func(col, form string) string {
+		if ref, ok := g.refWith(col); ok && g.fallible {
+			return fmt.Sprintf(form, ref)
+		}
+		return "COUNT(*)"
+	}
+	switch g.r.Intn(11) {
 	case 0:
 		return "COUNT(*)"
 	case 1:
@@ -238,8 +258,39 @@ func (g *selectGen) agg() string {
 		return "SUM(" + g.col(true) + ") + 1"
 	case 6:
 		return "-MIN(" + g.col(true) + ")"
+	case 8:
+		return failing("s", "SUM(%s.s)")
+	case 9:
+		return failing("x", "SUM(1 / (%s.k - 2))")
+	case 10:
+		return failing("x", "MAX(SQRT(%s.x - 1))")
 	}
 	return g.pick("MIN", "MAX") + "(" + g.col(false) + ")"
+}
+
+// having writes a HAVING condition. Some drop groups a failing aggregate
+// fails on: COUNT(s) = 0 those with a string in s, MIN(x) > 0.5 those
+// with x = 0.5, MIN(k) <> 2 some of those with k = 2.
+func (g *selectGen) having() string {
+	switch g.r.Intn(7) {
+	case 1:
+		return "COUNT(*) >= 1 AND SUM(" + g.col(true) + ") > 2"
+	case 2:
+		return "MAX(" + g.col(true) + ") < 3"
+	case 3:
+		return "MIN(" + g.col(true) + ") <> 2"
+	case 4:
+		return g.agg() + " >= 0"
+	case 5:
+		if ref, ok := g.refWith("s"); ok {
+			return "COUNT(" + ref + ".s) = 0"
+		}
+	case 6:
+		if ref, ok := g.refWith("x"); ok {
+			return "MIN(" + ref + ".x) > 0.5"
+		}
+	}
+	return "COUNT(*) > 1"
 }
 
 // branch writes one SELECT of the given width (0: any) and returns it
@@ -299,8 +350,8 @@ func (g *selectGen) branch(width int) (string, int) {
 	if len(groupBy) > 0 {
 		sb.WriteString(" GROUP BY " + strings.Join(groupBy, ", "))
 	}
-	if aggregated && g.chance(30) {
-		sb.WriteString(" HAVING " + g.pick("COUNT(*) > 1", "COUNT(*) >= 1 AND SUM("+g.col(true)+") > 2", "MAX("+g.col(true)+") < 3"))
+	if aggregated && g.chance(50) {
+		sb.WriteString(" HAVING " + g.having())
 	}
 	if g.chance(50) {
 		var keys []string
@@ -331,9 +382,17 @@ func (g *selectGen) branch(width int) (string, int) {
 }
 
 // genSelect writes the statement for one seed: a branch, or a UNION
-// [ALL] of two (their widths equal but for the odd mismatch).
+// [ALL] of two (their widths equal but for the odd mismatch). The
+// statement may have failing aggregates unless a LIMIT applies to it.
 func genSelect(seed int64, federated bool) string {
-	g := &selectGen{r: rand.New(rand.NewSource(seed)), federated: federated}
+	if sql := genStatement(seed, federated, true); !strings.Contains(sql, " LIMIT ") {
+		return sql
+	}
+	return genStatement(seed, federated, false)
+}
+
+func genStatement(seed int64, federated, fallible bool) string {
+	g := &selectGen{r: rand.New(rand.NewSource(seed)), federated: federated, fallible: fallible}
 	if !g.chance(20) {
 		sql, _ := g.branch(0)
 		return sql
@@ -355,9 +414,13 @@ func genSelect(seed int64, federated bool) string {
 	return first + g.pick(" UNION ", " UNION ALL ") + second
 }
 
-// checkSelect runs one seed's statement on both executors.
-func checkSelect(t *testing.T, e *Engine, seed int64) {
-	sql := genSelect(seed, false)
+// failingAgg matches the aggregates agg writes that fail on some rows.
+var failingAgg = regexp.MustCompile(`SUM\(t\d\.s\)|SUM\(1 / |MAX\(SQRT\(`)
+
+// checkSelect runs one seed's statement on both executors and returns it
+// with whether it failed.
+func checkSelect(t *testing.T, e *Engine, seed int64) (sql string, failed bool) {
+	sql = genSelect(seed, false)
 	got, gerr := e.Query(sql)
 	want, werr := refQuery(e, sql)
 	fail := func(format string, args ...interface{}) {
@@ -369,7 +432,7 @@ func checkSelect(t *testing.T, e *Engine, seed int64) {
 	case (gerr == nil) != (werr == nil):
 		fail("engine error %v, oracle error %v", gerr, werr)
 	case gerr != nil:
-		return
+		return sql, true
 	case strings.Join(got.Columns, ",") != strings.Join(want.Columns, ","):
 		fail("columns %v, oracle %v", got.Columns, want.Columns)
 	}
@@ -377,13 +440,31 @@ func checkSelect(t *testing.T, e *Engine, seed int64) {
 	if strings.Join(gk, "\n") != strings.Join(wk, "\n") {
 		fail("rows\n  engine %v\n  oracle %v", got.Rows, want.Rows)
 	}
+	return sql, false
 }
 
 func TestSelectDifferential(t *testing.T) {
 	e := diffFixture(t)
 	log := recordPaths(e)
-	for seed := int64(0); seed < 2000; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { checkSelect(t, e, seed) })
+	const seeds = 2000
+	var ran int
+	fallible := map[bool]int{} // statements with a failing aggregate, by whether they failed
+	for seed := int64(0); seed < seeds; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			ran++
+			if sql, failed := checkSelect(t, e, seed); failingAgg.MatchString(sql) {
+				fallible[failed]++
+			}
+		})
+	}
+	if ran < seeds {
+		return // a replay of some seeds
+	}
+	// Without this, a generator that stopped writing failing aggregates,
+	// or only wrote them where they raise, would pass every seed.
+	t.Logf("statements with a failing aggregate: %d failed, %d did not", fallible[true], fallible[false])
+	if fallible[true] == 0 || fallible[false] == 0 {
+		t.Errorf("statements with a failing aggregate: %d failed, %d did not; want some of each", fallible[true], fallible[false])
 	}
 	// Without this, a seek that silently scans would pass every seed.
 	taken := map[string]int{}
@@ -408,7 +489,9 @@ func FuzzSelectDifferential(f *testing.F) {
 
 // TestStatementErrorsMatchOracle: a statement the oracle rejects fails
 // with the oracle's message, whether the error is found before any row
-// (a UNION width mismatch, an unknown t.*) or at the first row to sort.
+// (a UNION width mismatch, an unknown t.*), at the first row to sort, or
+// when a failing aggregate is output — where an evaluation error wins
+// over a non-numeric SUM value met on an earlier row.
 func TestStatementErrorsMatchOracle(t *testing.T) {
 	e := diffFixture(t)
 	for _, sql := range []string{
@@ -424,6 +507,10 @@ func TestStatementErrorsMatchOracle(t *testing.T) {
 		"SELECT SUM(*) FROM a",
 		"SELECT id FROM a WHERE COUNT(*) > 1",
 		"SELECT id FROM a WHERE k IN (SELECT k, z FROM c)",
+		"SELECT SUM(s) FROM a",
+		"SELECT k, AVG(s) FROM a GROUP BY k HAVING COUNT(*) > 1",
+		"SELECT k, SUM(1 / (k - 2)) FROM a GROUP BY k",
+		"SELECT SUM(CASE WHEN id = 6 THEN 1 / 0 ELSE s END) FROM a",
 	} {
 		_, gerr := e.Query(sql)
 		_, werr := refQuery(e, sql)
@@ -431,10 +518,13 @@ func TestStatementErrorsMatchOracle(t *testing.T) {
 			t.Errorf("%s:\n engine %v\n oracle %v", sql, gerr, werr)
 		}
 	}
-	// Over no rows, the row-time errors are never met.
+	// Over no rows, the row-time errors are never met, nor an
+	// aggregate's in a group HAVING drops.
 	for _, sql := range []string{
 		"SELECT id FROM a WHERE id > 9 ORDER BY 3",
 		"SELECT DISTINCT s FROM a WHERE id > 9 ORDER BY x",
+		"SELECT k, SUM(1 / (k - 2)) FROM a GROUP BY k HAVING MIN(k) <> 2",
+		"SELECT s, MAX(SQRT(x - 1)) FROM a GROUP BY s HAVING COUNT(*) > 1",
 	} {
 		if _, err := e.Query(sql); err != nil {
 			t.Errorf("%s: %v", sql, err)

@@ -27,9 +27,10 @@ type hashJoinIter struct {
 	opts        StreamOptions
 	stats       *StreamStats
 
-	sch       rowSchema // combined: left columns then right columns
-	buildIdx  []int     // key ordinals in the build input
-	probeIdx  []int     // key ordinals in the probe input
+	sch       rowSchema    // combined: left columns then right columns
+	ec        *evalContext // the residual's, over sch
+	buildIdx  []int        // key ordinals in the build input
+	probeIdx  []int        // key ordinals in the probe input
 	buildLeft bool
 	outer     bool // LEFT or RIGHT: unmatched probe rows are emitted padded
 
@@ -194,6 +195,7 @@ func (h *hashJoinIter) doPrepare() error {
 	h.sch = make(rowSchema, 0, len(lsch)+len(rsch))
 	h.sch = append(h.sch, lsch...)
 	h.sch = append(h.sch, rsch...)
+	h.ec = h.env.bind(h.sch)
 
 	if h.sd != nil {
 		h.inSpill = true
@@ -320,7 +322,7 @@ func (h *hashJoinIter) matchRow(prow Row, ht map[string][]Row) (Row, error) {
 	if ok {
 		for _, brow := range ht[indexKey(kv)] {
 			crow := h.combined(prow, brow)
-			keep, err := evalResidual(h.j.On, h.sch, crow, h.env)
+			keep, err := evalResidual(h.j.On, h.ec, crow)
 			if err != nil {
 				return nil, err
 			}

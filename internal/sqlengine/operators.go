@@ -473,8 +473,13 @@ type evalEnv struct {
 	outer  *evalContext
 }
 
-func (e *evalEnv) bind(sch rowSchema, row Row) *evalContext {
-	return &evalContext{schema: sch, row: row, params: e.params, exec: e.exec, outer: e.outer}
+// bind returns an operator's context over rows of schema sch; the
+// operator re-points its row at each row it evaluates. So a context is
+// valid only during the call that received it and nothing may keep it: a
+// correlated subquery that receives it as outer finishes before the call
+// returns.
+func (e *evalEnv) bind(sch rowSchema) *evalContext {
+	return &evalContext{schema: sch, params: e.params, exec: e.exec, outer: e.outer}
 }
 
 // StreamSelect composes the streaming pipeline for an analyzed plan over
@@ -718,6 +723,7 @@ type filterIter struct {
 	in   relIter
 	cond Expr
 	env  *evalEnv
+	ec   *evalContext
 	kept int64
 }
 
@@ -728,14 +734,16 @@ func (f *filterIter) next() (Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	if f.ec == nil {
+		f.ec = f.env.bind(sch)
+	}
 	for {
 		row, err := f.in.next()
 		if err != nil {
 			return nil, err
 		}
-		ec := f.env.bind(sch, row)
-		ec.rownum = f.kept + 1
-		v, err := evalExpr(f.cond, ec)
+		f.ec.row, f.ec.rownum = row, f.kept+1
+		v, err := evalExpr(f.cond, f.ec)
 		if err != nil {
 			return nil, err
 		}
@@ -755,6 +763,7 @@ type projectIter struct {
 	cols  []string
 	exprs []Expr
 	env   *evalEnv
+	ec    *evalContext
 }
 
 func (p *projectIter) Columns() []string { return p.cols }
@@ -768,10 +777,13 @@ func (p *projectIter) Next() (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	ec := p.env.bind(sch, row)
+	if p.ec == nil {
+		p.ec = p.env.bind(sch)
+	}
+	p.ec.row = row
 	out := make(Row, len(p.exprs))
 	for i, e := range p.exprs {
-		v, err := evalExpr(e, ec)
+		v, err := evalExpr(e, p.ec)
 		if err != nil {
 			return nil, err
 		}
@@ -786,23 +798,24 @@ func (p *projectIter) Close() error { return p.in.close() }
 // Memory is bounded by the number of distinct output rows.
 type distinctIter struct {
 	in   RowIter
-	seen map[string]bool
+	seen map[string]struct{}
+	key  []byte
 }
 
 func (d *distinctIter) Columns() []string { return d.in.Columns() }
 
 func (d *distinctIter) Next() (Row, error) {
 	if d.seen == nil {
-		d.seen = make(map[string]bool)
+		d.seen = make(map[string]struct{})
 	}
 	for {
 		row, err := d.in.Next()
 		if err != nil {
 			return nil, err
 		}
-		k := indexKey(row)
-		if !d.seen[k] {
-			d.seen[k] = true
+		d.key = appendIndexKey(d.key[:0], row...)
+		if _, dup := d.seen[string(d.key)]; !dup {
+			d.seen[string(d.key)] = struct{}{}
 			return row, nil
 		}
 	}
@@ -930,12 +943,14 @@ func keyVals(row Row, idx []int) ([]Value, bool) {
 	return vals, true
 }
 
-// evalResidual re-checks a join's residual condition over a combined row.
-func evalResidual(cond Expr, sch rowSchema, row Row, env *evalEnv) (bool, error) {
+// evalResidual re-checks a join's residual condition over a combined row,
+// re-pointing ec at it.
+func evalResidual(cond Expr, ec *evalContext, row Row) (bool, error) {
 	if cond == nil {
 		return true, nil
 	}
-	v, err := evalExpr(cond, env.bind(sch, row))
+	ec.row = row
+	v, err := evalExpr(cond, ec)
 	if err != nil {
 		return false, err
 	}

@@ -158,10 +158,9 @@ func encodeRow(w io.Writer, row sqlengine.Row) (int64, error) {
 }
 
 func decodeField(s string) (sqlengine.Value, error) {
-	s = strings.ReplaceAll(s, "\\n", "\n")
-	s = strings.ReplaceAll(s, "\\t", "\t")
-	s = strings.ReplaceAll(s, "\\r", "\r")
-	s = strings.ReplaceAll(s, "\\\\", "\\")
+	if strings.IndexByte(s, '\\') >= 0 {
+		s = unescapeField(s)
+	}
 	switch {
 	case s == "NULL":
 		return sqlengine.Null(), nil
@@ -188,6 +187,29 @@ func decodeField(s string) (sqlengine.Value, error) {
 		}
 		return sqlengine.NewInt(i), nil
 	}
+}
+
+// unescapeField undoes encodeRow's escapes in one left-to-right pass, so
+// an escaped backslash is never read as the start of another escape.
+func unescapeField(s string) string {
+	var sb strings.Builder
+	sb.Grow(len(s))
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == '\\' && i+1 < len(s) {
+			i++
+			switch c = s[i]; c {
+			case 'n':
+				c = '\n'
+			case 't':
+				c = '\t'
+			case 'r':
+				c = '\r'
+			}
+		}
+		sb.WriteByte(c)
+	}
+	return sb.String()
 }
 
 func decodeRow(line string) (sqlengine.Row, error) {
