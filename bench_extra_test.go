@@ -6,6 +6,7 @@ package gridrdb
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -13,7 +14,9 @@ import (
 	"gridrdb/internal/dataaccess"
 	"gridrdb/internal/ntuple"
 	"gridrdb/internal/semantic"
+	"gridrdb/internal/sqldriver"
 	"gridrdb/internal/sqlengine"
+	"gridrdb/internal/unity"
 	"gridrdb/internal/xspec"
 )
 
@@ -186,6 +189,66 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		rs, err := fed.QuerySource("d1", "SELECT 1")
 		if err != nil || len(rs.Rows) != 1 {
 			b.Fatalf("%v", err)
+		}
+	}
+}
+
+// BenchmarkDecomposedJoin runs the statement shape of the benchmark's
+// decomposed_join workload — a mart table joined with its replica on
+// another member database over a 1 500-id range, reading 6 of their 16
+// columns — through a federation of two local:// member engines:
+// planning and rendering, both member sub-queries through database/sql,
+// and the pipelined hash join. Profile the decomposed path with
+//
+//	go test -run xxx -bench DecomposedJoin -memprofile mem.out .
+func BenchmarkDecomposedJoin(b *testing.B) {
+	upper := &xspec.UpperSpec{Name: "bdj"}
+	lowers := map[string]*xspec.LowerSpec{}
+	for _, m := range []struct {
+		name, table string
+		d           *sqlengine.Dialect
+	}{{"bdj_mysql", "ev_run100", sqlengine.DialectMySQL}, {"bdj_sqlite", "ev_replica", sqlengine.DialectSQLite}} {
+		e := sqlengine.NewEngine(m.name, m.d)
+		if _, err := e.Exec("CREATE TABLE " + m.table + " (event_id BIGINT PRIMARY KEY, run BIGINT, " +
+			"v0 DOUBLE, v1 DOUBLE, v2 DOUBLE, v3 DOUBLE, v4 DOUBLE, v5 DOUBLE)"); err != nil {
+			b.Fatal(err)
+		}
+		rows := make([]sqlengine.Row, 4000)
+		for i := range rows {
+			rows[i] = sqlengine.Row{sqlengine.NewInt(int64(i)), sqlengine.NewInt(int64(100 + i%4))}
+			for j := 0; j < 6; j++ {
+				rows[i] = append(rows[i], sqlengine.NewFloat(float64(i*7+j)/3.0001))
+			}
+		}
+		if _, err := e.InsertRows(m.table, rows); err != nil {
+			b.Fatal(err)
+		}
+		sqldriver.RegisterEngine(e)
+		defer sqldriver.UnregisterEngine(m.name)
+		spec, err := xspec.Generate(m.name, m.d.Name, e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lowers[m.name] = spec
+		upper.Sources = append(upper.Sources, xspec.SourceRef{Name: m.name, URL: "local://" + m.name, Driver: m.d.DriverName})
+	}
+	fed, err := unity.Open(upper, lowers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fed.Close()
+	q := "SELECT a.event_id, a.run, a.v0, a.v1, b.v0 AS r_v0, b.v1 AS r_v1 FROM ev_run100 a JOIN ev_replica b ON a.event_id = b.event_id " +
+		"WHERE a.event_id >= 1000 AND a.event_id <= 2499 AND b.event_id >= 1000 AND b.event_id <= 2499"
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := fed.QueryContext(ctx, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rs.Rows) != 1500 {
+			b.Fatalf("%d rows, want 1500", len(rs.Rows))
 		}
 	}
 }

@@ -21,6 +21,7 @@ package sqlengine_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,9 +38,12 @@ type federatedFixture struct {
 	feds  []*unity.Federation
 	peers map[string]unity.PeerTable
 	ref   *sqlengine.Engine
+	// widths are the tables' column counts.
+	widths map[string]int
 	// checked counts the seeds check ran; spilledJoins the statements
-	// whose join build spilled.
-	checked, spilledJoins int
+	// whose join build spilled; prunedPlans the statements whose plan
+	// has a load that selects fewer columns than its table has.
+	checked, spilledJoins, prunedPlans int
 }
 
 func newFederatedFixture(tb testing.TB) *federatedFixture {
@@ -53,10 +57,16 @@ func newFederatedFixture(tb testing.TB) *federatedFixture {
 		return e
 	}
 	ref := sqlengine.NewEngine("fdiff_ref", sqlengine.DialectANSI)
+	widths := map[string]int{}
 	for _, table := range []string{"a", "b", "c"} {
 		if err := ref.ExecScript(scripts[table]); err != nil {
 			tb.Fatal(err)
 		}
+		rs, err := ref.Query("SELECT * FROM " + table)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		widths[table] = len(rs.Columns)
 	}
 
 	upper := &xspec.UpperSpec{Name: "fdiff"}
@@ -82,8 +92,9 @@ func newFederatedFixture(tb testing.TB) *federatedFixture {
 		return sqlengine.SliceIter(rs), nil
 	}
 	fx := &federatedFixture{
-		peers: map[string]unity.PeerTable{"c": {Location: "peer://c", Columns: []string{"k", "z"}}},
-		ref:   ref,
+		peers:  map[string]unity.PeerTable{"c": {Location: "peer://c", Columns: []string{"k", "z"}}},
+		ref:    ref,
+		widths: widths,
 	}
 	for _, budget := range []int64{0, 1} {
 		fed, err := unity.Open(upper, lowers)
@@ -102,6 +113,11 @@ func (fx *federatedFixture) query(fed *unity.Federation, sql string) (*sqlengine
 	plan, err := fed.PlanQueryAt(sql, fx.peers)
 	if err != nil {
 		return nil, err
+	}
+	if fed == fx.feds[0] && slices.ContainsFunc(plan.Subs, func(s unity.SubQuery) bool {
+		return s.Columns != nil && len(s.Columns) < fx.widths[s.Table]
+	}) {
+		fx.prunedPlans++
 	}
 	it, ex, err := fed.ExecuteStreamOp(context.Background(), plan)
 	if err != nil {
@@ -190,16 +206,20 @@ func TestFederatedDifferential(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { fx.check(t, seed) })
 	}
-	// The layout must keep exercising the Grace spill: a generator change
-	// that stopped producing joins would otherwise pass silently. A -run
-	// that picks some of the seeds (a replay) need not reach a join.
+	// The layout must keep exercising the Grace spill and column pruning:
+	// a generator change that stopped producing joins, or a planner that
+	// stopped pruning, would otherwise pass silently. A -run that picks
+	// some of the seeds (a replay) need not reach either.
 	if fx.checked < seeds {
 		return
 	}
 	if fx.spilledJoins == 0 {
 		t.Fatal("no statement spilled a join build at the 1-byte budget")
 	}
-	t.Logf("%d statements spilled a join build", fx.spilledJoins)
+	if fx.prunedPlans == 0 {
+		t.Fatal("no statement's plan pruned a load's columns")
+	}
+	t.Logf("%d statements spilled a join build, %d plans pruned a load", fx.spilledJoins, fx.prunedPlans)
 }
 
 func FuzzFederatedDifferential(f *testing.F) {

@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"time"
 )
@@ -39,7 +38,10 @@ type hashJoinIter struct {
 	closed   bool
 
 	// In-memory mode.
-	ht map[string][]Row
+	ht *joinTable
+	// key holds the join key of the row at hand, as appendIndexKey
+	// encodes it; reused, so keying a row allocates nothing.
+	key []byte
 
 	// Spill mode.
 	sd         *spillDir
@@ -51,6 +53,33 @@ type hashJoinIter struct {
 	probeDone  bool
 
 	pending []Row
+}
+
+// joinTable is a hash join's in-memory build side: the rows of each
+// distinct join key. It keeps one string per distinct key; looking a key
+// up from a reused buffer allocates nothing.
+type joinTable struct {
+	idx  map[string]int // key -> its rows' position in rows
+	rows [][]Row
+}
+
+func newJoinTable() *joinTable { return &joinTable{idx: map[string]int{}} }
+
+func (t *joinTable) add(key []byte, row Row) {
+	i, ok := t.idx[string(key)]
+	if !ok {
+		i = len(t.rows)
+		t.idx[string(key)] = i
+		t.rows = append(t.rows, nil)
+	}
+	t.rows[i] = append(t.rows[i], row)
+}
+
+func (t *joinTable) lookup(key []byte) []Row {
+	if i, ok := t.idx[string(key)]; ok {
+		return t.rows[i]
+	}
+	return nil
 }
 
 // hashJoinFanout is the Grace partition count. One recursion level only:
@@ -144,7 +173,7 @@ func (h *hashJoinIter) doPrepare() error {
 	h.buildIdx = bIdx
 
 	budget := h.opts.budget()
-	h.ht = make(map[string][]Row)
+	h.ht = newJoinTable()
 	var bytes int64
 	for {
 		if err := ctxErr(h.ctx); err != nil {
@@ -158,12 +187,11 @@ func (h *hashJoinIter) doPrepare() error {
 			return err
 		}
 		h.stats.BuildRows++
-		kv, ok := keyVals(row, h.buildIdx)
-		if !ok {
+		if !h.keyOf(row, h.buildIdx) {
 			continue // NULL key: can never match
 		}
 		if h.sd == nil {
-			h.ht[indexKey(kv)] = append(h.ht[indexKey(kv)], row)
+			h.ht.add(h.key, row)
 			bytes += rowMemBytes(row)
 			h.stats.BuildBytes = bytes
 			if budget > 0 && bytes > budget {
@@ -173,7 +201,7 @@ func (h *hashJoinIter) doPrepare() error {
 			}
 			continue
 		}
-		if err := h.spillRow(h.buildParts, kv, row); err != nil {
+		if err := h.spillRow(h.buildParts, row); err != nil {
 			return err
 		}
 	}
@@ -233,10 +261,10 @@ func (h *hashJoinIter) startSpill() error {
 		return err
 	}
 	h.buildParts = bw
-	for _, rows := range h.ht {
+	for _, rows := range h.ht.rows {
 		for _, row := range rows {
-			kv, _ := keyVals(row, h.buildIdx)
-			if err := h.spillRow(h.buildParts, kv, row); err != nil {
+			h.keyOf(row, h.buildIdx)
+			if err := h.spillRow(h.buildParts, row); err != nil {
 				return err
 			}
 		}
@@ -260,15 +288,36 @@ func (h *hashJoinIter) makeParts(kind string) ([]*spillWriter, error) {
 	return parts, nil
 }
 
-func partitionOf(kv []Value) int {
-	f := fnv.New32a()
-	f.Write([]byte(indexKey(kv)))
-	return int(f.Sum32() % hashJoinFanout)
+// keyOf encodes row's join key (the columns at idx) into h.key; false
+// when a key column is NULL, which never matches.
+func (h *hashJoinIter) keyOf(row Row, idx []int) bool {
+	h.key = h.key[:0]
+	for i, j := range idx {
+		if row[j].IsNull() {
+			return false
+		}
+		if i > 0 {
+			h.key = append(h.key, 0)
+		}
+		h.key = appendIndexKey(h.key, row[j])
+	}
+	return true
 }
 
-func (h *hashJoinIter) spillRow(parts []*spillWriter, kv []Value, row Row) error {
+// partitionOf is the Grace partition of a join key: its 32-bit FNV-1a
+// hash modulo the fanout.
+func partitionOf(key []byte) int {
+	hash := uint32(2166136261)
+	for _, c := range key {
+		hash = (hash ^ uint32(c)) * 16777619
+	}
+	return int(hash % hashJoinFanout)
+}
+
+// spillRow writes row to the partition of its key, already in h.key.
+func (h *hashJoinIter) spillRow(parts []*spillWriter, row Row) error {
 	start := time.Now()
-	err := parts[partitionOf(kv)].writeRow(row)
+	err := parts[partitionOf(h.key)].writeRow(row)
 	h.stats.SpillNanos += time.Since(start).Nanoseconds()
 	return err
 }
@@ -312,15 +361,14 @@ func (h *hashJoinIter) nextInMem() (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return h.matchRow(prow, h.ht)
+	return h.matchRow(prow)
 }
 
-// matchRow joins one probe row against a build table, queuing matches.
-func (h *hashJoinIter) matchRow(prow Row, ht map[string][]Row) (Row, error) {
-	kv, ok := keyVals(prow, h.probeIdx)
+// matchRow joins one probe row against the build table, queuing matches.
+func (h *hashJoinIter) matchRow(prow Row) (Row, error) {
 	matched := false
-	if ok {
-		for _, brow := range ht[indexKey(kv)] {
+	if h.keyOf(prow, h.probeIdx) {
+		for _, brow := range h.ht.lookup(h.key) {
 			crow := h.combined(prow, brow)
 			keep, err := evalResidual(h.j.On, h.ec, crow)
 			if err != nil {
@@ -362,14 +410,13 @@ func (h *hashJoinIter) nextSpill() (Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		kv, ok := keyVals(prow, h.probeIdx)
-		if !ok {
+		if !h.keyOf(prow, h.probeIdx) {
 			if h.outer {
 				return h.padProbe(prow), nil
 			}
 			return nil, nil
 		}
-		return nil, h.spillRow(h.probeParts, kv, prow)
+		return nil, h.spillRow(h.probeParts, prow)
 	}
 
 	// Partition-pair join.
@@ -395,7 +442,7 @@ func (h *hashJoinIter) nextSpill() (Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		return h.matchRow(prow, h.ht)
+		return h.matchRow(prow)
 	}
 }
 
@@ -412,7 +459,7 @@ func (h *hashJoinIter) loadPartition(p int) error {
 		return err
 	}
 	defer br.close()
-	h.ht = make(map[string][]Row)
+	h.ht = newJoinTable()
 	for {
 		row, err := br.readRow()
 		if err == io.EOF {
@@ -421,8 +468,8 @@ func (h *hashJoinIter) loadPartition(p int) error {
 		if err != nil {
 			return err
 		}
-		kv, _ := keyVals(row, h.buildIdx)
-		h.ht[indexKey(kv)] = append(h.ht[indexKey(kv)], row)
+		h.keyOf(row, h.buildIdx)
+		h.ht.add(h.key, row)
 	}
 	pr, err := openSpill(h.probeParts[p].path)
 	if err != nil {

@@ -932,17 +932,6 @@ func resolveKeys(sch rowSchema, quals, keys []string) ([]int, error) {
 	return idx, nil
 }
 
-func keyVals(row Row, idx []int) ([]Value, bool) {
-	vals := make([]Value, len(idx))
-	for i, j := range idx {
-		vals[i] = row[j]
-		if vals[i].IsNull() {
-			return nil, false // NULL join keys never match
-		}
-	}
-	return vals, true
-}
-
 // evalResidual re-checks a join's residual condition over a combined row,
 // re-pointing ec at it.
 func evalResidual(cond Expr, ec *evalContext, row Row) (bool, error) {

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gridrdb/internal/leaktest"
 )
 
 // streamTable is one input table for the differential harness: the same
@@ -267,6 +269,52 @@ func TestStreamHashJoinSpill(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHashJoinProbeAllocsIndependentOfRows: a probe row keys itself into
+// a reused buffer and looks the build table up without a string, so a
+// join whose 20 000 probe rows match nothing allocates about as much as
+// over 2 000 (within 1.1x): the build side and the pipeline's set-up.
+func TestHashJoinProbeAllocsIndependentOfRows(t *testing.T) {
+	if leaktest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	st, err := NewEngine("probeallocs", DialectANSI).ParseSQL("SELECT p.run FROM ev p JOIN bd b ON p.event_id = b.event_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := make([]Row, 1024)
+	for i := range pool {
+		pool[i] = aggBenchRow(i)
+	}
+	build := &ResultSet{Columns: aggBenchCols}
+	for i := 0; i < 500; i++ {
+		build.Rows = append(build.Rows, aggBenchRow(100000+i))
+	}
+	run := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			plan, reason := AnalyzeStreamSelect(st.(*SelectStmt), func(string) []string { return aggBenchCols })
+			if plan == nil {
+				t.Fatalf("not streamable: %s", reason)
+			}
+			ins := []StreamInput{
+				{Source: plan.Branches[0].Inputs[0], Columns: aggBenchCols, Iter: &cycleIter{pool: pool, n: n}},
+				{Source: plan.Branches[0].Inputs[1], Columns: aggBenchCols, Iter: SliceIter(build)},
+			}
+			it, err := StreamSelect(context.Background(), plan, ins, nil, StreamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs, err := Drain(it); err != nil || len(rs.Rows) != 0 {
+				t.Fatalf("drain: %v", err)
+			}
+		})
+	}
+	small, large := run(2000), run(20000)
+	if large > 1.1*small {
+		t.Fatalf("a hash join allocates %.0f times over 20 000 probe rows, %.0f over 2 000; want within 1.1x", large, small)
+	}
+	t.Logf("allocs: %.0f over 2 000 probe rows, %.0f over 20 000", small, large)
 }
 
 func TestStreamUnionDifferential(t *testing.T) {

@@ -177,47 +177,10 @@ func stripQualifiers(e sqlengine.Expr) sqlengine.Expr {
 }
 
 func hasParam(e sqlengine.Expr) bool {
-	found := false
-	var walk func(x sqlengine.Expr)
-	walk = func(x sqlengine.Expr) {
-		switch v := x.(type) {
-		case *sqlengine.Param:
-			found = true
-		case *sqlengine.BinaryExpr:
-			walk(v.L)
-			walk(v.R)
-		case *sqlengine.UnaryExpr:
-			walk(v.X)
-		case *sqlengine.IsNullExpr:
-			walk(v.X)
-		case *sqlengine.BetweenExpr:
-			walk(v.X)
-			walk(v.Lo)
-			walk(v.Hi)
-		case *sqlengine.InExpr:
-			walk(v.X)
-			for _, le := range v.List {
-				walk(le)
-			}
-		case *sqlengine.FuncCall:
-			for _, a := range v.Args {
-				walk(a)
-			}
-		case *sqlengine.CaseExpr:
-			if v.Operand != nil {
-				walk(v.Operand)
-			}
-			for _, w := range v.Whens {
-				walk(w.When)
-				walk(w.Then)
-			}
-			if v.Else != nil {
-				walk(v.Else)
-			}
-		}
-	}
-	walk(e)
-	return found
+	return !walkExpr(e, func(e sqlengine.Expr) bool {
+		_, param := e.(*sqlengine.Param)
+		return !param
+	})
 }
 
 // VendorFromDriver maps a driver name ("gridsql-mysql") to its vendor key

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,8 +18,9 @@ import (
 
 // sleepDriver backs a member database that, like a real one, does its
 // work before its first response: every query sleeps for delay and then
-// serves rows (k, v) for k = 1..3 — or fails, when fail is set. closed
-// counts the cursors the federation released.
+// serves rows (k, v) for k = 1..3, of the two columns those the query
+// names — or fails, when fail is set. closed counts the cursors the
+// federation released.
 type sleepDriver struct {
 	delay  time.Duration
 	fail   bool
@@ -35,7 +37,7 @@ func (c *sleepConn) Prepare(string) (driver.Stmt, error) {
 func (c *sleepConn) Close() error              { return nil }
 func (c *sleepConn) Begin() (driver.Tx, error) { return nil, errors.New("sleepdrv: no transactions") }
 
-func (c *sleepConn) QueryContext(ctx context.Context, _ string, _ []driver.NamedValue) (driver.Rows, error) {
+func (c *sleepConn) QueryContext(ctx context.Context, query string, _ []driver.NamedValue) (driver.Rows, error) {
 	select {
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -44,22 +46,34 @@ func (c *sleepConn) QueryContext(ctx context.Context, _ string, _ []driver.Named
 	if c.d.fail {
 		return nil, errors.New("sleepdrv: source down")
 	}
-	return &sleepRows{d: c.d}, nil
+	rows := &sleepRows{d: c.d}
+	for _, col := range []string{"k", "v"} {
+		if strings.Contains(query, `"`+col+`"`) {
+			rows.cols = append(rows.cols, col)
+		}
+	}
+	return rows, nil
 }
 
 type sleepRows struct {
-	d *sleepDriver
-	k int64
+	d    *sleepDriver
+	cols []string
+	k    int64
 }
 
-func (r *sleepRows) Columns() []string { return []string{"k", "v"} }
+func (r *sleepRows) Columns() []string { return r.cols }
 func (r *sleepRows) Close() error      { r.d.closed.Add(1); return nil }
 func (r *sleepRows) Next(dest []driver.Value) error {
 	if r.k == 3 {
 		return io.EOF
 	}
 	r.k++
-	dest[0], dest[1] = r.k, 10*r.k
+	for i, col := range r.cols {
+		dest[i] = r.k
+		if col == "v" {
+			dest[i] = 10 * r.k
+		}
+	}
 	return nil
 }
 

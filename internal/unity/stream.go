@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"gridrdb/internal/sqlengine"
-	"gridrdb/internal/xspec"
 )
 
 // This file is the federation side of sqlengine's operator pipeline
@@ -26,26 +25,6 @@ import (
 // bounded by the build side — or by ScratchMaxBytes once the build
 // spills — plus the tables subqueries read.
 
-// specLogicalCols lists a table spec's logical column names in spec
-// order — the column layout of the sub-query tableSubQuery renders (it
-// SELECTs exactly these columns). Nil when the spec carries no columns (a
-// peer table planned without them: the sub-query is SELECT * and the
-// layout is only known at run time).
-func specLogicalCols(spec xspec.TableSpec) []string {
-	if len(spec.Columns) == 0 {
-		return nil
-	}
-	cols := make([]string, len(spec.Columns))
-	for i, c := range spec.Columns {
-		logical := strings.ToLower(c.Logical)
-		if logical == "" {
-			logical = strings.ToLower(c.Name)
-		}
-		cols[i] = logical
-	}
-	return cols
-}
-
 // planStream analyzes a decomposed plan for the streaming operators and
 // picks each join step's strategy. The analysis fails only for a shape
 // that needs columns a load has none of: those loads' tables become the
@@ -56,12 +35,12 @@ func (f *Federation) planStream(plan *Plan) {
 		if ld == nil {
 			return nil
 		}
-		return specLogicalCols(ld.spec)
+		return ld.cols
 	}
 	sp, _ := sqlengine.AnalyzeStreamSelect(plan.sel, colsOf)
 	if sp == nil {
 		for _, ld := range plan.loads {
-			if len(ld.spec.Columns) == 0 {
+			if ld.cols == nil {
 				plan.NeedColumns = append(plan.NeedColumns, ld.logical)
 			}
 		}
@@ -120,7 +99,7 @@ func (p *Plan) specRows(logical string) int {
 	if ld == nil {
 		return 0
 	}
-	return ld.spec.Rows
+	return ld.loc.Spec.Rows
 }
 
 // ---- execution ----
@@ -195,7 +174,7 @@ func (f *Federation) executeStreamPlan(ctx context.Context, plan *Plan, params [
 		if err != nil {
 			return err
 		}
-		inputs[i] = sqlengine.StreamInput{Source: srcs[i], Columns: specLogicalCols(ld.spec), Iter: it}
+		inputs[i] = sqlengine.StreamInput{Source: srcs[i], Columns: ld.cols, Iter: it}
 		return nil
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -213,6 +214,10 @@ type SubQuery struct {
 	Source string
 	Table  string // logical table this sub-query feeds ("" for pushdown)
 	SQL    string
+	// Columns are the logical columns a decomposed load selects, in spec
+	// order: those the statement reads (see statementReads). Nil for a
+	// pushdown and for a SELECT * (a peer table planned without columns).
+	Columns []string
 }
 
 // Plan describes how a federated query will execute.
@@ -229,12 +234,12 @@ type Plan struct {
 	// NeedColumns lists the decomposed plan's tables whose columns the
 	// operators need — for a star, or for a join key only the columns
 	// attribute — and the plan was not given (a peer table planned without
-	// PeerTable.Columns). A plan with any cannot execute; plan the query
-	// again with their columns.
+	// PeerTable.Columns, whose load is SELECT *). A plan with any cannot
+	// execute; plan the query again with their columns. A table whose
+	// columns are known loads only those the statement reads.
 	NeedColumns []string
 	sel         *sqlengine.SelectStmt
-	// loads maps logical table -> (source, SQL, spec) for the decomposed
-	// path.
+	// loads are the decomposed path's per-table loads.
 	loads []tableLoad
 	// pushSource is the chosen source for pushdown plans.
 	pushSource string
@@ -253,7 +258,11 @@ type tableLoad struct {
 	source string
 	peer   bool
 	sql    string
-	spec   xspec.TableSpec
+	loc    xspec.TableLocation
+	// cols are the logical columns the load selects, which is the layout
+	// of its rows: the spec columns the statement reads. Nil when the spec
+	// has none (the load is SELECT * and the layout known only at run time).
+	cols []string
 }
 
 // loadFor finds the decomposed load feeding a logical table (nil if the
@@ -270,7 +279,8 @@ func (p *Plan) loadFor(logical string) *tableLoad {
 // tableUse records one reference to a logical table in the query.
 type tableUse struct {
 	ref   sqlengine.TableRef
-	where sqlengine.Expr // the WHERE of the scope the ref appears in
+	where sqlengine.Expr        // the WHERE of the scope the ref appears in
+	sel   *sqlengine.SelectStmt // that scope
 }
 
 // collectTables walks a SELECT (including joins, IN/EXISTS subqueries and
@@ -284,10 +294,10 @@ type tableUse struct {
 func collectTables(sel *sqlengine.SelectStmt, out *[]tableUse) {
 	scope := len(*out)
 	for _, tr := range sel.From {
-		*out = append(*out, tableUse{ref: tr, where: sel.Where})
+		*out = append(*out, tableUse{ref: tr, where: sel.Where, sel: sel})
 	}
 	for _, jc := range sel.Joins {
-		use := tableUse{ref: jc.Table, where: sel.Where}
+		use := tableUse{ref: jc.Table, where: sel.Where, sel: sel}
 		switch jc.Kind {
 		case sqlengine.JoinLeft:
 			use.where = nil
@@ -324,8 +334,9 @@ type PeerTable struct {
 // table is one more load of the decomposed plan, in the ANSI dialect over
 // logical names, opened through OpenPeer — so the query is never a
 // whole-query pushdown. With Columns it is planned like a member table
-// whose spec has no row count: its sub-query selects those columns and
-// takes every WHERE conjunct they attribute. Without them it is SELECT *
+// whose spec has no row count: its sub-query selects those of them the
+// statement reads and takes the WHERE conjuncts they attribute to it
+// alone (see pushableConjuncts). Without them it is SELECT *
 // with only the alias-qualified conjuncts pushed, and a shape that needs
 // its columns leaves the table in Plan.NeedColumns. A table in the
 // dictionary is planned from the dictionary, whatever peers says.
@@ -432,23 +443,28 @@ func (f *Federation) plan(sel *sqlengine.SelectStmt, peers map[string]PeerTable)
 			src = f.pickSource(dbs)
 			loc = byDB[src]
 		}
+		plan.loads = append(plan.loads, tableLoad{logical: logical, source: src, peer: peer, loc: loc})
+	}
+	reads := statementReads(sel)
+	for i := range plan.loads {
+		ld := &plan.loads[i]
+		ld.cols = reads.columns(ld, uses)
 		// Find the (single) use for predicate pushdown; tables referenced
 		// more than once load unfiltered.
 		var use *tableUse
-		if refCount[logical] == 1 {
+		if refCount[ld.logical] == 1 {
 			for i := range uses {
-				if uses[i].ref.Name == logical {
+				if uses[i].ref.Name == ld.logical {
 					use = &uses[i]
 					break
 				}
 			}
 		}
-		subSQL, err := f.tableSubQuery(src, loc, use)
-		if err != nil {
+		var err error
+		if ld.sql, err = f.tableSubQuery(plan, ld, use); err != nil {
 			return nil, err
 		}
-		plan.loads = append(plan.loads, tableLoad{logical: logical, source: src, peer: peer, sql: subSQL, spec: loc.Spec})
-		plan.Subs = append(plan.Subs, SubQuery{Source: src, Table: logical, SQL: subSQL})
+		plan.Subs = append(plan.Subs, SubQuery{Source: ld.source, Table: ld.logical, SQL: ld.sql, Columns: ld.cols})
 	}
 	f.planStream(plan)
 	return plan, nil
@@ -601,35 +617,24 @@ func (f *Federation) mapperFor(source string, tables []string, uses []tableUse) 
 	return m
 }
 
-// tableSubQuery renders the per-table sub-query: all spec columns, plus
-// any single-table conjuncts of the scope's WHERE pushed down.
-func (f *Federation) tableSubQuery(source string, loc xspec.TableLocation, use *tableUse) (string, error) {
-	d := f.dialectOf(source)
+// tableSubQuery renders a load's sub-query: the columns the statement
+// reads of its table (ld.cols; SELECT * when they are unknown), plus the
+// conjuncts of the scope's WHERE only that table answers pushed down.
+func (f *Federation) tableSubQuery(p *Plan, ld *tableLoad, use *tableUse) (string, error) {
 	sub := &sqlengine.SelectStmt{Limit: -1}
 	alias := ""
 	if use != nil {
 		alias = use.ref.Alias
 	}
-	sub.From = []sqlengine.TableRef{{Name: loc.Spec.Logical, Alias: alias}}
-	for _, c := range loc.Spec.Columns {
-		logical := strings.ToLower(c.Logical)
-		if logical == "" {
-			logical = strings.ToLower(c.Name)
-		}
-		sub.Items = append(sub.Items, sqlengine.SelectItem{
-			Expr: &sqlengine.ColumnRef{Column: logical},
-		})
+	sub.From = []sqlengine.TableRef{{Name: ld.loc.Spec.Logical, Alias: alias}}
+	for _, c := range ld.cols {
+		sub.Items = append(sub.Items, sqlengine.SelectItem{Expr: &sqlengine.ColumnRef{Column: c}})
 	}
 	if len(sub.Items) == 0 {
 		sub.Items = []sqlengine.SelectItem{{Star: true}}
 	}
 	if use != nil && use.where != nil {
-		qualifier := use.ref.Alias
-		if qualifier == "" {
-			qualifier = use.ref.Name
-		}
-		conjs := pushableConjuncts(use.where, qualifier, loc)
-		for _, c := range conjs {
+		for _, c := range p.pushableConjuncts(ld, use) {
 			if sub.Where == nil {
 				sub.Where = c
 			} else {
@@ -637,11 +642,11 @@ func (f *Federation) tableSubQuery(source string, loc xspec.TableLocation, use *
 			}
 		}
 	}
-	m := f.mapperFor(source, []string{loc.Spec.Logical}, nil)
+	m := f.mapperFor(ld.source, []string{ld.loc.Spec.Logical}, nil)
 	if alias != "" {
-		m.aliasTable[alias] = strings.ToLower(loc.Spec.Logical)
+		m.aliasTable[alias] = strings.ToLower(ld.loc.Spec.Logical)
 	}
-	return RenderSelect(d, sub, m)
+	return RenderSelect(f.dialectOf(ld.source), sub, m)
 }
 
 // splitConjuncts flattens top-level ANDs.
@@ -652,78 +657,97 @@ func splitConjuncts(e sqlengine.Expr) []sqlengine.Expr {
 	return []sqlengine.Expr{e}
 }
 
-// pushableConjuncts returns WHERE conjuncts that reference only the given
-// table (by qualifier, or unqualified columns present in the table's spec)
-// and contain no parameters or subqueries, so they can run remotely.
-func pushableConjuncts(where sqlengine.Expr, qualifier string, loc xspec.TableLocation) []sqlengine.Expr {
+// pushableConjuncts returns the conjuncts of use's WHERE that ld, the
+// load of its table, can run remotely: those with no parameter or
+// subquery whose every column reference is the table's. A qualified
+// reference is the table's when its qualifier is; an unqualified one when
+// the table has the column and no other table of the scope has it or,
+// its columns unknown, may have it (mayName). Such a name is ambiguous:
+// the statement raises that on the rows that reach its filter, and
+// filtering below the join would hide the rows and the error with them.
+func (p *Plan) pushableConjuncts(ld *tableLoad, use *tableUse) []sqlengine.Expr {
+	qualifier := use.ref.Alias
+	if qualifier == "" {
+		qualifier = use.ref.Name
+	}
+	own := func(c *sqlengine.ColumnRef) bool {
+		if c.Table != "" {
+			return strings.EqualFold(c.Table, qualifier)
+		}
+		if _, ok := ld.loc.ColByLogical[strings.ToLower(c.Column)]; !ok {
+			return false
+		}
+		for _, tr := range scopeTables(use.sel) {
+			if tr != use.ref && mayName(c, nil, p.loadFor(tr.Name).loc) {
+				return false
+			}
+		}
+		return true
+	}
 	var out []sqlengine.Expr
-	for _, c := range splitConjuncts(where) {
-		if exprPushable(c, qualifier, loc) {
+	for _, c := range splitConjuncts(use.where) {
+		if exprPushable(c, own) {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
-func exprPushable(e sqlengine.Expr, qualifier string, loc xspec.TableLocation) bool {
-	switch x := e.(type) {
-	case nil:
-		return true
-	case *sqlengine.Literal:
-		return true
-	case *sqlengine.Param:
-		return false
-	case *sqlengine.ColumnRef:
-		if x.Column == "rownum" {
-			return false
-		}
-		if x.Table != "" {
-			return strings.EqualFold(x.Table, qualifier)
-		}
-		_, ok := loc.ColByLogical[strings.ToLower(x.Column)]
-		return ok
-	case *sqlengine.BinaryExpr:
-		return exprPushable(x.L, qualifier, loc) && exprPushable(x.R, qualifier, loc)
-	case *sqlengine.UnaryExpr:
-		return exprPushable(x.X, qualifier, loc)
-	case *sqlengine.IsNullExpr:
-		return exprPushable(x.X, qualifier, loc)
-	case *sqlengine.BetweenExpr:
-		return exprPushable(x.X, qualifier, loc) && exprPushable(x.Lo, qualifier, loc) && exprPushable(x.Hi, qualifier, loc)
-	case *sqlengine.InExpr:
-		if x.Sub != nil {
-			return false
-		}
-		if !exprPushable(x.X, qualifier, loc) {
-			return false
-		}
-		for _, le := range x.List {
-			if !exprPushable(le, qualifier, loc) {
-				return false
-			}
-		}
-		return true
-	case *sqlengine.FuncCall:
-		if x.Star || x.Distinct {
-			return false
-		}
-		for _, a := range x.Args {
-			if !exprPushable(a, qualifier, loc) {
-				return false
-			}
-		}
-		// Only portable scalar functions are pushed.
-		switch x.Name {
-		case "COALESCE", "LENGTH", "UPPER", "LOWER", "ABS", "ROUND", "SUBSTR", "TRIM", "MOD":
+func exprPushable(e sqlengine.Expr, own func(*sqlengine.ColumnRef) bool) bool {
+	return walkExpr(e, func(e sqlengine.Expr) bool {
+		switch x := e.(type) {
+		case *sqlengine.Literal, *sqlengine.BinaryExpr, *sqlengine.UnaryExpr, *sqlengine.IsNullExpr, *sqlengine.BetweenExpr:
 			return true
+		case *sqlengine.ColumnRef:
+			return x.Column != "rownum" && own(x)
+		case *sqlengine.InExpr:
+			return x.Sub == nil
+		case *sqlengine.FuncCall:
+			// Only portable scalar functions are pushed.
+			switch x.Name {
+			case "COALESCE", "LENGTH", "UPPER", "LOWER", "ABS", "ROUND", "SUBSTR", "TRIM", "MOD":
+				return !x.Star && !x.Distinct
+			}
 		}
-		return false
-	case *sqlengine.CaseExpr:
-		return false
-	case *sqlengine.ExistsExpr:
+		return false // parameters, CASE, EXISTS, aggregates
+	})
+}
+
+// walkExpr calls visit on e and, while visit returns true, on each of its
+// operands in turn, depth first — not into subqueries. It reports whether
+// every call returned true.
+func walkExpr(e sqlengine.Expr, visit func(sqlengine.Expr) bool) bool {
+	if e == nil {
+		return true
+	}
+	if !visit(e) {
 		return false
 	}
-	return false
+	all := func(es []sqlengine.Expr) bool {
+		return !slices.ContainsFunc(es, func(e sqlengine.Expr) bool { return !walkExpr(e, visit) })
+	}
+	switch x := e.(type) {
+	case *sqlengine.BinaryExpr:
+		return walkExpr(x.L, visit) && walkExpr(x.R, visit)
+	case *sqlengine.UnaryExpr:
+		return walkExpr(x.X, visit)
+	case *sqlengine.IsNullExpr:
+		return walkExpr(x.X, visit)
+	case *sqlengine.BetweenExpr:
+		return all([]sqlengine.Expr{x.X, x.Lo, x.Hi})
+	case *sqlengine.InExpr:
+		return walkExpr(x.X, visit) && all(x.List)
+	case *sqlengine.FuncCall:
+		return all(x.Args)
+	case *sqlengine.CaseExpr:
+		for _, w := range x.Whens {
+			if !walkExpr(w.When, visit) || !walkExpr(w.Then, visit) {
+				return false
+			}
+		}
+		return walkExpr(x.Operand, visit) && walkExpr(x.Else, visit)
+	}
+	return true
 }
 
 // ---- execution ----
