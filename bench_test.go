@@ -7,6 +7,7 @@ package gridrdb
 // simulated 100 Mbps LAN profile.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -142,16 +143,12 @@ func BenchmarkFig6RowSweep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := client.Call("dataaccess.query", q)
+				res, err := client.CallDecodeContext(context.Background(), "dataaccess.query", decodeQueryResult, q)
 				if err != nil {
 					b.Fatal(err)
 				}
-				rs, err := dataaccess.DecodeResult(res)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rs.Rows) != n {
-					b.Fatalf("got %d rows, want %d", len(rs.Rows), n)
+				if rows := len(res.(*dataaccess.QueryResult).Rows); rows != n {
+					b.Fatalf("got %d rows, want %d", rows, n)
 				}
 			}
 		})

@@ -238,7 +238,7 @@ func main() {
 		if query == "" {
 			log.Fatal("gridql: no query given (or use -tables / -schema)")
 		}
-		res, err := c.CallContext(ctx, "dataaccess.query", query)
+		res, err := c.CallDecodeContext(ctx, "dataaccess.query", decodeQueryResult, query)
 		if clarens.IsCancelled(err) {
 			if *timeout > 0 {
 				log.Fatalf("gridql: query abandoned after -timeout %s (the server cancels its backend work): %v", *timeout, err)
@@ -248,13 +248,12 @@ func main() {
 		if err != nil {
 			log.Fatalf("gridql: %v", err)
 		}
-		rs, err := dataaccess.DecodeResult(res)
-		if err != nil {
-			log.Fatalf("gridql: %v", err)
+		qr, ok := res.(*dataaccess.QueryResult)
+		if !ok {
+			log.Fatal("gridql: empty response")
 		}
-		fmt.Print(sqlengine.FormatResult(rs))
-		m := res.(map[string]interface{})
-		fmt.Printf("(%d rows via %v, %v server(s))\n", len(rs.Rows), m["route"], m["servers"])
+		fmt.Print(sqlengine.FormatResult(qr.ResultSet))
+		fmt.Printf("(%d rows via %v, %v server(s))\n", len(qr.Rows), qr.Route, qr.Servers)
 	}
 }
 
@@ -292,6 +291,14 @@ func printExplain(m map[string]interface{}, indent string) {
 	}
 }
 
+// decodeQueryResult and decodeChunk read a dataaccess.query result and a
+// system.cursor.fetch chunk straight off the wire into engine rows.
+func decodeQueryResult(d *clarens.Decoder) (interface{}, error) {
+	return dataaccess.DecodeQueryResultFrom(d)
+}
+
+func decodeChunk(d *clarens.Decoder) (interface{}, error) { return dataaccess.DecodeChunkFrom(d) }
+
 // streamQuery pages a query through the server-side cursor protocol,
 // printing rows tab-separated as each chunk arrives. The cursor is closed
 // on every exit path so an aborted run does not leave the server holding
@@ -319,13 +326,13 @@ func streamQuery(ctx context.Context, c *clarens.Client, query string, fetchSize
 	fmt.Println(strings.Join(names, "\t"))
 	total := 0
 	for {
-		res, err := c.CallContext(ctx, "system.cursor.fetch", id, int64(fetchSize))
+		res, err := c.CallDecodeContext(ctx, "system.cursor.fetch", decodeChunk, id, int64(fetchSize))
 		if err != nil {
 			return err
 		}
-		chunk, err := dataaccess.DecodeChunk(res)
-		if err != nil {
-			return err
+		chunk, ok := res.(*dataaccess.Chunk)
+		if !ok {
+			return fmt.Errorf("empty cursor.fetch response")
 		}
 		for _, row := range chunk.Rows {
 			cells := make([]string, len(row))

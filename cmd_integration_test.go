@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -157,6 +158,17 @@ func TestDaemonsEndToEnd(t *testing.T) {
 	out = gridql("-server", "http://"+jc1Addr, "SELECT detector FROM runsinfo WHERE run = 101")
 	if !strings.Contains(out, "ATLAS") || !strings.Contains(out, "remote") {
 		t.Fatalf("cross-server query: %s", out)
+	}
+	// The same query paged through a cursor one row per fetch: every
+	// chunk is decoded off the wire by the streaming chunk decoder.
+	out = gridql("-server", "http://"+jc1Addr, "-stream", "-fetch-size", "1", "SELECT detector FROM runsinfo WHERE run = 101")
+	if !strings.Contains(out, "detector\nATLAS\n") || !strings.Contains(out, "(1 rows streamed via remote, 2 server(s), fetch size 1)") {
+		t.Fatalf("streamed cross-server query: %s", out)
+	}
+	// gridql closed its cursor, and the scan took more than one fetch.
+	out = gridql("-server", "http://"+jc1Addr, "-cursors")
+	if !regexp.MustCompile(`(?m)^  open +0$`).MatchString(out) || !regexp.MustCompile(`(?m)^  fetches +([2-9]|\d\d+)$`).MatchString(out) {
+		t.Fatalf("cursors after the stream: %s", out)
 	}
 	// Cross-server join (mixed route).
 	out = gridql("-server", "http://"+jc1Addr,

@@ -7,10 +7,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"gridrdb"
+	"gridrdb/internal/clarens"
 	"gridrdb/internal/dataaccess"
 	"gridrdb/internal/histogram"
 	"gridrdb/internal/ntuple"
@@ -69,15 +71,17 @@ func main() {
 	client := jc1.Client()
 
 	fill := func(h *histogram.Hist1D, query, column string) {
-		res, err := client.Call("dataaccess.query", query)
+		// Rows decode straight off the XML-RPC response into engine values.
+		res, err := client.CallDecodeContext(context.Background(), "dataaccess.query",
+			func(d *clarens.Decoder) (interface{}, error) { return dataaccess.DecodeQueryResultFrom(d) }, query)
 		if err != nil {
 			log.Fatalf("query: %v", err)
 		}
-		rs, err := dataaccess.DecodeResult(res)
-		if err != nil {
-			log.Fatal(err)
+		qr, ok := res.(*dataaccess.QueryResult)
+		if !ok {
+			log.Fatal("query: empty response")
 		}
-		if _, err := h.FillColumn(rs, column); err != nil {
+		if _, err := h.FillColumn(qr.ResultSet, column); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"gridrdb/internal/clarens"
 	"gridrdb/internal/dataaccess"
 	"gridrdb/internal/ntuple"
 	"gridrdb/internal/sqldriver"
@@ -81,19 +82,27 @@ func TestGridCrossServerQuery(t *testing.T) {
 	}
 }
 
+// decodeQueryResult and decodeChunk read a dataaccess.query result and a
+// system.cursor.fetch chunk straight off the wire, as gridql does.
+func decodeQueryResult(d *clarens.Decoder) (interface{}, error) {
+	return dataaccess.DecodeQueryResultFrom(d)
+}
+
+func decodeChunk(d *clarens.Decoder) (interface{}, error) { return dataaccess.DecodeChunkFrom(d) }
+
 func TestGridXMLRPCClient(t *testing.T) {
 	_, _, jc2 := buildGrid(t)
 	c := jc2.Client()
-	res, err := c.Call("dataaccess.query", "SELECT detector FROM runsinfo ORDER BY run")
+	res, err := c.CallDecodeContext(context.Background(), "dataaccess.query", decodeQueryResult, "SELECT detector FROM runsinfo ORDER BY run")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := dataaccess.DecodeResult(res)
-	if err != nil {
-		t.Fatal(err)
+	qr := res.(*dataaccess.QueryResult)
+	if len(qr.Rows) != 2 || qr.Rows[0][0].Str() != "CMS" {
+		t.Fatalf("rows: %v", qr.Rows)
 	}
-	if len(rs.Rows) != 2 || rs.Rows[0][0].Str() != "CMS" {
-		t.Fatalf("rows: %v", rs.Rows)
+	if qr.Route == "" || qr.Servers < 1 {
+		t.Fatalf("route %q, servers %d", qr.Route, qr.Servers)
 	}
 }
 
@@ -262,14 +271,11 @@ func TestGridCursorMethods(t *testing.T) {
 	}
 	m := res.(map[string]interface{})
 	id := m["cursor"].(string)
-	res, err = c.Call("system.cursor.fetch", id, int64(2))
+	res, err = c.CallDecodeContext(context.Background(), "system.cursor.fetch", decodeChunk, id, int64(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunk, err := dataaccess.DecodeChunk(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunk := res.(*dataaccess.Chunk)
 	if len(chunk.Rows) != 2 || chunk.Done {
 		t.Fatalf("chunk = %+v", chunk)
 	}

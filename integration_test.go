@@ -173,15 +173,12 @@ func TestFullPaperPipeline(t *testing.T) {
 
 	// Analysis: fill a histogram over an XML-RPC union of two runs.
 	client := jc1.Client()
-	res, err := client.Call("dataaccess.query",
+	res, err := client.CallDecodeContext(context.Background(), "dataaccess.query", decodeQueryResult,
 		"SELECT v0 FROM it_run100 UNION ALL SELECT v0 FROM it_run101")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := dataaccess.DecodeResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := res.(*dataaccess.QueryResult).ResultSet
 	h, err := histogram.New("v0", 10, 0, 150)
 	if err != nil {
 		t.Fatal(err)

@@ -337,10 +337,12 @@ func (r *cursorRegistry) reap(now time.Time) int {
 		}
 	}
 	r.mu.Unlock()
+	// Count before releasing: a watcher that sees a victim's backend
+	// closed must also see it counted.
+	r.reaped.Add(int64(len(victims)))
 	for _, cur := range victims {
 		cur.release()
 	}
-	r.reaped.Add(int64(len(victims)))
 	return len(victims)
 }
 

@@ -34,6 +34,7 @@ type pagedDriver struct {
 	blocked    chan struct{} // signalled when a Next starts blocking
 	cancelled  atomic.Int64  // queries that observed ctx cancellation
 	rowsClosed atomic.Int64  // driver.Rows closed (resources released)
+	onClose    func()        // when set, runs as a driver.Rows closes
 }
 
 func newPagedDriver(total, blockAfter int) *pagedDriver {
@@ -61,7 +62,13 @@ type pagedRows struct {
 }
 
 func (r *pagedRows) Columns() []string { return []string{"a"} }
-func (r *pagedRows) Close() error      { r.d.rowsClosed.Add(1); return nil }
+func (r *pagedRows) Close() error {
+	if r.d.onClose != nil {
+		r.d.onClose()
+	}
+	r.d.rowsClosed.Add(1)
+	return nil
+}
 
 func (r *pagedRows) Next(dest []driver.Value) error {
 	if r.d.blockAfter >= 0 && r.i == r.d.blockAfter {
@@ -302,6 +309,44 @@ func TestCursorTTLReap(t *testing.T) {
 	checkLeaks()
 }
 
+// TestCursorReapCountsBeforeRelease: a reaped cursor is counted before
+// its backend rows close, so whoever sees the rows closed also sees the
+// reap in CursorStats. The reap is called directly, past the deadline.
+func TestCursorReapCountsBeforeRelease(t *testing.T) {
+	s := New(Config{Name: "jc-reapcount", CursorTTL: time.Hour})
+	defer s.Close()
+	d, ref, spec := registerPagedSource(100, -1)
+	if err := s.AddDatabase(ref, spec, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	reapedAtClose := make(chan int64, 1)
+	d.onClose = func() {
+		select {
+		case reapedAtClose <- s.CursorStats().Reaped:
+		default:
+		}
+	}
+
+	info, err := s.OpenCursor(context.Background(), "SELECT a FROM paged_t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.FetchCursor(info.ID, 8); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.cursors.reap(time.Now().Add(2 * time.Hour)); n != 1 {
+		t.Fatalf("reap found %d victims, want 1", n)
+	}
+	select {
+	case n := <-reapedAtClose:
+		if n < 1 {
+			t.Fatalf("the backend rows closed while CursorStats().Reaped read %d", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the reaped cursor's backend rows never closed")
+	}
+}
+
 // TestCursorCloseCancelsBlockedProducer: close must cancel the producing
 // query's context even while a fetch is blocked inside the backend —
 // that cancellation is exactly what unblocks the fetch.
@@ -415,14 +460,11 @@ func TestCursorOverXMLRPC(t *testing.T) {
 
 	total := 0
 	for {
-		res, err := c.Call("system.cursor.fetch", id, int64(4))
+		res, err := c.CallDecodeContext(context.Background(), "system.cursor.fetch", decodeChunk, id, int64(4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunk, err := DecodeChunk(res)
-		if err != nil {
-			t.Fatal(err)
-		}
+		chunk := res.(*Chunk)
 		if len(chunk.Rows) > 4 {
 			t.Fatalf("chunk of %d rows exceeds the fetch size", len(chunk.Rows))
 		}

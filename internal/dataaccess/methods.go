@@ -101,12 +101,7 @@ func (s *Service) RegisterMethods(srv *clarens.Server) {
 	}
 
 	srv.Register("dataaccess.tables", func(_ context.Context, _ *clarens.CallContext, _ []interface{}) (interface{}, error) {
-		names := s.fed.Dictionary().LogicalTables()
-		out := make([]interface{}, len(names))
-		for i, n := range names {
-			out[i] = n
-		}
-		return out, nil
+		return s.fed.Dictionary().LogicalTables(), nil
 	})
 
 	srv.Register("dataaccess.schema", func(_ context.Context, _ *clarens.CallContext, args []interface{}) (interface{}, error) {
@@ -167,12 +162,7 @@ func (s *Service) RegisterMethods(srv *clarens.Server) {
 	})
 
 	srv.Register("dataaccess.sources", func(_ context.Context, _ *clarens.CallContext, _ []interface{}) (interface{}, error) {
-		names := s.fed.Sources()
-		out := make([]interface{}, len(names))
-		for i, n := range names {
-			out[i] = n
-		}
-		return out, nil
+		return s.fed.Sources(), nil
 	})
 
 	srv.Register("system.cachestats", func(_ context.Context, _ *clarens.CallContext, _ []interface{}) (interface{}, error) {
@@ -232,13 +222,9 @@ func (s *Service) RegisterMethods(srv *clarens.Server) {
 		if err != nil {
 			return nil, err
 		}
-		cols := make([]interface{}, len(info.Columns))
-		for i, c := range info.Columns {
-			cols[i] = c
-		}
 		return map[string]interface{}{
 			"cursor":  info.ID,
-			"columns": cols,
+			"columns": info.Columns,
 			"route":   string(info.Route),
 			"servers": int64(info.Servers),
 			"ttl_ms":  info.TTL.Milliseconds(),
@@ -414,27 +400,16 @@ func wireSlowEntry(e obsv.SlowEntry) map[string]interface{} {
 	return m
 }
 
+// xmlrpcParams converts a call's bound parameters, decoded into the
+// generic value family, to engine values.
 func xmlrpcParams(args []interface{}) ([]sqlengine.Value, error) {
 	out := make([]sqlengine.Value, len(args))
 	for i, a := range args {
-		switch x := a.(type) {
-		case nil:
-			out[i] = sqlengine.Null()
-		case int64:
-			out[i] = sqlengine.NewInt(x)
-		case float64:
-			out[i] = sqlengine.NewFloat(x)
-		case string:
-			out[i] = sqlengine.NewString(x)
-		case bool:
-			out[i] = sqlengine.NewBool(x)
-		case time.Time:
-			out[i] = sqlengine.NewTime(x)
-		case []byte:
-			out[i] = sqlengine.NewBytes(x)
-		default:
-			return nil, fmt.Errorf("dataaccess: unsupported parameter type %T", a)
+		v, err := sqlengine.ValueOf(a)
+		if err != nil {
+			return nil, fmt.Errorf("dataaccess: parameter %d: %w", i+1, err)
 		}
+		out[i] = v
 	}
 	return out, nil
 }

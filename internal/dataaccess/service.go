@@ -657,115 +657,3 @@ func (s *Service) CacheFlush() int {
 func (s *Service) MartInvalidator(source string) func(table string) {
 	return func(table string) { s.InvalidateTable(source, strings.ToLower(table)) }
 }
-
-// ---- boxed result decoders ----
-//
-// Generic XML-RPC clients (gridql, the examples) receive a response as the
-// boxed interface{} value family; these turn it back into engine rows. The
-// server's own wire path never boxes: see wirecodec.go.
-
-// DecodeRows converts an XML-RPC rows payload back to engine rows. A
-// payload that is not a list of lists, or a cell of an unknown type, is a
-// protocol error, reported rather than silently dropped.
-func DecodeRows(v interface{}) ([]sqlengine.Row, error) {
-	list, ok := v.([]interface{})
-	if !ok {
-		return nil, fmt.Errorf("dataaccess: rows payload is %T, want a list", v)
-	}
-	rows := make([]sqlengine.Row, 0, len(list))
-	for i, ri := range list {
-		cells, ok := ri.([]interface{})
-		if !ok {
-			return nil, fmt.Errorf("dataaccess: row %d is %T, want a list", i, ri)
-		}
-		row := make(sqlengine.Row, len(cells))
-		for j, cell := range cells {
-			switch x := cell.(type) {
-			case nil:
-				row[j] = sqlengine.Null()
-			case int64:
-				row[j] = sqlengine.NewInt(x)
-			case float64:
-				row[j] = sqlengine.NewFloat(x)
-			case string:
-				row[j] = sqlengine.NewString(x)
-			case bool:
-				row[j] = sqlengine.NewBool(x)
-			case time.Time:
-				row[j] = sqlengine.NewTime(x)
-			case []byte:
-				row[j] = sqlengine.NewBytes(x)
-			default:
-				return nil, fmt.Errorf("dataaccess: row %d cell %d has unexpected type %T", i, j, cell)
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// DecodeResult converts an XML-RPC result back to a result set. Malformed
-// payloads — a non-map wrapper, a missing or non-list "columns"/"rows"
-// field, a non-string column name — are errors: truncating them silently
-// (as earlier versions did) turned protocol bugs into wrong, shorter
-// answers.
-func DecodeResult(v interface{}) (*sqlengine.ResultSet, error) {
-	m, ok := v.(map[string]interface{})
-	if !ok {
-		return nil, fmt.Errorf("dataaccess: unexpected result shape %T, want a struct", v)
-	}
-	colsRaw, ok := m["columns"]
-	if !ok {
-		return nil, fmt.Errorf("dataaccess: result has no \"columns\" field")
-	}
-	cols, ok := colsRaw.([]interface{})
-	if !ok {
-		return nil, fmt.Errorf("dataaccess: \"columns\" is %T, want a list", colsRaw)
-	}
-	rs := &sqlengine.ResultSet{Columns: make([]string, 0, len(cols))}
-	for i, c := range cols {
-		name, ok := c.(string)
-		if !ok {
-			return nil, fmt.Errorf("dataaccess: column %d is %T, want a string", i, c)
-		}
-		rs.Columns = append(rs.Columns, name)
-	}
-	rowsRaw, ok := m["rows"]
-	if !ok {
-		return nil, fmt.Errorf("dataaccess: result has no \"rows\" field")
-	}
-	rows, err := DecodeRows(rowsRaw)
-	if err != nil {
-		return nil, err
-	}
-	rs.Rows = rows
-	return rs, nil
-}
-
-// Chunk is one decoded frame of the cursor fetch protocol.
-type Chunk struct {
-	Rows []sqlengine.Row
-	// Done reports stream exhaustion; a Done chunk may still carry rows.
-	Done bool
-}
-
-// DecodeChunk decodes one cursor fetch response.
-func DecodeChunk(v interface{}) (*Chunk, error) {
-	m, ok := v.(map[string]interface{})
-	if !ok {
-		return nil, fmt.Errorf("dataaccess: unexpected chunk shape %T, want a struct", v)
-	}
-	rowsRaw, ok := m["rows"]
-	if !ok {
-		return nil, fmt.Errorf("dataaccess: chunk has no \"rows\" field")
-	}
-	rows, err := DecodeRows(rowsRaw)
-	if err != nil {
-		return nil, err
-	}
-	done, ok := m["done"].(bool)
-	if !ok {
-		return nil, fmt.Errorf("dataaccess: chunk \"done\" is %T, want a bool", m["done"])
-	}
-	return &Chunk{Rows: rows, Done: done}, nil
-}

@@ -1,6 +1,8 @@
 package dataaccess
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -231,20 +233,16 @@ func TestClarensQueryEndToEnd(t *testing.T) {
 	// Find jc2's URL via the RLS by asking jc1's config — simpler: create
 	// a fresh client against jc2's clarens URL stored in cfg.
 	c := clarens.NewClient(jc2.cfg.URL)
-	res, err := c.Call("dataaccess.query", "SELECT event_id, e_tot FROM calib ORDER BY event_id")
+	res, err := c.CallDecodeContext(context.Background(), "dataaccess.query", decodeQueryResult, "SELECT event_id, e_tot FROM calib ORDER BY event_id")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := DecodeResult(res)
-	if err != nil {
-		t.Fatal(err)
+	qr := res.(*QueryResult)
+	if len(qr.Rows) != 3 || qr.Rows[0][0].Int != 1 {
+		t.Fatalf("rows: %v", qr.Rows)
 	}
-	if len(rs.Rows) != 3 || rs.Rows[0][0].Int != 1 {
-		t.Fatalf("rows: %v", rs.Rows)
-	}
-	m := res.(map[string]interface{})
-	if m["route"].(string) == "" {
-		t.Error("route missing from response")
+	if qr.Route == "" || qr.Servers != 1 {
+		t.Errorf("route %q, servers %d: route missing from response", qr.Route, qr.Servers)
 	}
 	// tables + schema methods
 	res, err = c.Call("dataaccess.tables")
@@ -356,6 +354,9 @@ func TestSchemaTracker(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeResult: the server's cell-direct encoding of a result
+// decodes back through the streaming decoder; a payload that is no
+// result does not.
 func TestEncodeDecodeResult(t *testing.T) {
 	rs := &sqlengine.ResultSet{
 		Columns: []string{"a", "b", "c"},
@@ -364,17 +365,22 @@ func TestEncodeDecodeResult(t *testing.T) {
 			{sqlengine.Null(), sqlengine.NewBool(true), sqlengine.NewBytes([]byte{9})},
 		},
 	}
-	back, err := DecodeResult(boxedResult(rs))
+	doc, err := clarens.MarshalResponse(WireResult(rs))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := clarens.DecodeResponse(bytes.NewReader(doc), decodeResult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := res.(*sqlengine.ResultSet)
 	if len(back.Rows) != 2 || back.Columns[2] != "c" {
 		t.Fatalf("round trip: %+v", back)
 	}
 	if !back.Rows[1][0].IsNull() || !back.Rows[1][1].Bool() {
 		t.Fatalf("values: %v", back.Rows[1])
 	}
-	if _, err := DecodeResult("garbage"); err == nil {
+	if _, err := decodeValue("<string>garbage</string>", decodeResult); err == nil {
 		t.Error("garbage decoded")
 	}
 }

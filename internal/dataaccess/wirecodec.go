@@ -16,8 +16,10 @@ package dataaccess
 //     the standard {columns, rows} response is rendered cell-by-cell
 //     straight into the output buffer with no []interface{} boxing. On the
 //     wire it is byte-identical to the same payload boxed into the
-//     interface{} family (TestWireResultMatchesBoxed), so generic clients
-//     decode it with DecodeResult/DecodeChunk.
+//     interface{} family (TestWireResultMatchesBoxed), so a generic
+//     XML-RPC client reads it as plain structs and arrays. Go clients
+//     decode it with DecodeQueryResultFrom/DecodeChunkFrom, straight off
+//     the wire into engine rows.
 //
 // Invariants: every sqlengine.Value kind round-trips through the row frame
 // exactly (including sub-second time precision, which XML-RPC's dateTime
@@ -141,9 +143,9 @@ func valueFromScalar(sc clarens.Scalar) sqlengine.Value {
 }
 
 // DecodeRowsFrom decodes a rows payload (array of arrays of scalars)
-// straight off the streaming wire decoder into engine rows — the
-// zero-boxing counterpart of DecodeRows. Every row is allocated once, at
-// the first row's width, and the row list once, at its final length.
+// straight off the streaming wire decoder into engine rows, with no
+// interface boxing. Every row is allocated once, at the first row's
+// width, and the row list once, at its final length.
 func DecodeRowsFrom(d *clarens.Decoder) ([]sqlengine.Row, error) {
 	buf := rowScratchPool.Get().(*rowScratch)
 	defer buf.release()
@@ -199,12 +201,16 @@ func (sc *rowScratch) release() {
 	}
 }
 
-// DecodeResultFrom decodes a {columns, rows|rowsb} result payload off the
-// streaming wire decoder — the zero-boxing counterpart of DecodeResult,
-// accepting both the plain XML row representation and the negotiated
-// binary framing. Unknown members (route, servers, ...) are skipped.
-func DecodeResultFrom(d *clarens.Decoder) (*sqlengine.ResultSet, error) {
+// DecodeQueryResultFrom decodes a dataaccess.query or dataaccess.queryb
+// response ({columns, rows|rowsb, route, servers}) off the streaming wire
+// decoder, accepting both the plain XML row representation and the
+// negotiated binary framing. route and servers may be absent (a bare
+// {columns, rows} result leaves them zero); unknown members are skipped.
+// A missing columns or rows member, a member of the wrong type, or a row
+// with more or fewer cells than there are columns is a protocol error.
+func DecodeQueryResultFrom(d *clarens.Decoder) (*QueryResult, error) {
 	rs := &sqlengine.ResultSet{}
+	qr := &QueryResult{ResultSet: rs}
 	haveCols, haveRows := false, false
 	err := d.DecodeStruct(func(name string, d *clarens.Decoder) error {
 		switch name {
@@ -232,6 +238,26 @@ func DecodeResultFrom(d *clarens.Decoder) (*sqlengine.ResultSet, error) {
 			rows, err := decodeRowsb(d)
 			rs.Rows = rows
 			return err
+		case "route":
+			sc, err := d.Scalar()
+			if err != nil {
+				return err
+			}
+			if sc.Kind != clarens.ScalarString {
+				return fmt.Errorf("dataaccess: result \"route\" is not a string")
+			}
+			qr.Route = Route(sc.Str)
+			return nil
+		case "servers":
+			sc, err := d.Scalar()
+			if err != nil {
+				return err
+			}
+			if sc.Kind != clarens.ScalarInt {
+				return fmt.Errorf("dataaccess: result \"servers\" is not an int")
+			}
+			qr.Servers = int(sc.Int)
+			return nil
 		default:
 			return d.SkipValue()
 		}
@@ -248,7 +274,17 @@ func DecodeResultFrom(d *clarens.Decoder) (*sqlengine.ResultSet, error) {
 	if err := checkRowWidths(rs.Rows, len(rs.Columns)); err != nil {
 		return nil, err
 	}
-	return rs, nil
+	return qr, nil
+}
+
+// DecodeResultFrom is DecodeQueryResultFrom without the route: the result
+// set alone, as a forward hands it to the operators.
+func DecodeResultFrom(d *clarens.Decoder) (*sqlengine.ResultSet, error) {
+	qr, err := DecodeQueryResultFrom(d)
+	if err != nil {
+		return nil, err
+	}
+	return qr.ResultSet, nil
 }
 
 // decodeRowsb decodes a "rowsb" member: one base64 value holding a row
@@ -276,8 +312,16 @@ func checkRowWidths(rows []sqlengine.Row, width int) error {
 	return nil
 }
 
+// Chunk is one decoded frame of the cursor fetch protocol.
+type Chunk struct {
+	Rows []sqlengine.Row
+	// Done reports stream exhaustion; a Done chunk may still carry rows.
+	Done bool
+}
+
 // DecodeChunkFrom decodes a cursor fetch chunk ({rows|rowsb, done}) off
-// the streaming wire decoder — the zero-boxing counterpart of DecodeChunk.
+// the streaming wire decoder. A missing member or a "done" that is not a
+// bool is a protocol error.
 func DecodeChunkFrom(d *clarens.Decoder) (*Chunk, error) {
 	c := &Chunk{}
 	haveRows, haveDone := false, false

@@ -115,36 +115,27 @@ func TestWireResultMatchesBoxed(t *testing.T) {
 		t.Fatalf("wire documents differ:\n fast:  %s\n boxed: %s", fast, boxed)
 	}
 
-	// And the streaming decoder reads the document back into the same
-	// result set the boxed decoder produces.
-	v, err := clarens.DecodeResponse(bytes.NewReader(boxed), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaBoxed, err := DecodeResult(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := clarens.DecodeResponse(bytes.NewReader(fast), func(d *clarens.Decoder) (interface{}, error) {
-		return DecodeResultFrom(d)
-	})
+	// And the streaming decoder reads the document back into the source
+	// result set: every kind here survives XML-RPC exactly.
+	res, err := clarens.DecodeResponse(bytes.NewReader(fast), decodeResult)
 	if err != nil {
 		t.Fatal(err)
 	}
 	viaStream := res.(*sqlengine.ResultSet)
-	if !reflect.DeepEqual(viaBoxed.Columns, viaStream.Columns) {
-		t.Fatalf("columns: %v vs %v", viaBoxed.Columns, viaStream.Columns)
+	if !reflect.DeepEqual(rs.Columns, viaStream.Columns) {
+		t.Fatalf("columns: %v vs %v", rs.Columns, viaStream.Columns)
 	}
-	if !identicalRows(viaBoxed.Rows, viaStream.Rows) {
-		t.Fatalf("rows:\n boxed:  %v\n stream: %v", viaBoxed.Rows, viaStream.Rows)
+	if !identicalRows(rs.Rows, viaStream.Rows) {
+		t.Fatalf("rows:\n source: %v\n stream: %v", rs.Rows, viaStream.Rows)
 	}
 }
 
 // TestWireCodecAllocs holds what the zero-boxing codecs are for: a result
 // set's encode + decode round trip allocates at least 4x less cell-direct
-// than boxed (it measures ~8x) and about one allocation per row — the row
-// itself, as the binary frame does — and the binary frame at least 2x less
-// than boxed.
+// than a generic client's boxed round trip (the boxed {columns, rows}
+// struct encoded, the document decoded into the generic value family), and
+// about one allocation per row — the row itself, as the binary frame
+// does — and the binary frame at least 2x less than boxed.
 func TestWireCodecAllocs(t *testing.T) {
 	if leaktest.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -155,16 +146,14 @@ func TestWireCodecAllocs(t *testing.T) {
 	}
 	boxed := testing.AllocsPerRun(5, func() {
 		doc, _ := clarens.MarshalResponse(boxedResult(rs))
-		v, _ := clarens.DecodeResponse(bytes.NewReader(doc), nil)
-		if back, err := DecodeResult(v); err != nil || len(back.Rows) != len(rs.Rows) {
+		v, err := clarens.DecodeResponse(bytes.NewReader(doc), nil)
+		if m, _ := v.(map[string]interface{}); err != nil || len(m["rows"].([]interface{})) != len(rs.Rows) {
 			t.Fatalf("boxed round trip: %v", err)
 		}
 	})
 	direct := testing.AllocsPerRun(5, func() {
 		doc, _ := clarens.MarshalResponse(WireResult(rs))
-		res, err := clarens.DecodeResponse(bytes.NewReader(doc), func(d *clarens.Decoder) (interface{}, error) {
-			return DecodeResultFrom(d)
-		})
+		res, err := clarens.DecodeResponse(bytes.NewReader(doc), decodeResult)
 		if err != nil || len(res.(*sqlengine.ResultSet).Rows) != len(rs.Rows) {
 			t.Fatalf("direct round trip: %v", err)
 		}
@@ -174,6 +163,7 @@ func TestWireCodecAllocs(t *testing.T) {
 			t.Fatalf("binary round trip: %v", err)
 		}
 	})
+	t.Logf("allocs per round trip: boxed %.0f, direct XML %.0f, binary %.0f", boxed, direct, binary)
 	if 4*direct > boxed || direct > 1.25*float64(len(rs.Rows)) || 2*binary > boxed {
 		t.Fatalf("allocs per round trip: boxed %.0f, direct XML %.0f, binary %.0f; want direct <= boxed/4, direct <= 1.25/row and binary <= boxed/2", boxed, direct, binary)
 	}
@@ -209,9 +199,7 @@ func TestDecodeChunkAllocsPerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	decode := func() {
-		res, err := clarens.DecodeResponse(bytes.NewReader(doc), func(d *clarens.Decoder) (interface{}, error) {
-			return DecodeChunkFrom(d)
-		})
+		res, err := clarens.DecodeResponse(bytes.NewReader(doc), decodeChunk)
 		if err != nil || len(res.(*Chunk).Rows) != n {
 			t.Fatalf("decode: %v", err)
 		}
@@ -255,9 +243,7 @@ func TestSmallDecodeAllocBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	resultBytes := allocBytesPerRun(1000, func() {
-		if _, err := clarens.DecodeResponse(bytes.NewReader(result), func(d *clarens.Decoder) (interface{}, error) {
-			return DecodeResultFrom(d)
-		}); err != nil {
+		if _, err := clarens.DecodeResponse(bytes.NewReader(result), decodeResult); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -383,7 +369,7 @@ func TestQuerybAndFetchbEndToEnd(t *testing.T) {
 	}
 
 	res, err := c.CallDecodeContext(context.Background(), "dataaccess.queryb",
-		func(d *clarens.Decoder) (interface{}, error) { return DecodeResultFrom(d) },
+		decodeResult,
 		"SELECT event_id, e_tot FROM runsinfo ORDER BY event_id")
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +388,7 @@ func TestQuerybAndFetchbEndToEnd(t *testing.T) {
 	var got []int64
 	for {
 		res, err := c.CallDecodeContext(context.Background(), "system.cursor.fetchb",
-			func(d *clarens.Decoder) (interface{}, error) { return DecodeChunkFrom(d) },
+			decodeChunk,
 			id, int64(2))
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"time"
@@ -405,16 +406,16 @@ func RunFig6(d *Deployment, rowCounts []int, repeats int) ([]Fig6Row, error) {
 		var got int
 		for r := 0; r < repeats; r++ {
 			start := time.Now()
-			res, err := client.Call("dataaccess.query", q)
+			res, err := client.CallDecodeContext(context.Background(), "dataaccess.query", decodeQueryResult, q)
 			if err != nil {
 				return nil, fmt.Errorf("fig6 rows=%d: %w", n, err)
 			}
 			took = append(took, time.Since(start))
-			rs, err := dataaccess.DecodeResult(res)
-			if err != nil {
-				return nil, err
+			qr, ok := res.(*dataaccess.QueryResult)
+			if !ok {
+				return nil, fmt.Errorf("fig6 rows=%d: empty response", n)
 			}
-			got = len(rs.Rows)
+			got = len(qr.Rows)
 		}
 		if got == 0 {
 			return nil, fmt.Errorf("fig6 rows=%d returned nothing", n)
@@ -422,6 +423,12 @@ func RunFig6(d *Deployment, rowCounts []int, repeats int) ([]Fig6Row, error) {
 		out = append(out, Fig6Row{RowsRequested: n, ResponseMS: medianMS(took)})
 	}
 	return out, nil
+}
+
+// decodeQueryResult reads a dataaccess.query response straight off the
+// wire into engine rows.
+func decodeQueryResult(d *clarens.Decoder) (interface{}, error) {
+	return dataaccess.DecodeQueryResultFrom(d)
 }
 
 // medianMS is the median of the durations, in fractional milliseconds.

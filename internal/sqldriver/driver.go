@@ -220,7 +220,7 @@ func (c *conn) IsValid() bool { return !c.closed && c.b.valid() }
 // CheckNamedValue lets callers pass sqlengine.Value (and the usual basic
 // Go types) directly as query parameters.
 func (c *conn) CheckNamedValue(nv *driver.NamedValue) error {
-	v, err := ToValue(nv.Value)
+	v, err := sqlengine.ValueOf(nv.Value)
 	if err != nil {
 		return err
 	}
@@ -378,14 +378,10 @@ func valueToDriver(v sqlengine.Value) driver.Value {
 	return nil
 }
 
-// ToValue converts a Go value (as used with database/sql args) into an
-// engine Value.
-func ToValue(x interface{}) (sqlengine.Value, error) { return sqlengine.ValueOf(x) }
-
 func driverToValues(args []driver.Value) ([]sqlengine.Value, error) {
 	out := make([]sqlengine.Value, len(args))
 	for i, a := range args {
-		v, err := ToValue(a)
+		v, err := sqlengine.ValueOf(a)
 		if err != nil {
 			return nil, err
 		}
@@ -397,7 +393,7 @@ func driverToValues(args []driver.Value) ([]sqlengine.Value, error) {
 func namedToValues(args []driver.NamedValue) ([]sqlengine.Value, error) {
 	out := make([]sqlengine.Value, len(args))
 	for _, a := range args {
-		v, err := ToValue(a.Value)
+		v, err := sqlengine.ValueOf(a.Value)
 		if err != nil {
 			return nil, err
 		}

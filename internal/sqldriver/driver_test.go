@@ -335,18 +335,3 @@ func TestBadDSNs(t *testing.T) {
 		db.Close()
 	}
 }
-
-func TestToValue(t *testing.T) {
-	if v, err := ToValue(42); err != nil || v.Int != 42 {
-		t.Errorf("int: %v %v", v, err)
-	}
-	if v, err := ToValue(nil); err != nil || !v.IsNull() {
-		t.Errorf("nil: %v %v", v, err)
-	}
-	if v, err := ToValue("s"); err != nil || v.Str() != "s" {
-		t.Errorf("string: %v %v", v, err)
-	}
-	if _, err := ToValue(struct{}{}); err == nil {
-		t.Error("struct accepted")
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,13 @@ import (
 // and the executor now evaluates (an aggregate under a function, CASE, IS
 // NULL, BETWEEN or IN; a non-output ORDER BY key of an aggregated
 // statement): TestAggregateInExpressions holds those.
+//
+// A column reference is sometimes written bare. A bare name two tables
+// in scope share is ambiguous, an invalid reference raised on the first
+// row that reaches it, so the generator writes one only where no LIMIT
+// applies to the statement. Where a LIMIT applies, a bare name is written
+// only outside the FROM clause, where every table the reference sees is
+// known, and only if exactly one of them has the column.
 
 // diffTables lists the fixture's relations — numeric columns, then string
 // columns — with the script creating each; the view comes last. a is
@@ -81,10 +89,16 @@ type selectGen struct {
 	// a single row is joined; no ROWNUM, which numbers rows in the order
 	// they happen to arrive.
 	federated bool
-	// fallible writes the aggregates that fail on some fixture rows; it
-	// is off when a LIMIT applies to the statement, as a pipeline may
-	// stop before it pulls an aggregated branch.
+	// fallible writes the aggregates that fail on some fixture rows, and
+	// ambiguous bare column names; it is off when a LIMIT applies to the
+	// statement, as a pipeline may stop before it pulls an aggregated
+	// branch or reaches a row an ambiguous name is evaluated on.
 	fallible bool
+	// inFrom is set while the FROM clause is written: the tables in
+	// scope are not all known yet.
+	inFrom bool
+	// bare records that the statement has an unqualified column name.
+	bare bool
 }
 
 type diffRef struct {
@@ -96,8 +110,8 @@ func (g *selectGen) pick(xs ...string) string { return xs[g.r.Intn(len(xs))] }
 
 func (g *selectGen) chance(pct int) bool { return g.r.Intn(100) < pct }
 
-// col returns a qualified column of a random table in scope; num asks
-// for a numeric one.
+// col returns a column of a random table in scope, qualified or, part of
+// the time, bare; num asks for a numeric one.
 func (g *selectGen) col(num bool) string {
 	for {
 		ref := g.refs[g.r.Intn(len(g.refs))]
@@ -106,9 +120,25 @@ func (g *selectGen) col(num bool) string {
 			cols = append(append([]string(nil), ref.num...), ref.str...)
 		}
 		if len(cols) > 0 {
-			return ref.alias + "." + g.pick(cols...)
+			c := g.pick(cols...)
+			if g.chance(20) && (g.fallible || !g.inFrom && g.scopeHas(c) == 1) {
+				g.bare = true
+				return c
+			}
+			return ref.alias + "." + c
 		}
 	}
+}
+
+// scopeHas counts the tables in scope with a column named c.
+func (g *selectGen) scopeHas(c string) int {
+	n := 0
+	for _, ref := range g.refs {
+		if slices.Contains(ref.num, c) || slices.Contains(ref.str, c) {
+			n++
+		}
+	}
+	return n
 }
 
 func (g *selectGen) lit() string { return g.pick("0", "1", "2", "2.5", "3", "'2'", "NULL") }
@@ -164,6 +194,8 @@ func (g *selectGen) refWith(c string) (string, bool) {
 // the equi-conjuncts the comma joins need in the WHERE.
 func (g *selectGen) from() (string, []string) {
 	g.refs = nil
+	g.inFrom = true
+	defer func() { g.inFrom = false }()
 	n := 1 + g.r.Intn(3)
 	var sb strings.Builder
 	var comma, where []string
@@ -384,18 +416,19 @@ func (g *selectGen) branch(width int) (string, int) {
 // genSelect writes the statement for one seed: a branch, or a UNION
 // [ALL] of two (their widths equal but for the odd mismatch). The
 // statement may have failing aggregates unless a LIMIT applies to it.
-func genSelect(seed int64, federated bool) string {
-	if sql := genStatement(seed, federated, true); !strings.Contains(sql, " LIMIT ") {
-		return sql
+// It reports whether the statement has a bare column name.
+func genSelect(seed int64, federated bool) (string, bool) {
+	if sql, bare := genStatement(seed, federated, true); !strings.Contains(sql, " LIMIT ") {
+		return sql, bare
 	}
 	return genStatement(seed, federated, false)
 }
 
-func genStatement(seed int64, federated, fallible bool) string {
+func genStatement(seed int64, federated, fallible bool) (string, bool) {
 	g := &selectGen{r: rand.New(rand.NewSource(seed)), federated: federated, fallible: fallible}
 	if !g.chance(20) {
 		sql, _ := g.branch(0)
-		return sql
+		return sql, g.bare
 	}
 	width := 1 + g.r.Intn(2)
 	first, _ := g.branch(width)
@@ -411,7 +444,7 @@ func genStatement(seed int64, federated, fallible bool) string {
 	} else if i := strings.Index(first, " OFFSET"); i >= 0 {
 		first = first[:i]
 	}
-	return first + g.pick(" UNION ", " UNION ALL ") + second
+	return first + g.pick(" UNION ", " UNION ALL ") + second, g.bare
 }
 
 // failingAgg matches the aggregates agg writes that fail on some rows.
@@ -420,7 +453,7 @@ var failingAgg = regexp.MustCompile(`SUM\(t\d\.s\)|SUM\(1 / |MAX\(SQRT\(`)
 // checkSelect runs one seed's statement on both executors and returns it
 // with whether it failed.
 func checkSelect(t *testing.T, e *Engine, seed int64) (sql string, failed bool) {
-	sql = genSelect(seed, false)
+	sql, _ = genSelect(seed, false)
 	got, gerr := e.Query(sql)
 	want, werr := refQuery(e, sql)
 	fail := func(format string, args ...interface{}) {

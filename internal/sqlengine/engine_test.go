@@ -496,3 +496,47 @@ func TestFormatResult(t *testing.T) {
 		t.Error("nil result should render empty")
 	}
 }
+
+// TestStringNumerals: a string is a number only when it parses to a
+// finite value. 'NaN' and 'Inf' are text like 'abc' — in a comparison
+// with a number, under +, and in SUM — while '1e308' stays a number.
+func TestStringNumerals(t *testing.T) {
+	e := NewEngine("numerals", DialectANSI)
+	mustExec(t, e, `CREATE TABLE t (id INTEGER PRIMARY KEY, s VARCHAR(16))`)
+	mustExec(t, e, `INSERT INTO t VALUES (1, 'NaN'), (2, 'Inf'), (3, '-Infinity'), (4, 'abc'), (5, '1e308'), (6, '7')`)
+
+	ids := func(sql string) string {
+		t.Helper()
+		var out []string
+		for _, row := range mustQuery(t, e, sql).Rows {
+			out = append(out, row[0].String())
+		}
+		return strings.Join(out, ",")
+	}
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT id FROM t WHERE s = 5.5 AND s = 7 ORDER BY id", ""},
+		{"SELECT id FROM t WHERE s = 7 ORDER BY id", "6"},
+		{"SELECT id FROM t WHERE s = 1e308 ORDER BY id", "5"},
+		{"SELECT id FROM t WHERE s <> 1e308 AND s <> 7 ORDER BY id", "1,2,3,4"},
+		{"SELECT id FROM t WHERE s BETWEEN 1e307 AND 1.5e308 ORDER BY id", "5"},
+	} {
+		if got := ids(tc.sql); got != tc.want {
+			t.Errorf("%s: ids %q, want %q", tc.sql, got, tc.want)
+		}
+	}
+
+	for _, s := range []string{"NaN", "Inf", "-Infinity"} {
+		got := mustQuery(t, e, "SELECT '"+s+"' + 1, 'abc' + 1").Rows[0]
+		if got[0].Kind != KindString || got[0].Str() != s+"1" || got[1].Str() != "abc1" {
+			t.Errorf("'%s' + 1 = %v, 'abc' + 1 = %v; want the concatenations", s, got[0], got[1])
+		}
+		_, err := e.Query("SELECT SUM(s) FROM t WHERE s = '" + s + "'")
+		_, abcErr := e.Query("SELECT SUM(s) FROM t WHERE s = 'abc'")
+		if err == nil || abcErr == nil || !strings.Contains(err.Error(), "non-numeric") {
+			t.Errorf("SUM over '%s': %v; over 'abc': %v; want both non-numeric", s, err, abcErr)
+		}
+	}
+	if got := mustQuery(t, e, "SELECT s + 1 FROM t WHERE id = 5").Rows[0][0]; got.Kind != KindFloat || got.Float != 1e308 {
+		t.Errorf("'1e308' + 1 = %v, want the number 1e308", got)
+	}
+}

@@ -13,8 +13,9 @@ import (
 // access-path hook the differentials read to show which path ran.
 
 // GenFederatedSelect writes the generated differential's statement for
-// one seed in its federated form (see selectGen.federated).
-func GenFederatedSelect(seed int64) string { return genSelect(seed, true) }
+// one seed in its federated form (see selectGen.federated), and reports
+// whether it has a bare column name.
+func GenFederatedSelect(seed int64) (string, bool) { return genSelect(seed, true) }
 
 // DiffTableScripts maps each table of the differential's fixture (not its
 // view) to the script creating it.

@@ -42,8 +42,11 @@ type federatedFixture struct {
 	widths map[string]int
 	// checked counts the seeds check ran; spilledJoins the statements
 	// whose join build spilled; prunedPlans the statements whose plan
-	// has a load that selects fewer columns than its table has.
+	// has a load that selects fewer columns than its table has; resolved
+	// and ambiguous the statements with a bare column name that one
+	// engine answered and that it failed as an ambiguous column reference.
 	checked, spilledJoins, prunedPlans int
+	resolved, ambiguous                int
 }
 
 func newFederatedFixture(tb testing.TB) *federatedFixture {
@@ -133,8 +136,15 @@ func (fx *federatedFixture) query(fed *unity.Federation, sql string) (*sqlengine
 // check runs one seed's statement on the federation and the reference.
 func (fx *federatedFixture) check(t *testing.T, seed int64) {
 	fx.checked++
-	sql := sqlengine.GenFederatedSelect(seed)
+	sql, bare := sqlengine.GenFederatedSelect(seed)
 	want, werr := fx.ref.Query(sql)
+	switch {
+	case !bare:
+	case werr == nil:
+		fx.resolved++
+	case strings.Contains(werr.Error(), "ambiguous column reference"):
+		fx.ambiguous++
+	}
 	ordered := false
 	if werr == nil && seed%3 == 0 && !strings.Contains(sql, " UNION ") && !strings.Contains(sql, " ORDER BY ") && !limited(sql) {
 		keys := make([]string, len(want.Columns))
@@ -206,10 +216,11 @@ func TestFederatedDifferential(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { fx.check(t, seed) })
 	}
-	// The layout must keep exercising the Grace spill and column pruning:
-	// a generator change that stopped producing joins, or a planner that
-	// stopped pruning, would otherwise pass silently. A -run that picks
-	// some of the seeds (a replay) need not reach either.
+	// The layout must keep exercising the Grace spill, column pruning and
+	// the resolution of bare column names: a generator change that
+	// stopped producing joins or bare names, or a planner that stopped
+	// pruning, would otherwise pass silently. A -run that picks some of
+	// the seeds (a replay) need not reach any of them.
 	if fx.checked < seeds {
 		return
 	}
@@ -219,7 +230,11 @@ func TestFederatedDifferential(t *testing.T) {
 	if fx.prunedPlans == 0 {
 		t.Fatal("no statement's plan pruned a load's columns")
 	}
-	t.Logf("%d statements spilled a join build, %d plans pruned a load", fx.spilledJoins, fx.prunedPlans)
+	if fx.resolved == 0 || fx.ambiguous == 0 {
+		t.Fatalf("statements with a bare column name: %d resolved, %d ambiguous; want some of each", fx.resolved, fx.ambiguous)
+	}
+	t.Logf("%d statements spilled a join build, %d plans pruned a load; bare column names: %d resolved, %d ambiguous",
+		fx.spilledJoins, fx.prunedPlans, fx.resolved, fx.ambiguous)
 }
 
 func FuzzFederatedDifferential(f *testing.F) {

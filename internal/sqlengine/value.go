@@ -205,13 +205,19 @@ func (v Value) AsFloat() (float64, bool) {
 		}
 		return 0, true
 	case KindString:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.Str()), 64)
-		if err != nil {
-			return 0, false
-		}
-		return f, true
+		return numeral(v.Str())
 	}
 	return 0, false
+}
+
+// numeral parses a string as a number. Only a finite value counts: 'NaN',
+// 'Inf' and a numeral past the float64 range are text, like 'abc'.
+func numeral(s string) (float64, bool) {
+	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, false
+	}
+	return f, true
 }
 
 // AsInt coerces numeric-ish values to int64.
@@ -229,11 +235,8 @@ func (v Value) AsInt() (int64, bool) {
 	case KindString:
 		i, err := strconv.ParseInt(strings.TrimSpace(v.Str()), 10, 64)
 		if err != nil {
-			f, ferr := strconv.ParseFloat(strings.TrimSpace(v.Str()), 64)
-			if ferr != nil {
-				return 0, false
-			}
-			return int64(f), true
+			f, ok := numeral(v.Str())
+			return int64(f), ok
 		}
 		return i, true
 	}

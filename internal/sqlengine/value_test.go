@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestCompareOrdering(t *testing.T) {
@@ -216,5 +217,34 @@ func TestValueStringForms(t *testing.T) {
 	}
 	if NewString("o'brien").SQLLiteral() != "'o''brien'" {
 		t.Errorf("quote escaping: %s", NewString("o'brien").SQLLiteral())
+	}
+}
+
+// TestValueOf: the one conversion from a Go value (a database/sql
+// argument, an XML-RPC parameter, a scanned column) covers every kind and
+// rejects any other type.
+func TestValueOf(t *testing.T) {
+	when := time.Date(2005, 6, 15, 12, 30, 45, 0, time.UTC)
+	for _, tc := range []struct {
+		in   interface{}
+		want Value
+	}{
+		{nil, Null()},
+		{42, NewInt(42)},
+		{int64(-7), NewInt(-7)},
+		{2.5, NewFloat(2.5)},
+		{"s", NewString("s")},
+		{true, NewBool(true)},
+		{[]byte{1, 2}, NewBytes([]byte{1, 2})},
+		{when, NewTime(when)},
+		{NewString("v"), NewString("v")},
+	} {
+		got, err := ValueOf(tc.in)
+		if err != nil || got.Kind != tc.want.Kind || Compare(got, tc.want) != 0 {
+			t.Errorf("ValueOf(%#v) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	if _, err := ValueOf(struct{}{}); err == nil {
+		t.Error("struct accepted")
 	}
 }

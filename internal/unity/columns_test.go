@@ -119,7 +119,9 @@ func TestLoadColumns(t *testing.T) {
 // loads, a conjunct no row passes left no row to raise it on, and the
 // federation answered no rows where one engine fails. The variant some
 // rows pass fails either way; a column only one table has is still
-// pushed.
+// pushed. An ambiguous name in an ON condition keeps every conjunct of
+// the WHERE above the join: a.x < 0 pushed into a's load left no joined
+// row for the ON to raise on.
 func TestAmbiguousConjunctNotPushed(t *testing.T) {
 	f, _, ref := colsFederation(t)
 	peers := map[string]PeerTable{"c": {Location: "peer://c", Columns: []string{"k", "z"}}}
@@ -127,6 +129,7 @@ func TestAmbiguousConjunctNotPushed(t *testing.T) {
 		"SELECT a.id FROM a JOIN b ON a.k = b.k WHERE s = 'zzz'",
 		"SELECT a.id FROM a JOIN c ON a.k = c.k WHERE k > 100",
 		"SELECT a.id FROM a JOIN b ON a.k = b.k WHERE s = 'p'",
+		"SELECT a.id FROM a JOIN b ON a.k = b.k AND a.k > k WHERE a.x < 0",
 	} {
 		if _, err := ref.Query(sql); err == nil || !strings.Contains(err.Error(), "ambiguous column reference") {
 			t.Fatalf("%s: one engine's error %v, want an ambiguous column reference", sql, err)

@@ -661,11 +661,12 @@ func splitConjuncts(e sqlengine.Expr) []sqlengine.Expr {
 // load of its table, can run remotely: those with no parameter or
 // subquery whose every column reference is the table's. A qualified
 // reference is the table's when its qualifier is; an unqualified one when
-// the table has the column and no other table of the scope has it or,
-// its columns unknown, may have it (mayName). Such a name is ambiguous:
-// the statement raises that on the rows that reach its filter, and
-// filtering below the join would hide the rows and the error with them.
+// the table has the column. A scope whose filters name a column
+// ambiguously (ambiguousFilter) pushes nothing.
 func (p *Plan) pushableConjuncts(ld *tableLoad, use *tableUse) []sqlengine.Expr {
+	if p.ambiguousFilter(use.sel) {
+		return nil
+	}
 	qualifier := use.ref.Alias
 	if qualifier == "" {
 		qualifier = use.ref.Name
@@ -674,15 +675,8 @@ func (p *Plan) pushableConjuncts(ld *tableLoad, use *tableUse) []sqlengine.Expr 
 		if c.Table != "" {
 			return strings.EqualFold(c.Table, qualifier)
 		}
-		if _, ok := ld.loc.ColByLogical[strings.ToLower(c.Column)]; !ok {
-			return false
-		}
-		for _, tr := range scopeTables(use.sel) {
-			if tr != use.ref && mayName(c, nil, p.loadFor(tr.Name).loc) {
-				return false
-			}
-		}
-		return true
+		_, ok := ld.loc.ColByLogical[strings.ToLower(c.Column)]
+		return ok
 	}
 	var out []sqlengine.Expr
 	for _, c := range splitConjuncts(use.where) {
@@ -691,6 +685,76 @@ func (p *Plan) pushableConjuncts(ld *tableLoad, use *tableUse) []sqlengine.Expr 
 		}
 	}
 	return out
+}
+
+// ambiguousFilter reports whether the ON conditions or the WHERE of sel
+// name a column that two tables of its scope have or, their columns
+// unknown, may have (mayName), subqueries included. Such a name is
+// ambiguous: the statement raises that on the rows that reach it, and a
+// conjunct filtered below the joins would hide some of those rows, or
+// all, and the error with them. The ON conditions see every joined row
+// before the WHERE filters it.
+func (p *Plan) ambiguousFilter(sel *sqlengine.SelectStmt) bool {
+	var names []*sqlengine.ColumnRef
+	for _, jc := range sel.Joins {
+		p.freeNames(jc.On, &names)
+	}
+	p.freeNames(sel.Where, &names)
+	scope := scopeTables(sel)
+	return slices.ContainsFunc(names, func(c *sqlengine.ColumnRef) bool { return p.naming(c, scope) >= 2 })
+}
+
+// freeNames appends to out the unqualified column references of e that
+// the scope around e resolves: in an IN or EXISTS subquery, those that no
+// table of the subquery's scope has, or that two of them may have.
+func (p *Plan) freeNames(e sqlengine.Expr, out *[]*sqlengine.ColumnRef) {
+	walkExpr(e, func(e sqlengine.Expr) bool {
+		var sub *sqlengine.SelectStmt
+		switch x := e.(type) {
+		case *sqlengine.ColumnRef:
+			if x.Table == "" {
+				*out = append(*out, x)
+			}
+		case *sqlengine.InExpr:
+			sub = x.Sub
+		case *sqlengine.ExistsExpr:
+			sub = x.Sub
+		}
+		for s := sub; s != nil; s = s.Union {
+			var inner []*sqlengine.ColumnRef
+			for _, it := range s.Items {
+				p.freeNames(it.Expr, &inner)
+			}
+			for _, jc := range s.Joins {
+				p.freeNames(jc.On, &inner)
+			}
+			for _, e := range append([]sqlengine.Expr{s.Where, s.Having}, s.GroupBy...) {
+				p.freeNames(e, &inner)
+			}
+			for _, o := range s.OrderBy {
+				p.freeNames(o.Expr, &inner)
+			}
+			scope := scopeTables(s)
+			for _, c := range inner {
+				if p.naming(c, scope) != 1 {
+					*out = append(*out, c)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// naming counts the tables of scope that may have the column an
+// unqualified reference names.
+func (p *Plan) naming(c *sqlengine.ColumnRef, scope []sqlengine.TableRef) int {
+	n := 0
+	for _, tr := range scope {
+		if mayName(c, nil, p.loadFor(tr.Name).loc) {
+			n++
+		}
+	}
+	return n
 }
 
 func exprPushable(e sqlengine.Expr, own func(*sqlengine.ColumnRef) bool) bool {
