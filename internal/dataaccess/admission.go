@@ -666,7 +666,7 @@ func (it *quotaIter) Next() (sqlengine.Row, error) {
 	if err != nil {
 		return row, err
 	}
-	if qerr := it.st.chargeBytes(it.ci, rowBytes(row)); qerr != nil {
+	if qerr := it.st.chargeBytes(it.ci, sqlengine.RowBytes(row)); qerr != nil {
 		return nil, qerr
 	}
 	return row, nil

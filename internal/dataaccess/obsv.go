@@ -499,7 +499,7 @@ func (it *trackIter) Next() (sqlengine.Row, error) {
 	switch err {
 	case nil:
 		it.t.rows.Add(1)
-		it.t.bytes.Add(rowBytes(row))
+		it.t.bytes.Add(sqlengine.RowBytes(row))
 		return row, nil
 	case io.EOF:
 		it.t.finish(nil)

@@ -2,10 +2,10 @@ package dataaccess
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -221,13 +221,6 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Per-element footprint constants for the result-set size estimator.
-const (
-	valueBytes    = int64(unsafe.Sizeof(sqlengine.Value{}))
-	sliceHdrBytes = int64(unsafe.Sizeof([]sqlengine.Value(nil)))
-	strHdrBytes   = int64(unsafe.Sizeof(""))
-)
-
 // ResultSetBytes estimates the resident size of a materialized result
 // set: the fixed footprint of each Value plus the variable payload of
 // strings and byte slices, and the per-row slice headers. It is the
@@ -237,12 +230,12 @@ func ResultSetBytes(rs *sqlengine.ResultSet) int64 {
 	if rs == nil {
 		return 0
 	}
-	n := sliceHdrBytes // Rows header
+	n := int64(unsafe.Sizeof(rs.Rows))
 	for _, c := range rs.Columns {
-		n += strHdrBytes + int64(len(c))
+		n += int64(unsafe.Sizeof(c)) + int64(len(c))
 	}
 	for _, row := range rs.Rows {
-		n += rowBytes(row)
+		n += sqlengine.RowBytes(row)
 	}
 	return n
 }
@@ -576,42 +569,15 @@ func (s *Service) remotePeer(serverURL string) *remotePeer {
 
 // ---- query result cache ----
 
-// cacheKey derives the cache key for a query: the SQL text plus a
-// kind-tagged, length-prefixed encoding of each parameter. The length
-// prefix makes the encoding injective even when string/bytes values embed
-// NULs or digits, and the kind tag keeps ("1") distinct from (1).
+// cacheKey derives the cache key for a query: its SQL text, or, with
+// parameters, the text behind its length and then the parameters' row
+// frame, which keeps each value's kind and every bit of it.
 func cacheKey(sqlText string, params []sqlengine.Value) string {
 	if len(params) == 0 {
 		return sqlText
 	}
-	var b strings.Builder
-	b.WriteString(sqlText)
-	field := func(tag byte, payload string) {
-		b.WriteByte(0)
-		b.WriteByte(tag)
-		b.WriteString(strconv.Itoa(len(payload)))
-		b.WriteByte(':')
-		b.WriteString(payload)
-	}
-	for _, p := range params {
-		switch p.Kind {
-		case sqlengine.KindNull:
-			field('n', "")
-		case sqlengine.KindInt:
-			field('i', strconv.FormatInt(p.Int, 10))
-		case sqlengine.KindFloat:
-			field('f', strconv.FormatFloat(p.Float, 'g', -1, 64))
-		case sqlengine.KindString:
-			field('s', p.Str())
-		case sqlengine.KindBool:
-			field('b', strconv.FormatBool(p.Bool()))
-		case sqlengine.KindTime:
-			field('t', p.Time().Format(time.RFC3339Nano))
-		case sqlengine.KindBytes:
-			field('y', p.Str())
-		}
-	}
-	return b.String()
+	key := binary.AppendUvarint(nil, uint64(len(sqlText)))
+	return string(sqlengine.AppendRowFrame(append(key, sqlText...), []sqlengine.Row{params}))
 }
 
 // CacheEnabled reports whether the query-result cache is on.

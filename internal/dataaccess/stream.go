@@ -185,7 +185,7 @@ func (it *cacheFillIter) Next() (sqlengine.Row, error) {
 		return nil, err
 	}
 	if it.acc != nil {
-		it.bytes += rowBytes(row)
+		it.bytes += sqlengine.RowBytes(row)
 		if it.bytes > it.limit {
 			it.acc = nil // over the admission cap: stop copying
 		} else {
@@ -196,12 +196,3 @@ func (it *cacheFillIter) Next() (sqlengine.Row, error) {
 }
 
 func (it *cacheFillIter) Close() error { return it.inner.Close() }
-
-// rowBytes estimates one row's resident size (see ResultSetBytes).
-func rowBytes(row sqlengine.Row) int64 {
-	n := sliceHdrBytes + int64(len(row))*valueBytes
-	for _, v := range row {
-		n += int64(len(v.Str()))
-	}
-	return n
-}

@@ -155,8 +155,8 @@ func accessKey(e Expr, params []Value) (Value, bool) {
 
 // narrows reports whether k can narrow a read of column ci: an INTEGER
 // column with a numeric k (not NaN, which Compare equates with every
-// number), or a VARCHAR column with a string k. On both, Compare orders as
-// indexKey keys.
+// number), or a VARCHAR column with a string k. On both, Compare equates
+// two values exactly when appendIndexKey keys them alike.
 func (t *Table) narrows(ci int, k Value) bool {
 	switch t.Columns[ci].Type.Kind {
 	case KindInt:

@@ -50,7 +50,7 @@ type accumulator struct {
 	isum   int64
 	notInt bool                // a SUM/AVG value was not an INTEGER
 	best   Value               // MIN, MAX
-	seen   map[string]struct{} // DISTINCT, keyed by indexKey
+	seen   map[string]struct{} // DISTINCT, keyed by appendIndexKey
 	err    error               // the first argument-evaluation error
 	nonNum bool                // a SUM/AVG value was non-numeric
 }

@@ -2,9 +2,9 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 )
 
@@ -102,34 +102,36 @@ func (t *Table) rebuildColIndex() {
 	}
 }
 
-// indexKey encodes a key tuple for the hash structures (indexes, hash
-// joins, GROUP BY, DISTINCT). Numerics are keyed by their float value, so
-// 1 and 1.0 collide and −0 keys as 0, as Compare has them equal; any other
-// value by its kind and text.
-func indexKey(vals []Value) string {
-	return string(appendIndexKey(make([]byte, 0, 16*len(vals)), vals...))
-}
-
-// appendIndexKey appends the indexKey encoding of vals to buf. A lookup
-// of m[string(appendIndexKey(buf[:0], ...))] with a reused buf does not
-// allocate.
+// appendIndexKey appends the key of the tuple vals for the hash
+// structures (indexes, hash joins, GROUP BY, DISTINCT) to buf: the frame
+// cell (frame.go) of each value after keyValue, so two tuples of the same
+// classes get equal keys exactly when Compare equates them part by part
+// (docs/INVARIANTS.md). Cells are self-delimiting: the tuple needs no
+// separator. A lookup of m[string(appendIndexKey(buf[:0], ...))] with a
+// reused buf does not allocate.
 func appendIndexKey(buf []byte, vals ...Value) []byte {
-	for i, v := range vals {
-		if i > 0 {
-			buf = append(buf, 0)
-		}
-		if v.Kind != KindString {
-			if f, ok := v.AsFloat(); ok {
-				if f == 0 {
-					f = 0 // drops the sign of −0
-				}
-				buf = strconv.AppendFloat(append(buf, "n:"...), f, 'g', -1, 64)
-				continue
-			}
-		}
-		buf = append(append(append(buf, v.Kind.String()...), ':'), v.String()...)
+	for _, v := range vals {
+		buf = appendFrameCell(buf, keyValue(v))
 	}
 	return buf
+}
+
+// keyValue is the value a key encodes for v: a bool is the int 0 or 1, a
+// float that is integral and within the int64 range is that int, and every
+// NaN is one NaN; any other value is itself.
+func keyValue(v Value) Value {
+	switch v.Kind {
+	case KindBool:
+		return NewInt(int64(v.aux))
+	case KindFloat:
+		switch f := v.Float; {
+		case f >= -(1<<63) && f < 1<<63 && f == math.Trunc(f):
+			return NewInt(int64(f))
+		case math.IsNaN(f):
+			return NewFloat(math.NaN())
+		}
+	}
+	return v
 }
 
 // pkKey returns the column position of a primary key a range can be read
@@ -176,7 +178,7 @@ func (t *Table) addToIndexes(pos int) error {
 				hasNull = true
 			}
 		}
-		key := indexKey(vals)
+		key := string(appendIndexKey(nil, vals...))
 		if idx.Unique && !hasNull && len(idx.m[key]) > 0 {
 			return fmt.Errorf("sqlengine: unique constraint %q violated on table %q", idx.Name, t.Name)
 		}
@@ -196,7 +198,7 @@ func (t *Table) rebuildIndexes() {
 				ci, _ := t.colPos(c)
 				vals[i] = row[ci]
 			}
-			key := indexKey(vals)
+			key := string(appendIndexKey(nil, vals...))
 			idx.m[key] = append(idx.m[key], pos)
 		}
 	}
@@ -227,7 +229,7 @@ func (t *Table) lookupIndex(cols []string, vals []Value) ([]int, bool) {
 		if len(key) < len(idx.Columns) {
 			continue
 		}
-		if pos := idx.m[indexKey(key)]; !found || len(pos) < len(best) {
+		if pos := idx.m[string(appendIndexKey(nil, key...))]; !found || len(pos) < len(best) {
 			best, found = pos, true
 		}
 	}

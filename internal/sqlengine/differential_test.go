@@ -10,7 +10,8 @@ import (
 )
 
 // The generated differential: seeded SELECTs over a fixture with NULLs,
-// duplicate keys, an INTEGER key joined to a DOUBLE one and a view, run by
+// duplicate keys, an INTEGER key joined to a DOUBLE one, keys 2^53 and
+// 2^53 + 1 (which a float64 cannot tell apart) and a view, run by
 // Engine.Query and by the materializing oracle (refexec_test.go). They
 // must agree on error-or-not and on the rows, in order: the executor keeps
 // the oracle's row order, so even a LIMIT without a total ORDER BY takes
@@ -52,14 +53,16 @@ var diffTables = []struct {
 	num, str     []string
 }{
 	{"a", `CREATE TABLE a (id INTEGER PRIMARY KEY, k INTEGER, x DOUBLE, s VARCHAR(8));
-INSERT INTO a VALUES (1, 1, 1.5, 'p'), (2, 1, NULL, 'q'), (3, 2, 2.5, NULL), (4, NULL, 3.5, 'p'), (5, 3, 0.5, 'r'), (6, 2, 2.5, 'q');
+INSERT INTO a VALUES (1, 1, 1.5, 'p'), (2, 1, NULL, 'q'), (3, 2, 2.5, NULL), (4, NULL, 3.5, 'p'), (5, 3, 0.5, 'r'), (6, 2, 2.5, 'q'),
+  (7, 9007199254740992, 4.5, NULL), (8, 9007199254740993, NULL, 'p');
 CREATE INDEX a_k ON a (k)`,
 		[]string{"id", "k", "x"}, []string{"s"}},
 	{"b", `CREATE TABLE b (k DOUBLE, y INTEGER, s VARCHAR(8));
-INSERT INTO b VALUES (1.0, 1, 'p'), (2.0, 2, 'q'), (2.0, 3, NULL), (2.5, 1, 'r'), (NULL, 2, 'p'), (3, 4, 'q')`,
+INSERT INTO b VALUES (1.0, 1, 'p'), (2.0, 2, 'q'), (2.0, 3, NULL), (2.5, 1, 'r'), (NULL, 2, 'p'), (3, 4, 'q'),
+  (9007199254740992, 5, 'q')`,
 		[]string{"k", "y"}, []string{"s"}},
 	{"c", `CREATE TABLE c (k INTEGER, z VARCHAR(8));
-INSERT INTO c VALUES (1, 'u'), (2, 'w'), (2, 'w'), (NULL, 'u'), (4, 'x');
+INSERT INTO c VALUES (1, 'u'), (2, 'w'), (2, 'w'), (NULL, 'u'), (4, 'x'), (9007199254740992, 'u'), (9007199254740993, 'x');
 CREATE INDEX c_z ON c (z)`,
 		[]string{"k"}, []string{"z"}},
 	{"v", `CREATE VIEW v AS SELECT k, y FROM b WHERE y > 1`, []string{"k", "y"}, nil},

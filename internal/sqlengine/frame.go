@@ -7,11 +7,14 @@ import (
 	"math"
 )
 
-// The row frame is the engine's one binary row codec. It carries rows
+// The row frame is the engine's one binary Value codec. It carries rows
 // between servers (the rowsb member of dataaccess.queryb and
 // system.cursor.fetchb), rows and parameters over the tcp:// member
-// transport (package wire), and rows into spill files. docs/WIRE.md §5
-// specifies it; all counts and lengths are varints:
+// transport (package wire), rows into spill files and ETL staging files
+// (as records, see RecordWriter), and query parameters into the query
+// cache's keys; its cells are the keys of every hash structure
+// (appendIndexKey). docs/WIRE.md §5 specifies it; all counts and lengths
+// are varints:
 //
 //	frame := 'R' FrameVersion rowCount row*
 //	row   := cellCount cell*
@@ -54,37 +57,41 @@ func AppendRowFrame(dst []byte, rows []Row) []byte {
 func appendFrameRow(dst []byte, row Row) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(row)))
 	for _, v := range row {
-		switch v.Kind {
-		case KindInt:
-			dst = append(dst, tagInt)
-			dst = binary.AppendVarint(dst, v.Int)
-		case KindFloat:
-			dst = append(dst, tagFloat)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float))
-		case KindString, KindBytes:
-			tag := byte(tagString)
-			if v.Kind == KindBytes {
-				tag = tagBytes
-			}
-			s := v.Str()
-			dst = append(dst, tag)
-			dst = binary.AppendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
-		case KindBool:
-			if v.Bool() {
-				dst = append(dst, tagTrue)
-			} else {
-				dst = append(dst, tagFalse)
-			}
-		case KindTime:
-			dst = append(dst, tagTime)
-			dst = binary.AppendVarint(dst, v.Int)
-			dst = binary.AppendUvarint(dst, uint64(v.aux))
-		default:
-			dst = append(dst, tagNull)
-		}
+		dst = appendFrameCell(dst, v)
 	}
 	return dst
+}
+
+// appendFrameCell appends v's cell: its tag, then its payload. A cell is
+// self-delimiting, so cells concatenate without a separator.
+func appendFrameCell(dst []byte, v Value) []byte {
+	switch v.Kind {
+	case KindInt:
+		dst = append(dst, tagInt)
+		return binary.AppendVarint(dst, v.Int)
+	case KindFloat:
+		dst = append(dst, tagFloat)
+		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float))
+	case KindString, KindBytes:
+		tag := byte(tagString)
+		if v.Kind == KindBytes {
+			tag = tagBytes
+		}
+		s := v.Str()
+		dst = append(dst, tag)
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		return append(dst, s...)
+	case KindBool:
+		if v.Bool() {
+			return append(dst, tagTrue)
+		}
+		return append(dst, tagFalse)
+	case KindTime:
+		dst = append(dst, tagTime)
+		dst = binary.AppendVarint(dst, v.Int)
+		return binary.AppendUvarint(dst, uint64(v.aux))
+	}
+	return append(dst, tagNull)
 }
 
 // DecodeRowFrame decodes a row frame. A truncated or malformed frame is an

@@ -55,31 +55,36 @@ type hashJoinIter struct {
 	pending []Row
 }
 
-// joinTable is a hash join's in-memory build side: the rows of each
-// distinct join key. It keeps one string per distinct key; looking a key
-// up from a reused buffer allocates nothing.
+// joinTable is a hash join's in-memory build side. It holds the build
+// rows flat, in build order, and one string per distinct join key; each
+// key's rows are chained from its first row through next, so a key's
+// matches come back in build order. Looking a key up from a reused buffer
+// allocates nothing.
 type joinTable struct {
-	idx  map[string]int // key -> its rows' position in rows
-	rows [][]Row
+	idx  map[string]int32 // key -> its first row
+	rows []Row
+	next []int32         // per row: the next row with its key, or -1
+	tail map[int32]int32 // first row -> last row, for keys with more than one row
 }
 
-func newJoinTable() *joinTable { return &joinTable{idx: map[string]int{}} }
+func newJoinTable() *joinTable {
+	return &joinTable{idx: map[string]int32{}, tail: map[int32]int32{}}
+}
 
 func (t *joinTable) add(key []byte, row Row) {
-	i, ok := t.idx[string(key)]
+	i := int32(len(t.rows))
+	t.rows, t.next = append(t.rows, row), append(t.next, -1)
+	first, ok := t.idx[string(key)]
 	if !ok {
-		i = len(t.rows)
 		t.idx[string(key)] = i
-		t.rows = append(t.rows, nil)
+		return
 	}
-	t.rows[i] = append(t.rows[i], row)
-}
-
-func (t *joinTable) lookup(key []byte) []Row {
-	if i, ok := t.idx[string(key)]; ok {
-		return t.rows[i]
+	last, ok := t.tail[first]
+	if !ok {
+		last = first
 	}
-	return nil
+	t.next[last] = i
+	t.tail[first] = i
 }
 
 // hashJoinFanout is the Grace partition count. One recursion level only:
@@ -192,7 +197,7 @@ func (h *hashJoinIter) doPrepare() error {
 		}
 		if h.sd == nil {
 			h.ht.add(h.key, row)
-			bytes += rowMemBytes(row)
+			bytes += RowBytes(row)
 			h.stats.BuildBytes = bytes
 			if budget > 0 && bytes > budget {
 				if err := h.startSpill(); err != nil {
@@ -261,12 +266,10 @@ func (h *hashJoinIter) startSpill() error {
 		return err
 	}
 	h.buildParts = bw
-	for _, rows := range h.ht.rows {
-		for _, row := range rows {
-			h.keyOf(row, h.buildIdx)
-			if err := h.spillRow(h.buildParts, row); err != nil {
-				return err
-			}
+	for _, row := range h.ht.rows {
+		h.keyOf(row, h.buildIdx)
+		if err := h.spillRow(h.buildParts, row); err != nil {
+			return err
 		}
 	}
 	h.ht = nil
@@ -292,12 +295,9 @@ func (h *hashJoinIter) makeParts(kind string) ([]*spillWriter, error) {
 // when a key column is NULL, which never matches.
 func (h *hashJoinIter) keyOf(row Row, idx []int) bool {
 	h.key = h.key[:0]
-	for i, j := range idx {
+	for _, j := range idx {
 		if row[j].IsNull() {
 			return false
-		}
-		if i > 0 {
-			h.key = append(h.key, 0)
 		}
 		h.key = appendIndexKey(h.key, row[j])
 	}
@@ -368,8 +368,9 @@ func (h *hashJoinIter) nextInMem() (Row, error) {
 func (h *hashJoinIter) matchRow(prow Row) (Row, error) {
 	matched := false
 	if h.keyOf(prow, h.probeIdx) {
-		for _, brow := range h.ht.lookup(h.key) {
-			crow := h.combined(prow, brow)
+		i, ok := h.ht.idx[string(h.key)]
+		for ; ok && i >= 0; i = h.ht.next[i] {
+			crow := h.combined(prow, h.ht.rows[i])
 			keep, err := evalResidual(h.j.On, h.ec, crow)
 			if err != nil {
 				return nil, err

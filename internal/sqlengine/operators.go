@@ -893,9 +893,10 @@ const (
 	sliceHdrMemBytes = int64(unsafe.Sizeof([]Value(nil)))
 )
 
-// rowMemBytes estimates the live-heap footprint of one buffered row; it
-// is the unit the operator byte budgets are counted in.
-func rowMemBytes(row Row) int64 {
+// RowBytes estimates the live-heap footprint of one row: its slice header,
+// its Values and their string and bytes payloads. It is the unit the
+// operator byte budgets, the query cache and the session quotas count in.
+func RowBytes(row Row) int64 {
 	n := sliceHdrMemBytes + int64(len(row))*valueMemBytes
 	for _, v := range row {
 		n += int64(len(v.Str()))

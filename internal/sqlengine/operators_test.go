@@ -131,7 +131,7 @@ func runStreamDiff(t *testing.T, tables []streamTable, sql string, params []Valu
 	return stats
 }
 
-// rowKeys encodes rows kind-exactly (indexKey would collapse 1 and 1.0).
+// rowKeys encodes rows kind-exactly (appendIndexKey would collapse 1 and 1.0).
 func rowKeys(rows []Row) []string {
 	keys := make([]string, len(rows))
 	for i, r := range rows {
@@ -315,6 +315,79 @@ func TestHashJoinProbeAllocsIndependentOfRows(t *testing.T) {
 		t.Fatalf("a hash join allocates %.0f times over 20 000 probe rows, %.0f over 2 000; want within 1.1x", large, small)
 	}
 	t.Logf("allocs: %.0f over 2 000 probe rows, %.0f over 20 000", small, large)
+}
+
+// TestJoinTableAllocsPerKey: the build side holds its rows flat, so a
+// build of 2 000 distinct keys allocates one key string per key and,
+// besides, only the growth of its map and slices.
+func TestJoinTableAllocsPerKey(t *testing.T) {
+	if leaktest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const keys = 2000
+	rows := make([]Row, keys)
+	for i := range rows {
+		rows[i] = aggBenchRow(i)
+	}
+	var key []byte
+	allocs := testing.AllocsPerRun(5, func() {
+		jt := newJoinTable()
+		for _, row := range rows {
+			key = appendIndexKey(key[:0], row[0])
+			jt.add(key, row)
+		}
+	})
+	t.Logf("a build of %d distinct keys: %.0f allocs", keys, allocs)
+	if allocs > keys+128 {
+		t.Errorf("a build of %d distinct keys allocates %.0f times, want <= %d", keys, allocs, keys+128)
+	}
+}
+
+// TestHashJoinMatchesInBuildOrder: a probe row's matches come back in the
+// order their rows reached the build side, in memory and Grace-spilled.
+func TestHashJoinMatchesInBuildOrder(t *testing.T) {
+	st, err := NewEngine("buildorder", DialectANSI).ParseSQL("SELECT p.event_id, b.event_id FROM ev p JOIN bd b ON p.run = b.run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &ResultSet{Columns: aggBenchCols}
+	for i := 0; i < 3; i++ {
+		probe.Rows = append(probe.Rows, Row{NewInt(int64(i)), NewInt(int64(i)), Null(), Null()})
+	}
+	build := &ResultSet{Columns: aggBenchCols}
+	for i := 0; i < 300; i++ {
+		build.Rows = append(build.Rows, Row{NewInt(int64(i)), NewInt(int64(i % 3)), Null(), Null()})
+	}
+	for _, budget := range []int64{0, 1} {
+		plan, reason := AnalyzeStreamSelect(st.(*SelectStmt), func(string) []string { return aggBenchCols })
+		if plan == nil {
+			t.Fatalf("not streamable: %s", reason)
+		}
+		ins := []StreamInput{
+			{Source: plan.Branches[0].Inputs[0], Columns: aggBenchCols, Iter: SliceIter(probe)},
+			{Source: plan.Branches[0].Inputs[1], Columns: aggBenchCols, Iter: SliceIter(build)},
+		}
+		stats := &StreamStats{}
+		it, err := StreamSelect(context.Background(), plan, ins, nil, StreamOptions{BudgetBytes: budget, TempDir: t.TempDir(), Stats: stats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := Drain(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.Rows) != len(build.Rows) || stats.Spilled != (budget == 1) {
+			t.Fatalf("budget %d: %d rows (spilled %v), want %d", budget, len(rs.Rows), stats.Spilled, len(build.Rows))
+		}
+		last := map[int64]int64{}
+		for _, row := range rs.Rows {
+			p, b := row[0].Int, row[1].Int
+			if prev, ok := last[p]; ok && b < prev {
+				t.Fatalf("budget %d: probe row %d matched build row %d after %d", budget, p, b, prev)
+			}
+			last[p] = b
+		}
+	}
 }
 
 func TestStreamUnionDifferential(t *testing.T) {

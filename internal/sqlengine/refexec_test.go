@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -11,7 +12,9 @@ import (
 // with production changed: executor → refExecutor, relation →
 // refRelation, group → refGroup; expandItems and exprName are the
 // production helpers it always shared with the operators. Its IN/EXISTS
-// subqueries re-enter the oracle, not the engine.
+// subqueries re-enter the oracle, not the engine. It groups, deduplicates
+// and matches join keys with Compare, never with the engine's hash keys
+// (appendIndexKey), so a fault of the key codec shows as a disagreement.
 
 // refQuery parses and runs one SELECT on the oracle, under e's read lock.
 func refQuery(e *Engine, sql string, params ...Value) (*ResultSet, error) {
@@ -236,11 +239,11 @@ func findEquiPairs(cond Expr, left, right rowSchema) []equiPair {
 	return pairs
 }
 
-// join combines two relations. Inner/left/right joins with detectable
-// equi-predicates use a hash join; everything else falls back to a filtered
-// nested loop. For JoinCross with a WHERE clause supplied, equi-predicates
-// are used to avoid materializing the full product; the WHERE clause itself
-// is still applied later by the caller.
+// join combines two relations in a nested loop. Detectable
+// equi-predicates are matched first, and only then the full condition.
+// For JoinCross with a WHERE clause supplied, equi-predicates are used to
+// avoid materializing the full product; the WHERE clause itself is still
+// applied later by the caller.
 func (ex *refExecutor) join(left, right *refRelation, kind JoinKind, cond Expr, params []Value, outer *evalContext) (*refRelation, error) {
 	if kind == JoinRight {
 		// RIGHT JOIN b ON cond == b LEFT JOIN a ON cond with columns in
@@ -275,8 +278,8 @@ func (ex *refExecutor) join(left, right *refRelation, kind JoinKind, cond Expr, 
 
 	var rows []Row
 	residual := func(row Row) (bool, error) {
-		// For INNER/LEFT joins the full ON condition must hold (the hash
-		// pass only guarantees the equi-part). Cross joins defer cond (the
+		// For INNER/LEFT joins the full ON condition must hold (keysMatch
+		// only checks the equi-part). Cross joins defer cond (the
 		// WHERE clause) to the caller.
 		if cond == nil || kind == JoinCross {
 			return true, nil
@@ -290,62 +293,25 @@ func (ex *refExecutor) join(left, right *refRelation, kind JoinKind, cond Expr, 
 		return ok && !v.IsNull() && b, nil
 	}
 
-	if len(pairs) > 0 {
-		// Hash join on the first equi pair set.
-		ht := make(map[string][]int, len(right.rows))
-		for ri, rrow := range right.rows {
-			keyVals := make([]Value, len(pairs))
-			null := false
-			for i, p := range pairs {
-				keyVals[i] = rrow[p.ri]
-				if keyVals[i].IsNull() {
-					null = true
-				}
-			}
-			if null {
-				continue
-			}
-			k := indexKey(keyVals)
-			ht[k] = append(ht[k], ri)
-		}
-		for _, lrow := range left.rows {
-			keyVals := make([]Value, len(pairs))
-			null := false
-			for i, p := range pairs {
-				keyVals[i] = lrow[p.li]
-				if keyVals[i].IsNull() {
-					null = true
-				}
-			}
-			matched := false
-			if !null {
-				for _, ri := range ht[indexKey(keyVals)] {
-					combined := make(Row, 0, len(schema))
-					combined = append(combined, lrow...)
-					combined = append(combined, right.rows[ri]...)
-					ok, err := residual(combined)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						rows = append(rows, combined)
-						matched = true
-					}
-				}
-			}
-			if kind == JoinLeft && !matched {
-				combined := make(Row, len(schema))
-				copy(combined, lrow)
-				rows = append(rows, combined) // right side stays NULL
+	// A row pair joins when Compare equates every equi pair, neither side
+	// NULL, and the residual holds; the residual is evaluated only for
+	// pairs whose keys match. Comparing with Compare, not the engine's hash
+	// keys, keeps a key codec fault visible.
+	keysMatch := func(lrow, rrow Row) bool {
+		for _, p := range pairs {
+			l, r := lrow[p.li], rrow[p.ri]
+			if l.IsNull() || r.IsNull() || Compare(l, r) != 0 {
+				return false
 			}
 		}
-		return &refRelation{schema: schema, rows: rows}, nil
+		return true
 	}
-
-	// Nested loop.
 	for _, lrow := range left.rows {
 		matched := false
 		for _, rrow := range right.rows {
+			if !keysMatch(lrow, rrow) {
+				continue
+			}
 			combined := make(Row, 0, len(schema))
 			combined = append(combined, lrow...)
 			combined = append(combined, rrow...)
@@ -361,7 +327,7 @@ func (ex *refExecutor) join(left, right *refRelation, kind JoinKind, cond Expr, 
 		if kind == JoinLeft && !matched {
 			combined := make(Row, len(schema))
 			copy(combined, lrow)
-			rows = append(rows, combined)
+			rows = append(rows, combined) // right side stays NULL
 		}
 	}
 	return &refRelation{schema: schema, rows: rows}, nil
@@ -393,17 +359,20 @@ func (ex *refExecutor) project(sel *SelectStmt, rel *refRelation, params []Value
 	return out, envs, nil
 }
 
+// dedupeRows keeps the first of the rows Compare equates value by value.
 func dedupeRows(rows []Row) []Row {
-	seen := make(map[string]bool, len(rows))
 	out := rows[:0:0]
 	for _, r := range rows {
-		k := indexKey(r)
-		if !seen[k] {
-			seen[k] = true
+		if !slices.ContainsFunc(out, func(o Row) bool { return equalValues(o, r) }) {
 			out = append(out, r)
 		}
 	}
 	return out
+}
+
+// equalValues reports whether Compare equates a and b value by value.
+func equalValues(a, b []Value) bool {
+	return slices.EqualFunc(a, b, func(x, y Value) bool { return Compare(x, y) == 0 })
 }
 
 // orderBy sorts out.Rows in place. Sort keys may be: an integer ordinal, an
@@ -499,8 +468,6 @@ func (ex *refExecutor) execAggregate(sel *SelectStmt, rel *refRelation, params [
 	if len(sel.GroupBy) == 0 {
 		groups = []*refGroup{{rows: rel.rows}}
 	} else {
-		byKey := make(map[string]*refGroup)
-		var order []string
 		for _, row := range rel.rows {
 			ec := &evalContext{schema: rel.schema, row: row, params: params, exec: ex.execSelect, outer: outer}
 			keyVals := make([]Value, len(sel.GroupBy))
@@ -511,17 +478,12 @@ func (ex *refExecutor) execAggregate(sel *SelectStmt, rel *refRelation, params [
 				}
 				keyVals[i] = v
 			}
-			k := indexKey(keyVals)
-			g, ok := byKey[k]
-			if !ok {
-				g = &refGroup{keyVals: keyVals}
-				byKey[k] = g
-				order = append(order, k)
+			i := slices.IndexFunc(groups, func(g *refGroup) bool { return equalValues(g.keyVals, keyVals) })
+			if i < 0 {
+				i = len(groups)
+				groups = append(groups, &refGroup{keyVals: keyVals})
 			}
-			g.rows = append(g.rows, row)
-		}
-		for _, k := range order {
-			groups = append(groups, byKey[k])
+			groups[i].rows = append(groups[i].rows, row)
 		}
 	}
 
@@ -611,7 +573,6 @@ func (ex *refExecutor) computeAggregate(fc *FuncCall, g *refGroup, schema rowSch
 		return Null(), fmt.Errorf("sqlengine: aggregate %s expects one argument", fc.Name)
 	}
 	var vals []Value
-	seen := map[string]bool{}
 	for _, row := range g.rows {
 		ec := &evalContext{schema: schema, row: row, params: params, exec: ex.execSelect, outer: outer}
 		v, err := evalExpr(fc.Args[0], ec)
@@ -621,12 +582,8 @@ func (ex *refExecutor) computeAggregate(fc *FuncCall, g *refGroup, schema rowSch
 		if v.IsNull() {
 			continue
 		}
-		if fc.Distinct {
-			k := indexKey([]Value{v})
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
+		if fc.Distinct && slices.ContainsFunc(vals, func(x Value) bool { return Compare(x, v) == 0 }) {
+			continue
 		}
 		vals = append(vals, v)
 	}

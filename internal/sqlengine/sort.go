@@ -91,7 +91,7 @@ func (s *sortIter) doPrepare() error {
 		s.rows = append(s.rows, row)
 		s.bufSeq = append(s.bufSeq, s.seq)
 		s.seq++
-		s.bufSize += rowMemBytes(row)
+		s.bufSize += RowBytes(row)
 		if budget > 0 && s.bufSize > budget {
 			if err := s.flushRun(); err != nil {
 				return err

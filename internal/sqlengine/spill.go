@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Spill-file machinery for the streaming operators: when a buffering
@@ -49,15 +50,13 @@ func (sd *spillDir) remove() error {
 	return err
 }
 
-// spillWriter appends encoded rows to one spill file.
+// spillWriter appends rows to one spill file, counting their bytes.
 type spillWriter struct {
 	sd    *spillDir
 	f     *os.File
-	w     *bufio.Writer
+	w     *RecordWriter
 	path  string
-	rows  int64
 	bytes int64
-	buf   []byte
 }
 
 func (sd *spillDir) newWriter(kind string) (*spillWriter, error) {
@@ -67,23 +66,16 @@ func (sd *spillDir) newWriter(kind string) (*spillWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sqlengine: creating spill file: %w", err)
 	}
-	return &spillWriter{sd: sd, f: f, w: bufio.NewWriterSize(f, 1<<16), path: path}, nil
+	return &spillWriter{sd: sd, f: f, w: NewRecordWriter(f), path: path}, nil
 }
 
 func (sw *spillWriter) writeRow(row Row) error {
-	sw.buf = appendFrameRow(sw.buf[:0], row)
-	var hdr [binary.MaxVarintLen64]byte
-	h := binary.PutUvarint(hdr[:], uint64(len(sw.buf)))
-	if _, err := sw.w.Write(hdr[:h]); err != nil {
+	n, err := sw.w.WriteRow(row)
+	if err != nil {
 		return fmt.Errorf("sqlengine: writing spill file: %w", err)
 	}
-	if _, err := sw.w.Write(sw.buf); err != nil {
-		return fmt.Errorf("sqlengine: writing spill file: %w", err)
-	}
-	n := int64(h + len(sw.buf))
-	sw.rows++
-	sw.bytes += n
-	sw.sd.stats.SpillBytes += n
+	sw.bytes += int64(n)
+	sw.sd.stats.SpillBytes += int64(n)
 	return nil
 }
 
@@ -98,9 +90,8 @@ func (sw *spillWriter) finish() error {
 
 // spillReader streams rows back from a finished spill file.
 type spillReader struct {
-	f       *os.File
-	r       *bufio.Reader
-	scratch []byte
+	f *os.File
+	r *RecordReader
 }
 
 func openSpill(path string) (*spillReader, error) {
@@ -108,37 +99,14 @@ func openSpill(path string) (*spillReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sqlengine: opening spill file: %w", err)
 	}
-	return &spillReader{f: f, r: bufio.NewReaderSize(f, 1<<16)}, nil
+	return &spillReader{f: f, r: NewRecordReader(f)}, nil
 }
 
 // readRow returns the next row, or io.EOF when the file ends on a record
-// boundary. A record cut short or garbled is an error.
+// boundary.
 func (sr *spillReader) readRow() (Row, error) {
-	n, err := binary.ReadUvarint(sr.r)
-	if err == io.EOF {
-		return nil, io.EOF
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sqlengine: reading spill file: %w", err)
-	}
-	if uint64(cap(sr.scratch)) < n {
-		sr.scratch = make([]byte, n)
-	}
-	rec := sr.scratch[:n]
-	if _, err := io.ReadFull(sr.r, rec); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("sqlengine: reading spill file: %w", err)
-	}
-	row, rest, err := decodeFrameRow(rec)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("sqlengine: corrupt spill record: %d bytes after the row", len(rest))
-	}
-	return row, nil
+	row, _, err := sr.r.ReadRow()
+	return row, err
 }
 
 func (sr *spillReader) close() error {
@@ -148,4 +116,84 @@ func (sr *spillReader) close() error {
 	err := sr.f.Close()
 	sr.f = nil
 	return err
+}
+
+// RecordWriter writes rows as records, uvarint(len) | frame row, through
+// a buffer that Flush empties. A stream of records has no header or
+// version, so it must not outlive the program that wrote it: spill files
+// and the ETL's staging files are removed once read.
+type RecordWriter struct {
+	w   *bufio.Writer
+	buf []byte
+}
+
+// NewRecordWriter returns a RecordWriter writing to w.
+func NewRecordWriter(w io.Writer) *RecordWriter {
+	return &RecordWriter{w: bufio.NewWriterSize(w, 1<<16)}
+}
+
+// WriteRow writes row as one record and returns the record's length in
+// bytes.
+func (rw *RecordWriter) WriteRow(row Row) (int, error) {
+	rw.buf = appendFrameRow(rw.buf[:0], row)
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(len(rw.buf)))
+	if _, err := rw.w.Write(hdr[:h]); err != nil {
+		return 0, err
+	}
+	if _, err := rw.w.Write(rw.buf); err != nil {
+		return 0, err
+	}
+	return h + len(rw.buf), nil
+}
+
+// Flush writes the buffered records out.
+func (rw *RecordWriter) Flush() error { return rw.w.Flush() }
+
+// RecordReader reads back the records a RecordWriter wrote.
+type RecordReader struct {
+	r       *bufio.Reader
+	scratch []byte
+}
+
+// NewRecordReader returns a RecordReader reading from r.
+func NewRecordReader(r io.Reader) *RecordReader {
+	return &RecordReader{r: bufio.NewReaderSize(r, 1<<16)}
+}
+
+// ReadRow returns the next row and its record's length in bytes, or io.EOF
+// when the input ends on a record boundary. A record cut short or garbled
+// is an error, never a short row.
+func (rr *RecordReader) ReadRow() (Row, int, error) {
+	n, err := binary.ReadUvarint(rr.r)
+	if err == io.EOF {
+		return nil, 0, io.EOF
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("sqlengine: reading row record: %w", err)
+	}
+	// The buffer grows as the record's bytes arrive, never by the length
+	// prefix alone, which a corrupt file may make larger than memory.
+	rec := rr.scratch[:0]
+	for uint64(len(rec)) < n {
+		chunk := int(min(n-uint64(len(rec)), 1<<20))
+		rec = slices.Grow(rec, chunk)
+		if _, err := io.ReadFull(rr.r, rec[len(rec):len(rec)+chunk]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, 0, fmt.Errorf("sqlengine: reading row record: %w", err)
+		}
+		rec = rec[:len(rec)+chunk]
+	}
+	rr.scratch = rec
+	row, rest, err := decodeFrameRow(rec)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(rest) != 0 {
+		return nil, 0, fmt.Errorf("sqlengine: corrupt row record: %d bytes after the row", len(rest))
+	}
+	var hdr [binary.MaxVarintLen64]byte // to measure the length prefix
+	return row, binary.PutUvarint(hdr[:], n) + int(n), nil
 }

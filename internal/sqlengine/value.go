@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -267,8 +268,9 @@ func (v Value) AsBool() (bool, bool) {
 // Compare orders two values. NULL sorts before everything and equals only
 // NULL (three-valued logic is handled by the expression evaluator, which
 // checks IsNull before calling Compare). Numeric kinds compare numerically
-// across int/float/bool; otherwise values compare within their kind, with a
-// best-effort string/number coercion for mixed comparisons.
+// across int/float/bool, exactly (compareNumbers); otherwise values compare
+// within their kind, with a best-effort string/number coercion for mixed
+// comparisons.
 func Compare(a, b Value) int {
 	if a.IsNull() || b.IsNull() {
 		switch {
@@ -281,9 +283,7 @@ func Compare(a, b Value) int {
 		}
 	}
 	if isNumeric(a.Kind) && isNumeric(b.Kind) {
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
-		return compareFloat(af, bf)
+		return compareNumbers(a, b)
 	}
 	if a.Kind == KindString && isNumeric(b.Kind) {
 		if af, ok := a.AsFloat(); ok {
@@ -312,6 +312,35 @@ func Compare(a, b Value) int {
 		}
 	}
 	return strings.Compare(a.String(), b.String())
+}
+
+// compareNumbers compares two numeric values exactly, as their hash keys
+// (keyValue) see them: a bool, or a float that is an integer in the int64
+// range, compares as that int; two ints compare as int64.
+func compareNumbers(a, b Value) int {
+	if a.Kind == KindFloat && b.Kind == KindFloat {
+		return compareFloat(a.Float, b.Float)
+	}
+	a, b = keyValue(a), keyValue(b)
+	switch {
+	case a.Kind == KindFloat:
+		return compareFloatInt(a.Float, b.Int)
+	case b.Kind == KindFloat:
+		return -compareFloatInt(b.Float, a.Int)
+	}
+	return cmp.Compare(a.Int, b.Int)
+}
+
+// compareFloatInt compares with i a float f that is no integer in the
+// int64 range: a fraction, or a value beyond that range. float64(i) never
+// equals f then, and rounding keeps its side of f, but at 2^63, which
+// rounding may reach from below. A NaN equals every number, as in
+// compareFloat.
+func compareFloatInt(f float64, i int64) int {
+	if f >= 1<<63 {
+		return 1
+	}
+	return compareFloat(f, float64(i))
 }
 
 func compareFloat(a, b float64) int {

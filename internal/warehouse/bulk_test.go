@@ -48,10 +48,8 @@ func (x execOnly) Query(sql string, params ...sqlengine.Value) (*sqlengine.Resul
 func stageRows(t *testing.T, rows []sqlengine.Row) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, r := range rows {
-		if _, err := encodeRow(&buf, r); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := NewETL().writeStaged(&buf, rows); err != nil {
+		t.Fatal(err)
 	}
 	return &buf
 }

@@ -9,18 +9,17 @@
 // file: every transfer first *extracts* rows into a staging file (the
 // paper's "data extraction" series in Figures 4 and 5) and then *loads*
 // the staging file into the target database (the "data loading" series).
+// The staging file holds binary row records (sqlengine.RecordWriter): each
+// row as the row frame's cells, which keep every value exactly.
 // The paper calls this staging "a performance bottleneck"; Direct mode
 // (the paper's proposed fix) streams rows without the intermediate file
 // and is used by the staging ablation benchmark.
 package warehouse
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -132,163 +131,67 @@ type StageResult struct {
 // Total returns extract+load time.
 func (r StageResult) Total() time.Duration { return r.ExtractTime + r.LoadTime }
 
-// ---- staging file codec ----
-// One row per line; fields are tab-separated SQL literals, so staging
-// files are inspectable with standard tools (the prototype streamed
-// through plain text files too).
-
-func encodeRow(w io.Writer, row sqlengine.Row) (int64, error) {
-	var sb strings.Builder
-	for i, v := range row {
-		if i > 0 {
-			sb.WriteByte('\t')
-		}
-		lit := v.SQLLiteral()
-		// Escape literal newlines/tabs inside strings to keep one row per
-		// line.
-		lit = strings.ReplaceAll(lit, "\\", "\\\\")
-		lit = strings.ReplaceAll(lit, "\n", "\\n")
-		lit = strings.ReplaceAll(lit, "\t", "\\t")
-		lit = strings.ReplaceAll(lit, "\r", "\\r")
-		sb.WriteString(lit)
-	}
-	sb.WriteByte('\n')
-	n, err := io.WriteString(w, sb.String())
-	return int64(n), err
-}
-
-func decodeField(s string) (sqlengine.Value, error) {
-	if strings.IndexByte(s, '\\') >= 0 {
-		s = unescapeField(s)
-	}
-	switch {
-	case s == "NULL":
-		return sqlengine.Null(), nil
-	case s == "TRUE":
-		return sqlengine.NewBool(true), nil
-	case s == "FALSE":
-		return sqlengine.NewBool(false), nil
-	case len(s) >= 2 && s[0] == '\'' && s[len(s)-1] == '\'':
-		return sqlengine.NewString(strings.ReplaceAll(s[1:len(s)-1], "''", "'")), nil
-	case strings.ContainsAny(s, ".eE"):
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return sqlengine.Null(), fmt.Errorf("warehouse: bad staging float %q", s)
-		}
-		return sqlengine.NewFloat(f), nil
-	default:
-		i, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			f, ferr := strconv.ParseFloat(s, 64)
-			if ferr != nil {
-				return sqlengine.Null(), fmt.Errorf("warehouse: bad staging field %q", s)
-			}
-			return sqlengine.NewFloat(f), nil
-		}
-		return sqlengine.NewInt(i), nil
-	}
-}
-
-// unescapeField undoes encodeRow's escapes in one left-to-right pass, so
-// an escaped backslash is never read as the start of another escape.
-func unescapeField(s string) string {
-	var sb strings.Builder
-	sb.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == '\\' && i+1 < len(s) {
-			i++
-			switch c = s[i]; c {
-			case 'n':
-				c = '\n'
-			case 't':
-				c = '\t'
-			case 'r':
-				c = '\r'
-			}
-		}
-		sb.WriteByte(c)
-	}
-	return sb.String()
-}
-
-func decodeRow(line string) (sqlengine.Row, error) {
-	if line == "" {
-		return nil, nil
-	}
-	fields := strings.Split(line, "\t")
-	row := make(sqlengine.Row, len(fields))
-	for i, f := range fields {
-		v, err := decodeField(f)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
-	}
-	return row, nil
-}
-
 // ---- Stage 1: sources -> warehouse ----
 
 // ExtractNormalized reads an ntuple's normalized tables from src, pivots
 // the tall values table back into wide events (the "transformation"
 // matching the warehouse's denormalized schema), and writes staging rows
-// to w. Returns bytes written and rows produced.
+// to w as row records (sqlengine.RecordWriter). Returns bytes written and
+// rows produced.
 func (e *ETL) ExtractNormalized(src Queryer, cfg ntuple.Config, w io.Writer) (int64, int64, error) {
 	evRS, err := src.Query("SELECT event_id, run FROM " + ntuple.EventsTableName(cfg.Name) + " ORDER BY event_id")
 	if err != nil {
 		return 0, 0, fmt.Errorf("warehouse: extract events: %w", err)
 	}
-	type wide struct {
-		run  int64
-		vals []sqlengine.Value
-	}
-	events := make(map[int64]*wide, len(evRS.Rows))
-	order := make([]int64, 0, len(evRS.Rows))
-	for _, r := range evRS.Rows {
-		id := r[0].Int
-		events[id] = &wide{run: r[1].Int, vals: make([]sqlengine.Value, cfg.NVar)}
-		order = append(order, id)
+	// One wide row per event, in event_id order; byID finds it for the
+	// event's values.
+	rows := make([]sqlengine.Row, len(evRS.Rows))
+	byID := make(map[int64]sqlengine.Row, len(evRS.Rows))
+	for i, r := range evRS.Rows {
+		rows[i] = make(sqlengine.Row, 2+cfg.NVar)
+		rows[i][0], rows[i][1] = sqlengine.NewInt(r[0].Int), sqlengine.NewInt(r[1].Int)
+		byID[r[0].Int] = rows[i]
 	}
 	valRS, err := src.Query("SELECT event_id, var_idx, val FROM " + ntuple.ValuesTableName(cfg.Name))
 	if err != nil {
 		return 0, 0, fmt.Errorf("warehouse: extract values: %w", err)
 	}
 	for _, r := range valRS.Rows {
-		ev, ok := events[r[0].Int]
+		row, ok := byID[r[0].Int]
 		if !ok {
 			continue // orphan value row: skip, like a WHERE join would
 		}
-		idx := int(r[1].Int)
-		if idx >= 0 && idx < cfg.NVar {
-			ev.vals[idx] = r[2]
+		if idx := int(r[1].Int); idx >= 0 && idx < cfg.NVar {
+			row[2+idx] = r[2]
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	var bytes, rows int64
-	for _, id := range order {
-		ev := events[id]
-		row := make(sqlengine.Row, 0, 2+cfg.NVar)
-		row = append(row, sqlengine.NewInt(id), sqlengine.NewInt(ev.run))
-		row = append(row, ev.vals...)
-		n, err := encodeRow(w, row)
-		if err != nil {
-			return bytes, rows, err
-		}
-		bytes += n
-		rows++
-	}
-	e.charge(bytes)
-	return bytes, rows, nil
+	return e.writeStaged(w, rows)
 }
 
-// LoadStaged reads staging rows from r and inserts them into target table
+// writeStaged writes rows to w as row records and charges their bytes.
+func (e *ETL) writeStaged(w io.Writer, rows []sqlengine.Row) (int64, int64, error) {
+	rw := sqlengine.NewRecordWriter(w)
+	var bytes int64
+	for _, row := range rows {
+		n, err := rw.WriteRow(row)
+		if err != nil {
+			return bytes, 0, err
+		}
+		bytes += int64(n)
+	}
+	if err := rw.Flush(); err != nil {
+		return bytes, 0, err
+	}
+	e.charge(bytes)
+	return bytes, int64(len(rows)), nil
+}
+
+// LoadStaged reads staging row records from r and inserts them into target table
 // in batches: typed bulk inserts when the target is a local engine
 // (BulkInserter), batched INSERTs rendered in the target's dialect
 // otherwise.
 func (e *ETL) LoadStaged(target Execer, dialect *sqlengine.Dialect, table string, r io.Reader) (int64, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
+	rr := sqlengine.NewRecordReader(r)
 	var batch []sqlengine.Row
 	var loaded, bytes int64
 	flush := func() error {
@@ -302,25 +205,21 @@ func (e *ETL) LoadStaged(target Execer, dialect *sqlengine.Dialect, table string
 		batch = batch[:0]
 		return nil
 	}
-	for sc.Scan() {
-		line := sc.Text()
-		bytes += int64(len(line)) + 1
-		row, err := decodeRow(line)
+	for {
+		row, n, err := rr.ReadRow()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
-			return loaded, err
+			return loaded, fmt.Errorf("warehouse: staging file: %w", err)
 		}
-		if row == nil {
-			continue
-		}
+		bytes += int64(n)
 		batch = append(batch, row)
 		if len(batch) >= e.batch() {
 			if err := flush(); err != nil {
 				return loaded, err
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return loaded, err
 	}
 	if err := flush(); err != nil {
 		return loaded, err
@@ -364,12 +263,14 @@ func (e *ETL) RunStage1(src Queryer, cfg ntuple.Config, wh Execer, whDialect *sq
 	)
 }
 
-// transfer runs extract then load, through a temp file (Staging) or a pipe
-// (Direct), timing each phase.
+// transfer runs extract then load, timing each phase. With Staging, the
+// rows go through a temp file of row records — the row frame's cells
+// behind a length prefix, with no header, so the file is deleted once
+// loaded; Direct mode streams them over a pipe instead.
 func (e *ETL) transfer(extract func(io.Writer) (int64, int64, error), load func(io.Reader) (int64, error)) (StageResult, error) {
 	var res StageResult
 	if e.Staging {
-		f, err := os.CreateTemp(e.TempDir, "gridrdb-stage-*.tsv")
+		f, err := os.CreateTemp(e.TempDir, "gridrdb-stage-*.rows")
 		if err != nil {
 			return res, err
 		}
@@ -377,12 +278,8 @@ func (e *ETL) transfer(extract func(io.Writer) (int64, int64, error), load func(
 		defer f.Close()
 
 		start := time.Now()
-		bw := bufio.NewWriter(f)
-		bytes, rows, err := extract(bw)
+		bytes, rows, err := extract(f)
 		if err != nil {
-			return res, err
-		}
-		if err := bw.Flush(); err != nil {
 			return res, err
 		}
 		res.ExtractTime = time.Since(start)
@@ -392,7 +289,7 @@ func (e *ETL) transfer(extract func(io.Writer) (int64, int64, error), load func(
 			return res, err
 		}
 		start = time.Now()
-		if _, err := load(bufio.NewReader(f)); err != nil {
+		if _, err := load(f); err != nil {
 			return res, err
 		}
 		res.LoadTime = time.Since(start)
@@ -409,11 +306,7 @@ func (e *ETL) transfer(extract func(io.Writer) (int64, int64, error), load func(
 	ch := make(chan exres, 1)
 	start := time.Now()
 	go func() {
-		bw := bufio.NewWriter(pw)
-		b, r, err := extract(bw)
-		if err == nil {
-			err = bw.Flush()
-		}
+		b, r, err := extract(pw)
 		pw.CloseWithError(err)
 		ch <- exres{b, r, err}
 	}()
@@ -516,17 +409,7 @@ func (e *ETL) ExtractView(wh Queryer, view string, w io.Writer) (int64, int64, e
 	if err != nil {
 		return 0, 0, fmt.Errorf("warehouse: extract view %s: %w", view, err)
 	}
-	var bytes, rows int64
-	for _, row := range rs.Rows {
-		n, err := encodeRow(w, row)
-		if err != nil {
-			return bytes, rows, err
-		}
-		bytes += n
-		rows++
-	}
-	e.charge(bytes)
-	return bytes, rows, nil
+	return e.writeStaged(w, rs.Rows)
 }
 
 // Materialize replicates one warehouse view into a data mart as a real

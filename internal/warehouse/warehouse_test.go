@@ -2,9 +2,11 @@ package warehouse
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"gridrdb/internal/netsim"
 	"gridrdb/internal/ntuple"
@@ -20,102 +22,116 @@ func buildSource(t *testing.T, cfg ntuple.Config, d *sqlengine.Dialect) *sqlengi
 	return src
 }
 
+// captureTarget is a bulk-load target that keeps the rows it is given.
+type captureTarget struct{ rows []sqlengine.Row }
+
+func (c *captureTarget) Exec(string, ...sqlengine.Value) (int64, error) { return 0, nil }
+
+func (c *captureTarget) InsertRows(_ string, rows []sqlengine.Row) (int64, error) {
+	c.rows = append(c.rows, rows...)
+	return int64(len(rows)), nil
+}
+
+// stagingRoundTrip writes rows to a staging file and loads it back, and
+// fails unless every value comes back exactly: its kind, float bits, time
+// to the nanosecond, and string vs bytes.
+func stagingRoundTrip(t *testing.T, rows []sqlengine.Row) {
+	t.Helper()
+	etl := NewETL()
+	staged := stageRows(t, rows)
+	size := int64(staged.Len())
+	var got captureTarget
+	n, err := etl.LoadStaged(&got, sqlengine.DialectANSI, "t", staged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(len(rows)) || len(got.rows) != len(rows) {
+		t.Fatalf("loaded %d rows (%d kept), want %d", n, len(got.rows), len(rows))
+	}
+	for i, row := range rows {
+		if len(got.rows[i]) != len(row) {
+			t.Fatalf("row %d: %d values, want %d", i, len(got.rows[i]), len(row))
+		}
+		for j, want := range row {
+			if g := got.rows[i][j]; !sameValue(g, want) {
+				t.Fatalf("row %d value %d: staged %#v, loads as %#v (%d staged bytes)", i, j, want, g, size)
+			}
+		}
+	}
+}
+
+// sameValue reports whether a and b are the same value, bit for bit.
+func sameValue(a, b sqlengine.Value) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	switch a.Kind {
+	case sqlengine.KindInt:
+		return a.Int == b.Int
+	case sqlengine.KindFloat:
+		return math.Float64bits(a.Float) == math.Float64bits(b.Float)
+	case sqlengine.KindTime:
+		return a.Time().Equal(b.Time()) && a.Time().Nanosecond() == b.Time().Nanosecond()
+	case sqlengine.KindBool:
+		return a.Bool() == b.Bool()
+	}
+	return a.Str() == b.Str()
+}
+
+// everyKind is a row with one value of each kind.
+func everyKind(s string, b []byte, i int64, fbits uint64, sec int64, nsec uint32, flag bool) sqlengine.Row {
+	ts := time.Unix(sec%(1<<34), int64(nsec%1e9)).UTC()
+	return sqlengine.Row{
+		sqlengine.Null(), sqlengine.NewInt(i), sqlengine.NewFloat(math.Float64frombits(fbits)),
+		sqlengine.NewString(s), sqlengine.NewBytes(b), sqlengine.NewBool(flag), sqlengine.NewTime(ts),
+	}
+}
+
 func TestStagingCodecRoundTrip(t *testing.T) {
-	rows := []sqlengine.Row{
+	stagingRoundTrip(t, []sqlengine.Row{
 		{sqlengine.NewInt(1), sqlengine.NewFloat(3.5), sqlengine.NewString("plain")},
 		{sqlengine.Null(), sqlengine.NewBool(true), sqlengine.NewString("o'brien")},
 		{sqlengine.NewInt(-7), sqlengine.NewFloat(1e-9), sqlengine.NewString("tab\there\nnewline")},
-	}
-	var buf bytes.Buffer
-	for _, r := range rows {
-		if _, err := encodeRow(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3", len(lines))
-	}
-	for i, line := range lines {
-		got, err := decodeRow(line)
-		if err != nil {
-			t.Fatalf("decode line %d: %v", i, err)
-		}
-		if len(got) != len(rows[i]) {
-			t.Fatalf("line %d: %d fields", i, len(got))
-		}
-		for j := range got {
-			if rows[i][j].IsNull() {
-				if !got[j].IsNull() {
-					t.Errorf("line %d field %d: want NULL, got %v", i, j, got[j])
-				}
-				continue
-			}
-			if sqlengine.Compare(got[j], rows[i][j]) != 0 {
-				t.Errorf("line %d field %d: got %v want %v", i, j, got[j], rows[i][j])
-			}
-		}
-	}
+		{},
+		everyKind("", nil, math.MinInt64, math.Float64bits(math.Copysign(0, -1)), -62135596800, 0, false),
+		everyKind("x\x00y", []byte{}, 1<<53+1, math.Float64bits(math.NaN()), 253402300799, 999999999, true),
+		everyKind("NULL", []byte("NULL"), math.MaxInt64, math.Float64bits(math.Inf(-1)), 1e9, 123456789, true),
+	})
 }
 
-// stagingRoundTrip encodes one string field and decodes it back.
-func stagingRoundTrip(t *testing.T, s string) {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := encodeRow(&buf, sqlengine.Row{sqlengine.NewString(s)}); err != nil {
-		t.Fatal(err)
-	}
-	line := strings.TrimSuffix(buf.String(), "\n")
-	if strings.ContainsAny(line, "\n\r") {
-		t.Fatalf("%q encodes over more than one line: %q", s, line)
-	}
-	got, err := decodeRow(line)
-	if err != nil {
-		t.Fatalf("%q: decode %q: %v", s, line, err)
-	}
-	if len(got) != 1 || got[0].Kind != sqlengine.KindString || got[0].Str() != s {
-		t.Fatalf("%q: staged as %q, loads as %v", s, line, got)
-	}
-}
-
-// TestStagingCodecBackslashes: a backslash in a string survives the
-// staging file, also where the string spells an escape (a backslash and
-// an n) or ends in one, so a mart string such as C:\new\table does not
-// load with a newline and a tab in it.
+// TestStagingCodecBackslashes: the strings a text staging line had to
+// escape — backslashes, escape spellings, quotes, tabs, newlines — and
+// the ones it spelled like another value load as themselves.
 func TestStagingCodecBackslashes(t *testing.T) {
+	var rows []sqlengine.Row
 	for _, s := range []string{
 		`a\nb`, `\t`, `\\n`, `\r\n`, `x\`, `\`, `C:\new\table`,
 		"'", "it's", "tab\there", "new\nline", "\r", "NULL", "TRUE", "1.5", "",
 	} {
-		stagingRoundTrip(t, s)
+		rows = append(rows, sqlengine.Row{sqlengine.NewString(s)})
 	}
+	stagingRoundTrip(t, rows)
 }
 
-// FuzzStagingRoundTrip: every string round-trips through the staging
-// codec (encodeRow, then decodeRow of the line it wrote).
+// FuzzStagingRoundTrip: a row of every kind loads from the staging file
+// exactly as it was extracted.
 func FuzzStagingRoundTrip(f *testing.F) {
-	for _, s := range []string{`a\nb`, `\\n`, `x\`, "'", "a\tb\nc", "NULL"} {
-		f.Add(s)
-	}
-	f.Fuzz(stagingRoundTrip)
+	f.Add(`a\nb`, []byte{0}, int64(0), uint64(0), int64(0), uint32(0), false)
+	f.Add(`\\n`, []byte(nil), int64(-1), math.Float64bits(math.Copysign(0, -1)), int64(-1), uint32(1), true)
+	f.Add(`x\`, []byte("x\x00"), int64(math.MinInt64), math.Float64bits(math.NaN()), int64(1e9), uint32(999999999), true)
+	f.Add("'", []byte("'"), int64(1<<53+1), math.Float64bits(math.Inf(1)), int64(-62135596800), uint32(5e8), false)
+	f.Add("a\tb\nc", []byte("a\tb"), int64(math.MaxInt64), math.Float64bits(0.1), int64(253402300799), uint32(7), true)
+	f.Add("NULL", []byte("NULL"), int64(7), math.Float64bits(1e300), int64(1<<40), uint32(1e9), false)
+	f.Fuzz(func(t *testing.T, s string, b []byte, i int64, fbits uint64, sec int64, nsec uint32, flag bool) {
+		stagingRoundTrip(t, []sqlengine.Row{everyKind(s, b, i, fbits, sec, nsec, flag)})
+	})
 }
 
-// Property: the staging codec round-trips arbitrary strings and numbers.
+// Property: the staging codec round-trips arbitrary rows of every kind.
 func TestStagingCodecProperty(t *testing.T) {
-	f := func(s string, i int64, fl float64) bool {
-		if fl != fl { // NaN
-			return true
-		}
-		row := sqlengine.Row{sqlengine.NewString(s), sqlengine.NewInt(i), sqlengine.NewFloat(fl)}
-		var buf bytes.Buffer
-		if _, err := encodeRow(&buf, row); err != nil {
-			return false
-		}
-		got, err := decodeRow(strings.TrimRight(buf.String(), "\n"))
-		if err != nil || len(got) != 3 {
-			return false
-		}
-		return got[0].Str() == s && got[1].Int == i && got[2].Float == fl
+	f := func(s string, b []byte, i int64, fbits uint64, sec int64, nsec uint32, flag bool) bool {
+		stagingRoundTrip(t, []sqlengine.Row{everyKind(s, b, i, fbits, sec, nsec, flag)})
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -259,11 +275,17 @@ func TestLoadStagedBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	etl := NewETL()
-	if _, err := etl.LoadStaged(wh, wh.Dialect(), "t", strings.NewReader("not-a-literal-\x01'\n")); err == nil {
-		t.Error("bad staging line accepted")
+	// Text, a garbled record, a record cut short and an absurd length are
+	// all refused.
+	record := stageRows(t, []sqlengine.Row{{sqlengine.NewInt(1)}}).Bytes()
+	// The last claims a record of 2^63 - 1 bytes.
+	for _, bad := range []string{"not-a-record-\x01'\n", "\x02\x01\x09", string(record[:len(record)-1]), "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"} {
+		if _, err := etl.LoadStaged(wh, wh.Dialect(), "t", strings.NewReader(bad)); err == nil {
+			t.Errorf("bad staging file %q accepted", bad)
+		}
 	}
 	// Loading into a missing table fails cleanly.
-	if _, err := etl.LoadStaged(wh, wh.Dialect(), "nosuch", strings.NewReader("1\n")); err == nil {
+	if _, err := etl.LoadStaged(wh, wh.Dialect(), "nosuch", bytes.NewReader(record)); err == nil {
 		t.Error("missing table accepted")
 	}
 }
