@@ -125,7 +125,7 @@ func BenchmarkTable1QueryResponse(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := client.Call("dataaccess.query", q); err != nil {
+				if _, err := client.CallContext(context.Background(), "dataaccess.query", q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -166,28 +166,27 @@ func BenchmarkAblationStaging(b *testing.B) {
 
 // BenchmarkAblationParallel compares scatter-gather over the bounded
 // worker pool (the paper's enhancement, now pooled) against stock Unity's
-// sequential execution, at several pool widths.
+// sequential execution, which is a pool one wide.
 func BenchmarkAblationParallel(b *testing.B) {
 	d := benchDeployment(b)
 	q := "SELECT e.event_id, m.detector FROM ev1 e JOIN meta2 m ON e.run = m.run"
-	run := func(name string, par bool, width int) {
+	run := func(name string, width int) {
 		b.Run(name, func(b *testing.B) {
 			fed := d.Serv1.Federation()
-			oldPar, oldWidth := fed.Parallel, fed.MaxParallel
-			fed.Parallel, fed.MaxParallel = par, width
-			defer func() { fed.Parallel, fed.MaxParallel = oldPar, oldWidth }()
+			oldWidth := fed.MaxParallel
+			fed.MaxParallel = width
+			defer func() { fed.MaxParallel = oldWidth }()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.Serv1.Query(q); err != nil {
+				if _, err := d.Serv1.QueryContext(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	run("parallel", true, 0)
-	run("parallel-width1", true, 1)
-	run("sequential", false, 0)
+	run("parallel", 0)
+	run("sequential", 1)
 }
 
 // ---- Query-result cache (the qcache subsystem) ----
@@ -225,19 +224,19 @@ func BenchmarkCacheFederated(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d.Serv1.CacheFlush()
-			if _, err := d.Serv1.Query(q); err != nil {
+			if _, err := d.Serv1.QueryContext(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		if _, err := d.Serv1.Query(q); err != nil { // prime
+		if _, err := d.Serv1.QueryContext(context.Background(), q); err != nil { // prime
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := d.Serv1.Query(q); err != nil {
+			if _, err := d.Serv1.QueryContext(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -251,7 +250,7 @@ func BenchmarkCacheFederated(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := base.Serv1.Query(q); err != nil {
+			if _, err := base.Serv1.QueryContext(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -265,7 +264,7 @@ func BenchmarkAblationRoute(b *testing.B) {
 	q := "SELECT event_id, e_tot FROM ev1 WHERE run = 102"
 	b.Run("pool-ral", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			qr, err := d.Serv1.Query(q)
+			qr, err := d.Serv1.QueryContext(context.Background(), q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -278,7 +277,7 @@ func BenchmarkAblationRoute(b *testing.B) {
 		// Force the Unity path with a shape RAL rejects (ORDER BY).
 		qq := q + " ORDER BY event_id"
 		for i := 0; i < b.N; i++ {
-			qr, err := d.Serv1.Query(qq)
+			qr, err := d.Serv1.QueryContext(context.Background(), qq)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -296,14 +295,14 @@ func BenchmarkAblationRLS(b *testing.B) {
 	d := benchDeployment(b)
 	b.Run("local", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := d.Serv1.Query("SELECT event_id FROM ev1 WHERE run = 101"); err != nil {
+			if _, err := d.Serv1.QueryContext(context.Background(), "SELECT event_id FROM ev1 WHERE run = 101"); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("rls-remote", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			qr, err := d.Serv1.Query("SELECT event_id FROM ev4 WHERE run = 101")
+			qr, err := d.Serv1.QueryContext(context.Background(), "SELECT event_id FROM ev4 WHERE run = 101")
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -316,7 +316,7 @@ func streamQuery(ctx context.Context, c *clarens.Client, query string, fetchSize
 	if id == "" {
 		return fmt.Errorf("cursor.open returned no cursor id")
 	}
-	defer c.Call("system.cursor.close", id)
+	defer c.CallContext(context.WithoutCancel(ctx), "system.cursor.close", id)
 
 	cols, _ := m["columns"].([]interface{})
 	names := make([]string, len(cols))

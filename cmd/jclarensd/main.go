@@ -70,6 +70,9 @@
 // gridql -loadstats (system.loadstats) and the gridrdb_admission_*
 // metric family.
 //
+// -open=false requires login: the daemon refuses to start unless at least
+// one -user is given.
+//
 // Each -mart declares one data mart: its source name, driver
 // (gridsql-oracle|mysql|mssql|sqlite) and DSN (tcp://..., local://...,
 // file://...). Unless a -xspec overrides it, the lower-level XSpec is
@@ -86,7 +89,6 @@ import (
 	"strconv"
 	"strings"
 
-	"gridrdb/internal/clarens"
 	"gridrdb/internal/dataaccess"
 	"gridrdb/internal/rls"
 	"gridrdb/internal/sqldriver"
@@ -150,8 +152,21 @@ func main() {
 		}
 		weights[u] = w
 	}
+	creds := map[string]string{}
+	for _, cred := range users {
+		u, p, ok := strings.Cut(cred, ":")
+		if !ok {
+			log.Fatalf("jclarensd: -user %q: want user:password", cred)
+		}
+		creds[u] = p
+	}
 	cfg := dataaccess.Config{
 		Name:               *name,
+		Open:               *open,
+		Users:              creds,
+		Addr:               *addr,
+		URL:                *advertise,
+		RequestTimeout:     *reqTimeout,
 		CacheSize:          *cache,
 		CacheMaxBytes:      *cacheBytes,
 		CacheTTL:           *cacheTTL,
@@ -196,7 +211,10 @@ func main() {
 	if *rlsURL != "" {
 		cfg.RLS = rls.NewClient(*rlsURL)
 	}
-	svc := dataaccess.New(cfg)
+	svc, front, url, err := dataaccess.Start(cfg)
+	if err != nil {
+		log.Fatalf("jclarensd: %v", err)
+	}
 	if svc.CacheEnabled() {
 		if *cacheBytes > 0 {
 			log.Printf("jclarensd: query-result cache on (%d entries, %d bytes, ttl %s)", *cache, *cacheBytes, *cacheTTL)
@@ -204,29 +222,12 @@ func main() {
 			log.Printf("jclarensd: query-result cache on (%d entries, ttl %s)", *cache, *cacheTTL)
 		}
 	}
-	front := clarens.NewServer(*open)
-	front.SetRequestTimeout(*reqTimeout)
 	if *reqTimeout > 0 {
 		log.Printf("jclarensd: per-request deadline %s", *reqTimeout)
-	}
-	for _, cred := range users {
-		u, p, ok := strings.Cut(cred, ":")
-		if !ok {
-			log.Fatalf("jclarensd: -user %q: want user:password", cred)
-		}
-		front.AddUser(u, p)
-	}
-	svc.RegisterMethods(front)
-	front.SetMetrics(svc.Metrics().WritePrometheus)
-
-	url, err := front.Start(*addr)
-	if err != nil {
-		log.Fatalf("jclarensd: %v", err)
 	}
 	if *advertise != "" {
 		url = *advertise
 	}
-	svc.SetURL(url)
 	log.Printf("jclarensd: %s serving XML-RPC at %s/RPC2", *name, url)
 
 	overrides := map[string]string{}

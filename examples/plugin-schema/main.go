@@ -12,12 +12,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 
 	"gridrdb"
+	"gridrdb/internal/clarens"
 	"gridrdb/internal/dataaccess"
 	"gridrdb/internal/xspec"
 )
@@ -42,8 +44,9 @@ func main() {
 	if err := jc.AddMart(base); err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	client := jc.Client()
-	printTables(client, "initial")
+	printTables(ctx, client, "initial")
 
 	// ---- §4.10: plug in a new database at runtime --------------------
 	laptop := gridrdb.NewEngine("laptop_sqlite", gridrdb.SQLite)
@@ -70,12 +73,12 @@ func main() {
 	}
 	fmt.Printf("\nXSpec written to %s (%d bytes); plugging in over XML-RPC...\n", specPath, len(data))
 
-	res, err := client.Call("dataaccess.addDatabase", "file://"+specPath, "gridsql-sqlite", "local://laptop_sqlite")
+	res, err := client.CallContext(ctx, "dataaccess.addDatabase", "file://"+specPath, "gridsql-sqlite", "local://laptop_sqlite")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("server registered plug-in database %q\n", res)
-	printTables(client, "after plug-in")
+	printTables(ctx, client, "after plug-in")
 
 	// The new table participates in federated joins immediately.
 	qr, err := jc.Query("SELECT r.run, r.detector, b.x, b.y FROM runs r JOIN beamspot b ON r.run = b.run ORDER BY r.run")
@@ -102,7 +105,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("tracker detected changed schemas: %v\n", updated)
-	printTables(client, "after schema reload")
+	printTables(ctx, client, "after schema reload")
 
 	qr, err = jc.Query("SELECT r.run, r.period, q.flag FROM runs r JOIN quality q ON r.run = q.run")
 	if err != nil {
@@ -114,10 +117,8 @@ func main() {
 	fmt.Printf("tracker ran %d checks and applied %d updates\n", checks, ups)
 }
 
-func printTables(c interface {
-	Call(string, ...interface{}) (interface{}, error)
-}, label string) {
-	res, err := c.Call("dataaccess.tables")
+func printTables(ctx context.Context, c *clarens.Client, label string) {
+	res, err := c.CallContext(ctx, "dataaccess.tables")
 	if err != nil {
 		log.Fatal(err)
 	}

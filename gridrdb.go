@@ -29,7 +29,7 @@
 //     transfers (remote forwards, cursor relays) negotiate a compact
 //     binary row framing via system.capabilities, falling back to plain
 //     XML-RPC so simple third-party clients keep working (disable per
-//     server with ServerConfig.DisableBinaryRows).
+//     server with ServerConfig.DisableBinRows).
 //
 // Queries are answered materialized (Server.Query) or as incremental
 // row streams (Server.QueryStream); streamed queries that route to
@@ -45,14 +45,10 @@ package gridrdb
 
 import (
 	"context"
-	"fmt"
-	"log/slog"
 	"sync"
-	"time"
 
 	"gridrdb/internal/clarens"
 	"gridrdb/internal/dataaccess"
-	"gridrdb/internal/netsim"
 	"gridrdb/internal/rls"
 	"gridrdb/internal/sqldriver"
 	"gridrdb/internal/sqlengine"
@@ -119,103 +115,9 @@ func GenerateXSpec(e *Engine) (*LowerSpec, error) {
 // FormatResult renders a result set as an aligned text table.
 func FormatResult(rs *ResultSet) string { return sqlengine.FormatResult(rs) }
 
-// ServerConfig configures one JClarens instance in a Grid.
-type ServerConfig struct {
-	// Name identifies the instance ("jclarens-tier2").
-	Name string
-	// Open disables authentication (the paper's test setup). When false,
-	// Users must be non-empty and clients must log in.
-	Open bool
-	// Users holds login credentials for non-open servers.
-	Users map[string]string
-	// Addr is the listen address; "" means 127.0.0.1:0.
-	Addr string
-	// Profile simulates network costs for this server's remote calls.
-	Profile *netsim.Profile
-	// CacheSize enables the query-result cache when > 0 (entries held).
-	// Cached answers are invalidated by the schema tracker and mart
-	// refreshes; out-of-band backend writes are only bounded by CacheTTL.
-	CacheSize int
-	// CacheMaxBytes additionally bounds the cache by estimated resident
-	// bytes (0 = entry count only). With a byte budget the cache also
-	// refuses admission to any single result set larger than 1/8 of the
-	// budget, and completed streamed queries under that cap are admitted
-	// too.
-	CacheMaxBytes int64
-	// CacheTTL bounds cached-entry lifetime (0 = no expiry).
-	CacheTTL time.Duration
-	// CursorTTL bounds how long an idle server-side cursor (opened via
-	// the system.cursor.* methods) survives between fetches before its
-	// query is cancelled and its resources released. 0 selects the
-	// default (2 minutes); < 0 disables reaping.
-	CursorTTL time.Duration
-	// RequestTimeout bounds each XML-RPC method call's execution server-
-	// side (0 = none): the context handed to methods — and threaded into
-	// every backend the query touches — carries this deadline in addition
-	// to client-disconnect cancellation. Calls cut off by it fail with
-	// the FaultCancelled XML-RPC fault code.
-	RequestTimeout time.Duration
-	// DisableBinaryRows turns off the negotiated binary row framing for
-	// server↔server transfers in both directions: this server neither
-	// advertises the row codec nor probes peers before forwarding.
-	// Plain XML-RPC always remains accepted, so the switch only trades
-	// speed, never interoperability.
-	DisableBinaryRows bool
-	// RelayFetchSize is how many rows each cursor-relay fetch pulls from a
-	// remote peer when a streamed query routes there (0 = the server
-	// default, 256; the peer clamps to its own maximum). It bounds this
-	// server's buffering per federated stream.
-	RelayFetchSize int
-	// SourceBudget bounds each peer operation of a federated query — a
-	// remote forward, a table-column lookup, every relay page fetch —
-	// independently of RequestTimeout, so one stuck peer cannot consume a
-	// whole request's allowance. 0 applies no per-source bound.
-	SourceBudget time.Duration
-	// ScratchMaxBytes bounds each buffering streaming operator of a
-	// decomposed federated query (hash-join build, external sort): past
-	// it the operator spills to disk instead of growing the heap. 0
-	// selects the default (64 MiB); negative disables spilling.
-	ScratchMaxBytes int64
-	// Logger receives the server's structured query log (slog records
-	// carrying the query id on every line). nil discards all records.
-	Logger *slog.Logger
-	// SlowQueryThreshold enables the slow-query log: any query slower than
-	// this is captured — with its routing plan and per-phase timings — into
-	// a bounded ring served by system.slowqueries. 0 disables capture.
-	SlowQueryThreshold time.Duration
-	// SlowQueryLogSize caps the slow-query ring (0 = default, 64).
-	SlowQueryLogSize int
-	// DisableMetrics turns off per-query observability tracking (timings,
-	// per-route histograms, slow capture) for benchmarking the bare query
-	// path. The /metrics endpoint stays up; per-query series stop moving.
-	DisableMetrics bool
-	// MaxInFlight enables admission control when > 0: at most this many
-	// queries execute or stream concurrently; arrivals past the cap queue
-	// FIFO within their tenant's weight class, and are shed with the
-	// FaultOverloaded XML-RPC fault when the queue fills or the queue
-	// deadline expires. Per-tenant counters are served by
-	// system.loadstats; admission series appear in /metrics as
-	// gridrdb_admission_*. 0 leaves the gate off.
-	MaxInFlight int
-	// AdmissionQueue bounds how many queries may wait for a slot (0 =
-	// 2 × MaxInFlight; < 0 disables queueing — saturated means shed).
-	AdmissionQueue int
-	// AdmissionTimeout is the queue deadline before a waiter is shed with
-	// FaultOverloaded (0 = 5s; < 0 waits on the caller's context alone).
-	AdmissionTimeout time.Duration
-	// TenantWeights gives named users a relative share of the admission
-	// queue's drain rate under backlog; unlisted users weigh 1.
-	TenantWeights map[string]int
-	// SessionMaxCursors caps server-side cursors concurrently open per
-	// login session (0 = unlimited); opens past it shed with a
-	// FaultOverloaded quota fault until one closes, drains or is reaped.
-	SessionMaxCursors int
-	// SessionMaxBytes caps estimated bytes streamed to one login session
-	// over its lifetime (0 = unlimited); the budget resets when the
-	// session ends. A mid-stream quota hit fails the stream loudly and
-	// releases its backend resources, relay cursors included.
-	SessionMaxBytes int64
-}
+// ServerConfig configures one JClarens instance in a Grid: every knob of
+// the data access service and its XML-RPC front end.
+type ServerConfig = dataaccess.Config
 
 // Server is one running JClarens instance: the data access service plus
 // its XML-RPC front end.
@@ -245,7 +147,7 @@ func (s *Server) AddMart(e *Engine) error {
 
 // Query runs a federated query on this server.
 func (s *Server) Query(sql string, params ...Value) (*QueryResult, error) {
-	return s.Service.Query(sql, params...)
+	return s.Service.QueryContext(context.Background(), sql, params...)
 }
 
 // QueryContext runs a federated query under a caller-supplied context:
@@ -337,55 +239,15 @@ func (g *Grid) AddServer(cfg ServerConfig) (*Server, error) {
 	rlsURL := g.rlsURL
 	g.mu.Unlock()
 
-	dcfg := dataaccess.Config{
-		Name:               cfg.Name,
-		Profile:            cfg.Profile,
-		CacheSize:          cfg.CacheSize,
-		CacheMaxBytes:      cfg.CacheMaxBytes,
-		CacheTTL:           cfg.CacheTTL,
-		CursorTTL:          cfg.CursorTTL,
-		DisableBinRows:     cfg.DisableBinaryRows,
-		RelayFetchSize:     cfg.RelayFetchSize,
-		SourceBudget:       cfg.SourceBudget,
-		ScratchMaxBytes:    cfg.ScratchMaxBytes,
-		Logger:             cfg.Logger,
-		SlowQueryThreshold: cfg.SlowQueryThreshold,
-		SlowQueryLogSize:   cfg.SlowQueryLogSize,
-		DisableObsv:        cfg.DisableMetrics,
-		MaxInFlight:        cfg.MaxInFlight,
-		AdmissionQueue:     cfg.AdmissionQueue,
-		AdmissionTimeout:   cfg.AdmissionTimeout,
-		TenantWeights:      cfg.TenantWeights,
-		SessionMaxCursors:  cfg.SessionMaxCursors,
-		SessionMaxBytes:    cfg.SessionMaxBytes,
-	}
 	if rlsURL != "" {
 		c := rls.NewClient(rlsURL)
 		c.Profile = cfg.Profile
-		dcfg.RLS = c
+		cfg.RLS = c
 	}
-	svc := dataaccess.New(dcfg)
-	front := clarens.NewServer(cfg.Open)
-	front.SetRequestTimeout(cfg.RequestTimeout)
-	for u, p := range cfg.Users {
-		front.AddUser(u, p)
-	}
-	if !cfg.Open && len(cfg.Users) == 0 {
-		svc.Close()
-		return nil, fmt.Errorf("gridrdb: server %q is closed but has no users", cfg.Name)
-	}
-	svc.RegisterMethods(front)
-	front.SetMetrics(svc.Metrics().WritePrometheus)
-	addr := cfg.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	url, err := front.Start(addr)
+	svc, front, url, err := dataaccess.Start(cfg)
 	if err != nil {
-		svc.Close()
 		return nil, err
 	}
-	svc.SetURL(url)
 	s := &Server{Name: cfg.Name, URL: url, Service: svc, Clarens: front}
 	g.mu.Lock()
 	g.servers = append(g.servers, s)

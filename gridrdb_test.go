@@ -118,13 +118,13 @@ func TestGridAuthClosedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := srv.Client()
-	if _, err := c.Call("dataaccess.tables"); err == nil {
+	if _, err := c.CallContext(context.Background(), "dataaccess.tables"); err == nil {
 		t.Fatal("unauthenticated call accepted")
 	}
 	if err := c.LoginContext(context.Background(), "u", "p"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Call("dataaccess.tables"); err != nil {
+	if _, err := c.CallContext(context.Background(), "dataaccess.tables"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -265,7 +265,7 @@ func TestGridQueryStream(t *testing.T) {
 func TestGridCursorMethods(t *testing.T) {
 	_, jc1, _ := buildGrid(t)
 	c := jc1.Client()
-	res, err := c.Call("system.cursor.open", "SELECT event_id FROM events ORDER BY event_id")
+	res, err := c.CallContext(context.Background(), "system.cursor.open", "SELECT event_id FROM events ORDER BY event_id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestGridCursorMethods(t *testing.T) {
 	if len(chunk.Rows) != 2 || chunk.Done {
 		t.Fatalf("chunk = %+v", chunk)
 	}
-	if closed, err := c.Call("system.cursor.close", id); err != nil || closed != true {
+	if closed, err := c.CallContext(context.Background(), "system.cursor.close", id); err != nil || closed != true {
 		t.Fatalf("close = %v %v", closed, err)
 	}
 }

@@ -483,14 +483,10 @@ func (c *Client) LoginContext(ctx context.Context, user, password string) error 
 	return nil
 }
 
-// Call invokes method with args and returns the decoded result.
-func (c *Client) Call(method string, args ...interface{}) (interface{}, error) {
-	return c.CallContext(context.Background(), method, args...)
-}
-
-// CallContext is Call under a caller-supplied context: cancelling it (or
-// letting its deadline expire) aborts the HTTP request, which the server
-// observes as a client disconnect and propagates to the running method.
+// CallContext invokes method with args and returns the decoded result.
+// Cancelling ctx (or letting its deadline expire) aborts the HTTP request,
+// which the server observes as a client disconnect and propagates to the
+// running method.
 func (c *Client) CallContext(ctx context.Context, method string, args ...interface{}) (interface{}, error) {
 	return c.CallDecodeContext(ctx, method, nil, args...)
 }

@@ -25,7 +25,7 @@ func startServer(t *testing.T, open bool) (*Server, *Client) {
 
 func TestEchoRoundTrip(t *testing.T) {
 	_, c := startServer(t, true)
-	res, err := c.Call("system.echo", int64(42), "hello", 3.5, true, []interface{}{int64(1), "two"})
+	res, err := c.CallContext(context.Background(), "system.echo", int64(42), "hello", 3.5, true, []interface{}{int64(1), "two"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestStructAndSpecialValues(t *testing.T) {
 			"str":  "<&> escaped",
 		}, nil
 	})
-	res, err := c.Call("test.struct")
+	res, err := c.CallContext(context.Background(), "test.struct")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +76,12 @@ func TestFaults(t *testing.T) {
 	s.Register("test.fail", func(_ context.Context, _ *CallContext, _ []interface{}) (interface{}, error) {
 		return nil, fmt.Errorf("boom")
 	})
-	_, err := c.Call("test.fail")
+	_, err := c.CallContext(context.Background(), "test.fail")
 	var f *Fault
 	if !errors.As(err, &f) || f.Code != FaultApplication || !strings.Contains(f.Message, "boom") {
 		t.Fatalf("err = %v", err)
 	}
-	_, err = c.Call("no.such.method")
+	_, err = c.CallContext(context.Background(), "no.such.method")
 	if !errors.As(err, &f) || f.Code != FaultNoMethod {
 		t.Fatalf("missing method err = %v", err)
 	}
@@ -94,7 +94,7 @@ func TestAuthentication(t *testing.T) {
 		return call.User, nil
 	})
 	// Unauthenticated call rejected.
-	_, err := c.Call("test.whoami")
+	_, err := c.CallContext(context.Background(), "test.whoami")
 	var f *Fault
 	if !errors.As(err, &f) || f.Code != FaultAuth {
 		t.Fatalf("unauthenticated err = %v", err)
@@ -106,7 +106,7 @@ func TestAuthentication(t *testing.T) {
 	if err := c.LoginContext(context.Background(), "cms", "secret"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Call("test.whoami")
+	res, err := c.CallContext(context.Background(), "test.whoami")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestAuthentication(t *testing.T) {
 func TestListMethods(t *testing.T) {
 	s, c := startServer(t, true)
 	s.Register("custom.m", func(_ context.Context, _ *CallContext, _ []interface{}) (interface{}, error) { return nil, nil })
-	res, err := c.Call("system.listMethods")
+	res, err := c.CallContext(context.Background(), "system.listMethods")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestClientNetsimCharging(t *testing.T) {
 	clock := &netsim.Clock{}
 	c.Profile = &netsim.Profile{Name: "t", RTT: time.Millisecond}
 	c.Clock = clock
-	if _, err := c.Call("system.echo", "x"); err != nil {
+	if _, err := c.CallContext(context.Background(), "system.echo", "x"); err != nil {
 		t.Fatal(err)
 	}
 	if clock.Simulated() < time.Millisecond {

@@ -79,7 +79,7 @@ func TestRequestTimeoutFault(t *testing.T) {
 		}
 	})
 	t0 := time.Now()
-	_, err := c.Call("test.slow")
+	_, err := c.CallContext(context.Background(), "test.slow")
 	if elapsed := time.Since(t0); elapsed > 5*time.Second {
 		t.Fatalf("call took %s, want prompt fault at the 50ms deadline", elapsed)
 	}

@@ -20,7 +20,7 @@ func TestLargePayloadRoundTrip(t *testing.T) {
 		}
 		return map[string]interface{}{"rows": out}, nil
 	})
-	res, err := c.Call("test.big")
+	res, err := c.CallContext(context.Background(), "test.big")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestConcurrentCallers(t *testing.T) {
 			defer wg.Done()
 			client := NewClient(c0.BaseURL)
 			for i := 0; i < 25; i++ {
-				res, err := client.Call("test.sq", int64(g*100+i))
+				res, err := client.CallContext(context.Background(), "test.sq", int64(g*100+i))
 				if err != nil {
 					errs <- err
 					return
@@ -88,7 +88,7 @@ func TestSessionExpiryAndConcurrentLogins(t *testing.T) {
 				errs <- err
 				return
 			}
-			if _, err := c.Call("system.echo", "x"); err != nil {
+			if _, err := c.CallContext(context.Background(), "system.echo", "x"); err != nil {
 				errs <- err
 			}
 		}(g)
@@ -101,7 +101,7 @@ func TestSessionExpiryAndConcurrentLogins(t *testing.T) {
 	// A forged session token is rejected.
 	c := NewClient(c0.BaseURL)
 	c.session = strings.Repeat("f", 32)
-	if _, err := c.Call("system.echo", "x"); err == nil {
+	if _, err := c.CallContext(context.Background(), "system.echo", "x"); err == nil {
 		t.Fatal("forged session accepted")
 	}
 }
@@ -117,7 +117,7 @@ func TestNestedStructures(t *testing.T) {
 			[]interface{}{[]interface{}{int64(9)}},
 		},
 	}
-	res, err := c.Call("test.nest", in)
+	res, err := c.CallContext(context.Background(), "test.nest", in)
 	if err != nil {
 		t.Fatal(err)
 	}

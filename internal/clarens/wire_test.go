@@ -84,7 +84,7 @@ func TestRequestBodyTooLarge(t *testing.T) {
 	defer func() { maxBody = old }()
 
 	_, c := startServer(t, true)
-	_, err := c.Call("system.echo", strings.Repeat("x", 8<<10))
+	_, err := c.CallContext(context.Background(), "system.echo", strings.Repeat("x", 8<<10))
 	var f *Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("err = %v, want fault", err)
@@ -93,7 +93,7 @@ func TestRequestBodyTooLarge(t *testing.T) {
 		t.Fatalf("fault = %v", f)
 	}
 	// Under the cap still works.
-	if _, err := c.Call("system.echo", strings.Repeat("x", 1<<10)); err != nil {
+	if _, err := c.CallContext(context.Background(), "system.echo", strings.Repeat("x", 1<<10)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -108,7 +108,7 @@ func TestResponseBodyTooLarge(t *testing.T) {
 	s.Register("test.big", func(_ context.Context, _ *CallContext, _ []interface{}) (interface{}, error) {
 		return strings.Repeat("y", 16<<10), nil
 	})
-	_, err := c.Call("test.big")
+	_, err := c.CallContext(context.Background(), "test.big")
 	if err == nil || !strings.Contains(err.Error(), "response body too large") {
 		t.Fatalf("err = %v, want response-too-large", err)
 	}
@@ -122,7 +122,7 @@ func TestLargeResponseStreams(t *testing.T) {
 	s.Register("test.stream", func(_ context.Context, _ *CallContext, _ []interface{}) (interface{}, error) {
 		return []interface{}{big, big, big}, nil
 	})
-	res, err := c.Call("test.stream")
+	res, err := c.CallContext(context.Background(), "test.stream")
 	if err != nil {
 		t.Fatal(err)
 	}

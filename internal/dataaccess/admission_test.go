@@ -401,7 +401,7 @@ func TestAdmissionFaultCodeOnTheWire(t *testing.T) {
 
 	release := holdSlot(t, s, "adm_ev7")
 	release2 := holdSlot(t, s, "adm_ev7")
-	_, err = c.Call("dataaccess.query", "SELECT event_id FROM adm_ev7")
+	_, err = c.CallContext(context.Background(), "dataaccess.query", "SELECT event_id FROM adm_ev7")
 	var f *clarens.Fault
 	if !errors.As(err, &f) || f.Code != clarens.FaultOverloaded {
 		t.Fatalf("want wire fault %d, got %v", clarens.FaultOverloaded, err)
@@ -411,12 +411,12 @@ func TestAdmissionFaultCodeOnTheWire(t *testing.T) {
 
 	// Quota is per login session: the first session exhausts its single
 	// cursor, a second login for the same user starts fresh.
-	res, err := c.Call("system.cursor.open", "SELECT event_id FROM adm_ev7")
+	res, err := c.CallContext(context.Background(), "system.cursor.open", "SELECT event_id FROM adm_ev7")
 	if err != nil {
 		t.Fatal(err)
 	}
 	id, _ := res.(map[string]interface{})["cursor"].(string)
-	_, err = c.Call("system.cursor.open", "SELECT event_id FROM adm_ev7")
+	_, err = c.CallContext(context.Background(), "system.cursor.open", "SELECT event_id FROM adm_ev7")
 	if !errors.As(err, &f) || f.Code != clarens.FaultOverloaded {
 		t.Fatalf("cursor quota over the wire: want fault %d, got %v", clarens.FaultOverloaded, err)
 	}
@@ -424,15 +424,15 @@ func TestAdmissionFaultCodeOnTheWire(t *testing.T) {
 	if err := c2.LoginContext(context.Background(), "alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := c2.Call("system.cursor.open", "SELECT event_id FROM adm_ev7")
+	res2, err := c2.CallContext(context.Background(), "system.cursor.open", "SELECT event_id FROM adm_ev7")
 	if err != nil {
 		t.Fatalf("fresh session should have a fresh cursor budget: %v", err)
 	}
 	id2, _ := res2.(map[string]interface{})["cursor"].(string)
-	if _, err := c.Call("system.cursor.close", id); err != nil {
+	if _, err := c.CallContext(context.Background(), "system.cursor.close", id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Call("system.cursor.close", id2); err != nil {
+	if _, err := c2.CallContext(context.Background(), "system.cursor.close", id2); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package dataaccess
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -30,7 +31,7 @@ func TestCacheRepeatedFederatedQuery(t *testing.T) {
 	s, _, _ := newCachedService(t)
 	q := "SELECT e.event_id, r.e_tot FROM events e JOIN runsinfo r ON e.run = r.run"
 
-	first, err := s.Query(q)
+	first, err := s.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestCacheRepeatedFederatedQuery(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		again, err := s.Query(q)
+		again, err := s.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +70,11 @@ func TestCacheRepeatedFederatedQuery(t *testing.T) {
 func TestCacheParamsDistinguishEntries(t *testing.T) {
 	s, _, _ := newCachedService(t)
 	q := "SELECT event_id FROM events WHERE run = ?"
-	a, err := s.Query(q, sqlengine.NewInt(100))
+	a, err := s.QueryContext(context.Background(), q, sqlengine.NewInt(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Query(q, sqlengine.NewInt(999)) // no such run
+	b, err := s.QueryContext(context.Background(), q, sqlengine.NewInt(999)) // no such run
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestCacheParamsDistinguishEntries(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 distinct entries and no hits", st)
 	}
 	// And an int param is not confused with its string rendering.
-	if _, err := s.Query(q, sqlengine.NewString("100")); err == nil {
+	if _, err := s.QueryContext(context.Background(), q, sqlengine.NewString("100")); err == nil {
 		if st := s.CacheStats(); st.Hits != 0 {
 			t.Fatalf("string param hit the int param's entry")
 		}
@@ -104,10 +105,10 @@ func TestTrackerInvalidatesDependents(t *testing.T) {
 
 	qMy := "SELECT event_id, e_tot FROM events ORDER BY event_id"
 	qMs := "SELECT event_id FROM runsinfo ORDER BY event_id"
-	if _, err := s.Query(qMy); err != nil {
+	if _, err := s.QueryContext(context.Background(), qMy); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Query(qMs); err != nil {
+	if _, err := s.QueryContext(context.Background(), qMs); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.CacheStats(); st.Entries != 2 {
@@ -137,14 +138,14 @@ func TestTrackerInvalidatesDependents(t *testing.T) {
 
 	// The surviving entry still hits; the evicted one recomputes.
 	hitsBefore := st.Hits
-	if _, err := s.Query(qMs); err != nil {
+	if _, err := s.QueryContext(context.Background(), qMs); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.CacheStats().Hits; got != hitsBefore+1 {
 		t.Fatalf("unrelated entry did not survive: hits %d -> %d", hitsBefore, got)
 	}
 	_, subsBefore, _ := s.Federation().Stats()
-	if _, err := s.Query(qMy); err != nil {
+	if _, err := s.QueryContext(context.Background(), qMy); err != nil {
 		t.Fatal(err)
 	}
 	if _, subsAfter, _ := s.Federation().Stats(); subsAfter == subsBefore {
@@ -178,10 +179,10 @@ func TestTrackerPerTableEviction(t *testing.T) {
 	if _, err := tr.CheckNow(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Query("SELECT event_id FROM events ORDER BY event_id"); err != nil {
+	if _, err := s.QueryContext(context.Background(), "SELECT event_id FROM events ORDER BY event_id"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Query("SELECT k FROM extra ORDER BY k"); err != nil {
+	if _, err := s.QueryContext(context.Background(), "SELECT k FROM extra ORDER BY k"); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.CacheStats(); st.Entries != 2 {
@@ -211,7 +212,7 @@ func TestTrackerPerTableEviction(t *testing.T) {
 		t.Fatalf("stats after extra change = %+v, want only extra's entry evicted", st)
 	}
 	hitsBefore := st.Hits
-	if _, err := s.Query("SELECT event_id FROM events ORDER BY event_id"); err != nil {
+	if _, err := s.QueryContext(context.Background(), "SELECT event_id FROM events ORDER BY event_id"); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.CacheStats().Hits; got != hitsBefore+1 {
@@ -231,7 +232,7 @@ func TestConcurrentIdenticalQueriesCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.Query(q); err != nil {
+			if _, err := s.QueryContext(context.Background(), q); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -259,7 +260,7 @@ func TestCacheDisabledByDefault(t *testing.T) {
 		t.Fatal("cache should be off by default")
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := s.Query("SELECT event_id FROM events ORDER BY event_id"); err != nil {
+		if _, err := s.QueryContext(context.Background(), "SELECT event_id FROM events ORDER BY event_id"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,10 +277,10 @@ func TestCacheDisabledByDefault(t *testing.T) {
 // the refreshed mart table only.
 func TestMartInvalidatorEvictsRefreshedTable(t *testing.T) {
 	s, _, _ := newCachedService(t)
-	if _, err := s.Query("SELECT event_id FROM events ORDER BY event_id"); err != nil {
+	if _, err := s.QueryContext(context.Background(), "SELECT event_id FROM events ORDER BY event_id"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Query("SELECT event_id FROM runsinfo ORDER BY event_id"); err != nil {
+	if _, err := s.QueryContext(context.Background(), "SELECT event_id FROM runsinfo ORDER BY event_id"); err != nil {
 		t.Fatal(err)
 	}
 	refresh := s.MartInvalidator("cmart_my")

@@ -178,7 +178,7 @@ func TestQueryContextRALRoute(t *testing.T) {
 	addMart(t, s, "mart_ctx_my", mySpec, "gridsql-mysql")
 
 	// Sanity: the live-context form of this query takes the RAL route.
-	qr, err := s.Query("SELECT event_id FROM events WHERE run = 101")
+	qr, err := s.QueryContext(context.Background(), "SELECT event_id FROM events WHERE run = 101")
 	if err != nil || qr.Route != RoutePOOLRAL {
 		t.Fatalf("warmup: route=%v err=%v, want pool-ral", qr.Route, err)
 	}
@@ -204,14 +204,10 @@ func TestQueryContextRemoteForward(t *testing.T) {
 	defer catalog.Close()
 
 	mk := func(name string) (*Service, *clarens.Server) {
-		svc := New(Config{Name: name, RLS: rls.NewClient(rlsURL)})
-		srv := clarens.NewServer(true)
-		svc.RegisterMethods(srv)
-		url, err := srv.Start("127.0.0.1:0")
+		svc, srv, _, err := Start(Config{Name: name, Open: true, RLS: rls.NewClient(rlsURL)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc.SetURL(url)
 		t.Cleanup(func() { srv.Close(); svc.Close() })
 		return svc, srv
 	}
@@ -283,7 +279,7 @@ func TestCacheFollowerAbandon(t *testing.T) {
 		t.Fatalf("leader err = %v (follower abandonment must not cancel the shared computation)", err)
 	}
 	queriesBefore := d.queries.Load()
-	qr, err := s.Query("SELECT a FROM slow_t")
+	qr, err := s.QueryContext(context.Background(), "SELECT a FROM slow_t")
 	if err != nil {
 		t.Fatal(err)
 	}

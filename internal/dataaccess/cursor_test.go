@@ -443,7 +443,7 @@ func TestCursorOverXMLRPC(t *testing.T) {
 	defer srv.Close()
 	c := clarens.NewClient(url)
 
-	res, err := c.Call("system.cursor.open", "SELECT event_id FROM events ORDER BY event_id")
+	res, err := c.CallContext(context.Background(), "system.cursor.open", "SELECT event_id FROM events ORDER BY event_id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,11 +476,11 @@ func TestCursorOverXMLRPC(t *testing.T) {
 	if total != 9 {
 		t.Fatalf("streamed %d rows, want 9", total)
 	}
-	closed, err := c.Call("system.cursor.close", id)
+	closed, err := c.CallContext(context.Background(), "system.cursor.close", id)
 	if err != nil || closed != true {
 		t.Fatalf("close = %v, %v", closed, err)
 	}
-	if _, err := c.Call("system.cursor.fetch", id, int64(1)); err == nil {
+	if _, err := c.CallContext(context.Background(), "system.cursor.fetch", id, int64(1)); err == nil {
 		t.Fatal("fetch on a closed cursor should fault")
 	}
 }

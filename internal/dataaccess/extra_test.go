@@ -44,7 +44,7 @@ func TestTrackerPeriodicRun(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.Query("SELECT k FROM surprise"); err != nil {
+	if _, err := s.QueryContext(context.Background(), "SELECT k FROM surprise"); err != nil {
 		t.Fatalf("hot-reloaded table not queryable: %v", err)
 	}
 	// Stop is idempotent.
@@ -100,7 +100,7 @@ func TestConcurrentMixedRouting(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if _, err := jc1.Query(queries[(c+i)%len(queries)]); err != nil {
+				if _, err := jc1.QueryContext(context.Background(), queries[(c+i)%len(queries)]); err != nil {
 					errs <- err
 					return
 				}
@@ -126,12 +126,12 @@ func TestQueryErrorPropagationAcrossServers(t *testing.T) {
 	jc1, _ := twoServerDeployment(t)
 	// A syntactically broken query against a remote table must surface
 	// the remote error, not hang or panic.
-	if _, err := jc1.Query("SELECT nosuchcol FROM runsinfo"); err == nil {
+	if _, err := jc1.QueryContext(context.Background(), "SELECT nosuchcol FROM runsinfo"); err == nil {
 		t.Fatal("bad remote query succeeded")
 	}
 	// Mixed query where the remote sub-fetch fails (predicate on a
 	// remote-only column is fine; use a bogus function instead).
-	if _, err := jc1.Query("SELECT e.event_id FROM events e JOIN runsinfo r ON BOGUSFN(e.run) = r.run"); err == nil {
+	if _, err := jc1.QueryContext(context.Background(), "SELECT e.event_id FROM events e JOIN runsinfo r ON BOGUSFN(e.run) = r.run"); err == nil {
 		t.Fatal("bogus function accepted")
 	}
 }
@@ -145,7 +145,7 @@ func TestRemovedDatabaseFallsBackToRLS(t *testing.T) {
 	if err := jc1.RemoveDatabase("d_events"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jc1.Query("SELECT event_id FROM events"); err == nil {
+	if _, err := jc1.QueryContext(context.Background(), "SELECT event_id FROM events"); err == nil {
 		t.Fatal("query for removed database's table succeeded")
 	}
 }

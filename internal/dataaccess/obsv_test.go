@@ -59,11 +59,11 @@ func TestMetricsEndpointConcurrentTraffic(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := s.Query("SELECT event_id, e_tot FROM events WHERE run = 101"); err != nil {
+				if _, err := s.QueryContext(context.Background(), "SELECT event_id, e_tot FROM events WHERE run = 101"); err != nil {
 					t.Errorf("ral query: %v", err)
 					return
 				}
-				if _, err := s.Query(fmt.Sprintf("SELECT event_id FROM runsinfo WHERE run = %d", 100+i%2)); err != nil {
+				if _, err := s.QueryContext(context.Background(), fmt.Sprintf("SELECT event_id FROM runsinfo WHERE run = %d", 100+i%2)); err != nil {
 					t.Errorf("unity query: %v", err)
 					return
 				}
@@ -151,7 +151,7 @@ func TestSlowRingBoundsAndEviction(t *testing.T) {
 	}, "slow")
 
 	for i := 1; i <= 5; i++ {
-		if _, err := s.Query(fmt.Sprintf("SELECT event_id FROM events WHERE event_id = %d", i)); err != nil {
+		if _, err := s.QueryContext(context.Background(), fmt.Sprintf("SELECT event_id FROM events WHERE event_id = %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +218,7 @@ func TestSlowEntryPhasesSumToDuration(t *testing.T) {
 			t.Errorf("%s: phases sum to %v of a %v query (gap %v)", entry, sum, e.Duration, gap)
 		}
 	}
-	if _, err := s.Query(sql); err != nil {
+	if _, err := s.QueryContext(context.Background(), sql); err != nil {
 		t.Fatal(err)
 	}
 	check("query", false)
@@ -267,7 +267,7 @@ func TestExplainMatchesExecutedRoute(t *testing.T) {
 		}
 		c := classIdx(tc.want)
 		before := s.obs.queries[c].Value()
-		if _, err := s.Query(tc.sql); err != nil {
+		if _, err := s.QueryContext(context.Background(), tc.sql); err != nil {
 			t.Fatalf("execute %q: %v", tc.sql, err)
 		}
 		if after := s.obs.queries[c].Value(); after != before+1 {
@@ -299,7 +299,7 @@ func TestExplainRemoteRoute(t *testing.T) {
 		t.Errorf("relay tier before first contact = %q, want unnegotiated", tier)
 	}
 	before := p.fwd.obs.queries[classRemote].Value()
-	if _, err := p.fwd.Query(sql); err != nil {
+	if _, err := p.fwd.QueryContext(context.Background(), sql); err != nil {
 		t.Fatal(err)
 	}
 	if after := p.fwd.obs.queries[classRemote].Value(); after != before+1 {
@@ -390,7 +390,7 @@ func TestQueryIDStableAcrossForward(t *testing.T) {
 		"mart_qidf", "events", 40)
 	defer p.close()
 
-	if _, err := p.fwd.Query("SELECT event_id FROM events WHERE run = 101"); err != nil {
+	if _, err := p.fwd.QueryContext(context.Background(), "SELECT event_id FROM events WHERE run = 101"); err != nil {
 		t.Fatal(err)
 	}
 	id := ""
@@ -427,7 +427,7 @@ func TestObsvRaceHammer(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				switch (w + i) % 3 {
 				case 0:
-					s.Query("SELECT event_id FROM events WHERE run = 101") //nolint:errcheck
+					s.QueryContext(context.Background(), "SELECT event_id FROM events WHERE run = 101") //nolint:errcheck
 				case 1:
 					sr, err := s.QueryStreamContext(context.Background(), "SELECT event_id FROM events")
 					if err == nil {
@@ -485,7 +485,7 @@ func TestObsvOverheadBudget(t *testing.T) {
 	for attempt := 0; attempt < 3; attempt++ {
 		for i := 0; i < 2*pairs+200; i++ {
 			start := time.Now()
-			if _, err := sides[i%2].Query(q); err != nil {
+			if _, err := sides[i%2].QueryContext(context.Background(), q); err != nil {
 				t.Fatal(err)
 			}
 			if i >= 200 { // the first hundred pairs warm connections and caches

@@ -65,14 +65,11 @@ func (p *relayPair) close() {
 func (p *relayPair) server(t *testing.T, cfg Config) (*Service, *clarens.Server) {
 	t.Helper()
 	cfg.RLS = rls.NewClient(p.rlsURL)
-	svc := New(cfg)
-	srv := clarens.NewServer(true)
-	svc.RegisterMethods(srv)
-	url, err := srv.Start("127.0.0.1:0")
+	cfg.Open = true
+	svc, srv, _, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.SetURL(url)
 	return svc, srv
 }
 
@@ -421,7 +418,7 @@ func TestRelayMixedDeadPeerError(t *testing.T) {
 	_, evSpec := mkMart(t, "mart_deadpeer", sqlengine.DialectMySQL, "live_t", 5)
 	addMart(t, jc, "mart_deadpeer", evSpec, "gridsql-mysql")
 
-	_, err = jc.Query("SELECT l.event_id FROM live_t l JOIN dead_t d ON l.run = d.run")
+	_, err = jc.QueryContext(context.Background(), "SELECT l.event_id FROM live_t l JOIN dead_t d ON l.run = d.run")
 	if err == nil {
 		t.Fatal("query against a dead peer succeeded")
 	}
@@ -441,14 +438,10 @@ func TestRelayMixedIntegration(t *testing.T) {
 	}
 	defer catalog.Close()
 	mk := func(name string) (*Service, *clarens.Server) {
-		svc := New(Config{Name: name, RLS: rls.NewClient(rlsURL)})
-		srv := clarens.NewServer(true)
-		svc.RegisterMethods(srv)
-		url, err := srv.Start("127.0.0.1:0")
+		svc, srv, _, err := Start(Config{Name: name, Open: true, RLS: rls.NewClient(rlsURL)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc.SetURL(url)
 		return svc, srv
 	}
 	jc1, srv1 := mk("mixed-1")
@@ -469,7 +462,7 @@ func TestRelayMixedIntegration(t *testing.T) {
 	}
 	addEngineMart(t, jc2, runs)
 
-	qr, err := jc1.Query("SELECT e.event_id, r.site FROM relay_events e JOIN runsmeta r ON e.run = r.run WHERE r.site = 'tier1'")
+	qr, err := jc1.QueryContext(context.Background(), "SELECT e.event_id, r.site FROM relay_events e JOIN runsmeta r ON e.run = r.run WHERE r.site = 'tier1'")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,13 +22,28 @@ import (
 	"gridrdb/internal/xspec"
 )
 
-// Config configures one service instance.
+// Config configures one JClarens instance: the data access service and,
+// through Start, its XML-RPC front end.
 type Config struct {
 	// Name identifies this JClarens instance.
 	Name string
-	// URL is the advertised base URL published to the RLS (set after the
-	// Clarens server starts).
+	// Open disables authentication (the paper's test setup). When false,
+	// Users must be non-empty and clients must log in.
+	Open bool
+	// Users holds login credentials for non-open servers.
+	Users map[string]string
+	// Addr is the listen address; "" means 127.0.0.1:0.
+	Addr string
+	// URL is the advertised base URL published to the RLS. Start keeps a
+	// URL set here (a server reached through another address than the one
+	// it binds) and otherwise records the bound URL.
 	URL string
+	// RequestTimeout bounds each XML-RPC method call's execution server-
+	// side (0 = none): the context handed to methods — and threaded into
+	// every backend the query touches — carries this deadline in addition
+	// to client-disconnect cancellation. Calls cut off by it fail with
+	// the FaultCancelled XML-RPC fault code.
+	RequestTimeout time.Duration
 	// RLS is the replica catalog client; nil disables remote forwarding.
 	RLS *rls.Client
 	// Profile/Clock charge simulated network costs on remote forwards.
@@ -221,6 +236,37 @@ func New(cfg Config) *Service {
 	return s
 }
 
+// Start launches one JClarens instance: the service, and its XML-RPC front
+// end with the request timeout, the users, every method and /metrics,
+// listening on cfg.Addr. It returns the bound URL; the service advertises
+// cfg.URL when that is set and the bound URL otherwise.
+func Start(cfg Config) (*Service, *clarens.Server, string, error) {
+	if !cfg.Open && len(cfg.Users) == 0 {
+		return nil, nil, "", fmt.Errorf("dataaccess: server %q is closed but has no users", cfg.Name)
+	}
+	svc := New(cfg)
+	front := clarens.NewServer(cfg.Open)
+	front.SetRequestTimeout(cfg.RequestTimeout)
+	for u, p := range cfg.Users {
+		front.AddUser(u, p)
+	}
+	svc.RegisterMethods(front)
+	front.SetMetrics(svc.Metrics().WritePrometheus)
+	addr := cfg.Addr
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	url, err := front.Start(addr)
+	if err != nil {
+		svc.Close()
+		return nil, nil, "", err
+	}
+	if cfg.URL == "" {
+		svc.SetURL(url)
+	}
+	return svc, front, url, nil
+}
+
 // ResultSetBytes estimates the resident size of a materialized result
 // set: the fixed footprint of each Value plus the variable payload of
 // strings and byte slices, and the per-row slice headers. It is the
@@ -346,22 +392,19 @@ type QueryResult struct {
 	Servers int
 }
 
-// Query is the service entry point: parse, route, execute, integrate.
-// When the result cache is enabled, a repeated query is answered from the
-// cache (no sub-queries re-executed) and concurrent identical queries are
-// collapsed into one execution; callers must treat the returned rows as
-// read-only, since hits share one materialized result set.
-func (s *Service) Query(sqlText string, params ...sqlengine.Value) (*QueryResult, error) {
-	return s.QueryContext(context.Background(), sqlText, params...)
-}
-
-// QueryContext is Query under a caller-supplied context, threaded through
-// every backend the routed query touches: POOL-RAL statements, Unity
-// sub-queries, RLS lookups and remote JClarens forwards all stop promptly
-// when ctx is cancelled or its deadline expires. With the result cache
-// enabled the context governs only this caller's wait — a coalesced
-// computation shared with other callers keeps running until its last
-// waiter departs (see qcache.Do).
+// QueryContext is the service entry point: parse, route, execute,
+// integrate. When the result cache is enabled, a repeated query is
+// answered from the cache (no sub-queries re-executed) and concurrent
+// identical queries are collapsed into one execution; callers must treat
+// the returned rows as read-only, since hits share one materialized
+// result set.
+//
+// ctx is threaded through every backend the routed query touches:
+// POOL-RAL statements, Unity sub-queries, RLS lookups and remote JClarens
+// forwards all stop promptly when it is cancelled or its deadline
+// expires. With the result cache enabled the context governs only this
+// caller's wait — a coalesced computation shared with other callers keeps
+// running until its last waiter departs (see qcache.Do).
 //
 // The materialized answer is the drained stream: the same resolve and
 // open QueryStreamContext uses, pulled to the end here.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -79,7 +80,7 @@ func TestRoutingRALvsUnity(t *testing.T) {
 	addMart(t, s, "mart_ms", msSpec, "gridsql-mssql")
 
 	// Simple single-table query on a POOL-supported vendor -> RAL path.
-	qr, err := s.Query("SELECT event_id, e_tot FROM events WHERE run = 101")
+	qr, err := s.QueryContext(context.Background(), "SELECT event_id, e_tot FROM events WHERE run = 101")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestRoutingRALvsUnity(t *testing.T) {
 	}
 
 	// Same query shape on the MS-SQL mart (not POOL-supported) -> Unity.
-	qr, err = s.Query("SELECT event_id FROM runsinfo WHERE run = 101")
+	qr, err = s.QueryContext(context.Background(), "SELECT event_id FROM runsinfo WHERE run = 101")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestRoutingRALvsUnity(t *testing.T) {
 	}
 
 	// Aggregate on the POOL vendor: shape does not fit RAL -> Unity.
-	qr, err = s.Query("SELECT COUNT(*) FROM events")
+	qr, err = s.QueryContext(context.Background(), "SELECT COUNT(*) FROM events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestRoutingRALvsUnity(t *testing.T) {
 	}
 
 	// Cross-database join -> Unity (distributed).
-	qr, err = s.Query("SELECT e.event_id FROM events e JOIN runsinfo r ON e.run = r.run")
+	qr, err = s.QueryContext(context.Background(), "SELECT e.event_id FROM events e JOIN runsinfo r ON e.run = r.run")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +139,10 @@ func twoServerDeployment(t *testing.T) (*Service, *Service) {
 	t.Cleanup(func() { catalog.Close() })
 
 	mk := func(name string) (*Service, *clarens.Server) {
-		svc := New(Config{Name: name, RLS: rls.NewClient(rlsURL)})
-		srv := clarens.NewServer(true)
-		svc.RegisterMethods(srv)
-		url, err := srv.Start("127.0.0.1:0")
+		svc, srv, _, err := Start(Config{Name: name, Open: true, RLS: rls.NewClient(rlsURL)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc.SetURL(url)
 		t.Cleanup(func() { srv.Close(); svc.Close() })
 		return svc, srv
 	}
@@ -162,12 +159,51 @@ func twoServerDeployment(t *testing.T) (*Service, *Service) {
 	return jc1, jc2
 }
 
+// TestStartOneInstance: Start refuses a closed server with no users, and
+// otherwise serves every method and /metrics at the bound URL while the
+// service advertises Config.URL when it is set, the bound URL otherwise.
+func TestStartOneInstance(t *testing.T) {
+	if _, _, _, err := Start(Config{Name: "closed"}); err == nil || !strings.Contains(err.Error(), "no users") {
+		t.Fatalf("closed server without users: err = %v", err)
+	}
+	for _, advertise := range []string{"", "http://jc.example:9410"} {
+		svc, srv, url, err := Start(Config{Name: "one", Users: map[string]string{"u": "p"}, URL: advertise})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := advertise
+		if want == "" {
+			want = url
+		}
+		if svc.cfg.URL != want {
+			t.Errorf("advertised URL = %q, want %q (bound %q)", svc.cfg.URL, want, url)
+		}
+		c := clarens.NewClient(url)
+		if err := c.LoginContext(context.Background(), "u", "p"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.CallContext(context.Background(), "dataaccess.tables"); err != nil {
+			t.Errorf("dataaccess.tables: %v", err)
+		}
+		resp, err := http.Get(url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("/metrics status %d", resp.StatusCode)
+		}
+		srv.Close()
+		svc.Close()
+	}
+}
+
 func TestRemoteForwardingViaRLS(t *testing.T) {
 	jc1, _ := twoServerDeployment(t)
 
 	// jc1 does not host runsinfo; it must look it up in the RLS and
 	// forward the whole query to jc2.
-	qr, err := jc1.Query("SELECT event_id FROM runsinfo WHERE run = 101")
+	qr, err := jc1.QueryContext(context.Background(), "SELECT event_id FROM runsinfo WHERE run = 101")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +222,7 @@ func TestMixedLocalRemoteJoin(t *testing.T) {
 	jc1, _ := twoServerDeployment(t)
 	// events is local to jc1, runsinfo lives on jc2: per-table fetch +
 	// local integration.
-	qr, err := jc1.Query("SELECT e.event_id, r.e_tot FROM events e JOIN runsinfo r ON e.run = r.run ORDER BY e.event_id")
+	qr, err := jc1.QueryContext(context.Background(), "SELECT e.event_id, r.e_tot FROM events e JOIN runsinfo r ON e.run = r.run ORDER BY e.event_id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +237,7 @@ func TestMixedLocalRemoteJoin(t *testing.T) {
 func TestRemoteTwoServerFourTables(t *testing.T) {
 	jc1, _ := twoServerDeployment(t)
 	// Table 1's hardest row: multiple tables across 2 servers.
-	qr, err := jc1.Query("SELECT e.event_id, r.run, c.event_id AS cal FROM events e JOIN runsinfo r ON e.run = r.run JOIN calib c ON c.run = r.run")
+	qr, err := jc1.QueryContext(context.Background(), "SELECT e.event_id, r.run, c.event_id AS cal FROM events e JOIN runsinfo r ON e.run = r.run JOIN calib c ON c.run = r.run")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +251,13 @@ func TestRemoteTwoServerFourTables(t *testing.T) {
 
 func TestUnknownEverywhere(t *testing.T) {
 	jc1, _ := twoServerDeployment(t)
-	if _, err := jc1.Query("SELECT * FROM never_published"); err == nil {
+	if _, err := jc1.QueryContext(context.Background(), "SELECT * FROM never_published"); err == nil {
 		t.Fatal("query for unknown table succeeded")
 	}
 	// Without RLS configured the error is immediate.
 	lone := New(Config{Name: "lone"})
 	defer lone.Close()
-	if _, err := lone.Query("SELECT * FROM anything"); err == nil || !strings.Contains(err.Error(), "no RLS") {
+	if _, err := lone.QueryContext(context.Background(), "SELECT * FROM anything"); err == nil || !strings.Contains(err.Error(), "no RLS") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -245,14 +281,14 @@ func TestClarensQueryEndToEnd(t *testing.T) {
 		t.Errorf("route %q, servers %d: route missing from response", qr.Route, qr.Servers)
 	}
 	// tables + schema methods
-	res, err = c.Call("dataaccess.tables")
+	res, err = c.CallContext(context.Background(), "dataaccess.tables")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.([]interface{})) != 2 {
 		t.Errorf("tables: %v", res)
 	}
-	res, err = c.Call("dataaccess.schema", "calib")
+	res, err = c.CallContext(context.Background(), "dataaccess.schema", "calib")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +296,7 @@ func TestClarensQueryEndToEnd(t *testing.T) {
 	if sm["replicas"].(int64) != 1 || len(sm["columns"].([]interface{})) != 3 {
 		t.Errorf("schema: %v", sm)
 	}
-	if _, err := c.Call("dataaccess.schema", "nosuch"); err == nil {
+	if _, err := c.CallContext(context.Background(), "dataaccess.schema", "nosuch"); err == nil {
 		t.Error("schema of unknown table succeeded")
 	}
 }
@@ -290,14 +326,14 @@ func TestPlugInDatabase(t *testing.T) {
 
 	// Plug in over XML-RPC, the paper's §4.10 flow.
 	c := clarens.NewClient(jc1.cfg.URL)
-	res, err := c.Call("dataaccess.addDatabase", "file://"+specPath, "gridsql-sqlite", "local://laptopdb")
+	res, err := c.CallContext(context.Background(), "dataaccess.addDatabase", "file://"+specPath, "gridsql-sqlite", "local://laptopdb")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.(string) != "laptopdb" {
 		t.Fatalf("plug-in returned %v", res)
 	}
-	qr, err := jc1.Query("SELECT temp FROM conditions WHERE run = 100")
+	qr, err := jc1.QueryContext(context.Background(), "SELECT temp FROM conditions WHERE run = 100")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,10 +341,10 @@ func TestPlugInDatabase(t *testing.T) {
 		t.Fatalf("rows: %v", qr.Rows)
 	}
 	// Remove over XML-RPC.
-	if _, err := c.Call("dataaccess.removeDatabase", "laptopdb"); err != nil {
+	if _, err := c.CallContext(context.Background(), "dataaccess.removeDatabase", "laptopdb"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jc1.Query("SELECT temp FROM conditions"); err == nil {
+	if _, err := jc1.QueryContext(context.Background(), "SELECT temp FROM conditions"); err == nil {
 		t.Error("removed database still answers locally")
 	}
 }
@@ -345,7 +381,7 @@ func TestSchemaTracker(t *testing.T) {
 		t.Fatalf("updated = %v", updated)
 	}
 	// The service must now answer queries against the new table.
-	if _, err := s.Query("SELECT k FROM extras"); err != nil {
+	if _, err := s.QueryContext(context.Background(), "SELECT k FROM extras"); err != nil {
 		t.Fatalf("new table not visible after reload: %v", err)
 	}
 	checks, ups := tr.Stats()

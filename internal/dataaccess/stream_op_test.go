@@ -162,7 +162,7 @@ func TestStreamSpillMetricsAndCleanup(t *testing.T) {
 
 	// The materialized entry drains the same pipeline: it spills too, says
 	// so in its own slow-query capture, and cleans up after the drain.
-	qr, err := s.Query(q)
+	qr, err := s.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,14 +229,10 @@ func TestStreamMixedPipelined(t *testing.T) {
 	}
 	defer catalog.Close()
 	mk := func(name string) (*Service, *clarens.Server) {
-		svc := New(Config{Name: name, RLS: rls.NewClient(rlsURL)})
-		srv := clarens.NewServer(true)
-		svc.RegisterMethods(srv)
-		url, err := srv.Start("127.0.0.1:0")
+		svc, srv, _, err := Start(Config{Name: name, Open: true, RLS: rls.NewClient(rlsURL)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc.SetURL(url)
 		return svc, srv
 	}
 	jc1, srv1 := mk("smixed-1")
@@ -280,7 +276,7 @@ func TestStreamMixedPipelined(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return jc2.CursorCount() == 0 })
 
 	// Identical to the materialized mixed integration.
-	qr, err := jc1.Query(q)
+	qr, err := jc1.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,14 +308,10 @@ func TestStreamMixedSubquery(t *testing.T) {
 	}
 	defer catalog.Close()
 	mk := func(name string) (*Service, *clarens.Server) {
-		svc := New(Config{Name: name, RLS: rls.NewClient(rlsURL)})
-		srv := clarens.NewServer(true)
-		svc.RegisterMethods(srv)
-		url, err := srv.Start("127.0.0.1:0")
+		svc, srv, _, err := Start(Config{Name: name, Open: true, RLS: rls.NewClient(rlsURL)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc.SetURL(url)
 		return svc, srv
 	}
 	jc1, srv1 := mk("sfall-1")

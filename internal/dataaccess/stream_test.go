@@ -30,7 +30,7 @@ func TestQueryStreamMatchesQuery(t *testing.T) {
 		{"SELECT e.event_id, r.e_tot FROM events e JOIN runsinfo r ON e.run = r.run ORDER BY e.event_id", RouteUnity},
 	}
 	for _, q := range queries {
-		qr, err := s.Query(q.sql)
+		qr, err := s.QueryContext(context.Background(), q.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", q.sql, err)
 		}
@@ -93,7 +93,7 @@ func TestStreamFillsCacheUnderLimit(t *testing.T) {
 	}
 
 	fedBefore, _, _ := s.Federation().Stats()
-	qr, err := s.Query(q)
+	qr, err := s.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestStreamBypassesCacheOverLimit(t *testing.T) {
 		t.Fatalf("oversized streamed result was cached: %+v", st)
 	}
 	fedBefore, _, _ := s.Federation().Stats()
-	if _, err := s.Query(q); err != nil {
+	if _, err := s.QueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if fedAfter, _, _ := s.Federation().Stats(); fedAfter == fedBefore {
@@ -145,7 +145,7 @@ func TestStreamBypassesCacheOverLimit(t *testing.T) {
 func TestStreamServedFromCache(t *testing.T) {
 	s := newByteCachedService(t, 1<<20)
 	q := "SELECT event_id FROM events ORDER BY event_id"
-	if _, err := s.Query(q); err != nil {
+	if _, err := s.QueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	fedBefore, _, _ := s.Federation().Stats()
@@ -184,7 +184,7 @@ func TestStreamPartialConsumptionNotCached(t *testing.T) {
 	if st := s.CacheStats(); st.Entries != 0 {
 		t.Fatalf("partial stream was cached: %+v", st)
 	}
-	qr, err := s.Query(q)
+	qr, err := s.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

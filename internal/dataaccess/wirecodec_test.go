@@ -264,14 +264,10 @@ func binDeployment(t *testing.T, jc1Bin, jc2Bin bool) (*Service, *Service) {
 	t.Cleanup(func() { catalog.Close() })
 
 	mk := func(name string, bin bool) *Service {
-		svc := New(Config{Name: name, RLS: rls.NewClient(rlsURL), DisableBinRows: !bin})
-		srv := clarens.NewServer(true)
-		svc.RegisterMethods(srv)
-		url, err := srv.Start("127.0.0.1:0")
+		svc, srv, _, err := Start(Config{Name: name, Open: true, RLS: rls.NewClient(rlsURL), DisableBinRows: !bin})
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc.SetURL(url)
 		t.Cleanup(func() { srv.Close(); svc.Close() })
 		return svc
 	}
@@ -289,7 +285,7 @@ func binDeployment(t *testing.T, jc1Bin, jc2Bin bool) (*Service, *Service) {
 // remote forward uses the binary framing and returns the same rows.
 func TestForwardNegotiatesBinary(t *testing.T) {
 	jc1, _ := binDeployment(t, true, true)
-	qr, err := jc1.Query("SELECT event_id, e_tot FROM runsinfo WHERE run = 101 ORDER BY event_id")
+	qr, err := jc1.QueryContext(context.Background(), "SELECT event_id, e_tot FROM runsinfo WHERE run = 101 ORDER BY event_id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +296,7 @@ func TestForwardNegotiatesBinary(t *testing.T) {
 		t.Errorf("BinForwards = %d, want 1", got)
 	}
 	// Second forward reuses the negotiated peer without re-probing.
-	if _, err := jc1.Query("SELECT event_id FROM runsinfo"); err != nil {
+	if _, err := jc1.QueryContext(context.Background(), "SELECT event_id FROM runsinfo"); err != nil {
 		t.Fatal(err)
 	}
 	if got := jc1.Stats().BinForwards.Load(); got != 2 {
@@ -312,7 +308,7 @@ func TestForwardNegotiatesBinary(t *testing.T) {
 // server, older build) answers over plain XML-RPC transparently.
 func TestForwardFallsBackToPlainXML(t *testing.T) {
 	jc1, _ := binDeployment(t, true, false)
-	qr, err := jc1.Query("SELECT event_id, e_tot FROM runsinfo WHERE run = 101 ORDER BY event_id")
+	qr, err := jc1.QueryContext(context.Background(), "SELECT event_id, e_tot FROM runsinfo WHERE run = 101 ORDER BY event_id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +321,7 @@ func TestForwardFallsBackToPlainXML(t *testing.T) {
 
 	// And a sender with the codec disabled never probes at all.
 	jc1b, _ := binDeployment(t, false, true)
-	if _, err := jc1b.Query("SELECT event_id FROM runsinfo"); err != nil {
+	if _, err := jc1b.QueryContext(context.Background(), "SELECT event_id FROM runsinfo"); err != nil {
 		t.Fatal(err)
 	}
 	if got := jc1b.Stats().BinForwards.Load(); got != 0 {
@@ -338,12 +334,12 @@ func TestForwardFallsBackToPlainXML(t *testing.T) {
 func TestForwardResultsIdenticalAcrossFramings(t *testing.T) {
 	const q = "SELECT event_id, run, e_tot FROM runsinfo ORDER BY event_id"
 	jc1, _ := binDeployment(t, true, true)
-	bin, err := jc1.Query(q)
+	bin, err := jc1.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	jc1x, _ := binDeployment(t, false, false)
-	xml, err := jc1x.Query(q)
+	xml, err := jc1x.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +356,7 @@ func TestQuerybAndFetchbEndToEnd(t *testing.T) {
 	c := clarens.NewClient(jc2.cfg.URL)
 
 	// Capability handshake.
-	caps, err := c.Call("system.capabilities")
+	caps, err := c.CallContext(context.Background(), "system.capabilities")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +376,7 @@ func TestQuerybAndFetchbEndToEnd(t *testing.T) {
 	}
 
 	// Cursor + binary fetch.
-	open, err := c.Call("system.cursor.open", "SELECT event_id FROM runsinfo ORDER BY event_id")
+	open, err := c.CallContext(context.Background(), "system.cursor.open", "SELECT event_id FROM runsinfo ORDER BY event_id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +400,7 @@ func TestQuerybAndFetchbEndToEnd(t *testing.T) {
 	if len(got) != 6 || got[0] != 1 || got[5] != 6 {
 		t.Fatalf("fetchb streamed %v", got)
 	}
-	if _, err := c.Call("system.cursor.close", id); err != nil {
+	if _, err := c.CallContext(context.Background(), "system.cursor.close", id); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -431,16 +427,16 @@ func TestCursorStatsMethod(t *testing.T) {
 	_, jc2 := binDeployment(t, true, true)
 	c := clarens.NewClient(jc2.cfg.URL)
 
-	open, err := c.Call("system.cursor.open", "SELECT event_id FROM runsinfo")
+	open, err := c.CallContext(context.Background(), "system.cursor.open", "SELECT event_id FROM runsinfo")
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := open.(map[string]interface{})["cursor"].(string)
-	if _, err := c.Call("system.cursor.fetch", id, int64(4)); err != nil {
+	if _, err := c.CallContext(context.Background(), "system.cursor.fetch", id, int64(4)); err != nil {
 		t.Fatal(err)
 	}
 
-	res, err := c.Call("system.cursorstats")
+	res, err := c.CallContext(context.Background(), "system.cursorstats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,10 +447,10 @@ func TestCursorStatsMethod(t *testing.T) {
 	if st["fetches"].(int64) != 1 || st["rows"].(int64) != 4 {
 		t.Errorf("fetches/rows = %v/%v", st["fetches"], st["rows"])
 	}
-	if _, err := c.Call("system.cursor.close", id); err != nil {
+	if _, err := c.CallContext(context.Background(), "system.cursor.close", id); err != nil {
 		t.Fatal(err)
 	}
-	res, err = c.Call("system.cursorstats")
+	res, err = c.CallContext(context.Background(), "system.cursorstats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,18 +211,10 @@ func Deploy(opt DeployOptions) (*Deployment, error) {
 	mkService := func(name string) (*dataaccess.Service, *clarens.Server, string, error) {
 		rc := rls.NewClient(rlsURL)
 		rc.Profile = opt.Profile
-		svc := dataaccess.New(dataaccess.Config{
-			Name: name, RLS: rc, Profile: opt.Profile,
+		return dataaccess.Start(dataaccess.Config{
+			Name: name, Open: true, RLS: rc, Profile: opt.Profile,
 			CacheSize: opt.CacheSize,
 		})
-		front := clarens.NewServer(true)
-		svc.RegisterMethods(front)
-		url, err := front.Start("127.0.0.1:0")
-		if err != nil {
-			return nil, nil, "", err
-		}
-		svc.SetURL(url)
-		return svc, front, url, nil
 	}
 	d.Serv1, d.Front1, d.URL1, err = mkService("jclarens-1")
 	if err != nil {
@@ -368,7 +360,7 @@ func RunTable1(d *Deployment, repeats int) ([]Table1Row, error) {
 	for r := -1; r < repeats; r++ {
 		for qi, q := range queries {
 			start := time.Now()
-			if _, err := client.Call("dataaccess.query", q); err != nil {
+			if _, err := client.CallDecodeContext(context.Background(), "dataaccess.query", decodeQueryResult, q); err != nil {
 				return nil, fmt.Errorf("table1 q%d: %w", qi+1, err)
 			}
 			if r >= 0 {

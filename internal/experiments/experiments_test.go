@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"gridrdb/internal/netsim"
@@ -101,7 +102,7 @@ func TestDeploymentRouting(t *testing.T) {
 
 	// Local single-table query on server 1 (ev1 lives in d1, MySQL,
 	// POOL-supported -> RAL).
-	qr, err := d.Serv1.Query("SELECT event_id FROM ev1 WHERE run = 102")
+	qr, err := d.Serv1.QueryContext(context.Background(), "SELECT event_id FROM ev1 WHERE run = 102")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestDeploymentRouting(t *testing.T) {
 		t.Errorf("ev1 route = %s", qr.Route)
 	}
 	// ev2 lives in d2 (MS-SQL, not POOL-supported) -> Unity.
-	qr, err = d.Serv1.Query("SELECT event_id FROM ev2 WHERE run = 102")
+	qr, err = d.Serv1.QueryContext(context.Background(), "SELECT event_id FROM ev2 WHERE run = 102")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestDeploymentRouting(t *testing.T) {
 		t.Errorf("ev2 route = %s", qr.Route)
 	}
 	// ev5 lives on server 2 -> remote.
-	qr, err = d.Serv1.Query("SELECT event_id FROM ev5 WHERE run = 102")
+	qr, err = d.Serv1.QueryContext(context.Background(), "SELECT event_id FROM ev5 WHERE run = 102")
 	if err != nil {
 		t.Fatal(err)
 	}

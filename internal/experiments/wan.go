@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -52,7 +53,7 @@ func RunWAN(profiles []*netsim.Profile, rowsPerTable, repeats int) ([]WANRow, er
 			var total time.Duration
 			for r := 0; r < repeats; r++ {
 				start := time.Now()
-				if _, err := client.Call("dataaccess.query", q.sql); err != nil {
+				if _, err := client.CallDecodeContext(context.Background(), "dataaccess.query", decodeQueryResult, q.sql); err != nil {
 					d.Close()
 					return nil, fmt.Errorf("wan %s: %w", p.Name, err)
 				}

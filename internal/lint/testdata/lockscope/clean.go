@@ -1,6 +1,10 @@
 package fixture
 
-import "gridrdb/internal/clarens"
+import (
+	"context"
+
+	"gridrdb/internal/clarens"
+)
 
 // unlockFirst snapshots under the lock and does the RPC outside it — the
 // fix lockscope is steering toward.
@@ -11,7 +15,7 @@ func (p *peerTable) unlockFirst(name string) (interface{}, error) {
 	if c == nil {
 		return nil, nil
 	}
-	return c.Call("system.echo", "hi")
+	return c.CallContext(context.Background(), "system.echo", "hi")
 }
 
 // lockedMapWork holds the mutex for map access only — no I/O, no sends.
@@ -30,6 +34,6 @@ func (p *peerTable) goroutineEscapes() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	go func() {
-		p.c.Call("system.echo")
+		p.c.CallContext(context.Background(), "system.echo")
 	}()
 }

@@ -2,6 +2,7 @@
 package fixture
 
 import (
+	"context"
 	"net/http"
 	"sync"
 
@@ -20,7 +21,7 @@ type peerTable struct {
 func (p *peerTable) rpcUnderLock() (interface{}, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.c.Call("system.echo", "hi") // want `lockscope: clarens.Client.Call call while holding p.mu`
+	return p.c.CallContext(context.Background(), "system.echo", "hi") // want `lockscope: clarens.Client.CallContext call while holding p.mu`
 }
 
 // sendUnderLock blocks on a full channel with the mutex held.
@@ -47,6 +48,6 @@ func (p *peerTable) branchUnderLock(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if c, ok := p.peers[name]; ok {
-		c.Call("system.echo") // want `lockscope: clarens.Client.Call call while holding p.mu`
+		c.CallContext(context.Background(), "system.echo") // want `lockscope: clarens.Client.CallContext call while holding p.mu`
 	}
 }

@@ -48,6 +48,7 @@ type accumulator struct {
 	n      int64 // values folded: non-NULL, and unseen under DISTINCT
 	fsum   float64
 	isum   int64
+	iwrap  int64               // times isum wrapped: +1 past MaxInt64, -1 past MinInt64
 	notInt bool                // a SUM/AVG value was not an INTEGER
 	best   Value               // MIN, MAX
 	seen   map[string]struct{} // DISTINCT, keyed by appendIndexKey
@@ -208,7 +209,15 @@ func (a *aggIter) fold(g *group, row Row) {
 			}
 			acc.fsum += f
 			if v.Kind == KindInt {
-				acc.isum += v.Int
+				s := acc.isum + v.Int
+				if (acc.isum^s)&(v.Int^s) < 0 {
+					if v.Int > 0 {
+						acc.iwrap++
+					} else {
+						acc.iwrap--
+					}
+				}
+				acc.isum = s
 			} else {
 				acc.notInt = true
 			}
@@ -222,7 +231,7 @@ func (a *aggIter) fold(g *group, row Row) {
 
 // value is fc's value over a group of count rows, or its deferred error:
 // a static one, else an argument-evaluation error, else a non-numeric
-// SUM/AVG value.
+// SUM/AVG value, else an integer SUM outside int64.
 func (acc *accumulator) value(fc *FuncCall, count int64) (Value, error) {
 	switch {
 	case fc.Star && fc.Name != "COUNT":
@@ -243,6 +252,8 @@ func (acc *accumulator) value(fc *FuncCall, count int64) (Value, error) {
 		return NewFloat(acc.fsum / float64(acc.n)), nil
 	case fc.Name == "SUM" && acc.notInt:
 		return NewFloat(acc.fsum), nil
+	case fc.Name == "SUM" && acc.iwrap != 0:
+		return Null(), fmt.Errorf("sqlengine: BIGINT value is out of range in SUM")
 	case fc.Name == "SUM":
 		return NewInt(acc.isum), nil
 	}

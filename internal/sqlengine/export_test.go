@@ -9,13 +9,25 @@ import (
 // Exports for federated_test.go, which runs the generated differential's
 // statements on a federation of its tables (package sqlengine_test, so it
 // may import the federation), for value_fuzz_test.go (package
-// sqlengine_test, so it may import the wire transport), and the
-// access-path hook the differentials read to show which path ran.
+// sqlengine_test, so it may import the wire transport), the
+// access-path hook the differentials read to show which path ran, and the
+// replay command both differentials print.
 
 // GenFederatedSelect writes the generated differential's statement for
 // one seed in its federated form (see selectGen.federated), and reports
 // whether it has a bare column name.
 func GenFederatedSelect(seed int64) (string, bool) { return genSelect(seed, true) }
+
+// Replay is the command that reruns one failing seed: the Test
+// function's subtest for a seed it runs (0 to seeds-1), else the fuzz
+// target's corpus entry holding the seed, since only fuzzing reaches
+// seeds outside that range.
+func Replay(test string, seeds int64, fuzz string, seed int64) string {
+	if seed >= 0 && seed < seeds {
+		return fmt.Sprintf("go test ./internal/sqlengine -run '%s/seed=%d$'", test, seed)
+	}
+	return fmt.Sprintf("go test ./internal/sqlengine -run '%s/<entry>', where testdata/fuzz/%s/<entry> holds int64(%d)", fuzz, fuzz, seed)
+}
 
 // DiffTableScripts maps each table of the differential's fixture (not its
 // view) to the script creating it.

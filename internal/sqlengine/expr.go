@@ -106,6 +106,9 @@ func evalExpr(e Expr, ec *evalContext) (Value, error) {
 				return Null(), nil
 			}
 			if v.Kind == KindInt {
+				if v.Int == math.MinInt64 {
+					return Null(), intOutOfRange(0, "-", v.Int)
+				}
 				return NewInt(-v.Int), nil
 			}
 			f, ok := v.AsFloat()

@@ -160,8 +160,8 @@ func (fx *federatedFixture) check(t *testing.T, seed int64) {
 		got, gerr := fx.query(fed, sql)
 		fail := func(format string, args ...interface{}) {
 			t.Helper()
-			t.Fatalf("seed %d (scratch budget %d): %s\n  sql: %s\n  replay: go test ./internal/sqlengine -run 'TestFederatedDifferential/seed=%d$'",
-				seed, fed.ScratchMaxBytes, fmt.Sprintf(format, args...), sql, seed)
+			t.Fatalf("seed %d (scratch budget %d): %s\n  sql: %s\n  replay: %s",
+				seed, fed.ScratchMaxBytes, fmt.Sprintf(format, args...), sql, sqlengine.Replay("TestFederatedDifferential", federatedSeeds, "FuzzFederatedDifferential", seed))
 		}
 		switch {
 		case (gerr == nil) != (werr == nil):
@@ -244,9 +244,12 @@ func rowKeys(rows []sqlengine.Row) []string {
 	return keys
 }
 
+// federatedSeeds is how many seeds TestFederatedDifferential runs.
+const federatedSeeds = 600
+
 func TestFederatedDifferential(t *testing.T) {
 	fx := newFederatedFixture(t)
-	const seeds = 600
+	const seeds = federatedSeeds
 	for seed := int64(0); seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { fx.check(t, seed) })
 	}

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"math/big"
 	"slices"
 	"sort"
 )
@@ -596,7 +597,7 @@ func (ex *refExecutor) computeAggregate(fc *FuncCall, g *refGroup, schema rowSch
 		}
 		allInt := true
 		var fsum float64
-		var isum int64
+		isum := new(big.Int)
 		for _, v := range vals {
 			f, ok := v.AsFloat()
 			if !ok {
@@ -604,18 +605,21 @@ func (ex *refExecutor) computeAggregate(fc *FuncCall, g *refGroup, schema rowSch
 			}
 			fsum += f
 			if v.Kind == KindInt {
-				isum += v.Int
+				isum.Add(isum, big.NewInt(v.Int))
 			} else {
 				allInt = false
 			}
 		}
-		if fc.Name == "AVG" {
+		switch {
+		case fc.Name == "AVG":
 			return NewFloat(fsum / float64(len(vals))), nil
+		case !allInt:
+			return NewFloat(fsum), nil
+		case !isum.IsInt64():
+			// An exact integer sum outside int64 fails (MySQL's BIGINT rule).
+			return Null(), fmt.Errorf("sqlengine: SUM out of range: %s", isum)
 		}
-		if allInt {
-			return NewInt(isum), nil
-		}
-		return NewFloat(fsum), nil
+		return NewInt(isum.Int64()), nil
 	case "MIN", "MAX":
 		if len(vals) == 0 {
 			return Null(), nil

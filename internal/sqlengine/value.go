@@ -386,7 +386,9 @@ func Equal(a, b Value) bool {
 // Arith applies a binary arithmetic operator (+ - * / %) with SQL NULL
 // propagation. Integer op integer stays integer except for / which promotes
 // to float when the division is inexact (matching common RDBMS behaviour is
-// vendor specific; we follow Oracle and promote).
+// vendor specific; we follow Oracle and promote). An integer result that
+// does not fit in int64 is an error, never a wrapped value (MySQL's BIGINT
+// rule).
 func Arith(op string, a, b Value) (Value, error) {
 	if a.IsNull() || b.IsNull() {
 		return Null(), nil
@@ -406,28 +408,41 @@ func Arith(op string, a, b Value) (Value, error) {
 		return Null(), fmt.Errorf("sqlengine: non-numeric operand for %q: %s %s", op, a.Kind, b.Kind)
 	}
 	bothInt := a.Kind == KindInt && b.Kind == KindInt
+	x, y := a.Int, b.Int
 	switch op {
 	case "+":
 		if bothInt {
-			return NewInt(a.Int + b.Int), nil
+			if s := x + y; (x^s)&(y^s) >= 0 {
+				return NewInt(s), nil
+			}
+			return Null(), intOutOfRange(x, op, y)
 		}
 		return NewFloat(af + bf), nil
 	case "-":
 		if bothInt {
-			return NewInt(a.Int - b.Int), nil
+			if d := x - y; (x^y)&(x^d) >= 0 {
+				return NewInt(d), nil
+			}
+			return Null(), intOutOfRange(x, op, y)
 		}
 		return NewFloat(af - bf), nil
 	case "*":
 		if bothInt {
-			return NewInt(a.Int * b.Int), nil
+			if p := x * y; x == 0 || p/x == y && !(x == -1 && y == math.MinInt64) {
+				return NewInt(p), nil
+			}
+			return Null(), intOutOfRange(x, op, y)
 		}
 		return NewFloat(af * bf), nil
 	case "/":
 		if bf == 0 {
 			return Null(), fmt.Errorf("sqlengine: division by zero")
 		}
-		if bothInt && a.Int%b.Int == 0 {
-			return NewInt(a.Int / b.Int), nil
+		if bothInt && x%y == 0 {
+			if x == math.MinInt64 && y == -1 {
+				return Null(), intOutOfRange(x, op, y)
+			}
+			return NewInt(x / y), nil
 		}
 		return NewFloat(af / bf), nil
 	case "%":
@@ -443,6 +458,12 @@ func Arith(op string, a, b Value) (Value, error) {
 		return NewFloat(math.Mod(af, bf)), nil
 	}
 	return Null(), fmt.Errorf("sqlengine: unknown arithmetic operator %q", op)
+}
+
+// intOutOfRange is the error of an integer operation whose exact result
+// does not fit in int64.
+func intOutOfRange(x int64, op string, y int64) error {
+	return fmt.Errorf("sqlengine: BIGINT value is out of range in %d %s %d", x, op, y)
 }
 
 // ColumnType describes a declared column type after dialect normalization.

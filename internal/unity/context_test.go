@@ -35,11 +35,12 @@ func TestQueryContextCancelled(t *testing.T) {
 	}
 }
 
-// TestQueryContextCancelledSequential covers the Parallel=false path too.
+// TestQueryContextCancelledSequential covers the one-wide (sequential)
+// path too.
 func TestQueryContextCancelledSequential(t *testing.T) {
 	f := buildFederation(t)
 	defer leaktest.Check(t)()
-	f.Parallel = false
+	f.MaxParallel = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := "SELECT e.event_id, r.detector FROM events e JOIN runs r ON e.run = r.run"

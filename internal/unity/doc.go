@@ -20,11 +20,11 @@
 // cursor, so a scan larger than memory can be paged by the consumer, and
 // decomposed plans run pipelined — on sqlengine's operators, the executor
 // the member engines run too — over member cursors opened through the
-// scatter-gather (a bounded worker pool, MaxParallel). The tables an
-// IN/EXISTS subquery reads are loads of the same plan, and the pipeline
-// runs the subquery over them. Each load selects only the columns the
-// statement reads of its table (columns.go). ExecuteContext is the
-// drained stream.
+// scatter-gather (a bounded worker pool, MaxParallel; a pool one wide is
+// stock Unity's sequential run). The tables an IN/EXISTS subquery reads
+// are loads of the same plan, and the pipeline runs the subquery over
+// them. Each load selects only the columns the statement reads of its
+// table (columns.go). ExecuteContext is the drained stream.
 //
 // A table need not live on a member database. PlanQueryAt takes, beside
 // the query, the locations of the tables the dictionary does not know

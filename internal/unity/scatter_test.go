@@ -110,7 +110,7 @@ const sleepJoin = "SELECT l.k, r.v FROM sl l JOIN sr r ON l.k = r.k"
 
 // TestStreamPlanOpensInputsScattered: the pipelined join opens its two
 // source cursors through the scatter-gather, so a drained join pays the
-// slower source, not the sum of both — and Parallel=false, stock Unity's
+// slower source, not the sum of both — and MaxParallel = 1, stock Unity's
 // behaviour, pays the sum for the same rows.
 func TestStreamPlanOpensInputsScattered(t *testing.T) {
 	const delay = 150 * time.Millisecond
@@ -137,7 +137,7 @@ func TestStreamPlanOpensInputsScattered(t *testing.T) {
 		return took, rs
 	}
 	par, parRows := open()
-	f.Parallel = false
+	f.MaxParallel = 1
 	seq, seqRows := open()
 	if par < delay || par >= 2*delay {
 		t.Errorf("scattered open took %s, want about the slower source (%s), under the sum (%s)", par, delay, 2*delay)
@@ -168,20 +168,20 @@ func TestStreamPlanOpenFailureClosesSiblings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallel := range []bool{true, false} {
-		f.Parallel = parallel
+	for _, width := range []int{0, 1} {
+		f.MaxParallel = width
 		before, peerBefore := left.closed.Load(), peer.closed
 		if _, _, err := f.ExecuteStreamOp(context.Background(), plan); err == nil {
-			t.Fatalf("parallel=%v: open succeeded with a failing source", parallel)
+			t.Fatalf("width=%d: open succeeded with a failing source", width)
 		}
 		if got := left.closed.Load() - before; got != 1 {
-			t.Errorf("parallel=%v: healthy source's cursor closed %d times, want 1", parallel, got)
+			t.Errorf("width=%d: healthy source's cursor closed %d times, want 1", width, got)
 		}
 		if _, _, err := f.ExecuteStreamOp(context.Background(), peerPlan); err == nil {
-			t.Fatalf("parallel=%v: open succeeded with a failing source beside a peer", parallel)
+			t.Fatalf("width=%d: open succeeded with a failing source beside a peer", width)
 		}
 		if got := peer.closed - peerBefore; got != 1 {
-			t.Errorf("parallel=%v: peer stream closed %d times, want 1", parallel, got)
+			t.Errorf("width=%d: peer stream closed %d times, want 1", width, got)
 		}
 	}
 }

@@ -47,15 +47,12 @@ type Federation struct {
 	sources map[string]*Source
 	dict    *xspec.Dictionary
 
-	// Parallel executes sub-queries concurrently. Stock Unity "does not
-	// allow parallel execution of a query on multiple databases"; this is
-	// on by default and switched off for the baseline ablation.
-	Parallel bool
-
 	// MaxParallel bounds the scatter-gather worker pool: at most this many
 	// sub-queries of one query run concurrently. <= 0 selects the default
 	// (2 x GOMAXPROCS, capped at 16). The bound keeps a wide federated
 	// query from opening one goroutine-plus-connection per mart at once.
+	// 1 runs them one after another, as stock Unity does ("does not allow
+	// parallel execution of a query on multiple databases").
 	MaxParallel int
 
 	// ScratchMaxBytes caps the in-memory footprint of buffering streaming
@@ -87,7 +84,7 @@ type Federation struct {
 // Open builds a federation from an upper-level spec plus the lower-level
 // specs it references (keyed by source name).
 func Open(upper *xspec.UpperSpec, lowers map[string]*xspec.LowerSpec) (*Federation, error) {
-	f := &Federation{sources: make(map[string]*Source), Parallel: true}
+	f := &Federation{sources: make(map[string]*Source)}
 	f.rebuildDictLocked()
 	for _, ref := range upper.Sources {
 		spec, ok := lowers[ref.Name]
@@ -909,13 +906,14 @@ func (f *Federation) maxParallel(n int) int {
 }
 
 // scatter runs fn(ctx, i) for every i in [0, n): over the bounded worker
-// pool when Parallel is set, so latency is the max over sources rather
-// than the sum, and one after another otherwise. The first error cancels
+// pool, so latency is the max over sources rather than the sum, or one
+// after another when the pool is one wide. The first error cancels
 // the context handed to the calls still running or pending and is
 // returned; that context also ends when scatter returns, so anything
 // meant to outlive it must be opened under the caller's own context.
 func (f *Federation) scatter(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	if !f.Parallel || n < 2 {
+	width := f.maxParallel(n)
+	if width < 2 {
 		for i := 0; i < n; i++ {
 			if err := fn(ctx, i); err != nil {
 				return err
@@ -931,7 +929,7 @@ func (f *Federation) scatter(ctx context.Context, n int, fn func(ctx context.Con
 		firstErr error
 	)
 	jobs := make(chan int)
-	for w := 0; w < f.maxParallel(n); w++ {
+	for w := 0; w < width; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

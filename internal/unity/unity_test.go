@@ -276,7 +276,7 @@ func TestSequentialModeMatchesParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Parallel = false
+	f.MaxParallel = 1
 	seq, err := f.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)

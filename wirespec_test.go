@@ -1,6 +1,7 @@
 package gridrdb
 
 import (
+	"context"
 	"os"
 	"regexp"
 	"sort"
@@ -14,7 +15,7 @@ import (
 func TestWireSpecMatchesRegisteredMethods(t *testing.T) {
 	_, jc1, _ := buildGrid(t)
 
-	raw, err := jc1.Client().Call("system.listMethods")
+	raw, err := jc1.Client().CallContext(context.Background(), "system.listMethods")
 	if err != nil {
 		t.Fatal(err)
 	}
