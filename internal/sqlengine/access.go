@@ -1,16 +1,13 @@
 package sqlengine
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Access paths: how executor.open reads a table for a SELECT whose only
 // FROM input it is, keeping open's three invariants — a superset of the
 // matching rows, in table order, skipping no row the WHERE would have
 // raised an error on. The last holds because a path is taken only when
 // every top-level AND conjunct of the WHERE is one of the forms below,
-// none of which can raise (evalBinary's AND still evaluates its right side
+// none of which can raise (a compiled AND still evaluates its right side
 // when the left is NULL): `col op k` or `k op col` with op one of
 // = <> < <= > >=,
 // `col [NOT] BETWEEN k AND k`, `col [NOT] IN (k, ...)` and
@@ -154,13 +151,12 @@ func accessKey(e Expr, params []Value) (Value, bool) {
 }
 
 // narrows reports whether k can narrow a read of column ci: an INTEGER
-// column with a numeric k (not NaN, which Compare equates with every
-// number), or a VARCHAR column with a string k. On both, Compare equates
-// two values exactly when appendIndexKey keys them alike.
+// column with a numeric k, or a VARCHAR column with a string k. On both,
+// Compare equates two values exactly when appendIndexKey keys them alike.
 func (t *Table) narrows(ci int, k Value) bool {
 	switch t.Columns[ci].Type.Kind {
 	case KindInt:
-		return k.Kind == KindInt || k.Kind == KindFloat && !math.IsNaN(k.Float)
+		return k.Kind == KindInt || k.Kind == KindFloat
 	case KindString:
 		return k.Kind == KindString
 	}

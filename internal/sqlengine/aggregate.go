@@ -13,8 +13,13 @@ import (
 // running accumulator per aggregate call, never its rows. At the first
 // Next it computes every group's output (so a LIMIT skips no group's
 // error) and then emits one row per group that passes HAVING: the select
-// list followed by any hidden ORDER BY keys, each evaluated by
-// evalAggExpr.
+// list followed by any hidden ORDER BY keys.
+//
+// Everything is compiled once, over the input's schema: the GROUP BY
+// keys, each aggregate call's argument, and HAVING and the outputs, in
+// which an aggregate call reads its value for the group being output and
+// any other column reference the group's first row (it should be a GROUP
+// BY key; we do not verify, matching MySQL's permissive behaviour).
 type aggIter struct {
 	ctx   context.Context
 	in    relIter
@@ -23,15 +28,46 @@ type aggIter struct {
 	exprs []Expr
 	env   *evalEnv
 
-	// calls are the aggregate calls foldAggregates replaces in exprs and
-	// HAVING, each once; a group's accs[i] folds calls[i].
-	calls []*FuncCall
-	ec    *evalContext // re-pointed at each input row, then each group's first
-	key   []byte       // scratch for group and DISTINCT keys
+	// calls are the aggregate calls of exprs and HAVING, each once; a
+	// group's accs[i] folds calls[i], and vals[i] is its value for the
+	// group being output.
+	calls []aggCall
+	vals  []Value
+	fr    *frame // re-pointed at each input row, then each group's first
+	key   []byte // scratch for group and DISTINCT keys
 
 	prepared bool
 	err      error
 	rows     []Row
+}
+
+type aggKind uint8
+
+const (
+	aggCount aggKind = iota
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+var aggKinds = map[string]aggKind{"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax}
+
+// aggCall is one aggregate call with its kind, resolved once, and its
+// argument compiled over the input rows: nil for COUNT(*) and for a call
+// with other than one argument, which value rejects.
+type aggCall struct {
+	fc   *FuncCall
+	kind aggKind
+	arg  evalFn
+}
+
+// aggOutput is HAVING or an output compiled over a group. Its aggregate
+// calls are computed, in tree order, before it is evaluated, so the first
+// failing call's error wins over anything the rest of it would raise.
+type aggOutput struct {
+	calls []int
+	eval  evalFn
 }
 
 type group struct {
@@ -84,25 +120,47 @@ func (a *aggIter) aggregate() ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	sc := &scope{schema: sch, outer: a.env.outerScope}
+	a.fr = &frame{env: a.env}
 	index := map[*FuncCall]int{} // calls, matched by pointer
-	register := func(fc *FuncCall) (Value, error) {
-		if _, ok := index[fc]; !ok {
-			index[fc] = len(a.calls)
-			a.calls = append(a.calls, fc)
+	var calls []int              // those of the output being compiled
+	over := &compiler{sc: sc, agg: func(fc *FuncCall) evalFn {
+		i, ok := index[fc]
+		if !ok {
+			i = len(a.calls)
+			index[fc] = i
+			a.calls = append(a.calls, aggCall{fc: fc, kind: aggKinds[fc.Name]})
 		}
-		return Null(), nil
+		calls = append(calls, i)
+		return func(*frame) (Value, error) { return a.vals[i], nil }
+	}}
+	// outs are the outputs, then HAVING (with a nil eval when there is none).
+	outs := make([]aggOutput, len(a.exprs)+1)
+	for i, e := range append(a.exprs[:len(a.exprs):len(a.exprs)], a.sel.Having) {
+		if calls = nil; e != nil {
+			fn := over.compile(e).eval
+			outs[i] = aggOutput{calls: calls, eval: fn}
+		}
 	}
-	for _, e := range append(a.exprs[:len(a.exprs):len(a.exprs)], a.sel.Having) {
-		_, _ = foldAggregates(e, register) // register never fails
+	outs, having := outs[:len(a.exprs)], outs[len(a.exprs)]
+	rows := &compiler{sc: sc}
+	for i := range a.calls {
+		if c := &a.calls[i]; !c.fc.Star && len(c.fc.Args) == 1 {
+			c.arg = rows.compile(c.fc.Args[0]).eval
+		}
 	}
-	a.ec = a.env.bind(sch)
+	a.vals = make([]Value, len(a.calls))
+	keys := make([]evalFn, len(a.sel.GroupBy))
+	for i, ge := range a.sel.GroupBy {
+		keys[i] = rows.compile(ge).eval
+	}
 
 	var groups []*group
-	if len(a.sel.GroupBy) == 0 {
+	if len(keys) == 0 {
 		groups = []*group{a.newGroup()}
 	}
 	byKey := make(map[string]*group)
-	keyVals := make([]Value, len(a.sel.GroupBy))
+	keyVals := make([]Value, len(keys))
 	for {
 		if err := ctxErr(a.ctx); err != nil {
 			return nil, err
@@ -114,13 +172,13 @@ func (a *aggIter) aggregate() ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.ec.row = row
-		if len(a.sel.GroupBy) == 0 {
+		a.fr.row = row
+		if len(keys) == 0 {
 			a.fold(groups[0], row)
 			continue
 		}
-		for i, ge := range a.sel.GroupBy {
-			if keyVals[i], err = evalExpr(ge, a.ec); err != nil {
+		for i, key := range keys {
+			if keyVals[i], err = key(a.fr); err != nil {
 				return nil, err
 			}
 		}
@@ -135,64 +193,72 @@ func (a *aggIter) aggregate() ([]Row, error) {
 	}
 
 	var out []Row
-	var g *group
-	value := func(fc *FuncCall) (Value, error) { return g.accs[index[fc]].value(fc, g.count) }
-	for _, g = range groups {
-		a.ec.row = g.first
+	for _, g := range groups {
+		a.fr.row = g.first
 		if g.count == 0 {
-			a.ec.row = make(Row, len(sch))
+			a.fr.row = make(Row, len(sch))
 		}
-		if a.sel.Having != nil {
-			v, err := evalAggExpr(a.sel.Having, value, a.ec)
+		if having.eval != nil {
+			v, err := a.output(having, g)
 			if err != nil {
 				return nil, err
 			}
-			if b, ok := v.AsBool(); !ok || v.IsNull() || !b {
+			if !decides(v, true) {
 				continue
 			}
 		}
-		orow := make(Row, len(a.exprs))
-		for i, e := range a.exprs {
-			v, err := evalAggExpr(e, value, a.ec)
-			if err != nil {
+		orow := make(Row, len(outs))
+		for i, o := range outs {
+			if orow[i], err = a.output(o, g); err != nil {
 				return nil, err
 			}
-			orow[i] = v
 		}
 		out = append(out, orow)
 	}
 	return out, nil
 }
 
+// output evaluates o for group g, which a.fr points at.
+func (a *aggIter) output(o aggOutput, g *group) (Value, error) {
+	for _, i := range o.calls {
+		v, err := g.accs[i].value(&a.calls[i], g.count)
+		if err != nil {
+			return Null(), err
+		}
+		a.vals[i] = v
+	}
+	return o.eval(a.fr)
+}
+
 func (a *aggIter) newGroup() *group {
 	g := &group{accs: make([]accumulator, len(a.calls))}
-	for i, fc := range a.calls {
-		if fc.Distinct {
+	for i, c := range a.calls {
+		if c.fc.Distinct {
 			g.accs[i].seen = map[string]struct{}{}
 		}
 	}
 	return g
 }
 
-// fold adds row, which a.ec points at, to g.
+// fold adds row, which a.fr points at, to g.
 func (a *aggIter) fold(g *group, row Row) {
 	if g.count == 0 {
 		g.first = row
 	}
 	g.count++
-	for i, fc := range a.calls {
-		acc := &g.accs[i]
-		if fc.Star || len(fc.Args) != 1 || acc.err != nil {
+	for i := range a.calls {
+		c, acc := &a.calls[i], &g.accs[i]
+		if c.arg == nil || acc.err != nil {
 			continue
 		}
-		v, err := evalExpr(fc.Args[0], a.ec)
+		v, err := c.arg(a.fr)
 		switch {
 		case err != nil:
 			acc.err = err
 			continue
 		case v.IsNull():
 			continue
-		case fc.Distinct:
+		case c.fc.Distinct:
 			a.key = appendIndexKey(a.key[:0], v)
 			if _, dup := acc.seen[string(a.key)]; dup {
 				continue
@@ -200,8 +266,8 @@ func (a *aggIter) fold(g *group, row Row) {
 			acc.seen[string(a.key)] = struct{}{}
 		}
 		acc.n++
-		switch fc.Name {
-		case "SUM", "AVG":
+		switch c.kind {
+		case aggSum, aggAvg:
 			f, ok := v.AsFloat()
 			if !ok {
 				acc.nonNum = true
@@ -221,20 +287,20 @@ func (a *aggIter) fold(g *group, row Row) {
 			} else {
 				acc.notInt = true
 			}
-		case "MIN", "MAX":
-			if c := Compare(v, acc.best); acc.n == 1 || fc.Name == "MIN" && c < 0 || fc.Name == "MAX" && c > 0 {
+		case aggMin, aggMax:
+			if o := Compare(v, acc.best); acc.n == 1 || c.kind == aggMin && o < 0 || c.kind == aggMax && o > 0 {
 				acc.best = v
 			}
 		}
 	}
 }
 
-// value is fc's value over a group of count rows, or its deferred error:
+// value is c's value over a group of count rows, or its deferred error:
 // a static one, else an argument-evaluation error, else a non-numeric
 // SUM/AVG value, else an integer SUM outside int64.
-func (acc *accumulator) value(fc *FuncCall, count int64) (Value, error) {
-	switch {
-	case fc.Star && fc.Name != "COUNT":
+func (acc *accumulator) value(c *aggCall, count int64) (Value, error) {
+	switch fc := c.fc; {
+	case fc.Star && c.kind != aggCount:
 		return Null(), fmt.Errorf("sqlengine: %s(*) is not valid", fc.Name)
 	case fc.Star:
 		return NewInt(count), nil
@@ -242,112 +308,20 @@ func (acc *accumulator) value(fc *FuncCall, count int64) (Value, error) {
 		return Null(), fmt.Errorf("sqlengine: aggregate %s expects one argument", fc.Name)
 	case acc.err != nil:
 		return Null(), acc.err
-	case fc.Name == "COUNT":
+	case c.kind == aggCount:
 		return NewInt(acc.n), nil
 	case acc.n == 0:
 		return Null(), nil
 	case acc.nonNum:
 		return Null(), fmt.Errorf("sqlengine: %s over non-numeric value", fc.Name)
-	case fc.Name == "AVG":
+	case c.kind == aggAvg:
 		return NewFloat(acc.fsum / float64(acc.n)), nil
-	case fc.Name == "SUM" && acc.notInt:
+	case c.kind == aggSum && acc.notInt:
 		return NewFloat(acc.fsum), nil
-	case fc.Name == "SUM" && acc.iwrap != 0:
+	case c.kind == aggSum && acc.iwrap != 0:
 		return Null(), fmt.Errorf("sqlengine: BIGINT value is out of range in SUM")
-	case fc.Name == "SUM":
+	case c.kind == aggSum:
 		return NewInt(acc.isum), nil
 	}
 	return acc.best, nil
-}
-
-// evalAggExpr evaluates an expression that may contain aggregate calls:
-// every aggregate call is replaced by its value, then the rest of the
-// expression is evaluated in ec, pointed at the group's first row
-// (non-aggregate column references should be group-by keys; we do not
-// verify, matching MySQL's permissive behaviour).
-func evalAggExpr(e Expr, value func(*FuncCall) (Value, error), ec *evalContext) (Value, error) {
-	folded, err := foldAggregates(e, value)
-	if err != nil {
-		return Null(), err
-	}
-	return evalExpr(folded, ec)
-}
-
-// foldAggregates returns e with every aggregate call replaced by a
-// literal of its value, copying only the nodes above a call. It descends
-// the nodes ContainsAggregate does.
-func foldAggregates(e Expr, value func(*FuncCall) (Value, error)) (Expr, error) {
-	if !ContainsAggregate(e) {
-		return e, nil
-	}
-	fold := func(xs ...Expr) ([]Expr, error) {
-		out := make([]Expr, len(xs))
-		for i, x := range xs {
-			f, err := foldAggregates(x, value)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = f
-		}
-		return out, nil
-	}
-	switch x := e.(type) {
-	case *FuncCall:
-		if isAggregate(x.Name) {
-			v, err := value(x)
-			return &Literal{Val: v}, err
-		}
-		args, err := fold(x.Args...)
-		if err != nil {
-			return nil, err
-		}
-		c := *x
-		c.Args = args
-		return &c, nil
-	case *BinaryExpr:
-		f, err := fold(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &BinaryExpr{Op: x.Op, L: f[0], R: f[1]}, nil
-	case *UnaryExpr:
-		f, err := fold(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: x.Op, X: f[0]}, nil
-	case *IsNullExpr:
-		f, err := fold(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNullExpr{X: f[0], Not: x.Not}, nil
-	case *BetweenExpr:
-		f, err := fold(x.X, x.Lo, x.Hi)
-		if err != nil {
-			return nil, err
-		}
-		return &BetweenExpr{X: f[0], Lo: f[1], Hi: f[2], Not: x.Not}, nil
-	case *InExpr:
-		f, err := fold(append([]Expr{x.X}, x.List...)...)
-		if err != nil {
-			return nil, err
-		}
-		return &InExpr{X: f[0], List: f[1:], Sub: x.Sub, Not: x.Not}, nil
-	case *CaseExpr:
-		parts := []Expr{x.Operand}
-		for _, w := range x.Whens {
-			parts = append(parts, w.When, w.Then)
-		}
-		f, err := fold(append(parts, x.Else)...)
-		if err != nil {
-			return nil, err
-		}
-		c := &CaseExpr{Operand: f[0], Whens: make([]CaseWhen, len(x.Whens)), Else: f[len(f)-1]}
-		for i := range c.Whens {
-			c.Whens[i] = CaseWhen{When: f[1+2*i], Then: f[2+2*i]}
-		}
-		return c, nil
-	}
-	return e, nil
 }

@@ -131,3 +131,32 @@ func TestStreamAggregateAllocsIndependentOfRows(t *testing.T) {
 	}
 	t.Logf("allocs: %.0f over 10 000 rows, %.0f over 100 000", small, large)
 }
+
+// BenchmarkEngineAggregate runs aggBenchSQL, the cached_refresh
+// benchmark's miss shape, through Engine.Query over a 2 000-row table of 8
+// columns. Profile the member-engine aggregate with
+//
+//	go test -run xxx -bench EngineAggregate -cpuprofile cpu.out ./internal/sqlengine
+func BenchmarkEngineAggregate(b *testing.B) {
+	e := NewEngine("aggbench", DialectANSI)
+	if _, err := e.Exec("CREATE TABLE ev (event_id INTEGER PRIMARY KEY, run INTEGER, " +
+		"v0 DOUBLE, v1 DOUBLE, v2 DOUBLE, v3 DOUBLE, v4 DOUBLE, v5 DOUBLE)"); err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]Row, 2000)
+	for i := range rows {
+		rows[i] = aggBenchRow(i)
+		for j := 2; j < 6; j++ {
+			rows[i] = append(rows[i], NewFloat(float64(i*7+j)/3.0001))
+		}
+	}
+	if _, err := e.InsertRows("ev", rows); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if rs, err := e.Query(aggBenchSQL); err != nil || len(rs.Rows) != 4 {
+			b.Fatalf("query: %v", err)
+		}
+	}
+}

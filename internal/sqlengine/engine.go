@@ -116,7 +116,7 @@ func (s *Session) RunStmt(st Statement, params []Value) (*ResultSet, int64, erro
 		e.db.mu.RLock()
 		defer e.db.mu.RUnlock()
 		ex := &executor{db: e.db}
-		rs, err := ex.execSelect(x, params, nil)
+		rs, err := ex.execSelect(x, &evalEnv{params: params})
 		return rs, 0, err
 	case *InsertStmt:
 		e.db.mu.Lock()
@@ -312,7 +312,7 @@ func (s *Session) execInsert(x *InsertStmt, params []Value) (int64, error) {
 	var srcRows [][]Value
 	if x.Select != nil {
 		ex := &executor{db: db}
-		rs, err := ex.execSelect(x.Select, params, nil)
+		rs, err := ex.execSelect(x.Select, &evalEnv{params: params})
 		if err != nil {
 			return 0, err
 		}
@@ -322,9 +322,8 @@ func (s *Session) execInsert(x *InsertStmt, params []Value) (int64, error) {
 	} else {
 		for _, exprRow := range x.Rows {
 			vals := make([]Value, len(exprRow))
-			ec := &evalContext{params: params}
 			for i, e := range exprRow {
-				v, err := evalExpr(e, ec)
+				v, err := evalConst(e, params)
 				if err != nil {
 					return 0, err
 				}
@@ -351,7 +350,7 @@ func (s *Session) execInsert(x *InsertStmt, params []Value) (int64, error) {
 		}
 		for i, c := range t.Columns {
 			if !assigned[i] && c.Default != nil {
-				v, err := evalExpr(c.Default, &evalContext{})
+				v, err := evalConst(c.Default, nil)
 				if err != nil {
 					return inserted, err
 				}
@@ -386,27 +385,31 @@ func (s *Session) execUpdate(x *UpdateStmt, params []Value) (int64, error) {
 	for i, c := range t.Columns {
 		schema[i] = colBinding{qualifier: x.Table, name: c.Name}
 	}
-	run := (&executor{db: db}).execSelect
+	exprs := []Expr{x.Where}
+	for _, set := range x.Set {
+		exprs = append(exprs, set.Expr)
+	}
+	fr, fns := (&evalEnv{params: params, exec: (&executor{db: db}).execSelect}).compile(schema, true, exprs...)
 	var updated int64
 	err := func() error {
 		for ri, row := range t.Rows {
-			ec := &evalContext{schema: schema, row: row, params: params, exec: run, rownum: updated + 1}
-			if x.Where != nil {
-				v, err := evalExpr(x.Where, ec)
+			fr.row, fr.rownum = row, updated+1
+			if fns[0] != nil {
+				v, err := fns[0](fr)
 				if err != nil {
 					return err
 				}
-				if b, ok := v.AsBool(); !ok || v.IsNull() || !b {
+				if !decides(v, true) {
 					continue
 				}
 			}
 			newRow := row.Clone()
-			for _, set := range x.Set {
+			for si, set := range x.Set {
 				pos, ok := t.colPos(set.Column)
 				if !ok {
 					return fmt.Errorf("sqlengine: table %q has no column %q", x.Table, set.Column)
 				}
-				v, err := evalExpr(set.Expr, ec)
+				v, err := fns[si+1](fr)
 				if err != nil {
 					return err
 				}
@@ -457,22 +460,18 @@ func (s *Session) execDelete(x *DeleteStmt, params []Value) (int64, error) {
 	for i, c := range t.Columns {
 		schema[i] = colBinding{qualifier: x.Table, name: c.Name}
 	}
-	run := (&executor{db: db}).execSelect
+	fr, fns := (&evalEnv{params: params, exec: (&executor{db: db}).execSelect}).compile(schema, false, x.Where)
 	kept := t.Rows[:0:0]
 	var deleted int64
 	for _, row := range t.Rows {
-		keep := true
-		if x.Where != nil {
-			ec := &evalContext{schema: schema, row: row, params: params, exec: run}
-			v, err := evalExpr(x.Where, ec)
+		keep := false
+		if fns[0] != nil {
+			fr.row = row
+			v, err := fns[0](fr)
 			if err != nil {
 				return deleted, err
 			}
-			if b, ok := v.AsBool(); ok && !v.IsNull() && b {
-				keep = false
-			}
-		} else {
-			keep = false
+			keep = !decides(v, true)
 		}
 		if keep {
 			kept = append(kept, row)
@@ -619,7 +618,7 @@ func (s *Session) execAlterAdd(x *AlterAddColumnStmt) error {
 	}
 	var fill Value
 	if x.Column.Default != nil {
-		v, err := evalExpr(x.Column.Default, &evalContext{})
+		v, err := evalConst(x.Column.Default, nil)
 		if err != nil {
 			return err
 		}

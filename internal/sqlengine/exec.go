@@ -24,8 +24,8 @@ type executor struct {
 
 const maxViewDepth = 16
 
-// execSelect runs a SELECT and returns a materialized result. outer, when
-// non-nil, provides the enclosing row context for correlated subqueries.
+// execSelect runs a SELECT and returns a materialized result. env holds
+// the statement's parameters and, for a subquery, the row it runs for.
 //
 // It runs on the operator pipeline the federation uses (operators.go),
 // over the tables open resolves: the same analysis, with every input's
@@ -33,7 +33,7 @@ const maxViewDepth = 16
 // (the left one of a RIGHT JOIN) and nothing spills, which keeps the row
 // order and memory of the materializing executor this replaced
 // (refexec_test.go, the differential oracle).
-func (ex *executor) execSelect(sel *SelectStmt, params []Value, outer *evalContext) (*ResultSet, error) {
+func (ex *executor) execSelect(sel *SelectStmt, env *evalEnv) (*ResultSet, error) {
 	if ex.depth > maxViewDepth {
 		return nil, fmt.Errorf("sqlengine: view or subquery nesting exceeds %d", maxViewDepth)
 	}
@@ -46,7 +46,7 @@ func (ex *executor) execSelect(sel *SelectStmt, params []Value, outer *evalConte
 			where = s.Where
 		}
 		for _, tr := range refs {
-			in, err := ex.open(tr, where, params, outer)
+			in, err := ex.open(tr, where, env)
 			if err != nil {
 				return nil, err
 			}
@@ -58,7 +58,7 @@ func (ex *executor) execSelect(sel *SelectStmt, params []Value, outer *evalConte
 	if plan == nil {
 		return nil, fmt.Errorf("sqlengine: cannot run SELECT: %s", reason)
 	}
-	env := &evalEnv{params: params, exec: ex.execSelect, outer: outer}
+	env = &evalEnv{params: env.params, exec: ex.execSelect, outer: env.outer, outerScope: env.outerScope}
 	it, err := streamSelect(context.Background(), plan, inputs, env, StreamOptions{BudgetBytes: -1})
 	if err != nil {
 		return nil, err
@@ -77,7 +77,7 @@ func (ex *executor) execSelect(sel *SelectStmt, params []Value, outer *evalConte
 // row the WHERE would have raised an error on. A view is its own SELECT,
 // run to completion. A subquery table of a StreamSelect is the caller's
 // input, drained once and shared by every later open.
-func (ex *executor) open(tr TableRef, where Expr, params []Value, outer *evalContext) (StreamInput, error) {
+func (ex *executor) open(tr TableRef, where Expr, env *evalEnv) (StreamInput, error) {
 	src := sourceOf(tr)
 	if ex.subs != nil {
 		rs, err := ex.subs.table(src.Table)
@@ -91,7 +91,7 @@ func (ex *executor) open(tr TableRef, where Expr, params []Value, outer *evalCon
 		for i, c := range t.Columns {
 			cols[i] = c.Name
 		}
-		rows, path := t.accessRows(src.Qualifier, where, params)
+		rows, path := t.accessRows(src.Qualifier, where, env.params)
 		if ex.db.pathHook != nil {
 			ex.db.pathHook(t.Name, path)
 		}
@@ -99,7 +99,7 @@ func (ex *executor) open(tr TableRef, where Expr, params []Value, outer *evalCon
 	}
 	if v, ok := ex.db.views[tr.Name]; ok {
 		sub := &executor{db: ex.db, depth: ex.depth + 1}
-		rs, err := sub.execSelect(v.Stmt, params, outer)
+		rs, err := sub.execSelect(v.Stmt, env)
 		if err != nil {
 			return StreamInput{}, fmt.Errorf("sqlengine: view %q: %w", v.Name, err)
 		}

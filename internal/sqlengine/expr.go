@@ -1,8 +1,10 @@
 package sqlengine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 )
@@ -16,327 +18,543 @@ type colBinding struct {
 // rowSchema is the ordered set of bindings for a working row.
 type rowSchema []colBinding
 
-func (s rowSchema) lookup(qualifier, name string) (int, error) {
-	found := -1
+// find returns how many columns of s the reference (qualifier, name)
+// matches, and the slot of the first.
+func (s rowSchema) find(qualifier, name string) (slot, matches int) {
+	slot = -1
 	for i, b := range s {
-		if b.name != name {
-			continue
-		}
-		if qualifier != "" && b.qualifier != qualifier {
-			continue
-		}
-		if found >= 0 {
-			return 0, fmt.Errorf("sqlengine: ambiguous column reference %q", name)
-		}
-		found = i
-	}
-	if found < 0 {
-		if qualifier != "" {
-			return 0, fmt.Errorf("sqlengine: unknown column %s.%s", qualifier, name)
-		}
-		return 0, fmt.Errorf("sqlengine: unknown column %q", name)
-	}
-	return found, nil
-}
-
-// selectFunc runs the SELECT of an IN or EXISTS subquery.
-type selectFunc func(sel *SelectStmt, params []Value, outer *evalContext) (*ResultSet, error)
-
-// evalContext carries everything an expression needs at evaluation time.
-type evalContext struct {
-	schema rowSchema
-	row    Row
-	params []Value
-	// rownum is the Oracle pseudo-column value for the current candidate
-	// row (1-based); 0 means unavailable.
-	rownum int64
-	// exec lets EXISTS / IN-subquery re-enter the executor.
-	exec selectFunc
-	// outer allows correlated lookups one level up (best effort).
-	outer *evalContext
-}
-
-func (ec *evalContext) lookup(qualifier, name string) (Value, error) {
-	if name == "rownum" && qualifier == "" && ec.rownum > 0 {
-		return NewInt(ec.rownum), nil
-	}
-	i, err := ec.schema.lookup(qualifier, name)
-	if err != nil {
-		if ec.outer != nil {
-			if v, oerr := ec.outer.lookup(qualifier, name); oerr == nil {
-				return v, nil
+		if b.name == name && (qualifier == "" || b.qualifier == qualifier) {
+			if matches == 0 {
+				slot = i
 			}
+			matches++
 		}
-		return Null(), err
 	}
-	return ec.row[i], nil
+	return slot, matches
 }
 
-// evalExpr evaluates e in ctx with SQL three-valued logic folded to: NULL
-// comparisons yield NULL (represented as Value{KindNull}); boolean contexts
-// treat NULL as false.
-func evalExpr(e Expr, ec *evalContext) (Value, error) {
+// nameError is the error of a column reference that matches n columns
+// other than one.
+func nameError(qualifier, name string, n int) error {
+	switch {
+	case n > 1:
+		return fmt.Errorf("sqlengine: ambiguous column reference %q", name)
+	case qualifier != "":
+		return fmt.Errorf("sqlengine: unknown column %s.%s", qualifier, name)
+	}
+	return fmt.Errorf("sqlengine: unknown column %q", name)
+}
+
+// Expressions are compiled once per operator into evalFns that read the
+// row at hand by slot. Compiling raises nothing: an unknown or ambiguous
+// name, or a failing constant, compiles to a node that raises its error
+// when it is evaluated (docs/INVARIANTS.md).
+
+// scope holds the names an operator's expressions are compiled against:
+// its input's schema, whether it numbers its rows (a filter's ROWNUM),
+// and, for the operators of a subquery, the scope of the row the subquery
+// runs for.
+type scope struct {
+	schema rowSchema
+	rownum bool
+	outer  *scope
+	// reached is set when a reference compiled in a nested scope resolved
+	// here or further out. A subquery runs against its own copy of its
+	// caller's scope, so reached marks it correlated.
+	reached bool
+}
+
+// resolve finds a column reference: how many scopes out and its slot
+// there, -1 for that scope's ROWNUM. The innermost scope that knows the
+// name answers; a name ambiguous there is an error, and only an unknown
+// one is looked up further out.
+func (sc *scope) resolve(qualifier, name string) (depth, slot int, err error) {
+	for s := sc; s != nil; s, depth = s.outer, depth+1 {
+		i, n := -1, 1 // an unqualified "rownum" where the scope numbers rows
+		if !s.rownum || qualifier != "" || name != "rownum" {
+			i, n = s.schema.find(qualifier, name)
+		}
+		switch {
+		case n == 1:
+			for r := sc; r != s; r = r.outer {
+				r.outer.reached = true
+			}
+			return depth, i, nil
+		case n > 1:
+			return 0, 0, nameError(qualifier, name, n)
+		}
+	}
+	return 0, 0, nameError(qualifier, name, 0)
+}
+
+// frame is what a compiled expression reads when it is evaluated: the row
+// its operator points it at, that row's ROWNUM, and the statement's
+// environment, whose outer frame a correlated reference reads.
+type frame struct {
+	row    Row
+	rownum int64
+	env    *evalEnv
+}
+
+// evalFn evaluates a compiled expression with SQL three-valued logic: a
+// comparison with NULL yields NULL, which a boolean context treats as
+// false.
+type evalFn func(fr *frame) (Value, error)
+
+// cexpr is a compiled expression; a constant's points at its value, to
+// fold over and pick compare kernels by. Two words only: compiling runs
+// deep in an operator's stack, and bigger frames there grow that stack.
+type cexpr struct {
+	eval  evalFn
+	konst *Value
+}
+
+func dynamic(fn evalFn) cexpr { return cexpr{eval: fn} }
+
+func constant(v Value) cexpr {
+	return cexpr{eval: func(*frame) (Value, error) { return v, nil }, konst: &v}
+}
+
+func failing(err error) cexpr {
+	return dynamic(func(*frame) (Value, error) { return Null(), err })
+}
+
+// fold returns fn as a node over args. When every arg is a constant and
+// fn evaluates without error, the node is that constant; a failing
+// constant keeps its error for evaluation time.
+func fold(fn evalFn, args ...cexpr) cexpr {
+	for _, a := range args {
+		if a.konst == nil {
+			return dynamic(fn)
+		}
+	}
+	if v, err := fn(nil); err == nil {
+		return constant(v)
+	}
+	return dynamic(fn)
+}
+
+// slotFns read the first slots of the row at hand without allocating a
+// closure per column.
+var slotFns [32]evalFn
+
+func init() {
+	for i := range slotFns {
+		slotFns[i] = func(fr *frame) (Value, error) { return fr.row[i], nil }
+	}
+}
+
+// compiler compiles expressions in one scope. agg, when set, compiles an
+// aggregate call (an aggregate operator's outputs); without it an
+// aggregate call fails when evaluated.
+type compiler struct {
+	sc  *scope
+	agg func(fc *FuncCall) evalFn
+}
+
+// evalConst evaluates an expression that reads no row: an INSERT value,
+// a column DEFAULT.
+func evalConst(e Expr, params []Value) (Value, error) {
+	if lit, ok := e.(*Literal); ok {
+		return lit.Val, nil
+	}
+	return (&compiler{sc: &scope{}}).compile(e).eval(&frame{env: &evalEnv{params: params}})
+}
+
+func (c *compiler) compile(e Expr) cexpr {
 	switch x := e.(type) {
 	case *Literal:
-		return x.Val, nil
+		return constant(x.Val)
 	case *ColumnRef:
-		return ec.lookup(x.Table, x.Column)
+		return c.column(x)
 	case *Param:
-		if ec.params == nil || x.Index >= len(ec.params) {
-			return Null(), fmt.Errorf("sqlengine: missing value for parameter %d", x.Index+1)
-		}
-		return ec.params[x.Index], nil
-	case *UnaryExpr:
-		v, err := evalExpr(x.X, ec)
-		if err != nil {
-			return Null(), err
-		}
-		switch x.Op {
-		case "NOT":
-			if v.IsNull() {
-				return Null(), nil
+		i := x.Index
+		return dynamic(func(fr *frame) (Value, error) {
+			if i >= len(fr.env.params) {
+				return Null(), fmt.Errorf("sqlengine: missing value for parameter %d", i+1)
 			}
+			return fr.env.params[i], nil
+		})
+	case *UnaryExpr:
+		return c.unary(x)
+	case *BinaryExpr:
+		return c.binary(x)
+	case *IsNullExpr:
+		arg, not := c.compile(x.X), x.Not
+		return fold(func(fr *frame) (Value, error) {
+			v, err := arg.eval(fr)
+			return NewBool(v.IsNull() != not), err
+		}, arg)
+	case *BetweenExpr:
+		v, lo, hi, not := c.compile(x.X), c.compile(x.Lo), c.compile(x.Hi), x.Not
+		vf, lof, hif := v.eval, lo.eval, hi.eval
+		return fold(func(fr *frame) (Value, error) {
+			vals, err := evalEach(fr, vf, lof, hif)
+			if err != nil || vals[0].IsNull() || vals[1].IsNull() || vals[2].IsNull() {
+				return Null(), err
+			}
+			return NewBool((Compare(vals[0], vals[1]) >= 0 && Compare(vals[0], vals[2]) <= 0) != not), nil
+		}, v, lo, hi)
+	case *InExpr:
+		return c.in(x)
+	case *FuncCall:
+		return c.call(x)
+	case *CaseExpr:
+		return c.caseExpr(x)
+	case *ExistsExpr:
+		run := c.subquery(x.Sub, "EXISTS")
+		return dynamic(func(fr *frame) (Value, error) {
+			rs, err := run(fr)
+			if err != nil {
+				return Null(), err
+			}
+			return NewBool(len(rs.Rows) > 0), nil
+		})
+	}
+	return failing(fmt.Errorf("sqlengine: unsupported expression %T", e))
+}
+
+func (c *compiler) column(x *ColumnRef) cexpr {
+	depth, slot, err := c.sc.resolve(x.Table, x.Column)
+	switch {
+	case err != nil:
+		return failing(err)
+	case depth == 0 && slot >= 0 && slot < len(slotFns):
+		return dynamic(slotFns[slot])
+	}
+	return dynamic(func(fr *frame) (Value, error) {
+		for d := depth; d > 0; d-- {
+			fr = fr.env.outer
+		}
+		if slot < 0 {
+			return NewInt(fr.rownum), nil
+		}
+		return fr.row[slot], nil
+	})
+}
+
+func (c *compiler) unary(x *UnaryExpr) cexpr {
+	arg, op := c.compile(x.X), x.Op
+	not, known := op == "NOT", op == "NOT" || op == "-"
+	return fold(func(fr *frame) (Value, error) {
+		v, err := arg.eval(fr)
+		switch {
+		case err != nil:
+			return Null(), err
+		case !known:
+			return Null(), fmt.Errorf("sqlengine: unknown unary operator %q", op)
+		case v.IsNull():
+			return Null(), nil
+		case not:
 			b, ok := v.AsBool()
 			if !ok {
 				return Null(), fmt.Errorf("sqlengine: NOT applied to non-boolean %s", v.Kind)
 			}
 			return NewBool(!b), nil
-		case "-":
-			if v.IsNull() {
-				return Null(), nil
-			}
-			if v.Kind == KindInt {
-				if v.Int == math.MinInt64 {
-					return Null(), intOutOfRange(0, "-", v.Int)
-				}
-				return NewInt(-v.Int), nil
-			}
-			f, ok := v.AsFloat()
-			if !ok {
-				return Null(), fmt.Errorf("sqlengine: unary minus on non-numeric %s", v.Kind)
-			}
-			return NewFloat(-f), nil
+		case v.Kind == KindInt && v.Int == math.MinInt64:
+			return Null(), intOutOfRange(0, "-", v.Int)
+		case v.Kind == KindInt:
+			return NewInt(-v.Int), nil
 		}
-		return Null(), fmt.Errorf("sqlengine: unknown unary operator %q", x.Op)
-	case *BinaryExpr:
-		return evalBinary(x, ec)
-	case *IsNullExpr:
-		v, err := evalExpr(x.X, ec)
-		if err != nil {
-			return Null(), err
+		f, ok := v.AsFloat()
+		if !ok {
+			return Null(), fmt.Errorf("sqlengine: unary minus on non-numeric %s", v.Kind)
 		}
-		if x.Not {
-			return NewBool(!v.IsNull()), nil
-		}
-		return NewBool(v.IsNull()), nil
-	case *BetweenExpr:
-		v, err := evalExpr(x.X, ec)
-		if err != nil {
-			return Null(), err
-		}
-		lo, err := evalExpr(x.Lo, ec)
-		if err != nil {
-			return Null(), err
-		}
-		hi, err := evalExpr(x.Hi, ec)
-		if err != nil {
-			return Null(), err
-		}
-		if v.IsNull() || lo.IsNull() || hi.IsNull() {
-			return Null(), nil
-		}
-		in := Compare(v, lo) >= 0 && Compare(v, hi) <= 0
-		if x.Not {
-			in = !in
-		}
-		return NewBool(in), nil
-	case *InExpr:
-		return evalIn(x, ec)
-	case *FuncCall:
-		return evalFunc(x, ec)
-	case *CaseExpr:
-		return evalCase(x, ec)
-	case *ExistsExpr:
-		if ec.exec == nil {
-			return Null(), fmt.Errorf("sqlengine: EXISTS not supported in this context")
-		}
-		rs, err := ec.exec(x.Sub, ec.params, ec)
-		if err != nil {
-			return Null(), err
-		}
-		return NewBool(len(rs.Rows) > 0), nil
-	}
-	return Null(), fmt.Errorf("sqlengine: unsupported expression %T", e)
+		return NewFloat(-f), nil
+	}, arg)
 }
 
-func evalBinary(x *BinaryExpr, ec *evalContext) (Value, error) {
-	switch x.Op {
-	case "AND":
-		l, err := evalExpr(x.L, ec)
-		if err != nil {
-			return Null(), err
-		}
-		if lb, ok := l.AsBool(); ok && !l.IsNull() && !lb {
-			return NewBool(false), nil
-		}
-		r, err := evalExpr(x.R, ec)
-		if err != nil {
-			return Null(), err
-		}
-		if rb, ok := r.AsBool(); ok && !r.IsNull() && !rb {
-			return NewBool(false), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		return NewBool(true), nil
-	case "OR":
-		l, err := evalExpr(x.L, ec)
-		if err != nil {
-			return Null(), err
-		}
-		if lb, ok := l.AsBool(); ok && !l.IsNull() && lb {
-			return NewBool(true), nil
-		}
-		r, err := evalExpr(x.R, ec)
-		if err != nil {
-			return Null(), err
-		}
-		if rb, ok := r.AsBool(); ok && !r.IsNull() && rb {
-			return NewBool(true), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		return NewBool(false), nil
+// binOps code the binary operators. A comparison's code is a mask: bit
+// c+1 is set when a Compare result c satisfies it.
+var binOps = map[string]uint8{"<": 0b001, "=": 0b010, "<=": 0b011, ">": 0b100, "<>": 0b101, ">=": 0b110,
+	"AND": opAnd, "OR": opOr, "||": opConcat, "LIKE": opLike, "+": opArith, "-": opArith, "*": opArith, "/": opArith, "%": opArith}
+
+const (
+	opAnd = 8 + iota
+	opOr
+	opConcat
+	opLike
+	opArith
+)
+
+func (c *compiler) binary(x *BinaryExpr) cexpr {
+	l, r, op := c.compile(x.L), c.compile(x.R), x.Op
+	code, known := binOps[op]
+	if known && code < opAnd {
+		return fold(comparison(code, l, r), l, r)
 	}
-	l, err := evalExpr(x.L, ec)
-	if err != nil {
-		return Null(), err
+	if code == opAnd || code == opOr {
+		return fold(logic(code == opOr, l.eval, r.eval), l, r)
 	}
-	r, err := evalExpr(x.R, ec)
-	if err != nil {
-		return Null(), err
-	}
-	switch x.Op {
-	case "+", "-", "*", "/", "%":
-		return Arith(x.Op, l, r)
-	case "||":
-		if l.IsNull() || r.IsNull() {
+	lf, rf := l.eval, r.eval
+	return fold(func(fr *frame) (Value, error) {
+		vals, err := evalEach(fr, lf, rf)
+		a, b := vals[0], vals[1]
+		switch {
+		case err != nil:
+			return Null(), err
+		case code == opArith:
+			return Arith(op, a, b)
+		case !known:
+			return Null(), fmt.Errorf("sqlengine: unknown binary operator %q", op)
+		case a.IsNull() || b.IsNull():
 			return Null(), nil
+		case code == opConcat:
+			return NewString(a.String() + b.String()), nil
 		}
-		return NewString(l.String() + r.String()), nil
-	case "=", "<>", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		c := Compare(l, r)
-		var b bool
-		switch x.Op {
-		case "=":
-			b = c == 0
-		case "<>":
-			b = c != 0
-		case "<":
-			b = c < 0
-		case "<=":
-			b = c <= 0
-		case ">":
-			b = c > 0
-		case ">=":
-			b = c >= 0
-		}
-		return NewBool(b), nil
-	case "LIKE":
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		return NewBool(likeMatch(r.String(), l.String())), nil
-	}
-	return Null(), fmt.Errorf("sqlengine: unknown binary operator %q", x.Op)
+		return NewBool(likeMatch(b.String(), a.String())), nil
+	}, l, r)
 }
 
-func evalIn(x *InExpr, ec *evalContext) (Value, error) {
-	v, err := evalExpr(x.X, ec)
-	if err != nil {
-		return Null(), err
-	}
-	if v.IsNull() {
-		return Null(), nil
-	}
-	var candidates []Value
-	if x.Sub != nil {
-		if ec.exec == nil {
-			return Null(), fmt.Errorf("sqlengine: IN (SELECT ...) not supported in this context")
-		}
-		rs, err := ec.exec(x.Sub, ec.params, ec)
+// logic is AND (or false) or OR (or true): a side equal to the operator's
+// deciding value decides, the left one without evaluating the right.
+func logic(or bool, l, r evalFn) evalFn {
+	return func(fr *frame) (Value, error) {
+		lv, err := l(fr)
 		if err != nil {
 			return Null(), err
 		}
-		if len(rs.Columns) != 1 {
-			return Null(), fmt.Errorf("sqlengine: IN subquery must return one column, got %d", len(rs.Columns))
+		if decides(lv, or) {
+			return NewBool(or), nil
 		}
-		for _, row := range rs.Rows {
-			candidates = append(candidates, row[0])
+		rv, err := r(fr)
+		switch {
+		case err != nil:
+			return Null(), err
+		case decides(rv, or):
+			return NewBool(or), nil
+		case lv.IsNull() || rv.IsNull():
+			return Null(), nil
 		}
-	} else {
-		for _, e := range x.List {
-			c, err := evalExpr(e, ec)
-			if err != nil {
+		return NewBool(!or), nil
+	}
+}
+
+func decides(v Value, b bool) bool {
+	if v.Kind == KindBool {
+		return v.Bool() == b
+	}
+	vb, ok := v.AsBool()
+	return ok && !v.IsNull() && vb == b
+}
+
+// comparison compiles l op r, op coded as a binOps mask. With a non-NULL
+// constant on one side it compares the other side through a litCompare
+// kernel.
+func comparison(mask uint8, l, r cexpr) evalFn {
+	if l.konst != nil && r.konst == nil {
+		// k op v is v op' k, op' the mirrored operator: < and > swap.
+		l, r, mask = r, l, mask&0b010|mask>>2|mask<<2&0b100
+	}
+	lf, rf := l.eval, r.eval
+	if r.konst == nil || r.konst.IsNull() || l.konst != nil {
+		return func(fr *frame) (Value, error) {
+			vals, err := evalEach(fr, lf, rf)
+			if err != nil || vals[0].IsNull() || vals[1].IsNull() {
 				return Null(), err
 			}
-			candidates = append(candidates, c)
+			return NewBool(mask>>(Compare(vals[0], vals[1])+1)&1 != 0), nil
 		}
 	}
-	sawNull := false
-	for _, c := range candidates {
-		if c.IsNull() {
-			sawNull = true
-			continue
+	k := newLitCompare(*r.konst)
+	return func(fr *frame) (Value, error) {
+		v, err := lf(fr)
+		if err != nil || v.IsNull() {
+			return Null(), err
 		}
-		if Compare(v, c) == 0 {
-			if x.Not {
-				return NewBool(false), nil
+		return NewBool(mask>>(k.compare(v)+1)&1 != 0), nil
+	}
+}
+
+// litCompare is a compare kernel for one non-NULL constant: compare(v)
+// returns Compare(v, lit), and takes a fast path when v's kind is one lit
+// has an exact form in.
+type litCompare struct {
+	lit            Value
+	i              int64   // lit as keyValue has it, when an integer
+	f              float64 // lit exactly, when a float holds it
+	isInt, isFloat bool
+}
+
+func newLitCompare(lit Value) litCompare {
+	k := litCompare{lit: lit}
+	if !isNumeric(lit.Kind) {
+		return k
+	}
+	kv := keyValue(lit)
+	k.i, k.isInt = kv.Int, kv.Kind == KindInt
+	switch {
+	case lit.Kind == KindFloat:
+		k.f, k.isFloat = lit.Float, true
+	case kv.Int >= -1<<53 && kv.Int <= 1<<53:
+		k.f, k.isFloat = float64(kv.Int), true
+	}
+	return k
+}
+
+func (k *litCompare) compare(v Value) int {
+	switch {
+	case v.Kind == KindInt && k.isInt:
+		return cmp.Compare(v.Int, k.i)
+	case v.Kind == KindInt && k.isFloat:
+		// lit is a float no int64 equals, as compareNumbers sees it.
+		return -compareFloatInt(k.f, v.Int)
+	case v.Kind == KindFloat && k.isFloat:
+		return compareFloat(v.Float, k.f)
+	case v.Kind == KindString && k.lit.Kind == KindString:
+		return strings.Compare(v.Str(), k.lit.Str())
+	}
+	return Compare(v, k.lit)
+}
+
+// evalEach evaluates up to three expressions in order, stopping at the
+// first error.
+func evalEach(fr *frame, fns ...evalFn) ([3]Value, error) {
+	var vals [3]Value
+	for i, fn := range fns {
+		v, err := fn(fr)
+		if err != nil {
+			return vals, err
+		}
+		vals[i] = v
+	}
+	return vals, nil
+}
+
+func (c *compiler) in(x *InExpr) cexpr {
+	arg, not := c.compile(x.X), x.Not
+	if x.Sub != nil {
+		run := c.subquery(x.Sub, "IN (SELECT ...)")
+		return dynamic(func(fr *frame) (Value, error) {
+			v, err := arg.eval(fr)
+			if err != nil || v.IsNull() {
+				return Null(), err
 			}
-			return NewBool(true), nil
+			rs, err := run(fr)
+			switch {
+			case err != nil:
+				return Null(), err
+			case len(rs.Columns) != 1:
+				return Null(), fmt.Errorf("sqlengine: IN subquery must return one column, got %d", len(rs.Columns))
+			}
+			return inList(v, len(rs.Rows), func(i int) Value { return rs.Rows[i][0] }, not), nil
+		})
+	}
+	list := make([]cexpr, len(x.List))
+	for i, e := range x.List {
+		list[i] = c.compile(e)
+	}
+	cands, argf := make([]Value, len(list)), arg.eval
+	return fold(func(fr *frame) (Value, error) {
+		v, err := argf(fr)
+		if err != nil || v.IsNull() {
+			return Null(), err
+		}
+		for i := range list {
+			if cands[i], err = list[i].eval(fr); err != nil {
+				return Null(), err
+			}
+		}
+		return inList(v, len(cands), func(i int) Value { return cands[i] }, not), nil
+	}, append(list, arg)...)
+}
+
+// inList is v [NOT] IN the n candidates at returns, for a non-NULL v.
+func inList(v Value, n int, at func(i int) Value, not bool) Value {
+	sawNull := false
+	for i := range n {
+		if c := at(i); c.IsNull() {
+			sawNull = true
+		} else if Compare(v, c) == 0 {
+			return NewBool(!not)
 		}
 	}
 	if sawNull {
-		return Null(), nil
+		return Null()
 	}
-	return NewBool(x.Not), nil
+	return NewBool(not)
 }
 
-func evalCase(x *CaseExpr, ec *evalContext) (Value, error) {
-	var operand Value
-	hasOperand := x.Operand != nil
-	if hasOperand {
-		v, err := evalExpr(x.Operand, ec)
+func (c *compiler) caseExpr(x *CaseExpr) cexpr {
+	// parts are the operand, each arm's WHEN and THEN, and the ELSE; a
+	// missing operand or ELSE is NULL.
+	var parts []cexpr
+	for _, e := range children(x, nil) {
+		p := constant(Null())
+		if e != nil {
+			p = c.compile(e)
+		}
+		parts = append(parts, p)
+	}
+	simple := x.Operand != nil
+	return fold(func(fr *frame) (Value, error) {
+		operand, err := parts[0].eval(fr)
 		if err != nil {
 			return Null(), err
 		}
-		operand = v
-	}
-	for _, arm := range x.Whens {
-		w, err := evalExpr(arm.When, ec)
-		if err != nil {
-			return Null(), err
+		for i := 1; i+1 < len(parts); i += 2 {
+			w, err := parts[i].eval(fr)
+			if err != nil {
+				return Null(), err
+			}
+			if b, ok := w.AsBool(); simple && Equal(operand, w) || !simple && !w.IsNull() && ok && b {
+				return parts[i+1].eval(fr)
+			}
 		}
-		matched := false
-		if hasOperand {
-			matched = Equal(operand, w)
-		} else if !w.IsNull() {
-			b, ok := w.AsBool()
-			matched = ok && b
+		return parts[len(parts)-1].eval(fr)
+	}, parts...)
+}
+
+func (c *compiler) call(x *FuncCall) cexpr {
+	if isAggregate(x.Name) {
+		if c.agg != nil {
+			return dynamic(c.agg(x))
 		}
-		if matched {
-			return evalExpr(arm.Then, ec)
+		return failing(fmt.Errorf("sqlengine: aggregate %s not allowed here", x.Name))
+	}
+	args := make([]cexpr, len(x.Args))
+	for i, a := range x.Args {
+		args[i] = c.compile(a)
+	}
+	name, buf := x.Name, make([]Value, len(args))
+	fn := func(fr *frame) (Value, error) {
+		for i := range args {
+			v, err := args[i].eval(fr)
+			if err != nil {
+				return Null(), err
+			}
+			buf[i] = v
 		}
+		return callFunc(name, buf)
 	}
-	if x.Else != nil {
-		return evalExpr(x.Else, ec)
+	if name == "NOW" {
+		return dynamic(fn)
 	}
-	return Null(), nil
+	return fold(fn, args...)
+}
+
+// subquery compiles the run of an IN or EXISTS sub-SELECT for the row a
+// frame points at. The sub-SELECT's operators compile against the
+// subquery's own copy of this scope; when its first run resolved no name
+// there or further out, it is uncorrelated and that run's result is
+// reused. So a sub-SELECT runs once per statement, or once per row it is
+// evaluated for if it is correlated, and never before it is reached.
+func (c *compiler) subquery(sel *SelectStmt, what string) func(*frame) (*ResultSet, error) {
+	own := &scope{schema: c.sc.schema, rownum: c.sc.rownum, outer: c.sc.outer}
+	var done *ResultSet
+	return func(fr *frame) (*ResultSet, error) {
+		if done != nil {
+			return done, nil
+		}
+		if fr.env.exec == nil {
+			return nil, fmt.Errorf("sqlengine: %s not supported in this context", what)
+		}
+		rs, err := fr.env.exec(sel, &evalEnv{params: fr.env.params, exec: fr.env.exec, outer: fr, outerScope: own})
+		if err == nil && !own.reached {
+			done = rs
+		}
+		return rs, err
+	}
 }
 
 // likeMatch implements SQL LIKE with % and _ wildcards, case-insensitive
@@ -370,28 +588,39 @@ func likeMatch(pattern, s string) bool {
 	return pi == len(p)
 }
 
-// evalFunc evaluates scalar functions. Aggregates are folded into
-// literals by the aggregate operator before evaluation and never reach
-// here.
-func evalFunc(x *FuncCall, ec *evalContext) (Value, error) {
-	if isAggregate(x.Name) {
-		return Null(), fmt.Errorf("sqlengine: aggregate %s not allowed here", x.Name)
-	}
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := evalExpr(a, ec)
-		if err != nil {
-			return Null(), err
+// callFunc applies the scalar function name to args; it keeps no
+// reference to args.
+func callFunc(name string, args []Value) (Value, error) {
+	// Most functions take a fixed number of arguments, and are NULL when
+	// the first one is (POWER when either is).
+	arity, strict := 0, true
+	switch name {
+	case "LENGTH", "UPPER", "LOWER", "TRIM", "ABS", "FLOOR", "CEIL", "CEILING", "SQRT":
+		arity = 1
+	case "POWER", "POW":
+		arity = 2
+	case "MOD":
+		arity, strict = 2, false
+	case "REPLACE":
+		arity = 3
+	case "SUBSTR", "SUBSTRING":
+		if len(args) != 2 && len(args) != 3 {
+			return Null(), fmt.Errorf("sqlengine: SUBSTR expects 2 or 3 arguments")
 		}
-		args[i] = v
-	}
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("sqlengine: %s expects %d arguments, got %d", x.Name, n, len(args))
+	case "ROUND":
+		if len(args) != 1 && len(args) != 2 {
+			return Null(), fmt.Errorf("sqlengine: ROUND expects 1 or 2 arguments")
 		}
-		return nil
+	default:
+		strict = false
 	}
-	switch x.Name {
+	if arity > 0 && len(args) != arity {
+		return Null(), fmt.Errorf("sqlengine: %s expects %d arguments, got %d", name, arity, len(args))
+	}
+	if strict && (args[0].IsNull() || arity == 2 && args[1].IsNull()) {
+		return Null(), nil
+	}
+	switch name {
 	case "COALESCE":
 		for _, a := range args {
 			if !a.IsNull() {
@@ -400,44 +629,14 @@ func evalFunc(x *FuncCall, ec *evalContext) (Value, error) {
 		}
 		return Null(), nil
 	case "LENGTH":
-		if err := need(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
 		return NewInt(int64(len(args[0].String()))), nil
 	case "UPPER":
-		if err := need(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
 		return NewString(strings.ToUpper(args[0].String())), nil
 	case "LOWER":
-		if err := need(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
 		return NewString(strings.ToLower(args[0].String())), nil
 	case "TRIM":
-		if err := need(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
 		return NewString(strings.TrimSpace(args[0].String())), nil
 	case "SUBSTR", "SUBSTRING":
-		if len(args) != 2 && len(args) != 3 {
-			return Null(), fmt.Errorf("sqlengine: SUBSTR expects 2 or 3 arguments")
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
 		s := args[0].String()
 		start, _ := args[1].AsInt()
 		if start < 1 {
@@ -458,12 +657,6 @@ func evalFunc(x *FuncCall, ec *evalContext) (Value, error) {
 		}
 		return NewString(rest), nil
 	case "REPLACE":
-		if err := need(3); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
 		return NewString(strings.ReplaceAll(args[0].String(), args[1].String(), args[2].String())), nil
 	case "CONCAT":
 		var sb strings.Builder
@@ -474,34 +667,30 @@ func evalFunc(x *FuncCall, ec *evalContext) (Value, error) {
 			sb.WriteString(a.String())
 		}
 		return NewString(sb.String()), nil
+	case "MOD":
+		return Arith("%", args[0], args[1])
+	case "NOW":
+		return NewTime(time.Now().UTC()), nil
 	case "ABS":
-		if err := need(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
 		if args[0].Kind == KindInt {
 			if args[0].Int < 0 {
 				return NewInt(-args[0].Int), nil
 			}
 			return args[0], nil
 		}
-		f, ok := args[0].AsFloat()
+	}
+	if !strict {
+		return Null(), fmt.Errorf("sqlengine: unknown function %s", name)
+	}
+	// The numeric functions.
+	f, ok := args[0].AsFloat()
+	switch name {
+	case "ABS", "ROUND":
 		if !ok {
-			return Null(), fmt.Errorf("sqlengine: ABS on non-numeric")
+			return Null(), fmt.Errorf("sqlengine: %s on non-numeric", name)
 		}
-		return NewFloat(math.Abs(f)), nil
-	case "ROUND":
-		if len(args) != 1 && len(args) != 2 {
-			return Null(), fmt.Errorf("sqlengine: ROUND expects 1 or 2 arguments")
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		f, ok := args[0].AsFloat()
-		if !ok {
-			return Null(), fmt.Errorf("sqlengine: ROUND on non-numeric")
+		if name == "ABS" {
+			return NewFloat(math.Abs(f)), nil
 		}
 		digits := int64(0)
 		if len(args) == 2 {
@@ -510,107 +699,56 @@ func evalFunc(x *FuncCall, ec *evalContext) (Value, error) {
 		scale := math.Pow10(int(digits))
 		return NewFloat(math.Round(f*scale) / scale), nil
 	case "FLOOR":
-		if err := need(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		f, _ := args[0].AsFloat()
 		return NewInt(int64(math.Floor(f))), nil
 	case "CEIL", "CEILING":
-		if err := need(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		f, _ := args[0].AsFloat()
 		return NewInt(int64(math.Ceil(f))), nil
 	case "SQRT":
-		if err := need(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		f, _ := args[0].AsFloat()
 		if f < 0 {
 			return Null(), fmt.Errorf("sqlengine: SQRT of negative value")
 		}
 		return NewFloat(math.Sqrt(f)), nil
-	case "POWER", "POW":
-		if err := need(2); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return Null(), nil
-		}
-		a, _ := args[0].AsFloat()
-		b, _ := args[1].AsFloat()
-		return NewFloat(math.Pow(a, b)), nil
-	case "MOD":
-		if err := need(2); err != nil {
-			return Null(), err
-		}
-		return Arith("%", args[0], args[1])
-	case "NOW":
-		return NewTime(time.Now().UTC()), nil
 	}
-	return Null(), fmt.Errorf("sqlengine: unknown function %s", x.Name)
+	b, _ := args[1].AsFloat() // POWER
+	return NewFloat(math.Pow(f, b)), nil
 }
 
 func isAggregate(name string) bool {
-	switch name {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX":
-		return true
-	}
-	return false
+	_, ok := aggKinds[name]
+	return ok
 }
 
 // ContainsAggregate reports whether e contains an aggregate call.
 func ContainsAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *FuncCall:
-		if isAggregate(x.Name) {
-			return true
-		}
-		for _, a := range x.Args {
-			if ContainsAggregate(a) {
-				return true
-			}
-		}
-	case *BinaryExpr:
-		return ContainsAggregate(x.L) || ContainsAggregate(x.R)
-	case *UnaryExpr:
-		return ContainsAggregate(x.X)
-	case *IsNullExpr:
-		return ContainsAggregate(x.X)
-	case *BetweenExpr:
-		return ContainsAggregate(x.X) || ContainsAggregate(x.Lo) || ContainsAggregate(x.Hi)
-	case *InExpr:
-		if ContainsAggregate(x.X) {
-			return true
-		}
-		for _, a := range x.List {
-			if ContainsAggregate(a) {
-				return true
-			}
-		}
-	case *CaseExpr:
-		if x.Operand != nil && ContainsAggregate(x.Operand) {
-			return true
-		}
-		for _, w := range x.Whens {
-			if ContainsAggregate(w.When) || ContainsAggregate(w.Then) {
-				return true
-			}
-		}
-		if x.Else != nil {
-			return ContainsAggregate(x.Else)
-		}
+	if fc, ok := e.(*FuncCall); ok && isAggregate(fc.Name) {
+		return true
 	}
-	return false
+	var buf [3]Expr
+	return slices.ContainsFunc(children(e, buf[:0]), ContainsAggregate)
+}
+
+// children appends e's operands to buf (a walk's small array, so only a
+// long IN list or CASE allocates) in evaluation order: no subquery, and
+// a nil for CASE's missing operand or ELSE.
+func children(e Expr, buf []Expr) []Expr {
+	switch x := e.(type) {
+	case *BinaryExpr:
+		return append(buf, x.L, x.R)
+	case *UnaryExpr:
+		return append(buf, x.X)
+	case *IsNullExpr:
+		return append(buf, x.X)
+	case *BetweenExpr:
+		return append(buf, x.X, x.Lo, x.Hi)
+	case *InExpr:
+		return append(append(buf, x.X), x.List...)
+	case *FuncCall:
+		return x.Args
+	case *CaseExpr:
+		buf = append(buf, x.Operand)
+		for _, w := range x.Whens {
+			buf = append(buf, w.When, w.Then)
+		}
+		return append(buf, x.Else)
+	}
+	return nil
 }

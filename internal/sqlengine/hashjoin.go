@@ -26,10 +26,11 @@ type hashJoinIter struct {
 	opts        StreamOptions
 	stats       *StreamStats
 
-	sch       rowSchema    // combined: left columns then right columns
-	ec        *evalContext // the residual's, over sch
-	buildIdx  []int        // key ordinals in the build input
-	probeIdx  []int        // key ordinals in the probe input
+	sch       rowSchema // combined: left columns then right columns
+	fr        *frame    // the residual's, over sch
+	residual  evalFn    // j.On compiled over sch; nil without one
+	buildIdx  []int     // key ordinals in the build input
+	probeIdx  []int     // key ordinals in the probe input
 	buildLeft bool
 	outer     bool // LEFT or RIGHT: unmatched probe rows are emitted padded
 
@@ -228,7 +229,9 @@ func (h *hashJoinIter) doPrepare() error {
 	h.sch = make(rowSchema, 0, len(lsch)+len(rsch))
 	h.sch = append(h.sch, lsch...)
 	h.sch = append(h.sch, rsch...)
-	h.ec = h.env.bind(h.sch)
+	var fns []evalFn
+	h.fr, fns = h.env.compile(h.sch, false, h.j.On)
+	h.residual = fns[0]
 
 	if h.sd != nil {
 		h.inSpill = true
@@ -371,14 +374,18 @@ func (h *hashJoinIter) matchRow(prow Row) (Row, error) {
 		i, ok := h.ht.idx[string(h.key)]
 		for ; ok && i >= 0; i = h.ht.next[i] {
 			crow := h.combined(prow, h.ht.rows[i])
-			keep, err := evalResidual(h.j.On, h.ec, crow)
-			if err != nil {
-				return nil, err
+			if h.residual != nil {
+				h.fr.row = crow
+				v, err := h.residual(h.fr)
+				if err != nil {
+					return nil, err
+				}
+				if !decides(v, true) {
+					continue
+				}
 			}
-			if keep {
-				h.pending = append(h.pending, crow)
-				matched = true
-			}
+			h.pending = append(h.pending, crow)
+			matched = true
 		}
 	}
 	if h.outer && !matched {

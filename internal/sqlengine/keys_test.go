@@ -120,7 +120,7 @@ func keyFuzzValues(data []byte) []Value {
 	return vals
 }
 
-// bigOf is a number other than NaN as an exact big.Float.
+// bigOf is a number other than NaN as an exact big.Float (±Inf included).
 func bigOf(v Value) *big.Float {
 	switch v.Kind {
 	case KindFloat:
@@ -129,6 +129,13 @@ func bigOf(v Value) *big.Float {
 		return new(big.Float).SetInt64(int64(v.aux))
 	}
 	return new(big.Float).SetInt64(v.Int)
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // keyClass is the class within which keys must agree with Compare.
@@ -140,9 +147,11 @@ func keyClass(v Value) Kind {
 }
 
 // FuzzKeyCodec: within a class (numbers, strings, bytes, times, NULL), two
-// values get equal hash keys exactly when Compare equates them, NaN aside,
-// and Compare orders two numbers as math/big does; the key of a pair of values equals another pair's exactly when both
-// parts' keys do, so no key spills over into its neighbour.
+// values get equal hash keys exactly when Compare equates them, and
+// Compare orders two numbers as math/big does, a NaN equal only to a NaN
+// and before every other number; the key of a pair of values equals
+// another pair's exactly when both parts' keys do, so no key spills over
+// into its neighbour.
 func FuzzKeyCodec(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0, 4, 2, 7},             // int 2^53, float 2^53
@@ -164,14 +173,24 @@ func FuzzKeyCodec(f *testing.F) {
 		isNaN := func(v Value) bool { return v.Kind == KindFloat && math.IsNaN(v.Float) }
 		for i, a := range vals {
 			for _, b := range vals[i:] {
-				if keyClass(a) != keyClass(b) || isNaN(a) || isNaN(b) {
+				if keyClass(a) != keyClass(b) {
 					continue
 				}
 				if keyEq, cmpEq := bytes.Equal(key(a), key(b)), Compare(a, b) == 0; keyEq != cmpEq {
 					t.Fatalf("%#v and %#v: equal keys %v, Compare equal %v", a, b, keyEq, cmpEq)
 				}
-				if isNumeric(a.Kind) && Compare(a, b) != bigOf(a).Cmp(bigOf(b)) {
-					t.Fatalf("%#v and %#v: Compare %d, exactly %d", a, b, Compare(a, b), bigOf(a).Cmp(bigOf(b)))
+				if !isNumeric(a.Kind) {
+					continue
+				}
+				want := 0
+				switch {
+				case isNaN(a) || isNaN(b):
+					want = boolInt(isNaN(b)) - boolInt(isNaN(a))
+				default:
+					want = bigOf(a).Cmp(bigOf(b))
+				}
+				if got := Compare(a, b); got != want {
+					t.Fatalf("%#v and %#v: Compare %d, want %d", a, b, got, want)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"math"
 	"math/big"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -68,11 +69,22 @@ var numericEdges = []int64{
 // FuzzNumericSemantics checks integer + - * / %, and unary minus, against
 // math/big: an integer result is the exact value when that value fits in
 // int64 and an error when it does not. An inexact / promotes to the float
-// quotient, and a zero divisor is an error.
+// quotient, and a zero divisor is an error. It reads a and b as floats
+// too, their bits (so −0.0, NaN and ±Inf) and their values, and checks
+// that Compare orders those numbers as math/big does, a NaN equal only to
+// a NaN and before every other number; that a finite decimal numeral
+// (' 7', '07', '7.0') compares as its value and 'NaN' or 'Inf' as text;
+// and that every compare kernel (litCompare) agrees with Compare.
 func FuzzNumericSemantics(f *testing.F) {
 	for _, a := range numericEdges {
 		for _, b := range numericEdges {
 			f.Add(a, b)
+		}
+	}
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1.5, 1 << 53, 1 << 63}
+	for _, x := range floats {
+		for _, y := range floats {
+			f.Add(int64(math.Float64bits(x)), int64(math.Float64bits(y)))
 		}
 	}
 	f.Fuzz(func(t *testing.T, a, b int64) {
@@ -122,7 +134,52 @@ func FuzzNumericSemantics(f *testing.F) {
 			}
 		}
 		neg := &UnaryExpr{Op: "-", X: &Literal{Val: NewInt(a)}}
-		got, err := evalExpr(neg, &evalContext{})
+		got, err := evalConst(neg, nil)
 		wantInt("-("+x.String()+")", got, err, new(big.Int).Neg(x))
+
+		isNaN := func(v Value) bool { return v.Kind == KindFloat && math.IsNaN(v.Float) }
+		nums := []Value{NewInt(a), NewInt(b), NewFloat(math.Float64frombits(uint64(a))),
+			NewFloat(math.Float64frombits(uint64(b))), NewFloat(float64(a)), NewBool(b&1 == 1)}
+		for _, p := range nums {
+			for _, q := range nums {
+				want := boolInt(isNaN(q)) - boolInt(isNaN(p))
+				if !isNaN(p) && !isNaN(q) {
+					want = bigOf(p).Cmp(bigOf(q))
+				}
+				if got := Compare(p, q); got != want {
+					t.Errorf("Compare(%#v, %#v) = %d, want %d", p, q, got, want)
+				}
+				k := newLitCompare(q)
+				if got := k.compare(p); got != want {
+					t.Errorf("kernel for %#v on %#v = %d, Compare %d", q, p, got, want)
+				}
+			}
+		}
+		strs := []string{"NaN", "Inf", "-Inf", "nan"}
+		if a >= -1<<53 && a <= 1<<53 { // a numeral's value is exact
+			n := strconv.FormatInt(a, 10)
+			strs = append(strs, n, " "+n+" ", n+".0", strings.Replace(n, "-", "-0", 1))
+			if a >= 0 {
+				strs = append(strs, "0"+n)
+			}
+		}
+		for _, str := range strs {
+			sv := NewString(str)
+			for _, q := range nums {
+				want := strings.Compare(str, q.String())
+				if _, err := strconv.ParseFloat(strings.TrimSpace(str), 64); err == nil && !strings.Contains(strings.ToLower(str), "n") {
+					want = Compare(NewInt(a), q)
+				}
+				if got := Compare(sv, q); got != want {
+					t.Errorf("Compare(%q, %#v) = %d, want %d", str, q, got, want)
+				}
+				if got := -Compare(q, sv); got != want {
+					t.Errorf("Compare(%#v, %q) = %d, want %d", q, str, -got, -want)
+				}
+				if k := newLitCompare(sv); k.compare(q) != -want {
+					t.Errorf("kernel for %q on %#v = %d, want %d", str, q, k.compare(q), -want)
+				}
+			}
+		}
 	})
 }

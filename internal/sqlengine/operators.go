@@ -16,10 +16,14 @@ import (
 // and peer relays, so integrated rows are emitted as the sources produce
 // them.
 //
+// Each operator compiles its expressions (expr.go) when it first sees
+// its input's schema, and evaluates only the compiled form.
+//
 // An IN/EXISTS subquery runs through the same executor (exec.go) as in
-// the engine. A caller without a database supplies one input per table
-// the subqueries read (StreamPlan.Subqueries); the pipeline drains each
-// the first time a subquery opens it and reads it from memory after.
+// the engine: once per statement when uncorrelated, else once per row it
+// is evaluated for. A caller without a database supplies one input per
+// table the subqueries read (StreamPlan.Subqueries); the pipeline drains
+// each the first time a subquery opens it and reads it from memory after.
 // AnalyzeStreamSelect rejects only what needs columns the caller does not
 // know: over an input whose columns are unknown until it is read (a peer
 // table the caller has no column list for), a star in the select list or
@@ -361,35 +365,17 @@ func Subqueries(sel *SelectStmt) []*SelectStmt {
 
 // exprSubqueries appends the IN (SELECT ...) and EXISTS statements of e.
 func exprSubqueries(e Expr, out []*SelectStmt) []*SelectStmt {
+	var buf [3]Expr
+	for _, c := range children(e, buf[:0]) {
+		out = exprSubqueries(c, out)
+	}
 	switch x := e.(type) {
-	case *UnaryExpr:
-		return exprSubqueries(x.X, out)
-	case *BinaryExpr:
-		return exprSubqueries(x.R, exprSubqueries(x.L, out))
-	case *IsNullExpr:
-		return exprSubqueries(x.X, out)
 	case *InExpr:
-		out = exprSubqueries(x.X, out)
-		for _, le := range x.List {
-			out = exprSubqueries(le, out)
-		}
 		if x.Sub != nil {
 			out = append(out, x.Sub)
 		}
-	case *BetweenExpr:
-		return exprSubqueries(x.Hi, exprSubqueries(x.Lo, exprSubqueries(x.X, out)))
 	case *ExistsExpr:
-		return append(out, x.Sub)
-	case *FuncCall:
-		for _, a := range x.Args {
-			out = exprSubqueries(a, out)
-		}
-	case *CaseExpr:
-		out = exprSubqueries(x.Operand, out)
-		for _, w := range x.Whens {
-			out = exprSubqueries(w.Then, exprSubqueries(w.When, out))
-		}
-		return exprSubqueries(x.Else, out)
+		out = append(out, x.Sub)
 	}
 	return out
 }
@@ -464,22 +450,35 @@ func (o StreamOptions) budget() int64 {
 	return o.BudgetBytes
 }
 
+// selectFunc runs the SELECT of an IN or EXISTS subquery in env: the
+// statement's parameters and the row the subquery runs for.
+type selectFunc func(sel *SelectStmt, env *evalEnv) (*ResultSet, error)
+
 // evalEnv is what an operator's expressions see besides the row: the
-// statement's parameters, the executor IN/EXISTS subqueries re-enter and
-// the enclosing row of a correlated subquery.
+// statement's parameters, the executor IN/EXISTS subqueries re-enter and,
+// in a subquery, the frame of the row it runs for and that row's scope.
 type evalEnv struct {
-	params []Value
-	exec   selectFunc
-	outer  *evalContext
+	params     []Value
+	exec       selectFunc
+	outer      *frame
+	outerScope *scope
 }
 
-// bind returns an operator's context over rows of schema sch; the
-// operator re-points its row at each row it evaluates. So a context is
-// valid only during the call that received it and nothing may keep it: a
-// correlated subquery that receives it as outer finishes before the call
-// returns.
-func (e *evalEnv) bind(sch rowSchema) *evalContext {
-	return &evalContext{schema: sch, params: e.params, exec: e.exec, outer: e.outer}
+// compile compiles es for an operator over rows of schema sch (rownum:
+// the operator numbers its rows), a nil Expr to a nil evalFn, and returns
+// them with the frame they read. The operator re-points the frame's row
+// at each row it evaluates. So a frame is valid only during the call that
+// received it and nothing may keep it: a correlated subquery that
+// receives it as outer finishes before the call returns.
+func (e *evalEnv) compile(sch rowSchema, rownum bool, es ...Expr) (*frame, []evalFn) {
+	c := &compiler{sc: &scope{schema: sch, rownum: rownum, outer: e.outerScope}}
+	fns := make([]evalFn, len(es))
+	for i, x := range es {
+		if x != nil {
+			fns[i] = c.compile(x).eval
+		}
+	}
+	return &frame{env: e}, fns
 }
 
 // StreamSelect composes the streaming pipeline for an analyzed plan over
@@ -723,31 +722,34 @@ type filterIter struct {
 	in   relIter
 	cond Expr
 	env  *evalEnv
-	ec   *evalContext
+	fr   *frame
+	test evalFn // cond, compiled at the first next
 	kept int64
 }
 
 func (f *filterIter) schema() (rowSchema, error) { return f.in.schema() }
 
 func (f *filterIter) next() (Row, error) {
-	sch, err := f.in.schema()
-	if err != nil {
-		return nil, err
-	}
-	if f.ec == nil {
-		f.ec = f.env.bind(sch)
+	if f.test == nil {
+		sch, err := f.in.schema()
+		if err != nil {
+			return nil, err
+		}
+		var fns []evalFn
+		f.fr, fns = f.env.compile(sch, true, f.cond)
+		f.test = fns[0]
 	}
 	for {
 		row, err := f.in.next()
 		if err != nil {
 			return nil, err
 		}
-		f.ec.row, f.ec.rownum = row, f.kept+1
-		v, err := evalExpr(f.cond, f.ec)
+		f.fr.row, f.fr.rownum = row, f.kept+1
+		v, err := f.test(f.fr)
 		if err != nil {
 			return nil, err
 		}
-		if b, ok := v.AsBool(); ok && !v.IsNull() && b {
+		if decides(v, true) {
 			f.kept++
 			return row, nil
 		}
@@ -763,27 +765,28 @@ type projectIter struct {
 	cols  []string
 	exprs []Expr
 	env   *evalEnv
-	ec    *evalContext
+	fr    *frame
+	fns   []evalFn // exprs, compiled at the first Next
 }
 
 func (p *projectIter) Columns() []string { return p.cols }
 
 func (p *projectIter) Next() (Row, error) {
-	sch, err := p.in.schema()
-	if err != nil {
-		return nil, err
+	if p.fns == nil {
+		sch, err := p.in.schema()
+		if err != nil {
+			return nil, err
+		}
+		p.fr, p.fns = p.env.compile(sch, false, p.exprs...)
 	}
 	row, err := p.in.next()
 	if err != nil {
 		return nil, err
 	}
-	if p.ec == nil {
-		p.ec = p.env.bind(sch)
-	}
-	p.ec.row = row
-	out := make(Row, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := evalExpr(e, p.ec)
+	p.fr.row = row
+	out := make(Row, len(p.fns))
+	for i, fn := range p.fns {
+		v, err := fn(p.fr)
 		if err != nil {
 			return nil, err
 		}
@@ -918,32 +921,16 @@ func ctxErr(ctx context.Context) error {
 func resolveKeys(sch rowSchema, quals, keys []string) ([]int, error) {
 	idx := make([]int, len(keys))
 	for i, k := range keys {
-		j, err := sch.lookup(quals[i], k)
-		if err != nil {
+		j, n := sch.find(quals[i], k)
+		if n != 1 {
 			// Unqualified fallback: a relay input's columns are only
 			// known once it is read.
-			if j2, err2 := sch.lookup("", k); err2 == nil {
-				idx[i] = j2
-				continue
+			var n2 int
+			if j, n2 = sch.find("", k); n2 != 1 {
+				return nil, nameError(quals[i], k, n)
 			}
-			return nil, err
 		}
 		idx[i] = j
 	}
 	return idx, nil
-}
-
-// evalResidual re-checks a join's residual condition over a combined row,
-// re-pointing ec at it.
-func evalResidual(cond Expr, ec *evalContext, row Row) (bool, error) {
-	if cond == nil {
-		return true, nil
-	}
-	ec.row = row
-	v, err := evalExpr(cond, ec)
-	if err != nil {
-		return false, err
-	}
-	b, ok := v.AsBool()
-	return ok && !v.IsNull() && b, nil
 }

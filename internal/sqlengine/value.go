@@ -265,12 +265,13 @@ func (v Value) AsBool() (bool, bool) {
 	return false, false
 }
 
-// Compare orders two values. NULL sorts before everything and equals only
-// NULL (three-valued logic is handled by the expression evaluator, which
-// checks IsNull before calling Compare). Numeric kinds compare numerically
-// across int/float/bool, exactly (compareNumbers); otherwise values compare
-// within their kind, with a best-effort string/number coercion for mixed
-// comparisons.
+// Compare orders two values and returns -1, 0 or 1. NULL sorts before
+// everything and equals only NULL (three-valued logic is handled by the
+// expression evaluator, which checks IsNull before calling Compare).
+// Numeric kinds compare numerically across int/float/bool, exactly
+// (compareNumbers), with a NaN equal only to a NaN and before every other
+// number; otherwise values compare within their kind, with a best-effort
+// string/number coercion for mixed comparisons.
 func Compare(a, b Value) int {
 	if a.IsNull() || b.IsNull() {
 		switch {
@@ -285,16 +286,15 @@ func Compare(a, b Value) int {
 	if isNumeric(a.Kind) && isNumeric(b.Kind) {
 		return compareNumbers(a, b)
 	}
+	// A numeral string compares as the float it parses to, exactly.
 	if a.Kind == KindString && isNumeric(b.Kind) {
 		if af, ok := a.AsFloat(); ok {
-			bf, _ := b.AsFloat()
-			return compareFloat(af, bf)
+			return compareNumbers(NewFloat(af), b)
 		}
 	}
 	if isNumeric(a.Kind) && b.Kind == KindString {
 		if bf, ok := b.AsFloat(); ok {
-			af, _ := a.AsFloat()
-			return compareFloat(af, bf)
+			return compareNumbers(a, NewFloat(bf))
 		}
 	}
 	if a.Kind == KindTime || b.Kind == KindTime {
@@ -332,10 +332,9 @@ func compareNumbers(a, b Value) int {
 }
 
 // compareFloatInt compares with i a float f that is no integer in the
-// int64 range: a fraction, or a value beyond that range. float64(i) never
-// equals f then, and rounding keeps its side of f, but at 2^63, which
-// rounding may reach from below. A NaN equals every number, as in
-// compareFloat.
+// int64 range: a fraction, a NaN, or a value beyond that range.
+// float64(i) never equals f then, and rounding keeps its side of f, but at
+// 2^63, which rounding may reach from below.
 func compareFloatInt(f float64, i int64) int {
 	if f >= 1<<63 {
 		return 1
@@ -343,16 +342,10 @@ func compareFloatInt(f float64, i int64) int {
 	return compareFloat(f, float64(i))
 }
 
-func compareFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
+// compareFloat orders two floats totally: -0.0 equals 0.0, and a NaN
+// equals only a NaN and sorts before every other number, -Inf included
+// (cmp.Compare's order).
+func compareFloat(a, b float64) int { return cmp.Compare(a, b) }
 
 func isNumeric(k Kind) bool {
 	return k == KindInt || k == KindFloat || k == KindBool
