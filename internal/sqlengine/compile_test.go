@@ -215,3 +215,27 @@ func TestCompiledEvalAllocs(t *testing.T) {
 		t.Errorf("compiled evaluation allocates %.0f times over 20 000 rows, %.0f over 2 000", large, small)
 	}
 }
+
+// TestUpdateSeesStatementSnapshot: an UPDATE's WHERE and SET see the
+// table as the statement found it, not the rows it has already updated,
+// whether a subquery over the table is uncorrelated (run once, wherever
+// it is first reached) or correlated (run per row).
+func TestUpdateSeesStatementSnapshot(t *testing.T) {
+	for _, c := range []struct{ update, want string }{
+		{"UPDATE t SET x = 1 WHERE 3 IN (SELECT x FROM t)", "[[1 1] [2 1]]"},
+		// The subquery is first reached on row 2, after row 1 matched.
+		{"UPDATE t SET x = x + 10 WHERE x = 3 OR 13 IN (SELECT x FROM t)", "[[1 13] [2 7]]"},
+		{"UPDATE t SET x = x + 4 WHERE NOT EXISTS (SELECT 1 FROM t t2 WHERE t2.x = t.x - 4)", "[[1 7] [2 7]]"},
+		{"UPDATE t SET x = CASE WHEN 3 IN (SELECT x FROM t) THEN 0 ELSE 1 END", "[[1 0] [2 0]]"},
+	} {
+		e := NewEngine("snapshot", DialectANSI)
+		mustExec(t, e, "CREATE TABLE t (id INTEGER, x INTEGER)")
+		mustExec(t, e, "INSERT INTO t VALUES (1, 3), (2, 7)")
+		if _, err := e.Exec(c.update); err != nil {
+			t.Fatalf("%s: %v", c.update, err)
+		}
+		if got := fmt.Sprint(mustQuery(t, e, "SELECT id, x FROM t ORDER BY id").Rows); got != c.want {
+			t.Errorf("%s: rows %s, want %s", c.update, got, c.want)
+		}
+	}
+}

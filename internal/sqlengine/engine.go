@@ -390,10 +390,17 @@ func (s *Session) execUpdate(x *UpdateStmt, params []Value) (int64, error) {
 		exprs = append(exprs, set.Expr)
 	}
 	fr, fns := (&evalEnv{params: params, exec: (&executor{db: db}).execSelect}).compile(schema, true, exprs...)
-	var updated int64
+	// Every row's WHERE and SET see the table as the statement found it
+	// (a subquery over it included): the new rows are written after the
+	// loop.
+	type update struct {
+		ri  int
+		row Row
+	}
+	var updates []update
 	err := func() error {
 		for ri, row := range t.Rows {
-			fr.row, fr.rownum = row, updated+1
+			fr.row, fr.rownum = row, int64(len(updates))+1
 			if fns[0] != nil {
 				v, err := fns[0](fr)
 				if err != nil {
@@ -422,11 +429,14 @@ func (s *Session) execUpdate(x *UpdateStmt, params []Value) (int64, error) {
 				}
 				newRow[pos] = cv
 			}
-			t.Rows[ri] = newRow
-			updated++
+			updates = append(updates, update{ri, newRow})
 		}
 		return nil
 	}()
+	for _, u := range updates {
+		t.Rows[u.ri] = u.row
+	}
+	updated := int64(len(updates))
 	if updated == 0 {
 		return 0, err
 	}

@@ -1,7 +1,6 @@
 package sqlengine
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -102,7 +101,7 @@ type frame struct {
 type evalFn func(fr *frame) (Value, error)
 
 // cexpr is a compiled expression; a constant's points at its value, to
-// fold over and pick compare kernels by. Two words only: compiling runs
+// fold over and to compare against. Two words only: compiling runs
 // deep in an operator's stack, and bigger frames there grow that stack.
 type cexpr struct {
 	eval  evalFn
@@ -132,16 +131,6 @@ func fold(fn evalFn, args ...cexpr) cexpr {
 		return constant(v)
 	}
 	return dynamic(fn)
-}
-
-// slotFns read the first slots of the row at hand without allocating a
-// closure per column.
-var slotFns [32]evalFn
-
-func init() {
-	for i := range slotFns {
-		slotFns[i] = func(fr *frame) (Value, error) { return fr.row[i], nil }
-	}
 }
 
 // compiler compiles expressions in one scope. agg, when set, compiles an
@@ -219,8 +208,8 @@ func (c *compiler) column(x *ColumnRef) cexpr {
 	switch {
 	case err != nil:
 		return failing(err)
-	case depth == 0 && slot >= 0 && slot < len(slotFns):
-		return dynamic(slotFns[slot])
+	case depth == 0 && slot >= 0:
+		return dynamic(func(fr *frame) (Value, error) { return fr.row[slot], nil })
 	}
 	return dynamic(func(fr *frame) (Value, error) {
 		for d := depth; d > 0; d-- {
@@ -339,8 +328,7 @@ func decides(v Value, b bool) bool {
 }
 
 // comparison compiles l op r, op coded as a binOps mask. With a non-NULL
-// constant on one side it compares the other side through a litCompare
-// kernel.
+// constant on one side it evaluates only the other.
 func comparison(mask uint8, l, r cexpr) evalFn {
 	if l.konst != nil && r.konst == nil {
 		// k op v is v op' k, op' the mirrored operator: < and > swap.
@@ -356,55 +344,14 @@ func comparison(mask uint8, l, r cexpr) evalFn {
 			return NewBool(mask>>(Compare(vals[0], vals[1])+1)&1 != 0), nil
 		}
 	}
-	k := newLitCompare(*r.konst)
+	k := *r.konst
 	return func(fr *frame) (Value, error) {
 		v, err := lf(fr)
 		if err != nil || v.IsNull() {
 			return Null(), err
 		}
-		return NewBool(mask>>(k.compare(v)+1)&1 != 0), nil
+		return NewBool(mask>>(Compare(v, k)+1)&1 != 0), nil
 	}
-}
-
-// litCompare is a compare kernel for one non-NULL constant: compare(v)
-// returns Compare(v, lit), and takes a fast path when v's kind is one lit
-// has an exact form in.
-type litCompare struct {
-	lit            Value
-	i              int64   // lit as keyValue has it, when an integer
-	f              float64 // lit exactly, when a float holds it
-	isInt, isFloat bool
-}
-
-func newLitCompare(lit Value) litCompare {
-	k := litCompare{lit: lit}
-	if !isNumeric(lit.Kind) {
-		return k
-	}
-	kv := keyValue(lit)
-	k.i, k.isInt = kv.Int, kv.Kind == KindInt
-	switch {
-	case lit.Kind == KindFloat:
-		k.f, k.isFloat = lit.Float, true
-	case kv.Int >= -1<<53 && kv.Int <= 1<<53:
-		k.f, k.isFloat = float64(kv.Int), true
-	}
-	return k
-}
-
-func (k *litCompare) compare(v Value) int {
-	switch {
-	case v.Kind == KindInt && k.isInt:
-		return cmp.Compare(v.Int, k.i)
-	case v.Kind == KindInt && k.isFloat:
-		// lit is a float no int64 equals, as compareNumbers sees it.
-		return -compareFloatInt(k.f, v.Int)
-	case v.Kind == KindFloat && k.isFloat:
-		return compareFloat(v.Float, k.f)
-	case v.Kind == KindString && k.lit.Kind == KindString:
-		return strings.Compare(v.Str(), k.lit.Str())
-	}
-	return Compare(v, k.lit)
 }
 
 // evalEach evaluates up to three expressions in order, stopping at the
