@@ -186,7 +186,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := fed.QuerySource("d1", "SELECT 1")
+		rs, err := fed.QuerySource(context.Background(), "d1", "SELECT 1")
 		if err != nil || len(rs.Rows) != 1 {
 			b.Fatalf("%v", err)
 		}

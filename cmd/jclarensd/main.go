@@ -80,6 +80,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -258,7 +259,7 @@ func main() {
 	var tracker *dataaccess.Tracker
 	if *track > 0 {
 		tracker = dataaccess.NewTracker(svc, *track)
-		tracker.Start()
+		tracker.Start(context.Background())
 		log.Printf("jclarensd: schema tracker running every %s", *track)
 	}
 	var heartbeat *dataaccess.Heartbeat

@@ -99,14 +99,14 @@ func main() {
 
 	// --- Proximity-steered replica selection ---------------------------
 	prober := proximity.NewProber(fed)
-	prober.SetMeasureFunc(func(source string) (time.Duration, error) {
+	prober.SetMeasureFunc(func(_ context.Context, source string) (time.Duration, error) {
 		// Pretend the Oracle site is across the WAN.
 		if source == "legacy_oracle" {
 			return 80 * time.Millisecond, nil
 		}
 		return 2 * time.Millisecond, nil
 	})
-	prober.ProbeOnce()
+	prober.ProbeOnce(context.Background())
 	plan, err := fed.PlanQuery("SELECT evt_id FROM events_t01")
 	if err != nil {
 		log.Fatal(err)

@@ -88,8 +88,8 @@ func main() {
 	fmt.Printf("\njoin with the plugged-in table (%s route):\n%s", qr.Route, gridrdb.FormatResult(qr.ResultSet))
 
 	// ---- §4.9: schema-change tracking ---------------------------------
-	tracker := dataaccess.NewTracker(jc.Service, 0) // manual CheckNow
-	if _, err := tracker.CheckNow(); err != nil {   // baseline fingerprints
+	tracker := dataaccess.NewTracker(jc.Service, 0)  // manual CheckNow
+	if _, err := tracker.CheckNow(ctx); err != nil { // baseline fingerprints
 		log.Fatal(err)
 	}
 
@@ -100,7 +100,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	updated, err := tracker.CheckNow()
+	updated, err := tracker.CheckNow(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

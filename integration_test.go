@@ -197,7 +197,7 @@ func TestFullPaperPipeline(t *testing.T) {
 	// Proximity extension: probing steers replica selection without
 	// breaking answers.
 	prober := proximity.NewProber(jc1.Service.Federation())
-	prober.ProbeOnce()
+	prober.ProbeOnce(context.Background())
 	if _, err := jc1.Query("SELECT COUNT(*) FROM it_run100"); err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func TestCacheParamsDistinguishEntries(t *testing.T) {
 func TestTrackerInvalidatesDependents(t *testing.T) {
 	s, my, _ := newCachedService(t)
 	tr := NewTracker(s, 0)
-	if _, err := tr.CheckNow(); err != nil { // baseline fingerprints
+	if _, err := tr.CheckNow(context.Background()); err != nil { // baseline fingerprints
 		t.Fatal(err)
 	}
 
@@ -120,7 +120,7 @@ func TestTrackerInvalidatesDependents(t *testing.T) {
 	if _, err := my.Exec("INSERT INTO `events` VALUES (9001, 100, 1.5)"); err != nil {
 		t.Fatal(err)
 	}
-	updated, err := tr.CheckNow()
+	updated, err := tr.CheckNow(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestTrackerPerTableEviction(t *testing.T) {
 	addMart(t, s, "pt_mart", spec, "gridsql-mysql")
 
 	tr := NewTracker(s, 0)
-	if _, err := tr.CheckNow(); err != nil {
+	if _, err := tr.CheckNow(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.QueryContext(context.Background(), "SELECT event_id FROM events ORDER BY event_id"); err != nil {
@@ -193,7 +193,7 @@ func TestTrackerPerTableEviction(t *testing.T) {
 	if _, err := my.Exec("CREATE TABLE `bolt_on` (`id` BIGINT PRIMARY KEY)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.CheckNow(); err != nil {
+	if _, err := tr.CheckNow(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.CacheStats(); st.Invalidations != 0 || st.Entries != 2 {
@@ -204,7 +204,7 @@ func TestTrackerPerTableEviction(t *testing.T) {
 	if _, err := my.Exec("INSERT INTO `extra` VALUES (2, 3.5)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.CheckNow(); err != nil {
+	if _, err := tr.CheckNow(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st := s.CacheStats()
@@ -217,6 +217,34 @@ func TestTrackerPerTableEviction(t *testing.T) {
 	}
 	if got := s.CacheStats().Hits; got != hitsBefore+1 {
 		t.Fatalf("events entry should have survived extra's change: hits %d -> %d", hitsBefore, got)
+	}
+
+	// A primary key on runlog.run makes events.run a relationship to it.
+	// Only runlog's spec changed, so events' entry and the unrelated
+	// extra's entry both keep serving hits.
+	if _, err := my.Exec("CREATE TABLE `runlog` (`run` BIGINT)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.CheckNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.QueryContext(context.Background(), "SELECT k FROM extra ORDER BY k"); err != nil {
+		t.Fatal(err)
+	}
+	if err := my.ExecScript("DROP TABLE `runlog`; CREATE TABLE `runlog` (`run` BIGINT PRIMARY KEY)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.CheckNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st = s.CacheStats()
+	for _, q := range []string{"SELECT event_id FROM events ORDER BY event_id", "SELECT k FROM extra ORDER BY k"} {
+		if _, err := s.QueryContext(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := s.CacheStats(); after.Hits != st.Hits+2 || after.Invalidations != st.Invalidations {
+		t.Fatalf("stats after runlog's primary key = %+v, want events' and extra's entries to hit (before %+v)", after, st)
 	}
 }
 

@@ -17,7 +17,7 @@ func TestTrackerPeriodicRun(t *testing.T) {
 	addMart(t, s, "periodic", spec, "gridsql-mysql")
 
 	tr := NewTracker(s, 5*time.Millisecond)
-	tr.Start()
+	tr.Start(context.Background())
 	defer tr.Stop()
 
 	// Baseline pass happens on the first tick; then change the schema and

@@ -347,11 +347,7 @@ func (s *Service) publishTables(spec *xspec.LowerSpec) error {
 	}
 	var tables []string
 	for _, t := range spec.Tables {
-		logical := t.Logical
-		if logical == "" {
-			logical = t.Name
-		}
-		tables = append(tables, logical)
+		tables = append(tables, xspec.LogicalName(t.Logical, t.Name))
 	}
 	if len(tables) == 0 {
 		return nil

@@ -357,7 +357,7 @@ func TestSchemaTracker(t *testing.T) {
 
 	tr := NewTracker(s, 0)
 	// First check establishes the baseline.
-	updated, err := tr.CheckNow()
+	updated, err := tr.CheckNow(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestSchemaTracker(t *testing.T) {
 		t.Fatalf("baseline check updated %v", updated)
 	}
 	// No change: second check is a no-op.
-	updated, err = tr.CheckNow()
+	updated, err = tr.CheckNow(context.Background())
 	if err != nil || len(updated) != 0 {
 		t.Fatalf("no-change check: %v %v", updated, err)
 	}
@@ -373,7 +373,7 @@ func TestSchemaTracker(t *testing.T) {
 	if _, err := mart.Exec("CREATE TABLE `extras` (`k` BIGINT, `v` VARCHAR(8))"); err != nil {
 		t.Fatal(err)
 	}
-	updated, err = tr.CheckNow()
+	updated, err = tr.CheckNow(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

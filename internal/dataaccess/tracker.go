@@ -1,6 +1,7 @@
 package dataaccess
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -25,9 +26,8 @@ type Tracker struct {
 	mu    sync.Mutex
 	known map[string]trackedSpec
 
-	stop    chan struct{}
-	stopped sync.Once
-	wg      sync.WaitGroup
+	cancel context.CancelFunc // ends the periodic thread (nil until Start)
+	wg     sync.WaitGroup
 
 	checks  atomic.Int64
 	updates atomic.Int64
@@ -48,15 +48,16 @@ func NewTracker(svc *Service, interval time.Duration) *Tracker {
 		svc:      svc,
 		interval: interval,
 		known:    make(map[string]trackedSpec),
-		stop:     make(chan struct{}),
 	}
 }
 
-// Start launches the periodic regeneration thread.
-func (t *Tracker) Start() {
+// Start launches the periodic regeneration thread. Its introspection
+// queries run under ctx, and it ends when ctx does or Stop is called.
+func (t *Tracker) Start(ctx context.Context) {
 	if t.interval <= 0 {
 		return
 	}
+	ctx, t.cancel = context.WithCancel(ctx)
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
@@ -64,18 +65,20 @@ func (t *Tracker) Start() {
 		defer ticker.Stop()
 		for {
 			select {
-			case <-t.stop:
+			case <-ctx.Done():
 				return
 			case <-ticker.C:
-				t.CheckNow()
+				t.CheckNow(ctx)
 			}
 		}
 	}()
 }
 
-// Stop halts the periodic thread.
+// Stop halts the periodic thread, cancelling a check it is running.
 func (t *Tracker) Stop() {
-	t.stopped.Do(func() { close(t.stop) })
+	if t.cancel != nil {
+		t.cancel()
+	}
 	t.wg.Wait()
 }
 
@@ -88,12 +91,12 @@ func (t *Tracker) Stats() (checks, updates int64) {
 
 // CheckNow regenerates the XSpec of every source and hot-reloads any whose
 // fingerprint changed. It returns the names of updated sources.
-func (t *Tracker) CheckNow() ([]string, error) {
+func (t *Tracker) CheckNow(ctx context.Context) ([]string, error) {
 	defer t.checks.Add(1)
 	var updated []string
 	var firstErr error
 	for _, name := range t.svc.fed.Sources() {
-		changed, err := t.checkSource(name)
+		changed, err := t.checkSource(ctx, name)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -113,12 +116,12 @@ func (t *Tracker) CheckNow() ([]string, error) {
 	return updated, firstErr
 }
 
-func (t *Tracker) checkSource(name string) (bool, error) {
+func (t *Tracker) checkSource(ctx context.Context, name string) (bool, error) {
 	dialect, err := t.svc.fed.SourceDialectName(name)
 	if err != nil {
 		return false, err
 	}
-	spec, err := xspec.Generate(name, dialect, sourceQueryer{fed: t.svc.fed, name: name})
+	spec, err := xspec.Generate(name, dialect, sourceQueryer{ctx: ctx, fed: t.svc.fed, name: name})
 	if err != nil {
 		return false, fmt.Errorf("dataaccess: tracker: regenerate %s: %w", name, err)
 	}
@@ -143,25 +146,18 @@ func (t *Tracker) checkSource(name string) (bool, error) {
 	}
 	// Evict only the cached results that read what actually changed: the
 	// old and new specs are diffed table by table, so entries on the
-	// source's untouched tables keep serving hits. (Earlier versions
-	// evicted the whole source, cold-starting every table's entries on
-	// any change.) A shift in the inferred relationship set can reshape
-	// join plans across the source, so that falls back to whole-source
-	// eviction.
-	diff := xspec.DiffSpecs(old.spec, spec)
-	if diff.RelationshipsChanged || old.spec == nil {
-		t.svc.InvalidateSource(name)
-	} else {
-		for _, table := range diff.Tables {
-			t.svc.InvalidateTable(name, table)
-		}
+	// source's untouched tables keep serving hits.
+	for _, table := range xspec.DiffSpecs(old.spec, spec).Tables {
+		t.svc.InvalidateTable(name, table)
 	}
 	t.updates.Add(1)
 	return true, nil
 }
 
-// sourceQueryer adapts a federation member to the xspec.Queryer interface.
+// sourceQueryer adapts a federation member to the xspec.Queryer
+// interface, querying it under ctx.
 type sourceQueryer struct {
+	ctx  context.Context
 	fed  *unity.Federation
 	name string
 }
@@ -171,5 +167,5 @@ func (q sourceQueryer) Query(sql string, params ...sqlengine.Value) (*sqlengine.
 	if len(params) > 0 {
 		return nil, fmt.Errorf("dataaccess: introspection queries take no parameters")
 	}
-	return q.fed.QuerySource(q.name, sql)
+	return q.fed.QuerySource(q.ctx, q.name, sql)
 }

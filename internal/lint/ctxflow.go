@@ -163,7 +163,7 @@ func ctxFlowShadow(pass *Pass, as *ast.AssignStmt, param types.Object) {
 }
 
 // calleeName is the bare name of the function being called, for suffix
-// matching ("QueryContext", "runOnSourceCtx").
+// matching ("QueryContext", "runOnSourceStreamCtx").
 func calleeName(call *ast.CallExpr) string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

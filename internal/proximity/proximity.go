@@ -11,6 +11,7 @@
 package proximity
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -34,7 +35,7 @@ type Prober struct {
 	fail map[string]int
 
 	// measure is injectable for tests and simulations.
-	measure func(source string) (time.Duration, error)
+	measure func(ctx context.Context, source string) (time.Duration, error)
 }
 
 // NewProber creates a prober for a federation; probes run on explicit
@@ -51,20 +52,20 @@ func NewProber(fed *unity.Federation) *Prober {
 }
 
 // measureRTT times one probe query against a source.
-func (p *Prober) measureRTT(source string) (time.Duration, error) {
+func (p *Prober) measureRTT(ctx context.Context, source string) (time.Duration, error) {
 	start := time.Now()
-	if _, err := p.fed.QuerySource(source, probeSQL); err != nil {
+	if _, err := p.fed.QuerySource(ctx, source, probeSQL); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil
 }
 
-// ProbeOnce measures every source once and updates the federation's costs.
-// It returns the smoothed cost per source.
-func (p *Prober) ProbeOnce() map[string]time.Duration {
+// ProbeOnce measures every source once, under ctx, and updates the
+// federation's costs. It returns the smoothed cost per source.
+func (p *Prober) ProbeOnce(ctx context.Context) map[string]time.Duration {
 	out := make(map[string]time.Duration)
 	for _, name := range p.fed.Sources() {
-		rtt, err := p.measure(name)
+		rtt, err := p.measure(ctx, name)
 		p.mu.Lock()
 		if err != nil {
 			p.fail[name]++
@@ -94,6 +95,6 @@ func (p *Prober) ProbeOnce() map[string]time.Duration {
 
 // SetMeasureFunc injects a custom measurement function (tests and
 // simulations).
-func (p *Prober) SetMeasureFunc(f func(source string) (time.Duration, error)) {
+func (p *Prober) SetMeasureFunc(f func(ctx context.Context, source string) (time.Duration, error)) {
 	p.measure = f
 }

@@ -1,6 +1,7 @@
 package proximity
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -49,13 +50,13 @@ func replicatedFederation(t *testing.T) *unity.Federation {
 func TestProximitySteersReplicaSelection(t *testing.T) {
 	f := replicatedFederation(t)
 	p := NewProber(f)
-	p.SetMeasureFunc(func(source string) (time.Duration, error) {
+	p.SetMeasureFunc(func(_ context.Context, source string) (time.Duration, error) {
 		if source == "px_near" {
 			return 2 * time.Millisecond, nil
 		}
 		return 80 * time.Millisecond, nil // the WAN replica
 	})
-	p.ProbeOnce()
+	p.ProbeOnce(context.Background())
 
 	// Every plan must now route the replicated table to the near source.
 	for i := 0; i < 10; i++ {
@@ -90,12 +91,12 @@ func TestEWMASmoothing(t *testing.T) {
 	p.alpha = 0.5
 	samples := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
 	i := 0
-	p.SetMeasureFunc(func(source string) (time.Duration, error) {
+	p.SetMeasureFunc(func(_ context.Context, source string) (time.Duration, error) {
 		return samples[i%len(samples)], nil
 	})
-	p.ProbeOnce() // 10ms baseline
+	p.ProbeOnce(context.Background()) // 10ms baseline
 	i = 1
-	c, ok := p.ProbeOnce()["px_near"] // ewma = 0.5*20 + 0.5*10 = 15ms
+	c, ok := p.ProbeOnce(context.Background())["px_near"] // ewma = 0.5*20 + 0.5*10 = 15ms
 	if !ok || c != 15*time.Millisecond {
 		t.Fatalf("ewma = %v", c)
 	}
@@ -104,7 +105,7 @@ func TestEWMASmoothing(t *testing.T) {
 func TestFailurePoisonsReplica(t *testing.T) {
 	f := replicatedFederation(t)
 	p := NewProber(f)
-	p.SetMeasureFunc(func(source string) (time.Duration, error) {
+	p.SetMeasureFunc(func(_ context.Context, source string) (time.Duration, error) {
 		if source == "px_far" {
 			return 0, fmt.Errorf("unreachable")
 		}
@@ -114,7 +115,7 @@ func TestFailurePoisonsReplica(t *testing.T) {
 	// unavailable.
 	var costs map[string]time.Duration
 	for i := 0; i < 3; i++ {
-		costs = p.ProbeOnce()
+		costs = p.ProbeOnce(context.Background())
 	}
 	if cost := costs["px_far"]; cost < time.Hour {
 		t.Fatalf("failed replica cost = %v, want poisoned", cost)

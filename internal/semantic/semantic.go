@@ -271,9 +271,9 @@ func kindCompatible(a, b string) bool {
 
 // Unify rewrites the Logical names of matched tables (and their matched
 // columns) in both specs so the dictionary integrates them as replicas of
-// one logical table. The logical name chosen is the left table's current
-// logical name (or physical name when unset). It returns the logical
-// names assigned, keyed by left table.
+// one logical table. The logical name chosen is the left table's
+// dictionary name (xspec.LogicalName). It returns the logical names
+// assigned, keyed by left table.
 func Unify(left, right *xspec.LowerSpec, matches []Match) (map[string]string, error) {
 	assigned := map[string]string{}
 	for _, m := range matches {
@@ -282,26 +282,18 @@ func Unify(left, right *xspec.LowerSpec, matches []Match) (map[string]string, er
 		if lt == nil || rt == nil {
 			return nil, fmt.Errorf("semantic: match references unknown table %s/%s", m.LeftTable, m.RightTable)
 		}
-		logical := lt.Logical
-		if logical == "" {
-			logical = strings.ToLower(lt.Name)
-		}
-		lt.Logical = logical
-		rt.Logical = logical
+		lt.Logical = xspec.LogicalName(lt.Logical, lt.Name)
+		rt.Logical = lt.Logical
 		for lcol, rcol := range m.Columns {
 			lc := findColumn(lt, lcol)
 			rc := findColumn(rt, rcol)
 			if lc == nil || rc == nil {
 				continue
 			}
-			colLogical := lc.Logical
-			if colLogical == "" {
-				colLogical = strings.ToLower(lc.Name)
-			}
-			lc.Logical = colLogical
-			rc.Logical = colLogical
+			lc.Logical = xspec.LogicalName(lc.Logical, lc.Name)
+			rc.Logical = lc.Logical
 		}
-		assigned[m.LeftTable] = logical
+		assigned[m.LeftTable] = lt.Logical
 	}
 	return assigned, nil
 }

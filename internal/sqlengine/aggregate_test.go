@@ -101,7 +101,7 @@ func TestStreamAggregateAllocsIndependentOfRows(t *testing.T) {
 	if leaktest.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	st, err := NewEngine("streamaggallocs", DialectANSI).ParseSQL(aggBenchSQL)
+	st, err := NewParser(DialectANSI).ParseStatement(aggBenchSQL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func TestCompiledEvalAllocs(t *testing.T) {
 	if leaktest.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	st, err := NewEngine("evalallocs", DialectANSI).ParseSQL("SELECT ABS(v0 - 1) * 2, COALESCE(v1, run, 0), event_id + 1, v0 / 3, CASE WHEN run = 102 THEN 'a' END FROM ev " +
+	st, err := NewParser(DialectANSI).ParseStatement("SELECT ABS(v0 - 1) * 2, COALESCE(v1, run, 0), event_id + 1, v0 / 3, CASE WHEN run = 102 THEN 'a' END FROM ev " +
 		"WHERE run >= 101 AND v1 > 0.25 AND (v0 < 100 OR event_id = 7) AND NOT v1 IS NULL AND run IN (101, 102, 103)")
 	if err != nil {
 		t.Fatal(err)

@@ -685,29 +685,9 @@ func (e *Engine) InsertRows(table string, rows []Row) (int64, error) {
 	return n, nil
 }
 
-// ViewText returns the stored SELECT text of a view.
-func (e *Engine) ViewText(name string) (string, error) {
-	e.db.mu.RLock()
-	defer e.db.mu.RUnlock()
-	v, ok := e.db.views[normalizeName(name)]
-	if !ok {
-		return "", fmt.Errorf("sqlengine: %s: no such view %q", e.db.name, name)
-	}
-	if v.Text != "" {
-		return v.Text, nil
-	}
-	return "", fmt.Errorf("sqlengine: view %q has no stored text", name)
-}
-
 // String implements fmt.Stringer for diagnostics.
 func (e *Engine) String() string {
 	return fmt.Sprintf("Engine(%s, %s, %d tables)", e.db.Name(), e.dialect.Name, len(e.db.TableNames()))
-}
-
-// ParseSQL parses a statement in this engine's dialect without executing
-// it; used by layers that need to inspect queries.
-func (e *Engine) ParseSQL(sql string) (Statement, error) {
-	return NewParser(e.dialect).ParseStatement(sql)
 }
 
 // FormatResult renders a result set as an aligned text table (for the CLI

@@ -40,7 +40,7 @@ func (ex *executor) execSelect(sel *SelectStmt, env *evalEnv) (*ResultSet, error
 	cols := map[string][]string{}
 	var inputs []StreamInput
 	for s := sel; s != nil; s = s.Union {
-		refs := branchTables(s)
+		refs := BranchTables(s)
 		var where Expr
 		if len(refs) == 1 {
 			where = s.Where

@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"time"
 )
@@ -666,11 +665,29 @@ func isAggregate(name string) bool {
 
 // ContainsAggregate reports whether e contains an aggregate call.
 func ContainsAggregate(e Expr) bool {
-	if fc, ok := e.(*FuncCall); ok && isAggregate(fc.Name) {
+	return !WalkExpr(e, func(e Expr) bool {
+		fc, ok := e.(*FuncCall)
+		return !ok || !isAggregate(fc.Name)
+	})
+}
+
+// WalkExpr calls visit on e and, while visit returns true, on each of its
+// operands in turn (children's order), depth first — not into
+// subqueries. It reports whether every call returned true.
+func WalkExpr(e Expr, visit func(Expr) bool) bool {
+	if e == nil {
 		return true
 	}
+	if !visit(e) {
+		return false
+	}
 	var buf [3]Expr
-	return slices.ContainsFunc(children(e, buf[:0]), ContainsAggregate)
+	for _, c := range children(e, buf[:0]) {
+		if !WalkExpr(c, visit) {
+			return false
+		}
+	}
+	return true
 }
 
 // children appends e's operands to buf (a walk's small array, so only a

@@ -2,17 +2,22 @@ package sqlengine_test
 
 // The generated differential over a federation: the statements
 // TestSelectDifferential runs (differential_test.go, in their federated
-// form), with table a on a MySQL member database, b on an MS-SQL one and
-// c at a peer, answered by the federation — pushed down whole, or run on
-// the operator pipeline over the members' cursors and the peer's stream,
-// subqueries included — and by one engine holding all three tables. They
+// form), answered by the federation — pushed down whole, or run on the
+// operator pipeline over the members' cursors and the peer's stream,
+// subqueries included — and by one engine holding all three tables. The
+// federation has two layouts, with c at a peer in both. In the split
+// layout, a is on a MySQL member database and b on an MS-SQL one, under
+// their own names. In the renamed layout, a and b share one MySQL member
+// under physical names that differ from their logical ones (a is A_T, and
+// a.k is A_T.A_K where b.k is B_T.B_K), so a statement over a and b alone
+// may push down whole through the dictionary's name mapping. The answers
 // must agree on error-or-not and on the rows as a multiset. A statement
 // with a LIMIT or OFFSET compares its row count only: without a total
 // ORDER BY it may take any of the rows. A third of the statements that
 // end unordered get a total ORDER BY (every output column) and compare
-// in order. Every statement runs on two federations over the same
-// members: one at the default scratch budget and one with a 1-byte
-// budget, where every join build and every sort spills to disk. A
+// in order. Every statement runs on two federations of each layout: one
+// at the default scratch budget and one with a 1-byte budget, where every
+// join build and every sort spills to disk. A
 // federation may join tied rows in another order than one engine, so a
 // LIMIT may take other rows; under a UNION that drops duplicates that
 // changes how many of them are duplicates, so such a statement's rows are
@@ -34,20 +39,28 @@ import (
 	"gridrdb/internal/xspec"
 )
 
+type layoutFed struct {
+	layout string
+	fed    *unity.Federation
+}
+
 type federatedFixture struct {
-	// feds are the default-budget federation and the 1-byte-budget one.
-	feds  []*unity.Federation
+	// feds are each layout's default-budget federation and its
+	// 1-byte-budget one.
+	feds  []layoutFed
 	peers map[string]unity.PeerTable
 	ref   *sqlengine.Engine
 	// widths are the tables' column counts.
 	widths map[string]int
 	// checked counts the seeds check ran; spilledJoins the statements
 	// whose join build spilled; prunedPlans the statements whose plan
-	// has a load that selects fewer columns than its table has; resolved
-	// and ambiguous the statements with a bare column name that one
-	// engine answered and that it failed as an ambiguous column reference.
-	checked, spilledJoins, prunedPlans int
-	resolved, ambiguous                int
+	// has a load that selects fewer columns than its table has; joinPushdowns
+	// the statements over a and b that the renamed layout pushed down
+	// whole; resolved and ambiguous the statements with a bare column name
+	// that one engine answered and that it failed as an ambiguous column
+	// reference.
+	checked, spilledJoins, prunedPlans, joinPushdowns int
+	resolved, ambiguous                               int
 }
 
 func newFederatedFixture(tb testing.TB) *federatedFixture {
@@ -73,11 +86,10 @@ func newFederatedFixture(tb testing.TB) *federatedFixture {
 		widths[table] = len(rs.Columns)
 	}
 
-	upper := &xspec.UpperSpec{Name: "fdiff"}
+	split := &xspec.UpperSpec{Name: "fdiff"}
 	lowers := map[string]*xspec.LowerSpec{}
-	for table, d := range map[string]*sqlengine.Dialect{"a": sqlengine.DialectMySQL, "b": sqlengine.DialectMSSQL} {
-		name := "fdiff_" + table
-		e := engine(name, table, d)
+	member := func(upper *xspec.UpperSpec, e *sqlengine.Engine) *xspec.LowerSpec {
+		name, d := e.Name(), e.Dialect()
 		sqldriver.RegisterEngine(e)
 		tb.Cleanup(func() { sqldriver.UnregisterEngine(name) })
 		spec, err := xspec.Generate(name, d.Name, e)
@@ -86,6 +98,19 @@ func newFederatedFixture(tb testing.TB) *federatedFixture {
 		}
 		lowers[name] = spec
 		upper.Sources = append(upper.Sources, xspec.SourceRef{Name: name, URL: "local://" + name, Driver: d.DriverName})
+		return spec
+	}
+	for table, d := range map[string]*sqlengine.Dialect{"a": sqlengine.DialectMySQL, "b": sqlengine.DialectMSSQL} {
+		member(split, engine("fdiff_"+table, table, d))
+	}
+	renamed := &xspec.UpperSpec{Name: "fdiff_renamed"}
+	spec := member(renamed, renamedMember(tb, ref, "fdiff_ab"))
+	for i := range spec.Tables {
+		t := &spec.Tables[i]
+		t.Logical = strings.TrimSuffix(strings.ToLower(t.Name), "_t")
+		for j := range t.Columns {
+			t.Columns[j].Logical = strings.TrimPrefix(strings.ToLower(t.Columns[j].Name), t.Logical+"_")
+		}
 	}
 	peer := engine("fdiff_c", "c", sqlengine.DialectANSI)
 	openPeer := func(_ context.Context, _, sqlText string) (sqlengine.RowIter, error) {
@@ -100,17 +125,74 @@ func newFederatedFixture(tb testing.TB) *federatedFixture {
 		ref:    ref,
 		widths: widths,
 	}
-	for _, budget := range []int64{0, 1} {
-		fed, err := unity.Open(upper, lowers)
+	for _, upper := range []*xspec.UpperSpec{split, renamed} {
+		for _, budget := range []int64{0, 1} {
+			fed, err := unity.Open(upper, lowers)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			tb.Cleanup(func() { fed.Close() })
+			fed.OpenPeer = openPeer
+			fed.ScratchMaxBytes = budget
+			fx.feds = append(fx.feds, layoutFed{strings.TrimPrefix(upper.Name, "fdiff_"), fed})
+		}
+	}
+	return fx
+}
+
+// labels returns a result's column labels under their logical names. A
+// pushed-down statement's result is headed by the member's physical
+// names (A_K where one engine says k): a known fault of the federation,
+// which this differential does not check.
+func (lf layoutFed) labels(cols []string) []string {
+	if lf.layout != "renamed" {
+		return cols
+	}
+	out := make([]string, len(cols))
+	for i, c := range cols {
+		out[i] = physicalPrefix.ReplaceAllString(c, "")
+	}
+	return out
+}
+
+// physicalPrefix matches the table prefix of a renamed member's column.
+var physicalPrefix = regexp.MustCompile(`^[ab]_`)
+
+// renamedMember returns a MySQL engine holding ref's tables a and b, and
+// their rows, under physical names: table a as A_T, its column k as A_K.
+func renamedMember(tb testing.TB, ref *sqlengine.Engine, name string) *sqlengine.Engine {
+	tb.Helper()
+	e := sqlengine.NewEngine(name, sqlengine.DialectMySQL)
+	for _, table := range []string{"a", "b"} {
+		desc, err := ref.Query("DESCRIBE " + table)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		tb.Cleanup(func() { fed.Close() })
-		fed.OpenPeer = openPeer
-		fed.ScratchMaxBytes = budget
-		fx.feds = append(fx.feds, fed)
+		cols := make([]string, len(desc.Rows))
+		for i, c := range desc.Rows {
+			cols[i] = strings.ToUpper(table+"_"+c[0].Str()) + " " + c[1].Str()
+			if c[3].Str() == "PRI" {
+				cols[i] += " PRIMARY KEY"
+			}
+		}
+		phys := strings.ToUpper(table + "_t")
+		script := fmt.Sprintf("CREATE TABLE %s (%s)", phys, strings.Join(cols, ", "))
+		rs, err := ref.Query("SELECT * FROM " + table)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, row := range rs.Rows {
+			vals := make([]string, len(row))
+			for i, v := range row {
+				vals[i] = v.SQLLiteral()
+			}
+			script += fmt.Sprintf(";\nINSERT INTO %s VALUES (%s)", phys, strings.Join(vals, ", "))
+		}
+		if err := e.ExecScript(script); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	return fx
+	return e
 }
 
 func (fx *federatedFixture) query(fed *unity.Federation, sql string) (*sqlengine.ResultSet, error) {
@@ -118,10 +200,13 @@ func (fx *federatedFixture) query(fed *unity.Federation, sql string) (*sqlengine
 	if err != nil {
 		return nil, err
 	}
-	if fed == fx.feds[0] && slices.ContainsFunc(plan.Subs, func(s unity.SubQuery) bool {
+	if fed == fx.feds[0].fed && slices.ContainsFunc(plan.Subs, func(s unity.SubQuery) bool {
 		return s.Columns != nil && len(s.Columns) < fx.widths[s.Table]
 	}) {
 		fx.prunedPlans++
+	}
+	if fed == fx.feds[2].fed && plan.Pushdown && len(plan.Tables) > 1 {
+		fx.joinPushdowns++
 	}
 	it, ex, err := fed.ExecuteStreamOp(context.Background(), plan)
 	if err != nil {
@@ -156,19 +241,19 @@ func (fx *federatedFixture) check(t *testing.T, seed int64) {
 		want, werr = fx.ref.Query(sql)
 		ordered = true
 	}
-	for _, fed := range fx.feds {
-		got, gerr := fx.query(fed, sql)
+	for _, lf := range fx.feds {
+		got, gerr := fx.query(lf.fed, sql)
 		fail := func(format string, args ...interface{}) {
 			t.Helper()
-			t.Fatalf("seed %d (scratch budget %d): %s\n  sql: %s\n  replay: %s",
-				seed, fed.ScratchMaxBytes, fmt.Sprintf(format, args...), sql, sqlengine.Replay("TestFederatedDifferential", federatedSeeds, "FuzzFederatedDifferential", seed))
+			t.Fatalf("seed %d (%s layout, scratch budget %d): %s\n  sql: %s\n  replay: %s",
+				seed, lf.layout, lf.fed.ScratchMaxBytes, fmt.Sprintf(format, args...), sql, sqlengine.Replay("TestFederatedDifferential", federatedSeeds, "FuzzFederatedDifferential", seed))
 		}
 		switch {
 		case (gerr == nil) != (werr == nil):
 			fail("federation error %v, one engine's error %v", gerr, werr)
 		case gerr != nil:
 			continue
-		case strings.Join(got.Columns, ",") != strings.Join(want.Columns, ","):
+		case strings.Join(lf.labels(got.Columns), ",") != strings.Join(want.Columns, ","):
 			fail("columns %v, one engine's %v", got.Columns, want.Columns)
 		case limited(sql) && dedupsLimited(sql):
 			if err := fx.checkDedupedLimit(got.Rows, sql); err != nil {
@@ -267,11 +352,14 @@ func TestFederatedDifferential(t *testing.T) {
 	if fx.prunedPlans == 0 {
 		t.Fatal("no statement's plan pruned a load's columns")
 	}
+	if fx.joinPushdowns == 0 {
+		t.Fatal("the renamed layout pushed down no statement over a and b")
+	}
 	if fx.resolved == 0 || fx.ambiguous == 0 {
 		t.Fatalf("statements with a bare column name: %d resolved, %d ambiguous; want some of each", fx.resolved, fx.ambiguous)
 	}
-	t.Logf("%d statements spilled a join build, %d plans pruned a load; bare column names: %d resolved, %d ambiguous",
-		fx.spilledJoins, fx.prunedPlans, fx.resolved, fx.ambiguous)
+	t.Logf("%d statements spilled a join build, %d plans pruned a load, %d over a and b pushed down; bare column names: %d resolved, %d ambiguous",
+		fx.spilledJoins, fx.prunedPlans, fx.joinPushdowns, fx.resolved, fx.ambiguous)
 }
 
 func FuzzFederatedDifferential(f *testing.F) {

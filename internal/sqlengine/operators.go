@@ -142,8 +142,9 @@ func analyzeSelect(sel *SelectStmt, tableCols func(string) []string) (*StreamPla
 	return plan, ""
 }
 
-// branchTables lists a SELECT's FROM references in join order.
-func branchTables(sel *SelectStmt) []TableRef {
+// BranchTables lists the tables of one SELECT's scope, its FROM and
+// JOIN references, in join order.
+func BranchTables(sel *SelectStmt) []TableRef {
 	if len(sel.From) == 0 {
 		return nil
 	}
@@ -162,7 +163,7 @@ func analyzeBranch(sel *SelectStmt, tableCols func(string) []string) (*StreamBra
 		sch   rowSchema   // their columns, while all are known
 		known = true
 	)
-	for i, tr := range branchTables(sel) {
+	for i, tr := range BranchTables(sel) {
 		src := sourceOf(tr)
 		var cols []string
 		if tableCols != nil {
@@ -388,7 +389,7 @@ func subqueryTables(sel *SelectStmt) []StreamSource {
 	var walk func(s *SelectStmt, inSub bool)
 	walk = func(s *SelectStmt, inSub bool) {
 		for ; s != nil; s = s.Union {
-			for _, tr := range branchTables(s) {
+			for _, tr := range BranchTables(s) {
 				if name := normalizeName(tr.Name); inSub && !seen[name] {
 					seen[name] = true
 					out = append(out, StreamSource{Table: name, Qualifier: name})

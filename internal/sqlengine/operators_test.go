@@ -59,7 +59,7 @@ func runStreamDiff(t *testing.T, tables []streamTable, sql string, params []Valu
 		t.Fatalf("reference query: %v", err)
 	}
 
-	st, err := eng.ParseSQL(sql)
+	st, err := NewParser(eng.dialect).ParseStatement(sql)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -279,7 +279,7 @@ func TestHashJoinProbeAllocsIndependentOfRows(t *testing.T) {
 	if leaktest.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	st, err := NewEngine("probeallocs", DialectANSI).ParseSQL("SELECT p.run FROM ev p JOIN bd b ON p.event_id = b.event_id")
+	st, err := NewParser(DialectANSI).ParseStatement("SELECT p.run FROM ev p JOIN bd b ON p.event_id = b.event_id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestJoinTableAllocsPerKey(t *testing.T) {
 // TestHashJoinMatchesInBuildOrder: a probe row's matches come back in the
 // order their rows reached the build side, in memory and Grace-spilled.
 func TestHashJoinMatchesInBuildOrder(t *testing.T) {
-	st, err := NewEngine("buildorder", DialectANSI).ParseSQL("SELECT p.event_id, b.event_id FROM ev p JOIN bd b ON p.run = b.run")
+	st, err := NewParser(DialectANSI).ParseStatement("SELECT p.event_id, b.event_id FROM ev p JOIN bd b ON p.run = b.run")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestAnalyzeStreamSelectRejections(t *testing.T) {
 		{"SELECT f.event_id FROM fact f JOIN dim d ON f.run = d.run CROSS JOIN dim e", "join without equi-keys"},
 	}
 	for _, c := range cases {
-		st, err := eng.ParseSQL(c.sql)
+		st, err := NewParser(eng.dialect).ParseStatement(c.sql)
 		if err != nil {
 			t.Fatalf("parse %q: %v", c.sql, err)
 		}
@@ -517,7 +517,7 @@ func TestAnalyzeStreamSelectRejections(t *testing.T) {
 			WHERE EXISTS (SELECT 1 FROM fact g WHERE g.run = d.run)) AND run NOT IN (SELECT run FROM dim)
 			UNION SELECT run FROM dim WHERE CASE WHEN EXISTS (SELECT 1 FROM calib) THEN 1 ELSE 0 END = 1`, "dim tags fact calib"},
 	} {
-		st, err := eng.ParseSQL(c.sql)
+		st, err := NewParser(eng.dialect).ParseStatement(c.sql)
 		if err != nil {
 			t.Fatalf("parse %q: %v", c.sql, err)
 		}
@@ -614,7 +614,7 @@ func (f *failIter) Close() error { return nil }
 func joinPlanForTest(t *testing.T) *StreamPlan {
 	t.Helper()
 	eng := NewEngine("ref", DialectANSI)
-	st, err := eng.ParseSQL("SELECT a.id FROM a JOIN b ON a.k = b.k")
+	st, err := NewParser(eng.dialect).ParseStatement("SELECT a.id FROM a JOIN b ON a.k = b.k")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 
 // refQuery parses and runs one SELECT on the oracle, under e's read lock.
 func refQuery(e *Engine, sql string, params ...Value) (*ResultSet, error) {
-	st, err := e.ParseSQL(sql)
+	st, err := NewParser(e.dialect).ParseStatement(sql)
 	if err != nil {
 		return nil, err
 	}

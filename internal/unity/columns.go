@@ -35,7 +35,7 @@ func (r *reads) selectStmt(sel *sqlengine.SelectStmt) {
 				r.expr(it.Expr)
 				continue
 			}
-			for _, tr := range scopeTables(s) {
+			for _, tr := range sqlengine.BranchTables(s) {
 				if it.StarTable == "" || strings.EqualFold(it.StarTable, tr.Alias) || strings.EqualFold(it.StarTable, tr.Name) {
 					r.whole[strings.ToLower(tr.Name)] = true
 				}
@@ -56,7 +56,7 @@ func (r *reads) selectStmt(sel *sqlengine.SelectStmt) {
 }
 
 func (r *reads) expr(e sqlengine.Expr) {
-	walkExpr(e, func(e sqlengine.Expr) bool {
+	sqlengine.WalkExpr(e, func(e sqlengine.Expr) bool {
 		switch x := e.(type) {
 		case *sqlengine.ColumnRef:
 			r.refs = append(r.refs, sqlengine.ColumnRef{Table: strings.ToLower(x.Table), Column: strings.ToLower(x.Column)})
@@ -119,15 +119,6 @@ func mayName(ref *sqlengine.ColumnRef, names []string, loc xspec.TableLocation) 
 	return has || len(loc.Spec.Columns) == 0
 }
 
-// scopeTables lists the tables of one SELECT's scope: its FROM and JOINs.
-func scopeTables(sel *sqlengine.SelectStmt) []sqlengine.TableRef {
-	scope := slices.Clip(sel.From) // an append copies: sel.From stays as it is
-	for _, jc := range sel.Joins {
-		scope = append(scope, jc.Table)
-	}
-	return scope
-}
-
 // specLogicalCols lists a table spec's logical column names in spec
 // order: every column a load of the table may select. Nil when the spec
 // carries no columns (a peer table planned without them: its load is
@@ -138,11 +129,7 @@ func specLogicalCols(spec xspec.TableSpec) []string {
 	}
 	cols := make([]string, len(spec.Columns))
 	for i, c := range spec.Columns {
-		logical := strings.ToLower(c.Logical)
-		if logical == "" {
-			logical = strings.ToLower(c.Name)
-		}
-		cols[i] = logical
+		cols[i] = xspec.LogicalName(c.Logical, c.Name)
 	}
 	return cols
 }

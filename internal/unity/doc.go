@@ -10,6 +10,15 @@
 // partial results, applying cross-database joins, into a single result
 // ("merged into a single 2-D vector, and returned to the client").
 //
+// Names map through the dictionary's entries for the statement's own
+// tables at the member a query is rendered for (render.go). A bare
+// column renders bare only when every statement table that has it
+// logically maps it to one physical name and no statement table has that
+// physical name under another logical name; otherwise the member could
+// resolve it differently than the statement does, so the rendering fails
+// and the query runs decomposed, where the operators resolve every name
+// as one engine does.
+//
 // The second paper enhancement, load distribution, is also here: when a
 // logical table is replicated on several databases the federation routes
 // each sub-query to the least-loaded replica, with network-proximity

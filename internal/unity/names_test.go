@@ -1,0 +1,154 @@
+package unity
+
+import (
+	"context"
+	"reflect"
+	"strings"
+	"testing"
+
+	"gridrdb/internal/sqldriver"
+	"gridrdb/internal/sqlengine"
+	"gridrdb/internal/xspec"
+)
+
+// namesFederation is a federation whose Oracle member holds events
+// (id → EVT_ID, energy → E_RAW) and runs (id → RUN_ID, energy → RUN_E):
+// two tables that share their logical column names under different
+// physical ones. A MySQL member holds tags, whose names are physical.
+// The returned engine holds all three tables under their logical names.
+func namesFederation(t *testing.T) (*Federation, *sqlengine.Engine) {
+	t.Helper()
+	ora := sqlengine.NewEngine("names_ora", sqlengine.DialectOracle)
+	if err := ora.ExecScript(`CREATE TABLE "EVT_T01" ("EVT_ID" NUMBER, "E_RAW" BINARY_DOUBLE);
+		INSERT INTO "EVT_T01" VALUES (1, 3.5);
+		CREATE TABLE "RUN_T" ("RUN_ID" NUMBER, "RUN_E" BINARY_DOUBLE);
+		INSERT INTO "RUN_T" VALUES (7, 2.0)`); err != nil {
+		t.Fatal(err)
+	}
+	my := sqlengine.NewEngine("names_my", sqlengine.DialectMySQL)
+	if err := my.ExecScript("CREATE TABLE `tags` (`id` BIGINT, `label` VARCHAR(8)); INSERT INTO `tags` VALUES (1, 'hot'), (7, 'cold')"); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*sqlengine.Engine{ora, my} {
+		sqldriver.RegisterEngine(e)
+	}
+	t.Cleanup(func() {
+		sqldriver.UnregisterEngine("names_ora")
+		sqldriver.UnregisterEngine("names_my")
+	})
+	table := func(name, logical string, cols ...string) xspec.TableSpec {
+		ts := xspec.TableSpec{Name: name, Logical: logical}
+		for i := 0; i < len(cols); i += 2 {
+			ts.Columns = append(ts.Columns, xspec.ColumnSpec{Name: cols[i], Logical: cols[i+1]})
+		}
+		return ts
+	}
+	lowers := map[string]*xspec.LowerSpec{
+		"names_ora": {Name: "names_ora", Dialect: "oracle", Tables: []xspec.TableSpec{
+			table("EVT_T01", "events", "EVT_ID", "id", "E_RAW", "energy"),
+			table("RUN_T", "runs", "RUN_ID", "id", "RUN_E", "energy"),
+		}},
+		"names_my": {Name: "names_my", Dialect: "mysql", Tables: []xspec.TableSpec{
+			table("tags", "tags", "id", "id", "label", "label"),
+		}},
+	}
+	upper := &xspec.UpperSpec{Name: "names", Sources: []xspec.SourceRef{
+		{Name: "names_ora", URL: "local://names_ora", Driver: "gridsql-oracle"},
+		{Name: "names_my", URL: "local://names_my", Driver: "gridsql-mysql"},
+	}}
+	f, err := Open(upper, lowers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	ref := sqlengine.NewEngine("names_ref", sqlengine.DialectANSI)
+	if err := ref.ExecScript(`CREATE TABLE events (id INTEGER, energy DOUBLE); INSERT INTO events VALUES (1, 3.5);
+		CREATE TABLE runs (id INTEGER, energy DOUBLE); INSERT INTO runs VALUES (7, 2.0);
+		CREATE TABLE tags (id INTEGER, label VARCHAR(8)); INSERT INTO tags VALUES (1, 'hot'), (7, 'cold')`); err != nil {
+		t.Fatal(err)
+	}
+	return f, ref
+}
+
+// TestNameResolution: a member holding two tables that share a logical
+// column name under different physical names answers every statement as
+// one engine holding them under their logical names does — the same rows,
+// or the same ambiguity error — on every run, and renders one RAL WHERE
+// and one load sub-query. A bare name is rendered only when the
+// statement's tables agree on its physical name; otherwise the statement
+// runs on the operators, which resolve scope as one engine does.
+func TestNameResolution(t *testing.T) {
+	f, ref := namesFederation(t)
+	const runs = 50
+	for _, sql := range []string{
+		"SELECT id, energy FROM events WHERE energy > 1",
+		"SELECT id FROM events, runs",
+		"SELECT e.id FROM events e WHERE EXISTS (SELECT 1 FROM runs r WHERE r.energy < energy)",
+		"SELECT e.id, t.label FROM events e JOIN tags t ON e.id = t.id",
+		"SELECT events.id FROM events WHERE events.energy > 1",
+	} {
+		want, werr := ref.Query(sql)
+		bad := 0
+		var last string
+		for i := 0; i < runs; i++ {
+			got, err := f.QueryContext(context.Background(), sql)
+			switch {
+			case werr != nil && (err == nil || !strings.Contains(err.Error(), "ambiguous")):
+				bad++
+				last = "federation error " + errString(err) + ", one engine's " + werr.Error()
+			case werr == nil && err != nil:
+				bad++
+				last = "federation error " + err.Error()
+			case werr == nil && !reflect.DeepEqual(rowStrings(got.Rows), rowStrings(want.Rows)):
+				bad++
+				last = "rows " + strings.Join(rowStrings(got.Rows), ";") + ", one engine's " + strings.Join(rowStrings(want.Rows), ";")
+			}
+		}
+		if bad > 0 {
+			t.Errorf("%s: %d/%d runs differ from one engine; the last: %s", sql, bad, runs, last)
+		}
+	}
+
+	// One rendering per statement: the RAL WHERE resolves the qualifier
+	// and names the physical column bare, and the events load of a join
+	// with another member selects events' own column.
+	distinct := func(render func() string) map[string]int {
+		seen := map[string]int{}
+		for i := 0; i < runs; i++ {
+			seen[render()]++
+		}
+		return seen
+	}
+	where := distinct(func() string {
+		parts, ok, err := f.ExtractRALParts("SELECT e.id FROM events e WHERE e.energy > 1")
+		if err != nil || !ok {
+			return "unfit: " + errString(err)
+		}
+		return parts.Where
+	})
+	if len(where) != 1 || where[`("E_RAW" > 1)`] != runs {
+		t.Errorf(`RAL WHERE renderings %v, want ("E_RAW" > 1) on every run`, where)
+	}
+	load := distinct(func() string {
+		plan, err := f.PlanQuery("SELECT e.id, t.label FROM events e JOIN tags t ON e.id = t.id")
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		for _, s := range plan.Subs {
+			if s.Table == "events" {
+				return s.SQL
+			}
+		}
+		return "no events load"
+	})
+	if len(load) != 1 || load[`SELECT "EVT_ID" FROM "EVT_T01" "e"`] != runs {
+		t.Errorf(`events load renderings %v, want SELECT "EVT_ID" FROM "EVT_T01" "e" on every run`, load)
+	}
+}
+
+func errString(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}

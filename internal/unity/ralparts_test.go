@@ -52,6 +52,8 @@ func TestExtractRALPartsRejections(t *testing.T) {
 		"SELECT event_id AS x FROM events",                                  // alias in projection
 		"SELECT event_id FROM events UNION ALL SELECT event_id FROM events", // union
 		"SELECT event_id, e_tot FROM events GROUP BY event_id, e_tot",       // group by
+		// subquery: the call cannot qualify e inside it
+		"SELECT e.event_id FROM events e WHERE EXISTS (SELECT 1 FROM lookup l WHERE l.k = e.event_id)",
 	} {
 		_, ok, err := f.ExtractRALParts(q)
 		if err != nil {

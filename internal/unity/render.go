@@ -6,62 +6,81 @@ import (
 	"strings"
 
 	"gridrdb/internal/sqlengine"
+	"gridrdb/internal/xspec"
 )
 
-// nameMapper rewrites logical table/column names into physical names for a
-// specific target database. Table qualifiers are aliases when the query
-// declared them, so only bare table names and column names are mapped.
+// nameMapper maps a statement's logical names to the physical names of
+// the source it is rendered for, through the data dictionary's entries
+// for the statement's own tables there (§4.4).
 type nameMapper struct {
-	// table maps logical table name -> physical table name.
-	table map[string]string
-	// col maps logical table name -> (logical column -> physical column).
-	col map[string]map[string]string
-	// aliasTable maps a query alias -> logical table name.
-	aliasTable map[string]string
+	refs []mappedRef
+}
+
+// mappedRef is one table reference of the statement: the logical table
+// it names, what qualifies its columns (its alias, else that name) and
+// the table's dictionary entry at the source.
+type mappedRef struct {
+	table, qualifier string
+	loc              *xspec.TableLocation
+}
+
+func (m *nameMapper) add(tr sqlengine.TableRef, loc *xspec.TableLocation) {
+	q := tr.Alias
+	if q == "" {
+		q = tr.Name
+	}
+	m.refs = append(m.refs, mappedRef{table: tr.Name, qualifier: q, loc: loc})
 }
 
 func (m *nameMapper) physTable(logical string) string {
-	if m == nil {
-		return logical
-	}
-	if p, ok := m.table[strings.ToLower(logical)]; ok {
-		return p
+	for _, r := range m.refs {
+		if strings.EqualFold(r.table, logical) {
+			return r.loc.Table
+		}
 	}
 	return logical
 }
 
-// physColumn maps a column reference. qualifier may be an alias, a logical
-// table name, or empty.
-func (m *nameMapper) physColumn(qualifier, column string) string {
-	if m == nil {
-		return column
+// physColumn maps a column reference through the tables it may name: the
+// ones its qualifier names or, when it is bare, every table of the
+// statement. Those that have the column must map it to one physical name
+// (a column none has keeps its name), and no other column of theirs may
+// have that name; otherwise the name would resolve otherwise at the
+// source than in the statement, and rendering fails.
+func (m *nameMapper) physColumn(qualifier, column string) (string, error) {
+	lc := strings.ToLower(column)
+	phys, found := column, false
+	for _, r := range m.refs {
+		if qualifier != "" && !strings.EqualFold(r.qualifier, qualifier) {
+			continue
+		}
+		if p, ok := r.loc.ColByLogical[lc]; ok {
+			if found && !strings.EqualFold(p, phys) {
+				return "", fmt.Errorf("unity: column %q is %q in one table and %q in another", column, phys, p)
+			}
+			phys, found = p, true
+		}
 	}
-	logical := qualifier
-	if lt, ok := m.aliasTable[strings.ToLower(qualifier)]; ok {
-		logical = lt
-	}
-	if logical != "" {
-		if cols, ok := m.col[strings.ToLower(logical)]; ok {
-			if p, ok := cols[strings.ToLower(column)]; ok {
-				return p
+	for _, r := range m.refs {
+		if qualifier != "" && !strings.EqualFold(r.qualifier, qualifier) {
+			continue
+		}
+		for _, c := range r.loc.Spec.Columns {
+			if strings.EqualFold(c.Name, phys) && xspec.LogicalName(c.Logical, c.Name) != lc {
+				return "", fmt.Errorf("unity: column %q is stored as %q, the name of %s's column %q", column, phys, r.table, c.Logical)
 			}
 		}
-		return column
 	}
-	// Unqualified: search all tables; first match wins (ambiguity was
-	// checked at planning time).
-	for _, cols := range m.col {
-		if p, ok := cols[strings.ToLower(column)]; ok {
-			return p
-		}
-	}
-	return column
+	return phys, nil
 }
 
 // renderer renders a parsed statement back to SQL in a target dialect.
+// unqualified renders column references without their qualifier (a RAL
+// WHERE, whose call names its one table without an alias).
 type renderer struct {
-	d *sqlengine.Dialect
-	m *nameMapper
+	d           *sqlengine.Dialect
+	m           *nameMapper
+	unqualified bool
 }
 
 // RenderSelect renders a SELECT AST in the target dialect with logical
@@ -230,12 +249,19 @@ func (r *renderer) selectSQL(sel *sqlengine.SelectStmt) (string, error) {
 	return sb.String(), nil
 }
 
+// tableRef renders a table reference under the name the statement
+// qualifies it by: a table stored under another name keeps its logical
+// name as its alias.
 func (r *renderer) tableRef(tr sqlengine.TableRef) string {
-	s := r.d.QuoteIdent(r.m.physTable(tr.Name))
-	if tr.Alias != "" && tr.Alias != tr.Name {
-		s += " " + r.d.QuoteIdent(tr.Alias)
+	phys := r.m.physTable(tr.Name)
+	alias := tr.Alias
+	if alias == "" {
+		alias = tr.Name
 	}
-	return s
+	if strings.EqualFold(alias, phys) {
+		return r.d.QuoteIdent(phys)
+	}
+	return r.d.QuoteIdent(phys) + " " + r.d.QuoteIdent(alias)
 }
 
 func (r *renderer) expr(e sqlengine.Expr) (string, error) {
@@ -246,11 +272,14 @@ func (r *renderer) expr(e sqlengine.Expr) (string, error) {
 		if x.Column == "rownum" && x.Table == "" {
 			return "ROWNUM", nil
 		}
-		col := r.d.QuoteIdent(r.m.physColumn(x.Table, x.Column))
-		if x.Table != "" {
-			return r.d.QuoteIdent(x.Table) + "." + col, nil
+		phys, err := r.m.physColumn(x.Table, x.Column)
+		if err != nil {
+			return "", err
 		}
-		return col, nil
+		if x.Table != "" && !r.unqualified {
+			return r.d.QuoteIdent(x.Table) + "." + r.d.QuoteIdent(phys), nil
+		}
+		return r.d.QuoteIdent(phys), nil
 	case *sqlengine.Param:
 		return "?", nil
 	case *sqlengine.BinaryExpr:

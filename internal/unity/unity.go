@@ -238,8 +238,10 @@ type Plan struct {
 	sel         *sqlengine.SelectStmt
 	// loads are the decomposed path's per-table loads.
 	loads []tableLoad
-	// pushSource is the chosen source for pushdown plans.
+	// pushSource is the chosen source for pushdown plans, and names maps
+	// the statement's names to its physical ones there.
 	pushSource string
+	names      *nameMapper
 
 	// stream is the decomposed plan's operator pipeline (see planStream),
 	// nil while NeedColumns is not empty; streamOp labels it for explain
@@ -405,16 +407,21 @@ func (f *Federation) plan(sel *sqlengine.SelectStmt, peers map[string]PeerTable)
 	if len(common) > 0 {
 		// Whole-query pushdown to one database.
 		src := f.pickSource(keys(common))
-		m := f.mapperFor(src, plan.Tables, uses)
+		m := &nameMapper{}
+		for _, u := range uses {
+			locs := dict.Lookup(u.ref.Name)
+			m.add(u.ref, &locs[slices.IndexFunc(locs, func(l xspec.TableLocation) bool { return l.Database == src })])
+		}
 		sqlText, err := RenderSelect(f.dialectOf(src), sel, m)
 		if err == nil {
 			plan.Pushdown = true
-			plan.pushSource = src
+			plan.pushSource, plan.names = src, m
 			plan.Subs = []SubQuery{{Source: src, SQL: sqlText}}
 			return plan, nil
 		}
-		// Rendering can fail for dialect-inexpressible queries (e.g.
-		// OFFSET on MS-SQL); fall through to the decomposed path.
+		// Rendering fails for dialect-inexpressible queries (e.g. OFFSET
+		// on MS-SQL) and for a column name the source would resolve
+		// otherwise (physColumn); fall through to the decomposed path.
 	}
 
 	// Decomposed path: one load per logical table.
@@ -471,7 +478,7 @@ func (f *Federation) plan(sel *sqlengine.SelectStmt, peers map[string]PeerTable)
 // of its logical name and the columns the caller gave (none: the
 // sub-query is SELECT * and the operators learn the layout at run time).
 func peerLocation(logical string, cols []string) xspec.TableLocation {
-	loc := xspec.TableLocation{Spec: xspec.TableSpec{Logical: logical}, ColByLogical: map[string]string{}}
+	loc := xspec.TableLocation{Table: logical, Spec: xspec.TableSpec{Logical: logical}, ColByLogical: map[string]string{}}
 	for _, c := range cols {
 		loc.Spec.Columns = append(loc.Spec.Columns, xspec.ColumnSpec{Name: c, Logical: c})
 		loc.ColByLogical[strings.ToLower(c)] = c
@@ -577,43 +584,6 @@ func (f *Federation) dialectOf(source string) *sqlengine.Dialect {
 	return d
 }
 
-// mapperFor builds the logical->physical name mapper for a source.
-func (f *Federation) mapperFor(source string, tables []string, uses []tableUse) *nameMapper {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	m := &nameMapper{
-		table:      map[string]string{},
-		col:        map[string]map[string]string{},
-		aliasTable: map[string]string{},
-	}
-	s, ok := f.sources[source]
-	if !ok {
-		return m
-	}
-	for _, t := range s.Spec.Tables {
-		logical := strings.ToLower(t.Logical)
-		if logical == "" {
-			logical = strings.ToLower(t.Name)
-		}
-		m.table[logical] = t.Name
-		cols := map[string]string{}
-		for _, c := range t.Columns {
-			lc := strings.ToLower(c.Logical)
-			if lc == "" {
-				lc = strings.ToLower(c.Name)
-			}
-			cols[lc] = c.Name
-		}
-		m.col[logical] = cols
-	}
-	for _, u := range uses {
-		if u.ref.Alias != "" {
-			m.aliasTable[u.ref.Alias] = u.ref.Name
-		}
-	}
-	return m
-}
-
 // tableSubQuery renders a load's sub-query: the columns the statement
 // reads of its table (ld.cols; SELECT * when they are unknown), plus the
 // conjuncts of the scope's WHERE only that table answers pushed down.
@@ -623,7 +593,7 @@ func (f *Federation) tableSubQuery(p *Plan, ld *tableLoad, use *tableUse) (strin
 	if use != nil {
 		alias = use.ref.Alias
 	}
-	sub.From = []sqlengine.TableRef{{Name: ld.loc.Spec.Logical, Alias: alias}}
+	sub.From = []sqlengine.TableRef{{Name: ld.logical, Alias: alias}}
 	for _, c := range ld.cols {
 		sub.Items = append(sub.Items, sqlengine.SelectItem{Expr: &sqlengine.ColumnRef{Column: c}})
 	}
@@ -639,10 +609,8 @@ func (f *Federation) tableSubQuery(p *Plan, ld *tableLoad, use *tableUse) (strin
 			}
 		}
 	}
-	m := f.mapperFor(ld.source, []string{ld.loc.Spec.Logical}, nil)
-	if alias != "" {
-		m.aliasTable[alias] = strings.ToLower(ld.loc.Spec.Logical)
-	}
+	m := &nameMapper{}
+	m.add(sub.From[0], &ld.loc)
 	return RenderSelect(f.dialectOf(ld.source), sub, m)
 }
 
@@ -697,7 +665,7 @@ func (p *Plan) ambiguousFilter(sel *sqlengine.SelectStmt) bool {
 		p.freeNames(jc.On, &names)
 	}
 	p.freeNames(sel.Where, &names)
-	scope := scopeTables(sel)
+	scope := sqlengine.BranchTables(sel)
 	return slices.ContainsFunc(names, func(c *sqlengine.ColumnRef) bool { return p.naming(c, scope) >= 2 })
 }
 
@@ -705,7 +673,7 @@ func (p *Plan) ambiguousFilter(sel *sqlengine.SelectStmt) bool {
 // the scope around e resolves: in an IN or EXISTS subquery, those that no
 // table of the subquery's scope has, or that two of them may have.
 func (p *Plan) freeNames(e sqlengine.Expr, out *[]*sqlengine.ColumnRef) {
-	walkExpr(e, func(e sqlengine.Expr) bool {
+	sqlengine.WalkExpr(e, func(e sqlengine.Expr) bool {
 		var sub *sqlengine.SelectStmt
 		switch x := e.(type) {
 		case *sqlengine.ColumnRef:
@@ -731,7 +699,7 @@ func (p *Plan) freeNames(e sqlengine.Expr, out *[]*sqlengine.ColumnRef) {
 			for _, o := range s.OrderBy {
 				p.freeNames(o.Expr, &inner)
 			}
-			scope := scopeTables(s)
+			scope := sqlengine.BranchTables(s)
 			for _, c := range inner {
 				if p.naming(c, scope) != 1 {
 					*out = append(*out, c)
@@ -755,7 +723,7 @@ func (p *Plan) naming(c *sqlengine.ColumnRef, scope []sqlengine.TableRef) int {
 }
 
 func exprPushable(e sqlengine.Expr, own func(*sqlengine.ColumnRef) bool) bool {
-	return walkExpr(e, func(e sqlengine.Expr) bool {
+	return sqlengine.WalkExpr(e, func(e sqlengine.Expr) bool {
 		switch x := e.(type) {
 		case *sqlengine.Literal, *sqlengine.BinaryExpr, *sqlengine.UnaryExpr, *sqlengine.IsNullExpr, *sqlengine.BetweenExpr:
 			return true
@@ -772,43 +740,6 @@ func exprPushable(e sqlengine.Expr, own func(*sqlengine.ColumnRef) bool) bool {
 		}
 		return false // parameters, CASE, EXISTS, aggregates
 	})
-}
-
-// walkExpr calls visit on e and, while visit returns true, on each of its
-// operands in turn, depth first — not into subqueries. It reports whether
-// every call returned true.
-func walkExpr(e sqlengine.Expr, visit func(sqlengine.Expr) bool) bool {
-	if e == nil {
-		return true
-	}
-	if !visit(e) {
-		return false
-	}
-	all := func(es []sqlengine.Expr) bool {
-		return !slices.ContainsFunc(es, func(e sqlengine.Expr) bool { return !walkExpr(e, visit) })
-	}
-	switch x := e.(type) {
-	case *sqlengine.BinaryExpr:
-		return walkExpr(x.L, visit) && walkExpr(x.R, visit)
-	case *sqlengine.UnaryExpr:
-		return walkExpr(x.X, visit)
-	case *sqlengine.IsNullExpr:
-		return walkExpr(x.X, visit)
-	case *sqlengine.BetweenExpr:
-		return all([]sqlengine.Expr{x.X, x.Lo, x.Hi})
-	case *sqlengine.InExpr:
-		return walkExpr(x.X, visit) && all(x.List)
-	case *sqlengine.FuncCall:
-		return all(x.Args)
-	case *sqlengine.CaseExpr:
-		for _, w := range x.Whens {
-			if !walkExpr(w.When, visit) || !walkExpr(w.Then, visit) {
-				return false
-			}
-		}
-		return walkExpr(x.Operand, visit) && walkExpr(x.Else, visit)
-	}
-	return true
 }
 
 // ---- execution ----

@@ -1,31 +1,16 @@
 package xspec
 
-import "strings"
-
 // TableDiff reports what changed between two generations of a database's
 // lower-level spec, at table granularity. The schema-change tracker uses
 // it to evict only the cache entries that read the changed tables instead
 // of cold-starting every entry of the source.
 type TableDiff struct {
 	// Tables are the logical names of tables that were added, removed, or
-	// whose spec (columns, keys, view-ness, row count) changed.
+	// whose spec (columns, keys, view-ness, row count) changed. An
+	// inferred relationship links a column of one table to the primary
+	// key of another, so it changes only when one of those tables does:
+	// Tables covers relationship changes too.
 	Tables []string
-	// RelationshipsChanged reports a change in the inferred relationship
-	// set. Relationships steer cross-table join planning, so a change can
-	// affect queries over tables whose own specs are untouched; callers
-	// should fall back to whole-source invalidation when set.
-	RelationshipsChanged bool
-}
-
-// logicalName returns a table's logical name (falling back to the
-// physical one), lowercased — the form the data dictionary and the cache
-// dependency fingerprints use.
-func logicalName(t TableSpec) string {
-	n := t.Logical
-	if n == "" {
-		n = t.Name
-	}
-	return strings.ToLower(n)
 }
 
 // tableEqual compares two table specs field by field.
@@ -51,18 +36,17 @@ func DiffSpecs(old, new *LowerSpec) TableDiff {
 	var d TableDiff
 	if old == nil {
 		for _, t := range new.Tables {
-			d.Tables = append(d.Tables, logicalName(t))
+			d.Tables = append(d.Tables, LogicalName(t.Logical, t.Name))
 		}
-		d.RelationshipsChanged = len(new.Relationships) > 0
 		return d
 	}
 	oldByName := make(map[string]TableSpec, len(old.Tables))
 	for _, t := range old.Tables {
-		oldByName[logicalName(t)] = t
+		oldByName[LogicalName(t.Logical, t.Name)] = t
 	}
 	seen := make(map[string]bool, len(new.Tables))
 	for _, t := range new.Tables {
-		name := logicalName(t)
+		name := LogicalName(t.Logical, t.Name)
 		seen[name] = true
 		prev, ok := oldByName[name]
 		if !ok || !tableEqual(prev, t) {
@@ -72,16 +56,6 @@ func DiffSpecs(old, new *LowerSpec) TableDiff {
 	for name := range oldByName {
 		if !seen[name] {
 			d.Tables = append(d.Tables, name)
-		}
-	}
-	if len(old.Relationships) != len(new.Relationships) {
-		d.RelationshipsChanged = true
-	} else {
-		for i := range old.Relationships {
-			if old.Relationships[i] != new.Relationships[i] {
-				d.RelationshipsChanged = true
-				break
-			}
 		}
 	}
 	return d

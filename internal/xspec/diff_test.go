@@ -24,7 +24,7 @@ func sorted(ss []string) []string { sort.Strings(ss); return ss }
 
 func TestDiffSpecsNoChange(t *testing.T) {
 	d := DiffSpecs(twoTableSpec(), twoTableSpec())
-	if len(d.Tables) != 0 || d.RelationshipsChanged {
+	if len(d.Tables) != 0 {
 		t.Fatalf("diff of identical specs = %+v", d)
 	}
 }
@@ -35,9 +35,6 @@ func TestDiffSpecsFlagsOnlyChangedTables(t *testing.T) {
 	d := DiffSpecs(old, new)
 	if len(d.Tables) != 1 || d.Tables[0] != "events" {
 		t.Fatalf("diff.Tables = %v, want [events]", d.Tables)
-	}
-	if d.RelationshipsChanged {
-		t.Fatal("relationship change flagged spuriously")
 	}
 
 	old, new = twoTableSpec(), twoTableSpec()
@@ -70,12 +67,18 @@ func TestDiffSpecsAddedAndRemoved(t *testing.T) {
 	}
 }
 
+// TestDiffSpecsRelationships: a relationship appears when a table gains
+// the column that references another's primary key, and the diff names
+// that table, the one whose cached results it can change.
 func TestDiffSpecsRelationships(t *testing.T) {
 	old, new := twoTableSpec(), twoTableSpec()
-	new.Relationships = []Relationship{{From: "events.run", To: "runs.run"}}
+	new.Tables[0].Columns = append(new.Tables[0].Columns, ColumnSpec{Name: "run", Logical: "run", Kind: "INTEGER"})
+	if InferRelationships(new) != 1 {
+		t.Fatalf("relationships = %+v, want events.run -> runs.run", new.Relationships)
+	}
 	d := DiffSpecs(old, new)
-	if !d.RelationshipsChanged {
-		t.Fatal("relationship addition not flagged")
+	if len(d.Tables) != 1 || d.Tables[0] != "events" {
+		t.Fatalf("diff.Tables = %v, want [events]", d.Tables)
 	}
 }
 

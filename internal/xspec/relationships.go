@@ -67,39 +67,3 @@ func InferRelationships(spec *LowerSpec) int {
 	})
 	return added
 }
-
-// JoinHint is a suggested equi-join between two tables derived from a
-// relationship.
-type JoinHint struct {
-	LeftTable, LeftColumn   string
-	RightTable, RightColumn string
-}
-
-// JoinHints returns the join conditions implied by the relationships
-// between two named tables (either direction).
-func (s *LowerSpec) JoinHints(a, b string) []JoinHint {
-	la, lb := strings.ToLower(a), strings.ToLower(b)
-	var out []JoinHint
-	for _, r := range s.Relationships {
-		ft, fc, ok1 := splitRef(r.From)
-		tt, tc, ok2 := splitRef(r.To)
-		if !ok1 || !ok2 {
-			continue
-		}
-		switch {
-		case strings.ToLower(ft) == la && strings.ToLower(tt) == lb:
-			out = append(out, JoinHint{LeftTable: ft, LeftColumn: fc, RightTable: tt, RightColumn: tc})
-		case strings.ToLower(ft) == lb && strings.ToLower(tt) == la:
-			out = append(out, JoinHint{LeftTable: tt, LeftColumn: tc, RightTable: ft, RightColumn: fc})
-		}
-	}
-	return out
-}
-
-func splitRef(ref string) (table, column string, ok bool) {
-	i := strings.LastIndexByte(ref, '.')
-	if i <= 0 || i == len(ref)-1 {
-		return "", "", false
-	}
-	return ref[:i], ref[i+1:], true
-}

@@ -39,8 +39,9 @@ type TableSpec struct {
 	Columns []ColumnSpec `xml:"column"`
 }
 
-// Relationship records a foreign-key style link used by the decomposer to
-// plan cross-table joins.
+// Relationship records a foreign-key style link between two tables of the
+// database (§4.4's "relationships within the database"). It is spec
+// content only: no planner reads it.
 type Relationship struct {
 	From string `xml:"from,attr"` // "table.column"
 	To   string `xml:"to,attr"`
@@ -227,10 +228,6 @@ func BuildDictionary(specs ...*LowerSpec) *Dictionary {
 	d := &Dictionary{Tables: make(map[string][]TableLocation)}
 	for _, s := range specs {
 		for _, t := range s.Tables {
-			logical := strings.ToLower(t.Logical)
-			if logical == "" {
-				logical = strings.ToLower(t.Name)
-			}
 			loc := TableLocation{
 				Database:     s.Name,
 				Table:        t.Name,
@@ -238,16 +235,22 @@ func BuildDictionary(specs ...*LowerSpec) *Dictionary {
 				ColByLogical: make(map[string]string, len(t.Columns)),
 			}
 			for _, c := range t.Columns {
-				lc := strings.ToLower(c.Logical)
-				if lc == "" {
-					lc = strings.ToLower(c.Name)
-				}
-				loc.ColByLogical[lc] = c.Name
+				loc.ColByLogical[LogicalName(c.Logical, c.Name)] = c.Name
 			}
+			logical := LogicalName(t.Logical, t.Name)
 			d.Tables[logical] = append(d.Tables[logical], loc)
 		}
 	}
 	return d
+}
+
+// LogicalName is the dictionary's name of a table or column: its logical
+// name, else its physical one, lower-cased.
+func LogicalName(logical, physical string) string {
+	if logical == "" {
+		logical = physical
+	}
+	return strings.ToLower(logical)
 }
 
 // Lookup returns the placements of a logical table name.
