@@ -151,62 +151,88 @@ func (t *Table) pkKey() (int, bool) {
 	return 0, false
 }
 
-// keyFollows reports whether the primary key of the row at pos keeps the
-// rows up to it in key order (see pkOrdered), given the rows before it do.
-func (t *Table) keyFollows(ci, pos int) bool {
-	v := t.Rows[pos][ci]
-	if v.Kind != t.Columns[ci].Type.Kind {
-		return false // NULL, or stored unconverted
+// setRows makes rows the table's contents, and is the only code that
+// assigns t.Rows or writes an index map. rows[:from] must be the current
+// rows: an append passes from = len(t.Rows), and only the rows past from
+// are indexed; from = 0 rebuilds every index. Every unique index is
+// checked against the new contents first, so on a violation the table,
+// its indexes and pkOrdered stay exactly as they were. No stored row, nor
+// a slot below len(t.Rows), is ever written in place: a reader holding
+// t.Rows (a result, a transaction's before-image) keeps what it saw.
+func (t *Table) setRows(rows []Row, from int) error {
+	for _, row := range rows[from:] {
+		if len(row) != len(t.Columns) {
+			// A before-image taken before ALTER TABLE ADD COLUMN.
+			return fmt.Errorf("sqlengine: table %q has %d columns, a row %d values", t.Name, len(t.Columns), len(row))
+		}
 	}
-	return pos == 0 || Compare(t.Rows[pos-1][ci], v) <= 0
-}
-
-// addToIndexes inserts row (already appended at position pos) into all
-// indexes; returns an error (and removes prior entries) on unique conflicts.
-func (t *Table) addToIndexes(pos int) error {
-	row := t.Rows[pos]
-	if ci, ok := t.pkKey(); ok && t.pkOrdered {
-		t.pkOrdered = t.keyFollows(ci, pos)
-	}
+	// A rebuild checks each unique index while it fills a new map. An
+	// append keeps the keys of the rows from from on (keys[i] for index
+	// i), and checks those of a unique index that hold no NULL against
+	// the rows before from and, sorted, against each other.
+	idxs := make([]*Index, 0, len(t.Indexes))
+	maps := make([]map[string][]int, 0, len(t.Indexes))
+	keys := make([][]string, 0, len(t.Indexes))
+	var buf []byte
 	for _, idx := range t.Indexes {
-		vals := make([]Value, len(idx.Columns))
-		hasNull := false
+		cols := make([]int, len(idx.Columns))
 		for i, c := range idx.Columns {
-			ci, _ := t.colPos(c)
-			vals[i] = row[ci]
-			if row[ci].IsNull() {
-				hasNull = true
+			cols[i], _ = t.colPos(c)
+		}
+		m, ks, check := idx.m, []string(nil), []string(nil)
+		switch {
+		case from == 0:
+			m = make(map[string][]int, len(rows))
+		case idx.Unique:
+			check = make([]string, 0, len(rows)-from)
+			fallthrough
+		default:
+			ks = make([]string, 0, len(rows)-from)
+		}
+		for ri := from; ri < len(rows); ri++ {
+			buf = buf[:0]
+			hasNull := false
+			for _, ci := range cols {
+				buf = appendIndexKey(buf, rows[ri][ci])
+				hasNull = hasNull || rows[ri][ci].IsNull()
+			}
+			key, unique := string(buf), idx.Unique && !hasNull
+			switch {
+			case unique && len(m[key]) > 0:
+				return fmt.Errorf("sqlengine: unique constraint %q violated on table %q", idx.Name, t.Name)
+			case from == 0:
+				m[key] = append(m[key], ri)
+				continue
+			case unique:
+				check = append(check, key)
+			}
+			ks = append(ks, key)
+		}
+		slices.Sort(check)
+		for j := 1; j < len(check); j++ {
+			if check[j] == check[j-1] {
+				return fmt.Errorf("sqlengine: unique constraint %q violated on table %q", idx.Name, t.Name)
 			}
 		}
-		key := string(appendIndexKey(nil, vals...))
-		if idx.Unique && !hasNull && len(idx.m[key]) > 0 {
-			return fmt.Errorf("sqlengine: unique constraint %q violated on table %q", idx.Name, t.Name)
-		}
-		idx.m[key] = append(idx.m[key], pos)
+		idxs, maps, keys = append(idxs, idx), append(maps, m), append(keys, ks)
 	}
+	// pkOrdered holds when every key is of the column's kind (not NULL,
+	// not stored unconverted) and no key is below the one before it.
+	ci, ordered := t.pkKey()
+	ordered = ordered && (from == 0 || t.pkOrdered)
+	for ri := from; ordered && ri < len(rows); ri++ {
+		v := rows[ri][ci]
+		ordered = v.Kind == t.Columns[ci].Type.Kind && (ri == 0 || Compare(rows[ri-1][ci], v) <= 0)
+	}
+	// Every check has passed: write.
+	for i, idx := range idxs {
+		for j, key := range keys[i] {
+			maps[i][key] = append(maps[i][key], from+j)
+		}
+		idx.m = maps[i]
+	}
+	t.Rows, t.pkOrdered = rows, ordered
 	return nil
-}
-
-// rebuildIndexes recomputes all index maps and pkOrdered (after creation,
-// deletes, updates, rollbacks and loads).
-func (t *Table) rebuildIndexes() {
-	for _, idx := range t.Indexes {
-		idx.m = make(map[string][]int)
-		vals := make([]Value, len(idx.Columns))
-		for pos, row := range t.Rows {
-			for i, c := range idx.Columns {
-				ci, _ := t.colPos(c)
-				vals[i] = row[ci]
-			}
-			key := string(appendIndexKey(nil, vals...))
-			idx.m[key] = append(idx.m[key], pos)
-		}
-	}
-	ci, ok := t.pkKey()
-	for pos := 0; ok && pos < len(t.Rows); pos++ {
-		ok = t.keyFollows(ci, pos)
-	}
-	t.pkOrdered = ok
 }
 
 // lookupIndex probes, among the indexes whose columns all appear in cols

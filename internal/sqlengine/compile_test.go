@@ -148,6 +148,7 @@ func TestCompiledErrorTiming(t *testing.T) {
 		{"SELECT id FROM t WHERE id < 0 AND 1 / 0 = 1", "SELECT id FROM t WHERE id > 1 AND 1 / 0 = 1"},
 		{"SELECT CASE WHEN id > 0 THEN 1 ELSE ABS(1 / 0) END FROM t", "SELECT CASE WHEN id > 1 THEN 1 ELSE ABS(1 / 0) END FROM t"},
 		{"SELECT COUNT(*) FROM empty GROUP BY id HAVING SUM(v) > 1 / 0", "SELECT COUNT(*) FROM t GROUP BY id HAVING SUM(v) > 1 / 0"},
+		{"SELECT id FROM t WHERE NULL IN (SELECT 1 / 0 FROM empty)", "SELECT id FROM t WHERE NULL IN (SELECT 1 / 0 FROM t)"},
 	} {
 		if _, err := e.Query(c.unreached); err != nil {
 			t.Errorf("%s: %v", c.unreached, err)
@@ -156,6 +157,27 @@ func TestCompiledErrorTiming(t *testing.T) {
 		_, want := refQuery(e, c.reached)
 		if err == nil || want == nil || err.Error() != want.Error() {
 			t.Errorf("%s: %v, oracle %v", c.reached, err, want)
+		}
+	}
+}
+
+// TestNullInEmptySubquery: x IN over no rows is FALSE and x NOT IN is
+// TRUE, for a NULL x too (SQL-92 §8.4); over some rows a NULL x is NULL.
+func TestNullInEmptySubquery(t *testing.T) {
+	e := NewEngine("nullin", DialectANSI)
+	mustExec(t, e, "CREATE TABLE t (id INTEGER, k INTEGER)")
+	mustExec(t, e, "CREATE TABLE empty (k INTEGER)")
+	mustExec(t, e, "INSERT INTO t VALUES (1, NULL), (2, 5)")
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT id FROM t WHERE k NOT IN (SELECT k FROM empty)", "[[1] [2]]"},
+		{"SELECT id FROM t WHERE NOT k IN (SELECT k FROM empty)", "[[1] [2]]"},
+		{"SELECT id FROM t WHERE k NOT IN (SELECT id FROM t)", "[[2]]"},
+		{"SELECT NULL IN (SELECT k FROM empty), NULL NOT IN (SELECT k FROM empty), NULL IN (SELECT id FROM t)", "[[FALSE TRUE NULL]]"},
+	} {
+		got := fmt.Sprint(mustQuery(t, e, c.sql).Rows)
+		ref, err := refQuery(e, c.sql)
+		if err != nil || got != c.want || fmt.Sprint(ref.Rows) != c.want {
+			t.Errorf("%s: %s, oracle %v (%v); want %s", c.sql, got, ref, err, c.want)
 		}
 	}
 }

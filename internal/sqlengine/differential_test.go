@@ -167,7 +167,7 @@ func (g *selectGen) pred() string {
 	case 4:
 		return fmt.Sprintf("%s IN (1, %s)", g.col(true), g.pick("2", "NULL", "2.5"))
 	case 5:
-		return fmt.Sprintf("%s %sIN (SELECT k FROM c%s)", g.col(true), g.pick("", "NOT "), g.pick("", " WHERE z = 'w'"))
+		return fmt.Sprintf("%s %sIN (SELECT k FROM c%s)", g.col(true), g.pick("", "NOT "), g.pick("", " WHERE z = 'w'", " WHERE z = 'v'"))
 	case 6:
 		return fmt.Sprintf("%sEXISTS (SELECT 1 FROM c WHERE c.k = %s)", g.pick("", "NOT "), g.col(true))
 	case 7:

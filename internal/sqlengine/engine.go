@@ -1,7 +1,9 @@
 package sqlengine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -58,9 +60,11 @@ func (e *Engine) Authenticate(user, password string) error {
 // state. Sessions are not safe for concurrent use (like a driver conn).
 type Session struct {
 	eng *Engine
-	// tx holds the pre-transaction row snapshot (table -> rows) while a
-	// transaction is open; nil otherwise. DDL is not transactional.
-	tx map[string][]Row
+	// tx holds each table's rows as BEGIN found them while a transaction
+	// is open; nil otherwise. Since no write changes a stored row or a
+	// slot below len(t.Rows) (setRows), t.Rows clipped to its length is
+	// that before-image. DDL is not transactional.
+	tx map[*Table][]Row
 }
 
 // NewSession opens a session.
@@ -126,12 +130,12 @@ func (s *Session) RunStmt(st Statement, params []Value) (*ResultSet, int64, erro
 	case *UpdateStmt:
 		e.db.mu.Lock()
 		defer e.db.mu.Unlock()
-		n, err := s.execUpdate(x, params)
+		n, err := s.execRewrite(x.Table, x.Where, x.Set, params)
 		return nil, n, err
 	case *DeleteStmt:
 		e.db.mu.Lock()
 		defer e.db.mu.Unlock()
-		n, err := s.execDelete(x, params)
+		n, err := s.execRewrite(x.Table, x.Where, nil, params)
 		return nil, n, err
 	case *CreateTableStmt:
 		e.db.mu.Lock()
@@ -159,14 +163,8 @@ func (s *Session) RunStmt(st Statement, params []Value) (*ResultSet, int64, erro
 	case *TruncateStmt:
 		e.db.mu.Lock()
 		defer e.db.mu.Unlock()
-		t, ok := e.db.tables[x.Table]
-		if !ok {
-			return nil, 0, fmt.Errorf("sqlengine: %s: no such table %q", e.db.name, x.Table)
-		}
-		n := int64(len(t.Rows))
-		t.Rows = nil
-		t.rebuildIndexes()
-		return nil, n, nil
+		n, err := s.execRewrite(x.Table, nil, nil, nil)
+		return nil, n, err
 	case *AlterAddColumnStmt:
 		e.db.mu.Lock()
 		defer e.db.mu.Unlock()
@@ -231,43 +229,39 @@ func sortedKeys[M ~map[string]V, V any](m M) []string {
 
 func (s *Session) execTx(x *TxStmt) error {
 	e := s.eng
+	switch {
+	case x.Kind == "BEGIN" && s.tx != nil:
+		return fmt.Errorf("sqlengine: transaction already open")
+	case x.Kind != "BEGIN" && s.tx == nil:
+		return fmt.Errorf("sqlengine: no transaction open")
+	}
 	switch x.Kind {
 	case "BEGIN":
-		if s.tx != nil {
-			return fmt.Errorf("sqlengine: transaction already open")
-		}
 		e.db.mu.RLock()
-		snap := make(map[string][]Row, len(e.db.tables))
-		for name, t := range e.db.tables {
-			rows := make([]Row, len(t.Rows))
-			for i, r := range t.Rows {
-				rows[i] = r.Clone()
-			}
-			snap[name] = rows
+		s.tx = make(map[*Table][]Row, len(e.db.tables))
+		for _, t := range e.db.tables {
+			s.tx[t] = t.Rows[:len(t.Rows):len(t.Rows)]
 		}
 		e.db.mu.RUnlock()
-		s.tx = snap
 		return nil
 	case "COMMIT":
-		if s.tx == nil {
-			return fmt.Errorf("sqlengine: no transaction open")
-		}
 		s.tx = nil
 		return nil
 	case "ROLLBACK":
-		if s.tx == nil {
-			return fmt.Errorf("sqlengine: no transaction open")
-		}
+		// A table dropped since BEGIN is not restored, nor are its rows
+		// put into a new table of its name. Other DDL since BEGIN (an
+		// added column, a unique index) can refuse a table's before-image:
+		// that table keeps its rows.
+		var err error
 		e.db.mu.Lock()
-		for name, rows := range s.tx {
-			if t, ok := e.db.tables[name]; ok {
-				t.Rows = rows
-				t.rebuildIndexes()
+		for t, rows := range s.tx {
+			if e.db.tables[t.Name] == t {
+				err = cmp.Or(err, t.setRows(rows, 0))
 			}
 		}
 		e.db.mu.Unlock()
 		s.tx = nil
-		return nil
+		return err
 	}
 	return fmt.Errorf("sqlengine: unknown transaction statement %q", x.Kind)
 }
@@ -291,34 +285,19 @@ func (s *Session) execInsert(x *InsertStmt, params []Value) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("sqlengine: %s: no such table %q", db.name, x.Table)
 	}
-	// Resolve target column positions.
-	var targets []int
-	if len(x.Columns) == 0 {
-		targets = make([]int, len(t.Columns))
-		for i := range t.Columns {
-			targets[i] = i
-		}
-	} else {
-		targets = make([]int, len(x.Columns))
-		for i, c := range x.Columns {
-			pos, ok := t.colPos(c)
-			if !ok {
-				return 0, fmt.Errorf("sqlengine: table %q has no column %q", x.Table, c)
-			}
-			targets[i] = pos
-		}
+	targets, err := t.insertTargets(x.Columns)
+	if err != nil {
+		return 0, err
 	}
 
-	var srcRows [][]Value
+	var srcRows []Row
 	if x.Select != nil {
 		ex := &executor{db: db}
 		rs, err := ex.execSelect(x.Select, &evalEnv{params: params})
 		if err != nil {
 			return 0, err
 		}
-		for _, r := range rs.Rows {
-			srcRows = append(srcRows, r)
-		}
+		srcRows = rs.Rows
 	} else {
 		for _, exprRow := range x.Rows {
 			vals := make([]Value, len(exprRow))
@@ -332,168 +311,142 @@ func (s *Session) execInsert(x *InsertStmt, params []Value) (int64, error) {
 			srcRows = append(srcRows, vals)
 		}
 	}
-
-	var inserted int64
-	for _, vals := range srcRows {
-		if len(vals) != len(targets) {
-			return inserted, fmt.Errorf("sqlengine: INSERT into %q: %d values for %d columns", x.Table, len(vals), len(targets))
-		}
-		row := make(Row, len(t.Columns))
-		assigned := make([]bool, len(t.Columns))
-		for i, pos := range targets {
-			v, err := t.Columns[pos].Type.Coerce(vals[i])
-			if err != nil {
-				return inserted, fmt.Errorf("sqlengine: column %q: %w", t.Columns[pos].Name, err)
-			}
-			row[pos] = v
-			assigned[pos] = true
-		}
-		for i, c := range t.Columns {
-			if !assigned[i] && c.Default != nil {
-				v, err := evalConst(c.Default, nil)
-				if err != nil {
-					return inserted, err
-				}
-				cv, err := c.Type.Coerce(v)
-				if err != nil {
-					return inserted, err
-				}
-				row[i] = cv
-			}
-			if c.NotNull && row[i].IsNull() {
-				return inserted, fmt.Errorf("sqlengine: column %q of table %q is NOT NULL", c.Name, x.Table)
-			}
-		}
-		t.Rows = append(t.Rows, row)
-		if err := t.addToIndexes(len(t.Rows) - 1); err != nil {
-			t.Rows = t.Rows[:len(t.Rows)-1]
-			t.rebuildIndexes()
-			return inserted, err
-		}
-		inserted++
-	}
-	return inserted, nil
+	return t.insert(targets, srcRows)
 }
 
-func (s *Session) execUpdate(x *UpdateStmt, params []Value) (int64, error) {
-	db := s.eng.db
-	t, ok := db.tables[x.Table]
-	if !ok {
-		return 0, fmt.Errorf("sqlengine: %s: no such table %q", db.name, x.Table)
-	}
-	schema := make(rowSchema, len(t.Columns))
-	for i, c := range t.Columns {
-		schema[i] = colBinding{qualifier: x.Table, name: c.Name}
-	}
-	exprs := []Expr{x.Where}
-	for _, set := range x.Set {
-		exprs = append(exprs, set.Expr)
-	}
-	fr, fns := (&evalEnv{params: params, exec: (&executor{db: db}).execSelect}).compile(schema, true, exprs...)
-	// Every row's WHERE and SET see the table as the statement found it
-	// (a subquery over it included): the new rows are written after the
-	// loop.
-	type update struct {
-		ri  int
-		row Row
-	}
-	var updates []update
-	err := func() error {
-		for ri, row := range t.Rows {
-			fr.row, fr.rownum = row, int64(len(updates))+1
-			if fns[0] != nil {
-				v, err := fns[0](fr)
-				if err != nil {
-					return err
-				}
-				if !decides(v, true) {
-					continue
-				}
-			}
-			newRow := row.Clone()
-			for si, set := range x.Set {
-				pos, ok := t.colPos(set.Column)
-				if !ok {
-					return fmt.Errorf("sqlengine: table %q has no column %q", x.Table, set.Column)
-				}
-				v, err := fns[si+1](fr)
-				if err != nil {
-					return err
-				}
-				cv, err := t.Columns[pos].Type.Coerce(v)
-				if err != nil {
-					return err
-				}
-				if t.Columns[pos].NotNull && cv.IsNull() {
-					return fmt.Errorf("sqlengine: column %q is NOT NULL", set.Column)
-				}
-				newRow[pos] = cv
-			}
-			updates = append(updates, update{ri, newRow})
+// insert appends a row built from each of src (buildRow) to the table:
+// all of them, or none.
+func (t *Table) insert(targets []int, src []Row) (int64, error) {
+	rows := t.Rows
+	for _, vals := range src {
+		row, err := t.buildRow(targets, vals)
+		if err != nil {
+			return 0, err
 		}
-		return nil
-	}()
-	for _, u := range updates {
-		t.Rows[u.ri] = u.row
+		rows = append(rows, row)
 	}
-	updated := int64(len(updates))
-	if updated == 0 {
+	if err := t.setRows(rows, len(t.Rows)); err != nil {
 		return 0, err
 	}
-	// The rows updated before an error stay updated, so the indexes and
-	// the key order that seeks read must follow them either way.
-	t.rebuildIndexes()
-	if err != nil {
-		return updated, err
-	}
-	// Re-validate unique indexes after bulk update.
-	for _, idx := range t.Indexes {
-		if !idx.Unique {
-			continue
-		}
-		for _, positions := range idx.m {
-			if len(positions) > 1 {
-				return updated, fmt.Errorf("sqlengine: unique constraint %q violated by UPDATE", idx.Name)
-			}
-		}
-	}
-	return updated, nil
+	return int64(len(src)), nil
 }
 
-func (s *Session) execDelete(x *DeleteStmt, params []Value) (int64, error) {
+// insertTargets returns the positions of the columns an INSERT names,
+// or of every column when it names none.
+func (t *Table) insertTargets(cols []string) ([]int, error) {
+	if len(cols) == 0 {
+		for _, c := range t.Columns {
+			cols = append(cols, c.Name)
+		}
+	}
+	targets := make([]int, len(cols))
+	for i, c := range cols {
+		pos, ok := t.colPos(c)
+		if !ok {
+			return nil, fmt.Errorf("sqlengine: table %q has no column %q", t.Name, c)
+		}
+		targets[i] = pos
+	}
+	return targets, nil
+}
+
+// buildRow makes the row to store for the values vals of the columns at
+// targets: each value coerced to its column's type, every other column
+// set to its DEFAULT, and NOT NULL checked.
+func (t *Table) buildRow(targets []int, vals []Value) (Row, error) {
+	if len(vals) != len(targets) {
+		return nil, fmt.Errorf("sqlengine: INSERT into %q: %d values for %d columns", t.Name, len(vals), len(targets))
+	}
+	row := make(Row, len(t.Columns))
+	for i, pos := range targets {
+		cv, err := t.Columns[pos].Type.Coerce(vals[i])
+		if err != nil {
+			return nil, fmt.Errorf("sqlengine: column %q: %w", t.Columns[pos].Name, err)
+		}
+		row[pos] = cv
+	}
+	for i, c := range t.Columns {
+		if c.Default != nil && !slices.Contains(targets, i) {
+			v, err := evalConst(c.Default, nil)
+			if err != nil {
+				return nil, err
+			}
+			if row[i], err = c.Type.Coerce(v); err != nil {
+				return nil, err
+			}
+		}
+		if c.NotNull && row[i].IsNull() {
+			return nil, fmt.Errorf("sqlengine: column %q of table %q is NOT NULL", c.Name, t.Name)
+		}
+	}
+	return row, nil
+}
+
+// execRewrite runs an UPDATE (set given) or a DELETE (set nil) of the
+// rows of table where selects. Every row's WHERE and SET see the table as
+// the statement found it (a subquery over it included): the new rows go
+// into a new slice, which replaces the rows once every row is done.
+func (s *Session) execRewrite(table string, where Expr, set []SetClause, params []Value) (int64, error) {
 	db := s.eng.db
-	t, ok := db.tables[x.Table]
+	t, ok := db.tables[table]
 	if !ok {
-		return 0, fmt.Errorf("sqlengine: %s: no such table %q", db.name, x.Table)
+		return 0, fmt.Errorf("sqlengine: %s: no such table %q", db.name, table)
 	}
 	schema := make(rowSchema, len(t.Columns))
 	for i, c := range t.Columns {
-		schema[i] = colBinding{qualifier: x.Table, name: c.Name}
+		schema[i] = colBinding{qualifier: table, name: c.Name}
 	}
-	fr, fns := (&evalEnv{params: params, exec: (&executor{db: db}).execSelect}).compile(schema, false, x.Where)
-	kept := t.Rows[:0:0]
-	var deleted int64
+	exprs := []Expr{where}
+	for _, sc := range set {
+		exprs = append(exprs, sc.Expr)
+	}
+	fr, fns := (&evalEnv{params: params, exec: (&executor{db: db}).execSelect}).compile(schema, set != nil, exprs...)
+	rows := t.Rows[:0:0]
+	var n int64
 	for _, row := range t.Rows {
-		keep := false
+		fr.row, fr.rownum = row, n+1
 		if fns[0] != nil {
-			fr.row = row
 			v, err := fns[0](fr)
 			if err != nil {
-				return deleted, err
+				return 0, err
 			}
-			keep = !decides(v, true)
+			if !decides(v, true) {
+				rows = append(rows, row)
+				continue
+			}
 		}
-		if keep {
-			kept = append(kept, row)
-		} else {
-			deleted++
+		n++
+		if set == nil {
+			continue
 		}
+		newRow := slices.Clone(row)
+		for si, sc := range set {
+			pos, ok := t.colPos(sc.Column)
+			if !ok {
+				return 0, fmt.Errorf("sqlengine: table %q has no column %q", table, sc.Column)
+			}
+			v, err := fns[si+1](fr)
+			if err != nil {
+				return 0, err
+			}
+			cv, err := t.Columns[pos].Type.Coerce(v)
+			if err != nil {
+				return 0, err
+			}
+			if t.Columns[pos].NotNull && cv.IsNull() {
+				return 0, fmt.Errorf("sqlengine: column %q is NOT NULL", sc.Column)
+			}
+			newRow[pos] = cv
+		}
+		rows = append(rows, newRow)
 	}
-	t.Rows = kept
-	if deleted > 0 {
-		t.rebuildIndexes()
+	if n == 0 {
+		return 0, nil
 	}
-	return deleted, nil
+	if err := t.setRows(rows, 0); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // ---- DDL ----
@@ -548,9 +501,9 @@ func (s *Session) execCreateTable(x *CreateTableStmt) error {
 			t.Indexes[name] = &Index{Name: name, Columns: []string{cd.Name}, Unique: true}
 		}
 	}
-	t.rebuildIndexes()
 	db.tables[x.Table] = t
-	return nil
+	return t.setRows(nil, 0) // makes the empty index maps
+
 }
 
 func (s *Session) execCreateIndex(x *CreateIndexStmt) error {
@@ -567,16 +520,10 @@ func (s *Session) execCreateIndex(x *CreateIndexStmt) error {
 			return fmt.Errorf("sqlengine: table %q has no column %q", x.Table, c)
 		}
 	}
-	idx := &Index{Name: x.Index, Columns: x.Columns, Unique: x.Unique}
-	t.Indexes[x.Index] = idx
-	t.rebuildIndexes()
-	if x.Unique {
-		for _, positions := range idx.m {
-			if len(positions) > 1 {
-				delete(t.Indexes, x.Index)
-				return fmt.Errorf("sqlengine: cannot create unique index %q: duplicate keys exist", x.Index)
-			}
-		}
+	t.Indexes[x.Index] = &Index{Name: x.Index, Columns: x.Columns, Unique: x.Unique}
+	if err := t.setRows(t.Rows, 0); err != nil {
+		delete(t.Indexes, x.Index)
+		return fmt.Errorf("sqlengine: cannot create unique index %q: %w", x.Index, err)
 	}
 	return nil
 }
@@ -641,12 +588,13 @@ func (s *Session) execAlterAdd(x *AlterAddColumnStmt) error {
 	if x.Column.NotNull && fill.IsNull() && len(t.Rows) > 0 {
 		return fmt.Errorf("sqlengine: cannot add NOT NULL column %q without default to non-empty table", x.Column.Name)
 	}
+	rows := make([]Row, len(t.Rows))
+	for i, row := range t.Rows {
+		rows[i] = append(row[:len(row):len(row)], fill)
+	}
 	t.Columns = append(t.Columns, Column(x.Column))
 	t.rebuildColIndex()
-	for i := range t.Rows {
-		t.Rows[i] = append(t.Rows[i], fill)
-	}
-	return nil
+	return t.setRows(rows, 0)
 }
 
 // InsertRows bulk-inserts pre-typed rows (bypassing SQL parsing); used by
@@ -658,31 +606,8 @@ func (e *Engine) InsertRows(table string, rows []Row) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("sqlengine: %s: no such table %q", e.db.name, table)
 	}
-	var n int64
-	for _, r := range rows {
-		if len(r) != len(t.Columns) {
-			return n, fmt.Errorf("sqlengine: row has %d values, table %q has %d columns", len(r), table, len(t.Columns))
-		}
-		row := make(Row, len(r))
-		for i, v := range r {
-			cv, err := t.Columns[i].Type.Coerce(v)
-			if err != nil {
-				return n, fmt.Errorf("sqlengine: column %q: %w", t.Columns[i].Name, err)
-			}
-			if t.Columns[i].NotNull && cv.IsNull() {
-				return n, fmt.Errorf("sqlengine: column %q is NOT NULL", t.Columns[i].Name)
-			}
-			row[i] = cv
-		}
-		t.Rows = append(t.Rows, row)
-		if err := t.addToIndexes(len(t.Rows) - 1); err != nil {
-			t.Rows = t.Rows[:len(t.Rows)-1]
-			t.rebuildIndexes()
-			return n, err
-		}
-		n++
-	}
-	return n, nil
+	targets, _ := t.insertTargets(nil) // no column named, none unknown
+	return t.insert(targets, rows)
 }
 
 // String implements fmt.Stringer for diagnostics.

@@ -371,9 +371,11 @@ func (c *compiler) in(x *InExpr) cexpr {
 	arg, not := c.compile(x.X), x.Not
 	if x.Sub != nil {
 		run := c.subquery(x.Sub, "IN (SELECT ...)")
+		// A NULL x runs the subquery too: x IN over no rows is FALSE
+		// (SQL-92 §8.4), even for a NULL x.
 		return dynamic(func(fr *frame) (Value, error) {
 			v, err := arg.eval(fr)
-			if err != nil || v.IsNull() {
+			if err != nil {
 				return Null(), err
 			}
 			rs, err := run(fr)
@@ -382,6 +384,8 @@ func (c *compiler) in(x *InExpr) cexpr {
 				return Null(), err
 			case len(rs.Columns) != 1:
 				return Null(), fmt.Errorf("sqlengine: IN subquery must return one column, got %d", len(rs.Columns))
+			case v.IsNull() && len(rs.Rows) > 0:
+				return Null(), nil
 			}
 			return inList(v, len(rs.Rows), func(i int) Value { return rs.Rows[i][0] }, not), nil
 		})
@@ -405,7 +409,8 @@ func (c *compiler) in(x *InExpr) cexpr {
 	}, append(list, arg)...)
 }
 
-// inList is v [NOT] IN the n candidates at returns, for a non-NULL v.
+// inList is v [NOT] IN the n candidates at returns, for a v that is not
+// NULL or no candidates.
 func inList(v Value, n int, at func(i int) Value, not bool) Value {
 	sawNull := false
 	for i := range n {

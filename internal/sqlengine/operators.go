@@ -203,7 +203,7 @@ func analyzeBranch(sel *SelectStmt, tableCols func(string) []string) (*StreamBra
 		br.aggregated = br.aggregated || it.Expr != nil && ContainsAggregate(it.Expr)
 	}
 	for _, oi := range sel.OrderBy {
-		idx, err := outputOrdinal(oi.Expr, cols)
+		idx, err := OutputOrdinal(oi.Expr, cols)
 		switch {
 		case err == nil && idx < 0 && sel.Distinct:
 			err = errors.New("sqlengine: ORDER BY expression must reference an output column in this query")
@@ -317,11 +317,11 @@ func equiKeys(cond Expr, left, right []sideInput) (lk, lq, rk, rq []string) {
 	return lk, lq, rk, rq
 }
 
-// outputOrdinal resolves an ORDER BY key to an output column the way the
+// OutputOrdinal resolves an ORDER BY key to an output column the way the
 // engine always has: an integer ordinal (an error when out of range), or
 // a column reference whose name exactly one output column carries.
 // Anything else is -1: an expression over the source row.
-func outputOrdinal(e Expr, outCols []string) (int, error) {
+func OutputOrdinal(e Expr, outCols []string) (int, error) {
 	if lit, ok := e.(*Literal); ok && lit.Val.Kind == KindInt {
 		n := int(lit.Val.Int)
 		if n >= 1 && n <= len(outCols) {

@@ -201,14 +201,16 @@ func Load(r io.Reader) (*Engine, error) {
 		for _, pi := range pt.Indexes {
 			t.Indexes[pi.Name] = &Index{Name: pi.Name, Columns: pi.Columns, Unique: pi.Unique}
 		}
-		for _, prow := range pt.Rows {
-			row := make(Row, len(prow))
+		rows := make([]Row, len(pt.Rows))
+		for ri, prow := range pt.Rows {
+			rows[ri] = make(Row, len(prow))
 			for i, pv := range prow {
-				row[i] = fromPersistValue(pv)
+				rows[ri][i] = fromPersistValue(pv)
 			}
-			t.Rows = append(t.Rows, row)
 		}
-		t.rebuildIndexes()
+		if err := t.setRows(rows, 0); err != nil {
+			return nil, fmt.Errorf("sqlengine: load: %w", err)
+		}
 		e.db.tables[pt.Name] = t
 	}
 	for _, pv := range p.Views {

@@ -2,7 +2,9 @@ package sqlengine
 
 import (
 	"bytes"
+	"encoding/gob"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -70,5 +72,27 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadFile(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file loaded")
+	}
+}
+
+// TestLoadRefusesDuplicateKeys: a snapshot whose rows break a unique
+// index (as one saved after a failed UPDATE of a key could, before a
+// failing statement changed nothing) fails to load, naming the table and
+// the index, instead of loading keys a seek would miss.
+func TestLoadRefusesDuplicateKeys(t *testing.T) {
+	key := func(n int64) []persistValue { return []persistValue{{Kind: KindInt, Int: n}} }
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&persistDB{Name: "dups", Dialect: "ansi", Tables: []persistTable{{
+		Name:       "t",
+		Columns:    []persistColumn{{Name: "id", Kind: KindInt, NotNull: true, PrimaryKey: true}},
+		PrimaryKey: []string{"id"},
+		Indexes:    []persistIndex{{Name: "pk_t", Columns: []string{"id"}, Unique: true}},
+		Rows:       [][]persistValue{key(1), key(2), key(1)},
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(&buf)
+	if err == nil || !strings.Contains(err.Error(), `"pk_t"`) || !strings.Contains(err.Error(), `table "t"`) {
+		t.Errorf("Load of duplicate keys: %v, want an error naming pk_t and t", err)
 	}
 }

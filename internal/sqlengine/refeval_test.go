@@ -245,7 +245,7 @@ func evalIn(x *InExpr, ec *evalContext) (Value, error) {
 	if err != nil {
 		return Null(), err
 	}
-	if v.IsNull() {
+	if v.IsNull() && x.Sub == nil {
 		return Null(), nil
 	}
 	var candidates []Value
@@ -271,6 +271,9 @@ func evalIn(x *InExpr, ec *evalContext) (Value, error) {
 			}
 			candidates = append(candidates, c)
 		}
+	}
+	if v.IsNull() && len(candidates) > 0 {
+		return Null(), nil // over no rows, a NULL x is not IN (SQL-92 §8.4)
 	}
 	sawNull := false
 	for _, c := range candidates {

@@ -506,11 +506,3 @@ func (ct ColumnType) Coerce(v Value) (Value, error) {
 
 // Row is one tuple of values.
 type Row []Value
-
-// Clone returns a deep-enough copy of the row (Values are value types; the
-// backing slice is fresh).
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}

@@ -2,6 +2,7 @@ package unity
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func namesFederation(t *testing.T) (*Federation, *sqlengine.Engine) {
 	t.Helper()
 	ora := sqlengine.NewEngine("names_ora", sqlengine.DialectOracle)
 	if err := ora.ExecScript(`CREATE TABLE "EVT_T01" ("EVT_ID" NUMBER, "E_RAW" BINARY_DOUBLE);
-		INSERT INTO "EVT_T01" VALUES (1, 3.5);
+		INSERT INTO "EVT_T01" VALUES (1, 3.5), (2, 1.5);
 		CREATE TABLE "RUN_T" ("RUN_ID" NUMBER, "RUN_E" BINARY_DOUBLE);
 		INSERT INTO "RUN_T" VALUES (7, 2.0)`); err != nil {
 		t.Fatal(err)
@@ -62,7 +63,7 @@ func namesFederation(t *testing.T) (*Federation, *sqlengine.Engine) {
 	}
 	t.Cleanup(func() { f.Close() })
 	ref := sqlengine.NewEngine("names_ref", sqlengine.DialectANSI)
-	if err := ref.ExecScript(`CREATE TABLE events (id INTEGER, energy DOUBLE); INSERT INTO events VALUES (1, 3.5);
+	if err := ref.ExecScript(`CREATE TABLE events (id INTEGER, energy DOUBLE); INSERT INTO events VALUES (1, 3.5), (2, 1.5);
 		CREATE TABLE runs (id INTEGER, energy DOUBLE); INSERT INTO runs VALUES (7, 2.0);
 		CREATE TABLE tags (id INTEGER, label VARCHAR(8)); INSERT INTO tags VALUES (1, 'hot'), (7, 'cold')`); err != nil {
 		t.Fatal(err)
@@ -86,8 +87,17 @@ func TestNameResolution(t *testing.T) {
 		"SELECT e.id FROM events e WHERE EXISTS (SELECT 1 FROM runs r WHERE r.energy < energy)",
 		"SELECT e.id, t.label FROM events e JOIN tags t ON e.id = t.id",
 		"SELECT events.id FROM events WHERE events.energy > 1",
+		// ORDER BY names the output alias, not the stored energy: ids
+		// 1, 2 by the alias, 2, 1 by energy.
+		"SELECT id AS energy FROM events ORDER BY energy",
+		"SELECT id AS energy, energy AS id FROM events ORDER BY id DESC",
 	} {
 		want, werr := ref.Query(sql)
+		// rows lists a result's rows, in order under an ORDER BY.
+		rows := rowStrings
+		if strings.Contains(sql, "ORDER BY") {
+			rows = func(rs []sqlengine.Row) []string { return []string{fmt.Sprint(rs)} }
+		}
 		bad := 0
 		var last string
 		for i := 0; i < runs; i++ {
@@ -99,9 +109,9 @@ func TestNameResolution(t *testing.T) {
 			case werr == nil && err != nil:
 				bad++
 				last = "federation error " + err.Error()
-			case werr == nil && !reflect.DeepEqual(rowStrings(got.Rows), rowStrings(want.Rows)):
+			case werr == nil && !reflect.DeepEqual(rows(got.Rows), rows(want.Rows)):
 				bad++
-				last = "rows " + strings.Join(rowStrings(got.Rows), ";") + ", one engine's " + strings.Join(rowStrings(want.Rows), ";")
+				last = "rows " + strings.Join(rows(got.Rows), ";") + ", one engine's " + strings.Join(rows(want.Rows), ";")
 			}
 		}
 		if bad > 0 {

@@ -3,6 +3,7 @@ package unity
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"gridrdb/internal/sqlengine"
@@ -30,6 +31,17 @@ func (m *nameMapper) add(tr sqlengine.TableRef, loc *xspec.TableLocation) {
 		q = tr.Name
 	}
 	m.refs = append(m.refs, mappedRef{table: tr.Name, qualifier: q, loc: loc})
+}
+
+// logicalCols lists the logical columns of the statement's table named
+// logical, or nil when the dictionary does not know them.
+func (m *nameMapper) logicalCols(logical string) []string {
+	for _, r := range m.refs {
+		if strings.EqualFold(r.table, logical) {
+			return specLogicalCols(r.loc.Spec)
+		}
+	}
+	return nil
 }
 
 func (m *nameMapper) physTable(logical string) string {
@@ -221,16 +233,25 @@ func (r *renderer) selectSQL(sel *sqlengine.SelectStmt) (string, error) {
 		return sb.String(), nil
 	}
 	if len(sel.OrderBy) > 0 {
+		// A key the engine resolves to an output column renders as that
+		// column's ordinal: mapped as a table column, an output alias
+		// could name another column at the source.
+		var outCols []string
+		if sp, _ := sqlengine.AnalyzeStreamSelect(sel, r.m.logicalCols); sp != nil {
+			outCols = sp.Branches[0].OutCols
+		}
 		sb.WriteString(" ORDER BY ")
 		for i, o := range sel.OrderBy {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			s, err := r.expr(o.Expr)
-			if err != nil {
+			if n, err := sqlengine.OutputOrdinal(o.Expr, outCols); err == nil && n >= 0 {
+				sb.WriteString(strconv.Itoa(n + 1))
+			} else if s, err := r.expr(o.Expr); err != nil {
 				return "", err
+			} else {
+				sb.WriteString(s)
 			}
-			sb.WriteString(s)
 			if o.Desc {
 				sb.WriteString(" DESC")
 			}
