@@ -10,7 +10,10 @@ package dataaccess
 // deadline expires, or the queue itself is full — the last two shed the
 // request with clarens.FaultOverloaded before any planning or backend
 // work happens. Everything here runs on the caller's goroutine: the gate
-// spawns nothing, and a shed request never touches a backend.
+// spawns nothing, and a shed request never touches a backend. A streamed
+// query's ticket and byte quota are applied by its StreamResult, the one
+// query edge (stream.go): the ticket is released at the terminal Next or
+// at Close, and each delivered row is charged as it is handed over.
 
 import (
 	"context"
@@ -21,7 +24,6 @@ import (
 	"time"
 
 	"gridrdb/internal/clarens"
-	"gridrdb/internal/sqlengine"
 )
 
 // Admission-queue defaults (Config.AdmissionQueue / AdmissionTimeout
@@ -204,8 +206,8 @@ func (a *admitter) statsLocked(tenant string) *tenantStats {
 }
 
 // ticket is one admitted query's hold on an in-flight slot. release is
-// idempotent: the streaming paths release from both the iterator's
-// terminal Next and its Close, whichever the consumer reaches first.
+// idempotent: a stream releases it at its terminal Next and again at its
+// Close, whichever the consumer reaches first.
 type ticket struct {
 	a        *admitter
 	tenant   string
@@ -495,13 +497,19 @@ func (st *sessionTable) releaseCursor(session string) {
 	st.mu.Unlock()
 }
 
+// metersBytes reports whether the caller's streamed bytes are charged: a
+// nil table (quotas off), an empty session or no byte cap charges none.
+func (st *sessionTable) metersBytes(ci CallerInfo) bool {
+	return st != nil && ci.Session != "" && st.maxBytes > 0
+}
+
 // chargeBytes charges streamed delivery against the session's byte
 // budget, tripping with a FaultOverloaded quota fault once the lifetime
 // total passes the cap. Rows are charged as they are delivered, so the
 // trip lands mid-stream on whichever row crosses the budget — that row
 // is withheld and the stream ends with the quota fault.
 func (st *sessionTable) chargeBytes(ci CallerInfo, n int64) error {
-	if st == nil || ci.Session == "" || st.maxBytes <= 0 {
+	if !st.metersBytes(ci) {
 		return nil
 	}
 	st.mu.Lock()
@@ -621,67 +629,4 @@ func (s *Service) LoadStats() LoadStats {
 	}
 	sort.Slice(ls.Tenants, func(i, j int) bool { return ls.Tenants[i].Tenant < ls.Tenants[j].Tenant })
 	return ls
-}
-
-// ---- streaming integration ----
-
-// admitIter pins an in-flight slot to a live stream: the slot frees when
-// the consumer drains the stream, hits an error, or closes it — the
-// moment the backend work is over, not when the opening call returns.
-type admitIter struct {
-	inner sqlengine.RowIter
-	tk    *ticket
-}
-
-func (it *admitIter) Columns() []string { return it.inner.Columns() }
-
-func (it *admitIter) Next() (sqlengine.Row, error) {
-	row, err := it.inner.Next()
-	if err != nil {
-		it.tk.release()
-	}
-	return row, err
-}
-
-func (it *admitIter) Close() error {
-	err := it.inner.Close()
-	it.tk.release()
-	return err
-}
-
-// quotaIter charges each delivered row against the session's streamed-
-// byte budget; a trip mid-stream surfaces as a row error, which every
-// consumer path (ForEach, cursor fetch, relay) already treats as a
-// terminal close-and-release.
-type quotaIter struct {
-	inner sqlengine.RowIter
-	st    *sessionTable
-	ci    CallerInfo
-}
-
-func (it *quotaIter) Columns() []string { return it.inner.Columns() }
-
-func (it *quotaIter) Next() (sqlengine.Row, error) {
-	row, err := it.inner.Next()
-	if err != nil {
-		return row, err
-	}
-	if qerr := it.st.chargeBytes(it.ci, sqlengine.RowBytes(row)); qerr != nil {
-		return nil, qerr
-	}
-	return row, nil
-}
-
-func (it *quotaIter) Close() error { return it.inner.Close() }
-
-// gateStream applies the admission ticket and the session byte quota to
-// a routed stream.
-func (s *Service) gateStream(sr *StreamResult, tk *ticket, ci CallerInfo) *StreamResult {
-	if tk != nil {
-		sr.iter = &admitIter{inner: sr.iter, tk: tk}
-	}
-	if s.sessions != nil && ci.Session != "" && s.sessions.maxBytes > 0 {
-		sr.iter = &quotaIter{inner: sr.iter, st: s.sessions, ci: ci}
-	}
-	return sr
 }

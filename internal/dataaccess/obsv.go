@@ -13,14 +13,12 @@ package dataaccess
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"sync/atomic"
 	"time"
 
 	"gridrdb/internal/obsv"
 	"gridrdb/internal/qcache"
-	"gridrdb/internal/sqlengine"
 	"gridrdb/internal/unity"
 )
 
@@ -360,6 +358,14 @@ func (t *qtrack) noteRows(n int64) {
 	}
 }
 
+// delivered counts one streamed row of n bytes.
+func (t *qtrack) delivered(n int64) {
+	if t != nil {
+		t.rows.Add(1)
+		t.bytes.Add(n)
+	}
+}
+
 func (t *qtrack) noteStreamExec(ex *unity.StreamExec) {
 	if t != nil && ex != nil {
 		t.sx.Store(ex)
@@ -483,50 +489,6 @@ func (t *qtrack) finish(err error) {
 			slog.Duration("elapsed", dur),
 			slog.String("sql", t.sqlText))
 	}
-}
-
-// trackIter finalizes a streamed query's track when the stream drains
-// (or is closed) and counts the rows and bytes it delivered.
-type trackIter struct {
-	inner sqlengine.RowIter
-	t     *qtrack
-}
-
-func (it *trackIter) Columns() []string { return it.inner.Columns() }
-
-func (it *trackIter) Next() (sqlengine.Row, error) {
-	row, err := it.inner.Next()
-	switch err {
-	case nil:
-		it.t.rows.Add(1)
-		it.t.bytes.Add(sqlengine.RowBytes(row))
-		return row, nil
-	case io.EOF:
-		it.t.finish(nil)
-		return nil, io.EOF
-	default:
-		it.t.finish(err)
-		return nil, err
-	}
-}
-
-func (it *trackIter) Close() error {
-	err := it.inner.Close()
-	// An abandoned stream still completes its track: latency then covers
-	// opening through abandonment, under the route class that produced it.
-	it.t.finish(nil)
-	return err
-}
-
-// trackStream wraps a routed stream's iterator so the track finishes
-// when the consumer is done with it.
-func (s *Service) trackStream(sr *StreamResult, t *qtrack) *StreamResult {
-	if t == nil {
-		return sr
-	}
-	t.beginStream()
-	sr.iter = &trackIter{inner: sr.iter, t: t}
-	return sr
 }
 
 // ---- service surfaces ----

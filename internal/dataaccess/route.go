@@ -191,10 +191,11 @@ func planDeps(plan *unity.Plan) []qcache.Dep {
 	return deps
 }
 
-// open executes a decision, returning the raw row stream — no cache tee,
-// admission or tracking wrapped around it yet — labelled with the route
-// and the number of Clarens servers behind it. The time it takes is the
-// query's backend phase, and the executed operator lands on the track.
+// open executes a decision, returning the raw row stream — without the
+// query edge QueryStreamContext gives it (see StreamResult) — labelled
+// with the route and the number of Clarens servers behind it. The time it
+// takes is the query's backend phase, and the executed operator lands on
+// the track.
 //
 // wholeResult is the one thing an entry point still selects, for a query
 // whose tables all live on one remote server: a caller that wants the
@@ -213,7 +214,11 @@ func (s *Service) open(ctx context.Context, d *decision, sqlText string, params 
 			return nil, err
 		}
 		s.stats.RAL.Add(1)
-		return rawStream(it, RoutePOOLRAL, 1), nil
+		sr := rawStream(it, RoutePOOLRAL, 1)
+		if d.ral.Labels != nil {
+			sr.cols = d.ral.Labels
+		}
+		return sr, nil
 
 	case classRemote:
 		msg := "route: relay"

@@ -46,9 +46,8 @@ type Config struct {
 	RequestTimeout time.Duration
 	// RLS is the replica catalog client; nil disables remote forwarding.
 	RLS *rls.Client
-	// Profile/Clock charge simulated network costs on remote forwards.
+	// Profile charges simulated network costs on remote forwards.
 	Profile *netsim.Profile
-	Clock   *netsim.Clock
 	// CacheSize enables the query-result cache when > 0: up to this many
 	// federated SELECT results are kept and served without re-executing
 	// their sub-queries. Entries are invalidated when the schema-change
@@ -600,7 +599,6 @@ func (s *Service) remotePeer(serverURL string) *remotePeer {
 	}
 	c := clarens.NewClient(serverURL)
 	c.Profile = s.cfg.Profile
-	c.Clock = s.cfg.Clock
 	p := &remotePeer{c: c}
 	s.remotes[serverURL] = p
 	return p

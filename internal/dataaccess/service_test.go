@@ -18,7 +18,7 @@ import (
 
 // mkMart builds a mart engine with an ntuple-ish table, registers it for
 // local:// access, and returns its spec.
-func mkMart(t *testing.T, name string, d *sqlengine.Dialect, table string, rows int) (*sqlengine.Engine, *xspec.LowerSpec) {
+func mkMart(t testing.TB, name string, d *sqlengine.Dialect, table string, rows int) (*sqlengine.Engine, *xspec.LowerSpec) {
 	t.Helper()
 	e := sqlengine.NewEngine(name, d)
 	martTable(t, e, table, rows)
@@ -32,7 +32,7 @@ func mkMart(t *testing.T, name string, d *sqlengine.Dialect, table string, rows 
 }
 
 // martTable creates mkMart's table on e: rows (i, 100 + i%2, i + 0.5).
-func martTable(t *testing.T, e *sqlengine.Engine, table string, rows int) {
+func martTable(t testing.TB, e *sqlengine.Engine, table string, rows int) {
 	t.Helper()
 	d := e.Dialect()
 	q := d.QuoteIdent
@@ -64,10 +64,54 @@ func oneEngine(t *testing.T, rows map[string]int) *sqlengine.Engine {
 	return ref
 }
 
-func addMart(t *testing.T, s *Service, name string, spec *xspec.LowerSpec, driver string) {
+func addMart(t testing.TB, s *Service, name string, spec *xspec.LowerSpec, driver string) {
 	t.Helper()
 	if err := s.AddDatabase(xspec.SourceRef{Name: name, URL: "local://" + name, Driver: driver}, spec, "", ""); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAnswerHeaderIndependentOfRoute: a mart that stores a table's
+// columns under other names than the logical ones answers under the
+// logical names whichever route serves the query, streamed or not.
+func TestAnswerHeaderIndependentOfRoute(t *testing.T) {
+	s := New(Config{Name: "jc-headers"})
+	defer s.Close()
+	_, spec := mkMart(t, "hdr_my", sqlengine.DialectMySQL, "EVT_T01", 3)
+	tbl := &spec.Tables[0]
+	tbl.Logical = "events"
+	for phys, logical := range map[string]string{"event_id": "id", "e_tot": "energy"} {
+		for j := range tbl.Columns {
+			if strings.EqualFold(tbl.Columns[j].Name, phys) {
+				tbl.Columns[j].Logical = logical
+			}
+		}
+	}
+	addMart(t, s, "hdr_my", spec, "gridsql-mysql")
+	for _, c := range []struct {
+		sql   string
+		route Route
+		cols  []string
+	}{
+		{"SELECT id, energy FROM events WHERE run = 101", RoutePOOLRAL, []string{"id", "energy"}},
+		{"SELECT * FROM events", RoutePOOLRAL, []string{"id", "run", "energy"}},
+		{"SELECT energy, id FROM events ORDER BY id", RouteUnity, []string{"energy", "id"}},
+	} {
+		qr, err := s.QueryContext(context.Background(), c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		sr, err := s.QueryStreamContext(context.Background(), c.sql)
+		if err != nil {
+			t.Fatalf("%s (stream): %v", c.sql, err)
+		}
+		sr.Close()
+		if qr.Route != c.route || sr.Route != c.route {
+			t.Errorf("%s: routes %s and %s (stream), want %s", c.sql, qr.Route, sr.Route, c.route)
+		}
+		if strings.Join(qr.Columns, ",") != strings.Join(c.cols, ",") || strings.Join(sr.Columns(), ",") != strings.Join(c.cols, ",") {
+			t.Errorf("%s: headed %v and %v (stream), want %v", c.sql, qr.Columns, sr.Columns(), c.cols)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package dataaccess
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,6 +214,155 @@ func TestStreamFillRespectsInvalidation(t *testing.T) {
 	}
 	if st := s.CacheStats(); st.Entries != 0 {
 		t.Fatalf("stale stream result was cached past an invalidation: %+v", st)
+	}
+}
+
+// TestStreamEdgeComposes holds the order of the stream edge's rules where
+// they meet on one service — a byte-bounded cache, a one-slot gate with no
+// queue, a session byte quota and a slow threshold: (i) a stream cut by
+// the quota leaves no cache entry and holds its slot until Close, after
+// which the next query is admitted immediately; (ii) a cache-hit stream
+// is charged to the quota and trips it; (iii) each trip counts once as a
+// failed query and never as a completed one; (iv) a drained stream adds
+// its rows and their summed RowBytes to the delivery counters.
+func TestStreamEdgeComposes(t *testing.T) {
+	s := New(Config{
+		Name:               "jc-stream-edge",
+		CacheSize:          64,
+		CacheMaxBytes:      1 << 22,
+		MaxInFlight:        1,
+		AdmissionQueue:     -1,
+		SessionMaxBytes:    4096,
+		SlowQueryThreshold: time.Nanosecond,
+	})
+	t.Cleanup(func() { s.Close() })
+	_, spec := mkMart(t, "sedge", sqlengine.DialectMySQL, "edge_ev", 200)
+	addMart(t, s, "sedge", spec, "gridsql-mysql")
+	metric := func(name string) int64 {
+		var n int64
+		for k, v := range s.Metrics().Snapshot() {
+			if k == name || strings.HasPrefix(k, name+"{") {
+				n += v.(int64)
+			}
+		}
+		return n
+	}
+	completed, failed := metric("gridrdb_queries_total"), metric("gridrdb_query_errors_total")
+	checkTrip := func(label string, err error) {
+		t.Helper()
+		if !isOverloaded(err) {
+			t.Fatalf("%s: stream ended with %v, want the byte-quota fault", label, err)
+		}
+		if got := metric("gridrdb_query_errors_total"); got != failed+1 {
+			t.Fatalf("%s: query errors %d, want %d", label, got, failed+1)
+		}
+		if got := metric("gridrdb_queries_total"); got != completed {
+			t.Fatalf("%s: completed queries %d, want %d", label, got, completed)
+		}
+		failed++
+	}
+
+	// (i) and (iii): a miss cut by the quota.
+	cut, err := s.QueryStreamContext(WithCaller(context.Background(), "ann", "sess-cut"),
+		"SELECT event_id, run, e_tot FROM edge_ev WHERE event_id >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for ; err == nil; rows++ {
+		_, err = cut.Next()
+	}
+	if rows < 2 || rows > 200 {
+		t.Fatalf("quota tripped after %d rows", rows-1)
+	}
+	checkTrip("cut miss", err)
+	if ls := s.LoadStats(); ls.InFlight != 1 {
+		t.Fatalf("in flight after the trip = %d, want 1 (held until Close)", ls.InFlight)
+	}
+	cut.Close()
+	if got := metric("gridrdb_query_errors_total") + metric("gridrdb_queries_total"); got != failed+completed {
+		t.Fatal("Close after a trip counted the query again")
+	}
+	if st := s.CacheStats(); st.Entries != 0 {
+		t.Fatalf("a stream cut by the quota was cached: %+v", st)
+	}
+
+	// (iv): an anonymous miss, admitted straight away, drained and cached.
+	q := "SELECT event_id, run, e_tot FROM edge_ev"
+	admitted := s.LoadStats().AdmittedImmediate
+	rowsOut, bytesOut := metric("gridrdb_rows_streamed_total"), metric("gridrdb_bytes_streamed_total")
+	sr, err := s.QueryStreamContext(context.Background(), q)
+	if err != nil {
+		t.Fatalf("query after the cut stream closed: %v", err)
+	}
+	if got := s.LoadStats().AdmittedImmediate; got != admitted+1 {
+		t.Fatalf("immediate admissions %d, want %d", got, admitted+1)
+	}
+	var n, sum int64
+	if err := sr.ForEach(func(row sqlengine.Row) error {
+		n++
+		sum += sqlengine.RowBytes(row)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 200 {
+		t.Fatalf("drained %d rows", n)
+	}
+	if got := metric("gridrdb_rows_streamed_total") - rowsOut; got != n {
+		t.Errorf("rows streamed += %d, want %d", got, n)
+	}
+	if got := metric("gridrdb_bytes_streamed_total") - bytesOut; got != sum {
+		t.Errorf("bytes streamed += %d, want %d", got, sum)
+	}
+	if e := s.SlowQueries()[0]; e.Rows != n || e.Bytes != sum {
+		t.Errorf("slow entry rows %d bytes %d, want %d and %d", e.Rows, e.Bytes, n, sum)
+	}
+	completed++
+	if st := s.CacheStats(); st.Entries != 1 {
+		t.Fatalf("cache entries after the drained stream = %d, want 1", st.Entries)
+	}
+
+	// (ii) and (iii): the hit is charged to another session's quota.
+	hits := s.CacheStats().Hits
+	hit, err := s.QueryStreamContext(WithCaller(context.Background(), "ann", "sess-hit"), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTrip("cache hit", hit.ForEach(func(sqlengine.Row) error { return nil }))
+	if st := s.CacheStats(); st.Hits != hits+1 {
+		t.Fatalf("cache hits %d, want %d", st.Hits, hits+1)
+	}
+	if ls := s.LoadStats(); ls.InFlight != 0 || ls.AdmittedImmediate != admitted+1 {
+		t.Fatalf("a cache hit took a slot: %+v", ls)
+	}
+}
+
+// BenchmarkStreamEdge streams a 2 000-row cache miss in process, with no
+// HTTP: the rows cross the cache fill (admitted at EOF, then flushed for
+// the next iteration), the admission ticket and the query track.
+//
+//	go test ./internal/dataaccess -run '^$' -bench '^BenchmarkStreamEdge$' -benchmem
+func BenchmarkStreamEdge(b *testing.B) {
+	s := New(Config{Name: "jc-bench-edge", CacheSize: 64, CacheMaxBytes: 64 << 20, MaxInFlight: 4})
+	b.Cleanup(func() { s.Close() })
+	_, spec := mkMart(b, "bedge", sqlengine.DialectMySQL, "edge_scan", 2000)
+	addMart(b, s, "bedge", spec, "gridsql-mysql")
+	q := "SELECT event_id, run, e_tot FROM edge_scan"
+	b.ReportAllocs()
+	for b.Loop() {
+		s.CacheFlush()
+		sr, err := s.QueryStreamContext(context.Background(), q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		if err := sr.ForEach(func(sqlengine.Row) error { n++; return nil }); err != nil || n != 2000 {
+			b.Fatalf("streamed %d rows: %v", n, err)
+		}
+	}
+	if st := s.CacheStats(); st.Rejected != 0 {
+		b.Fatalf("the fill was refused: %+v", st)
 	}
 }
 

@@ -11,9 +11,9 @@ package sqlengine_test
 // under physical names that differ from their logical ones (a is A_T, and
 // a.k is A_T.A_K where b.k is B_T.B_K), so a statement over a and b alone
 // may push down whole through the dictionary's name mapping. The answers
-// must agree on error-or-not and on the rows as a multiset. A statement
-// with a LIMIT or OFFSET compares its row count only: without a total
-// ORDER BY it may take any of the rows. A third of the statements that
+// must agree on error-or-not, on their column labels and on the rows as
+// a multiset. A statement with a LIMIT or OFFSET compares its row count
+// only: without a total ORDER BY it may take any of the rows. A third of the statements that
 // end unordered get a total ORDER BY (every output column) and compare
 // in order. Every statement runs on two federations of each layout: one
 // at the default scratch budget and one with a 1-byte budget, where every
@@ -140,24 +140,6 @@ func newFederatedFixture(tb testing.TB) *federatedFixture {
 	return fx
 }
 
-// labels returns a result's column labels under their logical names. A
-// pushed-down statement's result is headed by the member's physical
-// names (A_K where one engine says k): a known fault of the federation,
-// which this differential does not check.
-func (lf layoutFed) labels(cols []string) []string {
-	if lf.layout != "renamed" {
-		return cols
-	}
-	out := make([]string, len(cols))
-	for i, c := range cols {
-		out[i] = physicalPrefix.ReplaceAllString(c, "")
-	}
-	return out
-}
-
-// physicalPrefix matches the table prefix of a renamed member's column.
-var physicalPrefix = regexp.MustCompile(`^[ab]_`)
-
 // renamedMember returns a MySQL engine holding ref's tables a and b, and
 // their rows, under physical names: table a as A_T, its column k as A_K.
 func renamedMember(tb testing.TB, ref *sqlengine.Engine, name string) *sqlengine.Engine {
@@ -253,7 +235,7 @@ func (fx *federatedFixture) check(t *testing.T, seed int64) {
 			fail("federation error %v, one engine's error %v", gerr, werr)
 		case gerr != nil:
 			continue
-		case strings.Join(lf.labels(got.Columns), ",") != strings.Join(want.Columns, ","):
+		case strings.Join(got.Columns, ",") != strings.Join(want.Columns, ","):
 			fail("columns %v, one engine's %v", got.Columns, want.Columns)
 		case limited(sql) && dedupsLimited(sql):
 			if err := fx.checkDedupedLimit(got.Rows, sql); err != nil {

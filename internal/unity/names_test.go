@@ -73,11 +73,14 @@ func namesFederation(t *testing.T) (*Federation, *sqlengine.Engine) {
 
 // TestNameResolution: a member holding two tables that share a logical
 // column name under different physical names answers every statement as
-// one engine holding them under their logical names does — the same rows,
-// or the same ambiguity error — on every run, and renders one RAL WHERE
-// and one load sub-query. A bare name is rendered only when the
-// statement's tables agree on its physical name; otherwise the statement
-// runs on the operators, which resolve scope as one engine does.
+// one engine holding them under their logical names does — the same
+// header and rows, or the same ambiguity error — on every run, and renders
+// one RAL WHERE and one load sub-query. A bare name is rendered only when
+// the statement's tables agree on its physical name; otherwise the
+// statement runs on the operators, which resolve scope as one engine
+// does. An answer the member serves whole is headed by logical names (a
+// renamed column rendered AS its logical name, a star over renamed
+// columns listed in join order), and so is a POOL-RAL answer.
 func TestNameResolution(t *testing.T) {
 	f, ref := namesFederation(t)
 	const runs = 50
@@ -91,6 +94,18 @@ func TestNameResolution(t *testing.T) {
 		// 1, 2 by the alias, 2, 1 by energy.
 		"SELECT id AS energy FROM events ORDER BY energy",
 		"SELECT id AS energy, energy AS id FROM events ORDER BY id DESC",
+		"SELECT * FROM events",
+		"SELECT e.* FROM events e",
+		"SELECT *, id FROM events",
+		"SELECT e.id, r.energy FROM events e, runs r",
+		"SELECT * FROM events e JOIN runs r ON e.id < r.id",
+		"SELECT r.*, e.id FROM events e JOIN runs r ON e.id < r.id",
+		"SELECT * FROM events e, runs r JOIN events e2 ON e.id < e2.id",
+		"SELECT id FROM events ORDER BY energy DESC",
+		// The stored energy is E_RAW, the name the answer's one column
+		// goes by: ordered at the member, ids would come 1, 2.
+		"SELECT id AS e_raw FROM events ORDER BY energy",
+		"SELECT * FROM tags",
 	} {
 		want, werr := ref.Query(sql)
 		// rows lists a result's rows, in order under an ORDER BY.
@@ -109,6 +124,9 @@ func TestNameResolution(t *testing.T) {
 			case werr == nil && err != nil:
 				bad++
 				last = "federation error " + err.Error()
+			case werr == nil && !reflect.DeepEqual(got.Columns, want.Columns):
+				bad++
+				last = "headed " + strings.Join(got.Columns, ",") + ", one engine " + strings.Join(want.Columns, ",")
 			case werr == nil && !reflect.DeepEqual(rows(got.Rows), rows(want.Rows)):
 				bad++
 				last = "rows " + strings.Join(rows(got.Rows), ";") + ", one engine's " + strings.Join(rows(want.Rows), ";")
@@ -138,6 +156,23 @@ func TestNameResolution(t *testing.T) {
 	})
 	if len(where) != 1 || where[`("E_RAW" > 1)`] != runs {
 		t.Errorf(`RAL WHERE renderings %v, want ("E_RAW" > 1) on every run`, where)
+	}
+	for _, c := range []struct {
+		sql            string
+		fields, labels []string
+	}{
+		{"SELECT id FROM events WHERE energy > 1", []string{"EVT_ID"}, []string{"id"}},
+		{"SELECT *, energy FROM events", []string{"EVT_ID", "E_RAW", "E_RAW"}, []string{"id", "energy", "energy"}},
+		{"SELECT * FROM tags", []string{"*"}, nil},
+		{"SELECT label FROM tags", []string{"label"}, nil},
+	} {
+		parts, ok, err := f.ExtractRALParts(c.sql)
+		if err != nil || !ok {
+			t.Fatalf("%s: unfit for the RAL (%v)", c.sql, err)
+		}
+		if !reflect.DeepEqual(parts.Fields, c.fields) || !reflect.DeepEqual(parts.Labels, c.labels) {
+			t.Errorf("%s: RAL fields %q labels %q, want %q and %q", c.sql, parts.Fields, parts.Labels, c.fields, c.labels)
+		}
 	}
 	load := distinct(func() string {
 		plan, err := f.PlanQuery("SELECT e.id, t.label FROM events e JOIN tags t ON e.id = t.id")

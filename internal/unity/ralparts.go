@@ -54,12 +54,15 @@ func (f *Federation) SourceURL(name string) (string, error) {
 
 // RALParts describes a query in the POOL-RAL call shape: a field list,
 // table list and WHERE string, all in the physical names and dialect of
-// one source database.
+// one source database. Labels heads the answer with its logical column
+// names where some field's physical name differs; nil otherwise, when the
+// RAL's own names are the logical ones.
 type RALParts struct {
 	Source string
 	Fields []string
 	Tables []string
 	Where  string
+	Labels []string
 }
 
 // ExtractRALParts plans sqlText and derives its POOL-RAL call shape (see
@@ -90,11 +93,21 @@ func (f *Federation) RALPartsFor(plan *Plan) (*RALParts, bool) {
 	}
 	m := plan.names
 	parts := &RALParts{Source: plan.pushSource}
-	parts.Tables = []string{m.physTable(sel.From[0].Name)}
+	loc := m.loc(sel.From[0].Name)
+	parts.Tables = []string{loc.Table}
+	relabel := false
 	for _, it := range sel.Items {
 		switch {
 		case it.Star && it.StarTable == "":
-			parts.Fields = append(parts.Fields, "*")
+			// As in a pushdown, a star over renamed columns is listed.
+			if !renamed(loc.Spec.Columns) {
+				parts.Fields = append(parts.Fields, "*")
+				continue
+			}
+			for _, c := range loc.Spec.Columns {
+				parts.Fields = append(parts.Fields, c.Name)
+			}
+			relabel = true
 		case it.Star:
 			return nil, false
 		default:
@@ -107,6 +120,16 @@ func (f *Federation) RALPartsFor(plan *Plan) (*RALParts, bool) {
 				return nil, false
 			}
 			parts.Fields = append(parts.Fields, phys)
+			relabel = relabel || !strings.EqualFold(phys, cr.Column)
+		}
+	}
+	if relabel {
+		for _, it := range sel.Items {
+			if it.Star {
+				parts.Labels = append(parts.Labels, specLogicalCols(loc.Spec)...)
+			} else {
+				parts.Labels = append(parts.Labels, it.Expr.(*sqlengine.ColumnRef).Column)
+			}
 		}
 	}
 	if sel.Where != nil {

@@ -33,24 +33,39 @@ func (m *nameMapper) add(tr sqlengine.TableRef, loc *xspec.TableLocation) {
 	m.refs = append(m.refs, mappedRef{table: tr.Name, qualifier: q, loc: loc})
 }
 
-// logicalCols lists the logical columns of the statement's table named
-// logical, or nil when the dictionary does not know them.
-func (m *nameMapper) logicalCols(logical string) []string {
+// loc returns the dictionary entry of the statement's table named
+// logical, or nil.
+func (m *nameMapper) loc(logical string) *xspec.TableLocation {
 	for _, r := range m.refs {
 		if strings.EqualFold(r.table, logical) {
-			return specLogicalCols(r.loc.Spec)
+			return r.loc
 		}
 	}
 	return nil
 }
 
+// logicalCols lists the logical columns of the statement's table named
+// logical, or nil when the dictionary does not know them.
+func (m *nameMapper) logicalCols(logical string) []string {
+	if loc := m.loc(logical); loc != nil {
+		return specLogicalCols(loc.Spec)
+	}
+	return nil
+}
+
 func (m *nameMapper) physTable(logical string) string {
-	for _, r := range m.refs {
-		if strings.EqualFold(r.table, logical) {
-			return r.loc.Table
-		}
+	if loc := m.loc(logical); loc != nil {
+		return loc.Table
 	}
 	return logical
+}
+
+// renamed reports whether a table stores some column under another name
+// than its logical one.
+func renamed(cols []xspec.ColumnSpec) bool {
+	return slices.ContainsFunc(cols, func(c xspec.ColumnSpec) bool {
+		return !strings.EqualFold(c.Name, xspec.LogicalName(c.Logical, c.Name))
+	})
 }
 
 // physColumn maps a column reference through the tables it may name: the
@@ -88,18 +103,31 @@ func (m *nameMapper) physColumn(qualifier, column string) (string, error) {
 
 // renderer renders a parsed statement back to SQL in a target dialect.
 // unqualified renders column references without their qualifier (a RAL
-// WHERE, whose call names its one table without an alias).
+// WHERE, whose call names its one table without an alias). top is the
+// statement whose answer the source returns to the client (a pushdown),
+// or nil (a load): its select items are headed by their logical names.
 type renderer struct {
 	d           *sqlengine.Dialect
 	m           *nameMapper
 	unqualified bool
+	top         *sqlengine.SelectStmt
 }
 
 // RenderSelect renders a SELECT AST in the target dialect with logical
-// names rewritten to physical names. It is used both for whole-query
-// pushdown (single-database queries) and for per-table sub-queries.
+// names rewritten to physical names: a per-table sub-query, whose columns
+// the operators read under their logical names.
 func RenderSelect(d *sqlengine.Dialect, sel *sqlengine.SelectStmt, m *nameMapper) (string, error) {
 	r := &renderer{d: d, m: m}
+	return r.selectSQL(sel)
+}
+
+// renderPushdown renders a statement a source answers whole. A select
+// item whose column the source stores under another name is rendered AS
+// its logical name, and a star over such a table column by column, so the
+// answer is headed as one engine holding the logical tables heads it,
+// whichever route serves it.
+func renderPushdown(d *sqlengine.Dialect, sel *sqlengine.SelectStmt, m *nameMapper) (string, error) {
+	r := &renderer{d: d, m: m, top: sel}
 	return r.selectSQL(sel)
 }
 
@@ -121,6 +149,7 @@ func (r *renderer) selectSQL(sel *sqlengine.SelectStmt) (string, error) {
 			sb.WriteString(", ")
 		}
 		switch {
+		case it.Star && sel == r.top && r.starColumns(&sb, sel, it.StarTable):
 		case it.Star && it.StarTable == "":
 			sb.WriteString("*")
 		case it.Star:
@@ -131,9 +160,15 @@ func (r *renderer) selectSQL(sel *sqlengine.SelectStmt) (string, error) {
 				return "", err
 			}
 			sb.WriteString(s)
-			if it.Alias != "" {
+			label := it.Alias
+			if cr, ok := it.Expr.(*sqlengine.ColumnRef); ok && label == "" && sel == r.top {
+				if phys, _ := r.m.physColumn(cr.Table, cr.Column); !strings.EqualFold(phys, cr.Column) {
+					label = cr.Column
+				}
+			}
+			if label != "" {
 				sb.WriteString(" AS ")
-				sb.WriteString(r.d.QuoteIdent(it.Alias))
+				sb.WriteString(r.d.QuoteIdent(label))
 			}
 		}
 	}
@@ -247,6 +282,8 @@ func (r *renderer) selectSQL(sel *sqlengine.SelectStmt) (string, error) {
 			}
 			if n, err := sqlengine.OutputOrdinal(o.Expr, outCols); err == nil && n >= 0 {
 				sb.WriteString(strconv.Itoa(n + 1))
+			} else if err := r.orderKeyHidden(sel, o.Expr, outCols); err != nil {
+				return "", err
 			} else if s, err := r.expr(o.Expr); err != nil {
 				return "", err
 			} else {
@@ -268,6 +305,57 @@ func (r *renderer) selectSQL(sel *sqlengine.SelectStmt) (string, error) {
 		return "", fmt.Errorf("unity: OFFSET is not expressible in %s", r.d.Name)
 	}
 	return sb.String(), nil
+}
+
+// starColumns renders the top statement's star (qualifier "") or
+// qualifier.* column by column, each column AS its logical name where the
+// source's name differs, when a table it covers stores some column under
+// another name. It reports false, writing nothing, when none does or a
+// table's columns are unknown: the star then renders as itself.
+func (r *renderer) starColumns(sb *strings.Builder, sel *sqlengine.SelectStmt, qualifier string) bool {
+	var items []string
+	expand := false
+	for _, tr := range sqlengine.BranchTables(sel) {
+		q := tr.Alias
+		if q == "" {
+			q = tr.Name
+		}
+		if qualifier != "" && !strings.EqualFold(q, qualifier) {
+			continue
+		}
+		loc := r.m.loc(tr.Name)
+		if loc == nil || len(loc.Spec.Columns) == 0 {
+			return false
+		}
+		expand = expand || renamed(loc.Spec.Columns)
+		for _, c := range loc.Spec.Columns {
+			item := r.d.QuoteIdent(q) + "." + r.d.QuoteIdent(c.Name)
+			if l := xspec.LogicalName(c.Logical, c.Name); !strings.EqualFold(c.Name, l) {
+				item += " AS " + r.d.QuoteIdent(l)
+			}
+			items = append(items, item)
+		}
+	}
+	if expand {
+		sb.WriteString(strings.Join(items, ", "))
+	}
+	return expand
+}
+
+// orderKeyHidden fails an ORDER BY column of the top statement that the
+// source would read as an output column: its physical name is the
+// logical name of one the answer is headed by, while the statement orders
+// by the stored column.
+func (r *renderer) orderKeyHidden(sel *sqlengine.SelectStmt, key sqlengine.Expr, outCols []string) error {
+	cr, ok := key.(*sqlengine.ColumnRef)
+	if !ok || sel != r.top {
+		return nil
+	}
+	phys, err := r.m.physColumn(cr.Table, cr.Column)
+	if err == nil && !strings.EqualFold(phys, cr.Column) && slices.Contains(outCols, strings.ToLower(phys)) {
+		return fmt.Errorf("unity: ORDER BY column %q is stored as %q, the name of an output column", cr.Column, phys)
+	}
+	return nil
 }
 
 // tableRef renders a table reference under the name the statement

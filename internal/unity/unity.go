@@ -412,7 +412,7 @@ func (f *Federation) plan(sel *sqlengine.SelectStmt, peers map[string]PeerTable)
 			locs := dict.Lookup(u.ref.Name)
 			m.add(u.ref, &locs[slices.IndexFunc(locs, func(l xspec.TableLocation) bool { return l.Database == src })])
 		}
-		sqlText, err := RenderSelect(f.dialectOf(src), sel, m)
+		sqlText, err := renderPushdown(f.dialectOf(src), sel, m)
 		if err == nil {
 			plan.Pushdown = true
 			plan.pushSource, plan.names = src, m
