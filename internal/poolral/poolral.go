@@ -163,10 +163,7 @@ func buildSelect(d *sqlengine.Dialect, fields, tables []string, where string) (s
 
 // QueryValuesContext executes the select described by (fields, tables,
 // where) on the database identified by connString and returns a
-// materialized result set, under a caller-supplied context. The query
-// runs on a dedicated connection checked out from the handle's pool
-// (the paper's one-handle-per-database discipline), so cancelling ctx
-// interrupts the statement rather than just the row iteration.
+// materialized result set, under a caller-supplied context.
 func (r *RAL) QueryValuesContext(ctx context.Context, connString string, fields, tables []string, where string) (*sqlengine.ResultSet, error) {
 	it, err := r.QueryStreamContext(ctx, connString, fields, tables, where)
 	if err != nil {
@@ -176,11 +173,11 @@ func (r *RAL) QueryValuesContext(ctx context.Context, connString string, fields,
 }
 
 // QueryStreamContext executes the select described by (fields, tables,
-// where) and returns an incremental row iterator instead of a materialized
-// result: each Next pulls one row from the backend, so a large scan is
-// never buffered whole in this layer. The dedicated connection stays
-// checked out until the iterator is closed; cancelling ctx interrupts the
-// statement mid-scan.
+// where) and returns its rows as an iterator. The statement runs on one
+// connection of the handle's pool, which goes back to the pool as soon as
+// the member engine has materialized the result; the iterator hands its
+// rows on with no second copy (sqlengine.QueryDB). Cancelling ctx ends
+// the iteration with ctx's error.
 func (r *RAL) QueryStreamContext(ctx context.Context, connString string, fields, tables []string, where string) (sqlengine.RowIter, error) {
 	h, err := r.handle(connString)
 	if err != nil {
@@ -190,16 +187,7 @@ func (r *RAL) QueryStreamContext(ctx context.Context, connString string, fields,
 	if err != nil {
 		return nil, err
 	}
-	conn, err := h.db.Conn(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("poolral: %s: %w", connString, err)
-	}
-	rows, err := conn.QueryContext(ctx, query)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("poolral: %s: %w", connString, err)
-	}
-	return sqlengine.SQLRows(rows, "poolral: "+connString, conn.Close)
+	return sqlengine.QueryDB(ctx, h.db, "poolral: "+connString, query, nil, nil)
 }
 
 // Close tears down all handles.

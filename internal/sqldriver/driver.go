@@ -212,6 +212,7 @@ var _ driver.QueryerContext = (*conn)(nil)
 var _ driver.ExecerContext = (*conn)(nil)
 var _ driver.NamedValueChecker = (*conn)(nil)
 var _ driver.Validator = (*conn)(nil)
+var _ sqlengine.ValueQueryer = (*conn)(nil)
 
 // IsValid implements driver.Validator: database/sql drops a connection
 // whose wire link broke instead of pooling it.
@@ -250,15 +251,21 @@ func (c *conn) Begin() (driver.Tx, error) {
 	return &tx{c: c}, nil
 }
 
+// QueryValues implements sqlengine.ValueQueryer: the backend's result set
+// goes to the caller as it is, with no driver.Value boxing.
+func (c *conn) QueryValues(ctx context.Context, query string, params []sqlengine.Value) (*sqlengine.ResultSet, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return c.b.query(query, params)
+}
+
 func (c *conn) QueryContext(ctx context.Context, query string, args []driver.NamedValue) (driver.Rows, error) {
 	params, err := namedToValues(args)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rs, err := c.b.query(query, params)
+	rs, err := c.QueryValues(ctx, query, params)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@
 // (INNER, LEFT, RIGHT, CROSS, comma), filter, project or GROUP BY
 // aggregate, DISTINCT, ORDER BY, OFFSET/LIMIT and UNION chains. The
 // engine composes it over its own tables and drains it into a ResultSet;
-// the federation composes the same pipeline over live member cursors and
+// the federation composes the same pipeline over member loads and
 // peer relays. AnalyzeStreamSelect turns a statement into that pipeline
 // for a caller without a database. Such a caller also supplies the
 // tables its IN/EXISTS subqueries read, and the pipeline runs them

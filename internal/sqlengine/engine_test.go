@@ -539,3 +539,43 @@ func TestStringNumerals(t *testing.T) {
 		t.Errorf("'1e308' + 1 = %v, want the number 1e308", got)
 	}
 }
+
+// TestLongNumerals: a numeral string whose value is an integer in the
+// int64 range compares, and converts to an INTEGER column, as that int;
+// any other numeral compares with an int by its exact decimal value. Past
+// 2^53 a float64 no longer holds every integer, so reading the numeral
+// through float64 made '9007199254740993' equal 2^53.
+func TestLongNumerals(t *testing.T) {
+	e := NewEngine("longnumerals", DialectANSI)
+	mustExec(t, e, `CREATE TABLE t (id INTEGER PRIMARY KEY, s VARCHAR(32))`)
+	mustExec(t, e, `INSERT INTO t VALUES (1, '9007199254740993'), (2, '9007199254740993.0'), (3, '9007199254740992.5'), (4, '-9223372036854775808.5')`)
+	mustExec(t, e, `CREATE TABLE u (id BIGINT)`)
+	mustExec(t, e, `INSERT INTO u VALUES (9007199254740992), (-9223372036854775807 - 1)`)
+	mustExec(t, e, `CREATE TABLE n (v BIGINT)`)
+	mustExec(t, e, `INSERT INTO n VALUES ('9007199254740993.0'), ('-7.9')`)
+
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT CASE WHEN '9007199254740993' = 9007199254740992 THEN 1 ELSE 0 END", "0"},
+		{"SELECT id FROM t WHERE s = 9007199254740992 ORDER BY id", ""},
+		{"SELECT id FROM t WHERE s = 9007199254740993 ORDER BY id", "1,2"},
+		{"SELECT id FROM t WHERE s > 9007199254740992 AND s < 9007199254740993 ORDER BY id", "3"},
+		{"SELECT t.id FROM t, u WHERE t.s = u.id ORDER BY t.id", ""},
+		{"SELECT t.id FROM t, u WHERE t.s < u.id AND u.id < 0 ORDER BY t.id", "4"},
+		{"SELECT v FROM n ORDER BY v", "-7,9007199254740993"},
+	} {
+		for name, query := range map[string]func(*Engine, string, ...Value) (*ResultSet, error){"engine": (*Engine).Query, "oracle": refQuery} {
+			rs, err := query(e, tc.sql)
+			if err != nil {
+				t.Errorf("%s: %s: %v", name, tc.sql, err)
+				continue
+			}
+			var got []string
+			for _, row := range rs.Rows {
+				got = append(got, row[0].String())
+			}
+			if g := strings.Join(got, ","); g != tc.want {
+				t.Errorf("%s: %s = %q, want %q", name, tc.sql, g, tc.want)
+			}
+		}
+	}
+}

@@ -72,8 +72,10 @@ var numericEdges = []int64{
 // quotient, and a zero divisor is an error. It reads a and b as floats
 // too, their bits (so −0.0, NaN and ±Inf) and their values, and checks
 // that Compare orders those numbers as math/big does, a NaN equal only to
-// a NaN and before every other number; that a finite decimal numeral
-// (' 7', '07', '7.0') compares as its value and 'NaN' or 'Inf' as text.
+// a NaN and before every other number; that a numeral whose value is an
+// int (' 7', '07', '7.0', '7e0', at any size) compares as that int, and
+// converts to it, that '7.5' compares with an int by its exact value and
+// with a DOUBLE as the DOUBLE it reads as, and 'NaN' or 'Inf' as text.
 func FuzzNumericSemantics(f *testing.F) {
 	for _, a := range numericEdges {
 		for _, b := range numericEdges {
@@ -150,14 +152,16 @@ func FuzzNumericSemantics(f *testing.F) {
 				}
 			}
 		}
-		strs := []string{"NaN", "Inf", "-Inf", "nan"}
-		if a >= -1<<53 && a <= 1<<53 { // a numeral's value is exact
-			n := strconv.FormatInt(a, 10)
-			strs = append(strs, n, " "+n+" ", n+".0", strings.Replace(n, "-", "-0", 1))
-			if a >= 0 {
-				strs = append(strs, "0"+n)
-			}
+		n := strconv.FormatInt(a, 10)
+		strs := []string{"NaN", "Inf", "-Inf", "nan", n, " " + n + " ", n + ".0", strings.Replace(n, "-", "-0", 1), n + "e0"}
+		if a >= 0 {
+			strs = append(strs, "0"+n)
 		}
+		// A numeral with a fraction: against an int or a bool by its exact
+		// value, against a DOUBLE as the DOUBLE it reads as.
+		half := n + ".5"
+		halfRat, _ := new(big.Rat).SetString(half)
+		halfFloat, _ := strconv.ParseFloat(half, 64)
 		for _, str := range strs {
 			sv := NewString(str)
 			for _, q := range nums {
@@ -172,6 +176,22 @@ func FuzzNumericSemantics(f *testing.F) {
 					t.Errorf("Compare(%#v, %q) = %d, want %d", q, str, -got, -want)
 				}
 			}
+		}
+		for _, q := range nums {
+			want := Compare(NewFloat(halfFloat), q)
+			if q.Kind != KindFloat {
+				qi, _ := q.AsInt()
+				want = halfRat.Cmp(new(big.Rat).SetInt64(qi))
+			}
+			if got := Compare(NewString(half), q); got != want {
+				t.Errorf("Compare(%q, %#v) = %d, want %d", half, q, got, want)
+			}
+			if got := -Compare(q, NewString(half)); got != want {
+				t.Errorf("Compare(%#v, %q) = %d, want %d", q, half, -got, -want)
+			}
+		}
+		if got, ok := NewString(n + ".0").AsInt(); !ok || got != a {
+			t.Errorf("AsInt(%q) = %d, %v; want %d", n+".0", got, ok, a)
 		}
 	})
 }

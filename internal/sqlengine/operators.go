@@ -12,7 +12,7 @@ import (
 // operators — table inputs, left-deep joins, filter, project or
 // aggregate, DISTINCT, ORDER BY, OFFSET/LIMIT, UNION chains. The engine
 // runs every SELECT on it over its own tables (exec.go), and the
-// federation runs every decomposed plan on it over live member cursors
+// federation runs every decomposed plan on it over member loads
 // and peer relays, so integrated rows are emitted as the sources produce
 // them.
 //

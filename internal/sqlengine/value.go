@@ -221,7 +221,9 @@ func numeral(s string) (float64, bool) {
 	return f, true
 }
 
-// AsInt coerces numeric-ish values to int64.
+// AsInt coerces numeric-ish values to int64. A numeral string whose
+// value is an integer in the int64 range is that int; any other numeral
+// truncates toward zero.
 func (v Value) AsInt() (int64, bool) {
 	switch v.Kind {
 	case KindInt:
@@ -234,14 +236,146 @@ func (v Value) AsInt() (int64, bool) {
 		}
 		return 0, true
 	case KindString:
-		i, err := strconv.ParseInt(strings.TrimSpace(v.Str()), 10, 64)
-		if err != nil {
-			f, ok := numeral(v.Str())
-			return int64(f), ok
+		n, ok := readNumeral(v.Str())
+		switch {
+		case !ok:
+			return 0, false
+		case n.isInt:
+			return n.i, true
+		case n.exact && !n.huge:
+			if n.neg {
+				return -int64(n.ip), true
+			}
+			return int64(n.ip), true
 		}
-		return i, true
+		return int64(n.f), true
 	}
 	return 0, false
+}
+
+// numeralValue is a numeral string read exactly (readNumeral).
+type numeralValue struct {
+	f float64 // the DOUBLE the text reads as
+	// isInt: the value is an integer in the int64 range, i.
+	isInt bool
+	i     int64
+	// For any other decimal numeral (exact), the value is neg ? -m : m,
+	// where m is 2^63 or more (huge), or else ip plus a fraction in
+	// (0, 1). A hexadecimal numeral is not exact: its value is f.
+	exact, neg, huge bool
+	ip               uint64
+}
+
+// readNumeral reads s as a number, exactly; false when s is text (see
+// numeral).
+func readNumeral(s string) (numeralValue, bool) {
+	s = strings.TrimSpace(s)
+	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return numeralValue{f: float64(i), isInt: true, i: i}, true
+	}
+	f, ok := numeral(s)
+	if !ok {
+		return numeralValue{}, false
+	}
+	n := numeralValue{f: f}
+	if n.exact = n.readDecimal(s); !n.exact {
+		if f >= -(1<<63) && f < 1<<63 && f == math.Trunc(f) {
+			n.isInt, n.i = true, int64(f)
+		}
+	}
+	return n, true
+}
+
+// readDecimal sets the exact value of s, a numeral strconv.ParseFloat
+// accepts, and reports false for a hexadecimal one. The integer part is
+// read only until it passes 2^64, so a long exponent costs nothing.
+func (n *numeralValue) readDecimal(s string) bool {
+	if s[0] == '+' || s[0] == '-' {
+		n.neg = s[0] == '-'
+		s = s[1:]
+	}
+	if len(s) > 1 && s[0] == '0' && s[1]|0x20 == 'x' {
+		return false
+	}
+	mant, exp := s, 0
+	if i := strings.IndexAny(s, "eE"); i >= 0 {
+		// A range error clamps exp, which only a zero mantissa (a huge
+		// exponent) or a value below 1 (a hugely negative one) can carry.
+		mant = s[:i]
+		exp, _ = strconv.Atoi(s[i+1:])
+	}
+	intPart, fracPart, _ := strings.Cut(mant, ".")
+	digit := func(j int) byte {
+		switch {
+		case j < len(intPart):
+			return intPart[j]
+		case j-len(intPart) < len(fracPart):
+			return fracPart[j-len(intPart)]
+		}
+		return '0'
+	}
+	ndig := len(intPart) + len(fracPart)
+	if strings.Trim(intPart, "0") == "" && strings.Trim(fracPart, "0") == "" {
+		n.isInt = true // zero, whatever the exponent
+		return true
+	}
+	point := len(intPart) + exp // digits before the decimal point
+	for j := 0; j < point && !n.huge; j++ {
+		d := uint64(digit(j) - '0')
+		if n.ip > (math.MaxUint64-d)/10 {
+			n.huge = true
+		} else {
+			n.ip = n.ip*10 + d
+		}
+	}
+	frac := false
+	for j := max(point, 0); j < ndig && !frac; j++ {
+		frac = digit(j) != '0'
+	}
+	switch {
+	case n.huge:
+	case !frac && n.ip <= math.MaxInt64:
+		n.isInt, n.i = true, int64(n.ip)
+		if n.neg {
+			n.i = -n.i
+		}
+	case !frac && n.neg && n.ip == 1<<63:
+		n.isInt, n.i = true, math.MinInt64
+	default:
+		n.huge = n.ip >= 1<<63
+	}
+	return true
+}
+
+// compare orders the numeral against the number b (INTEGER, DOUBLE or
+// BOOLEAN): as its int when it is one, as the DOUBLE its text reads as
+// against a DOUBLE, and by its exact value against an int or a bool.
+func (n numeralValue) compare(b Value) int {
+	switch {
+	case n.isInt:
+		return compareNumbers(NewInt(n.i), b)
+	case b.Kind == KindFloat || !n.exact:
+		return compareNumbers(NewFloat(n.f), b)
+	}
+	sign := 1
+	if n.neg {
+		sign = -1
+	}
+	if n.huge {
+		return sign
+	}
+	// The value is sign * (ip + a fraction), and ip < 2^63.
+	k := keyValue(b).Int
+	if n.neg {
+		if k >= -int64(n.ip) {
+			return -1
+		}
+		return 1
+	}
+	if k <= int64(n.ip) {
+		return 1
+	}
+	return -1
 }
 
 // AsBool coerces to a boolean using SQL-ish truthiness.
@@ -286,15 +420,15 @@ func Compare(a, b Value) int {
 	if isNumeric(a.Kind) && isNumeric(b.Kind) {
 		return compareNumbers(a, b)
 	}
-	// A numeral string compares as the float it parses to, exactly.
+	// A numeral string compares with a number by numeralValue.compare.
 	if a.Kind == KindString && isNumeric(b.Kind) {
-		if af, ok := a.AsFloat(); ok {
-			return compareNumbers(NewFloat(af), b)
+		if n, ok := readNumeral(a.Str()); ok {
+			return n.compare(b)
 		}
 	}
 	if isNumeric(a.Kind) && b.Kind == KindString {
-		if bf, ok := b.AsFloat(); ok {
-			return compareNumbers(a, NewFloat(bf))
+		if n, ok := readNumeral(b.Str()); ok {
+			return -n.compare(a)
 		}
 	}
 	if a.Kind == KindTime || b.Kind == KindTime {

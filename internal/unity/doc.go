@@ -25,10 +25,10 @@
 // costs (SetSourceCost) breaking the tie first.
 //
 // Execution has one path. ExecuteStreamOp returns an incremental
-// sqlengine.RowIter: pushdown plans stream straight off the backend
-// cursor, so a scan larger than memory can be paged by the consumer, and
-// decomposed plans run pipelined — on sqlengine's operators, the executor
-// the member engines run too — over member cursors opened through the
+// sqlengine.RowIter: pushdown plans hand on the member engine's result
+// rows as they are (sqlengine.QueryDB), and decomposed plans run
+// pipelined — on sqlengine's operators, the executor the member engines
+// run too — over member loads opened through the
 // scatter-gather (a bounded worker pool, MaxParallel; a pool one wide is
 // stock Unity's sequential run). The tables an IN/EXISTS subquery reads
 // are loads of the same plan, and the pipeline runs the subquery over

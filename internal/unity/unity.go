@@ -916,12 +916,11 @@ func (f *Federation) QueryStreamContext(ctx context.Context, sqlText string, par
 	return it, plan, nil
 }
 
-// runOnSourceStreamCtx executes SQL on one member database and returns an
-// incremental row iterator instead of a materialized result: rows are
-// pulled from the backend one at a time as the consumer calls Next, so the
-// federation never buffers more than the consumer asked for. The source's
-// in-flight counter (the load-distribution signal) stays raised until the
-// iterator is closed, and closing it releases the backend cursor.
+// runOnSourceStreamCtx executes SQL on one member database and returns
+// its rows as an iterator. The member engine materializes the sub-query's
+// result, and the iterator hands its rows on with no second copy
+// (sqlengine.QueryDB). The source's in-flight counter (the
+// load-distribution signal) stays raised until the iterator is closed.
 func (f *Federation) runOnSourceStreamCtx(ctx context.Context, source, sqlText string, params []sqlengine.Value) (sqlengine.RowIter, error) {
 	f.mu.RLock()
 	s, ok := f.sources[source]
@@ -930,19 +929,7 @@ func (f *Federation) runOnSourceStreamCtx(ctx context.Context, source, sqlText s
 		return nil, fmt.Errorf("unity: no source %q", source)
 	}
 	s.inflight.Add(1)
-	args := make([]interface{}, len(params))
-	for i, p := range params {
-		args[i] = p
-	}
-	rows, err := s.db.QueryContext(ctx, sqlText, args...)
-	if err != nil {
-		s.inflight.Add(-1)
-		return nil, fmt.Errorf("unity: source %q: %w", source, err)
-	}
-	return sqlengine.SQLRows(rows, fmt.Sprintf("unity: source %q", source), func() error {
-		s.inflight.Add(-1)
-		return nil
-	})
+	return sqlengine.QueryDB(ctx, s.db, fmt.Sprintf("unity: source %q", source), sqlText, params, func() { s.inflight.Add(-1) })
 }
 
 // openLoad opens the row stream of one decomposed table load: a cursor on
