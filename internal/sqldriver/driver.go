@@ -128,7 +128,7 @@ func (b *remoteBackend) exec(sqlText string, params []sqlengine.Value) (int64, e
 	return b.c.Exec(sqlText, params...)
 }
 func (b *remoteBackend) close() error { return b.c.Close() }
-func (b *remoteBackend) valid() bool  { return !b.c.Broken() }
+func (b *remoteBackend) valid() bool  { return b.c.Alive() }
 
 type fileBackend struct {
 	localBackend
@@ -212,11 +212,22 @@ var _ driver.QueryerContext = (*conn)(nil)
 var _ driver.ExecerContext = (*conn)(nil)
 var _ driver.NamedValueChecker = (*conn)(nil)
 var _ driver.Validator = (*conn)(nil)
+var _ driver.SessionResetter = (*conn)(nil)
 var _ sqlengine.ValueQueryer = (*conn)(nil)
 
 // IsValid implements driver.Validator: database/sql drops a connection
 // whose wire link broke instead of pooling it.
 func (c *conn) IsValid() bool { return !c.closed && c.b.valid() }
+
+// ResetSession implements driver.SessionResetter: before database/sql
+// reuses a pooled connection, one whose tcp:// link closed while it sat
+// idle is driver.ErrBadConn, so the statement runs on a fresh connection.
+func (c *conn) ResetSession(context.Context) error {
+	if !c.IsValid() {
+		return driver.ErrBadConn
+	}
+	return nil
+}
 
 // CheckNamedValue lets callers pass sqlengine.Value (and the usual basic
 // Go types) directly as query parameters.

@@ -191,9 +191,9 @@ func (p *cutProxy) close() {
 	p.wg.Wait()
 }
 
-// TestBrokenTCPConnLeavesPool: the query that finds a pooled tcp://
-// connection's link cut fails, database/sql then drops that connection,
-// and the next query runs on a fresh one.
+// TestBrokenTCPConnLeavesPool: a pooled tcp:// connection whose link was
+// cut while it sat idle leaves the pool when database/sql hands it out
+// (ResetSession), so the next query runs on a fresh one and succeeds.
 func TestBrokenTCPConnLeavesPool(t *testing.T) {
 	defer leaktest.Check(t)()
 	e := sqlengine.NewEngine("cut1", sqlengine.DialectMySQL)
@@ -223,8 +223,15 @@ func TestBrokenTCPConnLeavesPool(t *testing.T) {
 	if err := query(); err != nil {
 		t.Fatal(err)
 	}
+	// A second link through the proxy, cut after the pooled one: its
+	// request fails once the cut has reached the client's side.
+	probe, err := wire.Dial(proxy.ln.Addr().String(), wire.Hello{Database: "cut1"}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
 	proxy.cut()
-	if err := query(); err == nil {
+	if _, err := probe.Query("SELECT a FROM t"); err == nil {
 		t.Fatal("query over a cut link succeeded")
 	}
 	for i := 0; i < 3; i++ {

@@ -151,7 +151,7 @@ func TestIndexKeyNegativeZero(t *testing.T) {
 	if rs := mustQuery(t, e, `SELECT x FROM w WHERE x = 0`); len(rs.Rows) != 2 {
 		t.Errorf("WHERE x = 0: %v, want both zeros", rs.Rows)
 	}
-	pos, ok := e.db.tables["w"].lookupIndex([]string{"x"}, []Value{NewInt(0)})
+	pos, ok := e.db.pin().tables["w"].lookupIndex([]string{"x"}, []Value{NewInt(0)})
 	if !ok || fmt.Sprint(pos) != "[0 2]" {
 		t.Errorf("probe for 0 found positions %v (index applied: %v), want [0 2]", pos, ok)
 	}

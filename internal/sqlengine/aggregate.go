@@ -314,8 +314,10 @@ func (acc *accumulator) value(c *aggCall, count int64) (Value, error) {
 		return Null(), nil
 	case acc.nonNum:
 		return Null(), fmt.Errorf("sqlengine: %s over non-numeric value", fc.Name)
-	case c.kind == aggAvg:
+	case c.kind == aggAvg && acc.notInt:
 		return NewFloat(acc.fsum / float64(acc.n)), nil
+	case c.kind == aggAvg:
+		return NewFloat(nearestQuotient(acc.iwrap, acc.isum, acc.n)), nil
 	case c.kind == aggSum && acc.notInt:
 		return NewFloat(acc.fsum), nil
 	case c.kind == aggSum && acc.iwrap != 0:

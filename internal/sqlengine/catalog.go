@@ -2,10 +2,12 @@ package sqlengine
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Column is a stored column definition.
@@ -19,8 +21,8 @@ type Column struct {
 	Default    Expr
 }
 
-// Table is a heap of rows plus secondary structures. All access goes
-// through the owning Database's lock.
+// Table is one version of a table. Once published it is never changed: a
+// write changes a copy (catalog.writable) that shares its rows (setRows).
 type Table struct {
 	Name    string
 	Columns []Column
@@ -36,13 +38,18 @@ type Table struct {
 	// non-decreasing by Compare in row order, so a key range is a
 	// sub-slice of Rows (see rangeRows).
 	pkOrdered bool
+	id        uint64 // set by CREATE TABLE (or Load), kept by later versions
 }
 
-// Index is a hash index from key tuple to row positions.
+var tableIDs atomic.Uint64 // numbers CREATE TABLEs
+
+// Index is a hash index from key tuple to row positions. A rebuild makes a
+// new Index; an append writes m in place, under mu (setRows).
 type Index struct {
 	Name    string
 	Columns []string
 	Unique  bool
+	mu      sync.RWMutex
 	// m maps the key (joined string form) to row indices into Table.Rows.
 	m map[string][]int
 }
@@ -54,40 +61,70 @@ type View struct {
 	Text string
 }
 
-// Database is one schema: a set of tables, views and indexes guarded by a
-// RWMutex. It corresponds to one "database" in the paper's deployment.
-type Database struct {
-	mu     sync.RWMutex
-	name   string
+// catalog is one version of a database's tables and views. Once
+// published it is never changed, nor is any Table it holds.
+type catalog struct {
+	db     *Database
 	tables map[string]*Table
 	views  map[string]*View
-	// pathHook, when set (by tests, under mu), observes the access path
-	// each SELECT takes to read a table.
+}
+
+// writable replaces table name in w, a catalog not yet published, with a
+// copy a write may change (its Indexes map cloned; its rows and Index
+// values shared), and returns it.
+func (w *catalog) writable(name string) (*Table, error) {
+	t, ok := w.tables[name]
+	if !ok {
+		return nil, fmt.Errorf("sqlengine: %s: no such table %q", w.db.name, name)
+	}
+	c := *t
+	c.Indexes = maps.Clone(t.Indexes)
+	w.tables[name] = &c
+	return &c, nil
+}
+
+// Database is one schema, one "database" in the paper's deployment. A
+// read (a SELECT with its subqueries and views, SHOW TABLES, DESCRIBE,
+// BEGIN, Save) runs on the catalog published when it starts (pin), with
+// no lock; writes run one at a time and publish on success (write).
+type Database struct {
+	name string
+	cur  atomic.Pointer[catalog]
+	mu   sync.Mutex // held by the running write
+	// pathHook, when set (by tests, before any query), observes the
+	// access path each SELECT takes to read a table.
 	pathHook func(table, path string)
 }
 
 // NewDatabase creates an empty database with the given name.
 func NewDatabase(name string) *Database {
-	return &Database{
-		name:   name,
-		tables: make(map[string]*Table),
-		views:  make(map[string]*View),
-	}
+	db := &Database{name: name}
+	db.cur.Store(&catalog{db: db, tables: make(map[string]*Table), views: make(map[string]*View)})
+	return db
 }
 
 // Name returns the database name.
 func (db *Database) Name() string { return db.name }
 
 // TableNames returns the sorted table names.
-func (db *Database) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
+func (db *Database) TableNames() []string { return slices.Sorted(maps.Keys(db.pin().tables)) }
+
+// pin returns the published catalog, which no write changes.
+func (db *Database) pin() *catalog { return db.cur.Load() }
+
+// write runs fn, one write at a time, on cur, the catalog published when
+// it took the lock, which the statement reads, and w, a copy of cur that
+// fn changes and that is published only if fn succeeds.
+func (db *Database) write(fn func(cur, w *catalog) (int64, error)) (int64, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	cur := db.pin()
+	w := &catalog{db: db, tables: maps.Clone(cur.tables), views: maps.Clone(cur.views)}
+	n, err := fn(cur, w)
+	if err == nil {
+		db.cur.Store(w)
 	}
-	sort.Strings(out)
-	return out
+	return n, err
 }
 
 func (t *Table) colPos(name string) (int, bool) {
@@ -151,14 +188,16 @@ func (t *Table) pkKey() (int, bool) {
 	return 0, false
 }
 
-// setRows makes rows the table's contents, and is the only code that
-// assigns t.Rows or writes an index map. rows[:from] must be the current
-// rows: an append passes from = len(t.Rows), and only the rows past from
-// are indexed; from = 0 rebuilds every index. Every unique index is
-// checked against the new contents first, so on a violation the table,
-// its indexes and pkOrdered stay exactly as they were. No stored row, nor
-// a slot below len(t.Rows), is ever written in place: a reader holding
-// t.Rows (a result, a transaction's before-image) keeps what it saw.
+// setRows makes rows the contents of t, a version not yet published
+// (catalog.writable), and is the only code that assigns t.Rows or writes
+// an index map. rows[:from] must be the current rows. from = 0 rebuilds,
+// into a new Index per index. from = len(t.Rows) appends: it indexes the
+// rows past from in place, into maps earlier versions share and read only
+// below their own length (lookupIndex), so it must be the last step of
+// its write that can fail. Every unique index is checked before anything
+// is written, so on a violation t stays as it was. No stored row, nor a
+// slot below len(t.Rows), is written in place: a reader holding t.Rows (a
+// result, a pinned version) keeps what it saw.
 func (t *Table) setRows(rows []Row, from int) error {
 	for _, row := range rows[from:] {
 		if len(row) != len(t.Columns) {
@@ -171,7 +210,6 @@ func (t *Table) setRows(rows []Row, from int) error {
 	// i), and checks those of a unique index that hold no NULL against
 	// the rows before from and, sorted, against each other.
 	idxs := make([]*Index, 0, len(t.Indexes))
-	maps := make([]map[string][]int, 0, len(t.Indexes))
 	keys := make([][]string, 0, len(t.Indexes))
 	var buf []byte
 	for _, idx := range t.Indexes {
@@ -179,10 +217,10 @@ func (t *Table) setRows(rows []Row, from int) error {
 		for i, c := range idx.Columns {
 			cols[i], _ = t.colPos(c)
 		}
-		m, ks, check := idx.m, []string(nil), []string(nil)
+		ks, check := []string(nil), []string(nil)
 		switch {
 		case from == 0:
-			m = make(map[string][]int, len(rows))
+			idx = &Index{Name: idx.Name, Columns: idx.Columns, Unique: idx.Unique, m: make(map[string][]int, len(rows))}
 		case idx.Unique:
 			check = make([]string, 0, len(rows)-from)
 			fallthrough
@@ -198,10 +236,10 @@ func (t *Table) setRows(rows []Row, from int) error {
 			}
 			key, unique := string(buf), idx.Unique && !hasNull
 			switch {
-			case unique && len(m[key]) > 0:
+			case unique && len(idx.m[key]) > 0:
 				return fmt.Errorf("sqlengine: unique constraint %q violated on table %q", idx.Name, t.Name)
 			case from == 0:
-				m[key] = append(m[key], ri)
+				idx.m[key] = append(idx.m[key], ri)
 				continue
 			case unique:
 				check = append(check, key)
@@ -214,7 +252,7 @@ func (t *Table) setRows(rows []Row, from int) error {
 				return fmt.Errorf("sqlengine: unique constraint %q violated on table %q", idx.Name, t.Name)
 			}
 		}
-		idxs, maps, keys = append(idxs, idx), append(maps, m), append(keys, ks)
+		idxs, keys = append(idxs, idx), append(keys, ks)
 	}
 	// pkOrdered holds when every key is of the column's kind (not NULL,
 	// not stored unconverted) and no key is below the one before it.
@@ -226,10 +264,15 @@ func (t *Table) setRows(rows []Row, from int) error {
 	}
 	// Every check has passed: write.
 	for i, idx := range idxs {
-		for j, key := range keys[i] {
-			maps[i][key] = append(maps[i][key], from+j)
+		if from == 0 {
+			t.Indexes[idx.Name] = idx
+			continue
 		}
-		idx.m = maps[i]
+		idx.mu.Lock()
+		for j, key := range keys[i] {
+			idx.m[key] = append(idx.m[key], from+j)
+		}
+		idx.mu.Unlock()
 	}
 	t.Rows, t.pkOrdered = rows, ordered
 	return nil
@@ -238,7 +281,9 @@ func (t *Table) setRows(rows []Row, from int) error {
 // lookupIndex probes, among the indexes whose columns all appear in cols
 // (in any order), the one that finds the fewest rows for the key values
 // vals (parallel to cols). It returns those rows' positions, ascending,
-// and whether any index applied.
+// and whether any index applied. It holds an index's lock for the map
+// lookup only, and keeps the positions below len(t.Rows): the rest are a
+// later version's appends.
 func (t *Table) lookupIndex(cols []string, vals []Value) ([]int, bool) {
 	var best []int
 	found := false
@@ -255,7 +300,12 @@ func (t *Table) lookupIndex(cols []string, vals []Value) ([]int, bool) {
 		if len(key) < len(idx.Columns) {
 			continue
 		}
-		if pos := idx.m[string(appendIndexKey(nil, key...))]; !found || len(pos) < len(best) {
+		k := appendIndexKey(nil, key...)
+		idx.mu.RLock()
+		pos := idx.m[string(k)]
+		idx.mu.RUnlock()
+		pos = pos[:sort.SearchInts(pos, len(t.Rows))]
+		if !found || len(pos) < len(best) {
 			best, found = pos, true
 		}
 	}

@@ -88,7 +88,7 @@ func newDMLRef(tb testing.TB) *dmlRef {
 	if err := e.ExecScript(dmlDDL); err != nil {
 		tb.Fatal(err)
 	}
-	return &dmlRef{e: e, t: e.db.tables["t"], indexes: map[string]dmlIndex{
+	return &dmlRef{e: e, t: e.db.pin().tables["t"], indexes: map[string]dmlIndex{
 		"pk_t": {[]string{"id"}, true}, "uq_t_u": {[]string{"u"}, true}, "t_vn": {[]string{"v"}, false},
 	}}
 }
@@ -418,8 +418,9 @@ func TestFailedStatementChangesNothing(t *testing.T) {
 
 // TestStoredRowsNeverChange: no write changes a stored row, nor a slot
 // of the table's row slice that a reader holds — a result's rows, the
-// slice itself, a transaction's before-image — in this session or in
-// another. Returning stored rows without copying them rests on this.
+// slice itself, a transaction's before-image — nor the rows an index
+// seek over a pinned version finds, in this session or in another.
+// Returning stored rows without copying them rests on this.
 func TestStoredRowsNeverChange(t *testing.T) {
 	e := NewEngine("inplace", DialectANSI)
 	mustExec(t, e, "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER, s VARCHAR(8))")
@@ -432,12 +433,24 @@ func TestStoredRowsNeverChange(t *testing.T) {
 		mustQuery(t, e, "SELECT * FROM t WHERE v = 1"),
 		mustQuery(t, e, "SELECT * FROM t WHERE id BETWEEN 3 AND 9"),
 	}
-	e.db.mu.RLock()
-	stored := e.db.tables["t"].Rows
-	e.db.mu.RUnlock()
+	// A seek over the version pinned now keeps finding that version's rows
+	// only, after appends to the index map later versions share with it.
+	pinned := e.db.pin().tables["t"]
+	stored := pinned.Rows
+	v1, err := NewParser(DialectANSI).ParseStatement("SELECT * FROM t WHERE v = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seek := func() []Row {
+		rows, path := pinned.accessRows("t", v1.(*SelectStmt).Where, nil)
+		if path != pathSeek {
+			t.Fatalf("the pinned version's v = 1 took path %s", path)
+		}
+		return rows
+	}
 	held := func() string {
 		var sb strings.Builder
-		for _, rs := range append(results, &ResultSet{Rows: stored}) {
+		for _, rs := range append(results, &ResultSet{Rows: stored}, &ResultSet{Rows: seek()}) {
 			sb.WriteString(strings.Join(rowKeys(rs.Rows), "\n"))
 		}
 		return sb.String()
@@ -449,6 +462,8 @@ func TestStoredRowsNeverChange(t *testing.T) {
 		sql  string
 		fail bool
 	}{
+		{nil, "INSERT INTO t VALUES (21, 1, 's21'), (22, 1, 's22')", false},
+		{nil, "INSERT INTO t VALUES (23, 1, 's23'), (1, 1, 'dup')", true},
 		{nil, "UPDATE t SET v = v + 1, s = 'u'", false},
 		{nil, "DELETE FROM t WHERE id < 5", false},
 		{nil, "ALTER TABLE t ADD COLUMN w INTEGER DEFAULT 3", false},

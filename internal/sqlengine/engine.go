@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -60,11 +61,9 @@ func (e *Engine) Authenticate(user, password string) error {
 // state. Sessions are not safe for concurrent use (like a driver conn).
 type Session struct {
 	eng *Engine
-	// tx holds each table's rows as BEGIN found them while a transaction
-	// is open; nil otherwise. Since no write changes a stored row or a
-	// slot below len(t.Rows) (setRows), t.Rows clipped to its length is
-	// that before-image. DDL is not transactional.
-	tx map[*Table][]Row
+	// tx is the catalog BEGIN pinned, whose rows ROLLBACK restores, while
+	// a transaction is open; nil otherwise. DDL is not transactional.
+	tx *catalog
 }
 
 // NewSession opens a session.
@@ -73,23 +72,20 @@ func (e *Engine) NewSession() *Session { return &Session{eng: e} }
 // Query parses and executes a statement, returning rows for SELECT-like
 // statements and an empty result (with RowsAffected) otherwise.
 func (e *Engine) Query(sql string, params ...Value) (*ResultSet, error) {
-	s := e.NewSession()
-	rs, _, err := s.Run(sql, params...)
+	rs, _, err := e.NewSession().Run(sql, params...)
 	return rs, err
 }
 
 // Exec parses and executes a statement, returning the affected row count.
 func (e *Engine) Exec(sql string, params ...Value) (int64, error) {
-	s := e.NewSession()
-	_, n, err := s.Run(sql, params...)
+	_, n, err := e.NewSession().Run(sql, params...)
 	return n, err
 }
 
 // ExecScript runs a semicolon-separated script, stopping at the first
 // error.
 func (e *Engine) ExecScript(script string) error {
-	p := NewParser(e.dialect)
-	stmts, err := p.ParseScript(script)
+	stmts, err := NewParser(e.dialect).ParseScript(script)
 	if err != nil {
 		return err
 	}
@@ -104,131 +100,97 @@ func (e *Engine) ExecScript(script string) error {
 
 // Run parses and executes one statement in this session.
 func (s *Session) Run(sql string, params ...Value) (*ResultSet, int64, error) {
-	p := NewParser(s.eng.dialect)
-	st, err := p.ParseStatement(sql)
+	st, err := NewParser(s.eng.dialect).ParseStatement(sql)
 	if err != nil {
 		return nil, 0, err
 	}
 	return s.RunStmt(st, params)
 }
 
-// RunStmt executes a parsed statement in this session.
+// RunStmt executes a parsed statement in this session. A read runs on the
+// catalog published when it starts; a write runs under Database.write.
 func (s *Session) RunStmt(st Statement, params []Value) (*ResultSet, int64, error) {
-	e := s.eng
+	db := s.eng.db
 	switch x := st.(type) {
 	case *SelectStmt:
-		e.db.mu.RLock()
-		defer e.db.mu.RUnlock()
-		ex := &executor{db: e.db}
+		ex := &executor{cat: db.pin()}
 		rs, err := ex.execSelect(x, &evalEnv{params: params})
 		return rs, 0, err
-	case *InsertStmt:
-		e.db.mu.Lock()
-		defer e.db.mu.Unlock()
-		n, err := s.execInsert(x, params)
-		return nil, n, err
-	case *UpdateStmt:
-		e.db.mu.Lock()
-		defer e.db.mu.Unlock()
-		n, err := s.execRewrite(x.Table, x.Where, x.Set, params)
-		return nil, n, err
-	case *DeleteStmt:
-		e.db.mu.Lock()
-		defer e.db.mu.Unlock()
-		n, err := s.execRewrite(x.Table, x.Where, nil, params)
-		return nil, n, err
-	case *CreateTableStmt:
-		e.db.mu.Lock()
-		defer e.db.mu.Unlock()
-		return nil, 0, s.execCreateTable(x)
-	case *CreateViewStmt:
-		e.db.mu.Lock()
-		defer e.db.mu.Unlock()
-		if _, exists := e.db.views[x.View]; exists {
-			return nil, 0, fmt.Errorf("sqlengine: %s: view %q already exists", e.db.name, x.View)
-		}
-		if _, exists := e.db.tables[x.View]; exists {
-			return nil, 0, fmt.Errorf("sqlengine: %s: %q already exists as a table", e.db.name, x.View)
-		}
-		e.db.views[x.View] = &View{Name: x.View, Stmt: x.Select, Text: x.Text}
-		return nil, 0, nil
-	case *CreateIndexStmt:
-		e.db.mu.Lock()
-		defer e.db.mu.Unlock()
-		return nil, 0, s.execCreateIndex(x)
-	case *DropStmt:
-		e.db.mu.Lock()
-		defer e.db.mu.Unlock()
-		return nil, 0, s.execDrop(x)
-	case *TruncateStmt:
-		e.db.mu.Lock()
-		defer e.db.mu.Unlock()
-		n, err := s.execRewrite(x.Table, nil, nil, nil)
-		return nil, n, err
-	case *AlterAddColumnStmt:
-		e.db.mu.Lock()
-		defer e.db.mu.Unlock()
-		return nil, 0, s.execAlterAdd(x)
 	case *TxStmt:
 		return nil, 0, s.execTx(x)
 	case *ShowTablesStmt:
-		e.db.mu.RLock()
-		defer e.db.mu.RUnlock()
+		cat := db.pin()
 		rs := &ResultSet{Columns: []string{"name", "type"}}
-		for _, n := range sortedKeys(e.db.tables) {
+		for _, n := range slices.Sorted(maps.Keys(cat.tables)) {
 			rs.Rows = append(rs.Rows, Row{NewString(n), NewString("table")})
 		}
-		for _, n := range sortedKeys(e.db.views) {
+		for _, n := range slices.Sorted(maps.Keys(cat.views)) {
 			rs.Rows = append(rs.Rows, Row{NewString(n), NewString("view")})
 		}
 		return rs, 0, nil
 	case *DescribeStmt:
-		e.db.mu.RLock()
-		defer e.db.mu.RUnlock()
-		t, ok := e.db.tables[x.Table]
+		t, ok := db.pin().tables[x.Table]
 		if !ok {
-			return nil, 0, fmt.Errorf("sqlengine: %s: no such table %q", e.db.name, x.Table)
+			return nil, 0, fmt.Errorf("sqlengine: %s: no such table %q", db.name, x.Table)
 		}
 		rs := &ResultSet{Columns: []string{"column", "type", "nullable", "key"}}
 		for _, c := range t.Columns {
-			key := ""
+			key, nullable := "", "YES"
 			if c.PrimaryKey {
 				key = "PRI"
 			} else if c.Unique {
 				key = "UNI"
 			}
-			nullable := "YES"
 			if c.NotNull {
 				nullable = "NO"
 			}
 			rs.Rows = append(rs.Rows, Row{
-				NewString(c.Name), NewString(e.dialect.TypeName(c.Type)),
+				NewString(c.Name), NewString(s.eng.dialect.TypeName(c.Type)),
 				NewString(nullable), NewString(key),
 			})
 		}
 		return rs, 0, nil
 	}
-	return nil, 0, fmt.Errorf("sqlengine: unsupported statement %T", st)
+	n, err := db.write(func(cur, w *catalog) (int64, error) { return execWrite(st, params, cur, w) })
+	return nil, n, err
 }
 
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	// insertion sort: maps are small (catalog-sized)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+// execWrite runs one write statement: it reads cur and changes w
+// (Database.write).
+func execWrite(st Statement, params []Value, cur, w *catalog) (int64, error) {
+	switch x := st.(type) {
+	case *InsertStmt:
+		return execInsert(x, params, cur, w)
+	case *UpdateStmt:
+		return execRewrite(x.Table, x.Where, x.Set, params, cur, w)
+	case *DeleteStmt:
+		return execRewrite(x.Table, x.Where, nil, params, cur, w)
+	case *TruncateStmt:
+		return execRewrite(x.Table, nil, nil, nil, cur, w)
+	case *CreateTableStmt:
+		return 0, execCreateTable(x, w)
+	case *CreateViewStmt:
+		if _, exists := w.views[x.View]; exists {
+			return 0, fmt.Errorf("sqlengine: %s: view %q already exists", w.db.name, x.View)
 		}
+		if _, exists := w.tables[x.View]; exists {
+			return 0, fmt.Errorf("sqlengine: %s: %q already exists as a table", w.db.name, x.View)
+		}
+		w.views[x.View] = &View{Name: x.View, Stmt: x.Select, Text: x.Text}
+		return 0, nil
+	case *CreateIndexStmt:
+		return 0, execCreateIndex(x, w)
+	case *DropStmt:
+		return 0, execDrop(x, w)
+	case *AlterAddColumnStmt:
+		return 0, execAlterAdd(x, w)
 	}
-	return out
+	return 0, fmt.Errorf("sqlengine: unsupported statement %T", st)
 }
 
 // ---- transactions ----
 
 func (s *Session) execTx(x *TxStmt) error {
-	e := s.eng
 	switch {
 	case x.Kind == "BEGIN" && s.tx != nil:
 		return fmt.Errorf("sqlengine: transaction already open")
@@ -237,29 +199,26 @@ func (s *Session) execTx(x *TxStmt) error {
 	}
 	switch x.Kind {
 	case "BEGIN":
-		e.db.mu.RLock()
-		s.tx = make(map[*Table][]Row, len(e.db.tables))
-		for _, t := range e.db.tables {
-			s.tx[t] = t.Rows[:len(t.Rows):len(t.Rows)]
-		}
-		e.db.mu.RUnlock()
+		s.tx = s.eng.db.pin()
 		return nil
 	case "COMMIT":
 		s.tx = nil
 		return nil
 	case "ROLLBACK":
-		// A table dropped since BEGIN is not restored, nor are its rows
-		// put into a new table of its name. Other DDL since BEGIN (an
-		// added column, a unique index) can refuse a table's before-image:
-		// that table keeps its rows.
+		// A table is restored while it is the CREATE BEGIN saw (its id).
+		// DDL since BEGIN can refuse a table's before-image: that table
+		// keeps its rows. The before-image is clipped, so a later append
+		// cannot write a slot a version since BEGIN holds.
 		var err error
-		e.db.mu.Lock()
-		for t, rows := range s.tx {
-			if e.db.tables[t.Name] == t {
-				err = cmp.Or(err, t.setRows(rows, 0))
+		s.eng.db.write(func(cur, w *catalog) (int64, error) {
+			for name, old := range s.tx.tables {
+				if t, ok := cur.tables[name]; ok && t.id == old.id && t != old {
+					t, _ = w.writable(name)
+					err = cmp.Or(err, t.setRows(slices.Clip(old.Rows), 0))
+				}
 			}
-		}
-		e.db.mu.Unlock()
+			return 0, nil // publishes the tables that took their before-image
+		})
 		s.tx = nil
 		return err
 	}
@@ -279,11 +238,10 @@ func (s *Session) Commit() error { return s.execTx(&TxStmt{Kind: "COMMIT"}) }
 
 // ---- DML ----
 
-func (s *Session) execInsert(x *InsertStmt, params []Value) (int64, error) {
-	db := s.eng.db
-	t, ok := db.tables[x.Table]
-	if !ok {
-		return 0, fmt.Errorf("sqlengine: %s: no such table %q", db.name, x.Table)
+func execInsert(x *InsertStmt, params []Value, cur, w *catalog) (int64, error) {
+	t, err := w.writable(x.Table)
+	if err != nil {
+		return 0, err
 	}
 	targets, err := t.insertTargets(x.Columns)
 	if err != nil {
@@ -292,7 +250,7 @@ func (s *Session) execInsert(x *InsertStmt, params []Value) (int64, error) {
 
 	var srcRows []Row
 	if x.Select != nil {
-		ex := &executor{db: db}
+		ex := &executor{cat: cur}
 		rs, err := ex.execSelect(x.Select, &evalEnv{params: params})
 		if err != nil {
 			return 0, err
@@ -315,7 +273,8 @@ func (s *Session) execInsert(x *InsertStmt, params []Value) (int64, error) {
 }
 
 // insert appends a row built from each of src (buildRow) to the table:
-// all of them, or none.
+// all of them, or none. Its setRows is an append, so it must be the last
+// step of its write that can fail.
 func (t *Table) insert(targets []int, src []Row) (int64, error) {
 	rows := t.Rows
 	for _, vals := range src {
@@ -384,13 +343,12 @@ func (t *Table) buildRow(targets []int, vals []Value) (Row, error) {
 
 // execRewrite runs an UPDATE (set given) or a DELETE (set nil) of the
 // rows of table where selects. Every row's WHERE and SET see the table as
-// the statement found it (a subquery over it included): the new rows go
+// the statement found it (a subquery over it reads cur): the new rows go
 // into a new slice, which replaces the rows once every row is done.
-func (s *Session) execRewrite(table string, where Expr, set []SetClause, params []Value) (int64, error) {
-	db := s.eng.db
-	t, ok := db.tables[table]
-	if !ok {
-		return 0, fmt.Errorf("sqlengine: %s: no such table %q", db.name, table)
+func execRewrite(table string, where Expr, set []SetClause, params []Value, cur, w *catalog) (int64, error) {
+	t, err := w.writable(table)
+	if err != nil {
+		return 0, err
 	}
 	schema := make(rowSchema, len(t.Columns))
 	for i, c := range t.Columns {
@@ -400,7 +358,7 @@ func (s *Session) execRewrite(table string, where Expr, set []SetClause, params 
 	for _, sc := range set {
 		exprs = append(exprs, sc.Expr)
 	}
-	fr, fns := (&evalEnv{params: params, exec: (&executor{db: db}).execSelect}).compile(schema, set != nil, exprs...)
+	fr, fns := (&evalEnv{params: params, exec: (&executor{cat: cur}).execSelect}).compile(schema, set != nil, exprs...)
 	rows := t.Rows[:0:0]
 	var n int64
 	for _, row := range t.Rows {
@@ -451,21 +409,20 @@ func (s *Session) execRewrite(table string, where Expr, set []SetClause, params 
 
 // ---- DDL ----
 
-func (s *Session) execCreateTable(x *CreateTableStmt) error {
-	db := s.eng.db
-	if _, exists := db.tables[x.Table]; exists {
+func execCreateTable(x *CreateTableStmt, w *catalog) error {
+	if _, exists := w.tables[x.Table]; exists {
 		if x.IfNotExists {
 			return nil
 		}
-		return fmt.Errorf("sqlengine: %s: table %q already exists", db.name, x.Table)
+		return fmt.Errorf("sqlengine: %s: table %q already exists", w.db.name, x.Table)
 	}
-	if _, exists := db.views[x.Table]; exists {
-		return fmt.Errorf("sqlengine: %s: %q already exists as a view", db.name, x.Table)
+	if _, exists := w.views[x.Table]; exists {
+		return fmt.Errorf("sqlengine: %s: %q already exists as a view", w.db.name, x.Table)
 	}
 	if len(x.Columns) == 0 {
 		return fmt.Errorf("sqlengine: table %q needs at least one column", x.Table)
 	}
-	t := &Table{Name: x.Table, Indexes: make(map[string]*Index)}
+	t := &Table{Name: x.Table, Indexes: make(map[string]*Index), id: tableIDs.Add(1)}
 	seen := map[string]bool{}
 	var pk []string
 	for _, cd := range x.Columns {
@@ -478,20 +435,15 @@ func (s *Session) execCreateTable(x *CreateTableStmt) error {
 			pk = append(pk, cd.Name)
 		}
 	}
+	t.rebuildColIndex()
 	for _, c := range x.PrimaryKey {
 		if !seen[c] {
 			return fmt.Errorf("sqlengine: PRIMARY KEY column %q not in table %q", c, x.Table)
 		}
 		pk = append(pk, c)
-		// table-level PK columns become NOT NULL
-		for i := range t.Columns {
-			if t.Columns[i].Name == c {
-				t.Columns[i].NotNull = true
-			}
-		}
+		t.Columns[t.colIndex[c]].NotNull = true // table-level PK columns become NOT NULL
 	}
 	t.PrimaryKey = pk
-	t.rebuildColIndex()
 	if len(pk) > 0 {
 		t.Indexes["pk_"+x.Table] = &Index{Name: "pk_" + x.Table, Columns: pk, Unique: true}
 	}
@@ -501,16 +453,14 @@ func (s *Session) execCreateTable(x *CreateTableStmt) error {
 			t.Indexes[name] = &Index{Name: name, Columns: []string{cd.Name}, Unique: true}
 		}
 	}
-	db.tables[x.Table] = t
+	w.tables[x.Table] = t
 	return t.setRows(nil, 0) // makes the empty index maps
-
 }
 
-func (s *Session) execCreateIndex(x *CreateIndexStmt) error {
-	db := s.eng.db
-	t, ok := db.tables[x.Table]
-	if !ok {
-		return fmt.Errorf("sqlengine: %s: no such table %q", db.name, x.Table)
+func execCreateIndex(x *CreateIndexStmt, w *catalog) error {
+	t, err := w.writable(x.Table)
+	if err != nil {
+		return err
 	}
 	if _, exists := t.Indexes[x.Index]; exists {
 		return fmt.Errorf("sqlengine: index %q already exists on %q", x.Index, x.Table)
@@ -522,41 +472,40 @@ func (s *Session) execCreateIndex(x *CreateIndexStmt) error {
 	}
 	t.Indexes[x.Index] = &Index{Name: x.Index, Columns: x.Columns, Unique: x.Unique}
 	if err := t.setRows(t.Rows, 0); err != nil {
-		delete(t.Indexes, x.Index)
 		return fmt.Errorf("sqlengine: cannot create unique index %q: %w", x.Index, err)
 	}
 	return nil
 }
 
-func (s *Session) execDrop(x *DropStmt) error {
-	db := s.eng.db
+func execDrop(x *DropStmt, w *catalog) error {
 	switch x.Kind {
 	case "TABLE":
-		if _, ok := db.tables[x.Name]; !ok {
+		if _, ok := w.tables[x.Name]; !ok {
 			if x.IfExists {
 				return nil
 			}
-			return fmt.Errorf("sqlengine: %s: no such table %q", db.name, x.Name)
+			return fmt.Errorf("sqlengine: %s: no such table %q", w.db.name, x.Name)
 		}
-		delete(db.tables, x.Name)
+		delete(w.tables, x.Name)
 	case "VIEW":
-		if _, ok := db.views[x.Name]; !ok {
+		if _, ok := w.views[x.Name]; !ok {
 			if x.IfExists {
 				return nil
 			}
-			return fmt.Errorf("sqlengine: %s: no such view %q", db.name, x.Name)
+			return fmt.Errorf("sqlengine: %s: no such view %q", w.db.name, x.Name)
 		}
-		delete(db.views, x.Name)
+		delete(w.views, x.Name)
 	case "INDEX":
 		found := false
-		for _, t := range db.tables {
+		for name, t := range w.tables {
 			if _, ok := t.Indexes[x.Name]; ok {
+				t, _ = w.writable(name)
 				delete(t.Indexes, x.Name)
 				found = true
 			}
 		}
 		if !found && !x.IfExists {
-			return fmt.Errorf("sqlengine: %s: no such index %q", db.name, x.Name)
+			return fmt.Errorf("sqlengine: %s: no such index %q", w.db.name, x.Name)
 		}
 	default:
 		return fmt.Errorf("sqlengine: unknown DROP kind %q", x.Kind)
@@ -564,11 +513,10 @@ func (s *Session) execDrop(x *DropStmt) error {
 	return nil
 }
 
-func (s *Session) execAlterAdd(x *AlterAddColumnStmt) error {
-	db := s.eng.db
-	t, ok := db.tables[x.Table]
-	if !ok {
-		return fmt.Errorf("sqlengine: %s: no such table %q", db.name, x.Table)
+func execAlterAdd(x *AlterAddColumnStmt, w *catalog) error {
+	t, err := w.writable(x.Table)
+	if err != nil {
+		return err
 	}
 	if _, exists := t.colPos(x.Column.Name); exists {
 		return fmt.Errorf("sqlengine: table %q already has column %q", x.Table, x.Column.Name)
@@ -592,7 +540,7 @@ func (s *Session) execAlterAdd(x *AlterAddColumnStmt) error {
 	for i, row := range t.Rows {
 		rows[i] = append(row[:len(row):len(row)], fill)
 	}
-	t.Columns = append(t.Columns, Column(x.Column))
+	t.Columns = append(slices.Clip(t.Columns), Column(x.Column))
 	t.rebuildColIndex()
 	return t.setRows(rows, 0)
 }
@@ -600,14 +548,14 @@ func (s *Session) execAlterAdd(x *AlterAddColumnStmt) error {
 // InsertRows bulk-inserts pre-typed rows (bypassing SQL parsing); used by
 // the ETL loader's fast path and by tests.
 func (e *Engine) InsertRows(table string, rows []Row) (int64, error) {
-	e.db.mu.Lock()
-	defer e.db.mu.Unlock()
-	t, ok := e.db.tables[normalizeName(table)]
-	if !ok {
-		return 0, fmt.Errorf("sqlengine: %s: no such table %q", e.db.name, table)
-	}
-	targets, _ := t.insertTargets(nil) // no column named, none unknown
-	return t.insert(targets, rows)
+	return e.db.write(func(_, w *catalog) (int64, error) {
+		t, err := w.writable(normalizeName(table))
+		if err != nil {
+			return 0, err
+		}
+		targets, _ := t.insertTargets(nil) // no column named, none unknown
+		return t.insert(targets, rows)
+	})
 }
 
 // String implements fmt.Stringer for diagnostics.

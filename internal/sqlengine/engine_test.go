@@ -271,7 +271,7 @@ func TestViews(t *testing.T) {
 		t.Fatalf("nested view: got %d rows, want 2", len(rs.Rows))
 	}
 	// view text preserved
-	if text := e.db.views["muon_view"].Text; !strings.Contains(strings.ToUpper(text), "SELECT") {
+	if text := e.db.pin().views["muon_view"].Text; !strings.Contains(strings.ToUpper(text), "SELECT") {
 		t.Errorf("view text = %q", text)
 	}
 	mustExec(t, e, `DROP VIEW hot_muons`)

@@ -12,12 +12,12 @@ type ResultSet struct {
 	Rows    []Row
 }
 
-// executor runs SELECT statements against a database — the caller must
-// hold at least a read lock on it for the executor's lifetime — or, for a
-// StreamSelect's subqueries, against the tables the caller supplied.
+// executor runs SELECT statements against one catalog of a database,
+// the one pinned when the statement started, or, for a StreamSelect's
+// subqueries, against the tables the caller supplied.
 type executor struct {
-	db   *Database
-	subs *subqueryInputs // set instead of db
+	cat  *catalog
+	subs *subqueryInputs // set instead of cat
 	// depth guards against runaway view recursion.
 	depth int
 }
@@ -68,15 +68,15 @@ func (ex *executor) execSelect(sel *SelectStmt, env *evalEnv) (*ResultSet, error
 
 // open resolves one FROM reference to its input; it is the one place a
 // SELECT reads a table. A database table is read in place — its rows are
-// shared, not copied: the database lock is held for the duration of the
-// query and SELECT never mutates rows in place. where, the WHERE of a
-// branch with no other input, picks the access path (access.go): the rows
-// a hash index finds, a key range of a table stored in primary-key order,
-// or every row. The filter still runs over what open returns, so a path
-// returns a superset of the matching rows, in table order, skipping no
-// row the WHERE would have raised an error on. A view is its own SELECT,
-// run to completion. A subquery table of a StreamSelect is the caller's
-// input, drained once and shared by every later open.
+// shared, not copied: the executor's catalog never changes, nor does a
+// stored row (setRows). where, the WHERE of a branch with no other input,
+// picks the access path (access.go): the rows a hash index finds, a key
+// range of a table stored in primary-key order, or every row. The filter
+// still runs over what open returns, so a path returns a superset of the
+// matching rows, in table order, skipping no row the WHERE would have
+// raised an error on. A view is its own SELECT, run to completion. A
+// subquery table of a StreamSelect is the caller's input, drained once
+// and shared by every later open.
 func (ex *executor) open(tr TableRef, where Expr, env *evalEnv) (StreamInput, error) {
 	src := sourceOf(tr)
 	if ex.subs != nil {
@@ -86,19 +86,19 @@ func (ex *executor) open(tr TableRef, where Expr, env *evalEnv) (StreamInput, er
 		}
 		return StreamInput{Source: src, Columns: rs.Columns, Iter: SliceIter(rs)}, nil
 	}
-	if t, ok := ex.db.tables[tr.Name]; ok {
+	if t, ok := ex.cat.tables[tr.Name]; ok {
 		cols := make([]string, len(t.Columns))
 		for i, c := range t.Columns {
 			cols[i] = c.Name
 		}
 		rows, path := t.accessRows(src.Qualifier, where, env.params)
-		if ex.db.pathHook != nil {
-			ex.db.pathHook(t.Name, path)
+		if hook := ex.cat.db.pathHook; hook != nil {
+			hook(t.Name, path)
 		}
 		return StreamInput{Source: src, Columns: cols, Iter: SliceIter(&ResultSet{Columns: cols, Rows: rows})}, nil
 	}
-	if v, ok := ex.db.views[tr.Name]; ok {
-		sub := &executor{db: ex.db, depth: ex.depth + 1}
+	if v, ok := ex.cat.views[tr.Name]; ok {
+		sub := &executor{cat: ex.cat, depth: ex.depth + 1}
 		rs, err := sub.execSelect(v.Stmt, env)
 		if err != nil {
 			return StreamInput{}, fmt.Errorf("sqlengine: view %q: %w", v.Name, err)
@@ -109,7 +109,7 @@ func (ex *executor) open(tr TableRef, where Expr, env *evalEnv) (StreamInput, er
 		}
 		return StreamInput{Source: src, Columns: cols, Iter: SliceIter(rs)}, nil
 	}
-	return StreamInput{}, fmt.Errorf("sqlengine: %s: no such table or view %q", ex.db.name, tr.Name)
+	return StreamInput{}, fmt.Errorf("sqlengine: %s: no such table or view %q", ex.cat.db.name, tr.Name)
 }
 
 // expandItems resolves stars and names output columns.

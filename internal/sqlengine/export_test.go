@@ -48,13 +48,11 @@ type pathLog struct {
 
 func recordPaths(e *Engine) *pathLog {
 	l := &pathLog{}
-	e.db.mu.Lock()
 	e.db.pathHook = func(table, path string) {
 		l.mu.Lock()
 		l.paths = append(l.paths, table+":"+path)
 		l.mu.Unlock()
 	}
-	e.db.mu.Unlock()
 	return l
 }
 

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"math"
 	"math/big"
 	"strconv"
@@ -57,6 +58,32 @@ func TestIntegerOverflow(t *testing.T) {
 	}
 }
 
+// TestExactIntegerQuotient: an inexact integer / and an AVG of integers
+// are the DOUBLE nearest the exact value, rounded once, not a quotient of
+// operands already rounded to float64.
+func TestExactIntegerQuotient(t *testing.T) {
+	e := NewEngine("quotient", DialectANSI)
+	mustExec(t, e, "CREATE TABLE w (id BIGINT)")
+	mustExec(t, e, "INSERT INTO w VALUES (9007199254740993), (1)")
+	for sql, want := range map[string]float64{
+		"SELECT 9007199254740995 / 3":       3002399751580331.5,
+		"SELECT -9007199254740995 / 3":      -3002399751580331.5,
+		"SELECT AVG(id) FROM w":             4503599627370497,
+		"SELECT id / 2 FROM w WHERE id > 1": 4503599627370496.5,
+	} {
+		for name, query := range map[string]func(*Engine, string, ...Value) (*ResultSet, error){"engine": (*Engine).Query, "oracle": refQuery} {
+			rs, err := query(e, sql)
+			if err != nil {
+				t.Errorf("%s: %s: %v", name, sql, err)
+				continue
+			}
+			if len(rs.Rows) != 1 || rs.Rows[0][0].Kind != KindFloat || rs.Rows[0][0].Float != want {
+				t.Errorf("%s: %s = %v, want [[%.1f]]", name, sql, rs.Rows, want)
+			}
+		}
+	}
+}
+
 // numericEdges are the int64 operands FuzzNumericSemantics starts from:
 // the ends of the range, the powers of two around them, and the integers
 // around 2^53, past which a float64 no longer holds every integer.
@@ -66,10 +93,11 @@ var numericEdges = []int64{
 	1<<53 - 1, 1 << 53, 1<<53 + 1, 1 << 62, math.MaxInt64 - 1, math.MaxInt64,
 }
 
-// FuzzNumericSemantics checks integer + - * / %, and unary minus, against
-// math/big: an integer result is the exact value when that value fits in
-// int64 and an error when it does not. An inexact / promotes to the float
-// quotient, and a zero divisor is an error. It reads a and b as floats
+// FuzzNumericSemantics checks integer + - * / %, unary minus and AVG
+// against math/big: an integer result is the exact value when that value
+// fits in int64 and an error when it does not. An inexact / and the AVG of
+// a, b and b are the DOUBLE nearest the exact value, and a zero divisor is
+// an error. It reads a and b as floats
 // too, their bits (so −0.0, NaN and ±Inf) and their values, and checks
 // that Compare orders those numbers as math/big does, a NaN equal only to
 // a NaN and before every other number; that a numeral whose value is an
@@ -88,8 +116,17 @@ func FuzzNumericSemantics(f *testing.F) {
 			f.Add(int64(math.Float64bits(x)), int64(math.Float64bits(y)))
 		}
 	}
+	avg, _ := NewParser(DialectANSI).ParseStatement("SELECT AVG(x) FROM v")
+	avgPlan, reason := AnalyzeStreamSelect(avg.(*SelectStmt), func(string) []string { return []string{"x"} })
+	if avgPlan == nil {
+		f.Fatal(reason)
+	}
 	f.Fuzz(func(t *testing.T, a, b int64) {
 		x, y := big.NewInt(a), big.NewInt(b)
+		nearest := func(num *big.Int, den int64) float64 {
+			q, _ := new(big.Rat).SetFrac(num, big.NewInt(den)).Float64()
+			return q
+		}
 		// wantInt checks got against the exact value z: z itself when it
 		// fits in int64, else an error.
 		wantInt := func(what string, got Value, err error, z *big.Int) {
@@ -129,10 +166,19 @@ func FuzzNumericSemantics(f *testing.F) {
 					wantInt(what, got, err, r)
 				case r.Sign() == 0:
 					wantInt(what, got, err, q)
-				case err != nil || got.Kind != KindFloat || got.Float != float64(a)/float64(b):
-					t.Errorf("%s = %v, %v; want the float quotient %v", what, got, err, float64(a)/float64(b))
+				case err != nil || got.Kind != KindFloat || got.Float != nearest(x, b):
+					t.Errorf("%s = %v, %v; want the nearest DOUBLE %v", what, got, err, nearest(x, b))
 				}
 			}
+		}
+		rows := &ResultSet{Columns: []string{"x"}, Rows: []Row{{NewInt(a)}, {NewInt(b)}, {NewInt(b)}}}
+		it, err := StreamSelect(context.Background(), avgPlan, []StreamInput{{Source: avgPlan.Branches[0].Inputs[0], Columns: rows.Columns, Iter: SliceIter(rows)}}, nil, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := new(big.Int).Add(x, new(big.Int).Lsh(y, 1))
+		if rs, err := Drain(it); err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Kind != KindFloat || rs.Rows[0][0].Float != nearest(sum, 3) {
+			t.Errorf("AVG of %d, %d, %d = %v, %v; want the nearest DOUBLE %v", a, b, b, rs, err, nearest(sum, 3))
 		}
 		neg := &UnaryExpr{Op: "-", X: &Literal{Val: NewInt(a)}}
 		got, err := evalConst(neg, nil)

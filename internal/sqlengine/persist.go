@@ -4,8 +4,10 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
+	"slices"
 	"time"
 )
 
@@ -107,13 +109,13 @@ func fromPersistValue(p persistValue) Value {
 
 // Save serializes the full database (schema, rows, views, index
 // definitions) to w. The format is self-contained and versioned by the gob
-// type descriptors.
+// type descriptors. It writes the catalog published when it starts, and
+// holds no lock while it encodes and writes.
 func (e *Engine) Save(w io.Writer) error {
-	e.db.mu.RLock()
-	defer e.db.mu.RUnlock()
+	cat := e.db.pin()
 	p := persistDB{Name: e.db.name, Dialect: e.dialect.Name}
-	for _, name := range sortedKeys(e.db.tables) {
-		t := e.db.tables[name]
+	for _, name := range slices.Sorted(maps.Keys(cat.tables)) {
+		t := cat.tables[name]
 		pt := persistTable{Name: t.Name, PrimaryKey: t.PrimaryKey}
 		for _, c := range t.Columns {
 			pc := persistColumn{
@@ -128,7 +130,7 @@ func (e *Engine) Save(w io.Writer) error {
 			}
 			pt.Columns = append(pt.Columns, pc)
 		}
-		for _, iname := range sortedKeys(t.Indexes) {
+		for _, iname := range slices.Sorted(maps.Keys(t.Indexes)) {
 			idx := t.Indexes[iname]
 			pt.Indexes = append(pt.Indexes, persistIndex{Name: idx.Name, Columns: idx.Columns, Unique: idx.Unique})
 		}
@@ -141,8 +143,8 @@ func (e *Engine) Save(w io.Writer) error {
 		}
 		p.Tables = append(p.Tables, pt)
 	}
-	for _, name := range sortedKeys(e.db.views) {
-		p.Views = append(p.Views, persistView{Name: name, Text: e.db.views[name].Text})
+	for _, name := range slices.Sorted(maps.Keys(cat.views)) {
+		p.Views = append(p.Views, persistView{Name: name, Text: cat.views[name].Text})
 	}
 	return gob.NewEncoder(w).Encode(&p)
 }
@@ -179,7 +181,7 @@ func Load(r io.Reader) (*Engine, error) {
 	e := NewEngine(p.Name, dialect)
 	parser := NewParser(dialect)
 	for _, pt := range p.Tables {
-		t := &Table{Name: pt.Name, PrimaryKey: pt.PrimaryKey, Indexes: make(map[string]*Index)}
+		t := &Table{Name: pt.Name, PrimaryKey: pt.PrimaryKey, Indexes: make(map[string]*Index), id: tableIDs.Add(1)}
 		for _, pc := range pt.Columns {
 			col := Column{
 				Name: pc.Name, Type: ColumnType{Kind: pc.Kind, Size: pc.Size},
@@ -211,7 +213,7 @@ func Load(r io.Reader) (*Engine, error) {
 		if err := t.setRows(rows, 0); err != nil {
 			return nil, fmt.Errorf("sqlengine: load: %w", err)
 		}
-		e.db.tables[pt.Name] = t
+		e.db.pin().tables[pt.Name] = t // before any caller has e
 	}
 	for _, pv := range p.Views {
 		st, err := parser.ParseStatement(pv.Text)
@@ -222,7 +224,7 @@ func Load(r io.Reader) (*Engine, error) {
 		if !ok {
 			return nil, fmt.Errorf("sqlengine: load view %q: not a SELECT", pv.Name)
 		}
-		e.db.views[pv.Name] = &View{Name: pv.Name, Stmt: sel, Text: pv.Text}
+		e.db.pin().views[pv.Name] = &View{Name: pv.Name, Stmt: sel, Text: pv.Text}
 	}
 	return e, nil
 }

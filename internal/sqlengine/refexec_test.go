@@ -17,7 +17,7 @@ import (
 // and matches join keys with Compare, never with the engine's hash keys
 // (appendIndexKey), so a fault of the key codec shows as a disagreement.
 
-// refQuery parses and runs one SELECT on the oracle, under e's read lock.
+// refQuery parses and runs one SELECT on the oracle.
 func refQuery(e *Engine, sql string, params ...Value) (*ResultSet, error) {
 	st, err := NewParser(e.dialect).ParseStatement(sql)
 	if err != nil {
@@ -27,8 +27,6 @@ func refQuery(e *Engine, sql string, params ...Value) (*ResultSet, error) {
 	if !ok {
 		return nil, fmt.Errorf("refQuery: not a SELECT: %T", st)
 	}
-	e.db.mu.RLock()
-	defer e.db.mu.RUnlock()
 	return (&refExecutor{db: e.db}).execSelect(sel, params, nil)
 }
 
@@ -38,8 +36,8 @@ type refRelation struct {
 	rows   []Row
 }
 
-// refExecutor runs SELECT statements against a database. The caller must hold
-// at least a read lock on the database for the executor's lifetime.
+// refExecutor runs SELECT statements against a database's published
+// catalog; its callers run no write beside it.
 type refExecutor struct {
 	db *Database
 	// depth guards against runaway view recursion.
@@ -175,16 +173,16 @@ func (ex *refExecutor) scan(tr TableRef, params []Value, outer *evalContext) (*r
 	if qual == "" {
 		qual = tr.Name
 	}
-	if t, ok := ex.db.tables[tr.Name]; ok {
+	cat := ex.db.pin()
+	if t, ok := cat.tables[tr.Name]; ok {
 		schema := make(rowSchema, len(t.Columns))
 		for i, c := range t.Columns {
 			schema[i] = colBinding{qualifier: qual, name: c.Name}
 		}
-		// Rows are shared (not copied): the database lock is held for the
-		// duration of the query and SELECT never mutates rows in place.
+		// Rows are shared (not copied): SELECT never mutates rows in place.
 		return &refRelation{schema: schema, rows: t.Rows}, nil
 	}
-	if v, ok := ex.db.views[tr.Name]; ok {
+	if v, ok := cat.views[tr.Name]; ok {
 		sub := &refExecutor{db: ex.db, depth: ex.depth + 1}
 		rs, err := sub.execSelect(v.Stmt, params, outer)
 		if err != nil {
@@ -611,6 +609,10 @@ func (ex *refExecutor) computeAggregate(fc *FuncCall, g *refGroup, schema rowSch
 			}
 		}
 		switch {
+		case fc.Name == "AVG" && allInt:
+			// The DOUBLE nearest the exact mean.
+			f, _ := new(big.Rat).SetFrac(isum, big.NewInt(int64(len(vals)))).Float64()
+			return NewFloat(f), nil
 		case fc.Name == "AVG":
 			return NewFloat(fsum / float64(len(vals))), nil
 		case !allInt:

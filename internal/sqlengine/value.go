@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/big"
 	"strconv"
 	"strings"
 	"time"
@@ -571,6 +572,9 @@ func Arith(op string, a, b Value) (Value, error) {
 			}
 			return NewInt(x / y), nil
 		}
+		if bothInt {
+			return NewFloat(nearestQuotient(0, x, y)), nil
+		}
 		return NewFloat(af / bf), nil
 	case "%":
 		if bothInt {
@@ -585,6 +589,16 @@ func Arith(op string, a, b Value) (Value, error) {
 		return NewFloat(math.Mod(af, bf)), nil
 	}
 	return Null(), fmt.Errorf("sqlengine: unknown arithmetic operator %q", op)
+}
+
+// nearestQuotient is the DOUBLE nearest (wrap·2^64 + x) / y, rounded once.
+func nearestQuotient(wrap, x, y int64) float64 {
+	if m := int64(1) << 53; wrap == 0 && min(x, y) >= -m && max(x, y) <= m {
+		return float64(x) / float64(y) // exact operands: IEEE rounds once
+	}
+	z := new(big.Int).Lsh(big.NewInt(wrap), 64)
+	q, _ := new(big.Rat).SetFrac(z.Add(z, big.NewInt(x)), big.NewInt(y)).Float64()
+	return q
 }
 
 // intOutOfRange is the error of an integer operation whose exact result

@@ -288,6 +288,19 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 // A broken client sends nothing more; every call returns that first error.
 func (c *Client) Broken() bool { return c.err != nil }
 
+// Alive reports whether the connection can still carry a request: it is
+// not broken, and a read that does not wait finds nothing, as it should
+// between requests. EOF (the server or a middlebox closed the link while
+// the client sat idle), a read error or an unasked byte breaks the client.
+func (c *Client) Alive() bool {
+	if c.err == nil {
+		if err := readIdle(c.conn); err != nil {
+			c.err = fmt.Errorf("wire: link check: %w", err)
+		}
+	}
+	return c.err == nil
+}
+
 // statement runs one query or exec request.
 func (c *Client) statement(op, sql string, params []sqlengine.Value) (*Response, error) {
 	return c.roundTrip(&Request{Op: op, SQL: sql, Params: sqlengine.AppendRowFrame(nil, []sqlengine.Row{params})})
