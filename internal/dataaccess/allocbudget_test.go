@@ -1,0 +1,15 @@
+package dataaccess
+
+import (
+	"testing"
+
+	"gridrdb/internal/budgettest"
+)
+
+// TestAllocBudgets holds this package's benchmarks to their rows of
+// budgettest's allocs.json.
+func TestAllocBudgets(t *testing.T) {
+	budgettest.Check(t, "gridrdb/internal/dataaccess", map[string]func(*testing.B){
+		"BenchmarkStreamEdge": BenchmarkStreamEdge,
+	})
+}

@@ -188,7 +188,9 @@ func TestCursorLifecycle(t *testing.T) {
 // consumer holds its first rows the source has served a bounded number,
 // the same at 2 000 rows as at 20 000, where the materializing reference
 // of the same query (the whole-result forward, the scratch integrator)
-// serves every row before it answers.
+// serves every row before it answers. The source is a counting driver,
+// or a member engine (POOL-RAL's route) whose ScanHook counts the stored
+// rows its SELECT's pipeline has read.
 func TestCursorBoundedPull(t *testing.T) {
 	const relayFetch = 64
 	forward := func(p *relayPair, sql string) error {
@@ -207,6 +209,7 @@ func TestCursorBoundedPull(t *testing.T) {
 		name      string
 		sql       string
 		remote    bool // the scan lives on the peer: fwd relays host's cursor
+		member    bool // the scan is an engine member's table, not the counting driver
 		fetches   int
 		fetchSize int
 		// bound is the most the source may have served once the fetches
@@ -221,6 +224,9 @@ func TestCursorBoundedPull(t *testing.T) {
 			bound: relayFetch + 1, reference: forward},
 		{name: "join probe side", sql: "SELECT p.a, e.e_tot FROM paged_t p JOIN bp_dim e ON p.a = e.event_id",
 			fetches: 1, fetchSize: 1, bound: 2 + 1, reference: scratch},
+		{name: "member cursor", sql: "SELECT a FROM paged_t", member: true, fetches: 1, fetchSize: 50, bound: 50 + 1},
+		{name: "member relay", sql: "SELECT a FROM paged_t", member: true, remote: true, fetches: 1, fetchSize: 10,
+			bound: relayFetch + 1, reference: forward},
 	}
 	for i, tc := range cases {
 		for _, n := range []int{2000, 20000} {
@@ -230,14 +236,24 @@ func TestCursorBoundedPull(t *testing.T) {
 				mart := fmt.Sprintf("mart_bp_%d_%d", i, n)
 				_, dimSpec := mkMart(t, mart, sqlengine.DialectMySQL, "bp_dim", 30)
 				addMart(t, p.fwd, mart, dimSpec, "gridsql-mysql")
-				d, ref, spec := registerPagedSource(n, -1)
 				owner := p.fwd
 				if tc.remote {
 					owner = p.host
 				}
-				if err := owner.AddDatabase(ref, spec, "", ""); err != nil {
-					t.Fatal(err)
+				var served *atomic.Int64
+				released := func() bool { return p.host.CursorCount() == 0 }
+				if tc.member {
+					served = new(atomic.Int64)
+					addEngineMart(t, owner, pagedMember(t, mart+"_m", n, served))
+				} else {
+					d, ref, spec := registerPagedSource(n, -1)
+					if err := owner.AddDatabase(ref, spec, "", ""); err != nil {
+						t.Fatal(err)
+					}
+					served = &d.served
+					released = func() bool { return d.rowsClosed.Load() == 1 }
 				}
+				served.Store(0) // the spec's row count read the member's table
 
 				info, err := p.fwd.OpenCursor(context.Background(), tc.sql)
 				if err != nil {
@@ -253,7 +269,7 @@ func TestCursorBoundedPull(t *testing.T) {
 						t.Fatalf("chunk %d: %d rows done=%v, want %d rows not done", f, len(rows), done, tc.fetchSize)
 					}
 				}
-				if served := d.served.Load(); served > tc.bound {
+				if served := served.Load(); served > tc.bound {
 					t.Fatalf("source served %d of %d rows for %d fetched, want <= %d: the scan ran ahead of its consumer",
 						served, n, tc.fetches*tc.fetchSize, tc.bound)
 				}
@@ -261,21 +277,40 @@ func TestCursorBoundedPull(t *testing.T) {
 					t.Fatal("close failed")
 				}
 				// Closing releases the backend cursor, across the relay too.
-				waitFor(t, 2*time.Second, func() bool { return d.rowsClosed.Load() == 1 })
+				waitFor(t, 2*time.Second, released)
 
 				if tc.reference == nil {
 					return
 				}
-				before := d.served.Load()
+				before := served.Load()
 				if err := tc.reference(p, tc.sql); err != nil {
 					t.Fatal(err)
 				}
-				if got := d.served.Load() - before; got != int64(n) {
+				if got := served.Load() - before; got != int64(n) {
 					t.Fatalf("materializing reference served %d rows, want all %d", got, n)
 				}
 			})
 		}
 	}
+}
+
+// pagedMember is an engine member holding paged_t(a) with n rows; served
+// counts the stored rows its SELECTs read.
+func pagedMember(t *testing.T, name string, n int, served *atomic.Int64) *sqlengine.Engine {
+	t.Helper()
+	e := sqlengine.NewEngine(name, sqlengine.DialectMySQL)
+	if _, err := e.Exec("CREATE TABLE paged_t (a BIGINT PRIMARY KEY)"); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]sqlengine.Row, n)
+	for i := range rows {
+		rows[i] = sqlengine.Row{sqlengine.NewInt(int64(i))}
+	}
+	if _, err := e.InsertRows("paged_t", rows); err != nil {
+		t.Fatal(err)
+	}
+	e.Database().ScanHook = func(string) { served.Add(1) }
+	return e
 }
 
 // TestCursorTTLReap proves abandoned cursors are collected: an idle cursor

@@ -1,0 +1,16 @@
+package poolral
+
+import (
+	"testing"
+
+	"gridrdb/internal/budgettest"
+)
+
+// TestAllocBudgets holds this package's benchmarks to their rows of
+// budgettest's allocs.json.
+func TestAllocBudgets(t *testing.T) {
+	budgettest.Check(t, "gridrdb/internal/poolral", map[string]func(*testing.B){
+		"BenchmarkMemberScan":     BenchmarkMemberScan,
+		"BenchmarkMemberFirstRow": BenchmarkMemberFirstRow,
+	})
+}

@@ -4,12 +4,16 @@ import (
 	"context"
 	"database/sql"
 	"database/sql/driver"
+	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gridrdb/internal/leaktest"
 	"gridrdb/internal/sqldriver"
 	"gridrdb/internal/sqlengine"
 	"gridrdb/internal/unity"
@@ -232,4 +236,137 @@ func BenchmarkMemberScan(b *testing.B) {
 			b.Fatalf("%d rows, want %d", n, len(rows))
 		}
 	}
+}
+
+// scanMember returns the POOL-RAL connection string of a member engine
+// holding scan(id, run, e) with n rows, registering it on first use.
+func scanMember(tb testing.TB, n int) string {
+	name := fmt.Sprintf("firstrow%d", n)
+	if _, ok := sqldriver.LookupEngine(name); !ok {
+		e := sqlengine.NewEngine(name, sqlengine.DialectMySQL)
+		if _, err := e.Exec("CREATE TABLE scan (id BIGINT PRIMARY KEY, run BIGINT, e DOUBLE)"); err != nil {
+			tb.Fatal(err)
+		}
+		rows := make([]sqlengine.Row, n)
+		for i := range rows {
+			rows[i] = sqlengine.Row{sqlengine.NewInt(int64(i)), sqlengine.NewInt(int64(100 + i%4)), sqlengine.NewFloat(float64(i) / 3)}
+		}
+		if _, err := e.InsertRows("scan", rows); err != nil {
+			tb.Fatal(err)
+		}
+		sqldriver.RegisterEngine(e)
+	}
+	return "mysql:local://" + name
+}
+
+// firstRow opens a POOL-RAL stream over conn's scan table, reads its
+// first row and closes it.
+func firstRow(tb testing.TB, r *RAL, conn string) {
+	it, err := r.QueryStreamContext(context.Background(), conn, nil, []string{"scan"}, "")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := it.Next(); err != nil {
+		tb.Fatal(err)
+	}
+	it.Close()
+}
+
+// BenchmarkMemberFirstRow opens a POOL-RAL stream over a 200 000-row
+// member table and reads its first row: the time and bytes a member scan
+// costs before its first page can leave.
+func BenchmarkMemberFirstRow(b *testing.B) {
+	conn := scanMember(b, 200000)
+	r := New()
+	defer r.Close()
+	if err := r.InitHandler(conn, "", ""); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		firstRow(b, r, conn)
+	}
+}
+
+// TestMemberFirstRowBytesIndependentOfRows: a member stream allocates as
+// much before its first row over 200 000 rows as over 2 000, since the
+// member engine runs its pipeline as the stream is pulled.
+func TestMemberFirstRowBytesIndependentOfRows(t *testing.T) {
+	if leaktest.RaceEnabled {
+		t.Skip("allocation counts do not hold under -race")
+	}
+	perOp := func(n int) uint64 {
+		conn := scanMember(t, n)
+		r := New()
+		defer r.Close()
+		if err := r.InitHandler(conn, "", ""); err != nil {
+			t.Fatal(err)
+		}
+		firstRow(t, r, conn)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			firstRow(t, r, conn)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := perOp(2000), perOp(200000)
+	t.Logf("%d bytes before the first row over 2 000 rows, %d over 200 000", small, large)
+	if large > small+small/10 {
+		t.Errorf("%d bytes before the first row over 200 000 rows, %d over 2 000: the member read ahead", large, small)
+	}
+}
+
+// TestMemberRowErrorMidStream: a POOL-RAL stream over a member statement
+// that fails at its row 1 000 of 2 000 hands on the 999 rows before it,
+// then the engine's error; the handle's connection is back in its pool
+// and no goroutine is left behind.
+func TestMemberRowErrorMidStream(t *testing.T) {
+	defer leaktest.Check(t)()
+	e := sqlengine.NewEngine("rowerr", sqlengine.DialectMySQL)
+	if _, err := e.Exec("CREATE TABLE t (id BIGINT PRIMARY KEY, d BIGINT)"); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]sqlengine.Row, 2000)
+	for i := range rows {
+		rows[i] = sqlengine.Row{sqlengine.NewInt(int64(i + 1)), sqlengine.NewInt(1)}
+	}
+	rows[999][1] = sqlengine.NewInt(0)
+	if _, err := e.InsertRows("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	sqldriver.RegisterEngine(e)
+	t.Cleanup(func() { sqldriver.UnregisterEngine("rowerr") })
+	r := New()
+	defer r.Close()
+	conn := "mysql:local://rowerr"
+	if err := r.InitHandler(conn, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	it, err := r.QueryStreamContext(context.Background(), conn, []string{"id"}, []string{"t"}, "10 / d > 0")
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	got := int64(0)
+	for {
+		row, err := it.Next()
+		if err != nil {
+			if !strings.Contains(err.Error(), "poolral: "+conn+": sqlengine: division by zero") {
+				t.Errorf("after %d rows: %v, want the engine's division by zero", got, err)
+			}
+			break
+		}
+		if got++; row[0].Int != got {
+			t.Fatalf("row %d has id %d", got, row[0].Int)
+		}
+	}
+	if got != 999 {
+		t.Errorf("%d rows before the error, want 999", got)
+	}
+	if n := r.handles[conn].db.Stats().InUse; n != 0 {
+		t.Errorf("%d connections in use with the stream open", n)
+	}
+	it.Close()
 }

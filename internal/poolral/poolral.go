@@ -173,11 +173,12 @@ func (r *RAL) QueryValuesContext(ctx context.Context, connString string, fields,
 }
 
 // QueryStreamContext executes the select described by (fields, tables,
-// where) and returns its rows as an iterator. The statement runs on one
-// connection of the handle's pool, which goes back to the pool as soon as
-// the member engine has materialized the result; the iterator hands its
-// rows on with no second copy (sqlengine.QueryDB). Cancelling ctx ends
-// the iteration with ctx's error.
+// where) and returns its rows as an iterator. The statement opens on one
+// connection of the handle's pool, which goes back to the pool at once;
+// an in-process member runs its pipeline as the iterator is pulled, and
+// the iterator hands its rows on with no second copy (sqlengine.QueryDB).
+// Cancelling ctx ends the iteration, and the member's pipeline, with
+// ctx's error.
 func (r *RAL) QueryStreamContext(ctx context.Context, connString string, fields, tables []string, where string) (sqlengine.RowIter, error) {
 	h, err := r.handle(connString)
 	if err != nil {

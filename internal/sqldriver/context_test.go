@@ -3,6 +3,7 @@ package sqldriver
 import (
 	"context"
 	"database/sql"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,5 +113,58 @@ func TestConnectionPoolReuse(t *testing.T) {
 	var n int64
 	if err := db.QueryRow("SELECT COUNT(*) FROM t").Scan(&n); err != nil || n != 160 {
 		t.Fatalf("count = %d (%v)", n, err)
+	}
+}
+
+// TestPreparedPlaceholderInLiteral: a '?' inside a string literal is no
+// parameter, prepared or not; a parameter the statement reads and was not
+// given is the engine's error.
+func TestPreparedPlaceholderInLiteral(t *testing.T) {
+	e := newLocalEngine(t, "prepquote", sqlengine.DialectANSI)
+	if err := e.ExecScript("CREATE TABLE t (s VARCHAR(8)); INSERT INTO t VALUES ('?'), ('x')"); err != nil {
+		t.Fatal(err)
+	}
+	db, _ := sql.Open("gridsql", "local://prepquote")
+	defer db.Close()
+	q, err := db.Prepare("SELECT s FROM t WHERE s = '?'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	var s string
+	if err := q.QueryRow().Scan(&s); err != nil || s != "?" {
+		t.Fatalf("prepared query with '?' in a literal: %v %q", err, s)
+	}
+	q2, err := db.Prepare("SELECT s FROM t WHERE s = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Close()
+	if err := q2.QueryRow().Scan(&s); err == nil || !strings.Contains(err.Error(), "missing value for parameter 1") {
+		t.Fatalf("prepared query missing its parameter: %v", err)
+	}
+}
+
+// TestRowsStreamRowError: database/sql reads a local SELECT as the
+// engine's pipeline runs, so a row error surfaces from rows.Err after
+// the rows before it, not from the query.
+func TestRowsStreamRowError(t *testing.T) {
+	e := newLocalEngine(t, "rowerr", sqlengine.DialectANSI)
+	if err := e.ExecScript("CREATE TABLE t (id INTEGER, d INTEGER); INSERT INTO t VALUES (1, 1), (2, 1), (3, 0), (4, 1)"); err != nil {
+		t.Fatal(err)
+	}
+	db, _ := sql.Open("gridsql", "local://rowerr")
+	defer db.Close()
+	rows, err := db.Query("SELECT id, 10 / d FROM t")
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	defer rows.Close()
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); n != 2 || err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("%d rows, then %v; want 2 rows, then division by zero", n, err)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"database/sql/driver"
 	"errors"
 	"fmt"
-	"io"
 	"net/url"
 	"strings"
 	"sync"
@@ -80,7 +79,9 @@ func init() {
 
 // backend abstracts local sessions and remote wire clients.
 type backend interface {
-	query(sql string, params []sqlengine.Value) (*sqlengine.ResultSet, error)
+	// query opens a statement's rows: a local SELECT's operator pipeline
+	// (sqlengine.Session.Open), a remote answer received whole.
+	query(ctx context.Context, sql string, params []sqlengine.Value) (sqlengine.RowIter, error)
 	exec(sql string, params []sqlengine.Value) (int64, error)
 	close() error
 	// valid reports whether the backend can still carry a statement.
@@ -91,15 +92,8 @@ type localBackend struct {
 	sess *sqlengine.Session
 }
 
-func (b *localBackend) query(sqlText string, params []sqlengine.Value) (*sqlengine.ResultSet, error) {
-	rs, _, err := b.sess.Run(sqlText, params...)
-	if err != nil {
-		return nil, err
-	}
-	if rs == nil {
-		rs = &sqlengine.ResultSet{}
-	}
-	return rs, nil
+func (b *localBackend) query(ctx context.Context, sqlText string, params []sqlengine.Value) (sqlengine.RowIter, error) {
+	return b.sess.Open(ctx, sqlText, params)
 }
 
 func (b *localBackend) exec(sqlText string, params []sqlengine.Value) (int64, error) {
@@ -115,11 +109,15 @@ func (b *localBackend) valid() bool  { return true }
 // statement on another connection.
 type remoteBackend struct{ c *wire.Client }
 
-func (b *remoteBackend) query(sqlText string, params []sqlengine.Value) (*sqlengine.ResultSet, error) {
+func (b *remoteBackend) query(_ context.Context, sqlText string, params []sqlengine.Value) (sqlengine.RowIter, error) {
 	if b.c.Broken() {
 		return nil, driver.ErrBadConn
 	}
-	return b.c.Query(sqlText, params...)
+	rs, err := b.c.Query(sqlText, params...)
+	if err != nil {
+		return nil, err
+	}
+	return sqlengine.SliceIter(rs), nil
 }
 func (b *remoteBackend) exec(sqlText string, params []sqlengine.Value) (int64, error) {
 	if b.c.Broken() {
@@ -244,7 +242,7 @@ func (c *conn) Prepare(query string) (driver.Stmt, error) {
 	if c.closed {
 		return nil, driver.ErrBadConn
 	}
-	return &stmt{c: c, query: query, numInput: strings.Count(query, "?")}, nil
+	return &stmt{c: c, query: query}, nil
 }
 
 func (c *conn) Close() error {
@@ -262,13 +260,13 @@ func (c *conn) Begin() (driver.Tx, error) {
 	return &tx{c: c}, nil
 }
 
-// QueryValues implements sqlengine.ValueQueryer: the backend's result set
-// goes to the caller as it is, with no driver.Value boxing.
-func (c *conn) QueryValues(ctx context.Context, query string, params []sqlengine.Value) (*sqlengine.ResultSet, error) {
+// QueryValues implements sqlengine.ValueQueryer: the backend's rows go to
+// the caller as they are, with no driver.Value boxing.
+func (c *conn) QueryValues(ctx context.Context, query string, params []sqlengine.Value) (sqlengine.RowIter, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return c.b.query(query, params)
+	return c.b.query(ctx, query, params)
 }
 
 func (c *conn) QueryContext(ctx context.Context, query string, args []driver.NamedValue) (driver.Rows, error) {
@@ -276,11 +274,11 @@ func (c *conn) QueryContext(ctx context.Context, query string, args []driver.Nam
 	if err != nil {
 		return nil, err
 	}
-	rs, err := c.QueryValues(ctx, query, params)
+	it, err := c.QueryValues(ctx, query, params)
 	if err != nil {
 		return nil, err
 	}
-	return &rows{rs: rs}, nil
+	return &rows{it: it}, nil
 }
 
 func (c *conn) ExecContext(ctx context.Context, query string, args []driver.NamedValue) (driver.Result, error) {
@@ -313,13 +311,17 @@ func (t *tx) Rollback() error {
 // ---- statements ----
 
 type stmt struct {
-	c        *conn
-	query    string
-	numInput int
+	c     *conn
+	query string
 }
 
-func (s *stmt) Close() error  { return nil }
-func (s *stmt) NumInput() int { return s.numInput }
+func (s *stmt) Close() error { return nil }
+
+// NumInput is -1: database/sql leaves the argument count to the engine,
+// as it does for a statement it runs unprepared, and the engine reports a
+// parameter the statement reads and was not given. A count of the text's
+// '?' would also count one inside a string literal or quoted name.
+func (s *stmt) NumInput() int { return -1 }
 
 func (s *stmt) Exec(args []driver.Value) (driver.Result, error) {
 	params, err := driverToValues(args)
@@ -338,11 +340,11 @@ func (s *stmt) Query(args []driver.Value) (driver.Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs, err := s.c.b.query(s.query, params)
+	it, err := s.c.b.query(context.Background(), s.query, params)
 	if err != nil {
 		return nil, err
 	}
-	return &rows{rs: rs}, nil
+	return &rows{it: it}, nil
 }
 
 type result struct{ rowsAffected int64 }
@@ -354,20 +356,17 @@ func (r result) RowsAffected() (int64, error) { return r.rowsAffected, nil }
 
 // ---- rows ----
 
-type rows struct {
-	rs  *sqlengine.ResultSet
-	pos int
-}
+// rows serves a statement's iterator to database/sql, one row per Next.
+type rows struct{ it sqlengine.RowIter }
 
-func (r *rows) Columns() []string { return r.rs.Columns }
-func (r *rows) Close() error      { return nil }
+func (r *rows) Columns() []string { return r.it.Columns() }
+func (r *rows) Close() error      { return r.it.Close() }
 
 func (r *rows) Next(dest []driver.Value) error {
-	if r.pos >= len(r.rs.Rows) {
-		return io.EOF
+	row, err := r.it.Next()
+	if err != nil {
+		return err
 	}
-	row := r.rs.Rows[r.pos]
-	r.pos++
 	for i, v := range row {
 		dest[i] = valueToDriver(v)
 	}

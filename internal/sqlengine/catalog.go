@@ -94,6 +94,10 @@ type Database struct {
 	// pathHook, when set (by tests, before any query), observes the
 	// access path each SELECT takes to read a table.
 	pathHook func(table, path string)
+	// ScanHook, when set (by tests, before any query), is called for
+	// each stored row a SELECT reads, with its table's name: it shows
+	// how far a statement's pipeline has read.
+	ScanHook func(table string)
 }
 
 // NewDatabase creates an empty database with the given name.

@@ -156,6 +156,13 @@ func TestSeeksDuringAppends(t *testing.T) {
 //
 //	go test -run xxx -bench EngineSeek -cpuprofile cpu.out ./internal/sqlengine
 func BenchmarkEngineSeek(b *testing.B) {
+	seek := seekBench(b)
+	b.Run("serial", func(b *testing.B) { seekSerial(b, seek) })
+	b.Run("parallel", func(b *testing.B) { seekParallel(b, seek) })
+}
+
+// seekBench loads BenchmarkEngineSeek's table and returns its seek.
+func seekBench(b *testing.B) func(id int64) error {
 	const n = 20000
 	e := NewEngine("seekbench", DialectANSI)
 	if _, err := e.Exec("CREATE TABLE ev (event_id INTEGER PRIMARY KEY, run INTEGER, " +
@@ -176,31 +183,34 @@ func BenchmarkEngineSeek(b *testing.B) {
 		}
 	}
 	const q = "SELECT event_id, run, v0, v1, v2, v3, v4, v5 FROM ev WHERE event_id = ?"
-	seek := func(id int64) error {
+	return func(id int64) error {
 		rs, err := e.Query(q, NewInt(id%n))
 		if err == nil && len(rs.Rows) != 1 {
 			err = fmt.Errorf("event %d: %d rows", id%n, len(rs.Rows))
 		}
 		return err
 	}
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for id := int64(0); b.Loop(); id += 7919 {
+}
+
+func seekSerial(b *testing.B, seek func(int64) error) {
+	b.ReportAllocs()
+	for id := int64(0); b.Loop(); id += 7919 {
+		if err := seek(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func seekParallel(b *testing.B, seek func(int64) error) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	var next atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		for id := next.Add(1) * 104729; pb.Next(); id += 7919 {
 			if err := seek(id); err != nil {
-				b.Fatal(err)
+				b.Error(err)
+				return
 			}
 		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		var next atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			for id := next.Add(1) * 104729; pb.Next(); id += 7919 {
-				if err := seek(id); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
 	})
 }

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"maps"
 	"slices"
@@ -107,13 +108,39 @@ func (s *Session) Run(sql string, params ...Value) (*ResultSet, int64, error) {
 	return s.RunStmt(st, params)
 }
 
+// Open parses one statement and returns its rows as an iterator. A SELECT
+// comes back as its operator pipeline, unstarted: each Next runs it as
+// far as the next row, under ctx, over the catalog published when Open
+// ran. The iterator reads that catalog only, never the session, so the
+// session may carry other statements while it is open; it holds the
+// catalog's table versions until it is closed. Any other statement runs
+// to its end here, and its result (empty for a write) comes back as a
+// SliceIter.
+func (s *Session) Open(ctx context.Context, sql string, params []Value) (RowIter, error) {
+	st, err := NewParser(s.eng.dialect).ParseStatement(sql)
+	if err != nil {
+		return nil, err
+	}
+	if x, ok := st.(*SelectStmt); ok {
+		return (&executor{ctx: ctx, cat: s.eng.db.pin()}).openSelect(x, &evalEnv{params: params})
+	}
+	rs, _, err := s.RunStmt(st, params)
+	if err != nil {
+		return nil, err
+	}
+	if rs == nil {
+		rs = &ResultSet{}
+	}
+	return SliceIter(rs), nil
+}
+
 // RunStmt executes a parsed statement in this session. A read runs on the
 // catalog published when it starts; a write runs under Database.write.
 func (s *Session) RunStmt(st Statement, params []Value) (*ResultSet, int64, error) {
 	db := s.eng.db
 	switch x := st.(type) {
 	case *SelectStmt:
-		ex := &executor{cat: db.pin()}
+		ex := &executor{ctx: context.Background(), cat: db.pin()}
 		rs, err := ex.execSelect(x, &evalEnv{params: params})
 		return rs, 0, err
 	case *TxStmt:
@@ -250,7 +277,7 @@ func execInsert(x *InsertStmt, params []Value, cur, w *catalog) (int64, error) {
 
 	var srcRows []Row
 	if x.Select != nil {
-		ex := &executor{cat: cur}
+		ex := &executor{ctx: context.Background(), cat: cur}
 		rs, err := ex.execSelect(x.Select, &evalEnv{params: params})
 		if err != nil {
 			return 0, err
@@ -358,7 +385,7 @@ func execRewrite(table string, where Expr, set []SetClause, params []Value, cur,
 	for _, sc := range set {
 		exprs = append(exprs, sc.Expr)
 	}
-	fr, fns := (&evalEnv{params: params, exec: (&executor{cat: cur}).execSelect}).compile(schema, set != nil, exprs...)
+	fr, fns := (&evalEnv{params: params, exec: (&executor{ctx: context.Background(), cat: cur}).execSelect}).compile(schema, set != nil, exprs...)
 	rows := t.Rows[:0:0]
 	var n int64
 	for _, row := range t.Rows {

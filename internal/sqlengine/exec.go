@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 )
 
@@ -14,8 +15,10 @@ type ResultSet struct {
 
 // executor runs SELECT statements against one catalog of a database,
 // the one pinned when the statement started, or, for a StreamSelect's
-// subqueries, against the tables the caller supplied.
+// subqueries, against the tables the caller supplied. ctx is the
+// statement's: its table reads stop when it ends.
 type executor struct {
+	ctx  context.Context
 	cat  *catalog
 	subs *subqueryInputs // set instead of cat
 	// depth guards against runaway view recursion.
@@ -24,8 +27,9 @@ type executor struct {
 
 const maxViewDepth = 16
 
-// execSelect runs a SELECT and returns a materialized result. env holds
-// the statement's parameters and, for a subquery, the row it runs for.
+// openSelect composes a SELECT's operator pipeline and returns it
+// unstarted: no row is read until the caller pulls one. env holds the
+// statement's parameters and, for a subquery, the row it runs for.
 //
 // It runs on the operator pipeline the federation uses (operators.go),
 // over the tables open resolves: the same analysis, with every input's
@@ -33,7 +37,7 @@ const maxViewDepth = 16
 // (the left one of a RIGHT JOIN) and nothing spills, which keeps the row
 // order and memory of the materializing executor this replaced
 // (refexec_test.go, the differential oracle).
-func (ex *executor) execSelect(sel *SelectStmt, env *evalEnv) (*ResultSet, error) {
+func (ex *executor) openSelect(sel *SelectStmt, env *evalEnv) (RowIter, error) {
 	if ex.depth > maxViewDepth {
 		return nil, fmt.Errorf("sqlengine: view or subquery nesting exceeds %d", maxViewDepth)
 	}
@@ -59,7 +63,13 @@ func (ex *executor) execSelect(sel *SelectStmt, env *evalEnv) (*ResultSet, error
 		return nil, fmt.Errorf("sqlengine: cannot run SELECT: %s", reason)
 	}
 	env = &evalEnv{params: env.params, exec: ex.execSelect, outer: env.outer, outerScope: env.outerScope}
-	it, err := streamSelect(context.Background(), plan, inputs, env, StreamOptions{BudgetBytes: -1})
+	return streamSelect(ex.ctx, plan, inputs, env, StreamOptions{BudgetBytes: -1})
+}
+
+// execSelect runs a SELECT to its end: a view, an IN or EXISTS subquery,
+// the source of an INSERT … SELECT, or a statement of Session.RunStmt.
+func (ex *executor) execSelect(sel *SelectStmt, env *evalEnv) (*ResultSet, error) {
+	it, err := ex.openSelect(sel, env)
 	if err != nil {
 		return nil, err
 	}
@@ -67,10 +77,11 @@ func (ex *executor) execSelect(sel *SelectStmt, env *evalEnv) (*ResultSet, error
 }
 
 // open resolves one FROM reference to its input; it is the one place a
-// SELECT reads a table. A database table is read in place — its rows are
-// shared, not copied: the executor's catalog never changes, nor does a
-// stored row (setRows). where, the WHERE of a branch with no other input,
-// picks the access path (access.go): the rows a hash index finds, a key
+// SELECT reads a table. A database table is read in place, as the
+// pipeline pulls — its rows are shared, not copied: the executor's
+// catalog never changes, nor does a stored row (setRows). where, the
+// WHERE of a branch with no other input, picks the access path
+// (access.go): the rows a hash index finds, a key
 // range of a table stored in primary-key order, or every row. The filter
 // still runs over what open returns, so a path returns a superset of the
 // matching rows, in table order, skipping no row the WHERE would have
@@ -95,10 +106,11 @@ func (ex *executor) open(tr TableRef, where Expr, env *evalEnv) (StreamInput, er
 		if hook := ex.cat.db.pathHook; hook != nil {
 			hook(t.Name, path)
 		}
-		return StreamInput{Source: src, Columns: cols, Iter: SliceIter(&ResultSet{Columns: cols, Rows: rows})}, nil
+		it := &tableIter{ctx: ex.ctx, cols: cols, rows: rows, table: t.Name, hook: ex.cat.db.ScanHook}
+		return StreamInput{Source: src, Columns: cols, Iter: it}, nil
 	}
 	if v, ok := ex.cat.views[tr.Name]; ok {
-		sub := &executor{cat: ex.cat, depth: ex.depth + 1}
+		sub := &executor{ctx: ex.ctx, cat: ex.cat, depth: ex.depth + 1}
 		rs, err := sub.execSelect(v.Stmt, env)
 		if err != nil {
 			return StreamInput{}, fmt.Errorf("sqlengine: view %q: %w", v.Name, err)
@@ -111,6 +123,42 @@ func (ex *executor) open(tr TableRef, where Expr, env *evalEnv) (StreamInput, er
 	}
 	return StreamInput{}, fmt.Errorf("sqlengine: %s: no such table or view %q", ex.cat.db.name, tr.Name)
 }
+
+// tableIter hands on the rows an access path found in one table version.
+// It polls the statement's context every tablePoll rows, so a cancelled
+// statement stops reading, and reports each row to the database's
+// ScanHook.
+type tableIter struct {
+	ctx   context.Context
+	cols  []string
+	rows  []Row
+	pos   int
+	table string
+	hook  func(table string)
+}
+
+const tablePoll = 64
+
+func (it *tableIter) Columns() []string { return it.cols }
+
+func (it *tableIter) Next() (Row, error) {
+	if it.pos%tablePoll == 0 {
+		if err := it.ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	if it.pos >= len(it.rows) {
+		return nil, io.EOF
+	}
+	row := it.rows[it.pos]
+	it.pos++
+	if it.hook != nil {
+		it.hook(it.table)
+	}
+	return row, nil
+}
+
+func (it *tableIter) Close() error { return nil }
 
 // expandItems resolves stars and names output columns.
 func expandItems(items []SelectItem, schema rowSchema) ([]string, []Expr, error) {

@@ -36,7 +36,9 @@ import (
 // writes sorted runs, both to temp files that are removed on Close on
 // every exit path (success, error, cancellation). An aggregate holds its
 // groups in memory, and a subquery's tables are held in memory for the
-// life of the query once it has read them.
+// life of the query once it has read them. A member engine runs its own
+// SELECTs with no budget at all (BudgetBytes -1, exec.go): their hash
+// builds and sorts hold their inputs in memory whole.
 
 // StreamSource identifies one table input of a streaming branch.
 type StreamSource struct {
@@ -509,7 +511,7 @@ func streamSelect(ctx context.Context, plan *StreamPlan, inputs []StreamInput, e
 	var subs *subqueryInputs
 	if n := len(inputs) - len(plan.Subqueries); n < len(inputs) {
 		subs = &subqueryInputs{inputs: inputs[n:], rows: map[string]*ResultSet{}}
-		env = &evalEnv{params: env.params, exec: (&executor{subs: subs}).execSelect}
+		env = &evalEnv{params: env.params, exec: (&executor{ctx: ctx, subs: subs}).execSelect}
 		inputs = inputs[:n]
 	}
 

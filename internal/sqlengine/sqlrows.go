@@ -42,10 +42,14 @@ func ValueOf(x interface{}) (Value, error) {
 // database through it with no driver.Value boxing and no second copy of
 // each row.
 type ValueQueryer interface {
-	// QueryValues runs one statement and returns its result, whose rows
-	// nothing else holds. A connection that can no longer carry a
-	// statement returns driver.ErrBadConn before it sends anything.
-	QueryValues(ctx context.Context, query string, params []Value) (*ResultSet, error)
+	// QueryValues runs one statement and returns its rows, which nothing
+	// else holds. The iterator must not read the connection, which may
+	// carry another statement while it is open: an in-process engine's
+	// SELECT is its operator pipeline over the catalog pinned when it
+	// started (Session.Open), a tcp:// answer is received whole. A
+	// connection that can no longer carry a statement returns
+	// driver.ErrBadConn before it sends anything.
+	QueryValues(ctx context.Context, query string, params []Value) (RowIter, error)
 }
 
 // badConnRetries is how many more times QueryDB runs a statement whose
@@ -59,25 +63,25 @@ const badConnRetries = 2
 // before QueryDB's own error returns — the caller's hold on a load
 // counter.
 //
-// When db's driver connection is a ValueQueryer, the statement runs
+// When db's driver connection is a ValueQueryer, the statement opens
 // inside Conn.Raw and the connection goes back to the pool at once: the
-// member engine has materialized the result, and the iterator hands on
-// its rows as they are — fresh output whose string and bytes payloads are
-// immutable, so nothing copies them. A connection that answers
-// driver.ErrBadConn is dropped and the statement run again on another, as
-// database/sql does. Any other driver is read through QueryContext and
-// Scan, the paper's "any JDBC driver" path. Either way a cancelled ctx
-// ends the iteration with ctx's error.
+// iterator reads none of it. An in-process member engine runs its
+// pipeline as the iterator is pulled, under ctx, and a row error surfaces
+// at the Next that reaches the row; the rows are fresh output whose
+// string and bytes payloads are immutable, so nothing copies them. A
+// connection that answers driver.ErrBadConn is dropped and the statement
+// run again on another, as database/sql does. Any other driver is read
+// through QueryContext and Scan, the paper's "any JDBC driver" path.
+// Either way a cancelled ctx ends the iteration with ctx's error.
 func QueryDB(ctx context.Context, db *sql.DB, name, query string, params []Value, release func()) (RowIter, error) {
-	rs, typed, err := queryValues(ctx, db, query, params)
+	it, typed, err := queryValues(ctx, db, query, params)
 	for i := 0; i < badConnRetries && errors.Is(err, driver.ErrBadConn); i++ {
-		rs, typed, err = queryValues(ctx, db, query, params)
+		it, typed, err = queryValues(ctx, db, query, params)
 	}
-	var it RowIter
 	switch {
 	case err != nil:
 	case typed:
-		it = &valueRows{sliceIter: sliceIter{rs: rs}, ctx: ctx, done: ctx.Done(), name: name, release: release}
+		it = &valueRows{RowIter: it, ctx: ctx, done: ctx.Done(), name: name, release: release}
 	default:
 		it, err = querySQL(ctx, db, name, query, params, release)
 	}
@@ -90,10 +94,10 @@ func QueryDB(ctx context.Context, db *sql.DB, name, query string, params []Value
 	return it, nil
 }
 
-// queryValues runs query through one pooled connection's ValueQueryer;
+// queryValues opens query through one pooled connection's ValueQueryer;
 // typed is false, and nothing ran, when there is no connection or the
 // driver has no ValueQueryer.
-func queryValues(ctx context.Context, db *sql.DB, query string, params []Value) (rs *ResultSet, typed bool, err error) {
+func queryValues(ctx context.Context, db *sql.DB, query string, params []Value) (it RowIter, typed bool, err error) {
 	c, err := db.Conn(ctx)
 	if err != nil {
 		return nil, false, err
@@ -106,15 +110,16 @@ func queryValues(ctx context.Context, db *sql.DB, query string, params []Value) 
 		}
 		typed = true
 		var qerr error
-		rs, qerr = q.QueryValues(ctx, query, params)
+		it, qerr = q.QueryValues(ctx, query, params)
 		return qerr
 	})
-	return rs, typed, err
+	return it, typed, err
 }
 
-// valueRows walks a member engine's own result rows.
+// valueRows hands on a member engine's rows, checking ctx before each and
+// prefixing its errors with name.
 type valueRows struct {
-	sliceIter
+	RowIter
 	ctx     context.Context
 	done    <-chan struct{}
 	name    string
@@ -127,15 +132,20 @@ func (it *valueRows) Next() (Row, error) {
 		return nil, fmt.Errorf("%s: %w", it.name, it.ctx.Err())
 	default:
 	}
-	return it.sliceIter.Next()
+	row, err := it.RowIter.Next()
+	if err != nil && err != io.EOF {
+		err = fmt.Errorf("%s: %w", it.name, err)
+	}
+	return row, err
 }
 
 func (it *valueRows) Close() error {
+	err := it.RowIter.Close()
 	if it.release != nil {
 		it.release()
 		it.release = nil
 	}
-	return nil
+	return err
 }
 
 // querySQL streams a database/sql query of a driver that has no

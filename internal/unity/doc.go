@@ -25,14 +25,17 @@
 // costs (SetSourceCost) breaking the tie first.
 //
 // Execution has one path. ExecuteStreamOp returns an incremental
-// sqlengine.RowIter: pushdown plans hand on the member engine's result
-// rows as they are (sqlengine.QueryDB), and decomposed plans run
+// sqlengine.RowIter: pushdown plans hand on the member engine's rows as
+// its pipeline produces them (sqlengine.QueryDB), and decomposed plans run
 // pipelined — on sqlengine's operators, the executor the member engines
 // run too — over member loads opened through the
 // scatter-gather (a bounded worker pool, MaxParallel; a pool one wide is
-// stock Unity's sequential run). The tables an IN/EXISTS subquery reads
-// are loads of the same plan, and the pipeline runs the subquery over
-// them. Each load selects only the columns the statement reads of its
+// stock Unity's sequential run). An in-process member's load does its
+// work as the pipeline pulls it, so those loads run one after another; a
+// tcp:// member answers whole when its load opens, and the scatter opens
+// those, and peer loads, at the same time. The tables an IN/EXISTS
+// subquery reads are loads of the same plan, and the pipeline runs the
+// subquery over them. Each load selects only the columns the statement reads of its
 // table (columns.go). ExecuteContext is the drained stream.
 //
 // A table need not live on a member database. PlanQueryAt takes, beside

@@ -10,6 +10,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gridrdb/internal/leaktest"
@@ -40,7 +41,7 @@ func (d noValidatorDriver) Open(dsn string) (driver.Conn, error) {
 // noValidatorConn exposes driver.Conn and the typed member entry only.
 type noValidatorConn struct{ driver.Conn }
 
-func (c noValidatorConn) QueryValues(ctx context.Context, query string, params []sqlengine.Value) (*sqlengine.ResultSet, error) {
+func (c noValidatorConn) QueryValues(ctx context.Context, query string, params []sqlengine.Value) (sqlengine.RowIter, error) {
 	return c.Conn.(sqlengine.ValueQueryer).QueryValues(ctx, query, params)
 }
 
@@ -235,6 +236,85 @@ func TestMemberLoadFaults(t *testing.T) {
 		}
 		assertIdle(t, f, "a decomposed statement")
 	})
+
+	t.Run("cancel stops the member", func(t *testing.T) {
+		f := federate(t, member{"stopm", sqlengine.DialectMySQL, "CREATE TABLE t (id BIGINT PRIMARY KEY, d BIGINT)"})
+		e, _ := sqldriver.LookupEngine("stopm")
+		const n = 20000
+		rows := make([]sqlengine.Row, n)
+		for i := range rows {
+			rows[i] = sqlengine.Row{sqlengine.NewInt(int64(i)), sqlengine.NewInt(1)}
+		}
+		if _, err := e.InsertRows("t", rows); err != nil {
+			t.Fatal(err)
+		}
+		defer leaktest.Check(t)()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		// The member's scan cancels the statement at its row 100; no row
+		// matches, so only the cancel can end the first Next early.
+		var scanned atomic.Int64
+		e.Database().ScanHook = func(string) {
+			if scanned.Add(1) == 100 {
+				cancel()
+			}
+		}
+		it, err := f.runOnSourceStreamCtx(ctx, "stopm", "SELECT id FROM t WHERE d < 0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := it.Next(); !errors.Is(err, context.Canceled) {
+			t.Errorf("Next after a cancel mid-scan: %v, want context.Canceled", err)
+		}
+		if got := scanned.Load(); got >= 200 {
+			t.Errorf("the member read %d of %d rows after its statement was cancelled at row 100", got, n)
+		}
+		it.Close()
+		assertIdle(t, f, "a member stopped by its cancel")
+	})
+}
+
+// TestMemberRowErrorMidStream: a decomposed join whose probe-side load
+// fails at its member's row 1 000 of 2 000 (the pushed-down filter
+// divides by zero there) delivers the 999 joined rows before it, then the
+// member's error; afterwards nothing is in flight, no connection is in
+// use and no goroutine is left behind.
+func TestMemberRowErrorMidStream(t *testing.T) {
+	ids := func(n int, d func(id int) int64) string {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("(%d, %d)", i+1, d(i+1))
+		}
+		return strings.Join(vals, ", ")
+	}
+	f := federate(t,
+		member{"rowerr_t", sqlengine.DialectMySQL, "CREATE TABLE t (id BIGINT PRIMARY KEY, d BIGINT); INSERT INTO t VALUES " +
+			ids(2000, func(id int) int64 { return map[bool]int64{true: 0, false: 1}[id == 1000] })},
+		member{"rowerr_u", sqlengine.DialectMSSQL, "CREATE TABLE u (id BIGINT PRIMARY KEY, k BIGINT); INSERT INTO u VALUES " +
+			ids(1000, func(int) int64 { return 1 })})
+	defer leaktest.Check(t)()
+	it, _, err := f.QueryStreamContext(context.Background(), "SELECT t.id FROM t JOIN u ON t.id = u.id WHERE 10 / t.d > 0")
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	got := int64(0)
+	for {
+		row, err := it.Next()
+		if err != nil {
+			if !strings.Contains(err.Error(), `unity: source "rowerr_t": sqlengine: division by zero`) {
+				t.Errorf("after %d rows: %v, want the member's division by zero", got, err)
+			}
+			break
+		}
+		if got++; row[0].Int != got {
+			t.Fatalf("row %d has id %d", got, row[0].Int)
+		}
+	}
+	if got != 999 {
+		t.Errorf("%d rows before the error, want 999", got)
+	}
+	it.Close()
+	assertIdle(t, f, "a load that failed mid-stream")
 }
 
 // TestMemberLoadAllocsPerRow: a member load hands on the rows the member

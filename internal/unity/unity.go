@@ -917,10 +917,11 @@ func (f *Federation) QueryStreamContext(ctx context.Context, sqlText string, par
 }
 
 // runOnSourceStreamCtx executes SQL on one member database and returns
-// its rows as an iterator. The member engine materializes the sub-query's
-// result, and the iterator hands its rows on with no second copy
-// (sqlengine.QueryDB). The source's in-flight counter (the
-// load-distribution signal) stays raised until the iterator is closed.
+// its rows as an iterator, with no second copy (sqlengine.QueryDB): an
+// in-process member runs its sub-query's pipeline as the iterator is
+// pulled, and a row error surfaces at the Next that reaches the row. The
+// source's in-flight counter (the load-distribution signal) stays raised
+// until the iterator is closed.
 func (f *Federation) runOnSourceStreamCtx(ctx context.Context, source, sqlText string, params []sqlengine.Value) (sqlengine.RowIter, error) {
 	f.mu.RLock()
 	s, ok := f.sources[source]
